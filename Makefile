@@ -13,11 +13,15 @@ vet:
 	$(GO) vet ./...
 
 # The repo's own invariant suite (DESIGN.md §11): oracle purity, hot-path
-# allocation sources, replay determinism, context/error discipline.
-# Offline and cached; a clean tree finishes in seconds.
+# allocation sources, replay determinism, context/error discipline. The
+# benchmark (cmd/bench) is a module of its own that `./...` does not enter,
+# so its analyzers and tests run here too. Offline and cached; a clean tree
+# finishes in seconds.
 lint:
 	$(GO) run ./cmd/sinrlint ./...
 	$(GO) test -count=1 ./internal/lint/...
+	$(GO) run ./cmd/sinrlint -C cmd/bench ./...
+	cd cmd/bench && $(GO) test ./...
 
 test:
 	$(GO) test -short ./...

@@ -291,19 +291,17 @@ func TestQuadtreeBigSlot(t *testing.T) {
 // million-node slot engine (DESIGN.md §12): a dense far slot — 524288
 // senders accumulated through the 64-shard parallel path, 524288
 // listeners decoded through run-sliced batched frontiers — completes
-// with zero allocations inside a wall ceiling, and the plan + scratch
-// footprint stays inside the 512 MiB bound the exact path could never
-// meet (its gain table would need 8 TiB). The ceiling is a regression
-// guard calibrated to the measured single-CPU slot (BENCH_quadtree.json
-// records ~4 s on this class of box at ε = 2.5; the ceiling leaves >20×
-// for slower CI hardware), not a performance target. -short drops to
-// n = 262144, which still exercises every PR-9 path.
+// with zero allocations and delivers, and the plan + scratch footprint
+// stays inside the 512 MiB bound the exact path could never meet (its
+// gain table would need 8 TiB). The slot's wall time is logged, not
+// gated: it measures the machine as much as the engine, and the
+// benchmark (BENCH_quadtree.json records ~4 s single-CPU at ε = 2.5) is
+// where speed is judged. -short drops to n = 262144, which still
+// exercises the sharded accumulate and the batched decode.
 func TestQuadtreeMillionSlot(t *testing.T) {
 	n := 1 << 20
-	wallCeil := 120 * time.Second
 	if testing.Short() {
 		n = 262144
-		wallCeil = 60 * time.Second
 	}
 	in := farBenchInstance(n)
 	q, err := in.QuadTree(2.5)
@@ -329,11 +327,7 @@ func TestQuadtreeMillionSlot(t *testing.T) {
 		t.Fatalf("n=%d far slot allocates %.1f times/op, want 0", n, allocs)
 	}
 	// AllocsPerRun ran the slot twice (one warm-up inside the helper).
-	wall := time.Since(start) / 2
-	t.Logf("n=%d dense far slot: %v (ceiling %v)", n, wall, wallCeil)
-	if wall > wallCeil {
-		t.Fatalf("n=%d slot took %v, ceiling %v — the slot engine regressed", n, wall, wallCeil)
-	}
+	t.Logf("n=%d dense far slot: %v", n, time.Since(start)/2)
 	if eng.Stats().Deliveries == 0 {
 		t.Fatal("dense slot delivered nothing — engine not exercising the channel")
 	}

@@ -1,0 +1,120 @@
+package sinrconn_test
+
+// Golden digests of constructed trees. Every construction is a seeded,
+// deterministic protocol run, so a change to the engine or the protocols
+// that claims to leave behaviour unchanged (a speed-up, a refactor) must
+// leave these digests as they are. Each digest is FNV-64a over the tree's
+// root, its scheduled links (endpoints, slot, power bits) and the slots the
+// construction consumed; the churn digest also covers the trace's stats.
+
+import (
+	"context"
+	"encoding/binary"
+	"hash"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"testing"
+
+	"sinrconn"
+	"sinrconn/internal/workload"
+)
+
+// goldenPoints is the golden deployment: a jittered grid at the bench
+// density.
+func goldenPoints(n int) []sinrconn.Point {
+	g := workload.JitteredGrid(rand.New(rand.NewSource(1)), n, 2.6, 0.8)
+	pts := make([]sinrconn.Point, len(g))
+	for i, p := range g {
+		pts[i] = sinrconn.Point{X: p.X, Y: p.Y}
+	}
+	return pts
+}
+
+type digest struct{ h hash.Hash64 }
+
+func newDigest() digest { return digest{fnv.New64a()} }
+
+func (d digest) int(v int) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(int64(v)))
+	d.h.Write(b[:])
+}
+
+func (d digest) float(v float64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+	d.h.Write(b[:])
+}
+
+// tree folds a result's root, scheduled links and slot count.
+func (d digest) tree(r *sinrconn.Result) {
+	d.int(r.Tree.Root)
+	d.int(len(r.Tree.Up))
+	for _, l := range r.Tree.Up {
+		d.int(l.Link.From)
+		d.int(l.Link.To)
+		d.int(l.Slot)
+		d.float(l.Power)
+	}
+	d.int(r.Metrics.SlotsUsed)
+}
+
+// TestGoldenDigests pins every pipeline's tree and a churn trace's final
+// tree and stats at n = 256.
+func TestGoldenDigests(t *testing.T) {
+	ctx := context.Background()
+	nw, err := sinrconn.Open(goldenPoints(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+
+	want := map[sinrconn.Pipeline]uint64{
+		sinrconn.PipelineInit:           0x46776de3b63e2220,
+		sinrconn.PipelineRescheduleMean: 0x948f73ebf324c26e,
+		sinrconn.PipelineTVCMean:        0x0d178babb6706fc9,
+		sinrconn.PipelineTVCArbitrary:   0xdbdcba46453688c4,
+	}
+	for _, p := range sinrconn.Pipelines() {
+		r, err := nw.Run(ctx, p, sinrconn.WithSeed(7))
+		if err != nil {
+			t.Fatalf("%v: %v", p, err)
+		}
+		d := newDigest()
+		d.tree(r)
+		if got := d.h.Sum64(); got != want[p] {
+			t.Errorf("%v: digest %#x, want %#x", p, got, want[p])
+		}
+	}
+
+	rep, err := nw.Churn(ctx, sinrconn.TraceSpec{
+		Seed:       7,
+		Events:     32,
+		JoinRate:   1,
+		FailRate:   1.2,
+		BurstRate:  0.25,
+		ShowerRate: 0.5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := rep.Stats
+	if s.Joins == 0 || s.IncrementalRepairs == 0 {
+		t.Fatalf("churn trace exercised no join or no incremental repair: %+v", s)
+	}
+	d := newDigest()
+	d.tree(rep.Final)
+	for _, v := range []int{
+		s.Events, s.Joins, s.Fails, s.Bursts, s.Showers, s.Moves,
+		s.NodesFailed, s.NodesMoved, s.IncrementalRepairs, s.Restamps,
+		s.Rebuilds, s.Retries, s.DampedJoins, s.MutedPeak, s.Compactions,
+		s.SlotsUsed, s.PeakScheduleLength,
+	} {
+		d.int(v)
+	}
+	const wantChurn = 0x8c746e8d637a94be
+	if got := d.h.Sum64(); got != wantChurn {
+		t.Errorf("churn: digest %#x, want %#x", got, uint64(wantChurn))
+	}
+}

@@ -87,26 +87,8 @@ func Init(ctx context.Context, in *sinr.Instance, cfg InitConfig) (*InitResult, 
 	pairs := cfg.pairsPerRound(len(parts))
 	p := in.Params()
 
-	// Build per-node protocols with derived seeds.
-	master := rand.New(rand.NewSource(cfg.Seed))
-	seeds := make([]int64, in.Len())
-	for i := range seeds {
-		seeds[i] = master.Int63()
-	}
-	nodes := make([]*initNode, in.Len())
-	procs := make([]sim.Protocol, in.Len())
-	for i := 0; i < in.Len(); i++ {
-		nodes[i] = &initNode{
-			id:            i,
-			cfg:           &cfg,
-			rng:           rand.New(rand.NewSource(seeds[i])),
-			participating: isPart[i],
-			active:        isPart[i],
-			parent:        -1,
-			broadcastPair: -1,
-		}
-		procs[i] = nodes[i]
-	}
+	spec := new(roundSpec)
+	nodes, procs := initProtocols(isPart, &cfg, spec)
 	eng, err := sim.NewEngine(in, procs, cfg.engineConfig(cfg.Seed^0x5DEECE66D))
 	if err != nil {
 		return nil, err
@@ -124,23 +106,18 @@ func Init(ctx context.Context, in *sinr.Instance, cfg InitConfig) (*InitResult, 
 	}
 
 	res := &InitResult{LadderRounds: ladder}
-	runRound := func(spec roundSpec) (bool, error) {
+	runRound := func(rs roundSpec) (bool, error) {
 		res.Rounds++
+		*spec = rs
 		for k := 0; k < pairs; k++ {
 			if err := checkCtx(ctx, "init"); err != nil {
 				return false, err
-			}
-			for i := range nodes {
-				nodes[i].spec = spec
 			}
 			eng.Step() // data slot
 			eng.Step() // ack slot
 			if activeCount() <= 1 {
 				// One more pair so a just-acknowledged broadcaster can
 				// consume its ack — harmless when none is pending.
-				for i := range nodes {
-					nodes[i].spec = spec
-				}
 				eng.Step()
 				eng.Step()
 				return true, nil
@@ -210,6 +187,35 @@ func Init(ctx context.Context, in *sinr.Instance, cfg InitConfig) (*InitResult, 
 	return res, nil
 }
 
+// initProtocols builds the Section 6 protocol for the participants (isPart)
+// of an n-node instance. Node i's seed is the master stream's i-th draw
+// whether or not i participates, so a participant's stream depends only on
+// cfg.Seed and i. A non-participant gets no node and a nil protocol — the
+// engine idles it without ever visiting it. Every node reads the round
+// configuration through spec, which the driver rewrites between rounds.
+func initProtocols(isPart []bool, cfg *InitConfig, spec *roundSpec) ([]*initNode, []sim.Protocol) {
+	master := rand.New(rand.NewSource(cfg.Seed))
+	nodes := make([]*initNode, len(isPart))
+	procs := make([]sim.Protocol, len(isPart))
+	for i, part := range isPart {
+		seed := master.Int63()
+		if !part {
+			continue
+		}
+		nodes[i] = &initNode{
+			id:            i,
+			cfg:           cfg,
+			rng:           sim.NodeRand{Seed: seed},
+			spec:          spec,
+			active:        true,
+			parent:        -1,
+			broadcastPair: -1,
+		}
+		procs[i] = nodes[i]
+	}
+	return nodes, procs
+}
+
 // roundSpec is the per-round physical configuration: the distance gate
 // [lo, hi) and the broadcast power 2βN·hi^α.
 type roundSpec struct {
@@ -219,13 +225,12 @@ type roundSpec struct {
 
 // initNode is the per-node state machine of the Section 6 protocol.
 type initNode struct {
-	id            int
-	cfg           *InitConfig
-	rng           *rand.Rand
-	participating bool
-	active        bool
-	parent        int
-	outLink       *tree.TimedLink
+	id      int
+	cfg     *InitConfig
+	rng     sim.NodeRand
+	active  bool
+	parent  int
+	outLink *tree.TimedLink
 	// tentative lists receiver-side child records (including strays whose
 	// ack was lost).
 	tentative []int
@@ -233,10 +238,10 @@ type initNode struct {
 	// acknowledgment, or -1.
 	broadcastPair int
 	pendingPower  float64
-	// spec is the current round configuration, set by the driver before
-	// each pair. Reads happen inside Step, writes between engine steps, so
-	// there is no race.
-	spec roundSpec
+	// spec is the current round configuration, shared by every node and
+	// rewritten by the driver between rounds. Reads happen inside Step,
+	// writes between engine steps, so there is no race.
+	spec *roundSpec
 }
 
 var _ sim.Protocol = (*initNode)(nil)
@@ -244,9 +249,6 @@ var _ sim.Protocol = (*initNode)(nil)
 // Step implements sim.Protocol. Even slots are broadcast slots, odd slots
 // are acknowledgment slots.
 func (nd *initNode) Step(slot int, inbox []sim.Delivery) sim.Action {
-	if !nd.participating {
-		return sim.Idle()
-	}
 	if slot%2 == 0 {
 		return nd.broadcastSlot(slot, inbox)
 	}

@@ -73,11 +73,6 @@ func Join(ctx context.Context, in *sinr.Instance, bt *tree.BiTree, joiners []int
 	pairs := cfg.pairsPerRound(len(joiners) + 1)
 	p := in.Params()
 
-	master := rand.New(rand.NewSource(cfg.Seed))
-	seeds := make([]int64, in.Len())
-	for i := range seeds {
-		seeds[i] = master.Int63()
-	}
 	// Ack contention: unlike Init, where the set of potential acknowledgers
 	// thins as nodes deactivate, every member is a potential acknowledger
 	// here — in the permissive safety rounds, all of them. Members
@@ -97,9 +92,15 @@ func Join(ctx context.Context, in *sinr.Instance, bt *tree.BiTree, joiners []int
 	for _, v := range cfg.Mute {
 		muted[v] = true
 	}
+	// Node i's seed is the master stream's i-th draw whatever its role;
+	// nodes outside the tree and the joiner set get a nil protocol, which
+	// the engine idles without visiting.
+	master := rand.New(rand.NewSource(cfg.Seed))
+	spec := new(roundSpec)
 	nodes := make([]*joinNode, in.Len())
 	procs := make([]sim.Protocol, in.Len())
 	for i := 0; i < in.Len(); i++ {
+		seed := master.Int63()
 		role := joinIdle
 		switch {
 		case member[i]:
@@ -107,15 +108,19 @@ func Join(ctx context.Context, in *sinr.Instance, bt *tree.BiTree, joiners []int
 		case joinSet[i]:
 			role = joinJoiner
 		}
+		if role == joinIdle {
+			continue
+		}
 		nodes[i] = &joinNode{
 			id:            i,
 			cfg:           &cfg,
-			rng:           rand.New(rand.NewSource(seeds[i])),
+			rng:           sim.NodeRand{Seed: seed},
 			role:          role,
 			broadcastPair: -1,
 			decayLevels:   decayLevels,
 			forbidden:     forbidden,
 			muted:         muted[i],
+			spec:          spec,
 		}
 		procs[i] = nodes[i]
 	}
@@ -134,20 +139,15 @@ func Join(ctx context.Context, in *sinr.Instance, bt *tree.BiTree, joiners []int
 		}
 		return c
 	}
-	runRound := func(spec roundSpec) (bool, error) {
+	runRound := func(rs roundSpec) (bool, error) {
+		*spec = rs
 		for k := 0; k < pairs; k++ {
 			if err := checkCtx(ctx, "join"); err != nil {
 				return false, err
 			}
-			for i := range nodes {
-				nodes[i].spec = spec
-			}
 			eng.Step()
 			eng.Step()
 			if remaining() == 0 {
-				for i := range nodes {
-					nodes[i].spec = spec
-				}
 				eng.Step()
 				eng.Step()
 				return true, nil
@@ -234,7 +234,7 @@ const (
 type joinNode struct {
 	id            int
 	cfg           *InitConfig
-	rng           *rand.Rand
+	rng           sim.NodeRand
 	role          joinRole
 	outLink       *tree.TimedLink
 	broadcastPair int
@@ -242,16 +242,14 @@ type joinNode struct {
 	decayLevels   int
 	forbidden     map[sinr.Link]bool
 	muted         bool
-	spec          roundSpec
+	// spec is the current round configuration, shared like initNode.spec.
+	spec *roundSpec
 }
 
 var _ sim.Protocol = (*joinNode)(nil)
 
 // Step implements sim.Protocol.
 func (nd *joinNode) Step(slot int, inbox []sim.Delivery) sim.Action {
-	if nd.role == joinIdle {
-		return sim.Idle()
-	}
 	if slot%2 == 0 {
 		return nd.dataSlot(slot, inbox)
 	}

@@ -4,7 +4,6 @@ package core
 // hand-crafted slot/inbox sequences and verify each transition branch.
 
 import (
-	"math/rand"
 	"testing"
 
 	"sinrconn/internal/sim"
@@ -18,21 +17,30 @@ func newTestInitNode(id int) *initNode {
 	return &initNode{
 		id:            id,
 		cfg:           cfg,
-		rng:           rand.New(rand.NewSource(1)),
-		participating: true,
+		rng:           sim.NodeRand{Seed: 1},
 		active:        true,
 		parent:        -1,
 		broadcastPair: -1,
-		spec:          roundSpec{lo: 1, hi: 4, power: 100},
+		spec:          &roundSpec{lo: 1, hi: 4, power: 100},
 	}
 }
 
+// TestInitNodeNonParticipantIdles pins that a non-participant gets a nil
+// protocol (the engine's idle-forever node) while each participant keeps
+// the seed it would have had with every node participating.
 func TestInitNodeNonParticipantIdles(t *testing.T) {
-	nd := newTestInitNode(0)
-	nd.participating = false
-	for slot := 0; slot < 4; slot++ {
-		if a := nd.Step(slot, nil); a.Kind != sim.ActionIdle {
-			t.Fatalf("slot %d: non-participant acted: %v", slot, a.Kind)
+	cfg := &InitConfig{Seed: 5}
+	all, _ := initProtocols([]bool{true, true, true, true, true}, cfg, new(roundSpec))
+	isPart := []bool{false, true, false, true, false}
+	nodes, procs := initProtocols(isPart, cfg, new(roundSpec))
+	for i, part := range isPart {
+		switch {
+		case !part && (nodes[i] != nil || procs[i] != nil):
+			t.Errorf("non-participant %d has a protocol", i)
+		case part && (nodes[i] == nil || procs[i] != sim.Protocol(nodes[i])):
+			t.Errorf("participant %d has no protocol", i)
+		case part && nodes[i].rng.Seed != all[i].rng.Seed:
+			t.Errorf("participant %d seed %d, want %d", i, nodes[i].rng.Seed, all[i].rng.Seed)
 		}
 	}
 }
@@ -136,11 +144,11 @@ func newTestJoinNode(id int, role joinRole) *joinNode {
 	return &joinNode{
 		id:            id,
 		cfg:           cfg,
-		rng:           rand.New(rand.NewSource(2)),
+		rng:           sim.NodeRand{Seed: 2},
 		role:          role,
 		broadcastPair: -1,
 		decayLevels:   0, // level 0 always → ack probability 1
-		spec:          roundSpec{lo: 0, hi: 100, power: 50},
+		spec:          &roundSpec{lo: 0, hi: 100, power: 50},
 	}
 }
 
@@ -190,7 +198,7 @@ func TestJoinNodeMemberAcks(t *testing.T) {
 
 func TestJoinNodeMemberRespectsGate(t *testing.T) {
 	nd := newTestJoinNode(2, joinMember)
-	nd.spec = roundSpec{lo: 4, hi: 8, power: 50}
+	nd.spec = &roundSpec{lo: 4, hi: 8, power: 50}
 	nd.Step(0, nil)
 	bc := sim.Delivery{Msg: sim.Message{Kind: sim.KindBroadcast, From: 9}, Dist: 2, Slot: 0}
 	if a := nd.Step(1, []sim.Delivery{bc}); a.Kind != sim.ActionListen {
@@ -225,9 +233,9 @@ func TestRoundSpecPowerStampedOnLink(t *testing.T) {
 	// Regression guard: the power recorded on a formed link is the power
 	// of the round in which the broadcast happened, not a later round's.
 	nd := newTestInitNode(3)
-	nd.spec = roundSpec{lo: 1, hi: 4, power: 111}
+	nd.spec = &roundSpec{lo: 1, hi: 4, power: 111}
 	nd.Step(0, nil)
-	nd.spec = roundSpec{lo: 4, hi: 8, power: 999} // round advances mid-wait
+	*nd.spec = roundSpec{lo: 4, hi: 8, power: 999} // round advances mid-wait
 	nd.Step(1, nil)
 	ack := sim.Delivery{Msg: sim.Message{Kind: sim.KindAck, From: 9, To: 3}}
 	nd.Step(2, []sim.Delivery{ack})

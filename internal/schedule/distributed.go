@@ -102,17 +102,13 @@ func Distributed(ctx context.Context, in *sinr.Instance, links []sinr.Link, pa s
 	n := in.Len()
 	nodes := make([]*schedNode, n)
 	master := rand.New(rand.NewSource(cfg.Seed))
-	seeds := make([]int64, n)
-	for i := range seeds {
-		seeds[i] = master.Int63()
-	}
 	for i := 0; i < n; i++ {
 		nodes[i] = &schedNode{
 			id:  i,
 			in:  in,
 			pa:  pa,
 			cfg: cfg,
-			rng: rand.New(rand.NewSource(seeds[i])),
+			rng: sim.NodeRand{Seed: master.Int63()},
 		}
 	}
 	for _, l := range links {
@@ -208,7 +204,7 @@ type schedNode struct {
 	in        *sinr.Instance
 	pa        sinr.Assignment
 	cfg       DistConfig
-	rng       *rand.Rand
+	rng       sim.NodeRand
 	pending   []pendingLink
 	scheduled map[sinr.Link]int // link → slot-pair index
 	// lastTx is the index into pending of the link transmitted in the

@@ -11,7 +11,10 @@
 // next slot. Node stepping and listener decoding are parallelized with a
 // persistent worker pool — safe because protocols only touch their own
 // state — and all randomness is derived deterministically from the engine
-// seed, so results are reproducible regardless of worker count.
+// seed, so results are reproducible regardless of worker count. A node
+// whose protocol entry is nil idles forever and is never visited, so a slot
+// costs what its live nodes cost; NodeRand gives each node a private random
+// stream that is seeded only when the node first draws from it.
 //
 // The slot loop is zero-allocation in steady state: workers are spawned once
 // (not per slot), per-worker shard counters replace mutex-guarded stats, and

@@ -94,6 +94,10 @@ type Delivery struct {
 // but the API permits more for β < 1 configurations) and returns the node's
 // action for this slot. Implementations must confine themselves to their
 // own state: Step is invoked concurrently across nodes.
+//
+// A nil Protocol in the slice handed to NewEngine is a node that idles in
+// every slot. The engine never visits it, so a run whose protocol gives
+// most nodes nothing to do costs only what its live nodes cost.
 type Protocol interface {
 	Step(slot int, inbox []Delivery) Action
 }
@@ -260,8 +264,13 @@ type shard struct {
 
 // Engine drives a set of per-node protocols over a shared SINR channel.
 type Engine struct {
-	inst    *sinr.Instance
-	procs   []Protocol
+	inst  *sinr.Instance
+	procs []Protocol
+	// live lists the nodes with a non-nil protocol, ascending. The stages
+	// step, collect senders and decode over it instead of 0..n; ascending
+	// order keeps the sender set, the energy sum and decode ties exactly as
+	// a scan of every node would produce them.
+	live    []int32
 	cfg     Config
 	stats   Stats
 	slot    int
@@ -311,11 +320,14 @@ type Engine struct {
 }
 
 // NewEngine creates an engine over instance inst with one protocol per node.
-// len(procs) must equal inst.Len(). Engines whose instance is large enough
-// to parallelize dispatch on Config.Pool when one is provided, otherwise
-// they spawn a private worker pool; call Close when done with an engine to
-// release a private pool's goroutines (Close is always safe to call and
-// never touches a shared pool).
+// len(procs) must equal inst.Len(). A nil entry is a node that idles in
+// every slot: the engine indexes the non-nil entries once, here, and its
+// slot loop steps and decodes only those, so an idle node costs nothing per
+// slot. Engines whose live set is large enough to parallelize dispatch on
+// Config.Pool when one is provided, otherwise they spawn a private worker
+// pool; call Close when done with an engine to release a private pool's
+// goroutines (Close is always safe to call and never touches a shared
+// pool).
 func NewEngine(inst *sinr.Instance, procs []Protocol, cfg Config) (*Engine, error) {
 	if len(procs) != inst.Len() {
 		return nil, fmt.Errorf("sim: %d protocols for %d nodes", len(procs), inst.Len())
@@ -341,6 +353,14 @@ func NewEngine(inst *sinr.Instance, procs []Protocol, cfg Config) (*Engine, erro
 		noise:   p.Noise,
 		alpha:   p.Alpha,
 	}
+	for i, proc := range procs {
+		if proc == nil {
+			e.actions[i] = Idle()
+			continue
+		}
+		e.live = append(e.live, int32(i))
+	}
+	live := len(e.live)
 	var batchPlan farBatchPlanner
 	if cfg.FarField != nil {
 		if cfg.FarField.Instance() != inst {
@@ -373,11 +393,11 @@ func NewEngine(inst *sinr.Instance, procs []Protocol, cfg Config) (*Engine, erro
 		e.gains = inst.GainTable()
 	}
 	switch {
-	case cfg.Pool != nil && cfg.Pool.Workers() > 1 && n >= 2*cfg.Pool.Workers():
+	case cfg.Pool != nil && cfg.Pool.Workers() > 1 && live >= 2*cfg.Pool.Workers():
 		// Shared session pool; the engine borrows it and never closes it.
 		e.pool = cfg.Pool
 		e.shards = make([]shard, cfg.Pool.Workers())
-	case cfg.Pool == nil && cfg.Workers > 1 && n >= 2*cfg.Workers:
+	case cfg.Pool == nil && cfg.Workers > 1 && live >= 2*cfg.Workers:
 		e.pool = NewPool(cfg.Workers)
 		e.ownPool = true
 		e.shards = make([]shard, cfg.Workers)
@@ -422,8 +442,6 @@ func (e *Engine) Instance() *sinr.Instance { return e.inst }
 // Step executes one slot: gather actions, resolve the channel, deliver.
 //sinr:hotpath
 func (e *Engine) Step() {
-	n := len(e.procs)
-
 	// Fault site sim.slot.slow: stall the whole slot. Timing only — the
 	// slot's schedule and stats are untouched, so replays stay
 	// bit-identical.
@@ -433,19 +451,19 @@ func (e *Engine) Step() {
 		}
 	}
 
-	// Stage 1: step every protocol with its inbox (parallel).
+	// Stage 1: step every live protocol with its inbox (parallel).
 	if e.pool != nil {
 		e.pool.dispatch(e, stageStep)
 	} else {
-		e.stepRange(0, n)
+		e.stepRange(0, len(e.live))
 	}
 
-	// Stage 2: collect the sender set.
+	// Stage 2: collect the sender set, in ascending node order.
 	e.txs = e.txs[:0]
-	for i := range e.actions {
-		if e.actions[i].Kind == ActionTransmit {
-			e.txs = append(e.txs, sinr.Tx{Sender: i, Power: e.actions[i].Power})
-			e.stats.Energy += e.actions[i].Power
+	for _, i := range e.live {
+		if a := &e.actions[i]; a.Kind == ActionTransmit {
+			e.txs = append(e.txs, sinr.Tx{Sender: int(i), Power: a.Power})
+			e.stats.Energy += a.Power
 		}
 	}
 	e.stats.Transmissions += len(e.txs)
@@ -495,7 +513,7 @@ func (e *Engine) Step() {
 		case e.pool != nil:
 			e.pool.dispatch(e, stageDecode)
 		default:
-			e.decodeRange(0, n, &e.shards[0])
+			e.decodeRange(0, len(e.live), &e.shards[0])
 		}
 	}
 	var delivered int
@@ -523,23 +541,23 @@ func (e *Engine) Step() {
 	}
 }
 
-// stepRange runs stage 1 for nodes [lo, hi).
+// stepRange runs stage 1 for the live nodes live[lo:hi].
 //sinr:hotpath
 func (e *Engine) stepRange(lo, hi int) {
 	slot := e.slot
-	for i := lo; i < hi; i++ {
+	for _, i := range e.live[lo:hi] {
 		e.actions[i] = e.procs[i].Step(slot, e.inboxes[i])
 		e.next[i] = e.next[i][:0]
 	}
 }
 
-// decodeRange runs stage 3 for listeners [lo, hi), accumulating counters
-// into sh.
+// decodeRange runs stage 3 for the listeners among live[lo:hi],
+// accumulating counters into sh.
 //sinr:hotpath
 func (e *Engine) decodeRange(lo, hi int, sh *shard) {
-	for i := lo; i < hi; i++ {
+	for _, i := range e.live[lo:hi] {
 		if e.actions[i].Kind == ActionListen {
-			e.decodeListener(i, sh)
+			e.decodeListener(int(i), sh)
 		}
 	}
 }

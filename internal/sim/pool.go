@@ -59,7 +59,7 @@ func NewPool(workers int) *Pool {
 func (p *Pool) Workers() int { return len(p.cmd) }
 
 // work is one worker's loop: receive a job, process this worker's static
-// shard of the job engine's node range, signal that engine's WaitGroup.
+// shard of the job engine's live nodes, signal that engine's WaitGroup.
 // Terminates when the command channel closes.
 func (p *Pool) work(k int) {
 	w := len(p.cmd)
@@ -75,10 +75,10 @@ func (p *Pool) work(k int) {
 		}
 		switch j.st {
 		case stageStep:
-			lo, hi := chunkRange(len(e.procs), w, k)
+			lo, hi := chunkRange(len(e.live), w, k)
 			e.stepRange(lo, hi)
 		case stageDecode:
-			lo, hi := chunkRange(len(e.procs), w, k)
+			lo, hi := chunkRange(len(e.live), w, k)
 			e.decodeRange(lo, hi, &e.shards[k])
 		case stageFarAccum:
 			nsh := e.farShard.AccumShards()
