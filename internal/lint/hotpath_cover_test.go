@@ -29,7 +29,7 @@ var hotpathGates = map[string]hotpathGate{
 	"internal/sim.Engine.Step":              {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
 	"internal/sim.Engine.stepRange":         {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
 	"internal/sim.Engine.decodeRange":       {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
-	"internal/sim.Engine.decodeListener":    {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
+	"internal/sim.Engine.decodeExact":       {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
 	"internal/sim.Engine.decodeListenerFar": {"TestFarFieldSlotLoopZeroAlloc", "internal/sim/farfield_test.go"},
 	"internal/sim.Engine.finishDecode":      {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
 

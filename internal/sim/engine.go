@@ -262,6 +262,34 @@ type shard struct {
 	_         [40]byte
 }
 
+// listenAcc is one listener's running exact decode: the received power
+// summed over the senders seen so far, the strongest of them, and whether
+// a co-located sender saturated the channel.
+type listenAcc struct {
+	total, bestRP float64
+	best          int32 // index into txs; -1 until a sender is audible
+	sat           bool
+}
+
+// add folds sender k, transmitting at power p with gain g to this
+// listener, into the accumulator. Senders must arrive in txs order: that
+// fixes the float sum and makes the first of two equally strong senders
+// the winner.
+func (a *listenAcc) add(k int, p, g float64) {
+	if math.IsInf(g, 1) {
+		// A co-located sender (only possible with duplicate points)
+		// saturates the channel; nothing is decodable.
+		a.sat = true
+		return
+	}
+	rp := p * g
+	a.total += rp
+	if rp > a.bestRP {
+		a.bestRP = rp
+		a.best = int32(k)
+	}
+}
+
 // Engine drives a set of per-node protocols over a shared SINR channel.
 type Engine struct {
 	inst  *sinr.Instance
@@ -278,12 +306,14 @@ type Engine struct {
 	next    [][]Delivery
 	actions []Action
 	txs     []sinr.Tx
+	lis     []int32     // the slot's listeners, ascending; collected with txs
+	acc     []listenAcc // exact decode state of lis[j], at acc[j]
 
 	// Physics-kernel state hoisted out of the slot loop.
 	beta  float64
 	noise float64
 	alpha float64
-	gains []float64 // row-major n×n gain table; nil if over memory budget
+	gains []float64 // n×n gain table, symmetric; nil if over memory budget
 
 	// Far-field approximation state (nil in exact mode). The resolver is
 	// engine-private: Accumulate fills it serially each slot, the parallel
@@ -404,6 +434,8 @@ func NewEngine(inst *sinr.Instance, procs []Protocol, cfg Config) (*Engine, erro
 	default:
 		e.shards = make([]shard, 1)
 	}
+	e.lis = make([]int32, 0, live)
+	e.acc = make([]listenAcc, live)
 	if e.farBatch != nil {
 		e.farOrder, e.farClass = batchPlan.BatchSpec()
 		e.farVs = make([]int32, 0, n)
@@ -458,12 +490,17 @@ func (e *Engine) Step() {
 		e.stepRange(0, len(e.live))
 	}
 
-	// Stage 2: collect the sender set, in ascending node order.
+	// Stage 2: collect the sender set and the listeners, in ascending node
+	// order.
 	e.txs = e.txs[:0]
+	e.lis = e.lis[:0]
 	for _, i := range e.live {
-		if a := &e.actions[i]; a.Kind == ActionTransmit {
+		switch a := &e.actions[i]; a.Kind {
+		case ActionTransmit:
 			e.txs = append(e.txs, sinr.Tx{Sender: int(i), Power: a.Power})
 			e.stats.Energy += a.Power
+		case ActionListen:
+			e.lis = append(e.lis, i)
 		}
 	}
 	e.stats.Transmissions += len(e.txs)
@@ -497,10 +534,12 @@ func (e *Engine) Step() {
 
 	// Stage 3: decode at every listener (parallel). Each listener decodes
 	// the strongest sender if its SINR clears β. Counters land in per-worker
-	// shards; no lock is taken. Far slots on a batching plan group the
-	// listeners by predicate class (serially, from the plan's static spec)
-	// and walk each class run through one shared frontier — bit-identical
-	// to the per-listener walks.
+	// shards; no lock is taken. Exact slots decode sender-major, streaming
+	// each sender's gain row across the listeners (decodeExact); pooled
+	// engines give each worker a contiguous share of lis. Far slots on a
+	// batching plan group the listeners by predicate class (serially, from
+	// the plan's static spec) and walk each class run through one shared
+	// frontier — bit-identical to the per-listener walks.
 	if len(e.txs) > 0 {
 		switch {
 		case e.farSlot && e.farBatch != nil:
@@ -513,7 +552,7 @@ func (e *Engine) Step() {
 		case e.pool != nil:
 			e.pool.dispatch(e, stageDecode)
 		default:
-			e.decodeRange(0, len(e.live), &e.shards[0])
+			e.decodeRange(0, len(e.lis), &e.shards[0])
 		}
 	}
 	var delivered int
@@ -551,64 +590,62 @@ func (e *Engine) stepRange(lo, hi int) {
 	}
 }
 
-// decodeRange runs stage 3 for the listeners among live[lo:hi],
-// accumulating counters into sh.
+// decodeRange runs stage 3 for the listeners lis[lo:hi], accumulating
+// counters into sh.
 //sinr:hotpath
 func (e *Engine) decodeRange(lo, hi int, sh *shard) {
-	for _, i := range e.live[lo:hi] {
-		if e.actions[i].Kind == ActionListen {
-			e.decodeListener(int(i), sh)
+	if e.farSlot {
+		for _, i := range e.lis[lo:hi] {
+			e.decodeListenerFar(int(i), sh)
 		}
+		return
 	}
+	e.decodeExact(lo, hi, sh)
 }
 
-// decodeListener resolves reception at listener i: a single pass over the
-// sender set accumulates total received power and tracks the strongest
-// sender via the cached gain table; the strongest sender is decoded iff its
-// SINR ≥ β. The sender's distance (for Delivery.Dist) is computed once,
-// only for an actual delivery.
+// decodeExact resolves reception at the listeners lis[lo:hi] sender-major:
+// for each sender in txs order, one pass over the listeners reads the
+// sender's gain row at the listeners' columns, folding the received power
+// into each listener's accumulator. The table is symmetric bit for bit
+// (gain[s·n+v] == gain[v·n+s]), so with ascending listeners a row read
+// streams through contiguous memory; scanning each listener's own row at
+// the senders' columns instead would fetch one cache line per (listener,
+// sender) pair. Every listener still sees the senders in txs order, so its
+// sum, its winner and its saturation verdict are the ones a listener-major
+// scan computes. The strongest sender is decoded iff its SINR ≥ β; its
+// distance (for Delivery.Dist) is computed once, only for an actual
+// delivery.
 //sinr:hotpath
-func (e *Engine) decodeListener(i int, sh *shard) {
-	if e.farSlot {
-		e.decodeListenerFar(i, sh)
-		return
+func (e *Engine) decodeExact(lo, hi int, sh *shard) {
+	lis, acc := e.lis[lo:hi], e.acc[lo:hi]
+	for j := range acc {
+		acc[j] = listenAcc{best: -1}
 	}
 	n := len(e.procs)
-	var row []float64
-	if e.gains != nil {
-		row = e.gains[i*n : (i+1)*n]
-	}
-	var total, bestRP float64
-	best := -1
 	for k := range e.txs {
 		t := &e.txs[k]
-		var g float64
-		if row != nil {
-			g = row[t.Sender]
-		} else {
-			// On-the-fly path loss: bit-identical to a table entry (same
-			// expression), and — unlike Instance.Gain — never forces the
-			// O(n²) table build an adaptive far-field engine avoids.
-			g = 1 / sinr.PowAlphaSq(e.inst.DistSq(t.Sender, i), e.alpha)
+		if e.gains != nil {
+			row := e.gains[t.Sender*n : (t.Sender+1)*n]
+			for j, v := range lis {
+				acc[j].add(k, t.Power, row[v])
+			}
+			continue
 		}
-		if math.IsInf(g, 1) {
-			// A co-located sender (only possible with duplicate points)
-			// saturates the channel; nothing is decodable.
+		// On-the-fly path loss: bit-identical to a table entry (same
+		// expression), and — unlike Instance.Gain — never forces the
+		// O(n²) table build an adaptive far-field engine avoids.
+		for j, v := range lis {
+			acc[j].add(k, t.Power, 1/sinr.PowAlphaSq(e.inst.DistSq(t.Sender, int(v)), e.alpha))
+		}
+	}
+	for j, v := range lis {
+		switch a := &acc[j]; {
+		case a.sat:
 			sh.collided++
-			return
-		}
-		rp := t.Power * g
-		total += rp
-		if rp > bestRP {
-			bestRP = rp
-			best = k
+		case a.best >= 0: // else no audible signal (all senders at zero power)
+			e.finishDecode(int(v), int(a.best), a.bestRP, a.total, sh)
 		}
 	}
-	if best < 0 {
-		// No audible signal (all senders at zero power).
-		return
-	}
-	e.finishDecode(i, best, bestRP, total, sh)
 }
 
 // decodeListenerFar resolves reception at listener i through the far-field

@@ -78,7 +78,7 @@ func (p *Pool) work(k int) {
 			lo, hi := chunkRange(len(e.live), w, k)
 			e.stepRange(lo, hi)
 		case stageDecode:
-			lo, hi := chunkRange(len(e.live), w, k)
+			lo, hi := chunkRange(len(e.lis), w, k)
 			e.decodeRange(lo, hi, &e.shards[k])
 		case stageFarAccum:
 			nsh := e.farShard.AccumShards()

@@ -60,7 +60,10 @@ func (in *Instance) LengthAlpha(l Link) float64 { return in.DistAlpha(l.From, l.
 
 // buildGainTable fills in.gain with d(u,v)^{-α} in row-major order
 // (entry v·n+u, i.e. row v holds the gains from every sender u to receiver
-// v; the matrix is symmetric). Diagonal and duplicate-point entries are +Inf
+// v). The matrix is symmetric bit for bit — both entries are 1/PowAlphaSq of
+// the same squared distance — so row v is also the gains from sender v to
+// every receiver; the engine's exact decode reads it that way
+// (TestGainTableSymmetric). Diagonal and duplicate-point entries are +Inf
 // — a zero-distance "link" saturates any receiver — and callers treat +Inf
 // as the saturation sentinel. Rows are built in parallel.
 func (in *Instance) buildGainTable() {
@@ -102,7 +105,8 @@ func (in *Instance) buildGainTable() {
 func (in *Instance) markGainResolved() { in.gainReady.Store(true) }
 
 // GainTable returns the n×n gain table (row-major, entry v·n+u =
-// d(u,v)^{-α}), building it on first use. It returns nil when the table
+// d(u,v)^{-α}, bitwise equal to entry u·n+v), building it on first use.
+// Extend, MoveTo and Shrink keep it symmetric. It returns nil when the table
 // would exceed the memory budget; callers must then fall back to Gain,
 // which computes identical values on the fly.
 //

@@ -203,6 +203,53 @@ func TestGainTableMatchesFallback(t *testing.T) {
 	}
 }
 
+// TestGainTableSymmetric pins the gain table bitwise symmetric — entry
+// v·n+u equals entry u·n+v bit for bit — as built, and as derived by
+// Extend, MoveTo and Shrink. The engine's exact decode reads sender s's
+// gains to its listeners from row s instead of column s, so this is what
+// keeps it equal to the listener-major scan. It holds because both
+// entries evaluate 1/PowAlphaSq of the same squared distance: (a−b)² and
+// (b−a)² round identically.
+func TestGainTableSymmetric(t *testing.T) {
+	check := func(label string, in *Instance) {
+		t.Helper()
+		g, n := in.GainTable(), in.Len()
+		if g == nil {
+			t.Fatalf("%s: no table", label)
+		}
+		for v := 0; v < n; v++ {
+			for u := 0; u < v; u++ {
+				if a, b := g[v*n+u], g[u*n+v]; math.Float64bits(a) != math.Float64bits(b) {
+					t.Fatalf("%s: gain[%d][%d] = %v but gain[%d][%d] = %v", label, v, u, a, u, v, b)
+				}
+			}
+		}
+	}
+	for _, alpha := range []float64{2, 2.5, 3, 4} {
+		rng := rand.New(rand.NewSource(int64(alpha * 13)))
+		base := randomKernelInstance(rng, 48, alpha)
+		pts := append([]geom.Point(nil), base.Points()...)
+		pts[5] = pts[4] // a duplicate: its pair entries are +Inf both ways
+		in := MustInstance(pts, base.Params())
+		check("fresh", in)
+		grown, err := in.Extend([]geom.Point{{X: -3.25, Y: 7}, {X: 1e3, Y: 0.1}, pts[9]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("Extend", grown)
+		moved, err := grown.MoveTo([]int{0, 20}, []geom.Point{{X: 0.3, Y: -11}, pts[30]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("MoveTo", moved)
+		shrunk, _, err := moved.Shrink([]int{1, 7, 49})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("Shrink", shrunk)
+	}
+}
+
 // TestKernelDeterminism asserts a fixed seed gives bit-identical affectance
 // sums across two independently built instances — the determinism contract
 // protocols rely on.
