@@ -47,7 +47,9 @@ func (nw *Network) opSettings(opts []RunOption) (settings, error) {
 // Join attaches newly awakened nodes at newPts to r's bi-tree,
 // distributedly (members acknowledge, joiners ladder through distance
 // classes — see core.Join). The new nodes receive indices starting at the
-// current node count, in input order. The combined point set must keep
+// current node count, in input order. The new coordinates must be finite
+// and the grown bounding box's squared diagonal must not overflow
+// (ErrInvalidGeometry otherwise). The combined point set must keep
 // minimum pairwise distance ≥ 1, reported as ErrNotNormalized otherwise;
 // joins never renormalize, since that would silently move existing nodes.
 //
@@ -91,6 +93,9 @@ func (nw *Network) join(ctx context.Context, r *Result, newPts []Point, s settin
 	}
 	merged := make([]geom.Point, 0, oldInst.Len()+len(extra))
 	merged = append(append(merged, oldInst.Points()...), extra...)
+	if err := checkGeometry(merged); err != nil {
+		return nil, err
+	}
 	if md := geom.MinDist(merged); md < 1-1e-9 {
 		return nil, fmt.Errorf("%w: min distance %v after join", ErrNotNormalized, md)
 	}

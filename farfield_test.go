@@ -6,8 +6,12 @@ package sinrconn
 // far-field epoch/join paths.
 
 import (
+	"context"
+	"errors"
 	"math"
+	"math/rand"
 	"testing"
+	"time"
 
 	"sinrconn/internal/sinr"
 	"sinrconn/internal/workload"
@@ -476,4 +480,34 @@ func TestFarPrecisionOption(t *testing.T) {
 	if grown.Tree.ff.MaxRelError() < 2.5 {
 		t.Fatalf("inherited f32 plan narrowed the tree's ε: %v", grown.Tree.ff.MaxRelError())
 	}
+}
+
+// TestOpenFarLarge is the scale smoke for session set-up at the far-field
+// row's largest size: Open validates a 262144-node deployment (the
+// minimum-distance check) and a Run on a canceled context gets past the Init
+// ladder's maximum-distance scan to its first context check. Both were
+// all-pairs scans costing minutes at this n; the time is logged, not gated.
+func TestOpenFarLarge(t *testing.T) {
+	if testing.Short() {
+		t.Skip("262144-node set-up; skipped under -short")
+	}
+	const n = 1 << 18
+	g := workload.JitteredGrid(rand.New(rand.NewSource(1)), n, 2.6, 0.8)
+	pts := make([]Point, len(g))
+	for i, p := range g {
+		pts[i] = Point{X: p.X, Y: p.Y}
+	}
+	t0 := time.Now()
+	nw, err := Open(pts, WithMaxRelError(1.0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	t1 := time.Now()
+	canceled, cancel := context.WithCancel(bg)
+	cancel()
+	if _, err := nw.Run(canceled, PipelineInit); !errors.Is(err, context.Canceled) {
+		t.Fatalf("run on a canceled context returned %v, want context.Canceled", err)
+	}
+	t.Logf("n=%d: Open %v, canceled Run %v", n, t1.Sub(t0), time.Since(t1))
 }

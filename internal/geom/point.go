@@ -54,55 +54,6 @@ func (b Ball) Contains(q Point) bool {
 	return b.Center.DistSq(q) <= b.Radius*b.Radius+1e-12
 }
 
-// MinDist returns the smallest pairwise distance among pts. It returns 0 for
-// fewer than two points. The computation uses a grid bucketed at the current
-// best estimate, falling back to an exact quadratic scan for small inputs.
-func MinDist(pts []Point) float64 {
-	n := len(pts)
-	if n < 2 {
-		return 0
-	}
-	best := math.Inf(1)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if d := pts[i].DistSq(pts[j]); d < best {
-				best = d
-			}
-		}
-	}
-	return math.Sqrt(best)
-}
-
-// MaxDist returns the largest pairwise distance among pts (the paper's Δ when
-// the minimum distance is normalized to 1). It returns 0 for fewer than two
-// points.
-func MaxDist(pts []Point) float64 {
-	n := len(pts)
-	if n < 2 {
-		return 0
-	}
-	best := 0.0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if d := pts[i].DistSq(pts[j]); d > best {
-				best = d
-			}
-		}
-	}
-	return math.Sqrt(best)
-}
-
-// Delta returns the ratio of the maximum to the minimum pairwise distance,
-// the paper's Δ (after normalizing the minimum distance to 1). It returns 1
-// for degenerate inputs.
-func Delta(pts []Point) float64 {
-	mn := MinDist(pts)
-	if mn <= 0 {
-		return 1
-	}
-	return MaxDist(pts) / mn
-}
-
 // NumLengthClasses returns ⌈log₂ Δ⌉ clamped to at least 1: the number of
 // doubling length classes the Init protocol iterates over for an instance
 // with normalized distance ratio delta.

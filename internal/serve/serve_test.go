@@ -67,6 +67,23 @@ func openSession(t *testing.T, base string, req OpenRequest) OpenResponse {
 	return resp
 }
 
+// TestServeOpenRejectsBadGeometry: a deployment whose squared extent
+// overflows (JSON cannot carry NaN or ±Inf, but it can carry 1e200) is a
+// client error, not a retryable 503 from a construction that cannot
+// converge; so is one below the minimum distance.
+func TestServeOpenRejectsBadGeometry(t *testing.T) {
+	_, ts := testDaemon(t, Config{})
+	for name, pts := range map[string][][2]float64{
+		"1e200 extent": {{0, 0}, {1e200, 0}, {0, 1e200}},
+		"too close":    {{0, 0}, {0.5, 0}},
+	} {
+		code, body := postJSON(t, ts.URL+"/v1/sessions", OpenRequest{Points: pts}, nil)
+		if code != http.StatusBadRequest {
+			t.Errorf("%s: open status %d (%s), want 400", name, code, body)
+		}
+	}
+}
+
 func TestServeOpenRunClose(t *testing.T) {
 	settleGoroutines(t)
 	_, ts := testDaemon(t, Config{})

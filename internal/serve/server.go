@@ -400,7 +400,7 @@ func status(err error) int {
 		return 499 // client closed request (nginx convention)
 	case errors.Is(err, sinrconn.ErrNetworkClosed):
 		return http.StatusConflict
-	case errors.Is(err, sinrconn.ErrNotNormalized):
+	case errors.Is(err, sinrconn.ErrNotNormalized), errors.Is(err, sinrconn.ErrInvalidGeometry):
 		return http.StatusBadRequest
 	case errors.Is(err, sinrconn.ErrNotConverged):
 		// Las Vegas non-convergence: retryable with a different seed.

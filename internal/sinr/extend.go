@@ -7,8 +7,11 @@ import "sinrconn/internal/geom"
 // old n×n block is copied (bit-identical — every entry is the same
 // deterministic function of the same two points) and only the rows and
 // columns involving the new points are computed. This is the join fast
-// path: a session that grows by k nodes pays O((n+k)·k) new gain entries
-// instead of re-deriving all O((n+k)²).
+// path: a session that grows by k nodes computes O((n+k)·k) new gain
+// entries and copies the n² old ones, instead of re-deriving all (n+k)².
+// The geometry around it (the caller's minimum-distance check, core.Join's
+// ladder bound, a lazy Delta) sorts the n+k points instead of scanning all
+// pairs; see geom.MinDist and geom.MaxDist.
 //
 // The caller keeps ownership of the geometry contract: Extend performs no
 // normalization check (joins must not move existing nodes, so the caller

@@ -491,11 +491,16 @@ type Network struct {
 	running sync.WaitGroup
 }
 
-// Open validates pts (non-empty, minimum pairwise distance ≥ 1 unless
-// WithAutoNormalize), builds the instance for the configured physical
-// parameters — paying the O(n²) gain table exactly once for the session —
-// and spawns the persistent worker pool. Callers own the handle: Close it
-// to release the pool's goroutines.
+// Open validates pts, builds the instance for the configured physical
+// parameters and spawns the persistent worker pool. Callers own the
+// handle: Close it to release the pool's goroutines.
+//
+// Validation runs in O(n log n): pts must be non-empty with finite
+// coordinates and a bounding box whose squared diagonal does not overflow
+// (ErrInvalidGeometry otherwise), and the minimum pairwise distance must
+// be ≥ 1 (ErrNotNormalized), unless WithAutoNormalize rescales it to 1.
+// The exact physics' O(n²) gain table is not built here; the first run
+// that needs it builds it once for the session.
 func Open(pts []Point, opts ...Option) (*Network, error) {
 	s := defaultSettings()
 	for _, o := range opts {
@@ -523,15 +528,22 @@ func newNetwork(pts []Point, s settings) (*Network, error) {
 	for i, p := range pts {
 		g[i] = geom.Point{X: p.X, Y: p.Y}
 	}
+	if err := checkGeometry(g); err != nil {
+		return nil, err
+	}
 	if len(g) > 1 {
 		if md := geom.MinDist(g); md < 1-1e-9 {
 			if !s.autoNormalize {
 				return nil, fmt.Errorf("%w: min distance %v", ErrNotNormalized, md)
 			}
 			if md <= 0 {
-				return nil, errors.New("sinrconn: duplicate points")
+				return nil, fmt.Errorf("%w: duplicate points", ErrInvalidGeometry)
 			}
 			g, _ = geom.Normalize(g)
+			// Scaling up by 1/md can push a finite extent past overflow.
+			if err := checkGeometry(g); err != nil {
+				return nil, err
+			}
 		}
 	}
 	nw := &Network{
@@ -544,6 +556,22 @@ func newNetwork(pts []Point, s settings) (*Network, error) {
 		return nil, err
 	}
 	return nw, nil
+}
+
+// checkGeometry rejects non-finite coordinates and extents whose squared
+// distance overflows. A finite bounding-box diagonal bounds every pairwise
+// DistSq, so past this check no distance, Δ or length class is infinite.
+func checkGeometry(pts []geom.Point) error {
+	for i, p := range pts {
+		if math.IsNaN(p.X) || math.IsInf(p.X, 0) || math.IsNaN(p.Y) || math.IsInf(p.Y, 0) {
+			return fmt.Errorf("%w: point %d is (%v, %v)", ErrInvalidGeometry, i, p.X, p.Y)
+		}
+	}
+	lo, hi := geom.BoundingBox(pts)
+	if math.IsInf(lo.DistSq(hi), 1) {
+		return fmt.Errorf("%w: extent %v to %v overflows the squared distance", ErrInvalidGeometry, lo, hi)
+	}
+	return nil
 }
 
 // Close releases the Network's worker pool, waiting first for in-flight

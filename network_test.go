@@ -8,6 +8,7 @@ package sinrconn
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -357,6 +358,67 @@ func TestJoinNotNormalized(t *testing.T) {
 	_, err = res.JoinPoints([]Point{{X: 0.3, Y: 0}}, Options{})
 	if !errors.Is(err, ErrNotNormalized) {
 		t.Fatalf("wrapper join error %v does not wrap ErrNotNormalized", err)
+	}
+}
+
+// TestOpenRejectsInvalidGeometry: non-finite coordinates and extents whose
+// squared distance overflows fail Open with ErrInvalidGeometry — before
+// they can reach Δ, whose +Inf would otherwise surface much later as a
+// retryable non-convergence.
+func TestOpenRejectsInvalidGeometry(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		pts  []Point
+		opts []Option
+	}{
+		{"NaN X", []Point{{0, 0}, {nan, 0}, {4, 0}}, nil},
+		{"NaN Y", []Point{{0, 0}, {2, nan}}, nil},
+		{"+Inf", []Point{{0, 0}, {inf, 0}}, nil},
+		{"-Inf", []Point{{0, 0}, {0, -inf}}, nil},
+		{"single NaN point", []Point{{nan, nan}}, nil},
+		{"1e200 extent", []Point{{0, 0}, {1e200, 0}}, nil},
+		{"1e200 corners", []Point{{-1e200, -1e200}, {1e200, 1e200}}, nil},
+		{"1e200 with auto-normalize", []Point{{0, 0}, {0, 1e200}}, []Option{WithAutoNormalize(true)}},
+		{"overflow after normalize", []Point{{0, 0}, {1e-200, 0}, {1e150, 0}}, []Option{WithAutoNormalize(true)}},
+		{"duplicates with auto-normalize", []Point{{1, 1}, {1, 1}}, []Option{WithAutoNormalize(true)}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			nw, err := Open(tc.pts, tc.opts...)
+			if err == nil {
+				nw.Close()
+				t.Fatal("Open accepted the point set")
+			}
+			if !errors.Is(err, ErrInvalidGeometry) {
+				t.Fatalf("Open error %v does not wrap ErrInvalidGeometry", err)
+			}
+		})
+	}
+	// The widest extent that still fits is accepted.
+	nw, err := Open([]Point{{0, 0}, {1e150, 0}})
+	if err != nil {
+		t.Fatalf("Open of a 1e150-wide deployment: %v", err)
+	}
+	nw.Close()
+}
+
+// TestJoinRejectsInvalidGeometry: a join bringing a non-finite coordinate,
+// or growing the extent past overflow, reports ErrInvalidGeometry.
+func TestJoinRejectsInvalidGeometry(t *testing.T) {
+	nw, err := Open([]Point{{X: 0, Y: 0}, {X: 2, Y: 0}, {X: 4, Y: 0}}, WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	res, err := nw.Run(bg, PipelineInit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []Point{{math.NaN(), 0}, {0, math.Inf(-1)}, {1e200, 0}} {
+		if _, err := nw.Join(bg, res, []Point{p}); !errors.Is(err, ErrInvalidGeometry) {
+			t.Errorf("join of %v: error %v does not wrap ErrInvalidGeometry", p, err)
+		}
 	}
 }
 

@@ -212,6 +212,13 @@ func (r *Result) Network() *Network { return r.nw }
 // renormalize). Test with errors.Is.
 var ErrNotNormalized = errors.New("sinrconn: minimum pairwise distance below 1 (set AutoNormalize)")
 
+// ErrInvalidGeometry reports a point set no distance computation can use: a
+// NaN or infinite coordinate, a deployment so wide that the squared
+// distance across its bounding box overflows float64, or (with
+// WithAutoNormalize) coincident points. Open and Join return it; retrying
+// cannot help. Test with errors.Is.
+var ErrInvalidGeometry = errors.New("sinrconn: invalid geometry")
+
 func publicTree(in *sinr.Instance, bt *tree.BiTree, ff sinr.Far, ffAdaptive bool) *BiTree {
 	out := &BiTree{
 		Root:       bt.Root,
