@@ -118,3 +118,54 @@ func TestGoldenDigests(t *testing.T) {
 		t.Errorf("churn: digest %#x, want %#x", got, uint64(wantChurn))
 	}
 }
+
+// TestGoldenFarDigests pins far-field constructions end to end: an
+// adaptive session whose slots split between the quadtree walk (batched
+// listener decode) and exact decode with on-the-fly path loss, and a
+// forced-quadtree session at n = 1024 whose every slot takes the batched
+// walk. The digests also cover how many slots took each mode, so a change
+// that moves a slot between modes is caught even if the tree survives it.
+func TestGoldenFarDigests(t *testing.T) {
+	ctx := context.Background()
+	cases := []struct {
+		name       string
+		n          int
+		opts       []sinrconn.Option
+		want       uint64
+		far, exact int // non-empty slots the construction took in each mode
+	}{
+		{"auto-4096", 4096, []sinrconn.Option{sinrconn.WithMaxRelError(1.0)}, 0x9dffd139a710f807, 24, 473},
+		{"quadtree-1024", 1024, []sinrconn.Option{sinrconn.WithMaxRelError(1.0), sinrconn.WithFarMode(sinrconn.FarQuadtree)}, 0xa819ee65389d2b8d, 333, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			nw, err := sinrconn.Open(goldenPoints(c.n), c.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nw.Close()
+			var far, exact int
+			obs := sinrconn.WithObserver(func(e sinrconn.SlotEvent) {
+				if e.Far {
+					far++
+				} else if e.Senders > 0 {
+					exact++
+				}
+			})
+			r, err := nw.Run(ctx, sinrconn.PipelineInit, sinrconn.WithSeed(7), obs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := newDigest()
+			d.tree(r)
+			d.int(far)
+			d.int(exact)
+			if far != c.far || exact != c.exact {
+				t.Errorf("far/exact slots %d/%d, want %d/%d", far, exact, c.far, c.exact)
+			}
+			if got := d.h.Sum64(); got != c.want {
+				t.Errorf("digest %#x, want %#x", got, c.want)
+			}
+		})
+	}
+}

@@ -215,18 +215,33 @@ func TestQuadtreeEngineMatchesExactDeliveries(t *testing.T) {
 }
 
 // TestQuadtreeSlotLoopZeroAlloc asserts the quadtree slot loop — adaptive
-// included, both modes exercised by the bursty workload — keeps the exact
-// path's zero-allocation steady state, serial and pooled.
+// included — keeps the exact path's zero-allocation steady state, serial
+// and pooled. An observer counts the modes of the measured slots: the
+// bursty workload must put both far slots and exact slots (the adaptive
+// engine's on-the-fly path loss) inside the measured window.
 func TestQuadtreeSlotLoopZeroAlloc(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, adaptive := range []bool{false, true} {
-			e, _ := adaptiveEngine(t, 256, false, Config{Workers: workers, Adaptive: adaptive, AdaptiveCrossover: 64})
+			var far, exact int
+			obs := func(ev SlotEvent) {
+				if ev.Far {
+					far++
+				} else if ev.Senders > 0 {
+					exact++
+				}
+			}
+			e, _ := adaptiveEngine(t, 256, false, Config{Workers: workers, Adaptive: adaptive, AdaptiveCrossover: 64, Observer: obs})
 			e.Run(8)
+			far, exact = 0, 0
 			allocs := testing.AllocsPerRun(50, func() { e.Step() })
 			e.Close()
 			if allocs != 0 {
 				t.Fatalf("workers=%d adaptive=%v: quadtree steady-state Step allocates %.1f times/op, want 0",
 					workers, adaptive, allocs)
+			}
+			if far == 0 || (adaptive && exact == 0) {
+				t.Fatalf("workers=%d adaptive=%v: measured %d far and %d exact slots; the window must cover every mode the engine can take",
+					workers, adaptive, far, exact)
 			}
 		}
 	}

@@ -129,12 +129,13 @@ func listenerMajorSlot(in *sinr.Instance, table bool, cfg Config, slot int, acts
 // i+1 placed on node i for every 37th i): a listener on a transmitting
 // twin saturates, and twins transmitting at one power reach every other
 // listener with exactly equal received power.
-func decodeGateInstance(n int, beta float64) *sinr.Instance {
+func decodeGateInstance(n int, alpha, beta float64) *sinr.Instance {
 	pts := workload.JitteredGrid(rand.New(rand.NewSource(23)), n, 2.6, 0.8)
 	for i := 0; i+1 < n; i += 37 {
 		pts[i+1] = pts[i]
 	}
 	p := sinr.DefaultParams()
+	p.Alpha = alpha
 	p.Beta = beta
 	return sinr.MustInstance(pts, p)
 }
@@ -146,7 +147,9 @@ func decodeGateInstance(n int, beta float64) *sinr.Instance {
 // serial and pooled, with nil protocols, drop injection, co-located nodes
 // and zero-power senders. Ties only decide a delivery under β < 1 (under
 // β ≥ 1 a tied winner's SINR is below 1), so one case lowers β and must
-// see tied winners delivered.
+// see tied winners delivered. Every case runs at α ∈ {2, 2.5, 3, 4}: the
+// on-the-fly cases then cross each specialized path-loss arm, and the
+// generic fallback, against the reference's generic PowAlphaSq.
 func TestExactDecodeMatchesListenerMajor(t *testing.T) {
 	const n, slots = 300, 24
 	never := func(int, int) bool { return false }
@@ -167,79 +170,87 @@ func TestExactDecodeMatchesListenerMajor(t *testing.T) {
 		{name: "onthefly_ties", cfg: Config{Workers: 1}, far: true, beta: 0.5, txProb: 0.45},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			beta := tc.beta
-			if beta == 0 {
-				beta = sinr.DefaultParams().Beta
-			}
-			in := decodeGateInstance(n, beta)
-			cfg := tc.cfg
-			if tc.far {
-				q, err := in.QuadTree(0.5)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.FarField, cfg.forceFar = q, never
-			}
-			power := in.Params().SafePower(4)
-			procs := make([]Protocol, n)
-			chaos := make([]*chaosProto, n)
-			for i := range procs {
-				if tc.sparse && i%3 == 1 {
-					continue
-				}
-				chaos[i] = &chaosProto{
-					id:     i,
-					rng:    rand.New(rand.NewSource(int64(1000 + i))),
-					powers: []float64{power, power, 2 * power, 0},
-					txProb: tc.txProb,
-				}
-				procs[i] = chaos[i]
-			}
-			e := mustEngine(t, in, procs, cfg)
-			defer e.Close()
-			// The protocols see slot s's deliveries in slot s+1, so the
-			// inboxes cover slots [0, slots) and Stats all slots+1.
-			e.Run(slots + 1)
-			acts := make([]Action, n)
-			want := make([][]Delivery, n)
-			var st Stats
-			var ties int
-			for s := 0; s <= slots; s++ {
-				for i := range acts {
-					acts[i] = Idle()
-					if chaos[i] != nil {
-						acts[i] = chaos[i].actions[s]
+			for _, alpha := range []float64{2, 2.5, 3, 4} {
+				t.Run(fmt.Sprintf("alpha=%v", alpha), func(t *testing.T) {
+					beta := tc.beta
+					if beta == 0 {
+						beta = sinr.DefaultParams().Beta
+					} else if alpha < 3 {
+						// Interference decays more slowly at small α: a tied
+						// winner needs a lower β to be delivered at all.
+						beta /= 4
 					}
-				}
-				out, tied := listenerMajorSlot(in, !tc.far, cfg, s, acts, &st)
-				ties += tied
-				if s < slots {
-					for i, d := range out {
-						want[i] = append(want[i], d...)
+					in := decodeGateInstance(n, alpha, beta)
+					cfg := tc.cfg
+					if tc.far {
+						q, err := in.QuadTree(0.5)
+						if err != nil {
+							t.Fatal(err)
+						}
+						cfg.FarField, cfg.forceFar = q, never
 					}
-				}
-			}
-			if st.Deliveries == 0 || st.Collisions == 0 {
-				t.Fatalf("gate workload too tame: %+v", st)
-			}
-			if tc.beta != 0 && ties == 0 {
-				t.Fatal("no tied winner was delivered")
-			}
-			if got := e.Stats(); got != st {
-				t.Fatalf("engine Stats %+v, reference %+v", got, st)
-			}
-			for i, c := range chaos {
-				if c == nil {
-					continue
-				}
-				if len(c.got) != len(want[i]) {
-					t.Fatalf("node %d: engine delivered %d, reference %d", i, len(c.got), len(want[i]))
-				}
-				for k := range c.got {
-					if c.got[k] != want[i][k] {
-						t.Fatalf("node %d delivery %d: engine %+v reference %+v", i, k, c.got[k], want[i][k])
+					power := in.Params().SafePower(4)
+					procs := make([]Protocol, n)
+					chaos := make([]*chaosProto, n)
+					for i := range procs {
+						if tc.sparse && i%3 == 1 {
+							continue
+						}
+						chaos[i] = &chaosProto{
+							id:     i,
+							rng:    rand.New(rand.NewSource(int64(1000 + i))),
+							powers: []float64{power, power, 2 * power, 0},
+							txProb: tc.txProb,
+						}
+						procs[i] = chaos[i]
 					}
-				}
+					e := mustEngine(t, in, procs, cfg)
+					defer e.Close()
+					// The protocols see slot s's deliveries in slot s+1, so the
+					// inboxes cover slots [0, slots) and Stats all slots+1.
+					e.Run(slots + 1)
+					acts := make([]Action, n)
+					want := make([][]Delivery, n)
+					var st Stats
+					var ties int
+					for s := 0; s <= slots; s++ {
+						for i := range acts {
+							acts[i] = Idle()
+							if chaos[i] != nil {
+								acts[i] = chaos[i].actions[s]
+							}
+						}
+						out, tied := listenerMajorSlot(in, !tc.far, cfg, s, acts, &st)
+						ties += tied
+						if s < slots {
+							for i, d := range out {
+								want[i] = append(want[i], d...)
+							}
+						}
+					}
+					if st.Deliveries == 0 || st.Collisions == 0 {
+						t.Fatalf("gate workload too tame: %+v", st)
+					}
+					if tc.beta != 0 && ties == 0 {
+						t.Fatal("no tied winner was delivered")
+					}
+					if got := e.Stats(); got != st {
+						t.Fatalf("engine Stats %+v, reference %+v", got, st)
+					}
+					for i, c := range chaos {
+						if c == nil {
+							continue
+						}
+						if len(c.got) != len(want[i]) {
+							t.Fatalf("node %d: engine delivered %d, reference %d", i, len(c.got), len(want[i]))
+						}
+						for k := range c.got {
+							if c.got[k] != want[i][k] {
+								t.Fatalf("node %d delivery %d: engine %+v reference %+v", i, k, c.got[k], want[i][k])
+							}
+						}
+					}
+				})
 			}
 		})
 	}
@@ -296,5 +307,47 @@ func BenchmarkExactSlot(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkFarSlot times one far slot at init-far-16k's shape: n = 16384
+// on a JitteredGrid(2.6, 0.8), an adaptive ε = 1 quadtree plan, and 2521
+// senders (two in every 13 nodes, so gaps of 6 and 7) — past the adaptive
+// crossover, so the slot accumulates the pyramid and walks it at every
+// listener through the batched decode. At two workers the sender count
+// also clears shardedAccumMinTxs, so accumulation runs sharded.
+func BenchmarkFarSlot(b *testing.B) {
+	const n = 16384
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(b *testing.B) {
+			pts := workload.JitteredGrid(rand.New(rand.NewSource(1)), n, 2.6, 0.8)
+			in := sinr.MustInstance(pts, sinr.DefaultParams())
+			power := in.Params().SafePower(4)
+			procs := make([]Protocol, n)
+			for i := range procs {
+				procs[i] = &fixedProto{id: i, transmit: i%13 == 0 || i%13 == 6, power: power}
+			}
+			q, err := in.QuadTree(1.0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			far := true
+			cfg := Config{Workers: workers, FarField: q, Adaptive: true, Observer: func(ev SlotEvent) { far = far && ev.Far }}
+			e, err := NewEngine(in, procs, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer e.Close()
+			e.Run(3)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+			b.StopTimer()
+			if !far {
+				b.Fatal("a measured slot decoded exactly; the benchmark must time far slots")
+			}
+		})
 	}
 }

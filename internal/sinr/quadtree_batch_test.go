@@ -53,9 +53,10 @@ func classRuns(order, class []int32) [][]int32 {
 }
 
 // TestListenerBatchDriftGate pins ResolveBatch against solo Resolve,
-// bit-identical tuple for tuple, across generators × ε × both
-// precisions, and re-resolves each run under random sub-splits to prove
-// chunk boundaries cannot shift any listener's result.
+// bit-identical tuple for tuple, across generators × α × ε, and
+// re-resolves each run under random sub-splits to prove chunk boundaries
+// cannot shift any listener's result. α ∈ {2, 2.5, 3, 4} takes every
+// specialized path-loss arm and the generic fallback.
 func TestListenerBatchDriftGate(t *testing.T) {
 	specs := []workload.Spec{
 		{Name: "jittered", Gen: func(rng *rand.Rand, n int) []geom.Point {
@@ -68,82 +69,89 @@ func TestListenerBatchDriftGate(t *testing.T) {
 	for _, spec := range specs {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			const n = 600
-			rng := rand.New(rand.NewSource(733))
-			pts := spec.Gen(rng, n)
-			in, err := NewInstance(pts, DefaultParams())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, eps := range []float64{0.1, 0.5, 2.5} {
-				q, err := in.QuadTree(eps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				order, class := q.BatchSpec()
-				if len(order) != n || len(class) != n {
-					t.Fatalf("eps %v: BatchSpec lengths (%d,%d), want (%d,%d)", eps, len(order), len(class), n, n)
-				}
-				seen := make([]bool, n)
-				for _, v := range order {
-					seen[v] = true
-				}
-				for v, ok := range seen {
-					if !ok {
-						t.Fatalf("eps %v: BatchSpec order misses node %d", eps, v)
+			for _, alpha := range []float64{2, 2.5, 3, 4} {
+				alpha := alpha
+				t.Run(driftFloatName(alpha), func(t *testing.T) {
+					const n = 600
+					rng := rand.New(rand.NewSource(733))
+					pts := spec.Gen(rng, n)
+					p := DefaultParams()
+					p.Alpha = alpha
+					in, err := NewInstance(pts, p)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				runs := classRuns(order, class)
-				sc := q.NewScratch()
-				bs := q.NewBatchState()
-				var col batchCollector
-				for round := 0; round < 3; round++ {
-					txs := driftTxSet(rng, n, n/3)
-					sc.Accumulate(txs)
-					// Solo reference for every listener.
-					wantBest := make([]int, n)
-					wantRP := make([]float64, n)
-					wantTot := make([]float64, n)
-					wantSat := make([]bool, n)
-					for v := 0; v < n; v++ {
-						wantBest[v], wantRP[v], wantTot[v], wantSat[v] = sc.Resolve(v, txs)
-					}
-					check := func(ctx string) {
-						t.Helper()
-						for i, v := range col.v {
-							if col.best[i] != wantBest[v] || col.rp[i] != wantRP[v] || col.tot[i] != wantTot[v] || col.sat[i] != wantSat[v] {
-								t.Fatalf("eps %v round %d %s listener %d: batch (%d,%v,%v,%v) solo (%d,%v,%v,%v)",
-									eps, round, ctx, v,
-									col.best[i], col.rp[i], col.tot[i], col.sat[i],
-									wantBest[v], wantRP[v], wantTot[v], wantSat[v])
+					for _, eps := range []float64{0.1, 0.5, 2.5} {
+						q, err := in.QuadTree(eps)
+						if err != nil {
+							t.Fatal(err)
+						}
+						order, class := q.BatchSpec()
+						if len(order) != n || len(class) != n {
+							t.Fatalf("eps %v: BatchSpec lengths (%d,%d), want (%d,%d)", eps, len(order), len(class), n, n)
+						}
+						seen := make([]bool, n)
+						for _, v := range order {
+							seen[v] = true
+						}
+						for v, ok := range seen {
+							if !ok {
+								t.Fatalf("eps %v: BatchSpec order misses node %d", eps, v)
 							}
 						}
-					}
-					// Whole runs: every listener exactly once, in order.
-					col.reset()
-					for _, run := range runs {
-						sc.ResolveBatch(bs, run, &col)
-					}
-					if len(col.v) != n {
-						t.Fatalf("eps %v round %d: batch delivered %d results, want %d", eps, round, len(col.v), n)
-					}
-					check("whole-run")
-					// Random sub-splits: chunk boundaries inside a run must
-					// not change any result (the engine splits runs across
-					// workers at arbitrary offsets).
-					col.reset()
-					for _, run := range runs {
-						for lo := 0; lo < len(run); {
-							hi := lo + 1 + rng.Intn(len(run)-lo)
-							sc.ResolveBatch(bs, run[lo:hi], &col)
-							lo = hi
+						runs := classRuns(order, class)
+						sc := q.NewScratch()
+						bs := q.NewBatchState()
+						var col batchCollector
+						for round := 0; round < 3; round++ {
+							txs := driftTxSet(rng, n, n/3)
+							sc.Accumulate(txs)
+							// Solo reference for every listener.
+							wantBest := make([]int, n)
+							wantRP := make([]float64, n)
+							wantTot := make([]float64, n)
+							wantSat := make([]bool, n)
+							for v := 0; v < n; v++ {
+								wantBest[v], wantRP[v], wantTot[v], wantSat[v] = sc.Resolve(v, txs)
+							}
+							check := func(ctx string) {
+								t.Helper()
+								for i, v := range col.v {
+									if col.best[i] != wantBest[v] || col.rp[i] != wantRP[v] || col.tot[i] != wantTot[v] || col.sat[i] != wantSat[v] {
+										t.Fatalf("eps %v round %d %s listener %d: batch (%d,%v,%v,%v) solo (%d,%v,%v,%v)",
+											eps, round, ctx, v,
+											col.best[i], col.rp[i], col.tot[i], col.sat[i],
+											wantBest[v], wantRP[v], wantTot[v], wantSat[v])
+									}
+								}
+							}
+							// Whole runs: every listener exactly once, in order.
+							col.reset()
+							for _, run := range runs {
+								sc.ResolveBatch(bs, run, &col)
+							}
+							if len(col.v) != n {
+								t.Fatalf("eps %v round %d: batch delivered %d results, want %d", eps, round, len(col.v), n)
+							}
+							check("whole-run")
+							// Random sub-splits: chunk boundaries inside a run must
+							// not change any result (the engine splits runs across
+							// workers at arbitrary offsets).
+							col.reset()
+							for _, run := range runs {
+								for lo := 0; lo < len(run); {
+									hi := lo + 1 + rng.Intn(len(run)-lo)
+									sc.ResolveBatch(bs, run[lo:hi], &col)
+									lo = hi
+								}
+							}
+							if len(col.v) != n {
+								t.Fatalf("eps %v round %d: split batch delivered %d results, want %d", eps, round, len(col.v), n)
+							}
+							check("sub-split")
 						}
 					}
-					if len(col.v) != n {
-						t.Fatalf("eps %v round %d: split batch delivered %d results, want %d", eps, round, len(col.v), n)
-					}
-					check("sub-split")
-				}
+				})
 			}
 		})
 	}
