@@ -40,6 +40,7 @@ var hotpathGates = map[string]hotpathGate{
 	"internal/sinr.FarField.LinkSINR":           {"TestSINRFeasibleFarBufZeroAlloc", "internal/sinr/alloc_test.go"},
 	"internal/sinr.QuadScratch.Accumulate":      {"TestQuadtreeSlotLoopZeroAlloc", "internal/sim/adaptive_test.go"},
 	"internal/sinr.QuadScratch.Resolve":         {"TestQuadtreeSlotLoopZeroAlloc", "internal/sim/adaptive_test.go"},
+	"internal/sinr.QuadScratch.walk":            {"TestQuadtreeSlotLoopZeroAlloc", "internal/sim/adaptive_test.go"},
 	"internal/sinr.QuadScratch.LinkSINR":        {"TestSINRFeasibleFarBufZeroAlloc", "internal/sinr/alloc_test.go"},
 
 	// PR 9: sharded accumulate, listener batching, and the f32 walk.
@@ -50,7 +51,6 @@ var hotpathGates = map[string]hotpathGate{
 	"internal/sinr.QuadScratch.round32Finish": {"TestShardedAccumulateZeroAlloc", "internal/sinr/quadtree_shard_test.go"},
 	"internal/sinr.QuadScratch.ResolveBatch":  {"TestResolveBatchZeroAlloc", "internal/sinr/quadtree_batch_test.go"},
 	"internal/sinr.QuadScratch.resolveChunk":  {"TestResolveBatchZeroAlloc", "internal/sinr/quadtree_batch_test.go"},
-	"internal/sinr.QuadScratch.soloTail":      {"TestResolveBatchZeroAlloc", "internal/sinr/quadtree_batch_test.go"},
 	"internal/sinr.QuadScratch.round32Active": {"TestFloat32ResolverZeroAlloc", "internal/sinr/quadtree_f32_test.go"},
 	"internal/sinr.QuadScratch.resolve32":     {"TestFloat32ResolverZeroAlloc", "internal/sinr/quadtree_f32_test.go"},
 	"internal/sinr.QuadScratch.linkSINR32":    {"TestFloat32ResolverZeroAlloc", "internal/sinr/quadtree_f32_test.go"},

@@ -312,7 +312,7 @@ type Engine struct {
 	// Physics-kernel state hoisted out of the slot loop.
 	beta  float64
 	noise float64
-	alpha float64
+	pl    sinr.PathLoss
 	gains []float64 // n×n gain table, symmetric; nil if over memory budget
 
 	// Far-field approximation state (nil in exact mode). The resolver is
@@ -381,7 +381,7 @@ func NewEngine(inst *sinr.Instance, procs []Protocol, cfg Config) (*Engine, erro
 		actions: make([]Action, n),
 		beta:    p.Beta,
 		noise:   p.Noise,
-		alpha:   p.Alpha,
+		pl:      sinr.NewPathLoss(p.Alpha),
 	}
 	for i, proc := range procs {
 		if proc == nil {
@@ -622,6 +622,7 @@ func (e *Engine) decodeExact(lo, hi int, sh *shard) {
 		acc[j] = listenAcc{best: -1}
 	}
 	n := len(e.procs)
+	pts, pl := e.inst.Points(), e.pl
 	for k := range e.txs {
 		t := &e.txs[k]
 		if e.gains != nil {
@@ -631,11 +632,15 @@ func (e *Engine) decodeExact(lo, hi int, sh *shard) {
 			}
 			continue
 		}
-		// On-the-fly path loss: bit-identical to a table entry (same
-		// expression), and — unlike Instance.Gain — never forces the
+		// On-the-fly path loss: bit-identical to a table entry (the same
+		// squared distance, sender minus listener, through the same
+		// PowAlphaSq arm), and — unlike Instance.Gain — never forces the
 		// O(n²) table build an adaptive far-field engine avoids.
+		ps := pts[t.Sender]
 		for j, v := range lis {
-			acc[j].add(k, t.Power, 1/sinr.PowAlphaSq(e.inst.DistSq(t.Sender, int(v)), e.alpha))
+			dx := ps.X - pts[v].X
+			dy := ps.Y - pts[v].Y
+			acc[j].add(k, t.Power, 1/pl.Sq(dx*dx+dy*dy))
 		}
 	}
 	for j, v := range lis {

@@ -46,9 +46,9 @@ func TestFloat32AggregateUlp(t *testing.T) {
 				continue
 			}
 			occupied++
-			check(g, "mass", sc.mass[g], sc.mass32[g])
-			check(g, "cenX", sc.cenX[g], sc.cenX32[g])
-			check(g, "cenY", sc.cenY[g], sc.cenY32[g])
+			check(g, "mass", sc.node[g].mass, sc.mass32[g])
+			check(g, "cenX", sc.node[g].cenX, sc.cenX32[g])
+			check(g, "cenY", sc.node[g].cenY, sc.cenY32[g])
 		}
 		if occupied < 100 {
 			t.Fatalf("eps %v: only %d occupied nodes for %d senders — workload too degenerate to measure", eps, occupied, n/2)

@@ -22,6 +22,7 @@ package sinr
 // documents the tolerance.
 
 import (
+	"math"
 	"runtime"
 	"sync"
 
@@ -43,6 +44,48 @@ func PowAlpha(d, alpha float64) float64 { return phys.PowAlpha(d, alpha) }
 // kernel prefers because geom.Point.DistSq needs no square root. For integer
 // α the cost is at most one sqrt (odd α) or none at all (even α).
 func PowAlphaSq(d2, alpha float64) float64 { return phys.PowAlphaSq(d2, alpha) }
+
+// PathLoss evaluates PowAlphaSq for one fixed α, bit for bit, with the
+// model's default α = 3 arm — ipow(d², 1)·√d², one multiply and one
+// hardware sqrt — small enough to inline into the slot kernels' inner
+// loops. Every other α costs one call: α = 2 and 4 to their unrolled
+// arms (ipow(d², 1) and ipow(d², 2)), the rest to the generic
+// PowAlphaSq. The zero value is not usable; build one with NewPathLoss.
+type PathLoss struct {
+	alpha float64
+	spec  uint8 // 2, 3 or 4 for the unrolled integer arms, else 0
+}
+
+// NewPathLoss returns the path-loss evaluator for exponent alpha.
+func NewPathLoss(alpha float64) PathLoss {
+	p := PathLoss{alpha: alpha}
+	if alpha == 2 || alpha == 3 || alpha == 4 {
+		p.spec = uint8(alpha)
+	}
+	return p
+}
+
+// Sq returns PowAlphaSq(d2, α). Only the α = 3 arm is written here: the
+// rest lives out of line in sqOther, which keeps Sq under the compiler's
+// inlining budget (go build -gcflags=-m reports "can inline
+// PathLoss.Sq").
+func (p PathLoss) Sq(d2 float64) float64 {
+	if p.spec == 3 {
+		return d2 * math.Sqrt(d2)
+	}
+	return p.sqOther(d2)
+}
+
+// sqOther is Sq for every α but 3.
+func (p PathLoss) sqOther(d2 float64) float64 {
+	switch p.spec {
+	case 2:
+		return d2
+	case 4:
+		return d2 * d2
+	}
+	return PowAlphaSq(d2, p.alpha)
+}
 
 // DistSq returns the squared distance between nodes u and v.
 func (in *Instance) DistSq(u, v int) float64 { return in.pts[u].DistSq(in.pts[v]) }

@@ -396,12 +396,12 @@ func TestMortonLayoutDriftGate(t *testing.T) {
 								if !lon {
 									continue
 								}
-								if leg.mass[lg] != sc.mass[ng] || leg.cenX[lg] != sc.cenX[ng] ||
-									leg.cenY[lg] != sc.cenY[ng] || leg.pmax[lg] != sc.pmax[ng] {
+								if leg.mass[lg] != sc.node[ng].mass || leg.cenX[lg] != sc.node[ng].cenX ||
+									leg.cenY[lg] != sc.node[ng].cenY || leg.pmax[lg] != sc.node[ng].pmax {
 									t.Fatalf("eps %v level %d node (%d,%d): aggregates legacy (%v,%v,%v,%v) live (%v,%v,%v,%v)",
 										eps, lvl, x, y,
 										leg.mass[lg], leg.cenX[lg], leg.cenY[lg], leg.pmax[lg],
-										sc.mass[ng], sc.cenX[ng], sc.cenY[ng], sc.pmax[ng])
+										sc.node[ng].mass, sc.node[ng].cenX, sc.node[ng].cenY, sc.node[ng].pmax)
 								}
 							}
 						}

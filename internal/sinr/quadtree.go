@@ -162,11 +162,10 @@ type QuadTree struct {
 	// gain ≤ centroid gain · 1/(1−θ)^α. Resolve uses it to decide which
 	// accepted nodes could hide the strongest sender and must be opened.
 	refineFac float64
-	// powSpec selects an unrolled phys.PowAlphaSq arm for the model's
-	// common integer α (2, 3, 4); zero keeps the generic call. Each arm is
-	// bit-identical to the generic expression (powAlphaSqSpec).
-	powSpec uint8
-	leafOf  []int32 // node(point) → leaf-local id (Morton code at level L)
+	// pl is the model's path loss, with the default α = 3 arm inlined
+	// into the walks (bit-identical to PowAlphaSq; see PathLoss).
+	pl     PathLoss
+	leafOf []int32 // node(point) → leaf-local id (Morton code at level L)
 	// Listener predicate classes for frontier-sharing batch resolution
 	// (quadtree_batch.go): batchOrder lists every instance node sorted by
 	// class key (stable by node id), batchClass the key at the same
@@ -220,9 +219,7 @@ func newQuadTree(in *Instance, maxRelErr float64) (*QuadTree, error) {
 		openRad2:  make([]float64, l+1),
 		side:      make([]float64, l+1),
 		refineFac: math.Pow(1/(1-theta), alpha),
-	}
-	if a := alpha; a == 2 || a == 3 || a == 4 {
-		q.powSpec = uint8(a)
+		pl:        NewPathLoss(alpha),
 	}
 	off := int32(0)
 	for lvl := 0; lvl <= l; lvl++ {
@@ -242,23 +239,6 @@ func newQuadTree(in *Instance, maxRelErr float64) (*QuadTree, error) {
 	q.f32 = newQuadTreeF32(q)
 	q.scratches = &sync.Pool{New: func() any { return q.NewScratch() }}
 	return q, nil
-}
-
-// powAlphaSqSpec returns PowAlphaSq(d2, alpha) with the model's common
-// integer α unrolled so the hot walks skip the generic dispatch. Each arm
-// reproduces phys.PowAlphaSq's exact expression for that α — ipow(d2, 1),
-// ipow(d2, 1)·√d2, ipow(d2, 2) — so results are bit-identical to the
-// generic call (the drift gates and the differential suite pin this).
-func powAlphaSqSpec(d2, alpha float64, spec uint8) float64 {
-	switch spec {
-	case 2:
-		return d2
-	case 3:
-		return d2 * math.Sqrt(d2)
-	case 4:
-		return d2 * d2
-	}
-	return PowAlphaSq(d2, alpha)
 }
 
 // bin maps a point to its leaf-local Morton code at level L, clamping
@@ -468,9 +448,19 @@ func (in *Instance) QuadTree(maxRelErr float64) (*QuadTree, error) {
 	return q, nil
 }
 
+// quadNode is one pyramid node's per-slot aggregates, packed so a walk
+// visit reads one 32-byte record instead of four parallel arrays. cenX and
+// cenY hold the raw Σ P·coord sums during the bottom-up pass and the
+// normalized power-weighted centroid after it; pmax is the strongest
+// single power below the node, mass the total.
+type quadNode struct {
+	cenX, cenY float64
+	pmax, mass float64
+}
+
 // QuadScratch is the per-slot mutable state of a quadtree plan: the
-// epoch-stamped pyramid accumulators, per-level active lists, and the leaf
-// bucketing for exact scans. One scratch belongs to one concurrent user;
+// epoch-stamped pyramid records and child-occupancy masks, per-level
+// active lists, and the leaf bucketing for exact scans. One scratch belongs to one concurrent user;
 // all buffers are allocated once at NewScratch so the per-slot
 // Accumulate/Resolve cycle allocates nothing (the sharded-accumulate arena
 // is lazily allocated on first use and reused after). Resolve and LinkSINR
@@ -479,14 +469,14 @@ func (in *Instance) QuadTree(maxRelErr float64) (*QuadTree, error) {
 type QuadScratch struct {
 	q     *QuadTree
 	epoch uint32
-	// Per-node accumulators (global pyramid ids), valid where stamp ==
-	// epoch. cenX/cenY hold raw Σ P·coord sums during the bottom-up pass
-	// and normalized centroids after it.
+	// Per-node records and child masks (global pyramid ids), valid where
+	// stamp == epoch. Bit c of kids[g] is set iff child c of node g was
+	// stamped this epoch with nonzero mass — exactly the children a walk
+	// descends into — so the walks filter children without touching the
+	// children's stamps or records. Leaves' masks are never read.
 	stamp []uint32
-	mass  []float64
-	cenX  []float64
-	cenY  []float64
-	pmax  []float64
+	node  []quadNode
+	kids  []uint8
 	// active lists each level's occupied nodes (local Morton ids) in
 	// first-touch order.
 	active [][]int32
@@ -547,10 +537,8 @@ func (q *QuadTree) newScratch(prec32 bool) *QuadScratch {
 	sc := &QuadScratch{
 		q:          q,
 		stamp:      make([]uint32, q.nodes),
-		mass:       make([]float64, q.nodes),
-		cenX:       make([]float64, q.nodes),
-		cenY:       make([]float64, q.nodes),
-		pmax:       make([]float64, q.nodes),
+		node:       make([]quadNode, q.nodes),
+		kids:       make([]uint8, q.nodes),
 		active:     active,
 		start:      make([]int32, leaves),
 		fill:       make([]int32, leaves),
@@ -583,9 +571,9 @@ func (sc *QuadScratch) beginEpoch() uint32 {
 
 // Accumulate implements FarResolver: one bottom-up pass folds the slot's
 // sender set into the pyramid — leaf aggregates and bucketing in tx order,
-// then each level into its parents in first-touch order, then one centroid
-// normalization sweep over the active nodes. O(len(txs) + occupied nodes),
-// allocation-free.
+// then each level into its parents in first-touch order (setting the
+// parents' child masks), then one centroid normalization sweep over the
+// active nodes. O(len(txs) + occupied nodes), allocation-free.
 //sinr:hotpath
 func (sc *QuadScratch) Accumulate(txs []Tx) {
 	q := sc.q
@@ -599,21 +587,13 @@ func (sc *QuadScratch) Accumulate(txs []Tx) {
 	for i := range txs {
 		t := q.leafOf[txs[i].Sender]
 		g := leafOff + t
-		if sc.stamp[g] != ep {
-			sc.stamp[g] = ep
-			sc.mass[g], sc.cenX[g], sc.cenY[g], sc.pmax[g] = 0, 0, 0, 0
+		nd := &sc.node[g]
+		if sc.touch(g, ep) {
 			sc.fill[t] = 0
 			//lint:ignore hotpathalloc leaves aliases preallocated sc.active[l]; occupied leaves never exceed its capacity
 			leaves = append(leaves, t)
 		}
-		p := txs[i].Power
-		pt := q.in.pts[txs[i].Sender]
-		sc.mass[g] += p
-		sc.cenX[g] += p * pt.X
-		sc.cenY[g] += p * pt.Y
-		if p > sc.pmax[g] {
-			sc.pmax[g] = p
-		}
+		nd.fold(txs[i].Power, q.in.pts[txs[i].Sender])
 		sc.fill[t]++
 	}
 	sc.active[l] = leaves
@@ -643,40 +623,85 @@ func (sc *QuadScratch) Accumulate(txs []Tx) {
 		for _, t := range sc.active[lvl] {
 			pl := t >> 2
 			pg := parentOff + pl
-			g := childOff + t
-			if sc.stamp[pg] != ep {
-				sc.stamp[pg] = ep
-				sc.mass[pg], sc.cenX[pg], sc.cenY[pg], sc.pmax[pg] = 0, 0, 0, 0
+			if sc.touch(pg, ep) {
 				//lint:ignore hotpathalloc plist aliases preallocated sc.active[lvl-1]; occupied parents never exceed its capacity
 				plist = append(plist, pl)
 			}
-			sc.mass[pg] += sc.mass[g]
-			sc.cenX[pg] += sc.cenX[g]
-			sc.cenY[pg] += sc.cenY[g]
-			if sc.pmax[g] > sc.pmax[pg] {
-				sc.pmax[pg] = sc.pmax[g]
-			}
+			sc.foldChild(pg, childOff+t, t)
 		}
 		sc.active[lvl-1] = plist
 	}
 	for lvl := 0; lvl <= l; lvl++ {
-		off := q.levelOff[lvl]
-		for _, t := range sc.active[lvl] {
-			g := off + t
-			if m := sc.mass[g]; m > 0 {
-				sc.cenX[g] /= m
-				sc.cenY[g] /= m
-			}
-		}
+		sc.normalize(q.levelOff[lvl], sc.active[lvl])
 	}
 	if sc.prec32 {
 		sc.round32Active()
 	}
 }
 
+// touch reports whether node g is first touched this epoch, stamping it
+// and zeroing its record and child mask if so.
+func (sc *QuadScratch) touch(g int32, ep uint32) bool {
+	if sc.stamp[g] == ep {
+		return false
+	}
+	sc.stamp[g] = ep
+	sc.node[g] = quadNode{}
+	sc.kids[g] = 0
+	return true
+}
+
+// fold adds one sender of power p at pt to a leaf record.
+func (nd *quadNode) fold(p float64, pt geom.Point) {
+	nd.mass += p
+	nd.cenX += p * pt.X
+	nd.cenY += p * pt.Y
+	if p > nd.pmax {
+		nd.pmax = p
+	}
+}
+
+// foldChild adds the raw sums of child record g (local id t) into its
+// parent record pg and, when the child carries mass, sets its bit in the
+// parent's child mask — the filter the walks apply before a push.
+func (sc *QuadScratch) foldChild(pg, g, t int32) {
+	p, c := &sc.node[pg], &sc.node[g]
+	p.mass += c.mass
+	p.cenX += c.cenX
+	p.cenY += c.cenY
+	if c.pmax > p.pmax {
+		p.pmax = c.pmax
+	}
+	if c.mass != 0 {
+		sc.kids[pg] |= 1 << uint(t&3)
+	}
+}
+
+// normalize turns the raw coordinate sums of one level's active nodes
+// (local ids ts, level offset off) into centroids.
+func (sc *QuadScratch) normalize(off int32, ts []int32) {
+	for _, t := range ts {
+		nd := &sc.node[off+t]
+		if m := nd.mass; m > 0 {
+			nd.cenX /= m
+			nd.cenY /= m
+		}
+	}
+}
+
 // quadStackCap bounds the DFS stack: a walk holds at most 3 pending
 // siblings per level plus the 4 children just pushed.
 const quadStackCap = 4*maxQuadLevels + 4
+
+// quadFrame is one pending node of a proximity-first walk: its level, its
+// global pyramid id g and its grid coordinates (x, y) at that level. The
+// coordinates ride along so an opened node places its midlines without
+// decoding its Morton id. The level offsets (4^ℓ−1)/3 satisfy
+// off(ℓ+1) = 4·off(ℓ) + 1, so child c ∈ 0..3 of global node g is global
+// node 4g+1+c — no offset table on the way down.
+type quadFrame struct {
+	lvl, g, x, y int32
+}
 
 // Resolve implements FarResolver: channel reception at listener v with the
 // strongest sender exact (see the refinement note in the package comment)
@@ -698,82 +723,109 @@ func (sc *QuadScratch) Resolve(v int, txs []Tx) (best int, bestRP, total float64
 	if sc.prec32 {
 		return sc.resolve32(v)
 	}
-	q := sc.q
-	in := q.in
-	alpha := in.params.Alpha
-	spec := q.powSpec
-	pv := in.pts[v]
-	best = -1
-	ep := sc.epoch
-	l := q.levels
-	var stack [quadStackCap]int64
-	if sc.stamp[0] != ep {
-		return best, 0, 0, false // no senders accumulated
+	if sc.stamp[0] != sc.epoch {
+		return -1, 0, 0, false // no senders accumulated
 	}
-	stack[0] = 0 // root: level 0, Morton id 0
+	pv := sc.q.in.pts[v]
+	b, bestRP, total, saturated := sc.walk(pv.X, pv.Y, quadFrame{}, -1, 0, 0)
+	if saturated {
+		return -1, 0, 0, true
+	}
+	return int(b), bestRP, total, false
+}
+
+// walk is the one proximity-first Resolve walk: it resolves the listener
+// at (px, py) over the subtree of node f, folding into the running winner
+// (best, an index into the slot's txs), its received power and the total.
+// Resolve starts it at the root with nothing folded; the batched decode
+// (quadtree_batch.go) starts it at the frame where a listener leaves the
+// shared frontier, with that listener's accumulators. f is tested like
+// any popped node — a tail's seed node already failed that test for this
+// listener and fails it again, with the same inputs, so it opens. It
+// reports saturated on a zero-distance sender; the other returns are then
+// meaningless.
+//sinr:hotpath
+func (sc *QuadScratch) walk(px, py float64, f quadFrame, best int32, bestRP, total float64) (int32, float64, float64, bool) {
+	q := sc.q
+	pl := q.pl
+	refine := q.refineFac
+	l := int32(q.levels)
+	leafOff := q.levelOff[l]
+	var stack [quadStackCap]quadFrame
+	stack[0] = f
 	top := 1
 	for top > 0 {
 		top--
-		e := stack[top]
-		lvl := int(e >> 32)
-		t := int32(e)
-		g := q.levelOff[lvl] + t
-		dx := pv.X - sc.cenX[g]
-		dy := pv.Y - sc.cenY[g]
+		f := stack[top]
+		nd := &sc.node[f.g]
+		dx := px - nd.cenX
+		dy := py - nd.cenY
 		d2 := dx*dx + dy*dy
-		if d2 >= q.openRad2[lvl] {
-			gc := 1 / powAlphaSqSpec(d2, alpha, spec)
-			if sc.pmax[g]*gc*q.refineFac <= bestRP {
-				total += sc.mass[g] * gc
+		if d2 >= q.openRad2[f.lvl] {
+			gc := 1 / pl.Sq(d2)
+			if nd.pmax*gc*refine <= bestRP {
+				total += nd.mass * gc
 				continue
 			}
 			// The node could hide a sender outreceiving the best exact
 			// candidate so far: open it (the bound only shrinks as best
 			// grows, so nodes already accepted stay safe).
 		}
-		if lvl == l {
-			for si := sc.start[t]; si < sc.start[t]+sc.fill[t]; si++ {
-				ddx := pv.X - sc.sx[si]
-				ddy := pv.Y - sc.sy[si]
+		if f.lvl == l {
+			t := f.g - leafOff
+			lo := sc.start[t]
+			hi := lo + sc.fill[t]
+			for si := lo; si < hi; si++ {
+				ddx := px - sc.sx[si]
+				ddy := py - sc.sy[si]
 				sd2 := ddx*ddx + ddy*ddy
 				if sd2 == 0 {
 					return -1, 0, 0, true
 				}
-				rp := sc.sp[si] / powAlphaSqSpec(sd2, alpha, spec)
+				rp := sc.sp[si] / pl.Sq(sd2)
 				total += rp
 				if rp > bestRP {
 					bestRP = rp
-					best = int(sc.order[si])
+					best = sc.order[si]
 				}
 			}
 			continue
 		}
-		x, y := MortonDecode(t)
-		base := t << 2
-		clvl := int64(lvl+1) << 32
-		coff := q.levelOff[lvl+1]
-		// Nearest child: which side of the node's midlines the listener
-		// falls on (clamped outside the node by the comparison itself).
-		cside := q.side[lvl+1]
-		var nx, ny int32
-		if pv.X >= q.ox+float64(2*x+1)*cside {
-			nx = 1
-		}
-		if pv.Y >= q.oy+float64(2*y+1)*cside {
-			ny = 1
-		}
-		// Occupied children pushed in reverse: popped order is nearest,
-		// x-neighbor, y-neighbor, diagonal (empty quadrants are filtered
-		// here, before they cost a stack round-trip). Morton layout keeps
-		// all four in one cache line: children of t are base..base+3.
-		for _, c := range [4]int32{base | (ny^1)<<1 | (nx ^ 1), base | (ny^1)<<1 | nx, base | ny<<1 | (nx ^ 1), base | ny<<1 | nx} {
-			if sc.stamp[coff+c] == ep && sc.mass[coff+c] != 0 {
-				stack[top] = clvl | int64(c)
+		// Children that hold senders, nearest popped first: the mask drops
+		// empty quadrants before they cost a stack round-trip.
+		kids := sc.kids[f.g]
+		near := q.nearChild(f, px, py)
+		for k := int32(3); k >= 0; k-- {
+			if c := near ^ k; kids>>uint(c)&1 != 0 {
+				stack[top] = f.child(c)
 				top++
 			}
 		}
 	}
 	return best, bestRP, total, false
+}
+
+// nearChild returns the child c ∈ 0..3 of the opened node f nearest to
+// (px, py): the side of each of f's midlines the point falls on, clamped
+// outside the node by the comparison itself. A proximity-first walk pushes
+// the children c = near^3, near^2, near^1, near, so they pop nearest
+// first, then the x-neighbor, the y-neighbor and the diagonal.
+func (q *QuadTree) nearChild(f quadFrame, px, py float64) int32 {
+	cside := q.side[f.lvl+1]
+	var near int32
+	if px >= q.ox+float64(2*f.x+1)*cside {
+		near = 1
+	}
+	if py >= q.oy+float64(2*f.y+1)*cside {
+		near |= 2
+	}
+	return near
+}
+
+// child returns child c ∈ 0..3 of f: bit 0 of c is the x half, bit 1 the
+// y half, as in the Morton id.
+func (f quadFrame) child(c int32) quadFrame {
+	return quadFrame{lvl: f.lvl + 1, g: 4*f.g + 1 + c, x: 2*f.x | c&1, y: 2*f.y | c>>1}
 }
 
 // LinkSINR implements FarResolver: the approximate SINR of link l whose
@@ -791,11 +843,10 @@ func (sc *QuadScratch) LinkSINR(txs []Tx, l Link, pu float64) float64 {
 	}
 	q := sc.q
 	in := q.in
-	alpha := in.params.Alpha
-	spec := q.powSpec
+	pl := q.pl
 	u, v := l.From, l.To
 	pv := in.pts[v]
-	signal := pu / PowAlphaSq(pv.DistSq(in.pts[u]), alpha)
+	signal := pu / PowAlphaSq(pv.DistSq(in.pts[u]), in.params.Alpha)
 	if signal == 0 {
 		return 0
 	}
@@ -815,11 +866,12 @@ func (sc *QuadScratch) LinkSINR(txs []Tx, l Link, pu float64) float64 {
 		lvl := int(e >> 32)
 		t := int32(e)
 		g := q.levelOff[lvl] + t
-		dx := pv.X - sc.cenX[g]
-		dy := pv.Y - sc.cenY[g]
+		nd := &sc.node[g]
+		dx := pv.X - nd.cenX
+		dy := pv.Y - nd.cenY
 		d2 := dx*dx + dy*dy
 		if d2 >= q.openRad2[lvl] {
-			m := sc.mass[g]
+			m := nd.mass
 			if t == ul>>(2*uint(lv-lvl)) {
 				// The link's own sender sits under this aggregated node:
 				// remove its share of the mass (the centroid stays inside
@@ -829,7 +881,7 @@ func (sc *QuadScratch) LinkSINR(txs []Tx, l Link, pu float64) float64 {
 			if m <= 0 {
 				continue
 			}
-			interference += m / powAlphaSqSpec(d2, alpha, spec)
+			interference += m / pl.Sq(d2)
 			continue
 		}
 		if lvl == lv {
@@ -840,26 +892,32 @@ func (sc *QuadScratch) LinkSINR(txs []Tx, l Link, pu float64) float64 {
 				ddx := pv.X - sc.sx[si]
 				ddy := pv.Y - sc.sy[si]
 				sd2 := ddx*ddx + ddy*ddy
-				interference += sc.sp[si] / powAlphaSqSpec(sd2, alpha, spec)
+				interference += sc.sp[si] / pl.Sq(sd2)
 			}
 			continue
 		}
-		base := t << 2
-		clvl := int64(lvl+1) << 32
-		coff := q.levelOff[lvl+1]
-		// Occupied children pushed in reverse so they pop in quadrant
-		// order (0,0), (1,0), (0,1), (1,1) — the same spatial sequence the
-		// row-major walk used and the oracle lockstep transcribes (its
-		// recursion skips empty nodes at entry; filtering before the push
-		// visits the same nodes in the same order).
-		for c := base + 3; c >= base; c-- {
-			if sc.stamp[coff+c] == ep && sc.mass[coff+c] != 0 {
-				stack[top] = clvl | int64(c)
-				top++
-			}
-		}
+		top = sc.pushQuadrant(&stack, top, lvl, t)
 	}
 	return signal / (in.params.Noise + interference)
+}
+
+// pushQuadrant pushes the occupied children of the opened node (lvl, t) in
+// reverse so they pop in quadrant order (0,0), (1,0), (0,1), (1,1) — the
+// same spatial sequence the row-major walk used and the oracle lockstep
+// transcribes (its recursion skips empty nodes at entry; filtering by the
+// child mask before the push visits the same nodes in the same order). It
+// returns the new stack top.
+func (sc *QuadScratch) pushQuadrant(stack *[quadStackCap]int64, top, lvl int, t int32) int {
+	kids := sc.kids[sc.q.levelOff[lvl]+t]
+	clvl := int64(lvl+1) << 32
+	base := t << 2
+	for c := int32(3); c >= 0; c-- {
+		if kids>>uint(c)&1 != 0 {
+			stack[top] = clvl | int64(base|c)
+			top++
+		}
+	}
+	return top
 }
 
 // distinctSenders implements FarResolver via the shared mark-array check

@@ -26,7 +26,10 @@ package sinr
 // all share one new survivor segment (a listener that opens a node visits
 // all its occupied children, exactly like solo Resolve). The arena is
 // stack-disciplined: a frame's free watermark restores the arena past its
-// siblings' dead segments, bounding it at one segment per level.
+// siblings' dead segments, bounding it at one segment per level. Once a
+// segment thins to soloTailMax survivors or fewer, each survivor leaves
+// the shared frontier and finishes the subtree through Resolve's own walk
+// (QuadScratch.walk), seeded at that frame with its accumulators.
 
 // maxFarBatch caps the listeners walked per shared frontier: big enough
 // to amortize the walk, small enough that the per-listener state stays in
@@ -44,7 +47,7 @@ type BatchSink interface {
 // restore when the frame pops (its siblings' subtrees are complete, so
 // everything above free is dead).
 type batchFrame struct {
-	lvl, t int32
+	quadFrame
 	lo, hi int32
 	free   int32
 }
@@ -91,11 +94,9 @@ func (sc *QuadScratch) ResolveBatch(bs *BatchState, vs []int32, sink BatchSink) 
 func (sc *QuadScratch) resolveChunk(bs *BatchState, chunk []int32, sink BatchSink) {
 	q := sc.q
 	in := q.in
-	alpha := in.params.Alpha
-	spec := q.powSpec
-	ep := sc.epoch
-	l := q.levels
-	if sc.stamp[0] != ep {
+	pl := q.pl
+	l := int32(q.levels)
+	if sc.stamp[0] != sc.epoch {
 		for _, v := range chunk {
 			sink.DeliverFar(int(v), -1, 0, 0, false)
 		}
@@ -110,34 +111,30 @@ func (sc *QuadScratch) resolveChunk(bs *BatchState, chunk []int32, sink BatchSin
 		bs.sat[ci] = false
 		bs.seg[ci] = ci
 	}
-	bs.frames[0] = batchFrame{lvl: 0, t: 0, lo: 0, hi: k, free: k}
+	bs.frames[0] = batchFrame{lo: 0, hi: k, free: k}
 	top := 1
 	for top > 0 {
 		top--
 		fr := bs.frames[top]
 		segTop := fr.free
-		lvl := int(fr.lvl)
-		t := fr.t
-		g := q.levelOff[lvl] + t
-		cenX := sc.cenX[g]
-		cenY := sc.cenY[g]
-		orad := q.openRad2[lvl]
-		pm := sc.pmax[g]
-		m := sc.mass[g]
-		leaf := lvl == l
+		g := fr.g
+		t := g - q.levelOff[fr.lvl] // leaf-local id, read at leaves only
+		nd := sc.node[g]
+		orad := q.openRad2[fr.lvl]
+		leaf := fr.lvl == l
 		ns := int32(0)
 		for idx := fr.lo; idx < fr.hi; idx++ {
 			ci := bs.seg[idx]
 			if bs.sat[ci] {
 				continue
 			}
-			dx := bs.px[ci] - cenX
-			dy := bs.py[ci] - cenY
+			dx := bs.px[ci] - nd.cenX
+			dy := bs.py[ci] - nd.cenY
 			d2 := dx*dx + dy*dy
 			if d2 >= orad {
-				gc := 1 / powAlphaSqSpec(d2, alpha, spec)
-				if pm*gc*q.refineFac <= bs.bestRP[ci] {
-					bs.total[ci] += m * gc
+				gc := 1 / pl.Sq(d2)
+				if nd.pmax*gc*q.refineFac <= bs.bestRP[ci] {
+					bs.total[ci] += nd.mass * gc
 					continue
 				}
 			}
@@ -155,7 +152,7 @@ func (sc *QuadScratch) resolveChunk(bs *BatchState, chunk []int32, sink BatchSin
 						bs.sat[ci] = true
 						break
 					}
-					rp := sc.sp[si] / powAlphaSqSpec(sd2, alpha, spec)
+					rp := sc.sp[si] / pl.Sq(sd2)
 					bs.total[ci] += rp
 					if rp > bs.bestRP[ci] {
 						bs.bestRP[ci] = rp
@@ -174,35 +171,26 @@ func (sc *QuadScratch) resolveChunk(bs *BatchState, chunk []int32, sink BatchSin
 			// Thin segment: the shared walk's per-survivor indirection now
 			// costs more than the node-metadata amortization buys, and deep
 			// frames are where the walk spends its time (co-batched
-			// listeners diverge near their own leaves). Finish each
-			// survivor's subtree with the solo loop instead — register
-			// accumulators, no segment copies. Per-listener fold order is
-			// the listener's solo DFS order either way (the predicate-class
-			// proof above makes the child order listener-independent), so
-			// the results stay bit-identical.
+			// listeners diverge near their own leaves). Each survivor
+			// finishes the subtree through Resolve's own walk instead —
+			// register accumulators, no segment copies. Per-listener fold
+			// order is the listener's solo DFS order either way (the
+			// predicate-class proof above makes the child order
+			// listener-independent), so the results stay bit-identical.
 			for idx := segTop; idx < segTop+ns; idx++ {
-				sc.soloTail(bs, bs.seg[idx], lvl, t)
+				ci := bs.seg[idx]
+				bs.best[ci], bs.bestRP[ci], bs.total[ci], bs.sat[ci] = sc.walk(bs.px[ci], bs.py[ci], fr.quadFrame, bs.best[ci], bs.bestRP[ci], bs.total[ci])
 			}
 			continue
 		}
-		x, y := MortonDecode(t)
-		base := t << 2
-		coff := q.levelOff[lvl+1]
-		cside := q.side[lvl+1]
 		// Any survivor supplies the shared nearest-child predicates (one
 		// predicate class per chunk — see the package comment's proof).
 		p0 := bs.seg[segTop]
-		var nx, ny int32
-		if bs.px[p0] >= q.ox+float64(2*x+1)*cside {
-			nx = 1
-		}
-		if bs.py[p0] >= q.oy+float64(2*y+1)*cside {
-			ny = 1
-		}
-		clvl := int32(lvl + 1)
-		for _, c := range [4]int32{base | (ny^1)<<1 | (nx ^ 1), base | (ny^1)<<1 | nx, base | ny<<1 | (nx ^ 1), base | ny<<1 | nx} {
-			if sc.stamp[coff+c] == ep && sc.mass[coff+c] != 0 {
-				bs.frames[top] = batchFrame{lvl: clvl, t: c, lo: segTop, hi: segTop + ns, free: segTop + ns}
+		kids := sc.kids[g]
+		near := q.nearChild(fr.quadFrame, bs.px[p0], bs.py[p0])
+		for k := int32(3); k >= 0; k-- {
+			if c := near ^ k; kids>>uint(c)&1 != 0 {
+				bs.frames[top] = batchFrame{quadFrame: fr.child(c), lo: segTop, hi: segTop + ns, free: segTop + ns}
 				top++
 			}
 		}
@@ -218,100 +206,10 @@ func (sc *QuadScratch) resolveChunk(bs *BatchState, chunk []int32, sink BatchSin
 
 // soloTailMax is the survivor count at or under which resolveChunk stops
 // sharing the frontier and lets each survivor finish the subtree through
-// soloTail. Measured on the n = 262144 bench geometry (single CPU): the
-// shared walk only pays while essentially the whole chunk survives — the
-// top levels, where one metadata load serves 32 listeners — and loses to
-// the solo loop's register accumulators as soon as the segment thins
+// the solo walk. Measured on the n = 262144 bench geometry (single CPU):
+// the shared walk only pays while essentially the whole chunk survives —
+// the top levels, where one metadata load serves 32 listeners — and loses
+// to the solo loop's register accumulators as soon as the segment thins
 // (swept 8/16/31: ε = 0.5 slot 8.8 s / 7.9 s / 7.6 s against 7.1–7.5 s
 // solo). 31 keeps the shared top and tails out at the first split.
 const soloTailMax = 31
-
-// soloTail continues one batched listener's walk over the subtree below
-// node (lvl, t) with Resolve's own loop: accumulators in registers, no
-// survivor segments. The child push order matches resolveChunk's (the
-// nearest-child predicates are evaluated on this listener, which by the
-// predicate-class proof agrees with every listener in the chunk), so the
-// listener folds the same nodes in the same order as the fully shared
-// walk — bit-identical results, pinned by TestListenerBatchDriftGate.
-//sinr:hotpath
-func (sc *QuadScratch) soloTail(bs *BatchState, ci int32, lvl int, t int32) {
-	q := sc.q
-	in := q.in
-	alpha := in.params.Alpha
-	spec := q.powSpec
-	ep := sc.epoch
-	l := q.levels
-	px, py := bs.px[ci], bs.py[ci]
-	best := bs.best[ci]
-	bestRP := bs.bestRP[ci]
-	total := bs.total[ci]
-	var stack [quadStackCap]int64
-	top := 0
-	// The caller already ran (and failed) the accept test at (lvl, t) for
-	// this listener, so the seed frame skips it (the first flag) and goes
-	// straight to the child push — sharing the push block with the loop
-	// body instead of duplicating it.
-	stack[0] = int64(lvl)<<32 | int64(t)
-	top = 1
-	first := true
-	for top > 0 {
-		top--
-		e := stack[top]
-		elvl := int(e >> 32)
-		et := int32(e)
-		g := q.levelOff[elvl] + et
-		if first {
-			first = false
-		} else {
-			dx := px - sc.cenX[g]
-			dy := py - sc.cenY[g]
-			d2 := dx*dx + dy*dy
-			if d2 >= q.openRad2[elvl] {
-				gc := 1 / powAlphaSqSpec(d2, alpha, spec)
-				if sc.pmax[g]*gc*q.refineFac <= bestRP {
-					total += sc.mass[g] * gc
-					continue
-				}
-			}
-			if elvl == l {
-				for si := sc.start[et]; si < sc.start[et]+sc.fill[et]; si++ {
-					ddx := px - sc.sx[si]
-					ddy := py - sc.sy[si]
-					sd2 := ddx*ddx + ddy*ddy
-					if sd2 == 0 {
-						bs.sat[ci] = true
-						return
-					}
-					rp := sc.sp[si] / powAlphaSqSpec(sd2, alpha, spec)
-					total += rp
-					if rp > bestRP {
-						bestRP = rp
-						best = sc.order[si]
-					}
-				}
-				continue
-			}
-		}
-		x, y := MortonDecode(et)
-		base := et << 2
-		clvl := int64(elvl+1) << 32
-		coff := q.levelOff[elvl+1]
-		cside := q.side[elvl+1]
-		var nx, ny int32
-		if px >= q.ox+float64(2*x+1)*cside {
-			nx = 1
-		}
-		if py >= q.oy+float64(2*y+1)*cside {
-			ny = 1
-		}
-		for _, c := range [4]int32{base | (ny^1)<<1 | (nx ^ 1), base | (ny^1)<<1 | nx, base | ny<<1 | (nx ^ 1), base | ny<<1 | nx} {
-			if sc.stamp[coff+c] == ep && sc.mass[coff+c] != 0 {
-				stack[top] = clvl | int64(c)
-				top++
-			}
-		}
-	}
-	bs.best[ci] = best
-	bs.bestRP[ci] = bestRP
-	bs.total[ci] = total
-}

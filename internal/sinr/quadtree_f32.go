@@ -121,6 +121,14 @@ func (f *QuadTreeF32) AcquireResolver() FarResolver { return f.q.newScratch(true
 // ReleaseResolver implements Far (no pool — the scratch is dropped).
 func (f *QuadTreeF32) ReleaseResolver(FarResolver) {}
 
+// round32 rounds node g's aggregates once into the f32 mirror.
+func (sc *QuadScratch) round32(g int32) {
+	nd := &sc.node[g]
+	sc.mass32[g] = float32(nd.mass)
+	sc.cenX32[g] = float32(nd.cenX)
+	sc.cenY32[g] = float32(nd.cenY)
+}
+
 // round32Active rounds every active node's aggregates into the f32 mirror
 // (serial Accumulate tail).
 //sinr:hotpath
@@ -129,10 +137,7 @@ func (sc *QuadScratch) round32Active() {
 	for lvl := 0; lvl <= q.levels; lvl++ {
 		off := q.levelOff[lvl]
 		for _, t := range sc.active[lvl] {
-			g := off + t
-			sc.mass32[g] = float32(sc.mass[g])
-			sc.cenX32[g] = float32(sc.cenX[g])
-			sc.cenY32[g] = float32(sc.cenY[g])
+			sc.round32(off + t)
 		}
 	}
 }
@@ -147,10 +152,7 @@ func (sc *QuadScratch) round32Shard(sh int) {
 		off := q.levelOff[lvl]
 		abase := sc.shardABase[lvl] + int32(sh)<<(2*uint(lvl-s))
 		for k := int32(0); k < sc.shardCnt[lvl][sh]; k++ {
-			g := off + sc.shardArena[abase+k]
-			sc.mass32[g] = float32(sc.mass[g])
-			sc.cenX32[g] = float32(sc.cenX[g])
-			sc.cenY32[g] = float32(sc.cenY[g])
+			sc.round32(off + sc.shardArena[abase+k])
 		}
 	}
 }
@@ -162,52 +164,45 @@ func (sc *QuadScratch) round32Finish() {
 	for lvl := 0; lvl <= sc.shardS; lvl++ {
 		off := q.levelOff[lvl]
 		for _, t := range sc.active[lvl] {
-			g := off + t
-			sc.mass32[g] = float32(sc.mass[g])
-			sc.cenX32[g] = float32(sc.cenX[g])
-			sc.cenY32[g] = float32(sc.cenY[g])
+			sc.round32(off + t)
 		}
 	}
 }
 
 // resolve32 is Resolve over the float32 aggregate mirror: identical walk
-// structure, with node decisions reading float64(float32(agg)) and the
-// widened refinement bound. Leaf scans and therefore the winner stay exact
-// float64.
+// structure and child order, with node decisions reading
+// float64(float32(agg)) and the widened refinement bound. Leaf scans and
+// therefore the winner stay exact float64.
 //sinr:hotpath
 func (sc *QuadScratch) resolve32(v int) (best int, bestRP, total float64, saturated bool) {
 	q := sc.q
 	in := q.in
-	alpha := in.params.Alpha
-	spec := q.powSpec
+	pl := q.pl
 	refine := q.f32.refineFac32
 	pv := in.pts[v]
 	best = -1
-	ep := sc.epoch
-	l := q.levels
-	var stack [quadStackCap]int64
-	if sc.stamp[0] != ep {
+	l := int32(q.levels)
+	var stack [quadStackCap]quadFrame
+	if sc.stamp[0] != sc.epoch {
 		return best, 0, 0, false
 	}
-	stack[0] = 0
-	top := 1
+	top := 1 // stack[0] is the root
 	for top > 0 {
 		top--
-		e := stack[top]
-		lvl := int(e >> 32)
-		t := int32(e)
-		g := q.levelOff[lvl] + t
+		f := stack[top]
+		g := f.g
 		dx := pv.X - float64(sc.cenX32[g])
 		dy := pv.Y - float64(sc.cenY32[g])
 		d2 := dx*dx + dy*dy
-		if d2 >= q.openRad2[lvl] {
-			gc := 1 / powAlphaSqSpec(d2, alpha, spec)
-			if sc.pmax[g]*gc*refine <= bestRP {
+		if d2 >= q.openRad2[f.lvl] {
+			gc := 1 / pl.Sq(d2)
+			if sc.node[g].pmax*gc*refine <= bestRP {
 				total += float64(sc.mass32[g]) * gc
 				continue
 			}
 		}
-		if lvl == l {
+		if f.lvl == l {
+			t := g - q.levelOff[l]
 			for si := sc.start[t]; si < sc.start[t]+sc.fill[t]; si++ {
 				ddx := pv.X - sc.sx[si]
 				ddy := pv.Y - sc.sy[si]
@@ -215,7 +210,7 @@ func (sc *QuadScratch) resolve32(v int) (best int, bestRP, total float64, satura
 				if sd2 == 0 {
 					return -1, 0, 0, true
 				}
-				rp := sc.sp[si] / powAlphaSqSpec(sd2, alpha, spec)
+				rp := sc.sp[si] / pl.Sq(sd2)
 				total += rp
 				if rp > bestRP {
 					bestRP = rp
@@ -224,21 +219,11 @@ func (sc *QuadScratch) resolve32(v int) (best int, bestRP, total float64, satura
 			}
 			continue
 		}
-		x, y := MortonDecode(t)
-		base := t << 2
-		clvl := int64(lvl+1) << 32
-		coff := q.levelOff[lvl+1]
-		cside := q.side[lvl+1]
-		var nx, ny int32
-		if pv.X >= q.ox+float64(2*x+1)*cside {
-			nx = 1
-		}
-		if pv.Y >= q.oy+float64(2*y+1)*cside {
-			ny = 1
-		}
-		for _, c := range [4]int32{base | (ny^1)<<1 | (nx ^ 1), base | (ny^1)<<1 | nx, base | ny<<1 | (nx ^ 1), base | ny<<1 | nx} {
-			if sc.stamp[coff+c] == ep && sc.mass[coff+c] != 0 {
-				stack[top] = clvl | int64(c)
+		kids := sc.kids[g]
+		near := q.nearChild(f, pv.X, pv.Y)
+		for k := int32(3); k >= 0; k-- {
+			if c := near ^ k; kids>>uint(c)&1 != 0 {
+				stack[top] = f.child(c)
 				top++
 			}
 		}
@@ -252,11 +237,10 @@ func (sc *QuadScratch) resolve32(v int) (best int, bestRP, total float64, satura
 func (sc *QuadScratch) linkSINR32(txs []Tx, l Link, pu float64) float64 {
 	q := sc.q
 	in := q.in
-	alpha := in.params.Alpha
-	spec := q.powSpec
+	pl := q.pl
 	u, v := l.From, l.To
 	pv := in.pts[v]
-	signal := pu / PowAlphaSq(pv.DistSq(in.pts[u]), alpha)
+	signal := pu / PowAlphaSq(pv.DistSq(in.pts[u]), in.params.Alpha)
 	if signal == 0 {
 		return 0
 	}
@@ -287,7 +271,7 @@ func (sc *QuadScratch) linkSINR32(txs []Tx, l Link, pu float64) float64 {
 			if m <= 0 {
 				continue
 			}
-			interference += m / powAlphaSqSpec(d2, alpha, spec)
+			interference += m / pl.Sq(d2)
 			continue
 		}
 		if lvl == lv {
@@ -298,19 +282,11 @@ func (sc *QuadScratch) linkSINR32(txs []Tx, l Link, pu float64) float64 {
 				ddx := pv.X - sc.sx[si]
 				ddy := pv.Y - sc.sy[si]
 				sd2 := ddx*ddx + ddy*ddy
-				interference += sc.sp[si] / powAlphaSqSpec(sd2, alpha, spec)
+				interference += sc.sp[si] / pl.Sq(sd2)
 			}
 			continue
 		}
-		base := t << 2
-		clvl := int64(lvl+1) << 32
-		coff := q.levelOff[lvl+1]
-		for c := base + 3; c >= base; c-- {
-			if sc.stamp[coff+c] == ep && sc.mass[coff+c] != 0 {
-				stack[top] = clvl | int64(c)
-				top++
-			}
-		}
+		top = sc.pushQuadrant(&stack, top, lvl, t)
 	}
 	return signal / (in.params.Noise + interference)
 }

@@ -153,21 +153,13 @@ func (sc *QuadScratch) AccumShard(sh int, txs []Tx) {
 		i := sc.shardTx[k]
 		t := q.leafOf[txs[i].Sender]
 		g := leafOff + t
-		if sc.stamp[g] != ep {
-			sc.stamp[g] = ep
-			sc.mass[g], sc.cenX[g], sc.cenY[g], sc.pmax[g] = 0, 0, 0, 0
+		nd := &sc.node[g]
+		if sc.touch(g, ep) {
 			sc.fill[t] = 0
 			sc.shardArena[lbase+nleaf] = t
 			nleaf++
 		}
-		p := txs[i].Power
-		pt := q.in.pts[txs[i].Sender]
-		sc.mass[g] += p
-		sc.cenX[g] += p * pt.X
-		sc.cenY[g] += p * pt.Y
-		if p > sc.pmax[g] {
-			sc.pmax[g] = p
-		}
+		nd.fold(txs[i].Power, q.in.pts[txs[i].Sender])
 		sc.fill[t]++
 	}
 	sc.shardCnt[l][sh] = nleaf
@@ -199,32 +191,17 @@ func (sc *QuadScratch) AccumShard(sh int, txs []Tx) {
 			t := sc.shardArena[cbase+k]
 			pl := t >> 2
 			pg := parentOff + pl
-			g := childOff + t
-			if sc.stamp[pg] != ep {
-				sc.stamp[pg] = ep
-				sc.mass[pg], sc.cenX[pg], sc.cenY[pg], sc.pmax[pg] = 0, 0, 0, 0
+			if sc.touch(pg, ep) {
 				sc.shardArena[pbase+np] = pl
 				np++
 			}
-			sc.mass[pg] += sc.mass[g]
-			sc.cenX[pg] += sc.cenX[g]
-			sc.cenY[pg] += sc.cenY[g]
-			if sc.pmax[g] > sc.pmax[pg] {
-				sc.pmax[pg] = sc.pmax[g]
-			}
+			sc.foldChild(pg, childOff+t, t)
 		}
 		sc.shardCnt[lvl-1][sh] = np
 	}
 	for lvl := s + 1; lvl <= l; lvl++ {
-		off := q.levelOff[lvl]
 		abase := sc.shardABase[lvl] + int32(sh)<<(2*uint(lvl-s))
-		for k := int32(0); k < sc.shardCnt[lvl][sh]; k++ {
-			g := off + sc.shardArena[abase+k]
-			if m := sc.mass[g]; m > 0 {
-				sc.cenX[g] /= m
-				sc.cenY[g] /= m
-			}
-		}
+		sc.normalize(q.levelOff[lvl], sc.shardArena[abase:abase+sc.shardCnt[lvl][sh]])
 	}
 	if sc.prec32 {
 		sc.round32Shard(sh)
@@ -255,31 +232,16 @@ func (sc *QuadScratch) AccumFinish() {
 		for _, t := range sc.active[lvl] {
 			pl := t >> 2
 			pg := parentOff + pl
-			g := childOff + t
-			if sc.stamp[pg] != ep {
-				sc.stamp[pg] = ep
-				sc.mass[pg], sc.cenX[pg], sc.cenY[pg], sc.pmax[pg] = 0, 0, 0, 0
+			if sc.touch(pg, ep) {
 				//lint:ignore hotpathalloc plist aliases preallocated sc.active[lvl-1]; occupied parents never exceed its capacity
 				plist = append(plist, pl)
 			}
-			sc.mass[pg] += sc.mass[g]
-			sc.cenX[pg] += sc.cenX[g]
-			sc.cenY[pg] += sc.cenY[g]
-			if sc.pmax[g] > sc.pmax[pg] {
-				sc.pmax[pg] = sc.pmax[g]
-			}
+			sc.foldChild(pg, childOff+t, t)
 		}
 		sc.active[lvl-1] = plist
 	}
 	for lvl := 0; lvl <= s; lvl++ {
-		off := q.levelOff[lvl]
-		for _, t := range sc.active[lvl] {
-			g := off + t
-			if m := sc.mass[g]; m > 0 {
-				sc.cenX[g] /= m
-				sc.cenY[g] /= m
-			}
-		}
+		sc.normalize(q.levelOff[lvl], sc.active[lvl])
 	}
 	if sc.prec32 {
 		sc.round32Finish()

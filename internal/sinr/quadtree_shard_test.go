@@ -9,6 +9,7 @@ package sinr
 // random); the pool-level test rides in internal/sim.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -42,7 +43,7 @@ func shardOrders(rng *rand.Rand, nsh int) [][]int {
 
 // assertPyramidEqual compares every pyramid node of two scratches built
 // over the same plan: occupancy, aggregates (f64 and, when mirrored, f32)
-// bit for bit.
+// bit for bit, and child masks.
 func assertPyramidEqual(t *testing.T, label string, a, b *QuadScratch) {
 	t.Helper()
 	q := a.q
@@ -55,10 +56,13 @@ func assertPyramidEqual(t *testing.T, label string, a, b *QuadScratch) {
 		if !aon {
 			continue
 		}
-		if a.mass[g] != b.mass[g] || a.cenX[g] != b.cenX[g] || a.cenY[g] != b.cenY[g] || a.pmax[g] != b.pmax[g] {
+		if a.node[g].mass != b.node[g].mass || a.node[g].cenX != b.node[g].cenX || a.node[g].cenY != b.node[g].cenY || a.node[g].pmax != b.node[g].pmax {
 			t.Fatalf("%s: node %d aggregates serial (%v,%v,%v,%v) sharded (%v,%v,%v,%v)",
-				label, g, a.mass[g], a.cenX[g], a.cenY[g], a.pmax[g],
-				b.mass[g], b.cenX[g], b.cenY[g], b.pmax[g])
+				label, g, a.node[g].mass, a.node[g].cenX, a.node[g].cenY, a.node[g].pmax,
+				b.node[g].mass, b.node[g].cenX, b.node[g].cenY, b.node[g].pmax)
+		}
+		if a.kids[g] != b.kids[g] {
+			t.Fatalf("%s: node %d child mask serial %04b sharded %04b", label, g, a.kids[g], b.kids[g])
 		}
 		if a.prec32 {
 			if a.mass32[g] != b.mass32[g] || a.cenX32[g] != b.cenX32[g] || a.cenY32[g] != b.cenY32[g] {
@@ -67,6 +71,68 @@ func assertPyramidEqual(t *testing.T, label string, a, b *QuadScratch) {
 					b.mass32[g], b.cenX32[g], b.cenY32[g])
 			}
 		}
+	}
+}
+
+// assertChildMasks checks the child-mask invariant the walks filter by:
+// bit c of an occupied inner node's mask is set iff child c is occupied
+// this epoch with nonzero mass.
+func assertChildMasks(t *testing.T, label string, sc *QuadScratch) {
+	t.Helper()
+	q := sc.q
+	for lvl := 0; lvl < q.levels; lvl++ {
+		off, coff := q.levelOff[lvl], q.levelOff[lvl+1]
+		for tl := int32(0); tl < int32(1)<<(2*lvl); tl++ {
+			if sc.stamp[off+tl] != sc.epoch {
+				continue
+			}
+			for c := int32(0); c < 4; c++ {
+				cg := coff + (tl<<2 | c)
+				want := sc.stamp[cg] == sc.epoch && sc.node[cg].mass != 0
+				if got := sc.kids[off+tl]>>uint(c)&1 != 0; got != want {
+					t.Fatalf("%s: level %d node %d child %d: mask bit %v, occupied with mass %v", label, lvl, tl, c, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestChildMasks pins the child-mask invariant after serial and sharded
+// accumulation, over sender sets where some senders transmit at zero
+// power — so some occupied nodes carry zero mass and must stay masked
+// out — across several epochs on one scratch (a mask must not leak
+// children from an earlier slot).
+func TestChildMasks(t *testing.T) {
+	const n = 900
+	rng := rand.New(rand.NewSource(88))
+	in, err := NewInstance(workload.GaussianClusters(rng, n, 24, 3, 80), DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := in.QuadTree(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, sharded := q.NewScratch(), q.NewScratch()
+	for round := 0; round < 6; round++ {
+		txs := driftTxSet(rng, n, 40+rng.Intn(n/2))
+		zeros := 0
+		for i := range txs {
+			if rng.Intn(3) == 0 {
+				txs[i].Power = 0
+				zeros++
+			}
+		}
+		serial.Accumulate(txs)
+		sharded.AccumBegin(txs)
+		for sh := 0; sh < sharded.AccumShards(); sh++ {
+			sharded.AccumShard(sh, txs)
+		}
+		sharded.AccumFinish()
+		label := fmt.Sprintf("round %d (%d of %d senders at zero power)", round, zeros, len(txs))
+		assertChildMasks(t, label+" serial", serial)
+		assertChildMasks(t, label+" sharded", sharded)
+		assertPyramidEqual(t, label, serial, sharded)
 	}
 }
 
