@@ -622,7 +622,6 @@ func (e *Engine) decodeExact(lo, hi int, sh *shard) {
 		acc[j] = listenAcc{best: -1}
 	}
 	n := len(e.procs)
-	pts, pl := e.inst.Points(), e.pl
 	for k := range e.txs {
 		t := &e.txs[k]
 		if e.gains != nil {
@@ -636,6 +635,7 @@ func (e *Engine) decodeExact(lo, hi int, sh *shard) {
 		// squared distance, sender minus listener, through the same
 		// PowAlphaSq arm), and — unlike Instance.Gain — never forces the
 		// O(n²) table build an adaptive far-field engine avoids.
+		pts, pl := e.inst.Points(), e.pl
 		ps := pts[t.Sender]
 		for j, v := range lis {
 			dx := ps.X - pts[v].X
