@@ -184,6 +184,14 @@ type Config struct {
 // sides scale with the listener count; the walk adds one pyramid level
 // per 4× n). 768 sits between the two measured crossings, deliberately
 // toward the exact side — exact slots are also error-free.
+//
+// Re-measured at n = 16384 (-short) on a 2-CPU box after the packed node
+// records, child masks and inlined path loss, which sped up both sides by
+// different factors (BENCH_quadtree.json, slot_kernels): exact, which
+// computes path loss on the fly at this n, now stays cheaper up to about
+// S = 4096 at ε = 0.5 (up from between 1024 and 2048), while at ε = 2.5
+// the crossing stays between 256 and 512. The constant is unchanged:
+// moving it moves slots between modes and so changes results.
 const DefaultAdaptiveCrossover = 768
 
 // Stats counts engine activity for experiment reporting.

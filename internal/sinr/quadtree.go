@@ -460,12 +460,13 @@ type quadNode struct {
 
 // QuadScratch is the per-slot mutable state of a quadtree plan: the
 // epoch-stamped pyramid records and child-occupancy masks, per-level
-// active lists, and the leaf bucketing for exact scans. One scratch belongs to one concurrent user;
-// all buffers are allocated once at NewScratch so the per-slot
-// Accumulate/Resolve cycle allocates nothing (the sharded-accumulate arena
-// is lazily allocated on first use and reused after). Resolve and LinkSINR
-// keep their DFS stacks on the goroutine stack, so concurrent listeners
-// may share one scratch read-only.
+// active lists, and the leaf bucketing for exact scans. One scratch
+// belongs to one concurrent user; all buffers are allocated once at
+// NewScratch so the per-slot Accumulate/Resolve cycle allocates nothing
+// (the sharded-accumulate arena is lazily allocated on first use and
+// reused after). Resolve and LinkSINR keep their DFS stacks on the
+// goroutine stack, so concurrent listeners may share one scratch
+// read-only.
 type QuadScratch struct {
 	q     *QuadTree
 	epoch uint32
