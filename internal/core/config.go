@@ -130,10 +130,15 @@ func (c *InitConfig) pairsPerRound(n int) int {
 	return pairs
 }
 
-// validate rejects nonsensical configs beyond what defaults() repairs.
+// validate rejects nonsensical configs beyond what defaults() repairs. The
+// range checks are written so that NaN, which defaults() leaves in place,
+// fails them.
 func (c *InitConfig) validate() error {
-	if c.DropProb < 0 || c.DropProb >= 1 {
+	if !(c.DropProb >= 0 && c.DropProb < 1) {
 		return fmt.Errorf("core: drop probability %v outside [0,1)", c.DropProb)
+	}
+	if !(c.BroadcastProb > 0 && c.BroadcastProb <= 0.5) {
+		return fmt.Errorf("core: broadcast probability %v outside (0, 0.5]", c.BroadcastProb)
 	}
 	return nil
 }

@@ -95,16 +95,9 @@ func Init(ctx context.Context, in *sinr.Instance, cfg InitConfig) (*InitResult, 
 	}
 	defer eng.Close()
 
-	activeCount := func() int {
-		c := 0
-		for _, v := range parts {
-			if nodes[v].active {
-				c++
-			}
-		}
-		return c
-	}
-
+	// A node deactivates only in a broadcast slot and leaves the engine in
+	// that same slot, so after every ack slot eng.Live() is the number of
+	// active participants.
 	res := &InitResult{LadderRounds: ladder}
 	runRound := func(rs roundSpec) (bool, error) {
 		res.Rounds++
@@ -115,7 +108,7 @@ func Init(ctx context.Context, in *sinr.Instance, cfg InitConfig) (*InitResult, 
 			}
 			eng.Step() // data slot
 			eng.Step() // ack slot
-			if activeCount() <= 1 {
+			if eng.Live() <= 1 {
 				// One more pair so a just-acknowledged broadcaster can
 				// consume its ack — harmless when none is pending.
 				eng.Step()
@@ -123,7 +116,7 @@ func Init(ctx context.Context, in *sinr.Instance, cfg InitConfig) (*InitResult, 
 				return true, nil
 			}
 		}
-		return activeCount() <= 1, nil
+		return eng.Live() <= 1, nil
 	}
 
 	converged := false
@@ -153,7 +146,7 @@ func Init(ctx context.Context, in *sinr.Instance, cfg InitConfig) (*InitResult, 
 	res.Stats = eng.Stats()
 	if !converged {
 		return res, fmt.Errorf("%w: %d active after %d rounds",
-			ErrNotConverged, activeCount(), res.Rounds)
+			ErrNotConverged, eng.Live(), res.Rounds)
 	}
 
 	// Assemble the tree from sender-confirmed records (stray cleanup).
@@ -255,6 +248,9 @@ func (nd *initNode) Step(slot int, inbox []sim.Delivery) sim.Action {
 	return nd.ackSlot(inbox)
 }
 
+// broadcastSlot and ackSlot return Leave once the node is inactive: an
+// inactive node draws nothing, reads no inbox and would idle forever, so
+// the engine stops stepping it.
 func (nd *initNode) broadcastSlot(slot int, inbox []sim.Delivery) sim.Action {
 	// Consume an acknowledgment from the previous pair: on success this
 	// node connects to its new parent and leaves the protocol.
@@ -274,7 +270,7 @@ func (nd *initNode) broadcastSlot(slot int, inbox []sim.Delivery) sim.Action {
 		nd.broadcastPair = -1
 	}
 	if !nd.active {
-		return sim.Idle()
+		return sim.Leave()
 	}
 	if nd.rng.Float64() < nd.cfg.BroadcastProb {
 		nd.broadcastPair = slot / 2
@@ -289,7 +285,7 @@ func (nd *initNode) broadcastSlot(slot int, inbox []sim.Delivery) sim.Action {
 
 func (nd *initNode) ackSlot(inbox []sim.Delivery) sim.Action {
 	if !nd.active {
-		return sim.Idle()
+		return sim.Leave()
 	}
 	if nd.broadcastPair >= 0 {
 		return sim.Listen() // we broadcast; await the acknowledgment

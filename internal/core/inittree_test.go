@@ -174,6 +174,12 @@ func TestInitErrors(t *testing.T) {
 	if _, err := Init(context.Background(), in, InitConfig{DropProb: 2}); err == nil {
 		t.Error("bad drop probability accepted")
 	}
+	if _, err := Init(context.Background(), in, InitConfig{DropProb: math.NaN()}); err == nil {
+		t.Error("NaN drop probability accepted")
+	}
+	if _, err := Init(context.Background(), in, InitConfig{BroadcastProb: math.NaN()}); err == nil {
+		t.Error("NaN broadcast probability accepted")
+	}
 }
 
 func TestInitDegreeBound(t *testing.T) {

@@ -78,8 +78,11 @@ func TestInitNodeConsumesAckAndDeactivates(t *testing.T) {
 	if nd.outLink == nil || nd.outLink.L.To != 9 || nd.outLink.Slot != 0 {
 		t.Errorf("outLink = %+v", nd.outLink)
 	}
-	if a.Kind != sim.ActionIdle {
-		t.Errorf("deactivated node acted: %v", a.Kind)
+	if a.Kind != sim.ActionLeave {
+		t.Errorf("deactivated node did not leave: %v", a.Kind)
+	}
+	if a := nd.Step(3, nil); a.Kind != sim.ActionLeave {
+		t.Errorf("deactivated node did not leave in an ack slot: %v", a.Kind)
 	}
 }
 

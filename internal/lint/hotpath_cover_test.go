@@ -58,6 +58,11 @@ var hotpathGates = map[string]hotpathGate{
 	"internal/sim.farSink.DeliverFar":         {"TestQuadtreeSlotLoopZeroAlloc", "internal/sim/adaptive_test.go"},
 	"internal/sim.Engine.buildFarRuns":        {"TestQuadtreeSlotLoopZeroAlloc", "internal/sim/adaptive_test.go"},
 	"internal/sim.Engine.decodeFarBatchRange": {"TestQuadtreeSlotLoopZeroAlloc", "internal/sim/adaptive_test.go"},
+
+	// Per-node streams: the lazy draws before the register exists.
+	"internal/sim.NodeRand.int63":   {"TestNodeRandLazy", "internal/sim/noderand_test.go"},
+	"internal/sim.NodeRand.Float64": {"TestNodeRandLazy", "internal/sim/noderand_test.go"},
+	"internal/sim.NodeRand.Intn":    {"TestNodeRandLazy", "internal/sim/noderand_test.go"},
 }
 
 // scanAnnotations walks the module (skipping testdata and test files) and

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -11,13 +12,18 @@ import (
 
 // fixedProto transmits every slot (transmitters) or listens (everyone else)
 // without allocating, so engine-side allocations are directly observable.
+// A positive leaveAt makes the node leave in that slot.
 type fixedProto struct {
 	id       int
 	transmit bool
 	power    float64
+	leaveAt  int
 }
 
 func (p *fixedProto) Step(slot int, inbox []Delivery) Action {
+	if p.leaveAt > 0 && slot >= p.leaveAt {
+		return Leave()
+	}
 	if p.transmit {
 		return Transmit(p.power, Message{Kind: KindBroadcast, From: p.id, To: NoAddressee})
 	}
@@ -55,30 +61,46 @@ func allocTestEngine(t *testing.T, n, workers int, drop float64, sparse bool) *E
 // TestSlotLoopZeroAlloc asserts the steady-state slot loop performs zero
 // allocations per Step, in both the serial path and the worker-pool path
 // (and with drop injection active, which exercises dropCoin), over a full
-// and a sparse (nil-protocol) node set.
+// and a sparse (nil-protocol) node set, and while nodes leave.
 func TestSlotLoopZeroAlloc(t *testing.T) {
 	cases := []struct {
-		name    string
-		workers int
-		drop    float64
-		sparse  bool
+		name      string
+		workers   int
+		drop      float64
+		sparse    bool
+		departing bool
 	}{
-		{"serial", 1, 0, false},
-		{"pool", 4, 0, false},
-		{"serial_drop", 1, 0.2, false},
-		{"sparse_serial", 1, 0, true},
-		{"sparse_pool", 4, 0.2, true},
+		{"serial", 1, 0, false, false},
+		{"pool", 4, 0, false, false},
+		{"serial_drop", 1, 0.2, false, false},
+		{"sparse_serial", 1, 0, true, false},
+		{"sparse_pool", 4, 0.2, true, false},
+		{"departing_serial", 1, 0, false, true},
+		{"departing_pool", 4, 0.2, true, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			e := allocTestEngine(t, 128, tc.workers, tc.drop, tc.sparse)
 			defer e.Close()
+			if tc.departing {
+				// Every odd node leaves at some slot of the measured
+				// window (slots 8..58).
+				for i, p := range e.procs {
+					if fp, ok := p.(*fixedProto); ok && i%2 == 1 {
+						fp.leaveAt = 9 + i%48
+					}
+				}
+			}
 			// Warm to steady state: inbox buffers reach capacity, the pool
 			// (if any) finishes spinning up.
 			e.Run(8)
+			live := e.Live()
 			allocs := testing.AllocsPerRun(50, func() { e.Step() })
 			if allocs != 0 {
 				t.Fatalf("steady-state Step allocates %.1f times/op, want 0", allocs)
+			}
+			if left := live - e.Live(); tc.departing != (left > 0) {
+				t.Fatalf("%d nodes left during the measured slots", left)
 			}
 		})
 	}
@@ -163,5 +185,101 @@ func TestNilProtocolMatchesIdle(t *testing.T) {
 			t.Fatalf("workers=%d far=%v: nothing delivered", cfg.Workers, cfg.FarField != nil)
 		}
 		assertRunsEqual(t, "nil vs always-Idle", idleGot, nilGot, idleStats, nilStats)
+	}
+}
+
+// departProto acts at random, from a hash of (slot, id), until slot leave;
+// from then on it returns Leave or, with idle set, Idle forever. A negative
+// leave never leaves.
+type departProto struct {
+	id, leave int
+	idle      bool
+	power     float64
+}
+
+func (p *departProto) Step(slot int, inbox []Delivery) Action {
+	if p.leave >= 0 && slot >= p.leave {
+		if p.idle {
+			return Idle()
+		}
+		return Leave()
+	}
+	switch c := dropCoin(11, slot, p.id); {
+	case c < 0.3:
+		return Transmit(p.power, Message{Kind: KindBroadcast, From: p.id, To: NoAddressee, Tag: slot})
+	case c < 0.9:
+		return Listen()
+	}
+	return Idle()
+}
+
+// TestLeaveMatchesIdle pins the engine's contract for Leave: protocols
+// that leave at random slots produce the same Stats and the same inbox,
+// delivery for delivery, at every node as the same protocols returning
+// Idle forever instead — exact and adaptive far-field, serial and pooled,
+// with drop injection.
+func TestLeaveMatchesIdle(t *testing.T) {
+	const n, slots = 192, 24
+	pts := workload.JitteredGrid(rand.New(rand.NewSource(17)), n, 3, 0.8)
+	in := sinr.MustInstance(pts, sinr.DefaultParams())
+	q, err := in.QuadTree(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	power := in.Params().SafePower(4)
+	stay := 0
+	leaveAt := make([]int, n)
+	for i := range leaveAt {
+		leaveAt[i] = -1
+		if i%3 != 0 {
+			leaveAt[i] = int(dropCoin(23, 0, i) * slots)
+		} else {
+			stay++
+		}
+	}
+	run := func(cfg Config, idle bool) ([][]Delivery, Stats, int, int) {
+		procs := make([]Protocol, n)
+		recs := make([]*recordProto, n)
+		for i := range procs {
+			recs[i] = &recordProto{inner: &departProto{id: i, leave: leaveAt[i], idle: idle, power: power}}
+			procs[i] = recs[i]
+		}
+		far := 0
+		cfg.Observer = func(ev SlotEvent) {
+			if ev.Far {
+				far++
+			}
+		}
+		e := mustEngine(t, in, procs, cfg)
+		defer e.Close()
+		e.Run(slots)
+		got := make([][]Delivery, n)
+		for i, r := range recs {
+			got[i] = r.got
+		}
+		return got, e.Stats(), e.Live(), far
+	}
+	for _, cfg := range []Config{
+		{Workers: 1, DropProb: 0.1, Seed: 5},
+		{Workers: 4, DropProb: 0.1, Seed: 5},
+		{Workers: 1, FarField: q, Adaptive: true, AdaptiveCrossover: 24},
+		{Workers: 4, FarField: q, Adaptive: true, AdaptiveCrossover: 24, DropProb: 0.1, Seed: 5},
+	} {
+		label := fmt.Sprintf("workers=%d far=%v", cfg.Workers, cfg.FarField != nil)
+		idleGot, idleStats, idleLive, idleFar := run(cfg, true)
+		leaveGot, leaveStats, leaveLive, leaveFar := run(cfg, false)
+		if idleStats.Deliveries == 0 {
+			t.Fatalf("%s: nothing delivered", label)
+		}
+		if idleLive != n || leaveLive != stay {
+			t.Fatalf("%s: %d and %d nodes live at the end, want %d and %d", label, idleLive, leaveLive, n, stay)
+		}
+		if idleFar != leaveFar {
+			t.Fatalf("%s: %d vs %d far slots", label, idleFar, leaveFar)
+		}
+		if cfg.FarField != nil && (leaveFar == 0 || leaveFar == slots) {
+			t.Fatalf("%s: %d of %d slots far, want both modes", label, leaveFar, slots)
+		}
+		assertRunsEqual(t, label+": Leave vs always-Idle", idleGot, leaveGot, idleStats, leaveStats)
 	}
 }

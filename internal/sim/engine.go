@@ -48,14 +48,18 @@ type ActionKind uint8
 
 // Actions a protocol can take in a slot.
 const (
-	// ActionIdle: the node neither transmits nor listens (it has left the
-	// protocol). Idle nodes cost nothing in the physics computation.
+	// ActionIdle: the node neither transmits nor listens in this slot.
+	// Idle nodes cost nothing in the physics computation.
 	ActionIdle ActionKind = iota + 1
 	// ActionListen: the node listens and may receive one message.
 	ActionListen
 	// ActionTransmit: the node transmits Msg with power Power. Transmitting
 	// nodes cannot receive in the same slot (half-duplex).
 	ActionTransmit
+	// ActionLeave: the node has finished the protocol for good. It idles
+	// in this slot and the engine never steps it again, so from this slot
+	// on it costs nothing at all.
+	ActionLeave
 )
 
 // Action is a protocol's decision for one slot.
@@ -67,6 +71,10 @@ type Action struct {
 
 // Idle returns the idle action.
 func Idle() Action { return Action{Kind: ActionIdle} }
+
+// Leave returns the leave action: idle now and in every later slot,
+// without being stepped.
+func Leave() Action { return Action{Kind: ActionLeave} }
 
 // Listen returns the listen action.
 func Listen() Action { return Action{Kind: ActionListen} }
@@ -97,7 +105,9 @@ type Delivery struct {
 //
 // A nil Protocol in the slice handed to NewEngine is a node that idles in
 // every slot. The engine never visits it, so a run whose protocol gives
-// most nodes nothing to do costs only what its live nodes cost.
+// most nodes nothing to do costs only what its live nodes cost. A protocol
+// that is finished for good returns Leave: from then on the engine treats
+// it like a nil entry, so a node that has left costs nothing either.
 type Protocol interface {
 	Step(slot int, inbox []Delivery) Action
 }
@@ -302,10 +312,10 @@ func (a *listenAcc) add(k int, p, g float64) {
 type Engine struct {
 	inst  *sinr.Instance
 	procs []Protocol
-	// live lists the nodes with a non-nil protocol, ascending. The stages
-	// step, collect senders and decode over it instead of 0..n; ascending
-	// order keeps the sender set, the energy sum and decode ties exactly as
-	// a scan of every node would produce them.
+	// live lists the nodes with a non-nil protocol that have not left,
+	// ascending. The stages step, collect senders and decode over it
+	// instead of 0..n; ascending order keeps the sender set, the energy sum
+	// and decode ties exactly as a scan of every node would produce them.
 	live    []int32
 	cfg     Config
 	stats   Stats
@@ -360,8 +370,8 @@ type Engine struct {
 // NewEngine creates an engine over instance inst with one protocol per node.
 // len(procs) must equal inst.Len(). A nil entry is a node that idles in
 // every slot: the engine indexes the non-nil entries once, here, and its
-// slot loop steps and decodes only those, so an idle node costs nothing per
-// slot. Engines whose live set is large enough to parallelize dispatch on
+// slot loop steps and decodes only those (less the ones that have left),
+// so an idle node costs nothing per slot. Engines whose live set is large enough to parallelize dispatch on
 // Config.Pool when one is provided, otherwise they spawn a private worker
 // pool; call Close when done with an engine to release a private pool's
 // goroutines (Close is always safe to call and never touches a shared
@@ -373,10 +383,8 @@ func NewEngine(inst *sinr.Instance, procs []Protocol, cfg Config) (*Engine, erro
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.NumCPU()
 	}
-	if cfg.DropProb < 0 || cfg.DropProb >= 1 {
-		if cfg.DropProb != 0 {
-			return nil, fmt.Errorf("sim: drop probability %v outside [0,1)", cfg.DropProb)
-		}
+	if !(cfg.DropProb >= 0 && cfg.DropProb < 1) {
+		return nil, fmt.Errorf("sim: drop probability %v outside [0,1)", cfg.DropProb)
 	}
 	n := inst.Len()
 	p := inst.Params()
@@ -479,6 +487,10 @@ func (e *Engine) Stats() Stats { return e.stats }
 // Instance returns the underlying SINR instance.
 func (e *Engine) Instance() *sinr.Instance { return e.inst }
 
+// Live returns the number of nodes the engine still steps: those with a
+// non-nil protocol that have not returned Leave.
+func (e *Engine) Live() int { return len(e.live) }
+
 // Step executes one slot: gather actions, resolve the channel, deliver.
 //sinr:hotpath
 func (e *Engine) Step() {
@@ -499,9 +511,12 @@ func (e *Engine) Step() {
 	}
 
 	// Stage 2: collect the sender set and the listeners, in ascending node
-	// order.
+	// order, and drop the nodes that left from live in place (which keeps
+	// it ascending). A departed node's action becomes Idle, the action it
+	// keeps for good, so later scans of actions see an idle node.
 	e.txs = e.txs[:0]
 	e.lis = e.lis[:0]
+	kept := 0
 	for _, i := range e.live {
 		switch a := &e.actions[i]; a.Kind {
 		case ActionTransmit:
@@ -509,8 +524,14 @@ func (e *Engine) Step() {
 			e.stats.Energy += a.Power
 		case ActionListen:
 			e.lis = append(e.lis, i)
+		case ActionLeave:
+			a.Kind = ActionIdle
+			continue
 		}
+		e.live[kept] = i
+		kept++
 	}
+	e.live = e.live[:kept]
 	e.stats.Transmissions += len(e.txs)
 
 	// Stage 2.5 (far-field mode): pick the slot's resolution mode, then one

@@ -224,6 +224,9 @@ func TestNewEngineValidation(t *testing.T) {
 	if _, err := NewEngine(in, []Protocol{&scripted{}, &scripted{}}, Config{DropProb: -0.1}); err == nil {
 		t.Error("negative drop probability accepted")
 	}
+	if _, err := NewEngine(in, []Protocol{&scripted{}, &scripted{}}, Config{DropProb: math.NaN()}); err == nil {
+		t.Error("NaN drop probability accepted")
+	}
 }
 
 func TestAddressedAckSemantics(t *testing.T) {

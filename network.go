@@ -238,7 +238,7 @@ func WithWorkers(n int) Option {
 // probability in [0, 1). Zero is a legal explicit value (no injection).
 func WithDropProb(p float64) Option {
 	return func(s *settings) {
-		if p < 0 || p >= 1 {
+		if !(p >= 0 && p < 1) {
 			s.fail(fmt.Errorf("sinrconn: drop probability %v outside [0,1)", p))
 			return
 		}
@@ -263,7 +263,7 @@ func WithAutoNormalize(on bool) Option {
 // which must lie in (0, 0.5].
 func WithBroadcastProb(p float64) Option {
 	return func(s *settings) {
-		if p <= 0 || p > 0.5 {
+		if !(p > 0 && p <= 0.5) {
 			s.fail(fmt.Errorf("sinrconn: broadcast probability %v outside (0, 0.5]", p))
 			return
 		}

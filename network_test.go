@@ -271,8 +271,10 @@ func TestOptionValidation(t *testing.T) {
 	}{
 		{"drop out of range", []Option{WithDropProb(1)}},
 		{"negative drop", []Option{WithDropProb(-0.1)}},
+		{"NaN drop", []Option{WithDropProb(math.NaN())}},
 		{"broadcast zero", []Option{WithBroadcastProb(0)}},
 		{"broadcast too high", []Option{WithBroadcastProb(0.9)}},
+		{"NaN broadcast", []Option{WithBroadcastProb(math.NaN())}},
 		{"rho zero", []Option{WithRho(0)}},
 		{"negative workers", []Option{WithWorkers(-1)}},
 		{"bad phys", []Option{WithPhys(PhysParams{Alpha: 1.5})}},
