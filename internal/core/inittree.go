@@ -95,9 +95,6 @@ func Init(ctx context.Context, in *sinr.Instance, cfg InitConfig) (*InitResult, 
 	}
 	defer eng.Close()
 
-	// A node deactivates only in a broadcast slot and leaves the engine in
-	// that same slot, so after every ack slot eng.Live() is the number of
-	// active participants.
 	res := &InitResult{LadderRounds: ladder}
 	runRound := func(rs roundSpec) (bool, error) {
 		res.Rounds++
@@ -108,6 +105,9 @@ func Init(ctx context.Context, in *sinr.Instance, cfg InitConfig) (*InitResult, 
 			}
 			eng.Step() // data slot
 			eng.Step() // ack slot
+			// A node deactivates only in a broadcast slot and leaves the
+			// engine in that same slot, so after an ack slot eng.Live() is
+			// the number of active participants.
 			if eng.Live() <= 1 {
 				// One more pair so a just-acknowledged broadcaster can
 				// consume its ack — harmless when none is pending.

@@ -371,11 +371,11 @@ type Engine struct {
 // len(procs) must equal inst.Len(). A nil entry is a node that idles in
 // every slot: the engine indexes the non-nil entries once, here, and its
 // slot loop steps and decodes only those (less the ones that have left),
-// so an idle node costs nothing per slot. Engines whose live set is large enough to parallelize dispatch on
-// Config.Pool when one is provided, otherwise they spawn a private worker
-// pool; call Close when done with an engine to release a private pool's
-// goroutines (Close is always safe to call and never touches a shared
-// pool).
+// so an idle node costs nothing per slot. Engines whose live set is large
+// enough to parallelize dispatch on Config.Pool when one is provided,
+// otherwise they spawn a private worker pool; call Close when done with an
+// engine to release a private pool's goroutines (Close is always safe to
+// call and never touches a shared pool).
 func NewEngine(inst *sinr.Instance, procs []Protocol, cfg Config) (*Engine, error) {
 	if len(procs) != inst.Len() {
 		return nil, fmt.Errorf("sim: %d protocols for %d nodes", len(procs), inst.Len())
