@@ -99,6 +99,9 @@ func Init(ctx context.Context, in *sinr.Instance, cfg InitConfig) (*InitResult, 
 	runRound := func(rs roundSpec) (bool, error) {
 		res.Rounds++
 		*spec = rs
+		// A node uses a broadcast only from a sender closer than hi, and
+		// an ack only from a node that heard its broadcast from there.
+		eng.SetListenRange(rs.hi)
 		for k := 0; k < pairs; k++ {
 			if err := checkCtx(ctx, "init"); err != nil {
 				return false, err
@@ -283,6 +286,8 @@ func (nd *initNode) broadcastSlot(slot int, inbox []sim.Delivery) sim.Action {
 	return sim.Listen()
 }
 
+// A node that neither broadcast nor acknowledges idles in the ack slot:
+// only a broadcaster reads the next broadcast slot's inbox.
 func (nd *initNode) ackSlot(inbox []sim.Delivery) sim.Action {
 	if !nd.active {
 		return sim.Leave()
@@ -309,5 +314,5 @@ func (nd *initNode) ackSlot(inbox []sim.Delivery) sim.Action {
 			To:   d.Msg.From,
 		})
 	}
-	return sim.Listen()
+	return sim.Idle()
 }

@@ -141,6 +141,7 @@ func Join(ctx context.Context, in *sinr.Instance, bt *tree.BiTree, joiners []int
 	}
 	runRound := func(rs roundSpec) (bool, error) {
 		*spec = rs
+		eng.SetListenRange(rs.hi) // as in Init: nothing from hi or farther is used
 		for k := 0; k < pairs; k++ {
 			if err := checkCtx(ctx, "join"); err != nil {
 				return false, err
@@ -281,7 +282,7 @@ func (nd *joinNode) dataSlot(slot int, inbox []sim.Delivery) sim.Action {
 			nd.pendingPower = nd.spec.power
 			return sim.Transmit(nd.spec.power, sim.Message{Kind: sim.KindBroadcast, From: nd.id})
 		}
-		return sim.Listen()
+		return sim.Idle() // a joiner's ack slot reads no inbox
 	case joinMember:
 		return sim.Listen()
 	default:
@@ -289,18 +290,21 @@ func (nd *joinNode) dataSlot(slot int, inbox []sim.Delivery) sim.Action {
 	}
 }
 
+// In the ack slot only a joiner that broadcast listens: the next data slot
+// reads no other node's inbox, so every other joiner and every member that
+// does not acknowledge idles.
 func (nd *joinNode) ackSlot(inbox []sim.Delivery) sim.Action {
 	switch nd.role {
 	case joinJoiner:
 		if nd.broadcastPair >= 0 {
 			return sim.Listen()
 		}
-		return sim.Listen()
+		return sim.Idle()
 	case joinMember:
 		if nd.muted {
 			// Flap-damped: stays in the tree and keeps relaying, but never
 			// invites a new attachment (no acknowledgment, ever).
-			return sim.Listen()
+			return sim.Idle()
 		}
 		for _, d := range inbox {
 			if d.Msg.Kind != sim.KindBroadcast {
@@ -332,7 +336,7 @@ func (nd *joinNode) ackSlot(inbox []sim.Delivery) sim.Action {
 				To:   d.Msg.From,
 			})
 		}
-		return sim.Listen()
+		return sim.Idle()
 	default:
 		return sim.Idle()
 	}

@@ -122,8 +122,9 @@ func TestInitNodeRejectsOutOfGateBroadcast(t *testing.T) {
 	nd.Step(0, nil)
 	for _, dist := range []float64{0.5, 4.0, 9.9} { // below lo / at-above hi
 		bc := sim.Delivery{Msg: sim.Message{Kind: sim.KindBroadcast, From: 2}, Dist: dist}
-		if a := nd.Step(1, []sim.Delivery{bc}); a.Kind != sim.ActionListen {
-			t.Fatalf("dist %v: out-of-gate broadcast acknowledged", dist)
+		// A node that does not acknowledge idles: nothing reads its inbox.
+		if a := nd.Step(1, []sim.Delivery{bc}); a.Kind != sim.ActionIdle {
+			t.Fatalf("dist %v: out-of-gate broadcast answered with %+v, want idle", dist, a)
 		}
 		nd.Step(0, nil) // back to a data slot
 	}
@@ -134,8 +135,8 @@ func TestInitNodeIgnoresNonBroadcastInAckSlot(t *testing.T) {
 	nd.cfg.BroadcastProb = 0
 	nd.Step(0, nil)
 	data := sim.Delivery{Msg: sim.Message{Kind: sim.KindData, From: 2}, Dist: 2}
-	if a := nd.Step(1, []sim.Delivery{data}); a.Kind != sim.ActionListen {
-		t.Fatalf("acked a non-broadcast: %+v", a)
+	if a := nd.Step(1, []sim.Delivery{data}); a.Kind != sim.ActionIdle {
+		t.Fatalf("answered a non-broadcast with %+v, want idle", a)
 	}
 }
 
@@ -204,8 +205,46 @@ func TestJoinNodeMemberRespectsGate(t *testing.T) {
 	nd.spec = &roundSpec{lo: 4, hi: 8, power: 50}
 	nd.Step(0, nil)
 	bc := sim.Delivery{Msg: sim.Message{Kind: sim.KindBroadcast, From: 9}, Dist: 2, Slot: 0}
-	if a := nd.Step(1, []sim.Delivery{bc}); a.Kind != sim.ActionListen {
-		t.Fatal("member acked an out-of-gate broadcast")
+	if a := nd.Step(1, []sim.Delivery{bc}); a.Kind != sim.ActionIdle {
+		t.Fatalf("member answered an out-of-gate broadcast with %+v, want idle", a)
+	}
+}
+
+// TestJoinNodeIdlesWhenInboxUnread pins the join idle rules: a slot whose
+// inbox the node's next step ignores is spent idle, not listening. A
+// joiner that does not broadcast idles in the data slot (its ack slot
+// reads nothing) and in the ack slot (its next data slot reads acks only
+// after a broadcast); a member, muted or not, that does not acknowledge
+// idles in the ack slot. Members still listen in data slots and a
+// broadcasting joiner in its ack slot.
+func TestJoinNodeIdlesWhenInboxUnread(t *testing.T) {
+	far := []sim.Delivery{{Msg: sim.Message{Kind: sim.KindBroadcast, From: 9}, Dist: 500, Slot: 0}}
+	cases := []struct {
+		name  string
+		role  joinRole
+		muted bool
+		bcast float64 // BroadcastProb
+		inbox []sim.Delivery
+		want  [2]sim.ActionKind // data slot, ack slot
+	}{
+		{"joiner-silent", joinJoiner, false, 0, nil, [2]sim.ActionKind{sim.ActionIdle, sim.ActionIdle}},
+		{"joiner-broadcasts", joinJoiner, false, 1, nil, [2]sim.ActionKind{sim.ActionTransmit, sim.ActionListen}},
+		{"member-no-broadcast-heard", joinMember, false, 1, nil, [2]sim.ActionKind{sim.ActionListen, sim.ActionIdle}},
+		{"member-out-of-gate", joinMember, false, 1, far, [2]sim.ActionKind{sim.ActionListen, sim.ActionIdle}},
+		{"member-muted", joinMember, true, 1, []sim.Delivery{{Msg: sim.Message{Kind: sim.KindBroadcast, From: 9}, Dist: 10}}, [2]sim.ActionKind{sim.ActionListen, sim.ActionIdle}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			nd := newTestJoinNode(2, c.role)
+			nd.muted = c.muted
+			nd.cfg.BroadcastProb = c.bcast
+			for pair := 0; pair < 3; pair++ {
+				got := [2]sim.ActionKind{nd.Step(2*pair, nil).Kind, nd.Step(2*pair+1, c.inbox).Kind}
+				if got != c.want {
+					t.Fatalf("pair %d: actions %v, want %v", pair, got, c.want)
+				}
+			}
+		})
 	}
 }
 

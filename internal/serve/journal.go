@@ -167,12 +167,20 @@ func (s *Server) Restore(recs []JournalRecord) (int, error) {
 		}
 	}
 	// Deterministic replay order: numeric session order (also keeps
-	// nextSession monotone without a second pass).
+	// nextSession monotone without a second pass), ties — every
+	// non-conforming id, and numerals spelled differently like "s7" and
+	// "s07" — broken by the id string.
 	ids := make([]string, 0, len(live))
 	for id := range live {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return sessionOrdinal(ids[i]) < sessionOrdinal(ids[j]) })
+	sort.Slice(ids, func(i, j int) bool {
+		oi, oj := sessionOrdinal(ids[i]), sessionOrdinal(ids[j])
+		if oi != oj {
+			return oi < oj
+		}
+		return ids[i] < ids[j]
+	})
 
 	restored := 0
 	for _, id := range ids {

@@ -3,10 +3,12 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -240,4 +242,64 @@ func httptestServer(t *testing.T, srv *Server) string {
 		srv.Close()
 	})
 	return ts.URL
+}
+
+// replaySummary is what a Restore of one journal left behind: its return
+// values, the allocator, and each live session with its deployment key.
+func replaySummary(recs []JournalRecord) string {
+	srv := New(Config{})
+	defer srv.Close()
+	n, err := srv.Restore(recs)
+	var b strings.Builder
+	fmt.Fprintf(&b, "restored %d, err %v, recovered %d\n", n, err, srv.recoveredCount())
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	fmt.Fprintf(&b, "next %d\n", srv.nextSession)
+	ids := make([]string, 0, len(srv.sessions))
+	for id := range srv.sessions {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		fmt.Fprintf(&b, "%q %016x\n", id, srv.sessions[id].dep.key)
+	}
+	return b.String()
+}
+
+// FuzzJournalReplay: any bytes read as a journal either fail ReadJournal
+// or Restore with an error, or restore the same sessions on every replay,
+// and never panic. Restore replays in a sorted id order, so map iteration
+// order must not leak into which sessions a failing replay got to open.
+func FuzzJournalReplay(f *testing.F) {
+	open := func(id, key string, pts [][2]float64) string {
+		b, _ := json.Marshal(JournalRecord{Op: journalOpOpen, ID: id, Key: key, Open: &OpenRequest{Points: pts}})
+		return string(b) + "\n"
+	}
+	a, b := [][2]float64{{0, 0}, {2, 0}, {0, 3}}, [][2]float64{{0, 0}, {5, 1}}
+	f.Add([]byte(open("s1", "", a) + open("s2", "", b) + `{"op":"close","id":"s1"}` + "\n"))
+	// Non-conforming ids tie on their ordinal; one of them fails the key
+	// check, so the replay order decides which others were restored.
+	f.Add([]byte(open("x", "", a) + open("y", "deadbeefdeadbeef", b) + open("z", "", b) + open("s07", "", a) + open("s7", "", b)))
+	f.Add([]byte(open("s3", "", a) + `{"op":"open","id":"s4","ke`))
+	f.Add([]byte("garbage\n" + open("s1", "", a)))
+	f.Add([]byte(open("s1", "", nil)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<12 {
+			return // bounds the point sets a replay opens
+		}
+		path := filepath.Join(t.TempDir(), "sessions.journal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recs, err := ReadJournal(path)
+		if err != nil {
+			return
+		}
+		first := replaySummary(recs)
+		for k := 0; k < 3; k++ {
+			if got := replaySummary(recs); got != first {
+				t.Fatalf("replays differ:\n%s\nvs\n%s", first, got)
+			}
+		}
+	})
 }

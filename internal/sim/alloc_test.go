@@ -31,8 +31,9 @@ func (p *fixedProto) Step(slot int, inbox []Delivery) Action {
 }
 
 // allocTestEngine builds the alloc/determinism engine; sparse leaves every
-// third protocol nil (a node idle forever).
-func allocTestEngine(t *testing.T, n, workers int, drop float64, sparse bool) *Engine {
+// third protocol nil (a node idle forever), far resolves every slot through
+// a quadtree plan.
+func allocTestEngine(t *testing.T, n, workers int, drop float64, sparse, far bool) *Engine {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	pts := make([]geom.Point, n)
@@ -51,7 +52,15 @@ func allocTestEngine(t *testing.T, n, workers int, drop float64, sparse bool) *E
 		}
 		procs[i] = &fixedProto{id: i, transmit: i%4 == 0, power: power}
 	}
-	e, err := NewEngine(in, procs, Config{Workers: workers, DropProb: drop, Seed: 3})
+	cfg := Config{Workers: workers, DropProb: drop, Seed: 3}
+	if far {
+		q, err := in.QuadTree(0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.FarField = q
+	}
+	e, err := NewEngine(in, procs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,27 +70,44 @@ func allocTestEngine(t *testing.T, n, workers int, drop float64, sparse bool) *E
 // TestSlotLoopZeroAlloc asserts the steady-state slot loop performs zero
 // allocations per Step, in both the serial path and the worker-pool path
 // (and with drop injection active, which exercises dropCoin), over a full
-// and a sparse (nil-protocol) node set, and while nodes leave.
+// and a sparse (nil-protocol) node set, while nodes leave, and under a
+// listen range whose listener gate runs in every slot, exact and far-field.
 func TestSlotLoopZeroAlloc(t *testing.T) {
+	defer func(old int) { listenGateMinWork = old }(listenGateMinWork)
+	listenGateMinWork = 0
 	cases := []struct {
 		name      string
 		workers   int
 		drop      float64
 		sparse    bool
 		departing bool
+		ranged    bool
+		far       bool
 	}{
-		{"serial", 1, 0, false, false},
-		{"pool", 4, 0, false, false},
-		{"serial_drop", 1, 0.2, false, false},
-		{"sparse_serial", 1, 0, true, false},
-		{"sparse_pool", 4, 0.2, true, false},
-		{"departing_serial", 1, 0, false, true},
-		{"departing_pool", 4, 0.2, true, true},
+		{"serial", 1, 0, false, false, false, false},
+		{"pool", 4, 0, false, false, false, false},
+		{"serial_drop", 1, 0.2, false, false, false, false},
+		{"sparse_serial", 1, 0, true, false, false, false},
+		{"sparse_pool", 4, 0.2, true, false, false, false},
+		{"departing_serial", 1, 0, false, true, false, false},
+		{"departing_pool", 4, 0.2, true, true, false, false},
+		{"ranged_serial", 1, 0.2, false, false, true, false},
+		{"ranged_pool", 4, 0, true, true, true, false},
+		{"ranged_far", 1, 0.2, false, false, true, true},
+		{"ranged_far_pool", 4, 0, false, true, true, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e := allocTestEngine(t, 128, tc.workers, tc.drop, tc.sparse)
+			e := allocTestEngine(t, 128, tc.workers, tc.drop, tc.sparse, tc.far)
 			defer e.Close()
+			if tc.ranged {
+				// Senders sit on every fourth column of a lattice of
+				// spacing about 2, so range 3 gates some listeners out.
+				e.SetListenRange(3)
+				if !e.cells.ok {
+					t.Fatal("cell index unusable")
+				}
+			}
 			if tc.departing {
 				// Every odd node leaves at some slot of the measured
 				// window (slots 8..58).
@@ -112,7 +138,7 @@ func TestSlotLoopZeroAlloc(t *testing.T) {
 func TestPoolMatchesSerial(t *testing.T) {
 	for _, sparse := range []bool{false, true} {
 		run := func(workers int) Stats {
-			e := allocTestEngine(t, 128, workers, 0.15, sparse)
+			e := allocTestEngine(t, 128, workers, 0.15, sparse, false)
 			defer e.Close()
 			e.Run(40)
 			return e.Stats()

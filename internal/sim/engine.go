@@ -204,7 +204,11 @@ type Config struct {
 // moving it moves slots between modes and so changes results.
 const DefaultAdaptiveCrossover = 768
 
-// Stats counts engine activity for experiment reporting.
+// Stats counts engine activity for experiment reporting. Under a listen
+// range (Engine.SetListenRange) Deliveries, Collisions and Dropped count
+// only the receptions whose strongest sender is in range: a listener
+// whose strongest sender is out of range adds to none of them, since its
+// protocol would discard what it heard.
 type Stats struct {
 	Slots         int     // slots executed
 	Transmissions int     // transmit actions observed
@@ -220,7 +224,8 @@ type SlotEvent struct {
 	Slot int
 	// Senders is the number of concurrent transmitters.
 	Senders int
-	// Deliveries is the number of successful decodes.
+	// Deliveries is the number of successful decodes that reached an
+	// inbox: under a listen range, only those from a sender in range.
 	Deliveries int
 	// Far reports that the slot resolved through the far-field plan
 	// (always false on exact engines; on adaptive engines it records the
@@ -326,6 +331,12 @@ type Engine struct {
 	txs     []sinr.Tx
 	lis     []int32     // the slot's listeners, ascending; collected with txs
 	acc     []listenAcc // exact decode state of lis[j], at acc[j]
+
+	// Listen range (SetListenRange): 0 keeps every delivery, r > 0 only
+	// those from a sender closer than r. cells indexes each gated slot's
+	// senders to drop the listeners that cannot hear one in range.
+	listenRange float64
+	cells       cellIndex
 
 	// Physics-kernel state hoisted out of the slot loop.
 	beta  float64
@@ -534,13 +545,21 @@ func (e *Engine) Step() {
 	e.live = e.live[:kept]
 	e.stats.Transmissions += len(e.txs)
 
+	// Under a listen range, drop the listeners with no sender in range once
+	// the slot's decode work pays for indexing the senders. The gate leaves
+	// txs alone, so the mode choice below is the same with or without it.
+	if e.listenRange > 0 && e.cells.ok && len(e.txs)*len(e.lis) >= listenGateMinWork {
+		e.gateListeners()
+	}
+
 	// Stage 2.5 (far-field mode): pick the slot's resolution mode, then one
 	// serial O(#senders) pass folds the sender set into the plan's
 	// aggregates for the parallel decode stage. Adaptive engines keep
 	// sparse slots exact — below the crossover the plan's accumulation and
 	// per-listener walk floor cost more than |listeners|·|txs| direct
 	// gains — and the choice reads only |txs|, so it is deterministic and
-	// worker-count independent.
+	// worker-count independent. A slot left with no listener skips the
+	// fold.
 	e.farSlot = e.far != nil && len(e.txs) > 0
 	if e.farSlot && e.adaptive && len(e.txs) < e.crossover {
 		e.farSlot = false
@@ -548,7 +567,7 @@ func (e *Engine) Step() {
 	if e.far != nil && e.cfg.forceFar != nil {
 		e.farSlot = e.cfg.forceFar(e.slot, len(e.txs)) && len(e.txs) > 0
 	}
-	if e.farSlot {
+	if e.farSlot && len(e.lis) > 0 {
 		if e.farShard != nil && e.pool != nil && len(e.txs) >= shardedAccumMinTxs {
 			// Sharded fold across the pool, bit-identical to the serial
 			// Accumulate: a serial counting sort by shard, a parallel fold
@@ -561,15 +580,15 @@ func (e *Engine) Step() {
 		}
 	}
 
-	// Stage 3: decode at every listener (parallel). Each listener decodes
-	// the strongest sender if its SINR clears β. Counters land in per-worker
-	// shards; no lock is taken. Exact slots decode sender-major, streaming
+	// Stage 3: decode at every listener left (parallel). Each listener
+	// decodes the strongest sender if its SINR clears β. Counters land in
+	// per-worker shards; no lock is taken. Exact slots decode sender-major, streaming
 	// each sender's gain row across the listeners (decodeExact); pooled
 	// engines give each worker a contiguous share of lis. Far slots on a
 	// batching plan group the listeners by predicate class (serially, from
 	// the plan's static spec) and walk each class run through one shared
 	// frontier — bit-identical to the per-listener walks.
-	if len(e.txs) > 0 {
+	if len(e.txs) > 0 && len(e.lis) > 0 {
 		switch {
 		case e.farSlot && e.farBatch != nil:
 			e.buildFarRuns()
@@ -779,11 +798,21 @@ func (e *Engine) decodeFarBatchRange(lo, hi, k int) {
 }
 
 // finishDecode is the decode tail shared by the exact and far-field paths:
-// the β cut on the winner's SINR, drop injection, and delivery bookkeeping.
-// best indexes e.txs; total is the full received power including the
-// winner's.
+// the listen range, the β cut on the winner's SINR, drop injection, and
+// delivery bookkeeping. best indexes e.txs; total is the full received
+// power including the winner's. Under a listen range a winner at distance
+// ≥ range ends the reception before anything is counted, so a listener the
+// gate dropped and one it kept but which hears only out-of-range senders
+// leave the same trace: none.
 //sinr:hotpath
 func (e *Engine) finishDecode(i, best int, bestRP, total float64, sh *shard) {
+	tx := e.txs[best]
+	dist := -1.0 // computed only when needed: for a range or a delivery
+	if e.listenRange > 0 {
+		if dist = e.inst.Dist(tx.Sender, i); !(dist < e.listenRange) {
+			return
+		}
+	}
 	sinrVal := bestRP / (e.noise + (total - bestRP))
 	if sinrVal < e.beta {
 		sh.collided++
@@ -793,10 +822,12 @@ func (e *Engine) finishDecode(i, best int, bestRP, total float64, sh *shard) {
 		sh.dropped++
 		return
 	}
-	tx := e.txs[best]
+	if dist < 0 {
+		dist = e.inst.Dist(tx.Sender, i)
+	}
 	e.next[i] = append(e.next[i], Delivery{
 		Msg:  e.actions[tx.Sender].Msg,
-		Dist: e.inst.Dist(tx.Sender, i),
+		Dist: dist,
 		SINR: sinrVal,
 		Slot: e.slot,
 	})
