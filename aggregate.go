@@ -2,7 +2,6 @@ package sinrconn
 
 import (
 	"context"
-	"errors"
 
 	"sinrconn/internal/core"
 	"sinrconn/internal/sim"
@@ -76,7 +75,7 @@ func (nw *Network) epochConfig(r *Result, opts []RunOption) (sim.Config, func(),
 		DropProb: s.drop,
 		Seed:     s.seed,
 		Pool:     pool,
-		FarField: ff,
+		Far:      ff,
 		Adaptive: adaptive,
 		Observer: s.observer,
 	}, func() { release(); done() }, nil
@@ -155,71 +154,4 @@ func (nw *Network) SendMessage(ctx context.Context, r *Result, src, dst int, pay
 		SlotsUsed: out.SlotsUsed,
 		Energy:    out.Energy,
 	}, nil
-}
-
-// epochNetwork resolves the handle a deprecated epoch wrapper runs on.
-func (r *Result) epochNetwork() (*Network, error) {
-	if r.nw == nil {
-		return nil, errors.New("sinrconn: result is not bound to a network")
-	}
-	return r.nw, nil
-}
-
-// Broadcast physically executes one dissemination epoch, under the same
-// channel mode (exact or far-field) the result's tree was built with —
-// legacy Options cannot express a per-epoch override.
-//
-// Deprecated: use (*Network).Broadcast, which takes a context.
-func (r *Result) Broadcast(value int64, opt Options) (*BroadcastOutcome, error) {
-	nw, err := r.epochNetwork()
-	if err != nil {
-		return nil, err
-	}
-	pool, release := nw.acquirePool()
-	defer release()
-	//lint:ignore ctxdiscipline deprecated pre-context wrapper; signature frozen, pinned by TestWrapperEquivalence
-	out, err := core.RunBroadcast(context.Background(), r.Tree.inst, r.Tree.inner, value,
-		sim.Config{Workers: opt.Workers, Pool: pool, FarField: r.Tree.ff, Adaptive: r.Tree.ffAdaptive})
-	if err != nil {
-		return nil, err
-	}
-	return &BroadcastOutcome{Reached: out.Reached, SlotsUsed: out.SlotsUsed, Energy: out.Energy}, nil
-}
-
-// Aggregate physically executes one converge-cast epoch.
-//
-// Deprecated: use (*Network).Aggregate, which takes a context.
-func (r *Result) Aggregate(values []int64, f AggFunc, opt Options) (*AggregateOutcome, error) {
-	nw, err := r.epochNetwork()
-	if err != nil {
-		return nil, err
-	}
-	pool, release := nw.acquirePool()
-	defer release()
-	//lint:ignore ctxdiscipline deprecated pre-context wrapper; signature frozen, pinned by TestWrapperEquivalence
-	out, err := core.RunAggregation(context.Background(), r.Tree.inst, r.Tree.inner, values, core.AggFunc(f),
-		sim.Config{Workers: opt.Workers, Pool: pool, FarField: r.Tree.ff, Adaptive: r.Tree.ffAdaptive})
-	if err != nil {
-		return nil, err
-	}
-	return &AggregateOutcome{Value: out.Value, SlotsUsed: out.SlotsUsed, Energy: out.Energy}, nil
-}
-
-// SendMessage physically delivers a message from src to dst.
-//
-// Deprecated: use (*Network).SendMessage, which takes a context.
-func (r *Result) SendMessage(src, dst int, payload int64, opt Options) (*PairOutcome, error) {
-	nw, err := r.epochNetwork()
-	if err != nil {
-		return nil, err
-	}
-	pool, release := nw.acquirePool()
-	defer release()
-	//lint:ignore ctxdiscipline deprecated pre-context wrapper; signature frozen, pinned by TestWrapperEquivalence
-	out, err := core.RunPairMessage(context.Background(), r.Tree.inst, r.Tree.inner, src, dst, payload,
-		sim.Config{Workers: opt.Workers, Pool: pool, FarField: r.Tree.ff, Adaptive: r.Tree.ffAdaptive})
-	if err != nil {
-		return nil, err
-	}
-	return &PairOutcome{Delivered: out.Delivered, SlotsUsed: out.SlotsUsed, Energy: out.Energy}, nil
 }

@@ -4,17 +4,14 @@ import "testing"
 
 func TestAggregateSum(t *testing.T) {
 	pts := uniformPoints(30, 36)
-	res, err := BuildBiTreeArbitraryPower(pts, Options{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := build(t, pts, PipelineTVCArbitrary, WithSeed(2))
 	values := make([]int64, len(pts))
 	var want int64
 	for i := range values {
 		values[i] = int64(i + 1)
 		want += values[i]
 	}
-	out, err := res.Aggregate(values, SumAgg, Options{})
+	out, err := res.Network().Aggregate(bg, res, values, SumAgg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,13 +28,10 @@ func TestAggregateSum(t *testing.T) {
 
 func TestAggregateMax(t *testing.T) {
 	pts := uniformPoints(31, 24)
-	res, err := BuildInitialBiTree(pts, Options{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := build(t, pts, PipelineInit, WithSeed(3))
 	values := make([]int64, len(pts))
 	values[5] = 999
-	out, err := res.Aggregate(values, MaxAgg, Options{})
+	out, err := res.Network().Aggregate(bg, res, values, MaxAgg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,25 +42,19 @@ func TestAggregateMax(t *testing.T) {
 
 func TestAggregateValidation(t *testing.T) {
 	pts := uniformPoints(32, 12)
-	res, err := BuildInitialBiTree(pts, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := res.Aggregate(nil, SumAgg, Options{}); err == nil {
+	res := build(t, pts, PipelineInit, WithSeed(1))
+	if _, err := res.Network().Aggregate(bg, res, nil, SumAgg); err == nil {
 		t.Error("short values accepted")
 	}
-	if _, err := res.Aggregate(make([]int64, len(pts)), nil, Options{}); err == nil {
+	if _, err := res.Network().Aggregate(bg, res, make([]int64, len(pts)), nil); err == nil {
 		t.Error("nil fold accepted")
 	}
 }
 
 func TestBroadcastEpoch(t *testing.T) {
 	pts := uniformPoints(33, 30)
-	res, err := BuildBiTreeArbitraryPower(pts, Options{Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := res.Broadcast(123, Options{})
+	res := build(t, pts, PipelineTVCArbitrary, WithSeed(4))
+	out, err := res.Network().Broadcast(bg, res, 123)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +68,8 @@ func TestBroadcastEpoch(t *testing.T) {
 
 func TestSendMessage(t *testing.T) {
 	pts := uniformPoints(34, 28)
-	res, err := BuildBiTreeArbitraryPower(pts, Options{Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := res.SendMessage(3, 17, 555, Options{})
+	res := build(t, pts, PipelineTVCArbitrary, WithSeed(6))
+	out, err := res.Network().SendMessage(bg, res, 3, 17, 555)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +79,7 @@ func TestSendMessage(t *testing.T) {
 	if max := 2 * (res.Metrics.ScheduleLength + 1); out.SlotsUsed > max {
 		t.Errorf("latency %d exceeds 2×schedule %d", out.SlotsUsed, max)
 	}
-	if _, err := res.SendMessage(0, 9999, 1, Options{}); err == nil {
+	if _, err := res.Network().SendMessage(bg, res, 0, 9999, 1); err == nil {
 		t.Error("bad destination accepted")
 	}
 }

@@ -1,12 +1,9 @@
 package sinrconn_test
 
-// BenchmarkNetworkReuse quantifies the session API's amortization: the
-// deprecated wrapper path re-pays geometry validation, Δ computation, and
-// the O(n²) gain table on every call, while an open Network pays them once.
-// Three measurements per size:
+// BenchmarkNetworkReuse quantifies the session API's amortization: an
+// open Network pays geometry validation, Δ computation, and the O(n²) gain
+// table once. Two measurements per size:
 //
-//	rebuild     — BuildInitialBiTree per op (validation + instance +
-//	              construction, the pre-session cost model)
 //	reuse-fresh — Run with a fresh seed per op on a warm handle
 //	              (construction only; the instance is amortized)
 //	reuse-memo  — Run repeating one spec on a warm handle (the "second
@@ -40,14 +37,6 @@ func BenchmarkNetworkReuse(b *testing.B) {
 	ctx := context.Background()
 	for _, n := range []int{256, 1024, 4096} {
 		pts := apiBenchPoints(n)
-		b.Run(fmt.Sprintf("rebuild/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := sinrconn.BuildInitialBiTree(pts, sinrconn.Options{Seed: 1}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		b.Run(fmt.Sprintf("reuse-fresh/n=%d", n), func(b *testing.B) {
 			nw, err := sinrconn.Open(pts, sinrconn.WithSeed(1))
 			if err != nil {

@@ -1,20 +1,18 @@
 package sinrconn
 
 // BenchmarkQuadtree measures one simulator slot under the hierarchical
-// (quadtree) far-field engine against the exact kernel and the flat tile
-// grid, up to n = 262144 — 4× past the largest flat-grid benchmark and ~45×
-// past the gain-table memory bound. Half the nodes transmit each slot (the
-// densest decode load), so a slot at n = 262144 resolves ~1.7·10¹⁰ exact
-// pair interactions; the quadtree walks ~10³–10⁴ pyramid nodes per listener
-// instead, opening only what each listener's ε budget requires. The sweep
-// deliberately includes ε = 0.1 — the tight-ε regime where the flat grid's
-// single global near ring degenerates (NearDominated) and only the
-// hierarchical engine stays sub-quadratic.
+// (quadtree) far-field engine against the exact kernel, up to n = 1048576
+// — far past the gain-table memory bound (n ≈ 5792). Half the nodes
+// transmit each slot (the densest decode load), so a slot at n = 262144
+// resolves ~1.7·10¹⁰ exact pair interactions; the quadtree walks ~10³–10⁴
+// pyramid nodes per listener instead, opening only what each listener's ε
+// budget requires. The sweep deliberately includes ε = 0.1, the tight-ε
+// regime where a single global near ring would cover most of the instance.
 //
 // Headline numbers live in BENCH_quadtree.json; TestQuadtreeBigSlot pins
 // the n = 262144 acceptance (slot completes, zero allocations, plan +
-// scratch inside the 256 MiB instance bound); the flat-vs-quadtree
-// crossover and the adaptive calibration come from BenchmarkAdaptiveCrossover.
+// scratch inside the 256 MiB instance bound); the adaptive calibration
+// comes from BenchmarkAdaptiveCrossover.
 
 import (
 	"fmt"
@@ -26,9 +24,21 @@ import (
 	"sinrconn/internal/oracle"
 	"sinrconn/internal/sim"
 	"sinrconn/internal/sinr"
+	"sinrconn/internal/workload"
 )
 
 var quadBenchEps = []float64{0.1, 0.5, 1.0, 2.5}
+
+// farBenchSpacing reproduces the 0.15 points-per-unit-area density the
+// physics benchmarks use (1/2.6² ≈ 0.148), on the O(n) jittered grid so
+// instance generation stays negligible at n = 1048576.
+const farBenchSpacing = 2.6
+
+func farBenchInstance(n int) *sinr.Instance {
+	rng := rand.New(rand.NewSource(int64(n)))
+	pts := workload.JitteredGrid(rng, n, farBenchSpacing, 0.8)
+	return sinr.MustInstance(pts, sinr.DefaultParams())
+}
 
 // quadBenchEngine builds a fixed-role engine (even ids transmit) over the
 // shared far-bench geometry with the given plan (nil = exact).
@@ -40,7 +50,7 @@ func quadBenchEngine(b *testing.B, in *sinr.Instance, ff sinr.Far) *sim.Engine {
 	for i := 0; i < n; i++ {
 		procs[i] = &physProto{id: i, transmit: i%2 == 0, power: power}
 	}
-	eng, err := sim.NewEngine(in, procs, sim.Config{FarField: ff})
+	eng, err := sim.NewEngine(in, procs, sim.Config{Far: ff})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -64,8 +74,7 @@ func benchSlot(b *testing.B, in *sinr.Instance, ff sinr.Far) {
 	}
 }
 
-// BenchmarkQuadtree sweeps n × ε with exact and flat-grid baselines (exact
-// is omitted at n = 262144, where a single measured slot would run minutes;
+// BenchmarkQuadtree sweeps n × ε with an exact baseline (exact is omitted at n = 262144, where a single measured slot would run minutes;
 // the n = 65536 ratio already pins the trend). At n = 1048576 the sweep
 // keeps ε ≥ 0.5 — a tight-ε (0.1) million-node slot opens most of the
 // pyramid per listener and runs minutes on one CPU; n = 262144 pins that
@@ -79,13 +88,6 @@ func BenchmarkQuadtree(b *testing.B) {
 		if n <= 65536 {
 			b.Run(fmt.Sprintf("n=%d/exact", n), func(b *testing.B) {
 				benchSlot(b, in, nil)
-			})
-			b.Run(fmt.Sprintf("n=%d/flat-eps=0.5", n), func(b *testing.B) {
-				f, err := in.FarField(0.5)
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchSlot(b, in, f)
 			})
 		}
 		for _, eps := range quadBenchEps {
@@ -148,7 +150,7 @@ func BenchmarkAdaptiveCrossover(b *testing.B) {
 			procs[i] = &senderCountProto{id: i, stride: n / senders, power: power}
 		}
 		run := func(b *testing.B, ff sinr.Far) {
-			eng, err := sim.NewEngine(in, procs, sim.Config{FarField: ff})
+			eng, err := sim.NewEngine(in, procs, sim.Config{Far: ff})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -273,7 +275,7 @@ func TestQuadtreeBigSlot(t *testing.T) {
 	for i := 0; i < n; i++ {
 		procs[i] = &physProto{id: i, transmit: i%2 == 0, power: power}
 	}
-	eng, err := sim.NewEngine(in, procs, sim.Config{FarField: q})
+	eng, err := sim.NewEngine(in, procs, sim.Config{Far: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +318,7 @@ func TestQuadtreeMillionSlot(t *testing.T) {
 	for i := 0; i < n; i++ {
 		procs[i] = &physProto{id: i, transmit: i%2 == 0, power: power}
 	}
-	eng, err := sim.NewEngine(in, procs, sim.Config{FarField: q})
+	eng, err := sim.NewEngine(in, procs, sim.Config{Far: q})
 	if err != nil {
 		t.Fatal(err)
 	}

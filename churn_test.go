@@ -78,7 +78,7 @@ func TestChurnBasic(t *testing.T) {
 		vals[v] = int64(v)
 		want += int64(v)
 	}
-	out, err := rep.Final.Aggregate(vals, SumAgg, Options{})
+	out, err := rep.Final.Network().Aggregate(bg, rep.Final, vals, SumAgg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,16 +330,13 @@ func TestMobilityModelString(t *testing.T) {
 // must behave exactly like the deduplicated list.
 func TestRepairDuplicateFailures(t *testing.T) {
 	pts := uniformPoints(58, 32)
-	res, err := BuildInitialBiTree(pts, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := build(t, pts, PipelineInit, WithSeed(1))
 	victims := []int{3, 7}
 	if res.Tree.Root == 3 || res.Tree.Root == 7 {
 		victims = []int{4, 8}
 	}
 	dup := []int{victims[0], victims[1], victims[0], victims[0]}
-	repaired, err := res.RepairFailures(dup, Options{Seed: 2})
+	repaired, err := res.Network().Repair(bg, res, dup, WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,6 @@ func run(args []string, out io.Writer) error {
 		{"E13", experiments.E13Energy},
 		{"E14", experiments.E14PhysicalEpoch},
 		{"E15", experiments.E15SessionMatrix},
-		{"E16", experiments.E16FarField},
 		{"E17", experiments.E17Quadtree},
 		{"E18", experiments.E18Churn},
 		{"E19", experiments.E19Serve},

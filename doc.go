@@ -23,10 +23,11 @@
 //     the best centralized bounds — O(Υ·log n) slots with oblivious mean
 //     power and O(log n) slots with computed powers.
 //
-// All pipelines run on an exact slotted SINR channel simulator; results are
-// deterministic for a fixed seed (and therefore memoized per handle). The
-// free functions (BuildInitialBiTree & co.) predate the session API and
-// remain as deprecated one-shot wrappers, bit-identical to their Network
-// counterparts. See DESIGN.md for the system inventory and EXPERIMENTS.md
-// for the reproduction of the paper's claims.
+// All pipelines run on a slotted SINR channel simulator — exact by default,
+// or under the quadtree far-field approximation with a certified error
+// bound (WithMaxRelError) past the exact kernel's O(n²) wall. Results are
+// deterministic for a fixed seed (and therefore memoized per handle).
+// Joins, repairs and physical epochs run as methods on the same handle.
+// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
+// reproduction of the paper's claims.
 package sinrconn

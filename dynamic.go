@@ -72,16 +72,12 @@ func (nw *Network) Join(ctx context.Context, r *Result, newPts []Point, opts ...
 	if err != nil {
 		return nil, err
 	}
-	return nw.join(ctx, r, newPts, s)
-}
-
-// join is the shared body of Join and the deprecated JoinPoints wrapper.
-// The physical parameters always come from r's instance (never from s):
-// a join extends an existing deployment, it does not re-parameterize it.
-func (nw *Network) join(ctx context.Context, r *Result, newPts []Point, s settings) (*Result, error) {
 	if len(newPts) == 0 {
 		return nil, errors.New("sinrconn: no points to join")
 	}
+	// The physical parameters always come from r's instance (never from
+	// s): a join extends an existing deployment, it does not
+	// re-parameterize it.
 	oldTree := r.Tree.inner
 	oldInst := r.Tree.inst
 
@@ -115,7 +111,7 @@ func (nw *Network) join(ctx context.Context, r *Result, newPts []Point, s settin
 		Workers:       s.workers,
 		DropProb:      s.drop,
 		Pool:          pool,
-		FarField:      ff,
+		Far:           ff,
 		Adaptive:      adaptive,
 		Observer:      s.observer,
 	})
@@ -173,10 +169,6 @@ func (nw *Network) Repair(ctx context.Context, r *Result, failed []int, opts ...
 	if err != nil {
 		return nil, err
 	}
-	return nw.repair(ctx, r, failed, s)
-}
-
-func (nw *Network) repair(ctx context.Context, r *Result, failed []int, s settings) (*Result, error) {
 	if len(failed) == 0 {
 		return nil, errors.New("sinrconn: no failed nodes given")
 	}
@@ -193,7 +185,7 @@ func (nw *Network) repair(ctx context.Context, r *Result, failed []int, s settin
 		Workers:       s.workers,
 		DropProb:      s.drop,
 		Pool:          pool,
-		FarField:      ff,
+		Far:           ff,
 		Adaptive:      adaptive,
 		Observer:      s.observer,
 	})
@@ -232,10 +224,6 @@ func (nw *Network) RepairLinks(ctx context.Context, r *Result, links []Link, opt
 	if err != nil {
 		return nil, err
 	}
-	return nw.repairLinks(ctx, r, links, s)
-}
-
-func (nw *Network) repairLinks(ctx context.Context, r *Result, links []Link, s settings) (*Result, error) {
 	if len(links) == 0 {
 		return nil, errors.New("sinrconn: no failed links given")
 	}
@@ -256,7 +244,7 @@ func (nw *Network) repairLinks(ctx context.Context, r *Result, links []Link, s s
 		Workers:       s.workers,
 		DropProb:      s.drop,
 		Pool:          pool,
-		FarField:      ff,
+		Far:           ff,
 		Adaptive:      adaptive,
 		Observer:      s.observer,
 	})
@@ -275,38 +263,4 @@ func (nw *Network) repairLinks(ctx context.Context, r *Result, links []Link, s s
 		return nil, err
 	}
 	return nw.newResult(in, bt, m, ff, adaptive), nil
-}
-
-// JoinPoints attaches newly awakened nodes to the existing bi-tree.
-//
-// Deprecated: use (*Network).Join, which takes a context and reports the
-// grown handle via Result.Network().
-func (r *Result) JoinPoints(newPts []Point, opt Options) (*Result, error) {
-	if r.nw == nil {
-		return nil, errors.New("sinrconn: result is not bound to a network")
-	}
-	//lint:ignore ctxdiscipline deprecated pre-context wrapper; signature frozen, pinned by TestWrapperEquivalenceDynamic
-	return r.nw.join(context.Background(), r, newPts, opt.settings())
-}
-
-// RepairFailures removes failed nodes and reconnects the survivors.
-//
-// Deprecated: use (*Network).Repair.
-func (r *Result) RepairFailures(failed []int, opt Options) (*Result, error) {
-	if r.nw == nil {
-		return nil, errors.New("sinrconn: result is not bound to a network")
-	}
-	//lint:ignore ctxdiscipline deprecated pre-context wrapper; signature frozen, pinned by TestWrapperEquivalenceDynamic
-	return r.nw.repair(context.Background(), r, failed, opt.settings())
-}
-
-// RepairLinkFailures handles permanent link failures.
-//
-// Deprecated: use (*Network).RepairLinks.
-func (r *Result) RepairLinkFailures(links []Link, opt Options) (*Result, error) {
-	if r.nw == nil {
-		return nil, errors.New("sinrconn: result is not bound to a network")
-	}
-	//lint:ignore ctxdiscipline deprecated pre-context wrapper; signature frozen, pinned by TestWrapperEquivalenceDynamic
-	return r.nw.repairLinks(context.Background(), r, links, opt.settings())
 }

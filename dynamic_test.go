@@ -6,13 +6,10 @@ import (
 
 func TestJoinPoints(t *testing.T) {
 	pts := uniformPoints(20, 40)
-	res, err := BuildInitialBiTree(pts, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := build(t, pts, PipelineInit, WithSeed(1))
 	// New nodes well away from the cluster.
 	newPts := []Point{{X: 200, Y: 0}, {X: 203, Y: 2}, {X: 206, Y: 0}}
-	joined, err := res.JoinPoints(newPts, Options{Seed: 2})
+	joined, err := res.Network().Join(bg, res, newPts, WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,25 +34,19 @@ func TestJoinPoints(t *testing.T) {
 
 func TestJoinPointsValidation(t *testing.T) {
 	pts := uniformPoints(21, 16)
-	res, err := BuildInitialBiTree(pts, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := res.JoinPoints(nil, Options{}); err == nil {
+	res := build(t, pts, PipelineInit, WithSeed(1))
+	if _, err := res.Network().Join(bg, res, nil); err == nil {
 		t.Error("empty join accepted")
 	}
 	// A point on top of an existing node breaks the normalization.
-	if _, err := res.JoinPoints([]Point{pts[0]}, Options{}); err == nil {
+	if _, err := res.Network().Join(bg, res, []Point{pts[0]}); err == nil {
 		t.Error("overlapping join point accepted")
 	}
 }
 
 func TestRepairFailures(t *testing.T) {
 	pts := uniformPoints(22, 48)
-	res, err := BuildInitialBiTree(pts, Options{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := build(t, pts, PipelineInit, WithSeed(3))
 	victim := -1
 	par := res.Tree.Parent()
 	// Fail some node that is a parent (interior).
@@ -72,7 +63,7 @@ func TestRepairFailures(t *testing.T) {
 	if victim < 0 {
 		t.Skip("no interior node")
 	}
-	repaired, err := res.RepairFailures([]int{victim}, Options{Seed: 4})
+	repaired, err := res.Network().Repair(bg, res, []int{victim}, WithSeed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +80,8 @@ func TestRepairFailures(t *testing.T) {
 
 func TestRepairRootViaFacade(t *testing.T) {
 	pts := uniformPoints(23, 32)
-	res, err := BuildInitialBiTree(pts, Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	repaired, err := res.RepairFailures([]int{res.Tree.Root}, Options{Seed: 6})
+	res := build(t, pts, PipelineInit, WithSeed(5))
+	repaired, err := res.Network().Repair(bg, res, []int{res.Tree.Root}, WithSeed(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,14 +95,11 @@ func TestRepairRootViaFacade(t *testing.T) {
 
 func TestRepairFailuresValidation(t *testing.T) {
 	pts := uniformPoints(24, 16)
-	res, err := BuildInitialBiTree(pts, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := res.RepairFailures(nil, Options{}); err == nil {
+	res := build(t, pts, PipelineInit, WithSeed(1))
+	if _, err := res.Network().Repair(bg, res, nil); err == nil {
 		t.Error("empty failure set accepted")
 	}
-	if _, err := res.RepairFailures([]int{999}, Options{}); err == nil {
+	if _, err := res.Network().Repair(bg, res, []int{999}); err == nil {
 		t.Error("unknown node accepted")
 	}
 }
@@ -122,15 +107,12 @@ func TestRepairFailuresValidation(t *testing.T) {
 func TestJoinThenRepairLifecycle(t *testing.T) {
 	// Full lifecycle: build → join → fail the joined nodes → repair.
 	pts := uniformPoints(25, 24)
-	res, err := BuildInitialBiTree(pts, Options{Seed: 7})
+	res := build(t, pts, PipelineInit, WithSeed(7))
+	joined, err := res.Network().Join(bg, res, []Point{{X: 150, Y: 0}, {X: 152, Y: 1}}, WithSeed(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	joined, err := res.JoinPoints([]Point{{X: 150, Y: 0}, {X: 152, Y: 1}}, Options{Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	repaired, err := joined.RepairFailures([]int{24, 25}, Options{Seed: 9})
+	repaired, err := joined.Network().Repair(bg, joined, []int{24, 25}, WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,16 +126,13 @@ func TestJoinThenRepairLifecycle(t *testing.T) {
 
 func TestRepairLinkFailures(t *testing.T) {
 	pts := uniformPoints(26, 40)
-	res, err := BuildInitialBiTree(pts, Options{Seed: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := build(t, pts, PipelineInit, WithSeed(10))
 	// Fail the first two links.
 	var failed []Link
 	for _, l := range res.Tree.Up[:2] {
 		failed = append(failed, l.Link)
 	}
-	repaired, err := res.RepairLinkFailures(failed, Options{Seed: 11})
+	repaired, err := res.Network().RepairLinks(bg, res, failed, WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +151,7 @@ func TestRepairLinkFailures(t *testing.T) {
 			t.Fatalf("failed link %v re-formed", l)
 		}
 	}
-	if _, err := res.RepairLinkFailures(nil, Options{}); err == nil {
+	if _, err := res.Network().RepairLinks(bg, res, nil); err == nil {
 		t.Error("empty link set accepted")
 	}
 }

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -32,13 +33,18 @@ func main() {
 func run(out io.Writer, n int, span float64, trials int, seed int64) error {
 	rng := rand.New(rand.NewSource(5))
 	pts := scatter(rng, n, span)
-	opt := sinrconn.Options{Seed: seed}
-
-	initial, err := sinrconn.BuildInitialBiTree(pts, opt)
+	nw, err := sinrconn.Open(pts, sinrconn.WithSeed(seed))
 	if err != nil {
 		return err
 	}
-	refined, err := sinrconn.BuildBiTreeArbitraryPower(pts, opt)
+	defer nw.Close()
+
+	ctx := context.Background()
+	initial, err := nw.Run(ctx, sinrconn.PipelineInit)
+	if err != nil {
+		return err
+	}
+	refined, err := nw.Run(ctx, sinrconn.PipelineTVCArbitrary)
 	if err != nil {
 		return err
 	}
@@ -73,7 +79,7 @@ func run(out io.Writer, n int, span float64, trials int, seed int64) error {
 	// converge-cast epoch, down one dissemination epoch, on the actual
 	// channel.
 	src, dst := 0, len(pts)-1
-	msg, err := refined.SendMessage(src, dst, 31337, sinrconn.Options{})
+	msg, err := nw.SendMessage(ctx, refined, src, dst, 31337)
 	if err != nil {
 		return err
 	}

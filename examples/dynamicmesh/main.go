@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -31,7 +32,13 @@ func run(out io.Writer, n int, span float64, seed int64) error {
 	rng := rand.New(rand.NewSource(99))
 	pts := scatter(rng, n, span)
 
-	res, err := sinrconn.BuildInitialBiTree(pts, sinrconn.Options{Seed: seed})
+	nw, err := sinrconn.Open(pts, sinrconn.WithSeed(seed))
+	if err != nil {
+		return err
+	}
+	defer nw.Close()
+	ctx := context.Background()
+	res, err := nw.Run(ctx, sinrconn.PipelineInit)
 	if err != nil {
 		return err
 	}
@@ -42,7 +49,9 @@ func run(out io.Writer, n int, span float64, seed int64) error {
 	// A remote cluster of three nodes powers on, clear of the square.
 	off := span + 42
 	late := []sinrconn.Point{{X: off, Y: 5}, {X: off + 2.5, Y: 3}, {X: off + 4, Y: 6}}
-	res, err = res.JoinPoints(late, sinrconn.Options{Seed: seed + 1})
+	// The grown result is bound to a derived handle over the enlarged
+	// point set (res.Network()), which later operations run on.
+	res, err = nw.Join(ctx, res, late, sinrconn.WithSeed(seed+1))
 	if err != nil {
 		return err
 	}
@@ -72,7 +81,7 @@ func run(out io.Writer, n int, span float64, seed int64) error {
 			}
 		}
 	}
-	res, err = res.RepairFailures([]int{victim}, sinrconn.Options{Seed: seed + 2})
+	res, err = res.Network().Repair(ctx, res, []int{victim}, sinrconn.WithSeed(seed+2))
 	if err != nil {
 		return err
 	}
@@ -82,7 +91,7 @@ func run(out io.Writer, n int, span float64, seed int64) error {
 
 	// The root itself dies; a new root is promoted.
 	old := res.Tree.Root
-	res, err = res.RepairFailures([]int{old}, sinrconn.Options{Seed: seed + 3})
+	res, err = res.Network().Repair(ctx, res, []int{old}, sinrconn.WithSeed(seed+3))
 	if err != nil {
 		return err
 	}
@@ -93,7 +102,7 @@ func run(out io.Writer, n int, span float64, seed int64) error {
 	// A link is blocked by an obstacle (both endpoints alive); the orphaned
 	// subtree must re-attach without re-forming that link.
 	blocked := res.Tree.Up[0].Link
-	res, err = res.RepairLinkFailures([]sinrconn.Link{blocked}, sinrconn.Options{Seed: seed + 4})
+	res, err = res.Network().RepairLinks(ctx, res, []sinrconn.Link{blocked}, sinrconn.WithSeed(seed+4))
 	if err != nil {
 		return err
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -27,24 +28,25 @@ func main() {
 // run compares all four pipelines on an n-point exponential chain with the
 // given growth factor.
 func run(out io.Writer, n int, base float64, seed int64) error {
-	pts := expChain(n, base)
-
-	opt := sinrconn.Options{Seed: seed}
-	type row struct {
-		name    string
-		builder func([]sinrconn.Point, sinrconn.Options) (*sinrconn.Result, error)
+	nw, err := sinrconn.Open(expChain(n, base), sinrconn.WithSeed(seed))
+	if err != nil {
+		return err
 	}
-	rows := []row{
-		{"Init, uniform power (Sec 6)", sinrconn.BuildInitialBiTree},
-		{"reschedule, mean power (Sec 7)", sinrconn.RescheduleMeanPower},
-		{"TreeViaCapacity, mean (Sec 8.1)", sinrconn.BuildBiTreeMeanPower},
-		{"TreeViaCapacity, arbitrary (Sec 8.2)", sinrconn.BuildBiTreeArbitraryPower},
+	defer nw.Close()
+	rows := []struct {
+		name     string
+		pipeline sinrconn.Pipeline
+	}{
+		{"Init, uniform power (Sec 6)", sinrconn.PipelineInit},
+		{"reschedule, mean power (Sec 7)", sinrconn.PipelineRescheduleMean},
+		{"TreeViaCapacity, mean (Sec 8.1)", sinrconn.PipelineTVCMean},
+		{"TreeViaCapacity, arbitrary (Sec 8.2)", sinrconn.PipelineTVCArbitrary},
 	}
 
 	var delta, upsilon float64
 	fmt.Fprintf(out, "%-38s %10s %14s\n", "pipeline", "schedule", "build slots")
 	for _, r := range rows {
-		res, err := r.builder(pts, opt)
+		res, err := nw.Run(context.Background(), r.pipeline)
 		if err != nil {
 			return fmt.Errorf("%s: %w", r.name, err)
 		}

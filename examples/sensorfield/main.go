@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -33,7 +34,13 @@ func run(out io.Writer, n, k int, radius, span float64, seed int64) error {
 	rng := rand.New(rand.NewSource(11))
 	pts := clusteredField(rng, n, k, radius, span)
 
-	res, err := sinrconn.BuildBiTreeMeanPower(pts, sinrconn.Options{Seed: seed})
+	nw, err := sinrconn.Open(pts, sinrconn.WithSeed(seed))
+	if err != nil {
+		return err
+	}
+	defer nw.Close()
+	ctx := context.Background()
+	res, err := nw.Run(ctx, sinrconn.PipelineTVCMean)
 	if err != nil {
 		return err
 	}
@@ -62,7 +69,7 @@ func run(out io.Writer, n, k int, radius, span float64, seed int64) error {
 	for i, r := range readings {
 		values[i] = int64(math.Round(r * 100))
 	}
-	outcome, err := res.Aggregate(values, sinrconn.MaxAgg, sinrconn.Options{})
+	outcome, err := nw.Aggregate(ctx, res, values, sinrconn.MaxAgg)
 	if err != nil {
 		return fmt.Errorf("epoch failed on the channel: %w", err)
 	}

@@ -1,7 +1,7 @@
 package sinrconn
 
 // Session-level far-field suite: the ε = 0 exactness contract (the drift
-// gate extending TestWrapperEquivalence to WithMaxRelError), approximate
+// gate pinning WithMaxRelError(0) to the exact path), approximate
 // pipeline runs across the scenario matrix, option validation, and the
 // far-field epoch/join paths.
 
@@ -19,9 +19,9 @@ import (
 
 // TestFarFieldExactnessZero is the ε = 0 drift gate: a Network opened with
 // WithMaxRelError(0) must produce bit-identical results to one without the
-// option — whatever far-field engine WithFarMode names, since ε = 0 is
-// always the exact path — for every pipeline across the scenario matrix
-// (two generators under -short, like the wrapper gate).
+// option — whatever far mode WithFarMode names, since ε = 0 is always the
+// exact path — for every pipeline across the scenario matrix (two
+// generators under -short).
 func TestFarFieldExactnessZero(t *testing.T) {
 	gens := workload.Matrix()
 	if testing.Short() {
@@ -42,9 +42,9 @@ func TestFarFieldExactnessZero(t *testing.T) {
 				a, aerr := plain.Run(bg, p)
 				modes := []FarMode{FarAuto}
 				if gi == 0 {
-					// One generator sweeps every engine: ε = 0 must select
+					// One generator sweeps every mode: ε = 0 must select
 					// the exact path regardless of the named mode.
-					modes = []FarMode{FarAuto, FarQuadtree, FarFlat}
+					modes = []FarMode{FarAuto, FarQuadtree}
 				}
 				for _, mode := range modes {
 					zero, err := Open(pts, WithSeed(seed), WithMaxRelError(0), WithFarMode(mode))
@@ -185,17 +185,15 @@ func TestFarFieldOpInheritance(t *testing.T) {
 	}
 }
 
-// TestFarModeSelection pins which engine each FarMode resolves to on the
-// recorded result, including both degenerate-geometry fallbacks:
+// TestFarModeSelection pins which plan each FarMode resolves to on the
+// recorded result, including the degenerate-geometry fallback:
 //
 //   - On a box large enough for its ε, FarAuto records a quadtree plan
 //     with adaptive per-slot selection, FarQuadtree the same plan forced.
-//   - In an engine's near-dominated regime — the flat grid's global near
-//     ring covering the grid (the n=4096/ε=0.5 regression of
-//     BENCH_farfield.json in miniature), or the quadtree's leaf opening
-//     horizon spanning the box — the session must run the exact path
-//     rather than a plan doing strictly more work than exact; a forced
-//     FarQuadtree keeps its plan.
+//   - In the near-dominated regime — the quadtree's leaf opening horizon
+//     spanning the box — FarAuto must run the exact path rather than a
+//     plan doing strictly more work than exact; a forced FarQuadtree keeps
+//     its plan.
 func TestFarModeSelection(t *testing.T) {
 	// 512 uniform nodes at ε=2.5: past both degeneracy guards (the
 	// quadtree horizon ratio (√2/θ)/2^L needs depth 2^L > 4√2/θ ≈ 11,
@@ -226,7 +224,7 @@ func TestFarModeSelection(t *testing.T) {
 		t.Fatal("distinct far modes shared one memo entry")
 	}
 
-	// 40 nodes at ε=0.5: both engines' degenerate regimes at once.
+	// 40 nodes at ε=0.5: the quadtree's degenerate regime.
 	small := uniformPoints(62, 40)
 	snw, err := Open(small, WithSeed(62), WithMaxRelError(0.5))
 	if err != nil {
@@ -240,13 +238,6 @@ func TestFarModeSelection(t *testing.T) {
 	if sauto.Tree.ff != nil {
 		t.Fatalf("near-dominated FarAuto run recorded plan %T, want exact fallback", sauto.Tree.ff)
 	}
-	sflat, err := snw.Run(bg, PipelineInit, WithFarMode(FarFlat))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sflat.Tree.ff != nil {
-		t.Fatalf("near-dominated FarFlat run recorded plan %T, want exact fallback", sflat.Tree.ff)
-	}
 	forced, err := snw.Run(bg, PipelineInit, WithFarMode(FarQuadtree))
 	if err != nil {
 		t.Fatal(err)
@@ -257,14 +248,6 @@ func TestFarModeSelection(t *testing.T) {
 	}
 	if !fq.NearDominated() {
 		t.Fatal("test geometry no longer quadtree-near-dominated — shrink it")
-	}
-	flatPlan, err := fq.Instance().FarField(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !flatPlan.NearDominated() {
-		t.Fatalf("test geometry no longer flat-near-dominated (k=%d, %d tiles) — shrink it",
-			flatPlan.K(), flatPlan.Tiles())
 	}
 }
 
@@ -364,16 +347,6 @@ func TestFarFieldEpochAndJoin(t *testing.T) {
 	if out.Value != want {
 		t.Fatalf("far-field aggregate %d, want %d", out.Value, want)
 	}
-	// The deprecated wrapper runs the epoch under the same channel mode the
-	// tree was built with (it cannot express an override), so its outcome
-	// matches the Network method's.
-	wout, err := res.Aggregate(values, SumAgg, Options{})
-	if err != nil {
-		t.Fatalf("deprecated far-field aggregation epoch: %v", err)
-	}
-	if *wout != *out {
-		t.Fatalf("deprecated epoch wrapper diverged: %+v vs %+v", wout, out)
-	}
 	grown, err := nw.Join(bg, res, []Point{{X: 200, Y: 200}, {X: 203, Y: 201}})
 	if err != nil {
 		t.Fatalf("far-field join: %v", err)
@@ -393,7 +366,6 @@ func TestFarFieldEpochAndJoin(t *testing.T) {
 //   - Precision is part of the memo key: Far32 and Far64 runs at the same
 //     ε are distinct entries, a repeated Far32 run hits the memo, and an
 //     explicit Far64 names the default entry.
-//   - Far32 with the flat grid is an error (no float32 mirror to walk).
 //   - ε = 0 ignores precision entirely: the run is the exact path and
 //     shares the exact memo entry.
 //   - Operations inherit the precision the tree was built under: a plain
@@ -447,9 +419,6 @@ func TestFarPrecisionOption(t *testing.T) {
 		t.Fatal("explicit Far64 run missed the default-precision memo entry")
 	}
 
-	if _, err := nw.Run(bg, PipelineInit, WithFarMode(FarFlat), WithFarPrecision(Far32)); err == nil {
-		t.Fatal("Run accepted Far32 under the flat grid, which keeps no float32 mirror")
-	}
 	if _, err := nw.Run(bg, PipelineInit, WithFarPrecision(Far32+1)); err == nil {
 		t.Fatal("Run accepted an unknown FarPrecision")
 	}

@@ -18,7 +18,7 @@ func (c *InitConfig) engineConfig(seed int64) sim.Config {
 		DropProb: c.DropProb,
 		Seed:     seed,
 		Pool:     c.Pool,
-		FarField: c.FarField,
+		Far:      c.Far,
 		Adaptive: c.Adaptive,
 		Observer: c.Observer,
 		Injector: c.Injector,
@@ -66,12 +66,11 @@ type InitConfig struct {
 	// engine lifetimes (owned by the session handle, sinrconn.Network).
 	// Engines borrow it instead of spawning goroutines per construction.
 	Pool *sim.Pool
-	// FarField, if non-nil, runs every engine of the construction under a
-	// far-field channel approximation — flat grid or quadtree (see
-	// sim.Config.FarField). The plan must be built from the construction's
-	// instance.
-	FarField sinr.Far
-	// Adaptive, with FarField set, lets every engine pick exact or
+	// Far, if non-nil, runs every engine of the construction under a
+	// far-field channel approximation (see sim.Config.Far). The plan must
+	// be built from the construction's instance.
+	Far sinr.Far
+	// Adaptive, with Far set, lets every engine pick exact or
 	// far-field resolution per slot from the live sender count (see
 	// sim.Config.Adaptive).
 	Adaptive bool

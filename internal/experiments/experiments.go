@@ -98,7 +98,6 @@ func All(ctx context.Context, cfg Config) []Report {
 		E13Energy(ctx, cfg),
 		E14PhysicalEpoch(ctx, cfg),
 		E15SessionMatrix(ctx, cfg),
-		E16FarField(ctx, cfg),
 	}
 }
 

@@ -1,12 +1,12 @@
 package experiments
 
-// E17 sweeps the tight-ε accuracy-versus-speed frontier of the two
-// far-field engines: for each error bound ε — down to ε = 0.1, the regime
-// where the flat grid's single global near ring degenerates
-// (NearDominated) — the quadtree's certified bound, the *measured* maximum
-// relative SINR error at sampled listeners (against the naive exact
-// physics of internal/oracle), and the per-slot channel-resolution time of
-// exact / flat grid / quadtree. Two shape checks are Type 1: measured
+// E17 sweeps the tight-ε accuracy-versus-speed frontier of the quadtree
+// far-field engine: for each error bound ε — down to ε = 0.1, where a
+// single global near ring would cover most of the instance — the certified
+// bound, the *measured* maximum relative SINR error at sampled listeners
+// (against the naive exact physics of internal/oracle), and the per-slot
+// channel-resolution time of exact and quadtree resolution. Two shape
+// checks are Type 1: measured
 // error must never exceed the certified bound (a theorem, not a tendency),
 // and an adaptive engine must never resolve a slot slower than the forced
 // always-far engine beyond measurement noise — sparse slots simply skip
@@ -18,26 +18,65 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"time"
 
 	"sinrconn/internal/oracle"
+	"sinrconn/internal/sim"
 	"sinrconn/internal/sinr"
 	"sinrconn/internal/stats"
 	"sinrconn/internal/workload"
 )
 
-// quadtreeEps is the E17 sweep: tight bounds first — the flat grid's
-// collapse region is the point of the experiment.
+// quadtreeEps is the E17 sweep: tight bounds first — they are the point
+// of the experiment.
 var quadtreeEps = []float64{0.1, 0.25, 0.5, 1.0}
 
+// farStepProto mirrors the benchmark's fixed-role channel load: even nodes
+// transmit, odd nodes listen.
+type farStepProto struct {
+	id       int
+	transmit bool
+	power    float64
+}
+
+func (p *farStepProto) Step(slot int, inbox []sim.Delivery) sim.Action {
+	if p.transmit {
+		return sim.Transmit(p.power, sim.Message{Kind: sim.KindBroadcast, From: p.id, To: sim.NoAddressee})
+	}
+	return sim.Listen()
+}
+
+// stepTime runs a few fixed-role engine slots and returns ms per slot. f
+// is the far-field plan or nil (exact); adaptive enables per-slot mode
+// selection.
+func stepTime(in *sinr.Instance, f sinr.Far, adaptive bool, workers int) float64 {
+	n := in.Len()
+	power := in.Params().SafePower(4)
+	procs := make([]sim.Protocol, n)
+	for i := 0; i < n; i++ {
+		procs[i] = &farStepProto{id: i, transmit: i%2 == 0, power: power}
+	}
+	eng, err := sim.NewEngine(in, procs, sim.Config{Workers: workers, Far: f, Adaptive: adaptive})
+	if err != nil {
+		return math.NaN()
+	}
+	defer eng.Close()
+	eng.Run(2)
+	const slots = 6
+	start := time.Now()
+	eng.Run(slots)
+	return float64(time.Since(start).Microseconds()) / 1000 / slots
+}
+
 // E17Quadtree measures the hierarchical far-field accuracy/speed sweep
-// against the flat grid and the exact kernel.
+// against the exact kernel.
 func E17Quadtree(ctx context.Context, cfg Config) Report {
 	cfg.defaults()
 	r := Report{
 		ID:    "E17",
-		Title: "Hierarchical far field: tight-ε accuracy vs speed, flat vs quadtree",
-		Claim: "engineering: per-listener Barnes–Hut opening keeps measured SINR error ≤ the certified (1+θ)^α−1 bound at bounds the flat grid cannot serve sub-quadratically",
-		Table: stats.NewTable("n", "ε req", "ε cert", "max meas err", "flat near-dom", "exact ms/slot", "flat ms/slot", "quad ms/slot"),
+		Title: "Hierarchical far field: tight-ε accuracy vs speed",
+		Claim: "engineering: per-listener Barnes–Hut opening keeps measured SINR error ≤ the certified (1+θ)^α−1 bound down to ε = 0.1",
+		Table: stats.NewTable("n", "ε req", "ε cert", "max meas err", "exact ms/slot", "quad ms/slot"),
 	}
 	r.Pass = true
 	n := cfg.Sizes[len(cfg.Sizes)-1] * 4
@@ -54,12 +93,6 @@ func E17Quadtree(ctx context.Context, cfg Config) Report {
 	exactMS := stepTime(in, nil, false, cfg.Workers)
 	for _, eps := range quadtreeEps {
 		q, err := in.QuadTree(eps)
-		if err != nil {
-			r.Notes = append(r.Notes, fmt.Sprintf("eps=%v: %v", eps, err))
-			r.Pass = false
-			continue
-		}
-		f, err := in.FarField(eps)
 		if err != nil {
 			r.Notes = append(r.Notes, fmt.Sprintf("eps=%v: %v", eps, err))
 			r.Pass = false
@@ -95,19 +128,13 @@ func E17Quadtree(ctx context.Context, cfg Config) Report {
 				eps, maxErr, q.CertifiedMaxRelError()))
 			r.Pass = false
 		}
-		flatMS := math.NaN()
-		if !f.NearDominated() {
-			flatMS = stepTime(in, f, false, cfg.Workers)
-		}
 		quadMS := stepTime(in, q, false, cfg.Workers)
 		r.Table.AddRow(
 			fmt.Sprintf("%d", n),
 			fmt.Sprintf("%.2f", eps),
 			fmt.Sprintf("%.3f", q.CertifiedMaxRelError()),
 			fmt.Sprintf("%.2e", maxErr),
-			fmt.Sprintf("%v", f.NearDominated()),
 			fmt.Sprintf("%.2f", exactMS),
-			fmt.Sprintf("%.2f", flatMS),
 			fmt.Sprintf("%.2f", quadMS),
 		)
 	}
@@ -128,8 +155,7 @@ func E17Quadtree(ctx context.Context, cfg Config) Report {
 		}
 	}
 	r.Notes = append(r.Notes,
-		"flat near-dom=true marks bounds whose flat plan is near-dominated (one global near ring covers the grid — DESIGN.md §8); the session's FarFlat mode falls back to exact there, so no flat timing exists",
 		"the quadtree certificate (1+θ)^α−1 equals the requested ε exactly (no integral ring radius to round), and the measured error sits orders of magnitude below it (power-weighted centroids cancel the first-order term)",
-		"speed columns cross over with n: see BENCH_quadtree.json for the n ≤ 262144 headline sweep and the flat-vs-quadtree crossover")
+		"speed columns cross over with n: see BENCH_quadtree.json for the n ≤ 262144 headline sweep")
 	return r
 }

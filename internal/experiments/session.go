@@ -6,8 +6,8 @@ package experiments
 // cmd/connect -sweep and the root scenario-matrix suite use) and checks the
 // session contract: every spec returns a spanning tree, repeated specs are
 // served from the memo (identical pointers), and the amortized per-run cost
-// of the shared handle stays below the one-shot wrapper path that re-pays
-// geometry validation and the gain table per call.
+// of the shared handle stays below a fresh Open+Run+Close per call, which
+// re-pays geometry validation, the gain table and the worker pool.
 
 import (
 	"context"
@@ -77,11 +77,11 @@ func E15SessionMatrix(ctx context.Context, cfg Config) Report {
 			}
 		}
 
-		// Amortization: a fresh-seed run on the warm handle versus the
-		// deprecated wrapper that rebuilds instance state per call.
+		// Amortization: a fresh-seed run on the warm handle versus a
+		// one-shot handle that rebuilds instance state per call.
 		start = time.Now()
-		if _, err := sinrconn.BuildInitialBiTree(pts, sinrconn.Options{Seed: 99, Workers: cfg.Workers}); err != nil {
-			r.Notes = append(r.Notes, fmt.Sprintf("n=%d: wrapper: %v", n, err))
+		if err := oneShotInit(ctx, pts, cfg.Workers, 99); err != nil {
+			r.Notes = append(r.Notes, fmt.Sprintf("n=%d: one-shot: %v", n, err))
 			r.Pass = false
 		}
 		rebuild := time.Since(start)
@@ -103,4 +103,15 @@ func E15SessionMatrix(ctx context.Context, cfg Config) Report {
 		)
 	}
 	return r
+}
+
+// oneShotInit runs PipelineInit on a handle opened for this call alone.
+func oneShotInit(ctx context.Context, pts []sinrconn.Point, workers int, seed int64) error {
+	nw, err := sinrconn.Open(pts, sinrconn.WithWorkers(workers))
+	if err != nil {
+		return err
+	}
+	defer nw.Close()
+	_, err = nw.Run(ctx, sinrconn.PipelineInit, sinrconn.WithSeed(seed))
+	return err
 }

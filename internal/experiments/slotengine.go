@@ -67,7 +67,7 @@ func E20SlotEngine(ctx context.Context, cfg Config) Report {
 			procs[i] = &farStepProto{id: i, transmit: i%2 == 0, power: power}
 		}
 		eng, err := sim.NewEngine(in, procs, sim.Config{
-			Workers: c.workers, FarField: ff, NoFarBatch: c.noBatch,
+			Workers: c.workers, Far: ff, NoFarBatch: c.noBatch,
 		})
 		if err != nil {
 			return math.NaN(), sim.Stats{}

@@ -30,7 +30,7 @@ var hotpathGates = map[string]hotpathGate{
 	"internal/sim.Engine.stepRange":         {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
 	"internal/sim.Engine.decodeRange":       {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
 	"internal/sim.Engine.decodeExact":       {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
-	"internal/sim.Engine.decodeListenerFar": {"TestFarFieldSlotLoopZeroAlloc", "internal/sim/farfield_test.go"},
+	"internal/sim.Engine.decodeListenerFar": {"TestQuadtreeSlotLoopZeroAlloc", "internal/sim/adaptive_test.go"},
 	"internal/sim.Engine.finishDecode":      {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
 
 	// Listen ranges: the listener gate and its sender cell index.
@@ -42,9 +42,6 @@ var hotpathGates = map[string]hotpathGate{
 
 	"internal/sinr.Instance.SINRFeasibleBuf":    {"TestSINRFeasibleBufZeroAlloc", "internal/sinr/alloc_test.go"},
 	"internal/sinr.Instance.SINRFeasibleFarBuf": {"TestSINRFeasibleFarBufZeroAlloc", "internal/sinr/alloc_test.go"},
-	"internal/sinr.FarField.Accumulate":         {"TestFarFieldSlotLoopZeroAlloc", "internal/sim/farfield_test.go"},
-	"internal/sinr.FarField.Resolve":            {"TestFarFieldSlotLoopZeroAlloc", "internal/sim/farfield_test.go"},
-	"internal/sinr.FarField.LinkSINR":           {"TestSINRFeasibleFarBufZeroAlloc", "internal/sinr/alloc_test.go"},
 	"internal/sinr.QuadScratch.Accumulate":      {"TestQuadtreeSlotLoopZeroAlloc", "internal/sim/adaptive_test.go"},
 	"internal/sinr.QuadScratch.Resolve":         {"TestQuadtreeSlotLoopZeroAlloc", "internal/sim/adaptive_test.go"},
 	"internal/sinr.QuadScratch.walk":            {"TestQuadtreeSlotLoopZeroAlloc", "internal/sim/adaptive_test.go"},

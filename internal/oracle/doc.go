@@ -16,10 +16,9 @@
 // take raw point slices. The oraclepurity analyzer (internal/lint) enforces
 // both rules mechanically.
 //
-// For the far-field engines (farfield.go, quadtree.go) the same rule holds
-// with one refinement: expressions that *partition* the computation — tile
-// binning, ring membership, the quadtree's opening comparison and the
-// centroid folds it reads — are transcribed from the kernel expression for
+// For the far-field engine (quadtree.go) the same rule holds with one
+// refinement: expressions that *partition* the computation — leaf binning,
+// the opening comparison and the centroid folds it reads — are transcribed from the kernel expression for
 // expression (a flipped decision swaps an exact branch for an
 // ε-approximate one, which no tolerance covers), while the physics inside
 // each branch stays naive.

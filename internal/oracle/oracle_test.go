@@ -235,65 +235,3 @@ func TestStronglyConnectedSplit(t *testing.T) {
 		t.Error("empty node set accepted")
 	}
 }
-
-// TestFarFieldByHand pins the naive tiled reference on a pen-and-paper
-// instance: a tight pair of senders far from the receiver collapses to
-// their power-weighted centroid, a nearby sender stays exact, and the
-// result matches the manual formula term by term.
-func TestFarFieldByHand(t *testing.T) {
-	p := sinr.Params{Alpha: 3, Beta: 1.5, Noise: 1, Epsilon: 0.1}
-	// Receiver region around the origin, one near interferer, and a far
-	// cluster ~200 away: with cell ≥ 1 and k ≥ 2 the cluster is far for
-	// any plan this geometry derives.
-	pts := []geom.Point{
-		{X: 0, Y: 0},   // 0: link sender
-		{X: 3, Y: 0},   // 1: receiver
-		{X: 5, Y: 1},   // 2: near interferer
-		{X: 200, Y: 2}, // 3: far cluster member
-		{X: 201, Y: 2}, // 4: far cluster member
-	}
-	eps := 1.0
-	fp := FarPlanFor(pts, p.Alpha, eps)
-	vx, vy := fp.Tile(pts[1])
-	fx, fy := fp.Tile(pts[3])
-	if fp.near(fx, fy, vx, vy) {
-		t.Fatalf("far cluster classified near (k=%d cell=%v)", fp.K, fp.Cell)
-	}
-	nx, ny := fp.Tile(pts[2])
-	if !fp.near(nx, ny, vx, vy) {
-		t.Fatalf("near interferer classified far (k=%d cell=%v)", fp.K, fp.Cell)
-	}
-
-	pu, p2, p3, p4 := 500.0, 300.0, 40000.0, 80000.0
-	txs := []sinr.Tx{{Sender: 0, Power: pu}, {Sender: 2, Power: p2}, {Sender: 3, Power: p3}, {Sender: 4, Power: p4}}
-	l := sinr.Link{From: 0, To: 1}
-	got := FarLinkSINR(pts, p, eps, txs, l, pu)
-
-	// By hand: signal = pu/3³; near term exact; far cluster aggregated at
-	// its power-weighted centroid.
-	signal := pu / math.Pow(3, 3)
-	near := p2 / math.Pow(Dist(pts, 2, 1), 3)
-	cx := (p3*200 + p4*201) / (p3 + p4)
-	cy := 2.0
-	d := math.Hypot(pts[1].X-cx, pts[1].Y-cy)
-	far := (p3 + p4) / math.Pow(d, 3)
-	want := signal / (p.Noise + near + far)
-	if math.Abs(got-want) > 1e-12*want {
-		t.Fatalf("FarLinkSINR = %v, hand computation %v", got, want)
-	}
-
-	// The aggregate stays within the certified bracket of the exact sum.
-	exact := SINR(pts, p, txs, l)
-	ce := FarCertifiedErr(fp.K, p.Alpha)
-	if got > exact/(1-minFar(ce)) || got < exact/(1+ce) {
-		t.Fatalf("far %v outside certified bracket of exact %v (ε=%v)", got, exact, ce)
-	}
-}
-
-// minFar clamps a certified ε below 1 for the upper-bracket division.
-func minFar(ce float64) float64 {
-	if ce >= 1 {
-		return 0.999999
-	}
-	return ce
-}

@@ -32,8 +32,12 @@ import (
 	"sinrconn/internal/phys"
 )
 
-// maxQuadLevels mirrors the kernel's depth cap (4^9 leaves = farMaxTiles).
-const maxQuadLevels = 9
+// maxQuadLevels and farMinRing mirror the kernel's clamps: the depth cap
+// (4^9 leaves) and the ring-radius floor behind θ ≤ √2/2.
+const (
+	maxQuadLevels = 9
+	farMinRing    = 2
+)
 
 // Morton is the naive per-bit transcription of the kernel's Z-order node
 // index (sinr.MortonEncode does it with byte tables): bit i of x lands at

@@ -30,11 +30,10 @@ type DistConfig struct {
 	// Pool, if non-nil, is a shared persistent sim worker pool the
 	// scheduler's engine borrows instead of spawning its own.
 	Pool *sim.Pool
-	// FarField, if non-nil, runs the scheduler's engine under a far-field
-	// channel approximation — flat grid or quadtree (see
-	// sim.Config.FarField).
-	FarField sinr.Far
-	// Adaptive, with FarField set, lets the engine pick exact or far-field
+	// Far, if non-nil, runs the scheduler's engine under a far-field
+	// channel approximation (see sim.Config.Far).
+	Far sinr.Far
+	// Adaptive, with Far set, lets the engine pick exact or far-field
 	// resolution per slot from the live sender count (see
 	// sim.Config.Adaptive).
 	Adaptive bool
@@ -119,7 +118,7 @@ func Distributed(ctx context.Context, in *sinr.Instance, links []sinr.Link, pa s
 	for i := range nodes {
 		procs[i] = nodes[i]
 	}
-	eng, err := sim.NewEngine(in, procs, sim.Config{Workers: cfg.Workers, Seed: cfg.Seed, Pool: cfg.Pool, FarField: cfg.FarField, Adaptive: cfg.Adaptive, Observer: cfg.Observer, Injector: cfg.Injector})
+	eng, err := sim.NewEngine(in, procs, sim.Config{Workers: cfg.Workers, Seed: cfg.Seed, Pool: cfg.Pool, Far: cfg.Far, Adaptive: cfg.Adaptive, Observer: cfg.Observer, Injector: cfg.Injector})
 	if err != nil {
 		return nil, err
 	}

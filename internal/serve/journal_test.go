@@ -232,6 +232,30 @@ func TestJournalRestoreRejectsMismatch(t *testing.T) {
 	}
 }
 
+// TestJournalRestoreRejectsRetiredFarMode: a journal written while the
+// flat far-field mode existed cannot be replayed; Restore names the
+// session instead of panicking or opening it under another engine.
+func TestJournalRestoreRejectsRetiredFarMode(t *testing.T) {
+	settleGoroutines(t)
+	srv := New(Config{})
+	defer srv.Close()
+	eps := 0.5
+	_, err := srv.Restore([]JournalRecord{{
+		Op: journalOpOpen,
+		ID: "s3",
+		Open: &OpenRequest{
+			Points:  testPoints(35, 12),
+			Options: OptionsJSON{MaxRelErr: &eps, FarMode: "flat"},
+		},
+	}})
+	if err == nil || !strings.Contains(err.Error(), "session s3") || !strings.Contains(err.Error(), `"flat"`) {
+		t.Fatalf("flat-mode restore: %v, want an error naming session s3 and the mode", err)
+	}
+	if got := srv.recoveredCount(); got != 0 {
+		t.Fatalf("recoveredCount = %d after failed restore, want 0", got)
+	}
+}
+
 // httpTestServer variant that hands back just the base URL (the journal
 // tests juggle several daemons at once).
 func httptestServer(t *testing.T, srv *Server) string {

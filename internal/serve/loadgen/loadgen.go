@@ -412,7 +412,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		if _, err := doRetry(ctx, setupRng, "/v1/sessions", serve.OpenRequest{
 			Points:     pts,
 			CacheSize:  cfg.CacheSize,
-			CacheTTLMs: cfg.CacheTTLMs,
+			CacheTTLMs: serve.Millis(cfg.CacheTTLMs),
 		}, &resp); err != nil {
 			return nil, fmt.Errorf("loadgen: open session %d: %w", i, err)
 		}

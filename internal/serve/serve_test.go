@@ -84,6 +84,41 @@ func TestServeOpenRejectsBadGeometry(t *testing.T) {
 	}
 }
 
+// TestServeRejectsInvalidOptions: option values outside their domain are
+// client errors (400), whether the wire decoder, the wire lowering, or the
+// session's own option validation catches them — never a 500.
+func TestServeRejectsInvalidOptions(t *testing.T) {
+	_, ts := testDaemon(t, Config{})
+	sess := openSession(t, ts.URL, OpenRequest{Points: testPoints(1, 12)})
+	runURL := ts.URL + "/v1/sessions/" + sess.SessionID + "/run"
+	pts, _ := json.Marshal(testPoints(2, 12))
+	for _, tc := range []struct {
+		name, url, body string
+	}{
+		{"open drop_prob 2", "/v1/sessions", `{"points":` + string(pts) + `,"options":{"drop_prob":2}}`},
+		{"open alpha 1", "/v1/sessions", `{"points":` + string(pts) + `,"options":{"alpha":1}}`},
+		{"open cache_size -1", "/v1/sessions", `{"points":` + string(pts) + `,"cache_size":-1}`},
+		{"open far_mode flat", "/v1/sessions", `{"points":` + string(pts) + `,"options":{"max_rel_err":0.5,"far_mode":"flat"}}`},
+		{"open cache_ttl_ms overflow", "/v1/sessions", `{"points":` + string(pts) + `,"cache_ttl_ms":9223372036855}`},
+		{"open workers past the host", "/v1/sessions", `{"points":` + string(pts) + `,"options":{"workers":100000}}`},
+		{"run drop_prob 2", runURL, `{"pipeline":"init-uniform","options":{"drop_prob":2}}`},
+		{"run far_mode flat", runURL, `{"pipeline":"init-uniform","options":{"far_mode":"flat"}}`},
+		{"run timeout_ms overflow", runURL, `{"pipeline":"init-uniform","timeout_ms":18446744073710}`},
+	} {
+		url := tc.url
+		if strings.HasPrefix(url, "/") {
+			url = ts.URL + url
+		}
+		code, body := postJSON(t, url, json.RawMessage(tc.body), nil)
+		if code != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", tc.name, code, body)
+		}
+		if tc.name == "open far_mode flat" && !strings.Contains(string(body), "want auto or quadtree") {
+			t.Errorf("%s: body %s does not name the valid modes", tc.name, body)
+		}
+	}
+}
+
 func TestServeOpenRunClose(t *testing.T) {
 	settleGoroutines(t)
 	_, ts := testDaemon(t, Config{})

@@ -400,7 +400,8 @@ func status(err error) int {
 		return 499 // client closed request (nginx convention)
 	case errors.Is(err, sinrconn.ErrNetworkClosed):
 		return http.StatusConflict
-	case errors.Is(err, sinrconn.ErrNotNormalized), errors.Is(err, sinrconn.ErrInvalidGeometry):
+	case errors.Is(err, sinrconn.ErrNotNormalized), errors.Is(err, sinrconn.ErrInvalidGeometry),
+		errors.Is(err, sinrconn.ErrInvalidOption):
 		return http.StatusBadRequest
 	case errors.Is(err, sinrconn.ErrNotConverged):
 		// Las Vegas non-convergence: retryable with a different seed.
@@ -435,8 +436,8 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) error {
 // reqCtx derives the operation context from the request: the HTTP request
 // context (client disconnect cancels between slots) bounded by timeout_ms
 // and the server's caps.
-func (s *Server) reqCtx(r *http.Request, ms int64) (context.Context, context.CancelFunc) {
-	d := timeout(ms, s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
+func (s *Server) reqCtx(r *http.Request, ms Millis) (context.Context, context.CancelFunc) {
+	d := timeout(int64(ms), s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
 	if d <= 0 {
 		return r.Context(), func() {}
 	}

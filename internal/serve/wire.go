@@ -5,11 +5,35 @@ package serve
 // gate marshals both sides through the same types and compares bytes.
 
 import (
+	"encoding/json"
 	"fmt"
+	"math"
+	"runtime"
 	"time"
 
 	"sinrconn"
 )
+
+// maxMillis is the largest millisecond count a time.Duration can hold.
+const maxMillis = math.MaxInt64 / int64(time.Millisecond)
+
+// Millis is a millisecond count on the wire (timeout_ms, cache_ttl_ms).
+// Decoding rejects counts a time.Duration cannot hold, so a huge value is
+// a 400 instead of a product that wraps to a tiny or negative duration.
+type Millis int64
+
+// UnmarshalJSON decodes an integer and rejects it above maxMillis.
+func (m *Millis) UnmarshalJSON(b []byte) error {
+	var v int64
+	if err := json.Unmarshal(b, &v); err != nil {
+		return err
+	}
+	if v > maxMillis {
+		return fmt.Errorf("%d ms exceeds the longest duration (%d ms)", v, maxMillis)
+	}
+	*m = Millis(v)
+	return nil
+}
 
 // OptionsJSON is the wire form of the functional options. Zero-valued
 // fields are "not set" (they inherit the session or package default);
@@ -25,7 +49,7 @@ type OptionsJSON struct {
 	BroadcastProb float64  `json:"broadcast_prob,omitempty"`
 	Rho           int      `json:"rho,omitempty"`
 	MaxRelErr     *float64 `json:"max_rel_err,omitempty"` // pointer: explicit 0 forces exact
-	FarMode       string   `json:"far_mode,omitempty"`    // "auto" | "quadtree" | "flat"
+	FarMode       string   `json:"far_mode,omitempty"`    // "auto" | "quadtree"
 }
 
 // runOptions lowers the wire options to session RunOptions. openScope adds
@@ -56,13 +80,16 @@ func (o OptionsJSON) runOptions(openScope bool) ([]sinrconn.RunOption, error) {
 			opts = append(opts, sinrconn.WithFarMode(sinrconn.FarAuto))
 		case "quadtree":
 			opts = append(opts, sinrconn.WithFarMode(sinrconn.FarQuadtree))
-		case "flat":
-			opts = append(opts, sinrconn.WithFarMode(sinrconn.FarFlat))
 		default:
-			return nil, fmt.Errorf("unknown far_mode %q (want auto, quadtree, or flat)", o.FarMode)
+			return nil, fmt.Errorf("unknown far_mode %q (want auto or quadtree)", o.FarMode)
 		}
 	}
 	if openScope {
+		// The pool spawns one goroutine per worker: a client must not size
+		// it past the host.
+		if o.Workers < 0 || o.Workers > runtime.NumCPU() {
+			return nil, fmt.Errorf("workers %d outside [0, %d] (the host's CPU count)", o.Workers, runtime.NumCPU())
+		}
 		if o.Workers != 0 {
 			opts = append(opts, sinrconn.WithWorkers(o.Workers))
 		}
@@ -94,8 +121,8 @@ type OpenRequest struct {
 	Options OptionsJSON `json:"options,omitzero"`
 	// CacheSize / CacheTTLMs bound the deployment's result cache (0 = the
 	// server's configured defaults).
-	CacheSize  int   `json:"cache_size,omitempty"`
-	CacheTTLMs int64 `json:"cache_ttl_ms,omitempty"`
+	CacheSize  int    `json:"cache_size,omitempty"`
+	CacheTTLMs Millis `json:"cache_ttl_ms,omitempty"`
 }
 
 // OpenResponse names the opened session.
@@ -124,7 +151,7 @@ type RunRequest struct {
 	Stream bool `json:"stream,omitempty"`
 	// TimeoutMs bounds the run (0 = server default). The deadline maps to
 	// context cancellation between simulator slots.
-	TimeoutMs int64 `json:"timeout_ms,omitempty"`
+	TimeoutMs Millis `json:"timeout_ms,omitempty"`
 }
 
 // RunResponse carries one constructed result.
@@ -146,8 +173,8 @@ type MatrixRequest struct {
 		Pipeline string      `json:"pipeline"`
 		Options  OptionsJSON `json:"options,omitzero"`
 	} `json:"specs"`
-	IncludeTree bool  `json:"include_tree,omitempty"`
-	TimeoutMs   int64 `json:"timeout_ms,omitempty"`
+	IncludeTree bool   `json:"include_tree,omitempty"`
+	TimeoutMs   Millis `json:"timeout_ms,omitempty"`
 }
 
 // MatrixResponse carries the sweep outcome; Results[i] corresponds to
@@ -164,7 +191,7 @@ type JoinRequest struct {
 	Points      [][2]float64 `json:"points"`
 	Options     OptionsJSON  `json:"options,omitzero"`
 	IncludeTree bool         `json:"include_tree,omitempty"`
-	TimeoutMs   int64        `json:"timeout_ms,omitempty"`
+	TimeoutMs   Millis       `json:"timeout_ms,omitempty"`
 }
 
 // RepairRequest removes failed nodes (Failed) or permanently failed links
@@ -176,7 +203,7 @@ type RepairRequest struct {
 	Links       []LinkJSON  `json:"links,omitempty"`
 	Options     OptionsJSON `json:"options,omitzero"`
 	IncludeTree bool        `json:"include_tree,omitempty"`
-	TimeoutMs   int64       `json:"timeout_ms,omitempty"`
+	TimeoutMs   Millis      `json:"timeout_ms,omitempty"`
 }
 
 // ChurnRequest streams a churn trace through the session's deployment.
@@ -190,7 +217,7 @@ type ChurnRequest struct {
 	MoveRate    float64 `json:"move_rate,omitempty"`
 	Mobility    string  `json:"mobility,omitempty"` // "", "waypoint", "citygrid"
 	IncludeTree bool    `json:"include_tree,omitempty"`
-	TimeoutMs   int64   `json:"timeout_ms,omitempty"`
+	TimeoutMs   Millis  `json:"timeout_ms,omitempty"`
 }
 
 // ChurnResponse reports a completed churn run.
@@ -329,11 +356,13 @@ func (c ChurnRequest) traceSpec() (sinrconn.TraceSpec, error) {
 // timeout resolves a request's timeout_ms against the server bounds.
 // Non-positive values — zero (unset) and negative (malformed client) —
 // clamp to the server default rather than producing an
-// already-expired context; values over the max clamp to the max.
+// already-expired context; values over the max clamp to the max. Counts
+// past maxMillis (the TimeoutHeader path; bodies reject them at decode)
+// saturate instead of wrapping.
 func timeout(ms int64, def, max time.Duration) time.Duration {
 	d := def
 	if ms > 0 {
-		d = time.Duration(ms) * time.Millisecond
+		d = time.Duration(min(ms, maxMillis)) * time.Millisecond
 	}
 	if max > 0 && (d <= 0 || d > max) {
 		d = max

@@ -4,8 +4,9 @@ package sim
 // must be a pure function of the live sender count (deterministic,
 // worker-count independent), every adaptive run must be bit-identical to an
 // engine forced to the chosen mode per slot (the drift gate), and the
-// quadtree engine must keep the structural guarantees the flat grid
-// established — zero-allocation steady state and pool/serial equality.
+// quadtree engine must keep the exact engine's structural guarantees —
+// winner exactness, zero-allocation steady state and pool/serial
+// equality.
 
 import (
 	"math/rand"
@@ -70,7 +71,7 @@ func adaptiveEngine(t *testing.T, n int, record bool, cfg Config) (*Engine, []*r
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.FarField = q
+	cfg.Far = q
 	e, err := NewEngine(in, procs, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -156,9 +157,11 @@ func TestAdaptiveDriftGate(t *testing.T) {
 	}
 }
 
-// TestQuadtreeEngineMatchesExactDeliveries mirrors the flat-grid engine
-// gate for the hierarchical plan: identical delivery sets (winner
-// exactness) with SINR inside the certified band, against an exact run.
+// TestQuadtreeEngineMatchesExactDeliveries compares quadtree and exact
+// engines on a fixed-role instance: identical delivery sets (winner
+// exactness) with SINR inside the certified band. Decode verdicts could in
+// principle flip inside the band at the β cut; the comfortable SafePower
+// margins here keep every decision far from it.
 func TestQuadtreeEngineMatchesExactDeliveries(t *testing.T) {
 	const n, slots = 256, 12
 	run := func(useQuad bool) ([]Delivery, Stats, float64) {
@@ -178,7 +181,7 @@ func TestQuadtreeEngineMatchesExactDeliveries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.FarField = q
+			cfg.Far = q
 			ce = q.CertifiedMaxRelError()
 		}
 		e, err := NewEngine(in, procs, cfg)
@@ -215,33 +218,36 @@ func TestQuadtreeEngineMatchesExactDeliveries(t *testing.T) {
 }
 
 // TestQuadtreeSlotLoopZeroAlloc asserts the quadtree slot loop — adaptive
-// included — keeps the exact path's zero-allocation steady state, serial
-// and pooled. An observer counts the modes of the measured slots: the
-// bursty workload must put both far slots and exact slots (the adaptive
-// engine's on-the-fly path loss) inside the measured window.
+// and per-listener (NoFarBatch) decode included — keeps the exact path's
+// zero-allocation steady state, serial and pooled. An observer counts the
+// modes of the measured slots: the bursty workload must put both far slots
+// and exact slots (the adaptive engine's on-the-fly path loss) inside the
+// measured window.
 func TestQuadtreeSlotLoopZeroAlloc(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, adaptive := range []bool{false, true} {
-			var far, exact int
-			obs := func(ev SlotEvent) {
-				if ev.Far {
-					far++
-				} else if ev.Senders > 0 {
-					exact++
+			for _, noBatch := range []bool{false, true} {
+				var far, exact int
+				obs := func(ev SlotEvent) {
+					if ev.Far {
+						far++
+					} else if ev.Senders > 0 {
+						exact++
+					}
 				}
-			}
-			e, _ := adaptiveEngine(t, 256, false, Config{Workers: workers, Adaptive: adaptive, AdaptiveCrossover: 64, Observer: obs})
-			e.Run(8)
-			far, exact = 0, 0
-			allocs := testing.AllocsPerRun(50, func() { e.Step() })
-			e.Close()
-			if allocs != 0 {
-				t.Fatalf("workers=%d adaptive=%v: quadtree steady-state Step allocates %.1f times/op, want 0",
-					workers, adaptive, allocs)
-			}
-			if far == 0 || (adaptive && exact == 0) {
-				t.Fatalf("workers=%d adaptive=%v: measured %d far and %d exact slots; the window must cover every mode the engine can take",
-					workers, adaptive, far, exact)
+				e, _ := adaptiveEngine(t, 256, false, Config{Workers: workers, Adaptive: adaptive, AdaptiveCrossover: 64, NoFarBatch: noBatch, Observer: obs})
+				e.Run(8)
+				far, exact = 0, 0
+				allocs := testing.AllocsPerRun(50, func() { e.Step() })
+				e.Close()
+				if allocs != 0 {
+					t.Fatalf("workers=%d adaptive=%v noBatch=%v: quadtree steady-state Step allocates %.1f times/op, want 0",
+						workers, adaptive, noBatch, allocs)
+				}
+				if far == 0 || (adaptive && exact == 0) {
+					t.Fatalf("workers=%d adaptive=%v noBatch=%v: measured %d far and %d exact slots; the window must cover every mode the engine can take",
+						workers, adaptive, noBatch, far, exact)
+				}
 			}
 		}
 	}

@@ -58,7 +58,7 @@ func allocTestEngine(t *testing.T, n, workers int, drop float64, sparse, far boo
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.FarField = q
+		cfg.Far = q
 	}
 	e, err := NewEngine(in, procs, cfg)
 	if err != nil {
@@ -197,18 +197,18 @@ func TestNilProtocolMatchesIdle(t *testing.T) {
 	for _, cfg := range []Config{
 		{Workers: 1, DropProb: 0.1, Seed: 5},
 		{Workers: 4, DropProb: 0.1, Seed: 5},
-		{Workers: 1, FarField: q},
-		{Workers: 4, FarField: q},
+		{Workers: 1, Far: q},
+		{Workers: 4, Far: q},
 	} {
 		idleGot, idleStats := run(cfg, false)
 		nilGot, nilStats := run(cfg, true)
 		for i := 2; i < n; i += 3 {
 			if len(idleGot[i]) != 0 {
-				t.Fatalf("workers=%d far=%v: idle node %d received %d deliveries", cfg.Workers, cfg.FarField != nil, i, len(idleGot[i]))
+				t.Fatalf("workers=%d far=%v: idle node %d received %d deliveries", cfg.Workers, cfg.Far != nil, i, len(idleGot[i]))
 			}
 		}
 		if idleStats.Deliveries == 0 {
-			t.Fatalf("workers=%d far=%v: nothing delivered", cfg.Workers, cfg.FarField != nil)
+			t.Fatalf("workers=%d far=%v: nothing delivered", cfg.Workers, cfg.Far != nil)
 		}
 		assertRunsEqual(t, "nil vs always-Idle", idleGot, nilGot, idleStats, nilStats)
 	}
@@ -288,10 +288,10 @@ func TestLeaveMatchesIdle(t *testing.T) {
 	for _, cfg := range []Config{
 		{Workers: 1, DropProb: 0.1, Seed: 5},
 		{Workers: 4, DropProb: 0.1, Seed: 5},
-		{Workers: 1, FarField: q, Adaptive: true, AdaptiveCrossover: 24},
-		{Workers: 4, FarField: q, Adaptive: true, AdaptiveCrossover: 24, DropProb: 0.1, Seed: 5},
+		{Workers: 1, Far: q, Adaptive: true, AdaptiveCrossover: 24},
+		{Workers: 4, Far: q, Adaptive: true, AdaptiveCrossover: 24, DropProb: 0.1, Seed: 5},
 	} {
-		label := fmt.Sprintf("workers=%d far=%v", cfg.Workers, cfg.FarField != nil)
+		label := fmt.Sprintf("workers=%d far=%v", cfg.Workers, cfg.Far != nil)
 		idleGot, idleStats, idleLive, idleFar := run(cfg, true)
 		leaveGot, leaveStats, leaveLive, leaveFar := run(cfg, false)
 		if idleStats.Deliveries == 0 {
@@ -303,7 +303,7 @@ func TestLeaveMatchesIdle(t *testing.T) {
 		if idleFar != leaveFar {
 			t.Fatalf("%s: %d vs %d far slots", label, idleFar, leaveFar)
 		}
-		if cfg.FarField != nil && (leaveFar == 0 || leaveFar == slots) {
+		if cfg.Far != nil && (leaveFar == 0 || leaveFar == slots) {
 			t.Fatalf("%s: %d of %d slots far, want both modes", label, leaveFar, slots)
 		}
 		assertRunsEqual(t, label+": Leave vs always-Idle", idleGot, leaveGot, idleStats, leaveStats)

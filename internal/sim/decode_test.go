@@ -187,7 +187,7 @@ func TestExactDecodeMatchesListenerMajor(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						cfg.FarField, cfg.forceFar = q, never
+						cfg.Far, cfg.forceFar = q, never
 					}
 					power := in.Params().SafePower(4)
 					procs := make([]Protocol, n)
@@ -292,7 +292,7 @@ func BenchmarkExactSlot(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					cfg.FarField, cfg.Adaptive = q, true
+					cfg.Far, cfg.Adaptive = q, true
 				}
 				e, err := NewEngine(in, procs, cfg)
 				if err != nil {
@@ -332,7 +332,7 @@ func BenchmarkFarSlot(b *testing.B) {
 				b.Fatal(err)
 			}
 			far := true
-			cfg := Config{Workers: workers, FarField: q, Adaptive: true, Observer: func(ev SlotEvent) { far = far && ev.Far }}
+			cfg := Config{Workers: workers, Far: q, Adaptive: true, Observer: func(ev SlotEvent) { far = far && ev.Far }}
 			e, err := NewEngine(in, procs, cfg)
 			if err != nil {
 				b.Fatal(err)

@@ -22,8 +22,8 @@
 // (not per slot), per-worker shard counters replace mutex-guarded stats, and
 // channel resolution reads the sinr physics kernel's cached gain table
 // instead of recomputing path loss per (sender, listener) pair. Past the
-// table's memory bound, Config.FarField switches decoding to a far-field
-// approximation plan (flat grid or quadtree, sinr.Far), and Config.Adaptive
+// table's memory bound, Config.Far switches decoding to a far-field
+// approximation plan (the quadtree, sinr.Far), and Config.Adaptive
 // lets each slot pick exact or far-field resolution from its live sender
 // count — sparse slots skip the plan entirely — while staying bit-identical
 // to forcing the chosen mode per slot.

@@ -140,18 +140,18 @@ type Config struct {
 	// and across concurrent engines. When Pool is nil the engine spawns a
 	// private pool sized by Workers (the pre-session behavior).
 	Pool *Pool
-	// FarField, if non-nil, switches channel resolution to a far-field
-	// approximation plan — the flat tile grid (*sinr.FarField) or the
-	// hierarchical quadtree (*sinr.QuadTree): per slot, senders are
-	// aggregated spatially and a listener resolves distant senders by
-	// centroid mass instead of sender by sender, within the plan's
-	// certified relative error. The decoded winner and its received power
-	// stay exact (both plans refine any aggregate that could hide the
-	// strongest sender); only Delivery.SINR carries the ε bound. The plan
-	// must be built from the engine's own Instance. Nil means exact
-	// resolution — bit-identical to the pre-far-field engine.
-	FarField sinr.Far
-	// Adaptive, with FarField set, selects exact or far-field resolution
+	// Far, if non-nil, switches channel resolution to a far-field
+	// approximation plan — the hierarchical quadtree (*sinr.QuadTree or
+	// its float32 view): per slot, senders are aggregated spatially and a
+	// listener resolves distant senders by centroid mass instead of sender
+	// by sender, within the plan's certified relative error. The decoded
+	// winner and its received power stay exact (the plan refines any
+	// aggregate that could hide the strongest sender); only Delivery.SINR
+	// carries the ε bound. The plan must be built from the engine's own
+	// Instance. Nil means exact resolution — bit-identical to the
+	// pre-far-field engine.
+	Far sinr.Far
+	// Adaptive, with Far set, selects exact or far-field resolution
 	// per slot from the live sender count: a slot with fewer than the
 	// crossover's senders decodes exactly (sparse slots cost O(n·|txs|),
 	// below the plan's accumulation + walk overhead), a denser slot decodes
@@ -171,7 +171,7 @@ type Config struct {
 	NoFarBatch bool
 
 	// forceFar, when set (tests only), overrides per-slot mode selection:
-	// the slot resolves far-field iff it returns true (and FarField is set
+	// the slot resolves far-field iff it returns true (and Far is set
 	// with a non-empty sender set). It is the replay hook the adaptive
 	// drift gate uses to pin "adaptive run ≡ forcing the chosen mode per
 	// slot" bit for bit.
@@ -419,16 +419,16 @@ func NewEngine(inst *sinr.Instance, procs []Protocol, cfg Config) (*Engine, erro
 	}
 	live := len(e.live)
 	var batchPlan farBatchPlanner
-	if cfg.FarField != nil {
-		if cfg.FarField.Instance() != inst {
+	if cfg.Far != nil {
+		if cfg.Far.Instance() != inst {
 			return nil, fmt.Errorf("sim: far-field plan built from a different instance")
 		}
-		e.far = cfg.FarField
-		e.farScr = cfg.FarField.NewResolver()
+		e.far = cfg.Far
+		e.farScr = cfg.Far.NewResolver()
 		if fs, ok := e.farScr.(farSharder); ok && fs.AccumShards() > 1 {
 			e.farShard = fs
 		}
-		if bp, ok := cfg.FarField.(farBatchPlanner); ok && !cfg.NoFarBatch {
+		if bp, ok := cfg.Far.(farBatchPlanner); ok && !cfg.NoFarBatch {
 			if br, ok := e.farScr.(farBatchResolver); ok {
 				batchPlan = bp
 				e.farBatch = br

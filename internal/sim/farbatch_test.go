@@ -113,7 +113,7 @@ func TestEngineFar32DriftGate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := NewEngine(in, procs, Config{Workers: workers, NoFarBatch: noBatch, FarField: q.Prec32()})
+		e, err := NewEngine(in, procs, Config{Workers: workers, NoFarBatch: noBatch, Far: q.Prec32()})
 		if err != nil {
 			t.Fatal(err)
 		}

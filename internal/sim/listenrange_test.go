@@ -188,13 +188,13 @@ func TestListenRangeMatchesFilter(t *testing.T) {
 	}
 	farCfgs := func(q *sinr.QuadTree) []Config {
 		return []Config{
-			{Workers: 1, FarField: q, Adaptive: true, AdaptiveCrossover: 1 << 30}, // exact, on the fly
-			{Workers: 4, FarField: q, Adaptive: true, AdaptiveCrossover: 1 << 30, DropProb: 0.2, Seed: 3},
-			{Workers: 1, FarField: q},
-			{Workers: 4, FarField: q, DropProb: 0.2, Seed: 3},
-			{Workers: 1, FarField: q, NoFarBatch: true},
-			{Workers: 4, FarField: q, NoFarBatch: true},
-			{Workers: 4, FarField: q, Adaptive: true, AdaptiveCrossover: 40},
+			{Workers: 1, Far: q, Adaptive: true, AdaptiveCrossover: 1 << 30}, // exact, on the fly
+			{Workers: 4, Far: q, Adaptive: true, AdaptiveCrossover: 1 << 30, DropProb: 0.2, Seed: 3},
+			{Workers: 1, Far: q},
+			{Workers: 4, Far: q, DropProb: 0.2, Seed: 3},
+			{Workers: 1, Far: q, NoFarBatch: true},
+			{Workers: 4, Far: q, NoFarBatch: true},
+			{Workers: 4, Far: q, Adaptive: true, AdaptiveCrossover: 40},
 		}
 	}
 	cases := []struct {
@@ -220,7 +220,7 @@ func TestListenRangeMatchesFilter(t *testing.T) {
 		for _, r := range c.rs {
 			for ci, cfg := range c.cfgs {
 				label := fmt.Sprintf("%s r=%v cfg %d (workers=%d far=%v batch=%v drop=%v)",
-					c.name, r, ci, cfg.Workers, cfg.FarField != nil, !cfg.NoFarBatch, cfg.DropProb)
+					c.name, r, ci, cfg.Workers, cfg.Far != nil, !cfg.NoFarBatch, cfg.DropProb)
 				ref, gated, cut := checkListenRange(t, label, c.in, cfg, 11, slots, r)
 				if cut == 0 || gated.stats.Deliveries == 0 {
 					t.Fatalf("%s: the range cut %d and kept %d deliveries; want both", label, cut, gated.stats.Deliveries)
@@ -317,7 +317,7 @@ func FuzzListenRange(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.FarField = q
+			cfg.Far = q
 			cfg.NoFarBatch = mode&8 != 0
 		}
 		checkListenRange(t, "fuzz", in, cfg, seed, 8, r)

@@ -54,14 +54,9 @@ func TestSINRFeasibleBufZeroAlloc(t *testing.T) {
 
 // TestSINRFeasibleFarBufZeroAlloc pins the //sinr:hotpath contract of the
 // far-field feasibility path — Instance.SINRFeasibleFarBuf and, through it,
-// Accumulate and LinkSINR of both resolver kinds: flat grid (FarScratch)
-// and quadtree (QuadScratch).
+// the quadtree resolver's Accumulate and LinkSINR.
 func TestSINRFeasibleFarBufZeroAlloc(t *testing.T) {
 	in, links, powers := allocFixture(t)
-	f, err := in.FarField(0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
 	q, err := in.QuadTree(0.05)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +66,6 @@ func TestSINRFeasibleFarBufZeroAlloc(t *testing.T) {
 		f    sinr.Far
 		sc   sinr.FarResolver
 	}{
-		{"grid", f, f.NewScratch()},
 		{"quadtree", q, q.NewResolver()},
 	}
 	for _, tc := range cases {

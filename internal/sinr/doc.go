@@ -12,16 +12,16 @@
 //     loss, a lazily built O(n²) gain table capped at 256 MiB with a
 //     bit-identical tableless fallback, and memoized per-link constants.
 //     See DESIGN.md §2.
-//   - The far-field engines behind the shared Far/FarResolver interface,
-//     both resolving distant interference by power-weighted centroid mass
-//     within a certified worst-case relative error selected via
+//   - The far-field engine behind the Far/FarResolver interface: the
+//     hierarchical quadtree (quadtree.go), a Barnes–Hut pyramid that
+//     resolves distant interference by power-weighted centroid mass within
+//     a certified worst-case relative error selected via
 //     sinrconn.WithMaxRelError, with exact decode winners and guard-banded
-//     feasibility: the flat tile grid (farfield.go; one global near-ring
-//     radius k(ε, α), DESIGN.md §7) and the hierarchical quadtree
-//     (quadtree.go; a Barnes–Hut pyramid whose per-listener opening
-//     criterion keeps tight ε sub-quadratic, DESIGN.md §8).
+//     feasibility; its per-listener opening criterion keeps tight ε
+//     sub-quadratic (DESIGN.md §7–§8). A float32 view of its aggregates
+//     (quadtree_f32.go) implements the same interface.
 //
 // Every quantity is pinned against the deliberately naive reference in
 // internal/oracle by the differential suites (differential_test.go,
-// farfield_test.go, quadtree_test.go) across the workload scenario matrix.
+// quadtree_test.go) across the workload scenario matrix.
 package sinr

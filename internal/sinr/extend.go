@@ -29,19 +29,10 @@ func (in *Instance) Extend(extra []geom.Point) (*Instance, error) {
 	if len(extra) == 0 {
 		return out, nil
 	}
-	// Far-field plans ride along: a plan whose grid (or root square, for
-	// quadtrees) still covers the grown point set bins only the new points
-	// (O(k)); plans the growth escapes are rebuilt lazily on first use.
-	in.ffMu.Lock()
-	//lint:ignore determinism per-ε plan carry-over writes into a map keyed by ε; iteration order cannot reach results
-	for eps, f := range in.ff {
-		if nf, ok := f.extendTo(out); ok {
-			if out.ff == nil {
-				out.ff = make(map[float64]*FarField, len(in.ff))
-			}
-			out.ff[eps] = nf
-		}
-	}
+	// Far-field plans ride along: a plan whose root square still covers the
+	// grown point set bins only the new points (O(k)); plans the growth
+	// escapes are rebuilt lazily on first use.
+	in.qtMu.Lock()
 	//lint:ignore determinism per-ε plan carry-over writes into a map keyed by ε; iteration order cannot reach results
 	for eps, q := range in.qt {
 		if nq, ok := q.extendTo(out); ok {
@@ -51,7 +42,7 @@ func (in *Instance) Extend(extra []geom.Point) (*Instance, error) {
 			out.qt[eps] = nq
 		}
 	}
-	in.ffMu.Unlock()
+	in.qtMu.Unlock()
 	old, built := in.gainTableIfBuilt()
 	if !built || old == nil || uint64(m)*uint64(m)*8 > maxGainTableBytes {
 		// Parent table never built (a far-field-only session has no use

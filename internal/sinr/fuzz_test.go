@@ -296,78 +296,3 @@ func FuzzQuadtree(f *testing.F) {
 		}
 	})
 }
-
-// FuzzFarField fuzzes the far-field approximation on arbitrary (seed, n, α,
-// ε) instances: the kernel's tiled SINR must match the oracle's brute-force
-// tiled reference to 1e-12 relative, stay inside the certified interference
-// bracket of the exact physics, and the guard-banded feasibility check must
-// never reject an exactly-feasible schedule.
-func FuzzFarField(f *testing.F) {
-	f.Add(int64(42), int64(32), int64(2), int64(1))
-	f.Add(int64(123), int64(12), int64(0), int64(0))
-	f.Add(int64(456), int64(48), int64(3), int64(2))
-	f.Fuzz(func(t *testing.T, seed, nRaw, alphaSel, epsSel int64) {
-		n := clampFuzz(nRaw, 4, 64)
-		alpha := diffAlphas[clampFuzz(alphaSel, 0, int64(len(diffAlphas)-1))]
-		eps := farEpsSweep[clampFuzz(epsSel, 0, int64(len(farEpsSweep)-1))]
-		pts, in := fuzzInstance(seed, n, alpha)
-		p := in.Params()
-		ff, err := in.FarField(eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ce := ff.CertifiedMaxRelError()
-		sc := ff.NewScratch()
-		rng := rand.New(rand.NewSource(seed ^ 0xfa2f1e1d))
-
-		txs := farTxSet(rng, in, 1+n/3)
-		ff.Accumulate(txs, sc)
-		for trial := 0; trial < 6; trial++ {
-			tx := txs[rng.Intn(len(txs))]
-			l := sinr.Link{From: tx.Sender, To: rng.Intn(n)}
-			if l.From == l.To {
-				continue
-			}
-			got := ff.LinkSINR(txs, l, tx.Power, sc)
-			want := oracle.FarLinkSINR(pts, p, eps, txs, l, tx.Power)
-			if !diffClose(got, want) {
-				t.Fatalf("LinkSINR(%v) eps %v: kernel %v oracle %v", l, eps, got, want)
-			}
-			// Certified bracket against the exact physics, bounded through
-			// the interference sum (valid for certified ε ≥ 1 too).
-			signal := tx.Power / oracle.PathLoss(oracle.Dist(pts, l.From, l.To), p.Alpha)
-			interf := 0.0
-			for _, w := range txs {
-				if w.Sender != l.From {
-					interf += w.Power / oracle.PathLoss(oracle.Dist(pts, w.Sender, l.To), p.Alpha)
-				}
-			}
-			loI := (1 - ce) * interf
-			if loI < 0 {
-				loI = 0
-			}
-			lo := signal / (p.Noise + (1+ce)*interf) * (1 - 1e-9)
-			hi := signal / (p.Noise + loI) * (1 + 1e-9)
-			if got < lo || got > hi {
-				t.Fatalf("LinkSINR(%v) eps %v: %v outside certified [%v, %v]", l, eps, got, lo, hi)
-			}
-		}
-
-		m := clampFuzz(nRaw^seed, 1, 6)
-		if m >= n {
-			m = n - 1
-		}
-		links, powers := randomLinkSet(rng, in, m)
-		farOK, err := in.SINRFeasibleFarBuf(links, powers, ff, nil, sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exactOK, err := in.SINRFeasible(links, powers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if exactOK && !farOK {
-			t.Fatalf("eps %v: far check rejected exactly-feasible %v", eps, links)
-		}
-	})
-}

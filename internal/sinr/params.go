@@ -55,9 +55,8 @@ type Instance struct {
 	gain      []float64   // row-major n×n, entry v·n+u = d(u,v)^{-α}; nil if over budget
 	gainReady atomic.Bool // set once gainOnce has resolved (built, seeded, or skipped)
 
-	ffMu sync.Mutex
-	ff   map[float64]*FarField // flat far-field plans keyed by requested ε (farfield.go)
-	qt   map[float64]*QuadTree // hierarchical plans keyed by requested ε (quadtree.go)
+	qtMu sync.Mutex
+	qt   map[float64]*QuadTree // far-field plans keyed by requested ε (quadtree.go)
 }
 
 // NewInstance creates an instance over pts. The points are not copied; the

@@ -1,14 +1,13 @@
 package sinr
 
-// The hierarchical (quadtree) far-field engine: the Barnes–Hut counterpart
-// of the flat tile grid in farfield.go, and the default engine behind
-// WithMaxRelError. The flat grid forces ONE global near-ring radius k on
-// every listener — sized for the tightest ε — so below ε ≈ 0.5 its near
-// ring swallows most of the instance and the plan does strictly more work
-// than exact resolution (the n = 4096, ε = 0.5 regression in
-// BENCH_farfield.json). The quadtree instead resolves interference at a
-// resolution *adapted to each listener*: senders are aggregated into a
-// pyramid of square nodes (leaves are flat tiles; every parent covers its
+// The hierarchical (quadtree) far-field engine: the sub-quadratic
+// channel-resolution mode behind WithMaxRelError. The exact physics
+// resolves every (sender, listener) pair — O(n²) per slot — which caps the
+// instance sizes the gain table (and, beyond its memory bound, the
+// tableless fallback) can serve. Far interference under the physical model
+// decays as d^{-α}, so distant senders are aggregated Barnes–Hut style at
+// a resolution *adapted to each listener*: senders are aggregated into a
+// pyramid of square nodes (leaves are grid tiles; every parent covers its
 // four children), and each listener walks the pyramid top-down, opening a
 // node only when its aggregate could violate the listener's ε budget.
 // Distant clutter collapses into a handful of coarse nodes; nearby senders
@@ -19,8 +18,7 @@ package sinr
 // anchored at the bounding box's lower corner. Level ℓ splits it into
 // 2^ℓ × 2^ℓ squares; the deepest level L has ~n leaves (L ≈ log₄ n),
 // clamped so the leaf side never drops below 1 — the paper's min-distance
-// normalization, exactly the flat grid's floor — and the leaf count never
-// exceeds maxFarTiles. Nodes are stored as one linearized pyramid (level
+// normalization — and the depth never exceeds maxQuadLevels. Nodes are stored as one linearized pyramid (level
 // offsets (4^ℓ−1)/3); within each level nodes sit in Morton (Z-curve)
 // order — a node's position is the bit-interleaving of its grid
 // coordinates (morton.go) — so a node's parent is t>>2, its children are
@@ -33,7 +31,7 @@ package sinr
 // fold into their leaf's aggregates — total transmit mass Σ P_w, raw
 // power-weighted coordinate sums Σ P_w·x, Σ P_w·y, and the strongest single
 // power — then each occupied level folds into the level above, touching
-// only occupied nodes (epoch-stamped, like the flat scratch), in
+// only occupied nodes (epoch-stamped), in
 // O(#senders + #occupied nodes) with zero allocations. Centroids are
 // normalized once at the end, so every level's centroid is the exact
 // power-weighted centroid of the senders below it — which lies in their
@@ -45,8 +43,8 @@ package sinr
 // R = s·√2 of the node's centroid (both are inside the square). With D the
 // listener→centroid distance and δ = R/D, each member's true distance lies
 // in [D(1−δ), D(1+δ)], so the aggregated gain mass/D^α mis-states each
-// member's gain by a factor in [(1−δ)^α, (1+δ)^α] — the same algebra as
-// DESIGN.md §7 with the tile diagonal generalized to the node
+// member's gain by a factor in [(1−δ)^α, (1+δ)^α] — the ε/guard-band
+// algebra of DESIGN.md §7 with the tile diagonal generalized to the node
 // diameter/distance ratio δ (§8 carries the derivation). The binding side
 // is the overestimate, (1+δ)^α ≤ 1+ε, so a node is ACCEPTED (aggregated as
 // one term) iff
@@ -54,14 +52,14 @@ package sinr
 //	δ ≤ θ(ε, α) = min( (1+ε)^{1/α} − 1, √2/minFarRing )
 //
 // equivalently D ≥ s·√2/θ — per level a precomputed squared radius, one
-// float compare per visited node. The √2/minFarRing clamp mirrors the flat
-// grid's k ≥ 2 floor: δ stays ≤ √2/2 < 1 so member distances stay bounded
-// away from zero and (1−δ)^α ≥ 1−ε holds on the underestimate side too.
-// Unlike the flat grid there is no integral k to round, so the certified
-// bound (1+θ)^α − 1 equals the requested ε whenever the clamp is slack.
+// float compare per visited node. The √2/minFarRing clamp keeps δ ≤ √2/2
+// < 1, so member distances stay bounded away from zero and (1−δ)^α ≥ 1−ε
+// holds on the underestimate side too. There is no integral ring radius to
+// round, so the certified bound (1+θ)^α − 1 equals the requested ε
+// whenever the clamp is slack.
 //
-// Winner exactness. As in the flat grid, channel decode must crown the
-// true strongest sender. An accepted node's best possible single received
+// Winner exactness. Channel decode must crown the true strongest sender:
+// an ε-perturbed gain must never crown the wrong winner. An accepted node's best possible single received
 // power is pmax · (mass-free) centroid gain · 1/(1−θ)^α (a member is at
 // distance ≥ D(1−δ) ≥ D(1−θ)); when that could beat the best exact
 // candidate so far, Resolve opens the node instead of accepting it,
@@ -93,9 +91,73 @@ import (
 	"sinrconn/internal/geom"
 )
 
-// maxQuadLevels caps the pyramid depth: 4^9 = 262144 leaves = maxFarTiles,
-// the same scratch bound the flat grid honors.
+// maxQuadLevels caps the pyramid depth: 4^9 = 262144 leaves, so degenerate
+// geometries (the exponential chain's astronomically wide bounding box)
+// cannot demand an unbounded scratch allocation.
 const maxQuadLevels = 9
+
+// minFarRing is the floor of DESIGN.md §7's near-ring radius k: below
+// k = 2 the far-distance lower bound no longer dominates the tile diagonal
+// and the error bound degenerates. The opening threshold inherits it as
+// θ ≤ √2/minFarRing.
+const minFarRing = 2
+
+// maxFarPlans bounds the per-instance plan cache (one plan per distinct ε).
+const maxFarPlans = 8
+
+// Far is the far-field channel-resolution interface implemented by the
+// quadtree plan (*QuadTree) and its float32 view (*QuadTreeF32). A Far
+// value is an immutable plan over one Instance — safe to share across
+// concurrent engines and validators — that hands out per-slot FarResolver
+// state. Every consumer (sim.Config.Far, tree validation, the session
+// layer) programs against this interface.
+type Far interface {
+	// Instance returns the instance the plan was built over.
+	Instance() *Instance
+	// MaxRelError returns the requested worst-case relative interference
+	// error bound ε.
+	MaxRelError() float64
+	// CertifiedMaxRelError returns the bound the plan actually certifies,
+	// ≤ MaxRelError for the float64 plan (the float32 view widens it by
+	// its rounding allowance).
+	CertifiedMaxRelError() float64
+	// NewResolver allocates fresh per-slot state bound to the plan, for
+	// long-lived users (engines).
+	NewResolver() FarResolver
+	// AcquireResolver borrows pooled per-slot state for transient users
+	// (validators); pair with ReleaseResolver.
+	AcquireResolver() FarResolver
+	// ReleaseResolver returns a resolver borrowed with AcquireResolver.
+	ReleaseResolver(FarResolver)
+}
+
+// FarResolver is one concurrent user's per-slot view of a Far plan: the
+// mutable accumulator state plus the channel queries that read it.
+// Accumulate must be called (serially) before Resolve/LinkSINR for the same
+// sender set; the queries themselves are read-only on the resolver and safe
+// to issue from concurrent workers. Implementations live in this package
+// (the unexported method pins that down).
+type FarResolver interface {
+	// Accumulate ingests one slot's sender set into the plan's per-node
+	// aggregates. O(len(txs) + occupied), allocation-free.
+	Accumulate(txs []Tx)
+	// Resolve computes channel reception at listener v against the
+	// accumulated set: the strongest sender (exact — see Winner exactness
+	// above), its exact received power, and the total received power with
+	// far senders approximated within the certified ε. saturated reports a
+	// sender co-located with the listener; best is -1 when no sender is
+	// audible.
+	Resolve(v int, txs []Tx) (best int, bestRP, total float64, saturated bool)
+	// LinkSINR returns the approximate SINR of link l whose sender
+	// transmits with power pu among the accumulated set, the link's own
+	// sender excluded from interference. The exact SINR lies within
+	// [·(1−ε), ·(1+ε)] of the returned value for the plan's certified ε.
+	LinkSINR(txs []Tx, l Link, pu float64) float64
+	// distinctSenders rejects a link set with a repeated sender
+	// (ErrDuplicateSender) — the contract the aggregation needs — using
+	// the resolver's stamped mark array (allocation-free).
+	distinctSenders(links []Link) error
+}
 
 // QuadLevels returns the pyramid depth for an n-node instance whose root
 // square has the given side: ≈ log₄(n/4) (about four nodes per leaf — the
@@ -122,7 +184,7 @@ func QuadLevels(n int, span float64) int {
 
 // QuadTheta returns the opening threshold θ(ε, α): the largest admissible
 // node-diameter/centroid-distance ratio, (1+ε)^{1/α} − 1 clamped to
-// √2/minFarRing (the flat grid's k ≥ 2 floor, keeping δ < 1).
+// √2/minFarRing (keeping δ < 1).
 func QuadTheta(alpha, maxRelErr float64) float64 {
 	t := math.Pow(1+maxRelErr, 1/alpha) - 1
 	if max := math.Sqrt2 / minFarRing; t > max {
@@ -357,8 +419,7 @@ func (q *QuadTree) OpenRadius2(lvl int) float64 { return q.openRad2[lvl] }
 // NearDominated reports that the leaf-level opening horizon reaches a
 // quarter of the root square's side: the opened-leaf disk then covers
 // ≥ π/16 ≈ 20% of the instance, and the walk's exact scans plus pyramid
-// overhead measurably undercut plain exact resolution — the quadtree
-// analog of the flat grid's NearDominated regime (measured boundary,
+// overhead measurably undercut plain exact resolution (measured boundary,
 // re-validated against the Morton layout and batched decode: at ε = 0.1
 // the n = 65536 walk, horizon/side ≈ 0.34, still runs 1.12× slower than
 // exact — down from 1.33× pre-Morton, same sign — while n = 262144,
@@ -422,11 +483,11 @@ func (q *QuadTree) extendTo(out *Instance) (*QuadTree, bool) {
 
 // QuadTree returns the hierarchical plan for the given error bound,
 // building and caching it on first use (one plan per distinct ε, read-only
-// after build — safe to share across concurrent runs, exactly like the
-// flat-grid cache).
+// after build — safe to share across concurrent runs, like the gain
+// table).
 func (in *Instance) QuadTree(maxRelErr float64) (*QuadTree, error) {
-	in.ffMu.Lock()
-	defer in.ffMu.Unlock()
+	in.qtMu.Lock()
+	defer in.qtMu.Unlock()
 	if q, ok := in.qt[maxRelErr]; ok {
 		return q, nil
 	}
@@ -481,8 +542,7 @@ type QuadScratch struct {
 	// active lists each level's occupied nodes (local Morton ids) in
 	// first-touch order.
 	active [][]int32
-	// Leaf bucketing for exact scans (leaf-local Morton ids), as in
-	// FarScratch, plus streaming copies of the bucketed senders'
+	// Leaf bucketing for exact scans (leaf-local Morton ids), plus streaming copies of the bucketed senders'
 	// coordinates and powers (sx/sy/sp, bucket order): the leaf scans read
 	// these sequentially instead of gathering through order → txs → pts.
 	start []int32
@@ -492,7 +552,7 @@ type QuadScratch struct {
 	sy    []float64
 	sp    []float64
 	// senderMark/markEpoch implement the zero-alloc duplicate-sender check
-	// shared with the flat grid's scratch.
+	// of SINRFeasibleFarBuf (stamped per call, never cleared).
 	senderMark []uint32
 	markEpoch  uint32
 	// prec32 selects the float32 aggregate walks (quadtree_f32.go):
@@ -921,8 +981,73 @@ func (sc *QuadScratch) pushQuadrant(stack *[quadStackCap]int64, top, lvl int, t 
 	return top
 }
 
-// distinctSenders implements FarResolver via the shared mark-array check
-// (checkDistinctSenders, farfield.go).
+// distinctSenders implements FarResolver via the shared mark-array check.
 func (sc *QuadScratch) distinctSenders(links []Link) error {
 	return checkDistinctSenders(sc.senderMark, &sc.markEpoch, links)
+}
+
+// checkDistinctSenders rejects a link set with a repeated sender: the
+// pyramid aggregates each sender's power exactly once, so a sender
+// appearing on two links would be mis-excluded (and could overflow the
+// node-sized bucketing). The exact check sums duplicates fine, so reject
+// them here rather than diverge silently — via a stamped mark array,
+// keeping the validation path allocation-free. Per-slot schedules satisfy
+// the contract by construction (one up-link per node per slot). Shared by
+// the float64 and float32 resolvers.
+func checkDistinctSenders(mark []uint32, epoch *uint32, links []Link) error {
+	*epoch++
+	if *epoch == 0 {
+		for i := range mark {
+			mark[i] = 0
+		}
+		*epoch = 1
+	}
+	for _, l := range links {
+		if mark[l.From] == *epoch {
+			return ErrDuplicateSender
+		}
+		mark[l.From] = *epoch
+	}
+	return nil
+}
+
+// SINRFeasibleFarBuf is the far-field counterpart of SINRFeasibleBuf: it
+// reports whether every link in links, transmitting concurrently with the
+// given powers, clears the SINR threshold β under the (1±ε) guard band the
+// approximation admits at the cut. The check is complete — a schedule the
+// exact physics accepts is never rejected, because an exactly-feasible
+// link's approximate SINR is at least β/(1+ε) — and ε-sound: a rejection
+// certifies exact infeasibility, while an acceptance certifies exact SINR
+// ≥ β·(1−ε)/(1+ε) on every link. Nothing flips silently: the band is fixed
+// by f.CertifiedMaxRelError and ε = 0 (f == nil) is the exact check. sc
+// must be a resolver of f.
+//sinr:hotpath
+func (in *Instance) SINRFeasibleFarBuf(links []Link, powers []float64, f Far, scratch []Tx, sc FarResolver) (bool, error) {
+	if f == nil {
+		return in.SINRFeasibleBuf(links, powers, scratch)
+	}
+	if len(links) != len(powers) {
+		return false, ErrMismatchedLengths
+	}
+	if err := sc.distinctSenders(links); err != nil {
+		return false, err
+	}
+	txs := scratch[:0]
+	if cap(txs) < len(links) {
+		//lint:ignore hotpathalloc cold capacity-miss fallback only; a right-sized caller scratch never reaches this make
+		txs = make([]Tx, 0, len(links))
+	}
+	for i, l := range links {
+		//lint:ignore hotpathalloc cannot grow: capacity reserved by the check above; steady state pinned by TestSINRFeasibleFarBufZeroAlloc
+		txs = append(txs, Tx{Sender: l.From, Power: powers[i]})
+	}
+	sc.Accumulate(txs)
+	cut := in.params.Beta - 1e-9
+	band := 1 + f.CertifiedMaxRelError()
+	for i, l := range links {
+		if sc.LinkSINR(txs, l, powers[i])*band < cut {
+			return false, nil
+		}
+	}
+	return true, nil
 }

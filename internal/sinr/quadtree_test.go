@@ -1,7 +1,7 @@
 package sinr_test
 
-// Hierarchical (quadtree) far-field suite, mirroring the flat grid's three
-// layers (all Type 1 — deterministic; one failure = bug):
+// Hierarchical (quadtree) far-field suite, in three layers (all Type 1 —
+// deterministic; one failure = bug):
 //
 //  1. Plan lockstep — the kernel's pyramid derivation (depth, leaf side,
 //     binning, per-level opening radii, certified bound) must equal the
@@ -27,9 +27,28 @@ import (
 	"sinrconn/internal/workload"
 )
 
-// quadEpsSweep includes a bound tighter than the flat grid handles well —
-// the regime the quadtree exists for.
+// quadEpsSweep includes a tight bound (ε = 0.1), where a single global
+// near ring would swallow most of the instance — the regime the quadtree
+// exists for.
 var quadEpsSweep = []float64{0.1, 0.5, 2.5}
+
+// farTxSet builds a sender set with distinct senders (the LinkSINR
+// contract) at powers spanning comfortably-feasible to marginal.
+func farTxSet(rng *rand.Rand, in *sinr.Instance, m int) []sinr.Tx {
+	p := in.Params()
+	n := in.Len()
+	used := map[int]bool{}
+	txs := make([]sinr.Tx, 0, m)
+	for len(txs) < m && len(used) < n {
+		s := rng.Intn(n)
+		if used[s] {
+			continue
+		}
+		used[s] = true
+		txs = append(txs, sinr.Tx{Sender: s, Power: p.SafePower(1+rng.Float64()*8) * (0.5 + 2*rng.Float64())})
+	}
+	return txs
+}
 
 // TestQuadPlanLockstep pins the kernel plan derivation to the oracle's
 // independent transcription: same depth, same leaf side, same opening
@@ -125,8 +144,7 @@ func TestDifferentialQuadtreeVsOracle(t *testing.T) {
 // TestQuadtreeErrorBound asserts the contract WithMaxRelError sells for the
 // hierarchical engine: the walked SINR stays within the certified (1±ε)
 // bracket of the *exact* physics (oracle-computed), across the scenario
-// matrix × α × ε — including the tight ε = 0.1 the flat grid cannot serve
-// cheaply.
+// matrix × α × ε — including the tight ε = 0.1.
 func TestQuadtreeErrorBound(t *testing.T) {
 	const slack = 1e-9
 	for _, spec := range workload.Matrix() {

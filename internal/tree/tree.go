@@ -253,7 +253,7 @@ func (t *BiTree) ValidatePerSlotFeasible(in *sinr.Instance) error {
 }
 
 // ValidatePerSlotFeasibleFar is ValidatePerSlotFeasible under the far-field
-// approximation plan f (flat grid or quadtree): each slot group is checked
+// approximation plan f (the quadtree): each slot group is checked
 // with sinr.Instance.SINRFeasibleFarBuf, which accepts a (1±ε) guard band at
 // the β cut (ε = f.CertifiedMaxRelError). The check never rejects a schedule
 // the exact validator accepts; a schedule it rejects is exactly infeasible.

@@ -9,9 +9,6 @@ package sinrconn
 // are deterministic for fixed settings, so a Network also memoizes Run
 // results: a repeated query is a map lookup, which is what lets one handle
 // serve the same deployment to many callers cheaply.
-//
-// The free functions of sinrconn.go (BuildInitialBiTree & co.) remain as
-// deprecated wrappers over one-shot Networks, bit-identical by test.
 
 import (
 	"context"
@@ -77,8 +74,8 @@ func (p Pipeline) String() string {
 // ordering property (PipelineRescheduleMean does not, per the paper).
 func (p Pipeline) Ordered() bool { return p != PipelineRescheduleMean }
 
-// FarMode selects the far-field engine WithMaxRelError drives (it is
-// meaningless at ε = 0, which is always the exact path).
+// FarMode selects how WithMaxRelError drives the quadtree far-field engine
+// (it is meaningless at ε = 0, which is always the exact path).
 type FarMode uint8
 
 const (
@@ -89,13 +86,6 @@ const (
 	FarAuto FarMode = iota
 	// FarQuadtree forces the hierarchical quadtree on every non-empty slot.
 	FarQuadtree
-	// FarFlat forces the flat tile grid of DESIGN.md §7 on every non-empty
-	// slot — retained for oracle lockstep and regression comparison. When
-	// the requested ε makes the flat plan near-dominated (its global near
-	// ring covers most of the grid, the tight-ε regime where it does
-	// strictly more work than exact resolution), the session falls back to
-	// the exact path instead.
-	FarFlat
 )
 
 // String implements fmt.Stringer.
@@ -105,15 +95,12 @@ func (m FarMode) String() string {
 		return "far-auto"
 	case FarQuadtree:
 		return "far-quadtree"
-	case FarFlat:
-		return "far-flat"
 	}
 	return fmt.Sprintf("farmode(%d)", uint8(m))
 }
 
 // FarPrecision selects the aggregate precision of the quadtree far-field
-// walks (it is meaningless at ε = 0, and the flat grid keeps no float32
-// mirror).
+// walks (it is meaningless at ε = 0).
 type FarPrecision uint8
 
 const (
@@ -139,9 +126,8 @@ func (p FarPrecision) String() string {
 }
 
 // settings is the resolved configuration of a Network or a single run.
-// Functional options edit it; the zero-ambiguity of the old Options struct
-// (0 meaning "default") is gone because every With* records the value it
-// was explicitly handed.
+// Functional options edit it; every With* records the value it was
+// explicitly handed, so an explicit zero is never mistaken for "default".
 type settings struct {
 	phys          sinr.Params
 	seed          int64
@@ -170,9 +156,10 @@ func defaultSettings() settings {
 	return settings{phys: sinr.DefaultParams(), cacheSize: maxCachedResults}
 }
 
+// fail records the first option error, wrapped in ErrInvalidOption.
 func (s *settings) fail(err error) {
 	if s.err == nil {
-		s.err = err
+		s.err = fmt.Errorf("%w: %w", ErrInvalidOption, err)
 	}
 }
 
@@ -223,11 +210,11 @@ func WithSeed(seed int64) Option {
 func WithWorkers(n int) Option {
 	return func(s *settings) {
 		if s.runScope {
-			s.fail(errors.New("sinrconn: WithWorkers is an Open option, not a run option"))
+			s.fail(errors.New("WithWorkers is an Open option, not a run option"))
 			return
 		}
 		if n < 0 {
-			s.fail(fmt.Errorf("sinrconn: negative worker count %d", n))
+			s.fail(fmt.Errorf("negative worker count %d", n))
 			return
 		}
 		s.workers = n
@@ -239,7 +226,7 @@ func WithWorkers(n int) Option {
 func WithDropProb(p float64) Option {
 	return func(s *settings) {
 		if !(p >= 0 && p < 1) {
-			s.fail(fmt.Errorf("sinrconn: drop probability %v outside [0,1)", p))
+			s.fail(fmt.Errorf("drop probability %v outside [0,1)", p))
 			return
 		}
 		s.drop = p
@@ -252,7 +239,7 @@ func WithDropProb(p float64) Option {
 func WithAutoNormalize(on bool) Option {
 	return func(s *settings) {
 		if s.runScope {
-			s.fail(errors.New("sinrconn: WithAutoNormalize is an Open option, not a run option"))
+			s.fail(errors.New("WithAutoNormalize is an Open option, not a run option"))
 			return
 		}
 		s.autoNormalize = on
@@ -264,7 +251,7 @@ func WithAutoNormalize(on bool) Option {
 func WithBroadcastProb(p float64) Option {
 	return func(s *settings) {
 		if !(p > 0 && p <= 0.5) {
-			s.fail(fmt.Errorf("sinrconn: broadcast probability %v outside (0, 0.5]", p))
+			s.fail(fmt.Errorf("broadcast probability %v outside (0, 0.5]", p))
 			return
 		}
 		s.broadcastProb = p
@@ -276,31 +263,30 @@ func WithBroadcastProb(p float64) Option {
 func WithRho(rho int) Option {
 	return func(s *settings) {
 		if rho < 1 {
-			s.fail(fmt.Errorf("sinrconn: rho %d must be ≥ 1", rho))
+			s.fail(fmt.Errorf("rho %d must be ≥ 1", rho))
 			return
 		}
 		s.rho = rho
 	}
 }
 
-// WithMaxRelError enables the tile-based far-field interference
+// WithMaxRelError enables the quadtree far-field interference
 // approximation with the given worst-case relative error bound on per-slot
 // interference sums (and hence a (1±ε) band on SINR values at the β cut).
-// Distant senders are aggregated per spatial tile, making channel
+// Distant senders are aggregated per pyramid node, making channel
 // resolution sub-quadratic — the mode that carries instances past the
 // exact kernel's O(n²) wall. ε = 0 (the default) selects the exact path,
-// bit-identical to a Network without the option; ε > 0 selects the near
-// ring radius k(ε, α) per DESIGN.md §7, and the certified bound — usually
-// tighter than ε because k is integral — is honored by every engine slot
-// and by Result.Tree.Verify, which validates schedules under the matching
-// guard band. Legal at Open and at run scope; results for distinct ε are
-// memoized separately. Operations on an existing result (Join, Repair,
+// bit-identical to a Network without the option; ε > 0 selects the
+// opening threshold θ(ε, α) per DESIGN.md §8, and the certified bound is
+// honored by every engine slot and by Result.Tree.Verify, which validates
+// schedules under the matching guard band. Legal at Open and at run
+// scope; results for distinct ε are memoized separately. Operations on an existing result (Join, Repair,
 // physical epochs) inherit the mode the result's tree was built under
 // unless the operation passes this option explicitly.
 func WithMaxRelError(eps float64) Option {
 	return func(s *settings) {
 		if eps < 0 || math.IsInf(eps, 1) || math.IsNaN(eps) {
-			s.fail(fmt.Errorf("sinrconn: max relative error %v must be ≥ 0 and finite", eps))
+			s.fail(fmt.Errorf("max relative error %v must be ≥ 0 and finite", eps))
 			return
 		}
 		s.maxRelErr = eps
@@ -308,17 +294,16 @@ func WithMaxRelError(eps float64) Option {
 	}
 }
 
-// WithFarMode selects the far-field engine behind WithMaxRelError: the
-// hierarchical quadtree with adaptive per-slot selection (FarAuto, the
-// default), the quadtree on every slot (FarQuadtree), or the flat tile
-// grid (FarFlat — the pre-quadtree engine, retained for oracle lockstep).
-// It has no effect at ε = 0. Legal at Open and at run scope; results for
-// distinct modes are memoized separately, and operations on an existing
-// result inherit the mode its tree was built under unless overridden.
+// WithFarMode selects how WithMaxRelError drives the quadtree: adaptive
+// per-slot selection between exact and quadtree resolution (FarAuto, the
+// default) or the quadtree on every slot (FarQuadtree). It has no effect
+// at ε = 0. Legal at Open and at run scope; results for distinct modes
+// are memoized separately, and operations on an existing result inherit
+// the mode its tree was built under unless overridden.
 func WithFarMode(m FarMode) Option {
 	return func(s *settings) {
-		if m > FarFlat {
-			s.fail(fmt.Errorf("sinrconn: unknown far mode %v", m))
+		if m > FarQuadtree {
+			s.fail(fmt.Errorf("unknown far mode %v", m))
 			return
 		}
 		s.farMode = m
@@ -328,15 +313,14 @@ func WithFarMode(m FarMode) Option {
 
 // WithFarPrecision selects the aggregate precision of the quadtree
 // far-field walks behind WithMaxRelError: float64 (Far64, the default) or
-// the float32 mirror (Far32). It has no effect at ε = 0, and combining
-// Far32 with FarFlat is an error (the flat grid keeps no float32 mirror).
-// Legal at Open and at run scope; results for distinct precisions are
-// memoized separately, and operations on an existing result inherit the
-// precision its tree was built under unless overridden.
+// the float32 mirror (Far32). It has no effect at ε = 0. Legal at Open
+// and at run scope; results for distinct precisions are memoized
+// separately, and operations on an existing result inherit the precision
+// its tree was built under unless overridden.
 func WithFarPrecision(p FarPrecision) Option {
 	return func(s *settings) {
 		if p > Far32 {
-			s.fail(fmt.Errorf("sinrconn: unknown far precision %v", p))
+			s.fail(fmt.Errorf("unknown far precision %v", p))
 			return
 		}
 		s.farPrec = p
@@ -395,7 +379,7 @@ func WithObserver(fn SlotObserver) Option {
 func WithFaultInjector(inj faults.Injector) Option {
 	return func(s *settings) {
 		if s.runScope {
-			s.fail(errors.New("sinrconn: WithFaultInjector is an Open option, not a run option"))
+			s.fail(errors.New("WithFaultInjector is an Open option, not a run option"))
 			return
 		}
 		s.injector = inj
@@ -412,11 +396,11 @@ func WithFaultInjector(inj faults.Injector) Option {
 func WithResultCache(size int, ttl time.Duration) Option {
 	return func(s *settings) {
 		if s.runScope {
-			s.fail(errors.New("sinrconn: WithResultCache is an Open option, not a run option"))
+			s.fail(errors.New("WithResultCache is an Open option, not a run option"))
 			return
 		}
 		if size < 0 || ttl < 0 {
-			s.fail(fmt.Errorf("sinrconn: result cache size %d / ttl %v must be ≥ 0", size, ttl))
+			s.fail(fmt.Errorf("result cache size %d / ttl %v must be ≥ 0", size, ttl))
 			return
 		}
 		if size == 0 {
@@ -509,18 +493,6 @@ func Open(pts []Point, opts ...Option) (*Network, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
-	nw, err := newNetwork(pts, s)
-	if err != nil {
-		return nil, err
-	}
-	nw.pool = sim.NewPool(s.workers)
-	return nw, nil
-}
-
-// newNetwork builds the handle minus the pool (the deprecated wrappers use
-// pool-less "standalone" networks whose engines spawn and release their own
-// workers per run, reproducing the legacy behavior exactly).
-func newNetwork(pts []Point, s settings) (*Network, error) {
 	if len(pts) == 0 {
 		return nil, errors.New("sinrconn: no points")
 	}
@@ -555,6 +527,7 @@ func newNetwork(pts []Point, s settings) (*Network, error) {
 	if _, err := nw.instanceFor(s.phys); err != nil {
 		return nil, err
 	}
+	nw.pool = sim.NewPool(s.workers)
 	return nw, nil
 }
 
@@ -601,9 +574,9 @@ func (nw *Network) Len() int { return len(nw.pts) }
 
 // acquirePool borrows the session worker pool (the Network's own, or the
 // parent's for Join-derived handles) for one operation, registering it so
-// Close blocks until the operation releases. A nil pool (standalone
-// wrapper networks, or after Close) means engines manage their own
-// workers; the returned release func must be called in every case.
+// Close blocks until the operation releases. A nil pool (after Close)
+// means engines manage their own workers; the returned release func must
+// be called in every case.
 func (nw *Network) acquirePool() (*sim.Pool, func()) {
 	owner := nw
 	if nw.parent != nil {
@@ -703,37 +676,22 @@ func initConfig(s settings, pool *sim.Pool, ff sinr.Far, adaptive bool) core.Ini
 		Workers:       s.workers,
 		DropProb:      s.drop,
 		Pool:          pool,
-		FarField:      ff,
+		Far:           ff,
 		Adaptive:      adaptive,
 		Observer:      s.observer,
 		Injector:      s.injector,
 	}
 }
 
-// farFieldFor resolves the far-field engine a settings' (ε, mode) selects
-// over in — nil plan for the exact path — plus whether engines should pick
-// exact/far per slot adaptively. ε = 0 is always exact; FarAuto (the
-// default) is the quadtree with adaptive selection; FarFlat is the flat
-// grid, demoted to exact when its one-global-near-ring geometry is
-// near-dominated (the tight-ε regime where the flat plan does strictly
-// more work than exact resolution — see sinr.FarField.NearDominated).
+// farFieldFor resolves the far-field plan a settings' (ε, mode, precision)
+// selects over in — nil plan for the exact path — plus whether engines
+// should pick exact/far per slot adaptively. ε = 0 is always exact;
+// FarAuto (the default) is the quadtree with adaptive selection.
 func farFieldFor(in *sinr.Instance, s settings) (ff sinr.Far, adaptive bool, err error) {
 	if s.maxRelErr == 0 {
 		return nil, false, nil
 	}
 	switch s.farMode {
-	case FarFlat:
-		if s.farPrec == Far32 {
-			return nil, false, errors.New("sinrconn: WithFarPrecision(Far32) requires the quadtree engine (FarFlat keeps no float32 mirror)")
-		}
-		f, err := in.FarField(s.maxRelErr)
-		if err != nil {
-			return nil, false, err
-		}
-		if f.NearDominated() {
-			return nil, false, nil
-		}
-		return f, false, nil
 	case FarQuadtree:
 		q, err := in.QuadTree(s.maxRelErr)
 		if err != nil {
@@ -767,11 +725,11 @@ func farFieldFor(in *sinr.Instance, s settings) (ff sinr.Far, adaptive bool, err
 // opFarField resolves the channel mode for an operation on an existing
 // result (join, repair, physical epoch). An explicit WithMaxRelError on
 // the operation wins outright; an explicit WithFarMode or WithFarPrecision
-// alone switches the engine (inheriting whichever of mode/precision was
-// not overridden) but keeps the ε the result's tree was built under (a
+// alone switches the mode or precision (inheriting whichever was not
+// overridden) but keeps the ε the result's tree was built under (a
 // mode is not an error bound — discarding the tree's ε would silently flip
 // the operation to exact physics); with none of the three, the operation
-// inherits engine, ε, precision, and adaptivity from the tree — so growing
+// inherits ε, precision, and adaptivity from the tree — so growing
 // or re-driving an ε-built tree never silently switches it to exact
 // physics (and vice versa). in is the operation's instance — the tree's
 // own for repairs and epochs, the extended one for joins.
@@ -788,11 +746,9 @@ func opFarField(r *Result, in *sinr.Instance, s settings) (sinr.Far, bool, error
 			s.farPrec = Far32
 		}
 		if !s.farModeSet {
-			// WithFarPrecision alone keeps the engine and adaptivity the
-			// tree was built under.
-			if _, flat := r.Tree.ff.(*sinr.FarField); flat {
-				s.farMode = FarFlat
-			} else if r.Tree.ffAdaptive {
+			// WithFarPrecision alone keeps the mode the tree was built
+			// under.
+			if r.Tree.ffAdaptive {
 				s.farMode = FarAuto
 			} else {
 				s.farMode = FarQuadtree
@@ -808,9 +764,6 @@ func opFarField(r *Result, in *sinr.Instance, s settings) (sinr.Far, bool, error
 	switch f := r.Tree.ff.(type) {
 	case nil:
 		return nil, false, nil
-	case *sinr.FarField:
-		nf, err := in.FarField(f.MaxRelError())
-		return nf, r.Tree.ffAdaptive, err
 	case *sinr.QuadTree:
 		nq, err := in.QuadTree(f.MaxRelError())
 		return nq, r.Tree.ffAdaptive, err
@@ -924,8 +877,7 @@ func (nw *Network) compute(ctx context.Context, p Pipeline, s settings) (*Result
 
 // newResult binds a constructed tree and its metrics to this handle. ff
 // (nil in exact mode) records the far-field plan the construction ran
-// under — flat grid or quadtree — so Verify applies the matching guard
-// band, and adaptive whether its engines picked modes per slot, so
+// under, so Verify applies the matching guard band, and adaptive whether its engines picked modes per slot, so
 // operations on the result inherit the full channel mode.
 func (nw *Network) newResult(in *sinr.Instance, bt *tree.BiTree, m Metrics, ff sinr.Far, adaptive bool) *Result {
 	return &Result{Tree: publicTree(in, bt, ff, adaptive), Metrics: m, nw: nw}
@@ -964,7 +916,7 @@ func (nw *Network) runRescheduleMean(ctx context.Context, in *sinr.Instance, s s
 		Seed:     s.seed + 1,
 		Workers:  s.workers,
 		Pool:     pool,
-		FarField: ff,
+		Far:      ff,
 		Adaptive: adaptive,
 		Observer: s.observer,
 		Injector: s.injector,

@@ -1,9 +1,8 @@
 package sinrconn
 
 // Tests for the session-oriented API: context cancellation inside the slot
-// loop, concurrent batch execution on one handle, memoization, option
-// validation, and the wrapper-equivalence suite pinning every deprecated
-// free function bit-identical to its Network counterpart.
+// loop, concurrent batch execution on one handle, memoization, and option
+// validation.
 
 import (
 	"context"
@@ -11,8 +10,6 @@ import (
 	"math"
 	"testing"
 	"time"
-
-	"sinrconn/internal/workload"
 )
 
 // runCtx is shorthand for the tests below.
@@ -278,18 +275,23 @@ func TestOptionValidation(t *testing.T) {
 		{"rho zero", []Option{WithRho(0)}},
 		{"negative workers", []Option{WithWorkers(-1)}},
 		{"bad phys", []Option{WithPhys(PhysParams{Alpha: 1.5})}},
+		{"retired flat far mode", []Option{WithFarMode(FarMode(2))}},
+		{"negative cache size", []Option{WithResultCache(-1, 0)}},
 	}
 	for _, tc := range cases {
-		if _, err := Open(pts, tc.opts...); err == nil {
-			t.Errorf("%s: Open accepted invalid option", tc.name)
+		if _, err := Open(pts, tc.opts...); !errors.Is(err, ErrInvalidOption) {
+			t.Errorf("%s: Open returned %v, want ErrInvalidOption", tc.name, err)
+		}
+		if _, err := nw.Run(bg, PipelineInit, tc.opts...); !errors.Is(err, ErrInvalidOption) {
+			t.Errorf("%s: Run returned %v, want ErrInvalidOption", tc.name, err)
 		}
 	}
 	// Open-scoped options are rejected per run.
-	if _, err := nw.Run(bg, PipelineInit, WithWorkers(2)); err == nil {
-		t.Error("Run accepted WithWorkers")
+	if _, err := nw.Run(bg, PipelineInit, WithWorkers(2)); !errors.Is(err, ErrInvalidOption) {
+		t.Errorf("Run accepted WithWorkers (err %v)", err)
 	}
-	if _, err := nw.Run(bg, PipelineInit, WithAutoNormalize(true)); err == nil {
-		t.Error("Run accepted WithAutoNormalize")
+	if _, err := nw.Run(bg, PipelineInit, WithAutoNormalize(true)); !errors.Is(err, ErrInvalidOption) {
+		t.Errorf("Run accepted WithAutoNormalize (err %v)", err)
 	}
 	// Run-scoped options work, including a per-run phys override.
 	if _, err := nw.Run(bg, PipelineInit, WithSeed(0), WithPhys(PhysParams{Alpha: 4})); err != nil {
@@ -355,11 +357,6 @@ func TestJoinNotNormalized(t *testing.T) {
 	_, err = nw.Join(bg, res, []Point{{X: 0.3, Y: 0}})
 	if !errors.Is(err, ErrNotNormalized) {
 		t.Fatalf("join error %v does not wrap ErrNotNormalized", err)
-	}
-	// The deprecated wrapper reports the same typed error.
-	_, err = res.JoinPoints([]Point{{X: 0.3, Y: 0}}, Options{})
-	if !errors.Is(err, ErrNotNormalized) {
-		t.Fatalf("wrapper join error %v does not wrap ErrNotNormalized", err)
 	}
 }
 
@@ -466,112 +463,4 @@ func assertResultsIdentical(t *testing.T, got, want *Result) {
 	if got.Metrics != want.Metrics {
 		t.Fatalf("metrics differ:\n got %+v\nwant %+v", got.Metrics, want.Metrics)
 	}
-}
-
-// TestWrapperEquivalence pins every deprecated free function bit-identical
-// to its Network counterpart across the workload matrix — the CI drift
-// gate for the compatibility layer (tier: `go test -run
-// TestWrapperEquivalence`). Under -short the sweep drops to two
-// generators; the full matrix runs otherwise.
-func TestWrapperEquivalence(t *testing.T) {
-	type wrapperSpec struct {
-		pipeline Pipeline
-		build    func([]Point, Options) (*Result, error)
-	}
-	wrappers := []wrapperSpec{
-		{PipelineInit, BuildInitialBiTree},
-		{PipelineRescheduleMean, RescheduleMeanPower},
-		{PipelineTVCMean, BuildBiTreeMeanPower},
-		{PipelineTVCArbitrary, BuildBiTreeArbitraryPower},
-	}
-	gens := workload.Matrix()
-	if testing.Short() {
-		gens = gens[:2]
-	}
-	n := 24
-	for gi, gen := range gens {
-		for wi, w := range wrappers {
-			gen, w := gen, w
-			seed := int64(3001 + 100*gi + 10*wi)
-			t.Run(gen.Name+"/"+w.pipeline.String(), func(t *testing.T) {
-				pts := facadePoints(gen, seed, n)
-				opt := Options{Seed: seed, Params: PhysParams{Alpha: 3}}
-				legacy, lerr := w.build(pts, opt)
-				nw, err := Open(pts, WithSeed(seed), WithPhys(PhysParams{Alpha: 3}))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer nw.Close()
-				session, serr := nw.Run(bg, w.pipeline)
-				if (lerr == nil) != (serr == nil) {
-					t.Fatalf("error divergence: wrapper %v vs network %v", lerr, serr)
-				}
-				if lerr != nil {
-					// Both failed identically (rare non-convergence); the
-					// contract is only that the paths agree.
-					return
-				}
-				assertResultsIdentical(t, legacy, session)
-			})
-		}
-	}
-}
-
-// TestWrapperEquivalenceDynamic extends the drift gate to the dynamic
-// operations: JoinPoints / RepairFailures / RepairLinkFailures versus the
-// Network methods, on the same grown deployment.
-func TestWrapperEquivalenceDynamic(t *testing.T) {
-	pts := uniformPoints(71, 24)
-	extra := []Point{{X: 900, Y: 0}, {X: 903, Y: 2}, {X: 906, Y: 0}}
-	opt := Options{Seed: 71}
-
-	legacyBase, err := BuildInitialBiTree(pts, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw, err := Open(pts, WithSeed(71))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Close()
-	sessionBase, err := nw.Run(bg, PipelineInit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertResultsIdentical(t, legacyBase, sessionBase)
-
-	legacyGrown, err := legacyBase.JoinPoints(extra, Options{Seed: 72})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sessionGrown, err := nw.Join(bg, sessionBase, extra, WithSeed(72))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertResultsIdentical(t, legacyGrown, sessionGrown)
-
-	victim := 1
-	if victim == legacyGrown.Tree.Root {
-		victim = 2
-	}
-	legacyRepaired, err := legacyGrown.RepairFailures([]int{victim}, Options{Seed: 73})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sessionRepaired, err := sessionGrown.Network().Repair(bg, sessionGrown, []int{victim}, WithSeed(73))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertResultsIdentical(t, legacyRepaired, sessionRepaired)
-
-	link := legacyRepaired.Tree.Up[0].Link
-	legacyLinks, err := legacyRepaired.RepairLinkFailures([]Link{link}, Options{Seed: 74})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sessionLinks, err := sessionRepaired.Network().RepairLinks(bg, sessionRepaired, []Link{link}, WithSeed(74))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertResultsIdentical(t, legacyLinks, sessionLinks)
 }

@@ -1,7 +1,6 @@
 package sinrconn
 
 import (
-	"context"
 	"errors"
 
 	"sinrconn/internal/sinr"
@@ -45,68 +44,6 @@ func DefaultPhysParams() PhysParams {
 	return PhysParams{Alpha: p.Alpha, Beta: p.Beta, Noise: p.Noise}
 }
 
-// Options configures a legacy one-shot pipeline call.
-//
-// Deprecated: Options predates the session API and cannot express an
-// explicit zero (0 always means "use the default"). Open a *Network with
-// functional options (WithPhys, WithSeed, WithWorkers, WithDropProb,
-// WithAutoNormalize, WithBroadcastProb, WithRho) instead.
-type Options struct {
-	// Params are the physical constants; zero value means defaults.
-	Params PhysParams
-	// Seed makes runs reproducible.
-	Seed int64
-	// Workers bounds simulator parallelism (0 = NumCPU).
-	Workers int
-	// DropProb injects reception failures (fading) in [0, 1).
-	DropProb float64
-	// AutoNormalize rescales the input so the minimum pairwise distance is
-	// 1 instead of rejecting un-normalized input.
-	AutoNormalize bool
-	// BroadcastProb overrides the Section 6 broadcast probability p.
-	BroadcastProb float64
-	// Rho overrides the low-degree cap for TreeViaCapacity.
-	Rho int
-}
-
-func (o Options) params() sinr.Params {
-	p := sinr.DefaultParams()
-	if o.Params.Alpha != 0 {
-		p.Alpha = o.Params.Alpha
-	}
-	if o.Params.Beta != 0 {
-		p.Beta = o.Params.Beta
-	}
-	if o.Params.Noise != 0 {
-		p.Noise = o.Params.Noise
-	}
-	return p
-}
-
-// settings converts legacy Options to resolved session settings verbatim
-// (no option-level validation, preserving the legacy pass-through semantics
-// where out-of-range knobs fall back to defaults inside internal/core).
-func (o Options) settings() settings {
-	return settings{
-		phys:          o.params(),
-		seed:          o.Seed,
-		workers:       o.Workers,
-		drop:          o.DropProb,
-		autoNormalize: o.AutoNormalize,
-		broadcastProb: o.BroadcastProb,
-		rho:           o.Rho,
-		cacheSize:     maxCachedResults,
-	}
-}
-
-// standalone builds the pool-less one-shot Network backing a deprecated
-// free-function call: engines spawn and release their own workers per run,
-// exactly as the pre-session code did, so wrapper outputs stay
-// bit-identical while still flowing through the single Network code path.
-func standalone(pts []Point, opt Options) (*Network, error) {
-	return newNetwork(pts, opt.settings())
-}
-
 // Metrics reports the cost of a pipeline run.
 type Metrics struct {
 	// SlotsUsed is the total channel time (simulator slots) the distributed
@@ -144,9 +81,8 @@ type BiTree struct {
 
 	inner *tree.BiTree
 	inst  *sinr.Instance
-	// ff is the far-field plan the construction ran under (flat grid or
-	// quadtree; nil = exact); ffAdaptive whether its engines selected
-	// exact/far per slot. Operations on the result inherit both.
+	// ff is the far-field plan the construction ran under (nil = exact);
+	// ffAdaptive whether its engines selected exact/far per slot. Operations on the result inherit both.
 	ff         sinr.Far
 	ffAdaptive bool
 }
@@ -191,8 +127,7 @@ func (b *BiTree) Verify() error {
 }
 
 // Result bundles a constructed tree with its metrics. Results returned by
-// a Network (directly or through the deprecated wrappers) are bound to
-// their handle: joins, repairs, and physical epochs reuse its instances
+// a Network are bound to their handle: joins, repairs, and physical epochs reuse its instances
 // and worker pool. Results are immutable — every operation returns a fresh
 // one — so a memoized Result may be shared by concurrent callers.
 type Result struct {
@@ -218,6 +153,13 @@ var ErrNotNormalized = errors.New("sinrconn: minimum pairwise distance below 1 (
 // WithAutoNormalize) coincident points. Open and Join return it; retrying
 // cannot help. Test with errors.Is.
 var ErrInvalidGeometry = errors.New("sinrconn: invalid geometry")
+
+// ErrInvalidOption reports an option value outside its documented domain:
+// a drop probability outside [0, 1), physical constants Validate rejects
+// (α below 2, say), a negative result-cache size, an unknown far mode, or an
+// Open-scoped option passed to a run. Open and Run return it; retrying
+// with the same value cannot help. Test with errors.Is.
+var ErrInvalidOption = errors.New("sinrconn: invalid option")
 
 func publicTree(in *sinr.Instance, bt *tree.BiTree, ff sinr.Far, ffAdaptive bool) *BiTree {
 	out := &BiTree{
@@ -250,52 +192,4 @@ func fillLatencies(m *Metrics, bt *tree.BiTree) error {
 	m.AggregationLatency = agg
 	m.BroadcastLatency = bc
 	return nil
-}
-
-// buildPipeline is the shared body of the deprecated one-shot wrappers.
-func buildPipeline(pts []Point, opt Options, p Pipeline) (*Result, error) {
-	nw, err := standalone(pts, opt)
-	if err != nil {
-		return nil, err
-	}
-	//lint:ignore ctxdiscipline deprecated pre-context wrapper; signature frozen, pinned by TestWrapperEquivalence
-	return nw.Run(context.Background(), p)
-}
-
-// BuildInitialBiTree runs the Section 6 construction (Theorem 2).
-//
-// Deprecated: use Open followed by (*Network).Run(ctx, PipelineInit); the
-// handle amortizes geometry validation and the gain table across runs and
-// honors context cancellation. This wrapper re-pays both on every call.
-func BuildInitialBiTree(pts []Point, opt Options) (*Result, error) {
-	return buildPipeline(pts, opt, PipelineInit)
-}
-
-// RescheduleMeanPower runs Section 6 then re-schedules the tree under mean
-// power with the distributed scheduler (Theorem 3). The returned schedule
-// does not necessarily satisfy the bi-tree ordering property, matching the
-// paper's caveat; aggregation/broadcast latencies are therefore not filled.
-//
-// Deprecated: use Open followed by (*Network).Run(ctx,
-// PipelineRescheduleMean).
-func RescheduleMeanPower(pts []Point, opt Options) (*Result, error) {
-	return buildPipeline(pts, opt, PipelineRescheduleMean)
-}
-
-// BuildBiTreeMeanPower runs TreeViaCapacity with Υ-sampled mean-power
-// selection (Theorem 4, second half: O(Υ·log n) schedule slots).
-//
-// Deprecated: use Open followed by (*Network).Run(ctx, PipelineTVCMean).
-func BuildBiTreeMeanPower(pts []Point, opt Options) (*Result, error) {
-	return buildPipeline(pts, opt, PipelineTVCMean)
-}
-
-// BuildBiTreeArbitraryPower runs TreeViaCapacity with Distr-Cap selection
-// and computed per-link powers (Theorem 4, first half: O(log n) schedule
-// slots).
-//
-// Deprecated: use Open followed by (*Network).Run(ctx,
-// PipelineTVCArbitrary).
-func BuildBiTreeArbitraryPower(pts []Point, opt Options) (*Result, error) {
-	return buildPipeline(pts, opt, PipelineTVCArbitrary)
 }

@@ -20,12 +20,25 @@ func uniformPoints(seed int64, n int) []Point {
 	return pts
 }
 
-func TestBuildInitialBiTree(t *testing.T) {
-	pts := uniformPoints(1, 48)
-	res, err := BuildInitialBiTree(pts, Options{Seed: 7})
+// build opens a handle over pts with opts (closed when the test ends) and
+// runs pipeline p on it.
+func build(t testing.TB, pts []Point, p Pipeline, opts ...Option) *Result {
+	t.Helper()
+	nw, err := Open(pts, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { nw.Close() })
+	res, err := nw.Run(bg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func TestBuildInitialBiTree(t *testing.T) {
+	pts := uniformPoints(1, 48)
+	res := build(t, pts, PipelineInit, WithSeed(7))
 	if res.Tree.NumNodes != 48 || len(res.Tree.Up) != 47 {
 		t.Fatalf("tree shape: %d nodes, %d links", res.Tree.NumNodes, len(res.Tree.Up))
 	}
@@ -46,10 +59,7 @@ func TestBuildInitialBiTree(t *testing.T) {
 
 func TestRescheduleMeanPower(t *testing.T) {
 	pts := uniformPoints(2, 40)
-	res, err := RescheduleMeanPower(pts, Options{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := build(t, pts, PipelineRescheduleMean, WithSeed(3))
 	if res.Metrics.ScheduleLength <= 0 {
 		t.Error("no schedule length")
 	}
@@ -65,10 +75,7 @@ func TestRescheduleMeanPower(t *testing.T) {
 
 func TestBuildBiTreeMeanPower(t *testing.T) {
 	pts := uniformPoints(3, 40)
-	res, err := BuildBiTreeMeanPower(pts, Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := build(t, pts, PipelineTVCMean, WithSeed(5))
 	if err := res.Tree.Verify(); err != nil {
 		t.Fatal(err)
 	}
@@ -79,10 +86,7 @@ func TestBuildBiTreeMeanPower(t *testing.T) {
 
 func TestBuildBiTreeArbitraryPower(t *testing.T) {
 	pts := uniformPoints(4, 40)
-	res, err := BuildBiTreeArbitraryPower(pts, Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := build(t, pts, PipelineTVCArbitrary, WithSeed(5))
 	if err := res.Tree.Verify(); err != nil {
 		t.Fatal(err)
 	}
@@ -94,10 +98,7 @@ func TestBuildBiTreeArbitraryPower(t *testing.T) {
 
 func TestTreeAccessors(t *testing.T) {
 	pts := uniformPoints(5, 24)
-	res, err := BuildInitialBiTree(pts, Options{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := build(t, pts, PipelineInit, WithSeed(9))
 	tr := res.Tree
 	if tr.MaxDegree() < 1 {
 		t.Error("MaxDegree < 1")
@@ -122,33 +123,27 @@ func TestTreeAccessors(t *testing.T) {
 }
 
 func TestInputValidation(t *testing.T) {
-	if _, err := BuildInitialBiTree(nil, Options{}); err == nil {
+	if _, err := Open(nil); err == nil {
 		t.Error("empty input accepted")
 	}
 	// Min distance below 1 without AutoNormalize.
 	tooClose := []Point{{0, 0}, {0.5, 0}, {10, 0}}
-	if _, err := BuildInitialBiTree(tooClose, Options{}); !errors.Is(err, ErrNotNormalized) {
+	if _, err := Open(tooClose); !errors.Is(err, ErrNotNormalized) {
 		t.Errorf("err = %v, want ErrNotNormalized", err)
 	}
 	// With AutoNormalize it succeeds.
-	res, err := BuildInitialBiTree(tooClose, Options{AutoNormalize: true, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := build(t, tooClose, PipelineInit, WithAutoNormalize(true), WithSeed(1))
 	if err := res.Tree.Verify(); err != nil {
 		t.Fatal(err)
 	}
 	// Duplicate points can never be normalized.
-	if _, err := BuildInitialBiTree([]Point{{1, 1}, {1, 1}}, Options{AutoNormalize: true}); err == nil {
+	if _, err := Open([]Point{{1, 1}, {1, 1}}, WithAutoNormalize(true)); err == nil {
 		t.Error("duplicate points accepted")
 	}
 }
 
 func TestSingleNode(t *testing.T) {
-	res, err := BuildInitialBiTree([]Point{{3, 4}}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := build(t, []Point{{3, 4}}, PipelineInit)
 	if res.Tree.Root != 0 || len(res.Tree.Up) != 0 {
 		t.Errorf("single-node tree: %+v", res.Tree)
 	}
@@ -156,14 +151,8 @@ func TestSingleNode(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	pts := uniformPoints(6, 32)
-	a, err := BuildBiTreeArbitraryPower(pts, Options{Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := BuildBiTreeArbitraryPower(pts, Options{Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := build(t, pts, PipelineTVCArbitrary, WithSeed(11))
+	b := build(t, pts, PipelineTVCArbitrary, WithSeed(11))
 	if a.Tree.Root != b.Tree.Root || a.Metrics != b.Metrics {
 		t.Fatal("pipeline not deterministic")
 	}
@@ -171,13 +160,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestCustomParams(t *testing.T) {
 	pts := uniformPoints(7, 24)
-	res, err := BuildInitialBiTree(pts, Options{
-		Seed:   1,
-		Params: PhysParams{Alpha: 4, Beta: 2, Noise: 0.5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := build(t, pts, PipelineInit, WithSeed(1), WithPhys(PhysParams{Alpha: 4, Beta: 2, Noise: 0.5}))
 	if err := res.Tree.Verify(); err != nil {
 		t.Fatal(err)
 	}
@@ -192,10 +175,7 @@ func TestDefaultPhysParams(t *testing.T) {
 
 func TestDropInjectionPipeline(t *testing.T) {
 	pts := uniformPoints(8, 24)
-	res, err := BuildInitialBiTree(pts, Options{Seed: 2, DropProb: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := build(t, pts, PipelineInit, WithSeed(2), WithDropProb(0.25))
 	if err := res.Tree.Verify(); err != nil {
 		t.Fatal(err)
 	}

@@ -15,10 +15,7 @@ func TestSoakFullLifecycleLarge(t *testing.T) {
 	const n = 384
 	pts := uniformPoints(90, n)
 
-	res, err := BuildInitialBiTree(pts, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := build(t, pts, PipelineInit, WithSeed(1))
 	if err := res.Tree.Verify(); err != nil {
 		t.Fatal(err)
 	}
@@ -27,10 +24,7 @@ func TestSoakFullLifecycleLarge(t *testing.T) {
 		t.Errorf("construction used %d slots for n=%d", res.Metrics.SlotsUsed, n)
 	}
 
-	refined, err := BuildBiTreeArbitraryPower(pts, Options{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	refined := build(t, pts, PipelineTVCArbitrary, WithSeed(2))
 	if err := refined.Tree.Verify(); err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +41,7 @@ func TestSoakFullLifecycleLarge(t *testing.T) {
 		values[i] = int64(i % 101)
 		want += values[i]
 	}
-	out, err := refined.Aggregate(values, SumAgg, Options{})
+	out, err := refined.Network().Aggregate(bg, refined, values, SumAgg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +67,7 @@ func TestSoakFullLifecycleLarge(t *testing.T) {
 			failed = append(failed, v)
 		}
 	}
-	repaired, err := refined.RepairFailures(failed, Options{Seed: 3})
+	repaired, err := refined.Network().Repair(bg, refined, failed, WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +92,7 @@ func TestSoakFullLifecycleLarge(t *testing.T) {
 			want += vals2[i]
 		}
 	}
-	out, err = repaired.Aggregate(vals2, SumAgg, Options{})
+	out, err = repaired.Network().Aggregate(bg, repaired, vals2, SumAgg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,20 +113,14 @@ func TestSoakHighDeltaChain(t *testing.T) {
 		x += gap
 		gap *= 1.38
 	}
-	res, err := BuildInitialBiTree(pts, Options{Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := build(t, pts, PipelineInit, WithSeed(4))
 	if err := res.Tree.Verify(); err != nil {
 		t.Fatal(err)
 	}
 	if res.Metrics.Delta < 1e6 {
 		t.Fatalf("chain Δ = %v, expected extreme", res.Metrics.Delta)
 	}
-	refined, err := BuildBiTreeMeanPower(pts, Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	refined := build(t, pts, PipelineTVCMean, WithSeed(5))
 	if err := refined.Tree.Verify(); err != nil {
 		t.Fatal(err)
 	}
