@@ -236,20 +236,17 @@ func TestQuadtreeMeasuredError(t *testing.T) {
 }
 
 // quadFootprint is the deterministic memory accounting for one plan plus
-// one engine scratch: node→leaf assignment and the listener batch spec on
-// the plan side; pyramid accumulators, leaf bucketing (streamed
-// coordinates included), marks, and the shard machinery on the scratch
-// side. Slices carry exact element sizes; struct/backing-array overhead
-// is noise at this scale.
+// one engine scratch: the node→leaf assignment on the plan side; pyramid
+// accumulators, child masks, leaf bucketing (streamed coordinates
+// included) and marks on the scratch side. Slices carry exact element
+// sizes; struct/backing-array overhead is noise at this scale.
 func quadFootprint(q *sinr.QuadTree, n int) int {
-	planBytes := 4*n + // leafOf
-		8*n // batchOrder + batchClass (predicate-class listener order)
-	scratchBytes := q.Nodes()*(4+4*8) + // stamp + mass/cenX/cenY/pmax
+	planBytes := 4 * n                    // leafOf
+	scratchBytes := q.Nodes()*(4+4*8+1) + // stamp + mass/cenX/cenY/pmax + kids
 		q.Leaves()*8 + // start/fill
 		8*n + // order + senderMark
 		24*n + // sx/sy/sp streamed leaf coordinates
-		q.Nodes()*4 + // active-list capacity upper bound
-		4*n + q.Leaves()*6 // shardTx + shard arena (Σ 4^ℓ, ℓ = s..L, ≤ 4/3·leaves ids)
+		q.Nodes()*4 // active-list capacity upper bound
 	return planBytes + scratchBytes
 }
 
@@ -291,15 +288,14 @@ func TestQuadtreeBigSlot(t *testing.T) {
 
 // TestQuadtreeMillionSlot is the n = 2²⁰ acceptance gate of the
 // million-node slot engine (DESIGN.md §12): a dense far slot — 524288
-// senders accumulated through the 64-shard parallel path, 524288
-// listeners decoded through run-sliced batched frontiers — completes
-// with zero allocations and delivers, and the plan + scratch footprint
+// senders folded into the pyramid, 524288 listeners each walking it —
+// completes with zero allocations and delivers, and the plan + scratch
+// footprint
 // stays inside the 512 MiB bound the exact path could never meet (its
 // gain table would need 8 TiB). The slot's wall time is logged, not
 // gated: it measures the machine as much as the engine, and the
 // benchmark (BENCH_quadtree.json records ~4 s single-CPU at ε = 2.5) is
-// where speed is judged. -short drops to n = 262144, which still
-// exercises the sharded accumulate and the batched decode.
+// where speed is judged. -short drops to n = 262144.
 func TestQuadtreeMillionSlot(t *testing.T) {
 	n := 1 << 20
 	if testing.Short() {

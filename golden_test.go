@@ -120,10 +120,9 @@ func TestGoldenDigests(t *testing.T) {
 }
 
 // TestGoldenFarDigests pins far-field constructions end to end: an
-// adaptive session whose slots split between the quadtree walk (batched
-// listener decode) and exact decode with on-the-fly path loss, and a
-// forced-quadtree session at n = 1024 whose every slot takes the batched
-// walk. The digests also cover how many slots took each mode, so a change
+// adaptive session whose slots split between the quadtree walk and exact
+// decode with on-the-fly path loss, and a forced-quadtree session at
+// n = 1024 whose every slot takes the walk. The digests also cover how many slots took each mode, so a change
 // that moves a slot between modes is caught even if the tree survives it.
 func TestGoldenFarDigests(t *testing.T) {
 	ctx := context.Background()

@@ -1,18 +1,16 @@
 package experiments
 
-// E20 ablates the million-node slot engine's three switchable layers —
-// listener batching (on/off), aggregate precision (f64/f32), worker
-// count (serial/parallel) — over a dense far-field slot. The Morton
-// pyramid layout is structural (there is no row-major engine left to
-// toggle; the drift gate pins it bit-identical to the PR-8 kernel
-// instead). Two shape checks are Type 1: batching and worker count must
-// not change a single delivered bit within a precision (they are
-// re-schedules of identical arithmetic, DESIGN.md §12), and the f32
-// slot's delivery count must stay within the joint certified band of the
-// f64 slot's (winners are exact in both, so disagreement is bounded to
-// threshold-marginal links). Timing columns are informational — the
-// batching and sharding wins grow with n (BENCH_quadtree.json carries
-// the n = 1048576 headline).
+// E20 ablates the million-node slot engine's two switchable axes —
+// aggregate precision (f64/f32) and worker count (serial/parallel) — over
+// a dense far-field slot. The Morton pyramid layout is structural (there
+// is no row-major engine left to toggle; the drift gate pins it
+// bit-identical to the PR-8 kernel instead). Two shape checks are Type 1:
+// the worker count must not change a single delivered bit within a
+// precision (the pool only re-schedules identical per-listener walks,
+// DESIGN.md §12), and the f32 slot's delivery count must stay within the
+// joint certified band of the f64 slot's (winners are exact in both, so
+// disagreement is bounded to threshold-marginal links). Timing columns
+// are informational.
 
 import (
 	"context"
@@ -27,19 +25,17 @@ import (
 	mrand "math/rand"
 )
 
-// E20SlotEngine ablates batch × precision × workers on a dense slot.
+// E20SlotEngine ablates precision × workers on a dense slot.
 func E20SlotEngine(ctx context.Context, cfg Config) Report {
 	cfg.defaults()
 	r := Report{
 		ID:    "E20",
-		Title: "Slot-engine ablation: listener batching × far precision × workers",
-		Claim: "engineering: batching and sharded accumulation are bit-invisible re-schedules; f32 aggregation trades ~1e-7 certificate inflation for halved aggregate bandwidth",
-		Table: stats.NewTable("precision", "batch", "workers", "ms/slot", "deliveries"),
+		Title: "Slot-engine ablation: far precision × workers",
+		Claim: "engineering: the worker pool is a bit-invisible re-schedule; f32 aggregation trades ~1e-7 certificate inflation for halved aggregate bandwidth",
+		Table: stats.NewTable("precision", "workers", "ms/slot", "deliveries"),
 	}
 	r.Pass = true
-	// 4096 nodes → 2048 senders per dense slot: exactly the sharded
-	// accumulation threshold, so the parallel rows exercise the full
-	// machinery (shards + batched decode) at experiment scale.
+	// 4096 nodes at the default sweep → 2048 senders per dense slot.
 	n := cfg.Sizes[len(cfg.Sizes)-1] * 4
 	rng := mrand.New(mrand.NewSource(41))
 	pts := workload.JitteredGrid(rng, n, 2.6, 0.8)
@@ -51,14 +47,9 @@ func E20SlotEngine(ctx context.Context, cfg Config) Report {
 		return r
 	}
 
-	type cell struct {
-		prec    string
-		noBatch bool
-		workers int
-	}
-	run := func(c cell) (float64, sim.Stats) {
+	run := func(prec string, workers int) (float64, sim.Stats) {
 		var ff sinr.Far = q
-		if c.prec == "f32" {
+		if prec == "f32" {
 			ff = q.Prec32()
 		}
 		power := in.Params().SafePower(4)
@@ -66,9 +57,7 @@ func E20SlotEngine(ctx context.Context, cfg Config) Report {
 		for i := 0; i < n; i++ {
 			procs[i] = &farStepProto{id: i, transmit: i%2 == 0, power: power}
 		}
-		eng, err := sim.NewEngine(in, procs, sim.Config{
-			Workers: c.workers, Far: ff, NoFarBatch: c.noBatch,
-		})
+		eng, err := sim.NewEngine(in, procs, sim.Config{Workers: workers, Far: ff})
 		if err != nil {
 			return math.NaN(), sim.Stats{}
 		}
@@ -86,36 +75,33 @@ func E20SlotEngine(ctx context.Context, cfg Config) Report {
 	}
 	var f64Ref, f32Ref *sim.Stats
 	for _, prec := range []string{"f64", "f32"} {
-		for _, noBatch := range []bool{false, true} {
-			for _, w := range []int{1, workers} {
-				if err := ctx.Err(); err != nil {
-					r.Notes = append(r.Notes, err.Error())
-					r.Pass = false
-					return r
-				}
-				ms, st := run(cell{prec, noBatch, w})
-				r.Table.AddRow(prec,
-					fmt.Sprintf("%v", !noBatch),
-					fmt.Sprintf("%d", w),
-					fmt.Sprintf("%.2f", ms),
-					fmt.Sprintf("%d", st.Deliveries))
-				// Type 1 within a precision: every batch/worker cell is
-				// bit-identical.
-				var ref **sim.Stats
-				if prec == "f64" {
-					ref = &f64Ref
-				} else {
-					ref = &f32Ref
-				}
-				if *ref == nil {
-					cp := st
-					*ref = &cp
-				} else if **ref != st {
-					r.Notes = append(r.Notes, fmt.Sprintf(
-						"%s batch=%v workers=%d drifted from its precision's reference: %+v vs %+v",
-						prec, !noBatch, w, st, **ref))
-					r.Pass = false
-				}
+		for _, w := range []int{1, workers} {
+			if err := ctx.Err(); err != nil {
+				r.Notes = append(r.Notes, err.Error())
+				r.Pass = false
+				return r
+			}
+			ms, st := run(prec, w)
+			r.Table.AddRow(prec,
+				fmt.Sprintf("%d", w),
+				fmt.Sprintf("%.2f", ms),
+				fmt.Sprintf("%d", st.Deliveries))
+			// Type 1 within a precision: every worker count is
+			// bit-identical.
+			var ref **sim.Stats
+			if prec == "f64" {
+				ref = &f64Ref
+			} else {
+				ref = &f32Ref
+			}
+			if *ref == nil {
+				cp := st
+				*ref = &cp
+			} else if **ref != st {
+				r.Notes = append(r.Notes, fmt.Sprintf(
+					"%s workers=%d drifted from its precision's reference: %+v vs %+v",
+					prec, w, st, **ref))
+				r.Pass = false
 			}
 		}
 	}
@@ -132,7 +118,7 @@ func E20SlotEngine(ctx context.Context, cfg Config) Report {
 	}
 	r.Notes = append(r.Notes,
 		"Morton layout has no off switch: TestMortonLayoutDriftGate pins it bit-identical to the transcribed row-major kernel instead",
-		"at the default sweep (n = 4096) the parallel rows accumulate through the 64-shard path (2048 senders = the engine threshold) and decode through run-sliced ResolveBatch; serial rows share only the batched frontier",
+		"every row accumulates the pyramid serially and walks it once per listener; the parallel rows split the listeners across the pool",
 		"f32 certificate inflation over f64 at this geometry: see DESIGN.md §12.4 (≈1e-7, seven orders under ε = 0.1)")
 	return r
 }

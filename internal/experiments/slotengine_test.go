@@ -3,5 +3,5 @@ package experiments
 import "testing"
 
 func TestE20SlotEngine(t *testing.T) {
-	runAndCheck(t, E20SlotEngine(t.Context(), Quick()), 8)
+	runAndCheck(t, E20SlotEngine(t.Context(), Quick()), 4)
 }

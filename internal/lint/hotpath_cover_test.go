@@ -44,24 +44,12 @@ var hotpathGates = map[string]hotpathGate{
 	"internal/sinr.Instance.SINRFeasibleFarBuf": {"TestSINRFeasibleFarBufZeroAlloc", "internal/sinr/alloc_test.go"},
 	"internal/sinr.QuadScratch.Accumulate":      {"TestQuadtreeSlotLoopZeroAlloc", "internal/sim/adaptive_test.go"},
 	"internal/sinr.QuadScratch.Resolve":         {"TestQuadtreeSlotLoopZeroAlloc", "internal/sim/adaptive_test.go"},
-	"internal/sinr.QuadScratch.walk":            {"TestQuadtreeSlotLoopZeroAlloc", "internal/sim/adaptive_test.go"},
 	"internal/sinr.QuadScratch.LinkSINR":        {"TestSINRFeasibleFarBufZeroAlloc", "internal/sinr/alloc_test.go"},
 
-	// PR 9: sharded accumulate, listener batching, and the f32 walk.
-	"internal/sinr.QuadScratch.AccumBegin":    {"TestShardedAccumulateZeroAlloc", "internal/sinr/quadtree_shard_test.go"},
-	"internal/sinr.QuadScratch.AccumShard":    {"TestShardedAccumulateZeroAlloc", "internal/sinr/quadtree_shard_test.go"},
-	"internal/sinr.QuadScratch.AccumFinish":   {"TestShardedAccumulateZeroAlloc", "internal/sinr/quadtree_shard_test.go"},
-	"internal/sinr.QuadScratch.round32Shard":  {"TestShardedAccumulateZeroAlloc", "internal/sinr/quadtree_shard_test.go"},
-	"internal/sinr.QuadScratch.round32Finish": {"TestShardedAccumulateZeroAlloc", "internal/sinr/quadtree_shard_test.go"},
-	"internal/sinr.QuadScratch.ResolveBatch":  {"TestResolveBatchZeroAlloc", "internal/sinr/quadtree_batch_test.go"},
-	"internal/sinr.QuadScratch.resolveChunk":  {"TestResolveBatchZeroAlloc", "internal/sinr/quadtree_batch_test.go"},
+	// The f32 walk.
 	"internal/sinr.QuadScratch.round32Active": {"TestFloat32ResolverZeroAlloc", "internal/sinr/quadtree_f32_test.go"},
 	"internal/sinr.QuadScratch.resolve32":     {"TestFloat32ResolverZeroAlloc", "internal/sinr/quadtree_f32_test.go"},
 	"internal/sinr.QuadScratch.linkSINR32":    {"TestFloat32ResolverZeroAlloc", "internal/sinr/quadtree_f32_test.go"},
-
-	"internal/sim.farSink.DeliverFar":         {"TestQuadtreeSlotLoopZeroAlloc", "internal/sim/adaptive_test.go"},
-	"internal/sim.Engine.buildFarRuns":        {"TestQuadtreeSlotLoopZeroAlloc", "internal/sim/adaptive_test.go"},
-	"internal/sim.Engine.decodeFarBatchRange": {"TestQuadtreeSlotLoopZeroAlloc", "internal/sim/adaptive_test.go"},
 
 	// Per-node streams: the lazy draws before the register exists.
 	"internal/sim.NodeRand.int63":   {"TestNodeRandLazy", "internal/sim/noderand_test.go"},

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,30 +26,36 @@ func (t soakTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return rec.Result(), nil
 }
 
-// TestServeSoak is the concurrency gate: ≥32 concurrent clients fire ≥500
-// requests mixing Run, Join, and Repair, with deliberate mid-flight
-// cancellations and a drain flipped mid-soak, all race-detector clean, and
-// the daemon leaks zero goroutines (before/after runtime.NumGoroutine
-// settle). Run it with -race (the CI daemon lane does).
-func TestServeSoak(t *testing.T) {
-	clients, perClient := 32, 16 // 512 requests
-	if testing.Short() {
-		clients, perClient = 8, 8
-	}
+// soakHeapSlack is how many bytes of live heap the soak may leave behind
+// once the daemon is closed. warmSoak moves the process-wide growth into
+// the baseline, so what is left is the test's own bookkeeping and a few
+// KiB of runtime noise. One leaked deployment of the soak's 28 points
+// holds about 30 KiB even after its Network is closed.
+const soakHeapSlack = 16 << 10
 
-	// Record the baseline before the daemon exists.
-	settleGoroutines(t)
+// settledHeap returns the live heap after two collections: the first frees
+// the garbage, the second empties the sync.Pool victim caches the first
+// left behind.
+func settledHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
 
-	srv := New(Config{})
-	hc := &http.Client{Transport: soakTransport{srv.Handler()}}
-	base := "http://soak.invalid"
+// soakBase is the URL prefix of the in-process daemon.
+const soakBase = "http://soak.invalid"
 
-	post := func(ctx context.Context, path string, in, out any) (int, error) {
+// soakPoster returns a JSON POST helper over hc: it decodes a successful
+// response into out (when non-nil) and turns a 4xx/5xx into an error.
+func soakPoster(hc *http.Client) func(ctx context.Context, path string, in, out any) (int, error) {
+	return func(ctx context.Context, path string, in, out any) (int, error) {
 		body, err := json.Marshal(in)
 		if err != nil {
 			return 0, err
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(body))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, soakBase+path, bytes.NewReader(body))
 		if err != nil {
 			return 0, err
 		}
@@ -68,9 +75,81 @@ func TestServeSoak(t *testing.T) {
 		}
 		return resp.StatusCode, nil
 	}
+}
 
+// warmSoak grows the process-wide state the soak would otherwise grow
+// for the first time: it runs one open, run, join, repair and close on a
+// throwaway daemon over pts (filling the encoding/json, net/http and
+// reflect caches), then parks and releases more goroutines than the soak
+// runs at once (the runtime never frees a goroutine descriptor).
+func warmSoak(t *testing.T, pts [][2]float64) {
+	t.Helper()
+	var wg sync.WaitGroup
+	release := make(chan struct{})
+	for i := 0; i < 256; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-release
+		}()
+	}
+	close(release)
+	wg.Wait()
+
+	srv := New(Config{})
+	defer srv.Close()
+	hc := &http.Client{Transport: soakTransport{srv.Handler()}}
+	post := soakPoster(hc)
+	ctx := context.Background()
+	var open OpenResponse
+	if _, err := post(ctx, "/v1/sessions", OpenRequest{Points: pts}, &open); err != nil {
+		t.Fatal(err)
+	}
+	sbase := "/v1/sessions/" + open.SessionID
+	var run, join RunResponse
+	if _, err := post(ctx, sbase+"/run", RunRequest{Pipeline: "init-uniform", Options: OptionsJSON{Seed: 1}}, &run); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := post(ctx, sbase+"/join", JoinRequest{ResultID: run.ResultID, Points: [][2]float64{{60, 60}}}, &join); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := post(ctx, sbase+"/repair", RepairRequest{ResultID: join.ResultID, Failed: []int{0}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, soakBase+sbase, nil)
+	resp, err := hc.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+}
+
+// TestServeSoak is the concurrency gate: ≥32 concurrent clients fire ≥500
+// requests mixing Run, Join, and Repair, with deliberate mid-flight
+// cancellations and a drain flipped mid-soak, all race-detector clean; the
+// daemon leaks zero goroutines (before/after runtime.NumGoroutine settle)
+// and, once closed, retains at most soakHeapSlack bytes of live heap while
+// the Server value itself is still reachable. Run it with -race (the CI
+// daemon lane does).
+func TestServeSoak(t *testing.T) {
+	clients, perClient := 32, 16 // 512 requests
+	if testing.Short() {
+		clients, perClient = 8, 8
+	}
+
+	// Record the baselines before the daemon exists. A throwaway daemon
+	// first runs each operation once, so caches anywhere in the process
+	// that fill on first use are already in the heap baseline.
+	settleGoroutines(t)
 	ctx := context.Background()
 	pts := testPoints(42, 28)
+	warmSoak(t, pts)
+	heapBefore := settledHeap()
+
+	srv := New(Config{})
+	hc := &http.Client{Transport: soakTransport{srv.Handler()}}
+	post := soakPoster(hc)
 	var (
 		wg        sync.WaitGroup
 		requests  atomic.Int64
@@ -155,7 +234,7 @@ func TestServeSoak(t *testing.T) {
 					srv.Drain()
 				}
 			}
-			req, _ := http.NewRequest(http.MethodDelete, base+sbase, nil)
+			req, _ := http.NewRequest(http.MethodDelete, soakBase+sbase, nil)
 			if resp, err := hc.Do(req); err == nil {
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
@@ -181,6 +260,17 @@ func TestServeSoak(t *testing.T) {
 
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// Heap settle: Close must let go of every deployment, session and
+	// result. srv stays reachable until the reading is taken, so whatever
+	// the closed daemon still points at counts against it.
+	heapAfter := settledHeap()
+	runtime.KeepAlive(srv)
+	if retained := int64(heapAfter) - int64(heapBefore); retained > soakHeapSlack {
+		t.Fatalf("closed daemon retains %d KiB of live heap (before %d KiB, after %d KiB), slack %d KiB",
+			retained>>10, heapBefore>>10, heapAfter>>10, soakHeapSlack>>10)
+	} else {
+		t.Logf("heap settle: %d KiB retained after Close (slack %d KiB)", retained>>10, soakHeapSlack>>10)
 	}
 	// Goroutine settle: everything the daemon spawned (worker pools,
 	// singleflight leaders, canceled runs) must be gone — enforced by

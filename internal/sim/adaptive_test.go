@@ -114,15 +114,11 @@ func TestAdaptiveModeSelection(t *testing.T) {
 // TestAdaptiveDriftGate is the bit-identity gate of the satellite spec: a
 // run with adaptive selection enabled must be bit-identical — stats,
 // deliveries, and every Delivery field — to a run forcing the chosen mode
-// per slot through the replay hook. The sharded-accumulate threshold is
-// forced to 1 so the adaptive far slots run the full PR-9 machinery
-// (64-shard parallel accumulate + run-sliced batched decode) against a
-// replay doing the same — the calibration re-measured after the Morton
-// relayout left DefaultAdaptiveCrossover at 768 (see engine.go), and this
-// gate pins that the selection layer stays a pure re-schedule above it.
+// per slot through the replay hook. Both runs decode on a two-worker
+// pool — the calibration re-measured after the Morton relayout left
+// DefaultAdaptiveCrossover at 768 (see engine.go), and this gate pins that
+// the selection layer stays a pure re-schedule above it.
 func TestAdaptiveDriftGate(t *testing.T) {
-	defer func(old int) { shardedAccumMinTxs = old }(shardedAccumMinTxs)
-	shardedAccumMinTxs = 1
 	const n, slots = 256, 14
 	var modes []bool
 	a, arecs := adaptiveEngine(t, n, true, Config{
@@ -218,36 +214,38 @@ func TestQuadtreeEngineMatchesExactDeliveries(t *testing.T) {
 }
 
 // TestQuadtreeSlotLoopZeroAlloc asserts the quadtree slot loop — adaptive
-// and per-listener (NoFarBatch) decode included — keeps the exact path's
-// zero-allocation steady state, serial and pooled. An observer counts the
+// decode included — keeps the exact path's zero-allocation steady state,
+// serial and pooled (the pooled far slot decodes through stageDecode). An observer counts the
 // modes of the measured slots: the bursty workload must put both far slots
 // and exact slots (the adaptive engine's on-the-fly path loss) inside the
 // measured window.
 func TestQuadtreeSlotLoopZeroAlloc(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, adaptive := range []bool{false, true} {
-			for _, noBatch := range []bool{false, true} {
-				var far, exact int
-				obs := func(ev SlotEvent) {
-					if ev.Far {
-						far++
-					} else if ev.Senders > 0 {
-						exact++
-					}
+			var far, exact int
+			obs := func(ev SlotEvent) {
+				if ev.Far {
+					far++
+				} else if ev.Senders > 0 {
+					exact++
 				}
-				e, _ := adaptiveEngine(t, 256, false, Config{Workers: workers, Adaptive: adaptive, AdaptiveCrossover: 64, NoFarBatch: noBatch, Observer: obs})
-				e.Run(8)
-				far, exact = 0, 0
-				allocs := testing.AllocsPerRun(50, func() { e.Step() })
-				e.Close()
-				if allocs != 0 {
-					t.Fatalf("workers=%d adaptive=%v noBatch=%v: quadtree steady-state Step allocates %.1f times/op, want 0",
-						workers, adaptive, noBatch, allocs)
-				}
-				if far == 0 || (adaptive && exact == 0) {
-					t.Fatalf("workers=%d adaptive=%v noBatch=%v: measured %d far and %d exact slots; the window must cover every mode the engine can take",
-						workers, adaptive, noBatch, far, exact)
-				}
+			}
+			e, _ := adaptiveEngine(t, 256, false, Config{Workers: workers, Adaptive: adaptive, AdaptiveCrossover: 64, Observer: obs})
+			e.Run(8)
+			far, exact = 0, 0
+			allocs := testing.AllocsPerRun(50, func() { e.Step() })
+			pooled := e.pool != nil
+			e.Close()
+			if allocs != 0 {
+				t.Fatalf("workers=%d adaptive=%v: quadtree steady-state Step allocates %.1f times/op, want 0",
+					workers, adaptive, allocs)
+			}
+			if far == 0 || (adaptive && exact == 0) {
+				t.Fatalf("workers=%d adaptive=%v: measured %d far and %d exact slots; the window must cover every mode the engine can take",
+					workers, adaptive, far, exact)
+			}
+			if pooled != (workers > 1) {
+				t.Fatalf("workers=%d adaptive=%v: engine pooled = %v", workers, adaptive, pooled)
 			}
 		}
 	}

@@ -313,9 +313,8 @@ func BenchmarkExactSlot(b *testing.B) {
 // BenchmarkFarSlot times one far slot at init-far-16k's shape: n = 16384
 // on a JitteredGrid(2.6, 0.8), an adaptive ε = 1 quadtree plan, and 2521
 // senders (two in every 13 nodes, so gaps of 6 and 7) — past the adaptive
-// crossover, so the slot accumulates the pyramid and walks it at every
-// listener through the batched decode. At two workers the sender count
-// also clears shardedAccumMinTxs, so accumulation runs sharded.
+// crossover, so the slot accumulates the pyramid and walks it once at
+// every listener.
 func BenchmarkFarSlot(b *testing.B) {
 	const n = 16384
 	for _, workers := range []int{1, 2} {

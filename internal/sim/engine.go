@@ -163,12 +163,6 @@ type Config struct {
 	// (DefaultAdaptiveCrossover) above which an adaptive slot resolves
 	// far-field. Zero selects the default.
 	AdaptiveCrossover int
-	// NoFarBatch disables the shared-frontier batched decode on far-field
-	// plans that support it (the quadtree), forcing the per-listener Resolve
-	// walk instead. The two paths are bit-identical
-	// (TestListenerBatchDriftGate); the knob exists for that gate's replay
-	// and for the E20 ablation, not for production tuning.
-	NoFarBatch bool
 
 	// forceFar, when set (tests only), overrides per-slot mode selection:
 	// the slot resolves far-field iff it returns true (and Far is set
@@ -186,9 +180,9 @@ type Config struct {
 // higher per-visit cost than a gain multiply), so aggregation only pays
 // once nodes hold many senders each. Measured on the jittered-grid bench
 // geometry with uniformly spread senders (BenchmarkAdaptiveCrossover,
-// BENCH_quadtree.json), and re-measured after the Morton relayout and
-// batched decode: at n = 65536 the exact and quadtree per-slot curves
-// still cross between 512 and 1024 senders at ε = 0.5 and ε = 2.5 alike
+// BENCH_quadtree.json), and re-measured after the Morton relayout: at
+// n = 65536 the exact and quadtree per-slot curves still cross between
+// 512 and 1024 senders at ε = 0.5 and ε = 2.5 alike
 // (ε = 0.5: 268 ms exact vs 282 ms quad at S = 512, 456 vs 345 at
 // S = 1024), and the crossing count is only weakly n-dependent (both
 // sides scale with the listener count; the walk adds one pyramid level
@@ -236,43 +230,6 @@ type SlotEvent struct {
 // Observer receives a SlotEvent after every slot. Observers run on the
 // engine goroutine; they must not call back into the engine.
 type Observer func(SlotEvent)
-
-// shardedAccumMinTxs is the sender count above which a slot's pyramid
-// accumulation is dispatched across the pool as shards instead of running
-// serially. Below it the per-dispatch synchronization (two channel rounds
-// plus a WaitGroup) costs more than the fold it parallelizes. The sharded
-// result is bit-identical to the serial one
-// (TestShardedAccumulateDeterminism), so the threshold only moves time,
-// never output. A var only so the engine drift test can force the sharded
-// path at test scale.
-var shardedAccumMinTxs = 2048
-
-// farSharder is the optional sharded-accumulation face of a far-field
-// resolver (implemented by the quadtree scratch): AccumBegin/AccumShard×k/
-// AccumFinish replaces Accumulate with a pool-parallel fold whose result is
-// bit-identical.
-type farSharder interface {
-	AccumShards() int
-	AccumBegin([]sinr.Tx)
-	AccumShard(int, []sinr.Tx)
-	AccumFinish()
-}
-
-// farBatchPlanner is the optional listener-batching face of a far-field
-// plan (implemented by *sinr.QuadTree): BatchSpec orders the nodes by
-// shared-frontier predicate class, NewBatchState allocates walk state for
-// one concurrent ResolveBatch user.
-type farBatchPlanner interface {
-	BatchSpec() (order, class []int32)
-	NewBatchState() *sinr.BatchState
-}
-
-// farBatchResolver is the resolver half of listener batching: ResolveBatch
-// resolves a same-class run of listeners through one shared frontier,
-// bit-identical to per-listener Resolve.
-type farBatchResolver interface {
-	ResolveBatch(*sinr.BatchState, []int32, sinr.BatchSink)
-}
 
 // shard holds one worker's slot counters, padded to a cache line so
 // concurrent workers never contend on the same line. The shards are summed
@@ -346,31 +303,13 @@ type Engine struct {
 
 	// Far-field approximation state (nil in exact mode). The resolver is
 	// engine-private: Accumulate fills it serially each slot, the parallel
-	// decode stage only reads it (both plans keep per-listener walk state
-	// on the goroutine stack).
+	// decode stage only reads it (Resolve keeps its walk state on the
+	// goroutine stack, so workers share the resolver).
 	far       sinr.Far
 	farScr    sinr.FarResolver
 	adaptive  bool
 	crossover int
 	farSlot   bool // current slot resolves far-field (set serially in Step)
-
-	// Sharded accumulation (nil unless farScr supports it and a pool
-	// exists): dense slots fold the pyramid across the pool.
-	farShard farSharder
-	// Listener batching (nil unless the plan supports it and Config.
-	// NoFarBatch is unset): far slots decode through shared frontiers.
-	// farOrder/farClass are the plan's static batch spec; farVs/farB are
-	// the slot's listening nodes in batch order and the class-run starts
-	// into farVs (with a trailing sentinel), rebuilt serially each far
-	// slot; farBS/farSinks hold one walk state and counter sink per
-	// worker.
-	farBatch farBatchResolver
-	farOrder []int32
-	farClass []int32
-	farVs    []int32
-	farB     []int32
-	farBS    []*sinr.BatchState
-	farSinks []farSink
 
 	shards  []shard
 	pool    *Pool // nil when the engine runs serially
@@ -418,22 +357,12 @@ func NewEngine(inst *sinr.Instance, procs []Protocol, cfg Config) (*Engine, erro
 		e.live = append(e.live, int32(i))
 	}
 	live := len(e.live)
-	var batchPlan farBatchPlanner
 	if cfg.Far != nil {
 		if cfg.Far.Instance() != inst {
 			return nil, fmt.Errorf("sim: far-field plan built from a different instance")
 		}
 		e.far = cfg.Far
 		e.farScr = cfg.Far.NewResolver()
-		if fs, ok := e.farScr.(farSharder); ok && fs.AccumShards() > 1 {
-			e.farShard = fs
-		}
-		if bp, ok := cfg.Far.(farBatchPlanner); ok && !cfg.NoFarBatch {
-			if br, ok := e.farScr.(farBatchResolver); ok {
-				batchPlan = bp
-				e.farBatch = br
-			}
-		}
 		if cfg.Adaptive {
 			e.adaptive = true
 			e.crossover = cfg.AdaptiveCrossover
@@ -463,17 +392,6 @@ func NewEngine(inst *sinr.Instance, procs []Protocol, cfg Config) (*Engine, erro
 	}
 	e.lis = make([]int32, 0, live)
 	e.acc = make([]listenAcc, live)
-	if e.farBatch != nil {
-		e.farOrder, e.farClass = batchPlan.BatchSpec()
-		e.farVs = make([]int32, 0, n)
-		e.farB = make([]int32, 0, n+1)
-		e.farBS = make([]*sinr.BatchState, len(e.shards))
-		e.farSinks = make([]farSink, len(e.shards))
-		for k := range e.farBS {
-			e.farBS[k] = batchPlan.NewBatchState()
-			e.farSinks[k] = farSink{e: e, sh: &e.shards[k]}
-		}
-	}
 	return e, nil
 }
 
@@ -523,8 +441,7 @@ func (e *Engine) Step() {
 
 	// Stage 2: collect the sender set and the listeners, in ascending node
 	// order, and drop the nodes that left from live in place (which keeps
-	// it ascending). A departed node's action becomes Idle, the action it
-	// keeps for good, so later scans of actions see an idle node.
+	// it ascending).
 	e.txs = e.txs[:0]
 	e.lis = e.lis[:0]
 	kept := 0
@@ -536,7 +453,6 @@ func (e *Engine) Step() {
 		case ActionListen:
 			e.lis = append(e.lis, i)
 		case ActionLeave:
-			a.Kind = ActionIdle
 			continue
 		}
 		e.live[kept] = i
@@ -568,38 +484,19 @@ func (e *Engine) Step() {
 		e.farSlot = e.cfg.forceFar(e.slot, len(e.txs)) && len(e.txs) > 0
 	}
 	if e.farSlot && len(e.lis) > 0 {
-		if e.farShard != nil && e.pool != nil && len(e.txs) >= shardedAccumMinTxs {
-			// Sharded fold across the pool, bit-identical to the serial
-			// Accumulate: a serial counting sort by shard, a parallel fold
-			// of each shard's subtree, a serial cross-shard merge.
-			e.farShard.AccumBegin(e.txs)
-			e.pool.dispatch(e, stageFarAccum)
-			e.farShard.AccumFinish()
-		} else {
-			e.farScr.Accumulate(e.txs)
-		}
+		e.farScr.Accumulate(e.txs)
 	}
 
 	// Stage 3: decode at every listener left (parallel). Each listener
 	// decodes the strongest sender if its SINR clears β. Counters land in
-	// per-worker shards; no lock is taken. Exact slots decode sender-major, streaming
-	// each sender's gain row across the listeners (decodeExact); pooled
-	// engines give each worker a contiguous share of lis. Far slots on a
-	// batching plan group the listeners by predicate class (serially, from
-	// the plan's static spec) and walk each class run through one shared
-	// frontier — bit-identical to the per-listener walks.
+	// per-worker shards; no lock is taken. Exact slots decode sender-major,
+	// streaming each sender's gain row across the listeners (decodeExact);
+	// far slots walk the plan once per listener (decodeListenerFar). Pooled
+	// engines give each worker a contiguous share of lis.
 	if len(e.txs) > 0 && len(e.lis) > 0 {
-		switch {
-		case e.farSlot && e.farBatch != nil:
-			e.buildFarRuns()
-			if e.pool != nil {
-				e.pool.dispatch(e, stageDecodeFarBatch)
-			} else {
-				e.decodeFarBatchRange(0, len(e.farVs), 0)
-			}
-		case e.pool != nil:
+		if e.pool != nil {
 			e.pool.dispatch(e, stageDecode)
-		default:
+		} else {
 			e.decodeRange(0, len(e.lis), &e.shards[0])
 		}
 	}
@@ -702,7 +599,7 @@ func (e *Engine) decodeExact(lo, hi int, sh *shard) {
 }
 
 // decodeListenerFar resolves reception at listener i through the far-field
-// plan: the winner and its received power are exact (both plans refine any
+// plan: the winner and its received power are exact (the plan refines any
 // aggregate that could hide the strongest sender), the interference total
 // is approximate within the plan's certified ε, and everything downstream —
 // the β cut, drop injection, delivery bookkeeping — is the shared exact
@@ -719,82 +616,6 @@ func (e *Engine) decodeListenerFar(i int, sh *shard) {
 		return
 	}
 	e.finishDecode(i, best, bestRP, total, sh)
-}
-
-// farSink adapts one worker's decode tail to sinr.BatchSink: ResolveBatch
-// hands it per-listener results in batch order and it applies the same
-// saturation/no-signal/β-cut handling as decodeListenerFar. The sinks live
-// in Engine.farSinks so passing one through the interface never allocates.
-type farSink struct {
-	e  *Engine
-	sh *shard
-}
-
-// DeliverFar implements sinr.BatchSink.
-//sinr:hotpath
-func (s *farSink) DeliverFar(v, best int, bestRP, total float64, saturated bool) {
-	if saturated {
-		s.sh.collided++
-		return
-	}
-	if best < 0 {
-		return
-	}
-	s.e.finishDecode(v, best, bestRP, total, s.sh)
-}
-
-// buildFarRuns collects the slot's listening nodes in the plan's batch
-// order into farVs and records each predicate-class run's start in farB
-// (trailing sentinel = len(farVs)). Serial, O(n), allocation-free (both
-// slices were sized for the whole node set at construction).
-//sinr:hotpath
-func (e *Engine) buildFarRuns() {
-	e.farVs = e.farVs[:0]
-	e.farB = e.farB[:0]
-	prev := int32(-1)
-	for pos, node := range e.farOrder {
-		if e.actions[node].Kind != ActionListen {
-			continue
-		}
-		if c := e.farClass[pos]; c != prev {
-			e.farB = append(e.farB, int32(len(e.farVs)))
-			prev = c
-		}
-		e.farVs = append(e.farVs, node)
-	}
-	e.farB = append(e.farB, int32(len(e.farVs)))
-}
-
-// decodeFarBatchRange decodes the listeners farVs[lo:hi) as worker k,
-// splitting the range at class-run boundaries so every ResolveBatch call
-// honors the one-class contract. Each listener's result is independent of
-// how runs are split across workers (batched ≡ solo per listener), so any
-// partition of farVs decodes identically.
-//sinr:hotpath
-func (e *Engine) decodeFarBatchRange(lo, hi, k int) {
-	if lo >= hi {
-		return
-	}
-	sink := &e.farSinks[k]
-	bs := e.farBS[k]
-	// The last run containing lo: greatest r with farB[r] ≤ lo.
-	l, h := 0, len(e.farB)-2
-	for l < h {
-		m := (l + h + 1) >> 1
-		if int(e.farB[m]) <= lo {
-			l = m
-		} else {
-			h = m - 1
-		}
-	}
-	for r := l; lo < hi; r++ {
-		end := int(e.farB[r+1])
-		if end > hi {
-			end = hi
-		}
-		e.farBatch.ResolveBatch(bs, e.farVs[lo:end], sink)
-		lo = end
-	}
 }
 
 // finishDecode is the decode tail shared by the exact and far-field paths:

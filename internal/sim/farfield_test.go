@@ -1,8 +1,9 @@
 package sim
 
-// Far-field engine config and saturation suite: the engine refuses a plan
-// built over another instance, and a co-located transmitter drowns the
-// channel on the far-field path exactly as on the exact one.
+// Far-field engine config, saturation and determinism suite: the engine
+// refuses a plan built over another instance, a co-located transmitter
+// drowns the channel on the far-field path exactly as on the exact one,
+// and the float32 far slot is worker-count independent bit for bit.
 
 import (
 	"math/rand"
@@ -73,5 +74,63 @@ func TestFarFieldSaturation(t *testing.T) {
 	}
 	if st.Collisions == 0 {
 		t.Fatal("saturation not recorded as collisions")
+	}
+}
+
+// assertRunsEqual compares two engine runs delivery-by-delivery.
+func assertRunsEqual(t *testing.T, label string, aGot, bGot [][]Delivery, aStats, bStats Stats) {
+	t.Helper()
+	if aStats != bStats {
+		t.Fatalf("%s: stats diverged: %+v vs %+v", label, aStats, bStats)
+	}
+	for i := range aGot {
+		if len(aGot[i]) != len(bGot[i]) {
+			t.Fatalf("%s: node %d: %d vs %d deliveries", label, i, len(aGot[i]), len(bGot[i]))
+		}
+		for k := range aGot[i] {
+			if aGot[i][k] != bGot[i][k] {
+				t.Fatalf("%s: node %d delivery %d: %+v vs %+v", label, i, k, aGot[i][k], bGot[i][k])
+			}
+		}
+	}
+}
+
+// TestEngineFar32DriftGate: the float32 far slot decoded across a worker
+// pool must not drift from its own serial run — every Delivery and every
+// Stats field bit-identical (f32 vs f64 accuracy is certified separately
+// in internal/sinr; here the claim is determinism of the f32 path itself).
+func TestEngineFar32DriftGate(t *testing.T) {
+	const n, slots = 256, 14
+	run := func(workers int) ([][]Delivery, Stats) {
+		pts := workload.JitteredGrid(rand.New(rand.NewSource(17)), n, 3, 0.8)
+		in := sinr.MustInstance(pts, sinr.DefaultParams())
+		power := in.Params().SafePower(4)
+		procs := make([]Protocol, n)
+		recs := make([]*recordProto, n)
+		for i := 0; i < n; i++ {
+			recs[i] = &recordProto{inner: &burstProto{id: i, power: power}}
+			procs[i] = recs[i]
+		}
+		q, err := in.QuadTree(0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewEngine(in, procs, Config{Workers: workers, Far: q.Prec32()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		e.Run(slots)
+		got := make([][]Delivery, n)
+		for i, r := range recs {
+			got[i] = r.got
+		}
+		return got, e.Stats()
+	}
+
+	refGot, refStats := run(1)
+	for _, workers := range []int{2, 4} {
+		got, stats := run(workers)
+		assertRunsEqual(t, "f32 pooled vs f32 serial", refGot, got, refStats, stats)
 	}
 }

@@ -204,9 +204,7 @@ func (c *cellIndex) hears(p geom.Point) bool {
 }
 
 // gateListeners drops from lis, which stays ascending, every listener
-// with no sender closer than the listen range, and turns its action to
-// Idle for the rest of the slot, so the far-field batch runs that
-// buildFarRuns collects from the actions skip it too. Such a listener's
+// with no sender closer than the listen range. Such a listener's
 // strongest sender, if it decodes one at all, is out of range, so
 // finishDecode would discard the reception without counting it.
 //sinr:hotpath
@@ -217,7 +215,6 @@ func (e *Engine) gateListeners() {
 	kept := 0
 	for _, v := range e.lis {
 		if !c.hears(pts[v]) {
-			e.actions[v].Kind = ActionIdle
 			continue
 		}
 		e.lis[kept] = v

@@ -145,12 +145,11 @@ func latticePoints(side int, d float64) []geom.Point {
 // definition: a ranged engine's inboxes equal an unranged engine's with
 // every delivery at Dist ≥ r removed, bit for bit, and its counters do not
 // depend on whether the listener gate ran. It covers the gain table,
-// on-the-fly exact decode, batched and per-listener far-field decode,
-// serial and pooled engines and drops, over a jittered grid, a lattice
-// whose points sit on cell boundaries with senders at exactly r and at
-// math.Nextafter(r, 0), duplicate points, and a chain with Δ = 2⁴⁰ whose
-// cell coordinates overflow, so the engine falls back to decoding every
-// listener.
+// on-the-fly exact decode, far-field decode, serial and pooled engines
+// and drops, over a jittered grid, a lattice whose points sit on cell
+// boundaries with senders at exactly r and at math.Nextafter(r, 0),
+// duplicate points, and a chain with Δ = 2⁴⁰ whose cell coordinates
+// overflow, so the engine falls back to decoding every listener.
 func TestListenRangeMatchesFilter(t *testing.T) {
 	const slots = 16
 	quad := func(in *sinr.Instance) *sinr.QuadTree {
@@ -192,8 +191,7 @@ func TestListenRangeMatchesFilter(t *testing.T) {
 			{Workers: 4, Far: q, Adaptive: true, AdaptiveCrossover: 1 << 30, DropProb: 0.2, Seed: 3},
 			{Workers: 1, Far: q},
 			{Workers: 4, Far: q, DropProb: 0.2, Seed: 3},
-			{Workers: 1, Far: q, NoFarBatch: true},
-			{Workers: 4, Far: q, NoFarBatch: true},
+			{Workers: 4, Far: q},
 			{Workers: 4, Far: q, Adaptive: true, AdaptiveCrossover: 40},
 		}
 	}
@@ -219,8 +217,8 @@ func TestListenRangeMatchesFilter(t *testing.T) {
 	for _, c := range cases {
 		for _, r := range c.rs {
 			for ci, cfg := range c.cfgs {
-				label := fmt.Sprintf("%s r=%v cfg %d (workers=%d far=%v batch=%v drop=%v)",
-					c.name, r, ci, cfg.Workers, cfg.Far != nil, !cfg.NoFarBatch, cfg.DropProb)
+				label := fmt.Sprintf("%s r=%v cfg %d (workers=%d far=%v drop=%v)",
+					c.name, r, ci, cfg.Workers, cfg.Far != nil, cfg.DropProb)
 				ref, gated, cut := checkListenRange(t, label, c.in, cfg, 11, slots, r)
 				if cut == 0 || gated.stats.Deliveries == 0 {
 					t.Fatalf("%s: the range cut %d and kept %d deliveries; want both", label, cut, gated.stats.Deliveries)
@@ -318,7 +316,6 @@ func FuzzListenRange(f *testing.F) {
 				t.Fatal(err)
 			}
 			cfg.Far = q
-			cfg.NoFarBatch = mode&8 != 0
 		}
 		checkListenRange(t, "fuzz", in, cfg, seed, 8, r)
 	})

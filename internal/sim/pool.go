@@ -13,13 +13,6 @@ type stage uint8
 const (
 	stageStep stage = iota + 1
 	stageDecode
-	// stageFarAccum folds the slot's pyramid shards: worker k takes shards
-	// k, k+w, k+2w, … — every shard runs exactly once, on some worker, and
-	// shard writes are disjoint, so any assignment yields the same pyramid.
-	stageFarAccum
-	// stageDecodeFarBatch decodes the slot's listeners (farVs, in batch
-	// order) through shared frontiers, chunked contiguously per worker.
-	stageDecodeFarBatch
 )
 
 // job is one unit of pool work: run a stage of engine e over this worker's
@@ -80,14 +73,6 @@ func (p *Pool) work(k int) {
 		case stageDecode:
 			lo, hi := chunkRange(len(e.lis), w, k)
 			e.decodeRange(lo, hi, &e.shards[k])
-		case stageFarAccum:
-			nsh := e.farShard.AccumShards()
-			for s := k; s < nsh; s += w {
-				e.farShard.AccumShard(s, e.txs)
-			}
-		case stageDecodeFarBatch:
-			lo, hi := chunkRange(len(e.farVs), w, k)
-			e.decodeFarBatchRange(lo, hi, k)
 		}
 		e.stageWG.Done()
 	}

@@ -36,8 +36,7 @@ package sinr
 // normalized once at the end, so every level's centroid is the exact
 // power-weighted centroid of the senders below it — which lies in their
 // convex hull, hence inside the node's square: the only property the error
-// bound needs. Dense slots can split the pass across spatial shards
-// (quadtree_shard.go) with bit-identical results.
+// bound needs.
 //
 // Opening criterion. For a node of side s, every member lies within
 // R = s·√2 of the node's centroid (both are inside the square). With D the
@@ -228,14 +227,6 @@ type QuadTree struct {
 	// into the walks (bit-identical to PowAlphaSq; see PathLoss).
 	pl     PathLoss
 	leafOf []int32 // node(point) → leaf-local id (Morton code at level L)
-	// Listener predicate classes for frontier-sharing batch resolution
-	// (quadtree_batch.go): batchOrder lists every instance node sorted by
-	// class key (stable by node id), batchClass the key at the same
-	// position. Two nodes with equal keys take identical nearest-child
-	// decisions at every pyramid node, so their proximity-first walks are
-	// the same tree and can share one opened frontier.
-	batchOrder []int32
-	batchClass []int32
 
 	f32       *QuadTreeF32
 	scratches *sync.Pool
@@ -297,7 +288,6 @@ func newQuadTree(in *Instance, maxRelErr float64) (*QuadTree, error) {
 	for i, p := range in.pts {
 		q.leafOf[i] = q.bin(p)
 	}
-	q.buildBatchSpec()
 	q.f32 = newQuadTreeF32(q)
 	q.scratches = &sync.Pool{New: func() any { return q.NewScratch() }}
 	return q, nil
@@ -319,71 +309,6 @@ func (q *QuadTree) bin(p geom.Point) int32 {
 		ty = q.leafDim - 1
 	}
 	return MortonEncode(tx, ty)
-}
-
-// edgeClass returns the largest grid line index j ∈ [0, leafDim] whose
-// coordinate o + j·cell does not exceed v — computed with the exact float
-// expression the walks compare against. Every nearest-child midline at
-// every level equals o + j·cell for some j (the node side is cell scaled
-// by a power of two, so float64(2x+1)·side rounds identically to
-// float64(j)·cell for j = (2x+1)·2^m — same real product, same rounding),
-// so two points with equal edgeClass on both axes take identical
-// nearest-child decisions at every pyramid node. The floor seed can land
-// an ulp off the float comparison; the fixup loops repair it against the
-// comparison expression itself.
-func (q *QuadTree) edgeClass(v, o float64) int32 {
-	dim := q.leafDim
-	j := int32(math.Floor((v - o) / q.cell))
-	if j < 0 {
-		j = 0
-	} else if j > dim {
-		j = dim
-	}
-	for j < dim && o+float64(j+1)*q.cell <= v {
-		j++
-	}
-	for j > 0 && o+float64(j)*q.cell > v {
-		j--
-	}
-	return j
-}
-
-// buildBatchSpec sorts the instance's nodes by predicate class (counting
-// sort, stable by node id) — the static schedule ResolveBatch groups
-// listeners by.
-func (q *QuadTree) buildBatchSpec() {
-	n := len(q.in.pts)
-	kdim := int32(q.leafDim) + 1
-	nk := int(kdim) * int(kdim)
-	keys := make([]int32, n)
-	cnt := make([]int32, nk+1)
-	for i, p := range q.in.pts {
-		k := q.edgeClass(p.Y, q.oy)*kdim + q.edgeClass(p.X, q.ox)
-		keys[i] = k
-		cnt[k+1]++
-	}
-	for k := 1; k <= nk; k++ {
-		cnt[k] += cnt[k-1]
-	}
-	ord := make([]int32, n)
-	cls := make([]int32, n)
-	for i := 0; i < n; i++ {
-		k := keys[i]
-		pos := cnt[k]
-		cnt[k] = pos + 1
-		ord[pos] = int32(i)
-		cls[pos] = k
-	}
-	q.batchOrder, q.batchClass = ord, cls
-}
-
-// BatchSpec returns the plan's static listener batching schedule: every
-// instance node sorted by predicate class, plus the class key per
-// position. A maximal run of equal keys may be resolved through one shared
-// frontier (ResolveBatch); the engine slices runs out of this order each
-// slot instead of re-deriving them.
-func (q *QuadTree) BatchSpec() (order, class []int32) {
-	return q.batchOrder, q.batchClass
 }
 
 // Instance returns the instance the plan was built over.
@@ -420,7 +345,7 @@ func (q *QuadTree) OpenRadius2(lvl int) float64 { return q.openRad2[lvl] }
 // quarter of the root square's side: the opened-leaf disk then covers
 // ≥ π/16 ≈ 20% of the instance, and the walk's exact scans plus pyramid
 // overhead measurably undercut plain exact resolution (measured boundary,
-// re-validated against the Morton layout and batched decode: at ε = 0.1
+// re-validated against the Morton layout: at ε = 0.1
 // the n = 65536 walk, horizon/side ≈ 0.34, still runs 1.12× slower than
 // exact — down from 1.33× pre-Morton, same sign — while n = 262144,
 // horizon/side ≈ 0.17, wins 1.28× more than before; BENCH_quadtree.json).
@@ -457,8 +382,8 @@ func (q *QuadTree) ReleaseResolver(sc FarResolver) {
 
 // extendTo reuses the plan for an instance grown by Extend: when every
 // appended point falls inside the root square, only the new points are
-// binned and the batch schedule rebuilt (O(new + n)); otherwise the grown
-// instance rebuilds its plan lazily.
+// binned (O(new), plus an O(n) copy of the old binning); otherwise the
+// grown instance rebuilds its plan lazily.
 func (q *QuadTree) extendTo(out *Instance) (*QuadTree, bool) {
 	n := len(q.in.pts)
 	m := len(out.pts)
@@ -475,7 +400,6 @@ func (q *QuadTree) extendTo(out *Instance) (*QuadTree, bool) {
 	for i := n; i < m; i++ {
 		nq.leafOf[i] = nq.bin(out.pts[i])
 	}
-	nq.buildBatchSpec()
 	nq.f32 = newQuadTreeF32(&nq)
 	nq.scratches = &sync.Pool{New: func() any { return nq.NewScratch() }}
 	return &nq, true
@@ -523,9 +447,8 @@ type quadNode struct {
 // epoch-stamped pyramid records and child-occupancy masks, per-level
 // active lists, and the leaf bucketing for exact scans. One scratch
 // belongs to one concurrent user; all buffers are allocated once at
-// NewScratch so the per-slot Accumulate/Resolve cycle allocates nothing
-// (the sharded-accumulate arena is lazily allocated on first use and
-// reused after). Resolve and LinkSINR keep their DFS stacks on the
+// NewScratch so the per-slot Accumulate/Resolve cycle allocates nothing.
+// Resolve and LinkSINR keep their DFS stacks on the
 // goroutine stack, so concurrent listeners may share one scratch
 // read-only.
 type QuadScratch struct {
@@ -562,22 +485,7 @@ type QuadScratch struct {
 	mass32 []float32
 	cenX32 []float32
 	cenY32 []float32
-	// Sharded-accumulate state (quadtree_shard.go), lazily allocated by
-	// the first AccumBegin.
-	shardS      int     // shard level s: shards are the level-s subtrees
-	shardTx     []int32 // tx indices counting-sorted by shard (stable)
-	shardArena  []int32 // per-level, per-shard active segments (Morton ids)
-	shardABase  []int32 // arena offset of each level s..L
-	shardCnt    [][]int32
-	shardSeg    [maxAccumShards + 1]int32
-	shardList   [maxAccumShards]int32
-	shardN      int
-	shardsReady bool
 }
-
-// maxAccumShards caps the sharded-accumulate fan-out: shards are the
-// subtrees rooted at level s = min(3, L), at most 4³ = 64 of them.
-const maxAccumShards = 64
 
 // NewScratch allocates per-slot state for the plan.
 func (q *QuadTree) NewScratch() *QuadScratch {
@@ -787,34 +695,16 @@ func (sc *QuadScratch) Resolve(v int, txs []Tx) (best int, bestRP, total float64
 	if sc.stamp[0] != sc.epoch {
 		return -1, 0, 0, false // no senders accumulated
 	}
-	pv := sc.q.in.pts[v]
-	b, bestRP, total, saturated := sc.walk(pv.X, pv.Y, quadFrame{}, -1, 0, 0)
-	if saturated {
-		return -1, 0, 0, true
-	}
-	return int(b), bestRP, total, false
-}
-
-// walk is the one proximity-first Resolve walk: it resolves the listener
-// at (px, py) over the subtree of node f, folding into the running winner
-// (best, an index into the slot's txs), its received power and the total.
-// Resolve starts it at the root with nothing folded; the batched decode
-// (quadtree_batch.go) starts it at the frame where a listener leaves the
-// shared frontier, with that listener's accumulators. f is tested like
-// any popped node — a tail's seed node already failed that test for this
-// listener and fails it again, with the same inputs, so it opens. It
-// reports saturated on a zero-distance sender; the other returns are then
-// meaningless.
-//sinr:hotpath
-func (sc *QuadScratch) walk(px, py float64, f quadFrame, best int32, bestRP, total float64) (int32, float64, float64, bool) {
 	q := sc.q
 	pl := q.pl
 	refine := q.refineFac
+	pv := q.in.pts[v]
+	px, py := pv.X, pv.Y
 	l := int32(q.levels)
 	leafOff := q.levelOff[l]
+	b := int32(-1)
 	var stack [quadStackCap]quadFrame
-	stack[0] = f
-	top := 1
+	top := 1 // stack[0] is the root
 	for top > 0 {
 		top--
 		f := stack[top]
@@ -847,7 +737,7 @@ func (sc *QuadScratch) walk(px, py float64, f quadFrame, best int32, bestRP, tot
 				total += rp
 				if rp > bestRP {
 					bestRP = rp
-					best = sc.order[si]
+					b = sc.order[si]
 				}
 			}
 			continue
@@ -863,7 +753,7 @@ func (sc *QuadScratch) walk(px, py float64, f quadFrame, best int32, bestRP, tot
 			}
 		}
 	}
-	return best, bestRP, total, false
+	return int(b), bestRP, total, false
 }
 
 // nearChild returns the child c ∈ 0..3 of the opened node f nearest to

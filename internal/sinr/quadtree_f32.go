@@ -130,38 +130,11 @@ func (sc *QuadScratch) round32(g int32) {
 }
 
 // round32Active rounds every active node's aggregates into the f32 mirror
-// (serial Accumulate tail).
+// (Accumulate's tail).
 //sinr:hotpath
 func (sc *QuadScratch) round32Active() {
 	q := sc.q
 	for lvl := 0; lvl <= q.levels; lvl++ {
-		off := q.levelOff[lvl]
-		for _, t := range sc.active[lvl] {
-			sc.round32(off + t)
-		}
-	}
-}
-
-// round32Shard rounds a shard's normalized levels (s+1..L) into the f32
-// mirror (AccumShard tail; level s and above are rounded by AccumFinish).
-//sinr:hotpath
-func (sc *QuadScratch) round32Shard(sh int) {
-	q := sc.q
-	s := sc.shardS
-	for lvl := s + 1; lvl <= q.levels; lvl++ {
-		off := q.levelOff[lvl]
-		abase := sc.shardABase[lvl] + int32(sh)<<(2*uint(lvl-s))
-		for k := int32(0); k < sc.shardCnt[lvl][sh]; k++ {
-			sc.round32(off + sc.shardArena[abase+k])
-		}
-	}
-}
-
-// round32Finish rounds levels 0..s into the f32 mirror (AccumFinish tail).
-//sinr:hotpath
-func (sc *QuadScratch) round32Finish() {
-	q := sc.q
-	for lvl := 0; lvl <= sc.shardS; lvl++ {
 		off := q.levelOff[lvl]
 		for _, t := range sc.active[lvl] {
 			sc.round32(off + t)
