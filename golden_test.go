@@ -168,3 +168,93 @@ func TestGoldenFarDigests(t *testing.T) {
 		})
 	}
 }
+
+// TestGoldenDynamicDigests pins the dynamic operations on the golden
+// deployment's Init tree (n = 256, seed 7): Network.Join of points beyond
+// the grid's right edge, Network.Repair of an interior node and of the
+// root, Network.RepairLinks, and a churn trace with mobility, which drives
+// MoveIncremental.
+func TestGoldenDynamicDigests(t *testing.T) {
+	ctx := context.Background()
+	nw, err := sinrconn.Open(goldenPoints(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	base, err := nw.Run(ctx, sinrconn.PipelineInit, sinrconn.WithSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := sinrconn.WithSeed(7)
+
+	// The interior node is the smallest-index non-root node with a child,
+	// so its failure orphans at least one subtree and a join runs.
+	interior := -1
+	for _, l := range base.Tree.Up {
+		if v := l.Link.To; v != base.Tree.Root && (interior < 0 || v < interior) {
+			interior = v
+		}
+	}
+	ops := []struct {
+		name string
+		run  func() (*sinrconn.Result, error)
+		want uint64
+	}{
+		{"join", func() (*sinrconn.Result, error) {
+			return nw.Join(ctx, base, []sinrconn.Point{{X: 41.6, Y: 1.3}, {X: 41.6, Y: 13}, {X: 44.2, Y: 26}}, seed)
+		}, 0x3b3e2b48209faafc},
+		{"repair-interior", func() (*sinrconn.Result, error) {
+			return nw.Repair(ctx, base, []int{interior}, seed)
+		}, 0x43430ee1b3ad6b8c},
+		{"repair-root", func() (*sinrconn.Result, error) {
+			return nw.Repair(ctx, base, []int{base.Tree.Root}, seed)
+		}, 0x312eb9ff5bba3837},
+		{"repair-links", func() (*sinrconn.Result, error) {
+			up := base.Tree.Up
+			return nw.RepairLinks(ctx, base, []sinrconn.Link{up[0].Link, up[len(up)/2].Link}, seed)
+		}, 0xe07e5c6eb2e8f265},
+	}
+	for _, op := range ops {
+		r, err := op.run()
+		if err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		if r.Metrics.SlotsUsed == 0 {
+			t.Fatalf("%s: no protocol slots ran — the digest tests no re-attachment", op.name)
+		}
+		d := newDigest()
+		d.tree(r)
+		if got := d.h.Sum64(); got != op.want {
+			t.Errorf("%s: digest %#x, want %#x", op.name, got, op.want)
+		}
+	}
+
+	rep, err := nw.Churn(ctx, sinrconn.TraceSpec{
+		Seed:     7,
+		Events:   24,
+		JoinRate: 1,
+		FailRate: 1,
+		MoveRate: 2,
+		Mobility: sinrconn.MobilityWaypoint,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := rep.Stats
+	if s.Moves == 0 || s.NodesMoved == 0 {
+		t.Fatalf("mobility trace moved no tree node: %+v", s)
+	}
+	d := newDigest()
+	d.tree(rep.Final)
+	for _, v := range []int{
+		s.Events, s.Joins, s.Fails, s.Moves, s.NodesFailed, s.NodesMoved,
+		s.IncrementalRepairs, s.Restamps, s.Rebuilds, s.Retries,
+		s.Compactions, s.SlotsUsed, s.PeakScheduleLength,
+	} {
+		d.int(v)
+	}
+	const wantMove = 0x33c7f0893a038df3
+	if got := d.h.Sum64(); got != wantMove {
+		t.Errorf("move churn: digest %#x, want %#x", got, uint64(wantMove))
+	}
+}
