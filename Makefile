@@ -16,8 +16,9 @@ vet:
 # allocation sources, replay determinism, context/error discipline. The
 # benchmark (cmd/bench) is a module of its own that `./...` does not enter,
 # so its analyzers and tests run here too. Offline and cached; a clean tree
-# finishes in seconds.
+# finishes in seconds. gofmt gates the whole tree, cmd/bench included.
 lint:
+	test -z "$$(gofmt -l .)"
 	$(GO) run ./cmd/sinrlint ./...
 	$(GO) test -count=1 ./internal/lint/...
 	$(GO) run ./cmd/sinrlint -C cmd/bench ./...

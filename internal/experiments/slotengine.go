@@ -18,11 +18,11 @@ import (
 	"math"
 	"time"
 
+	mrand "math/rand"
 	"sinrconn/internal/sim"
 	"sinrconn/internal/sinr"
 	"sinrconn/internal/stats"
 	"sinrconn/internal/workload"
-	mrand "math/rand"
 )
 
 // E20SlotEngine ablates precision × workers on a dense slot.

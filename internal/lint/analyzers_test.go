@@ -51,4 +51,3 @@ func TestFaultsFixture(t *testing.T) {
 		"sinrconn/internal/faults",
 	)
 }
-

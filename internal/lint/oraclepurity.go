@@ -17,13 +17,13 @@ const oraclePkg = "sinrconn/internal/oracle"
 // path the oracle exists to check, so importing it would make the trust
 // anchor circular.
 var oracleAllowedImports = map[string]bool{
-	"errors":                  true,
-	"fmt":                     true,
-	"math":                    true,
-	"sort":                    true,
-	"sinrconn/internal/geom":  true,
-	"sinrconn/internal/phys":  true,
-	"sinrconn/internal/tree":  true,
+	"errors":                 true,
+	"fmt":                    true,
+	"math":                   true,
+	"sort":                   true,
+	"sinrconn/internal/geom": true,
+	"sinrconn/internal/phys": true,
+	"sinrconn/internal/tree": true,
 }
 
 // oracleBannedCalls are fast-path entry points the oracle must not call even

@@ -16,16 +16,16 @@ func helper() {}
 //
 //sinr:hotpath
 func Hot(s *scratch, in []int) int {
-	lit := []int{1, 2}        // want `slice/map literal allocates`
-	tmp := make([]int, 4)     // want `make allocates`
-	p := new(scratch)         // want `new allocates`
-	q := &scratch{}           // want `&composite literal escapes to the heap`
-	f := func() int { return 1 } // want `closure allocates its captures`
-	go helper()               // want `go statement allocates a goroutine`
-	defer helper()            // want `defer has per-call overhead`
-	label := s.name + "!"     // want `string concatenation allocates`
+	lit := []int{1, 2}                // want `slice/map literal allocates`
+	tmp := make([]int, 4)             // want `make allocates`
+	p := new(scratch)                 // want `new allocates`
+	q := &scratch{}                   // want `&composite literal escapes to the heap`
+	f := func() int { return 1 }      // want `closure allocates its captures`
+	go helper()                       // want `go statement allocates a goroutine`
+	defer helper()                    // want `defer has per-call overhead`
+	label := s.name + "!"             // want `string concatenation allocates`
 	msg := fmt.Sprintf("%d", len(in)) // want `fmt.Sprintf allocates`
-	lit = append(lit, 3) // want `append to a local slice may grow`
+	lit = append(lit, 3)              // want `append to a local slice may grow`
 	var boxed any
 	boxed = any(len(in)) // want `conversion to interface boxes the value`
 	_ = boxed

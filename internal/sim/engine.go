@@ -421,6 +421,7 @@ func (e *Engine) Instance() *sinr.Instance { return e.inst }
 func (e *Engine) Live() int { return len(e.live) }
 
 // Step executes one slot: gather actions, resolve the channel, deliver.
+//
 //sinr:hotpath
 func (e *Engine) Step() {
 	// Fault site sim.slot.slow: stall the whole slot. Timing only — the
@@ -526,6 +527,7 @@ func (e *Engine) Step() {
 }
 
 // stepRange runs stage 1 for the live nodes live[lo:hi].
+//
 //sinr:hotpath
 func (e *Engine) stepRange(lo, hi int) {
 	slot := e.slot
@@ -537,6 +539,7 @@ func (e *Engine) stepRange(lo, hi int) {
 
 // decodeRange runs stage 3 for the listeners lis[lo:hi], accumulating
 // counters into sh.
+//
 //sinr:hotpath
 func (e *Engine) decodeRange(lo, hi int, sh *shard) {
 	if e.farSlot {
@@ -560,6 +563,7 @@ func (e *Engine) decodeRange(lo, hi int, sh *shard) {
 // scan computes. The strongest sender is decoded iff its SINR ≥ β; its
 // distance (for Delivery.Dist) is computed once, only for an actual
 // delivery.
+//
 //sinr:hotpath
 func (e *Engine) decodeExact(lo, hi int, sh *shard) {
 	lis, acc := e.lis[lo:hi], e.acc[lo:hi]
@@ -604,6 +608,7 @@ func (e *Engine) decodeExact(lo, hi int, sh *shard) {
 // is approximate within the plan's certified ε, and everything downstream —
 // the β cut, drop injection, delivery bookkeeping — is the shared exact
 // tail.
+//
 //sinr:hotpath
 func (e *Engine) decodeListenerFar(i int, sh *shard) {
 	best, bestRP, total, saturated := e.farScr.Resolve(i, e.txs)
@@ -625,6 +630,7 @@ func (e *Engine) decodeListenerFar(i int, sh *shard) {
 // ≥ range ends the reception before anything is counted, so a listener the
 // gate dropped and one it kept but which hears only out-of-range senders
 // leave the same trace: none.
+//
 //sinr:hotpath
 func (e *Engine) finishDecode(i, best int, bestRP, total float64, sh *shard) {
 	tx := e.txs[best]

@@ -137,6 +137,7 @@ func (c *cellIndex) reset(pts []geom.Point, r float64, maxSenders int) {
 
 // cell returns the cell coordinates of p, shifted by one so that the
 // neighbours of every cell have non-negative coordinates as well.
+//
 //sinr:hotpath
 func (c *cellIndex) cell(p geom.Point) (cx, cy uint64) {
 	return uint64((p.X-c.ox)*c.inv) + 1, uint64((p.Y-c.oy)*c.inv) + 1
@@ -144,6 +145,7 @@ func (c *cellIndex) cell(p geom.Point) (cx, cy uint64) {
 
 // find returns the table entry holding key, or the empty entry where it
 // would go.
+//
 //sinr:hotpath
 func (c *cellIndex) find(key uint64) int {
 	mask := len(c.tab) - 1
@@ -156,6 +158,7 @@ func (c *cellIndex) find(key uint64) int {
 
 // build indexes the senders of one slot: a counting pass over the table,
 // a prefix pass that turns counts into ranges, and a fill pass.
+//
 //sinr:hotpath
 func (c *cellIndex) build(pts []geom.Point, txs []sinr.Tx) {
 	size := 16
@@ -189,6 +192,7 @@ func (c *cellIndex) build(pts []geom.Point, txs []sinr.Tx) {
 
 // hears reports whether some sender of the indexed slot is closer than r
 // to the listener at p, by the distance Instance.Dist computes.
+//
 //sinr:hotpath
 func (c *cellIndex) hears(p geom.Point) bool {
 	cx, cy := c.cell(p)
@@ -207,6 +211,7 @@ func (c *cellIndex) hears(p geom.Point) bool {
 // with no sender closer than the listen range. Such a listener's
 // strongest sender, if it decodes one at all, is out of range, so
 // finishDecode would discard the reception without counting it.
+//
 //sinr:hotpath
 func (e *Engine) gateListeners() {
 	pts := e.inst.Points()

@@ -206,6 +206,7 @@ func (in *Instance) SINRFeasible(links []Link, powers []float64) (bool, error) {
 
 // SINRFeasibleBuf is SINRFeasible with a caller-provided Tx scratch buffer,
 // reused when its capacity suffices, so hot validators allocate nothing.
+//
 //sinr:hotpath
 func (in *Instance) SINRFeasibleBuf(links []Link, powers []float64, scratch []Tx) (bool, error) {
 	if len(links) != len(powers) {

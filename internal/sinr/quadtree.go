@@ -543,6 +543,7 @@ func (sc *QuadScratch) beginEpoch() uint32 {
 // then each level into its parents in first-touch order (setting the
 // parents' child masks), then one centroid normalization sweep over the
 // active nodes. O(len(txs) + occupied nodes), allocation-free.
+//
 //sinr:hotpath
 func (sc *QuadScratch) Accumulate(txs []Tx) {
 	q := sc.q
@@ -687,6 +688,7 @@ type quadFrame struct {
 // degenerating the walk toward an exact scan. The order depends only on
 // the listener's coordinates and the static node geometry, so runs stay
 // deterministic and worker-count independent.
+//
 //sinr:hotpath
 func (sc *QuadScratch) Resolve(v int, txs []Tx) (best int, bestRP, total float64, saturated bool) {
 	if sc.prec32 {
@@ -787,6 +789,7 @@ func (f quadFrame) child(c int32) quadFrame {
 // aggregated ancestor that absorbs it; txs must contain at most one entry
 // per sender (the per-slot schedule invariant). The exact SINR lies within
 // [·(1−ε), ·(1+ε)] of the returned value for ε = CertifiedMaxRelError.
+//
 //sinr:hotpath
 func (sc *QuadScratch) LinkSINR(txs []Tx, l Link, pu float64) float64 {
 	if sc.prec32 {
@@ -911,6 +914,7 @@ func checkDistinctSenders(mark []uint32, epoch *uint32, links []Link) error {
 // ≥ β·(1−ε)/(1+ε) on every link. Nothing flips silently: the band is fixed
 // by f.CertifiedMaxRelError and ε = 0 (f == nil) is the exact check. sc
 // must be a resolver of f.
+//
 //sinr:hotpath
 func (in *Instance) SINRFeasibleFarBuf(links []Link, powers []float64, f Far, scratch []Tx, sc FarResolver) (bool, error) {
 	if f == nil {

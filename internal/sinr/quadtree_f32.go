@@ -131,6 +131,7 @@ func (sc *QuadScratch) round32(g int32) {
 
 // round32Active rounds every active node's aggregates into the f32 mirror
 // (Accumulate's tail).
+//
 //sinr:hotpath
 func (sc *QuadScratch) round32Active() {
 	q := sc.q
@@ -146,6 +147,7 @@ func (sc *QuadScratch) round32Active() {
 // structure and child order, with node decisions reading
 // float64(float32(agg)) and the widened refinement bound. Leaf scans and
 // therefore the winner stay exact float64.
+//
 //sinr:hotpath
 func (sc *QuadScratch) resolve32(v int) (best int, bestRP, total float64, saturated bool) {
 	q := sc.q
@@ -206,6 +208,7 @@ func (sc *QuadScratch) resolve32(v int) (best int, bestRP, total float64, satura
 
 // linkSINR32 is LinkSINR over the float32 aggregate mirror; the oracle
 // transcription is QuadLinkSINR32.
+//
 //sinr:hotpath
 func (sc *QuadScratch) linkSINR32(txs []Tx, l Link, pu float64) float64 {
 	q := sc.q
