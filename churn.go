@@ -396,18 +396,15 @@ func (nw *Network) Churn(ctx context.Context, trace TraceSpec, opts ...ChurnOpti
 		}
 	}
 
-	m := Metrics{
+	final, err := nw.derive(d.in).finishResult(d.in, d.bt, Metrics{
 		SlotsUsed:      d.stats.SlotsUsed,
 		ScheduleLength: d.bt.NumSlots(),
-		Upsilon:        d.in.Upsilon(),
-		Delta:          d.in.Delta(),
-	}
-	if err := fillLatencies(&m, d.bt); err != nil {
+	}, d.ff, d.adaptive)
+	if err != nil {
 		return nil, err
 	}
-	grown := nw.derive(d.in)
 	return &ChurnReport{
-		Final: grown.newResult(d.in, d.bt, m, d.ff, d.adaptive),
+		Final: final,
 		Stats: d.stats,
 		Soft:  d.soft,
 	}, nil

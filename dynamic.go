@@ -15,6 +15,7 @@ import (
 	"sinrconn/internal/geom"
 	"sinrconn/internal/serve/cache"
 	"sinrconn/internal/sinr"
+	"sinrconn/internal/tree"
 )
 
 // checkBound rejects a Result that is not bound to the receiver Network
@@ -44,6 +45,23 @@ func (nw *Network) opSettings(opts []RunOption) (settings, error) {
 	return s, nil
 }
 
+// beginResultOp admits a join or repair of r: r must be bound to nw, the
+// handle open, and opts free of WithPhys. The caller must call done once
+// the operation has finished.
+func (nw *Network) beginResultOp(r *Result, opts []RunOption) (s settings, done func(), err error) {
+	if err := nw.checkBound(r); err != nil {
+		return s, nil, err
+	}
+	if done, err = nw.beginOp(); err != nil {
+		return s, nil, err
+	}
+	if s, err = nw.opSettings(opts); err != nil {
+		done()
+		return s, nil, err
+	}
+	return s, done, nil
+}
+
 // Join attaches newly awakened nodes at newPts to r's bi-tree,
 // distributedly (members acknowledge, joiners ladder through distance
 // classes — see core.Join). The new nodes receive indices starting at the
@@ -60,18 +78,11 @@ func (nw *Network) opSettings(opts []RunOption) (settings, error) {
 // Network over the enlarged point set — reachable via Result.Network() —
 // which shares this handle's pool and needs no separate Close.
 func (nw *Network) Join(ctx context.Context, r *Result, newPts []Point, opts ...RunOption) (*Result, error) {
-	if err := nw.checkBound(r); err != nil {
-		return nil, err
-	}
-	done, err := nw.beginOp()
+	s, done, err := nw.beginResultOp(r, opts)
 	if err != nil {
 		return nil, err
 	}
 	defer done()
-	s, err := nw.opSettings(opts)
-	if err != nil {
-		return nil, err
-	}
 	if len(newPts) == 0 {
 		return nil, errors.New("sinrconn: no points to join")
 	}
@@ -105,33 +116,16 @@ func (nw *Network) Join(ctx context.Context, r *Result, newPts []Point, opts ...
 	}
 	pool, release := nw.acquirePool()
 	defer release()
-	jres, err := core.Join(ctx, in, oldTree, joiners, core.InitConfig{
-		BroadcastProb: s.broadcastProb,
-		Seed:          s.seed,
-		Workers:       s.workers,
-		DropProb:      s.drop,
-		Pool:          pool,
-		Far:           ff,
-		Adaptive:      adaptive,
-		Observer:      s.observer,
-	})
+	jres, err := core.Join(ctx, in, oldTree, joiners, initConfig(s, pool, ff, adaptive))
 	if err != nil {
 		return nil, err
 	}
-	bt := jres.Tree
-	m := Metrics{
+	return nw.derive(in).finishResult(in, jres.Tree, Metrics{
 		SlotsUsed:      jres.SlotsUsed,
-		ScheduleLength: bt.NumSlots(),
+		ScheduleLength: jres.Tree.NumSlots(),
 		Rounds:         jres.Rounds,
-		Upsilon:        in.Upsilon(),
-		Delta:          in.Delta(),
 		Energy:         jres.Stats.Energy,
-	}
-	if err := fillLatencies(&m, bt); err != nil {
-		return nil, err
-	}
-	grown := nw.derive(in)
-	return grown.newResult(in, bt, m, ff, adaptive), nil
+	}, ff, adaptive)
 }
 
 // derive builds the Network bound to a join-grown instance: same settings,
@@ -157,53 +151,9 @@ func (nw *Network) derive(in *sinr.Instance) *Network {
 // stays bound to this Network (the point set is unchanged; failed nodes
 // simply no longer appear in the tree).
 func (nw *Network) Repair(ctx context.Context, r *Result, failed []int, opts ...RunOption) (*Result, error) {
-	if err := nw.checkBound(r); err != nil {
-		return nil, err
-	}
-	done, err := nw.beginOp()
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-	s, err := nw.opSettings(opts)
-	if err != nil {
-		return nil, err
-	}
-	if len(failed) == 0 {
-		return nil, errors.New("sinrconn: no failed nodes given")
-	}
-	in := r.Tree.inst
-	ff, adaptive, err := opFarField(r, in, s)
-	if err != nil {
-		return nil, err
-	}
-	pool, release := nw.acquirePool()
-	defer release()
-	rres, err := core.Repair(ctx, in, r.Tree.inner, failed, core.InitConfig{
-		BroadcastProb: s.broadcastProb,
-		Seed:          s.seed,
-		Workers:       s.workers,
-		DropProb:      s.drop,
-		Pool:          pool,
-		Far:           ff,
-		Adaptive:      adaptive,
-		Observer:      s.observer,
+	return nw.repair(r, opts, "nodes", len(failed), func(in *sinr.Instance, bt *tree.BiTree, cfg core.InitConfig) (*core.RepairResult, error) {
+		return core.Repair(ctx, in, bt, failed, cfg)
 	})
-	if err != nil {
-		return nil, err
-	}
-	bt := rres.Tree
-	m := Metrics{
-		SlotsUsed:      rres.SlotsUsed,
-		ScheduleLength: rres.ScheduleLength,
-		Upsilon:        in.Upsilon(),
-		Delta:          in.Delta(),
-		Energy:         rres.Stats.Energy,
-	}
-	if err := fillLatencies(&m, bt); err != nil {
-		return nil, err
-	}
-	return nw.newResult(in, bt, m, ff, adaptive), nil
 }
 
 // RepairLinks handles permanent link failures: the given tree links have
@@ -212,55 +162,42 @@ func (nw *Network) Repair(ctx context.Context, r *Result, failed []int, opts ...
 // protocol — explicitly forbidden from re-forming the failed links — and
 // the schedule is recomputed.
 func (nw *Network) RepairLinks(ctx context.Context, r *Result, links []Link, opts ...RunOption) (*Result, error) {
-	if err := nw.checkBound(r); err != nil {
-		return nil, err
-	}
-	done, err := nw.beginOp()
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-	s, err := nw.opSettings(opts)
-	if err != nil {
-		return nil, err
-	}
-	if len(links) == 0 {
-		return nil, errors.New("sinrconn: no failed links given")
-	}
-	in := r.Tree.inst
 	failed := make([]sinr.Link, len(links))
 	for i, l := range links {
 		failed[i] = sinr.Link{From: l.From, To: l.To}
 	}
+	return nw.repair(r, opts, "links", len(failed), func(in *sinr.Instance, bt *tree.BiTree, cfg core.InitConfig) (*core.RepairResult, error) {
+		return core.RepairLinks(ctx, in, bt, failed, cfg)
+	})
+}
+
+// repair is the body Repair and RepairLinks share: fix runs the core
+// repair of n failed nodes or links (what; none is an error) on r's tree
+// under the operation's settings, on this session's pool.
+func (nw *Network) repair(r *Result, opts []RunOption, what string, n int,
+	fix func(*sinr.Instance, *tree.BiTree, core.InitConfig) (*core.RepairResult, error)) (*Result, error) {
+	s, done, err := nw.beginResultOp(r, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer done()
+	if n == 0 {
+		return nil, fmt.Errorf("sinrconn: no failed %s given", what)
+	}
+	in := r.Tree.inst
 	ff, adaptive, err := opFarField(r, in, s)
 	if err != nil {
 		return nil, err
 	}
 	pool, release := nw.acquirePool()
 	defer release()
-	rres, err := core.RepairLinks(ctx, in, r.Tree.inner, failed, core.InitConfig{
-		BroadcastProb: s.broadcastProb,
-		Seed:          s.seed,
-		Workers:       s.workers,
-		DropProb:      s.drop,
-		Pool:          pool,
-		Far:           ff,
-		Adaptive:      adaptive,
-		Observer:      s.observer,
-	})
+	rres, err := fix(in, r.Tree.inner, initConfig(s, pool, ff, adaptive))
 	if err != nil {
 		return nil, err
 	}
-	bt := rres.Tree
-	m := Metrics{
+	return nw.finishResult(in, rres.Tree, Metrics{
 		SlotsUsed:      rres.SlotsUsed,
 		ScheduleLength: rres.ScheduleLength,
-		Upsilon:        in.Upsilon(),
-		Delta:          in.Delta(),
 		Energy:         rres.Stats.Energy,
-	}
-	if err := fillLatencies(&m, bt); err != nil {
-		return nil, err
-	}
-	return nw.newResult(in, bt, m, ff, adaptive), nil
+	}, ff, adaptive)
 }

@@ -15,13 +15,36 @@ import (
 	"sinrconn/internal/faults"
 )
 
-// TestFaultInjectorResultsUnchanged runs the same construction with and
-// without delay-class faults (slow slots, stalled workers) lit at high
-// rates and requires identical trees: injection sites on the compute
-// path are observational only.
+// TestFaultInjectorResultsUnchanged runs the same construction, and then
+// a Join, a Repair and a RepairLinks on it, with and without delay-class
+// faults (slow slots, stalled workers) lit at high rates and requires
+// identical trees: injection sites on the compute path are observational
+// only. Each operation must also reach the slow-slot site, so the injector
+// is really threaded through every one of them.
 func TestFaultInjectorResultsUnchanged(t *testing.T) {
 	pts := uniformPoints(61, 40)
-	run := func(inj faults.Injector) *Result {
+	far := Point{}
+	for _, p := range pts {
+		far.X, far.Y = max(far.X, p.X+3), max(far.Y, p.Y+3)
+	}
+	type op struct {
+		name string
+		run  func(nw *Network, base *Result) (*Result, error)
+	}
+	ops := []op{
+		{"join", func(nw *Network, base *Result) (*Result, error) {
+			return nw.Join(bg, base, []Point{far}, WithSeed(3))
+		}},
+		{"repair", func(nw *Network, base *Result) (*Result, error) {
+			return nw.Repair(bg, base, []int{interiorNode(t, base)}, WithSeed(3))
+		}},
+		{"repair-links", func(nw *Network, base *Result) (*Result, error) {
+			return nw.RepairLinks(bg, base, []Link{base.Tree.Up[0].Link}, WithSeed(3))
+		}},
+	}
+	// run returns the Init result followed by each op's result, calling
+	// after once the Init and each op have finished.
+	run := func(inj faults.Injector, after func(name string)) []*Result {
 		t.Helper()
 		opts := []Option{}
 		if inj != nil {
@@ -32,11 +55,21 @@ func TestFaultInjectorResultsUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer nw.Close()
-		res, err := nw.Run(context.Background(), PipelineInit, WithSeed(3))
+		base, err := nw.Run(context.Background(), PipelineInit, WithSeed(3))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		after("init")
+		out := []*Result{base}
+		for _, o := range ops {
+			r, err := o.run(nw, base)
+			if err != nil {
+				t.Fatalf("%s: %v", o.name, err)
+			}
+			after(o.name)
+			out = append(out, r)
+		}
+		return out
 	}
 	plan := faults.MustPlan(faults.Spec{
 		Seed:  11,
@@ -46,22 +79,38 @@ func TestFaultInjectorResultsUnchanged(t *testing.T) {
 			faults.PoolWorkerStall: 0.3,
 		},
 	})
-	clean, faulted := run(nil), run(plan)
-	if clean.Tree.Root != faulted.Tree.Root || len(clean.Tree.Up) != len(faulted.Tree.Up) {
-		t.Fatalf("tree shape diverged under delay faults: root %d/%d, %d/%d links",
-			clean.Tree.Root, faulted.Tree.Root, len(clean.Tree.Up), len(faulted.Tree.Up))
-	}
-	for i := range clean.Tree.Up {
-		if clean.Tree.Up[i] != faulted.Tree.Up[i] {
-			t.Fatalf("link %d diverged under delay faults", i)
+	fired := func(site faults.Site) uint64 {
+		for _, c := range plan.Counts() {
+			if c.Site == site {
+				return c.Fired
+			}
 		}
+		return 0
 	}
-	counts := map[faults.Site]uint64{}
-	for _, c := range plan.Counts() {
-		counts[c.Site] = c.Fired
-	}
-	if counts[faults.SimSlotSlow] == 0 && counts[faults.PoolWorkerStall] == 0 {
-		t.Fatal("neither delay site fired — the run tested nothing")
+	var slow uint64
+	clean := run(nil, func(string) {})
+	faulted := run(plan, func(name string) {
+		n := fired(faults.SimSlotSlow)
+		if n <= slow {
+			t.Errorf("%s: slow-slot faults stayed at %d — the injector did not reach its engine", name, n)
+		}
+		slow = n
+	})
+	for k := range clean {
+		name := "init"
+		if k > 0 {
+			name = ops[k-1].name
+		}
+		c, f := clean[k].Tree, faulted[k].Tree
+		if c.Root != f.Root || len(c.Up) != len(f.Up) {
+			t.Fatalf("%s: tree shape diverged under delay faults: root %d/%d, %d/%d links",
+				name, c.Root, f.Root, len(c.Up), len(f.Up))
+		}
+		for i := range c.Up {
+			if c.Up[i] != f.Up[i] {
+				t.Fatalf("%s: link %d diverged under delay faults", name, i)
+			}
+		}
 	}
 }
 

@@ -35,7 +35,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
 	"sinrconn/internal/sinr"
@@ -79,59 +78,16 @@ func MoveIncremental(ctx context.Context, in *sinr.Instance, bt *tree.BiTree, mo
 // the failed links' senders orphan and re-attach (forbidden from re-forming
 // the dead links), with the surviving schedule spliced through verbatim.
 func RepairLinksIncremental(ctx context.Context, in *sinr.Instance, bt *tree.BiTree, failedLinks []sinr.Link, cfg InitConfig) (*RepairResult, error) {
-	failedSet := make(map[sinr.Link]bool, len(failedLinks))
-	present := make(map[sinr.Link]bool, len(bt.Up))
-	for _, tl := range bt.Up {
-		present[tl.L] = true
+	part, err := partitionLinks(bt, failedLinks)
+	if err != nil {
+		return nil, err
 	}
-	for _, l := range failedLinks {
-		if !present[l] {
-			return nil, fmt.Errorf("core: link %v not in tree", l)
-		}
-		failedSet[l] = true
-	}
-	var keep []tree.TimedLink
-	var orphans []int
-	for _, tl := range bt.Up {
-		if failedSet[tl.L] {
-			orphans = append(orphans, tl.L.From)
-		} else {
-			keep = append(keep, tl)
-		}
-	}
-	sort.Ints(orphans)
-	children := make(map[int][]int)
-	for _, tl := range keep {
-		children[tl.L.To] = append(children[tl.L.To], tl.L.From)
-	}
-	var mainNodes []int
-	seen := map[int]bool{}
-	stack := []int{bt.Root}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[v] {
-			continue
-		}
-		seen[v] = true
-		mainNodes = append(mainNodes, v)
-		stack = append(stack, children[v]...)
-	}
-	part := &partition{
-		survivors: append([]int(nil), bt.Nodes...),
-		keep:      keep,
-		mainRoot:  bt.Root,
-		mainNodes: mainNodes,
-		orphans:   orphans,
-	}
-	jcfg := cfg
-	jcfg.Forbidden = append(append([]sinr.Link(nil), cfg.Forbidden...), failedLinks...)
-	return incrementalAttach(ctx, in, part, nil, jcfg)
+	return incrementalAttach(ctx, in, part, nil, cfg)
 }
 
-// incrementalAttach runs the re-attachment protocol for part.orphans (plus
-// rejoin, nodes re-entering as fresh leaves — the mobility case) and splices
-// the resulting links into part's kept schedule.
+// incrementalAttach re-attaches part.orphans (plus rejoin, nodes re-entering
+// as fresh leaves — the mobility case) and splices the resulting links into
+// part's kept schedule.
 func incrementalAttach(ctx context.Context, in *sinr.Instance, part *partition, rejoin []int, cfg InitConfig) (*RepairResult, error) {
 	res := &RepairResult{
 		NewRoot:     part.mainRoot,
@@ -148,52 +104,37 @@ func incrementalAttach(ctx context.Context, in *sinr.Instance, part *partition, 
 
 	joiners := append(append([]int(nil), part.orphans...), rejoin...)
 	sort.Ints(joiners)
-	if len(joiners) == 0 {
-		res.ScheduleLength = repaired.Compact()
-		res.Tree = repaired
-		return res, nil
-	}
-
-	joinBase := &tree.BiTree{Root: part.mainRoot, Nodes: part.mainNodes}
-	jres, err := Join(ctx, in, joinBase, joiners, cfg)
+	links, err := reattach(ctx, in, part, joiners, cfg, res)
 	if err != nil {
-		return res, fmt.Errorf("core: incremental re-attachment: %w", err)
+		return res, err
 	}
-	res.SlotsUsed = jres.SlotsUsed
-	res.Stats = jres.Stats
 
-	// The join ran over an empty base, so jres.Tree.Up holds exactly the
-	// new links, compacted to stamps 1..k with stamp ASCENDING in reverse
-	// attach order: equal stamps = same slot-pair (mutually feasible — see
-	// the package comment), and smaller stamps attached LATER, i.e. deeper
-	// under other joiners. Processing stamps ascending therefore places
-	// children before their (new) parents, so each placement's floor
-	// already covers its previously placed new children.
+	// The new links carry the join run's compacted stamps 1..k, ASCENDING
+	// in reverse attach order: equal stamps = same slot-pair (mutually
+	// feasible — see the package comment), and smaller stamps attached
+	// LATER, i.e. deeper under other joiners. Processing stamps ascending
+	// therefore places children before their (new) parents, so each
+	// placement's floor already covers its previously placed new children.
 	newByStamp := make(map[int][]tree.TimedLink)
 	stamps := make([]int, 0, 8)
-	attached := make(map[int]bool, len(joiners))
-	for _, tl := range jres.Tree.Up {
+	for _, tl := range links {
 		if _, ok := newByStamp[tl.Slot]; !ok {
 			stamps = append(stamps, tl.Slot)
 		}
 		newByStamp[tl.Slot] = append(newByStamp[tl.Slot], tl)
-		attached[tl.L.From] = true
-	}
-	for _, j := range joiners {
-		if !attached[j] {
-			return res, fmt.Errorf("core: joiner %d did not re-attach", j)
-		}
 	}
 	sort.Ints(stamps)
 
-	sp := newSplicer(repaired)
-	for _, s := range stamps {
-		group := newByStamp[s]
-		sort.Slice(group, func(a, b int) bool { return group[a].L.From < group[b].L.From })
-		sp.place(group)
-		res.PlacedLinks += len(group)
+	if len(stamps) > 0 { // a leaf failure places nothing: skip the O(links) index
+		sp := newSplicer(repaired)
+		for _, s := range stamps {
+			group := newByStamp[s]
+			sort.Slice(group, func(a, b int) bool { return group[a].L.From < group[b].L.From })
+			sp.place(group)
+			res.PlacedLinks += len(group)
+		}
+		res.PlacedLinks += sp.bumped
 	}
-	res.PlacedLinks += sp.bumped
 
 	res.ScheduleLength = repaired.Compact()
 	res.Tree = repaired

@@ -85,7 +85,6 @@ func Init(ctx context.Context, in *sinr.Instance, cfg InitConfig) (*InitResult, 
 	// exceeds 1 the max *distance* is what matters, not the ratio.
 	ladder := geom.NumLengthClasses(geom.MaxDist(partPts))
 	pairs := cfg.pairsPerRound(len(parts))
-	p := in.Params()
 
 	spec := new(roundSpec)
 	nodes, procs := initProtocols(isPart, &cfg, spec)
@@ -96,57 +95,17 @@ func Init(ctx context.Context, in *sinr.Instance, cfg InitConfig) (*InitResult, 
 	defer eng.Close()
 
 	res := &InitResult{LadderRounds: ladder}
-	runRound := func(rs roundSpec) (bool, error) {
-		res.Rounds++
-		*spec = rs
-		// A node uses a broadcast only from a sender closer than hi, and
-		// an ack only from a node that heard its broadcast from there.
-		eng.SetListenRange(rs.hi)
-		for k := 0; k < pairs; k++ {
-			if err := checkCtx(ctx, "init"); err != nil {
-				return false, err
-			}
-			eng.Step() // data slot
-			eng.Step() // ack slot
-			// A node deactivates only in a broadcast slot and leaves the
-			// engine in that same slot, so after an ack slot eng.Live() is
-			// the number of active participants.
-			if eng.Live() <= 1 {
-				// One more pair so a just-acknowledged broadcaster can
-				// consume its ack — harmless when none is pending.
-				eng.Step()
-				eng.Step()
-				return true, nil
-			}
-		}
-		return eng.Live() <= 1, nil
-	}
-
-	converged := false
-	for r := 1; r <= ladder && !converged; r++ {
-		hi := math.Exp2(float64(r))
-		lo := math.Exp2(float64(r - 1))
-		if !cfg.StrictGate {
-			lo = 0
-		}
-		if converged, err = runRound(roundSpec{lo: lo, hi: hi, power: p.SafePower(hi)}); err != nil {
-			res.SlotsUsed = eng.Stats().Slots
-			res.Stats = eng.Stats()
-			return res, err
-		}
-	}
-	// Safety rounds: top length class, permissive gate.
-	topHi := math.Exp2(float64(ladder))
-	for x := 0; x < cfg.ExtraRounds && !converged; x++ {
-		if converged, err = runRound(roundSpec{lo: 0, hi: topHi, power: p.SafePower(topHi)}); err != nil {
-			res.SlotsUsed = eng.Stats().Slots
-			res.Stats = eng.Stats()
-			return res, err
-		}
-	}
-
+	// A node deactivates only in a broadcast slot and leaves the engine in
+	// that same slot, so after an ack slot eng.Live() is the number of
+	// active participants.
+	var converged bool
+	res.Rounds, converged, err = runLadder(ctx, eng, spec, &cfg, in.Params(), ladder, pairs, "init",
+		func() bool { return eng.Live() <= 1 })
 	res.SlotsUsed = eng.Stats().Slots
 	res.Stats = eng.Stats()
+	if err != nil {
+		return res, err
+	}
 	if !converged {
 		return res, fmt.Errorf("%w: %d active after %d rounds",
 			ErrNotConverged, eng.Live(), res.Rounds)
@@ -210,6 +169,45 @@ func initProtocols(isPart []bool, cfg *InitConfig, spec *roundSpec) ([]*initNode
 		procs[i] = nodes[i]
 	}
 	return nodes, procs
+}
+
+// runLadder drives the Section 6 round ladder on eng, the loop Init and
+// Join share: length classes r = 1..classes with the distance gate
+// [2^(r-1), 2^r) ([0, 2^r) when cfg.StrictGate is off), then up to
+// cfg.ExtraRounds safety rounds at the top class with the permissive gate.
+// A round rewrites *spec, at power SafePower(2^r), and steps up to pairs
+// slot pairs, checking ctx before each. done is tested after every pair;
+// once it holds, one more pair runs so that a just-acknowledged
+// broadcaster can consume its ack (harmless when none is pending), and
+// the ladder stops. rounds counts every round begun, the one a canceled
+// ctx cut short included.
+func runLadder(ctx context.Context, eng *sim.Engine, spec *roundSpec, cfg *InitConfig, p sinr.Params,
+	classes, pairs int, stage string, done func() bool) (rounds int, converged bool, err error) {
+	for rounds < classes+cfg.ExtraRounds && !converged {
+		rounds++
+		r := min(rounds, classes)
+		rs := roundSpec{hi: math.Exp2(float64(r))}
+		if rounds <= classes && cfg.StrictGate {
+			rs.lo = math.Exp2(float64(r - 1))
+		}
+		rs.power = p.SafePower(rs.hi)
+		*spec = rs
+		// A node uses a broadcast only from a sender closer than hi, and
+		// an ack only from a node that heard its broadcast from there.
+		eng.SetListenRange(rs.hi)
+		for k := 0; k < pairs && !converged; k++ {
+			if err := checkCtx(ctx, stage); err != nil {
+				return rounds, false, err
+			}
+			eng.Step() // data slot
+			eng.Step() // ack slot
+			if converged = done(); converged {
+				eng.Step()
+				eng.Step()
+			}
+		}
+	}
+	return rounds, converged, nil
 }
 
 // roundSpec is the per-round physical configuration: the distance gate

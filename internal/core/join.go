@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"sinrconn/internal/geom"
@@ -71,7 +70,6 @@ func Join(ctx context.Context, in *sinr.Instance, bt *tree.BiTree, joiners []int
 	}
 	ladder := geom.NumLengthClasses(geom.MaxDist(pts))
 	pairs := cfg.pairsPerRound(len(joiners) + 1)
-	p := in.Params()
 
 	// Ack contention: unlike Init, where the set of potential acknowledgers
 	// thins as nodes deactivate, every member is a potential acknowledger
@@ -139,43 +137,10 @@ func Join(ctx context.Context, in *sinr.Instance, bt *tree.BiTree, joiners []int
 		}
 		return c
 	}
-	runRound := func(rs roundSpec) (bool, error) {
-		*spec = rs
-		eng.SetListenRange(rs.hi) // as in Init: nothing from hi or farther is used
-		for k := 0; k < pairs; k++ {
-			if err := checkCtx(ctx, "join"); err != nil {
-				return false, err
-			}
-			eng.Step()
-			eng.Step()
-			if remaining() == 0 {
-				eng.Step()
-				eng.Step()
-				return true, nil
-			}
-		}
-		return remaining() == 0, nil
-	}
-
-	done := false
-	rounds := 0
-	for r := 1; r <= ladder && !done; r++ {
-		hi := math.Exp2(float64(r))
-		lo := math.Exp2(float64(r - 1))
-		if !cfg.StrictGate {
-			lo = 0
-		}
-		rounds++
-		if done, err = runRound(roundSpec{lo: lo, hi: hi, power: p.SafePower(hi)}); err != nil {
-			return nil, err
-		}
-	}
-	topHi := math.Exp2(float64(ladder))
-	for x := 0; x < cfg.ExtraRounds && !done; x++ {
-		rounds++
-		if done, err = runRound(roundSpec{lo: 0, hi: topHi, power: p.SafePower(topHi)}); err != nil {
-			return nil, err
-		}
+	rounds, done, err := runLadder(ctx, eng, spec, &cfg, in.Params(), ladder, pairs, "join",
+		func() bool { return remaining() == 0 })
+	if err != nil {
+		return nil, err
 	}
 	res := &JoinResult{
 		SlotsUsed: eng.Stats().Slots,

@@ -17,83 +17,11 @@ import (
 // roots re-attach via the join protocol against the main component and the
 // schedule is restamped.
 func RepairLinks(ctx context.Context, in *sinr.Instance, bt *tree.BiTree, failedLinks []sinr.Link, cfg InitConfig) (*RepairResult, error) {
-	failedSet := make(map[sinr.Link]bool, len(failedLinks))
-	present := make(map[sinr.Link]bool, len(bt.Up))
-	for _, tl := range bt.Up {
-		present[tl.L] = true
-	}
-	for _, l := range failedLinks {
-		if !present[l] {
-			return nil, fmt.Errorf("core: link %v not in tree", l)
-		}
-		// Duplicates are tolerated: churn traces compose link showers, and
-		// the same link is routinely reported down twice.
-		failedSet[l] = true
-	}
-
-	var keep []tree.TimedLink
-	var orphans []int
-	for _, tl := range bt.Up {
-		if failedSet[tl.L] {
-			orphans = append(orphans, tl.L.From)
-		} else {
-			keep = append(keep, tl)
-		}
-	}
-	sort.Ints(orphans)
-	res := &RepairResult{NewRoot: bt.Root, OrphanRoots: len(orphans)}
-	repaired := &tree.BiTree{Root: bt.Root, Nodes: append([]int(nil), bt.Nodes...), Up: keep}
-	if len(orphans) > 0 {
-		// Main component = everything still reaching the root.
-		children := make(map[int][]int)
-		for _, tl := range keep {
-			children[tl.L.To] = append(children[tl.L.To], tl.L.From)
-		}
-		var mainNodes []int
-		stack := []int{bt.Root}
-		seen := map[int]bool{}
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if seen[v] {
-				continue
-			}
-			seen[v] = true
-			mainNodes = append(mainNodes, v)
-			stack = append(stack, children[v]...)
-		}
-		joinBase := &tree.BiTree{Root: bt.Root, Nodes: mainNodes}
-		jcfg := cfg
-		jcfg.Forbidden = append(append([]sinr.Link(nil), cfg.Forbidden...), failedLinks...)
-		jres, err := Join(ctx, in, joinBase, orphans, jcfg)
-		if err != nil {
-			return res, fmt.Errorf("core: link-repair re-attachment: %w", err)
-		}
-		res.SlotsUsed = jres.SlotsUsed
-		res.Stats = jres.Stats
-		newOut := make(map[int]tree.TimedLink, len(orphans))
-		for _, tl := range jres.Tree.Up {
-			newOut[tl.L.From] = tl
-		}
-		for _, o := range orphans {
-			tl, ok := newOut[o]
-			if !ok {
-				return res, fmt.Errorf("core: orphan %d did not re-attach", o)
-			}
-			// A replacement along the failed link itself is useless; the
-			// join physics can still pick the same parent via a different
-			// channel opportunity, which is fine — the link object is the
-			// same but its new slot/power come from the join run.
-			repaired.Up = append(repaired.Up, tl)
-		}
-	}
-	k, err := repaired.Restamp(in)
+	part, err := partitionLinks(bt, failedLinks)
 	if err != nil {
-		return res, fmt.Errorf("core: restamp: %w", err)
+		return nil, err
 	}
-	res.ScheduleLength = k
-	res.Tree = repaired
-	return res, nil
+	return restampRepair(ctx, in, part, cfg)
 }
 
 // RepairResult is the outcome of a failure-recovery run.
@@ -143,33 +71,19 @@ func Repair(ctx context.Context, in *sinr.Instance, bt *tree.BiTree, failed []in
 	if err != nil {
 		return nil, err
 	}
-	res := &RepairResult{NewRoot: part.mainRoot, OrphanRoots: len(part.orphans)}
-	repaired := &tree.BiTree{Root: part.mainRoot, Nodes: part.survivors, Up: part.keep}
-	if len(part.orphans) > 0 {
-		// The join tree during re-attachment is the main component only;
-		// orphan roots join it (and each other, transitively).
-		joinBase := &tree.BiTree{Root: part.mainRoot, Nodes: part.mainNodes}
-		jres, err := Join(ctx, in, joinBase, part.orphans, cfg)
-		if err != nil {
-			return res, fmt.Errorf("core: re-attachment: %w", err)
-		}
-		res.SlotsUsed = jres.SlotsUsed
-		res.Stats = jres.Stats
-		// Adopt the new out-links of the orphan roots.
-		newOut := make(map[int]tree.TimedLink, len(part.orphans))
-		for _, tl := range jres.Tree.Up {
-			newOut[tl.L.From] = tl
-		}
-		for _, o := range part.orphans {
-			tl, ok := newOut[o]
-			if !ok {
-				return res, fmt.Errorf("core: orphan %d did not re-attach", o)
-			}
-			repaired.Up = append(repaired.Up, tl)
-		}
-	}
+	return restampRepair(ctx, in, part, cfg)
+}
 
-	// The merged stamps are stale; rebuild an ordered feasible schedule.
+// restampRepair re-attaches part's orphan roots and, because their new
+// stamps cannot in general be interleaved with the surviving ones, rebuilds
+// an ordered feasible schedule over the merged links with Restamp.
+func restampRepair(ctx context.Context, in *sinr.Instance, part *partition, cfg InitConfig) (*RepairResult, error) {
+	res := &RepairResult{NewRoot: part.mainRoot, OrphanRoots: len(part.orphans)}
+	links, err := reattach(ctx, in, part, part.orphans, cfg, res)
+	if err != nil {
+		return res, err
+	}
+	repaired := &tree.BiTree{Root: part.mainRoot, Nodes: part.survivors, Up: append(part.keep, links...)}
 	k, err := repaired.Restamp(in)
 	if err != nil {
 		return res, fmt.Errorf("core: restamp: %w", err)
@@ -179,17 +93,54 @@ func Repair(ctx context.Context, in *sinr.Instance, bt *tree.BiTree, failed []in
 	return res, nil
 }
 
+// reattach runs the join protocol for joiners against part's main
+// component — its nodes only, no links — so they attach to it and to each
+// other, transitively. It returns each joiner's new out-link, in joiner
+// order, carrying the join run's compacted stamp, and records the run's
+// channel time and engine counters in res. It fails unless every joiner
+// attached; no join runs when there are no joiners.
+func reattach(ctx context.Context, in *sinr.Instance, part *partition, joiners []int, cfg InitConfig, res *RepairResult) ([]tree.TimedLink, error) {
+	if len(joiners) == 0 {
+		return nil, nil
+	}
+	if len(part.forbidden) > 0 {
+		cfg.Forbidden = append(append([]sinr.Link(nil), cfg.Forbidden...), part.forbidden...)
+	}
+	base := &tree.BiTree{Root: part.mainRoot, Nodes: part.mainNodes}
+	jres, err := Join(ctx, in, base, joiners, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("core: re-attachment: %w", err)
+	}
+	res.SlotsUsed = jres.SlotsUsed
+	res.Stats = jres.Stats
+	// The base has no links, so the joined tree's links are all new.
+	newOut := make(map[int]tree.TimedLink, len(joiners))
+	for _, tl := range jres.Tree.Up {
+		newOut[tl.L.From] = tl
+	}
+	links := make([]tree.TimedLink, len(joiners))
+	for i, j := range joiners {
+		tl, ok := newOut[j]
+		if !ok {
+			return nil, fmt.Errorf("core: joiner %d did not re-attach", j)
+		}
+		links[i] = tl
+	}
+	return links, nil
+}
+
 // partition is the surgery plan a failure set induces on a bi-tree:
-// the survivors, the links both of whose endpoints survived, the main
-// component (the one the repaired tree keeps as root), and the orphan
-// subtree roots that must re-attach.
+// the survivors, the links that survived, the main component (the one the
+// repaired tree keeps as root), the orphan subtree roots that must
+// re-attach, and the failed links re-attachment must not re-form.
 type partition struct {
-	failedSet map[int]bool
+	failedSet map[int]bool // failed nodes (nil for link failures)
 	survivors []int
 	keep      []tree.TimedLink
 	mainRoot  int
 	mainNodes []int
 	orphans   []int
+	forbidden []sinr.Link
 }
 
 // partitionFailed computes the surgery plan. Duplicate entries in failed
@@ -239,25 +190,9 @@ func partitionFailed(bt *tree.BiTree, failed []int) (*partition, error) {
 			roots = append(roots, v)
 		}
 	}
-	// Component membership by following surviving links.
-	children := make(map[int][]int)
-	for _, tl := range keep {
-		children[tl.L.To] = append(children[tl.L.To], tl.L.From)
-	}
-	compSize := func(root int) int {
-		size := 0
-		stack := []int{root}
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			size++
-			stack = append(stack, children[v]...)
-		}
-		return size
-	}
-
 	// Main component: the old root's if it survived, else the largest
 	// (ties: smallest root index, for determinism).
+	children := childLists(keep)
 	mainRoot := -1
 	if !failedSet[bt.Root] {
 		mainRoot = bt.Root
@@ -265,7 +200,7 @@ func partitionFailed(bt *tree.BiTree, failed []int) (*partition, error) {
 		sort.Ints(roots)
 		best := -1
 		for _, r := range roots {
-			if s := compSize(r); s > best {
+			if s := len(component(children, r)); s > best {
 				best = s
 				mainRoot = r
 			}
@@ -277,19 +212,7 @@ func partitionFailed(bt *tree.BiTree, failed []int) (*partition, error) {
 			orphans = append(orphans, r)
 		}
 	}
-	var mainNodes []int
-	seen := map[int]bool{}
-	stack := []int{mainRoot}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[v] {
-			continue
-		}
-		seen[v] = true
-		mainNodes = append(mainNodes, v)
-		stack = append(stack, children[v]...)
-	}
+	mainNodes := component(children, mainRoot)
 	return &partition{
 		failedSet: failedSet,
 		survivors: survivors,
@@ -298,4 +221,65 @@ func partitionFailed(bt *tree.BiTree, failed []int) (*partition, error) {
 		mainNodes: mainNodes,
 		orphans:   orphans,
 	}, nil
+}
+
+// partitionLinks computes the surgery plan of permanent link failures:
+// every node survives, each failed link orphans its sender's subtree, and
+// the main component is the one still reaching the root. Duplicate links
+// are tolerated, as in partitionFailed; a link not in bt is an error.
+func partitionLinks(bt *tree.BiTree, failedLinks []sinr.Link) (*partition, error) {
+	present := make(map[sinr.Link]bool, len(bt.Up))
+	for _, tl := range bt.Up {
+		present[tl.L] = true
+	}
+	failedSet := make(map[sinr.Link]bool, len(failedLinks))
+	for _, l := range failedLinks {
+		if !present[l] {
+			return nil, fmt.Errorf("core: link %v not in tree", l)
+		}
+		failedSet[l] = true
+	}
+	part := &partition{
+		survivors: append([]int(nil), bt.Nodes...),
+		mainRoot:  bt.Root,
+		forbidden: failedLinks,
+	}
+	for _, tl := range bt.Up {
+		if failedSet[tl.L] {
+			part.orphans = append(part.orphans, tl.L.From)
+		} else {
+			part.keep = append(part.keep, tl)
+		}
+	}
+	sort.Ints(part.orphans)
+	part.mainNodes = component(childLists(part.keep), bt.Root)
+	return part, nil
+}
+
+// childLists maps each node to the senders of its incoming links.
+func childLists(links []tree.TimedLink) map[int][]int {
+	children := make(map[int][]int)
+	for _, tl := range links {
+		children[tl.L.To] = append(children[tl.L.To], tl.L.From)
+	}
+	return children
+}
+
+// component returns the nodes of root's subtree under children, in
+// depth-first order.
+func component(children map[int][]int, root int) []int {
+	var nodes []int
+	seen := map[int]bool{}
+	stack := []int{root}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if seen[v] {
+			continue
+		}
+		seen[v] = true
+		nodes = append(nodes, v)
+		stack = append(stack, children[v]...)
+	}
+	return nodes
 }

@@ -883,6 +883,18 @@ func (nw *Network) newResult(in *sinr.Instance, bt *tree.BiTree, m Metrics, ff s
 	return &Result{Tree: publicTree(in, bt, ff, adaptive), Metrics: m, nw: nw}
 }
 
+// finishResult completes m with in's Υ and Δ and bt's replayed latencies
+// and binds the result to nw: the common tail of pipeline runs, joins,
+// repairs and churn traces.
+func (nw *Network) finishResult(in *sinr.Instance, bt *tree.BiTree, m Metrics, ff sinr.Far, adaptive bool) (*Result, error) {
+	m.Upsilon = in.Upsilon()
+	m.Delta = in.Delta()
+	if err := fillLatencies(&m, bt); err != nil {
+		return nil, err
+	}
+	return nw.newResult(in, bt, m, ff, adaptive), nil
+}
+
 // runInit is the Section 6 pipeline body (Theorem 2).
 func (nw *Network) runInit(ctx context.Context, in *sinr.Instance, s settings, pool *sim.Pool, ff sinr.Far, adaptive bool) (*Result, error) {
 	res, err := core.Init(ctx, in, initConfig(s, pool, ff, adaptive))
@@ -891,18 +903,12 @@ func (nw *Network) runInit(ctx context.Context, in *sinr.Instance, s settings, p
 	}
 	bt := res.Tree
 	bt.Compact()
-	m := Metrics{
+	return nw.finishResult(in, bt, Metrics{
 		SlotsUsed:      res.SlotsUsed,
 		ScheduleLength: bt.NumSlots(),
 		Rounds:         res.Rounds,
-		Upsilon:        in.Upsilon(),
-		Delta:          in.Delta(),
 		Energy:         res.Stats.Energy,
-	}
-	if err := fillLatencies(&m, bt); err != nil {
-		return nil, err
-	}
-	return nw.newResult(in, bt, m, ff, adaptive), nil
+	}, ff, adaptive)
 }
 
 // runRescheduleMean is the Section 7 pipeline body (Theorem 3).
@@ -948,17 +954,10 @@ func (nw *Network) runTVC(ctx context.Context, in *sinr.Instance, s settings, po
 	if err != nil {
 		return nil, err
 	}
-	bt := res.Tree
-	m := Metrics{
+	return nw.finishResult(in, res.Tree, Metrics{
 		SlotsUsed:      res.ConstructionSlots,
-		ScheduleLength: bt.NumSlots(),
+		ScheduleLength: res.Tree.NumSlots(),
 		Iterations:     res.Iterations,
-		Upsilon:        in.Upsilon(),
-		Delta:          in.Delta(),
 		Energy:         res.Energy,
-	}
-	if err := fillLatencies(&m, bt); err != nil {
-		return nil, err
-	}
-	return nw.newResult(in, bt, m, ff, adaptive), nil
+	}, ff, adaptive)
 }

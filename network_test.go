@@ -16,8 +16,9 @@ import (
 var bg = context.Background()
 
 // TestNetworkRunCancellation: a canceled context aborts every pipeline
-// mid-construction with an error wrapping ctx.Err(), and the handle (and
-// its shared worker pool) remains fully usable afterwards.
+// and every dynamic operation (Join, Repair, RepairLinks) mid-construction
+// with an error wrapping ctx.Err(), and the handle (and its shared worker
+// pool) remains fully usable afterwards.
 func TestNetworkRunCancellation(t *testing.T) {
 	pts := uniformPoints(11, 40)
 	nw, err := Open(pts, WithSeed(11))
@@ -44,6 +45,34 @@ func TestNetworkRunCancellation(t *testing.T) {
 	}
 	if err := res.Tree.Verify(); err != nil {
 		t.Fatalf("post-cancel verify: %v", err)
+	}
+
+	// The dynamic operations abort the same way. Failing an interior node
+	// orphans a subtree, so the repair really runs a join.
+	interior := interiorNode(t, res)
+	far := Point{}
+	for _, p := range pts {
+		far.X, far.Y = max(far.X, p.X+3), max(far.Y, p.Y+3)
+	}
+	ops := map[string]func() (*Result, error){
+		"join":         func() (*Result, error) { return nw.Join(canceled, res, []Point{far}) },
+		"repair":       func() (*Result, error) { return nw.Repair(canceled, res, []int{interior}) },
+		"repair-links": func() (*Result, error) { return nw.RepairLinks(canceled, res, []Link{res.Tree.Up[0].Link}) },
+	}
+	for name, op := range ops {
+		if _, err := op(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: error %v does not wrap context.Canceled", name, err)
+		}
+	}
+	repaired, err := nw.Repair(bg, res, []int{interior})
+	if err != nil {
+		t.Fatalf("repair after cancellation: %v", err)
+	}
+	if repaired.Tree.NumNodes != len(pts)-1 {
+		t.Fatalf("post-cancel repair spans %d of %d", repaired.Tree.NumNodes, len(pts)-1)
+	}
+	if err := repaired.Tree.Verify(); err != nil {
+		t.Fatalf("post-cancel repair verify: %v", err)
 	}
 }
 

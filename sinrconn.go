@@ -51,7 +51,10 @@ type Metrics struct {
 	SlotsUsed int
 	// ScheduleLength is the number of slots in the final link schedule.
 	ScheduleLength int
-	// Rounds is Init's round count (initial construction only).
+	// Rounds is the number of Section 6 ladder rounds (length classes plus
+	// safety rounds) run: Init's for PipelineInit and
+	// PipelineRescheduleMean, the join protocol's for Network.Join. It is 0
+	// for the TVC pipelines, Repair, RepairLinks and churn traces.
 	Rounds int
 	// Iterations is TreeViaCapacity's iteration count (Section 8 only).
 	Iterations int

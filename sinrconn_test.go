@@ -20,6 +20,19 @@ func uniformPoints(seed int64, n int) []Point {
 	return pts
 }
 
+// interiorNode returns a non-root node of r's tree with a child, whose
+// failure orphans a subtree and so makes a repair run the join protocol.
+func interiorNode(t testing.TB, r *Result) int {
+	t.Helper()
+	for _, l := range r.Tree.Up {
+		if l.Link.To != r.Tree.Root {
+			return l.Link.To
+		}
+	}
+	t.Fatal("tree has no interior node")
+	return -1
+}
+
 // build opens a handle over pts with opts (closed when the test ends) and
 // runs pipeline p on it.
 func build(t testing.TB, pts []Point, p Pipeline, opts ...Option) *Result {
