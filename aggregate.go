@@ -78,6 +78,7 @@ func (nw *Network) epochConfig(r *Result, opts []RunOption) (sim.Config, func(),
 		Far:      ff,
 		Adaptive: adaptive,
 		Observer: s.observer,
+		Injector: s.injector,
 	}, func() { release(); done() }, nil
 }
 

@@ -9,42 +9,58 @@ package sinrconn
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"sinrconn/internal/faults"
 )
 
-// TestFaultInjectorResultsUnchanged runs the same construction, and then
-// a Join, a Repair and a RepairLinks on it, with and without delay-class
-// faults (slow slots, stalled workers) lit at high rates and requires
-// identical trees: injection sites on the compute path are observational
-// only. Each operation must also reach the slow-slot site, so the injector
-// is really threaded through every one of them.
+// TestFaultInjectorResultsUnchanged runs the same construction, then a
+// Join, a Repair and a RepairLinks on it, and a Broadcast, an Aggregate
+// and a SendMessage epoch on the construction, with and without
+// delay-class faults (slow slots, stalled workers) lit at high rates, and
+// requires identical trees and epoch outcomes: injection sites on the
+// compute path are observational only. Each operation must also reach the
+// slow-slot site, so the injector is really threaded through every one of
+// them.
 func TestFaultInjectorResultsUnchanged(t *testing.T) {
 	pts := uniformPoints(61, 40)
 	far := Point{}
 	for _, p := range pts {
 		far.X, far.Y = max(far.X, p.X+3), max(far.Y, p.Y+3)
 	}
+	values := make([]int64, len(pts))
+	for i := range values {
+		values[i] = int64(i*i%97) - 40
+	}
 	type op struct {
 		name string
-		run  func(nw *Network, base *Result) (*Result, error)
+		run  func(nw *Network, base *Result) (any, error)
 	}
 	ops := []op{
-		{"join", func(nw *Network, base *Result) (*Result, error) {
+		{"join", func(nw *Network, base *Result) (any, error) {
 			return nw.Join(bg, base, []Point{far}, WithSeed(3))
 		}},
-		{"repair", func(nw *Network, base *Result) (*Result, error) {
+		{"repair", func(nw *Network, base *Result) (any, error) {
 			return nw.Repair(bg, base, []int{interiorNode(t, base)}, WithSeed(3))
 		}},
-		{"repair-links", func(nw *Network, base *Result) (*Result, error) {
+		{"repair-links", func(nw *Network, base *Result) (any, error) {
 			return nw.RepairLinks(bg, base, []Link{base.Tree.Up[0].Link}, WithSeed(3))
+		}},
+		{"broadcast", func(nw *Network, base *Result) (any, error) {
+			return nw.Broadcast(bg, base, 42, WithSeed(3))
+		}},
+		{"aggregate", func(nw *Network, base *Result) (any, error) {
+			return nw.Aggregate(bg, base, values, func(a, b int64) int64 { return a + b }, WithSeed(3))
+		}},
+		{"send-message", func(nw *Network, base *Result) (any, error) {
+			return nw.SendMessage(bg, base, 1, len(pts)-1, 7, WithSeed(3))
 		}},
 	}
 	// run returns the Init result followed by each op's result, calling
 	// after once the Init and each op have finished.
-	run := func(inj faults.Injector, after func(name string)) []*Result {
+	run := func(inj faults.Injector, after func(name string)) []any {
 		t.Helper()
 		opts := []Option{}
 		if inj != nil {
@@ -60,7 +76,7 @@ func TestFaultInjectorResultsUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 		after("init")
-		out := []*Result{base}
+		out := []any{base}
 		for _, o := range ops {
 			r, err := o.run(nw, base)
 			if err != nil {
@@ -101,7 +117,15 @@ func TestFaultInjectorResultsUnchanged(t *testing.T) {
 		if k > 0 {
 			name = ops[k-1].name
 		}
-		c, f := clean[k].Tree, faulted[k].Tree
+		cr, ok := clean[k].(*Result)
+		if !ok {
+			// An epoch outcome: a flat struct of counts and energy.
+			if !reflect.DeepEqual(clean[k], faulted[k]) {
+				t.Fatalf("%s: outcome diverged under delay faults: %+v vs %+v", name, clean[k], faulted[k])
+			}
+			continue
+		}
+		c, f := cr.Tree, faulted[k].(*Result).Tree
 		if c.Root != f.Root || len(c.Up) != len(f.Up) {
 			t.Fatalf("%s: tree shape diverged under delay faults: root %d/%d, %d/%d links",
 				name, c.Root, f.Root, len(c.Up), len(f.Up))

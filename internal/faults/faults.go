@@ -29,7 +29,9 @@ const (
 	// panic propagates through the coalescing cache to all waiters.
 	CacheLeaderPanic Site = "cache.leader.panic"
 	// PoolWorkerStall puts an engine pool worker to sleep for Delay
-	// before it runs a job (internal/sim.Pool).
+	// before it runs a job (internal/sim.Pool). It fires only in the slot
+	// stages that fan out to the pool; a stage below its fan-out floor
+	// runs on the engine goroutine and never reaches it.
 	PoolWorkerStall Site = "pool.worker.stall"
 	// ChurnRepairFail makes one churn repair attempt fail with a
 	// non-convergence error before the repair runs, exercising the

@@ -33,12 +33,9 @@ var hotpathGates = map[string]hotpathGate{
 	"internal/sim.Engine.decodeListenerFar": {"TestQuadtreeSlotLoopZeroAlloc", "internal/sim/adaptive_test.go"},
 	"internal/sim.Engine.finishDecode":      {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
 
-	// Listen ranges: the listener gate and its sender cell index.
+	// Listen ranges: the listener gate and its per-range cell grid.
 	"internal/sim.Engine.gateListeners": {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
-	"internal/sim.cellIndex.build":      {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
-	"internal/sim.cellIndex.hears":      {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
-	"internal/sim.cellIndex.cell":       {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
-	"internal/sim.cellIndex.find":       {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
+	"internal/sim.listenGate.hears":     {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
 
 	"internal/sinr.Instance.SINRFeasibleBuf":    {"TestSINRFeasibleBufZeroAlloc", "internal/sinr/alloc_test.go"},
 	"internal/sinr.Instance.SINRFeasibleFarBuf": {"TestSINRFeasibleFarBufZeroAlloc", "internal/sinr/alloc_test.go"},

@@ -253,11 +253,11 @@ func TestQuadtreeSlotLoopZeroAlloc(t *testing.T) {
 
 // TestQuadtreePoolMatchesSerial asserts quadtree and adaptive results are
 // identical for any worker count, like the exact engine's determinism
-// contract.
+// contract; the pooled engine fans every stage out.
 func TestQuadtreePoolMatchesSerial(t *testing.T) {
 	for _, adaptive := range []bool{false, true} {
 		run := func(workers int) Stats {
-			e, _ := adaptiveEngine(t, 256, false, Config{Workers: workers, Adaptive: adaptive, AdaptiveCrossover: 64})
+			e, _ := adaptiveEngine(t, 256, false, Config{Workers: workers, Adaptive: adaptive, AdaptiveCrossover: 64, forceFan: fanAlways})
 			defer e.Close()
 			e.Run(30)
 			return e.Stats()

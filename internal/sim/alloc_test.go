@@ -32,7 +32,8 @@ func (p *fixedProto) Step(slot int, inbox []Delivery) Action {
 
 // allocTestEngine builds the alloc/determinism engine; sparse leaves every
 // third protocol nil (a node idle forever), far resolves every slot through
-// a quadtree plan.
+// a quadtree plan. With more than one worker every stage fans out, though
+// the engine is below the fan-out floors.
 func allocTestEngine(t *testing.T, n, workers int, drop float64, sparse, far bool) *Engine {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
@@ -53,6 +54,9 @@ func allocTestEngine(t *testing.T, n, workers int, drop float64, sparse, far boo
 		procs[i] = &fixedProto{id: i, transmit: i%4 == 0, power: power}
 	}
 	cfg := Config{Workers: workers, DropProb: drop, Seed: 3}
+	if workers > 1 {
+		cfg.forceFan = fanAlways
+	}
 	if far {
 		q, err := in.QuadTree(0.5)
 		if err != nil {
@@ -73,8 +77,6 @@ func allocTestEngine(t *testing.T, n, workers int, drop float64, sparse, far boo
 // and a sparse (nil-protocol) node set, while nodes leave, and under a
 // listen range whose listener gate runs in every slot, exact and far-field.
 func TestSlotLoopZeroAlloc(t *testing.T) {
-	defer func(old int) { listenGateMinWork = old }(listenGateMinWork)
-	listenGateMinWork = 0
 	cases := []struct {
 		name      string
 		workers   int
@@ -104,9 +106,6 @@ func TestSlotLoopZeroAlloc(t *testing.T) {
 				// Senders sit on every fourth column of a lattice of
 				// spacing about 2, so range 3 gates some listeners out.
 				e.SetListenRange(3)
-				if !e.cells.ok {
-					t.Fatal("cell index unusable")
-				}
 			}
 			if tc.departing {
 				// Every odd node leaves at some slot of the measured
@@ -120,6 +119,9 @@ func TestSlotLoopZeroAlloc(t *testing.T) {
 			// Warm to steady state: inbox buffers reach capacity, the pool
 			// (if any) finishes spinning up.
 			e.Run(8)
+			if tc.ranged && !(e.gate.built && e.gate.ok) {
+				t.Fatal("the gate's cell grid is unbuilt or unusable")
+			}
 			live := e.Live()
 			allocs := testing.AllocsPerRun(50, func() { e.Step() })
 			if allocs != 0 {
@@ -148,6 +150,81 @@ func TestPoolMatchesSerial(t *testing.T) {
 			t.Fatalf("sparse=%v: worker count changed results: serial %+v pooled %+v", sparse, serial, pooled)
 		}
 	}
+}
+
+// tideProto is a TVC-shaped load: it leaves at slot leave (never if
+// negative) and until then transmits with a probability that cycles
+// through sparse and dense slots, listening or idling otherwise.
+type tideProto struct {
+	id, leave int
+	power     float64
+}
+
+func (p *tideProto) Step(slot int, _ []Delivery) Action {
+	if p.leave >= 0 && slot >= p.leave {
+		return Leave()
+	}
+	switch c := dropCoin(41, slot, p.id); {
+	case c < [4]float64{0.002, 0.01, 0.05, 0.3}[slot%4]:
+		return Transmit(p.power, Message{Kind: KindBroadcast, From: p.id, To: NoAddressee, Tag: slot})
+	case c < 0.8:
+		return Listen()
+	}
+	return Idle()
+}
+
+// TestFanOutFloorsMatchForced runs a TVC-shaped mix of stage sizes on an
+// engine at the real fan-out floors: live nodes fall through stepFanOutMin
+// as half of them leave, slots alternate between sparse and dense decodes
+// on both sides of decodeFanOutMin, and a listen range set midway shrinks
+// the decode work further. Every inbox and counter must be bit-identical
+// to the same engine forced to run every stage inline and to one forced
+// to fan every stage out, and the floors must have taken all four
+// decisions.
+func TestFanOutFloorsMatchForced(t *testing.T) {
+	const n, slots = 2304, 32
+	in := sinr.MustInstance(workload.JitteredGrid(rand.New(rand.NewSource(19)), n, 2.6, 0.8), sinr.DefaultParams())
+	power := in.Params().SafePower(4)
+	decided := map[[2]bool]int{} // {decode stage, fanned out} → stages
+	floors := func(st stage, _ int, fan bool) bool {
+		decided[[2]bool{st == stageDecode, fan}]++
+		return fan
+	}
+	run := func(force func(stage, int, bool) bool) ([][]Delivery, Stats) {
+		procs := make([]Protocol, n)
+		recs := make([]*recordProto, n)
+		for i := range procs {
+			leave := -1
+			if i%2 == 0 {
+				leave = int(dropCoin(43, 0, i) * 2 * slots)
+			}
+			recs[i] = &recordProto{inner: &tideProto{id: i, leave: leave, power: power}}
+			procs[i] = recs[i]
+		}
+		e := mustEngine(t, in, procs, Config{Workers: 2, DropProb: 0.1, Seed: 5, forceFan: force})
+		defer e.Close()
+		e.Run(slots / 2)
+		e.SetListenRange(8)
+		e.Run(slots / 2)
+		got := make([][]Delivery, n)
+		for i, rec := range recs {
+			got[i] = append(rec.got, e.inboxes[i]...)
+		}
+		return got, e.Stats()
+	}
+	realGot, realStats := run(floors)
+	for _, k := range [][2]bool{{false, false}, {false, true}, {true, false}, {true, true}} {
+		if decided[k] == 0 {
+			t.Fatalf("the floors never decided fan-out = %v for the %s stage: %v", k[1], map[bool]string{false: "step", true: "decode"}[k[0]], decided)
+		}
+	}
+	if realStats.Deliveries == 0 {
+		t.Fatal("nothing delivered")
+	}
+	inlineGot, inlineStats := run(func(stage, int, bool) bool { return false })
+	assertRunsEqual(t, "floors vs forced inline", realGot, inlineGot, realStats, inlineStats)
+	fanGot, fanStats := run(fanAlways)
+	assertRunsEqual(t, "floors vs forced fan-out", realGot, fanGot, realStats, fanStats)
 }
 
 // idleProto idles in every slot.

@@ -182,6 +182,10 @@ func TestExactDecodeMatchesListenerMajor(t *testing.T) {
 					}
 					in := decodeGateInstance(n, alpha, beta)
 					cfg := tc.cfg
+					if cfg.Workers > 1 {
+						// The pool rows fan every stage out, below the floors.
+						cfg.forceFan = fanAlways
+					}
 					if tc.far {
 						q, err := in.QuadTree(0.5)
 						if err != nil {

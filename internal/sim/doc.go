@@ -8,10 +8,11 @@
 // (transmit with a power and message, listen, or idle); the channel computes
 // the SINR at every listener from the full set of concurrent senders; and
 // decodable messages are delivered into inboxes the protocols see at the
-// next slot. Node stepping and listener decoding are parallelized with a
-// persistent worker pool — safe because protocols only touch their own
-// state — and all randomness is derived deterministically from the engine
-// seed, so results are reproducible regardless of worker count. A node
+// next slot. Node stepping and listener decoding fan out to a persistent
+// worker pool when a slot's stage is large enough to pay for it — safe
+// because protocols only touch their own state — and all randomness is
+// derived deterministically from the engine seed, so results are
+// reproducible regardless of worker count. A node
 // whose protocol entry is nil idles forever and is never visited, and a
 // node whose protocol returns Leave is never visited again, so a slot costs
 // what its live nodes cost; NodeRand gives each node a private random

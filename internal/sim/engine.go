@@ -114,8 +114,10 @@ type Protocol interface {
 
 // Config tunes the engine.
 type Config struct {
-	// Workers is the number of goroutines stepping nodes and decoding
-	// listeners. Zero means runtime.NumCPU().
+	// Workers is the number of goroutines a stage can fan out to when
+	// Pool is nil. Zero means runtime.NumCPU(). Each slot fans a stage out
+	// only when its work pays for the dispatch (stepFanOutMin,
+	// decodeFanOutMin); smaller stages run on the engine goroutine.
 	Workers int
 	// DropProb injects reception failures: each otherwise-successful
 	// delivery is independently dropped with this probability (modeling
@@ -129,16 +131,18 @@ type Config struct {
 	Observer Observer
 	// Injector, if non-nil, is consulted at the engine's fault-injection
 	// sites (sim.slot.slow before each slot, pool.worker.stall before
-	// each pool job — see internal/faults). Firing only stalls: injected
-	// delays never change schedules or stats, so a fault-free replay of
-	// the same seed is bit-identical to an engine without an injector.
+	// each pool job, so only in stages that fan out — see
+	// internal/faults). Firing only stalls: injected delays never change
+	// schedules or stats, so a fault-free replay of the same seed is
+	// bit-identical to an engine without an injector.
 	Injector faults.Injector
-	// Pool, if non-nil, is a shared worker pool the engine dispatches its
-	// parallel stages on instead of spawning its own. The engine does not
-	// own a shared pool: Close leaves it running, so a session handle
+	// Pool, if non-nil, is a shared worker pool the engine fans its large
+	// stages out to instead of spawning its own. The engine does not own a
+	// shared pool: Close leaves it running, so a session handle
 	// (sinrconn.Network) can reuse one pool across many engine lifetimes
 	// and across concurrent engines. When Pool is nil the engine spawns a
-	// private pool sized by Workers (the pre-session behavior).
+	// private pool sized by Workers (the pre-session behavior). Either way
+	// a stage below its fan-out floor runs on the engine goroutine.
 	Pool *Pool
 	// Far, if non-nil, switches channel resolution to a far-field
 	// approximation plan — the hierarchical quadtree (*sinr.QuadTree or
@@ -170,7 +174,37 @@ type Config struct {
 	// drift gate uses to pin "adaptive run ≡ forcing the chosen mode per
 	// slot" bit for bit.
 	forceFar func(slot, senders int) bool
+	// forceFan, when set (tests only), overrides whether a stage of a
+	// pooled engine fans out: it receives the stage, its work (live nodes
+	// for a step, |lis|·|txs| for a decode) and the floors' verdict, and
+	// returns the decision to take.
+	forceFan func(st stage, work int, fan bool) bool
+	// noListenGate, when set (tests only), decodes every listener of a
+	// ranged slot, leaving the range to finishDecode alone: the reference
+	// the gate is checked against.
+	noListenGate bool
 }
+
+// stepFanOutMin is the live-node count from which stage 1 (protocol
+// steps) fans out to the pool; below it, a pool round trip costs more than
+// the steps it splits. Fitted with BenchmarkEngineSlot on a 2-vCPU Xeon
+// VM (GOMAXPROCS 2, two workers, medians of 5 runs, each node drawing
+// once from a fresh stream per step): a step slot took 23.6 µs inline vs
+// 29.6 µs fanned out at 512 live nodes, 46.2 vs 52.5 at 1024, 103.6 vs
+// 94.0 at 2048, 237 vs 184 at 4096 and 428 vs 341 at 8192.
+const stepFanOutMin = 2048
+
+// decodeFanOutMin is the exact decode work |lis|·|txs|, counted after the
+// listen gate, from which stage 3 fans out to the pool. Far slots always
+// fan out: each listener walks the plan, which costs far more than a pair.
+// Fitted from the same BenchmarkEngineSlot sweep (slot times with the
+// steps inline, inline vs fanned-out decode): at 1024 live nodes and the
+// gain table, 75.1 vs 78.4 µs at ~4k pairs, 87.9 vs 97.0 at ~8k, 150.9 vs
+// 137.9 at ~16k and 293.7 vs 244.2 at ~64k; at 4096 live nodes, 265.6 vs
+// 305.4 at ~8k, 252.0 vs 258.7 at ~16k, 310.5 vs 279.1 at ~32k and 414.7
+// vs 330.2 at ~64k, and on the fly 310.7 vs 308.3 at ~8k, 326 vs 330 at
+// ~16k, 375 vs 341 at ~32k and 545 vs 453 at ~64k.
+const decodeFanOutMin = 16384
 
 // DefaultAdaptiveCrossover is the calibrated sender count above which a
 // slot is cheaper through the far-field plan than exact. Below it, exact
@@ -290,10 +324,10 @@ type Engine struct {
 	acc     []listenAcc // exact decode state of lis[j], at acc[j]
 
 	// Listen range (SetListenRange): 0 keeps every delivery, r > 0 only
-	// those from a sender closer than r. cells indexes each gated slot's
-	// senders to drop the listeners that cannot hear one in range.
+	// those from a sender closer than r. gate drops, before decode, the
+	// listeners that cannot hear a sender in range.
 	listenRange float64
-	cells       cellIndex
+	gate        listenGate
 
 	// Physics-kernel state hoisted out of the slot loop.
 	beta  float64
@@ -312,7 +346,7 @@ type Engine struct {
 	farSlot   bool // current slot resolves far-field (set serially in Step)
 
 	shards  []shard
-	pool    *Pool // nil when the engine runs serially
+	pool    *Pool // nil when every stage runs on the engine goroutine
 	ownPool bool  // the engine spawned pool itself and must close it
 	stageWG sync.WaitGroup
 }
@@ -321,11 +355,11 @@ type Engine struct {
 // len(procs) must equal inst.Len(). A nil entry is a node that idles in
 // every slot: the engine indexes the non-nil entries once, here, and its
 // slot loop steps and decodes only those (less the ones that have left),
-// so an idle node costs nothing per slot. Engines whose live set is large
-// enough to parallelize dispatch on Config.Pool when one is provided,
-// otherwise they spawn a private worker pool; call Close when done with an
-// engine to release a private pool's goroutines (Close is always safe to
-// call and never touches a shared pool).
+// so an idle node costs nothing per slot. With more than one worker the
+// engine fans its large stages out to Config.Pool when one is provided,
+// otherwise to a private worker pool it spawns; call Close when done with
+// an engine to release a private pool's goroutines (Close is always safe
+// to call and never touches a shared pool).
 func NewEngine(inst *sinr.Instance, procs []Protocol, cfg Config) (*Engine, error) {
 	if len(procs) != inst.Len() {
 		return nil, fmt.Errorf("sim: %d protocols for %d nodes", len(procs), inst.Len())
@@ -356,7 +390,6 @@ func NewEngine(inst *sinr.Instance, procs []Protocol, cfg Config) (*Engine, erro
 		}
 		e.live = append(e.live, int32(i))
 	}
-	live := len(e.live)
 	if cfg.Far != nil {
 		if cfg.Far.Instance() != inst {
 			return nil, fmt.Errorf("sim: far-field plan built from a different instance")
@@ -379,19 +412,19 @@ func NewEngine(inst *sinr.Instance, procs []Protocol, cfg Config) (*Engine, erro
 		e.gains = inst.GainTable()
 	}
 	switch {
-	case cfg.Pool != nil && cfg.Pool.Workers() > 1 && live >= 2*cfg.Pool.Workers():
+	case cfg.Pool != nil && cfg.Pool.Workers() > 1:
 		// Shared session pool; the engine borrows it and never closes it.
 		e.pool = cfg.Pool
 		e.shards = make([]shard, cfg.Pool.Workers())
-	case cfg.Pool == nil && cfg.Workers > 1 && live >= 2*cfg.Workers:
+	case cfg.Pool == nil && cfg.Workers > 1:
 		e.pool = NewPool(cfg.Workers)
 		e.ownPool = true
 		e.shards = make([]shard, cfg.Workers)
 	default:
 		e.shards = make([]shard, 1)
 	}
-	e.lis = make([]int32, 0, live)
-	e.acc = make([]listenAcc, live)
+	e.lis = make([]int32, 0, len(e.live))
+	e.acc = make([]listenAcc, len(e.live))
 	return e, nil
 }
 
@@ -433,8 +466,9 @@ func (e *Engine) Step() {
 		}
 	}
 
-	// Stage 1: step every live protocol with its inbox (parallel).
-	if e.pool != nil {
+	// Stage 1: step every live protocol with its inbox, fanned out over
+	// the pool when there are enough of them.
+	if e.fanOut(stageStep, len(e.live)) {
 		e.pool.dispatch(e, stageStep)
 	} else {
 		e.stepRange(0, len(e.live))
@@ -462,10 +496,10 @@ func (e *Engine) Step() {
 	e.live = e.live[:kept]
 	e.stats.Transmissions += len(e.txs)
 
-	// Under a listen range, drop the listeners with no sender in range once
-	// the slot's decode work pays for indexing the senders. The gate leaves
-	// txs alone, so the mode choice below is the same with or without it.
-	if e.listenRange > 0 && e.cells.ok && len(e.txs)*len(e.lis) >= listenGateMinWork {
+	// Under a listen range, drop the listeners with no sender in range.
+	// The gate leaves txs alone, so the mode choice below is the same with
+	// or without it.
+	if e.listenRange > 0 && len(e.txs) > 0 && len(e.lis) > 0 && !e.cfg.noListenGate {
 		e.gateListeners()
 	}
 
@@ -488,14 +522,14 @@ func (e *Engine) Step() {
 		e.farScr.Accumulate(e.txs)
 	}
 
-	// Stage 3: decode at every listener left (parallel). Each listener
-	// decodes the strongest sender if its SINR clears β. Counters land in
-	// per-worker shards; no lock is taken. Exact slots decode sender-major,
-	// streaming each sender's gain row across the listeners (decodeExact);
-	// far slots walk the plan once per listener (decodeListenerFar). Pooled
-	// engines give each worker a contiguous share of lis.
+	// Stage 3: decode at every listener left. Each listener decodes the
+	// strongest sender if its SINR clears β. Counters land in per-worker
+	// shards; no lock is taken. Exact slots decode sender-major, streaming
+	// each sender's gain row across the listeners (decodeExact); far slots
+	// walk the plan once per listener (decodeListenerFar). A stage that
+	// fans out gives each worker a contiguous share of lis.
 	if len(e.txs) > 0 && len(e.lis) > 0 {
-		if e.pool != nil {
+		if e.fanOut(stageDecode, len(e.lis)*len(e.txs)) {
 			e.pool.dispatch(e, stageDecode)
 		} else {
 			e.decodeRange(0, len(e.lis), &e.shards[0])
@@ -524,6 +558,24 @@ func (e *Engine) Step() {
 			Far:        e.farSlot,
 		})
 	}
+}
+
+// fanOut reports whether stage st, with the given work, runs on the pool
+// rather than on the engine goroutine: steps from stepFanOutMin live
+// nodes, decodes of a far slot always and of an exact slot from
+// decodeFanOutMin listener–sender pairs.
+func (e *Engine) fanOut(st stage, work int) bool {
+	if e.pool == nil {
+		return false
+	}
+	fan := work >= stepFanOutMin
+	if st == stageDecode {
+		fan = e.farSlot || work >= decodeFanOutMin
+	}
+	if e.cfg.forceFan != nil {
+		return e.cfg.forceFan(st, work, fan)
+	}
+	return fan
 }
 
 // stepRange runs stage 1 for the live nodes live[lo:hi].

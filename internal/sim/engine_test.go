@@ -1,11 +1,14 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"sinrconn/internal/geom"
 	"sinrconn/internal/sinr"
+	"sinrconn/internal/workload"
 )
 
 // scripted replays a fixed slot-indexed action sequence and records every
@@ -33,6 +36,10 @@ func lineInstance(t testing.TB, xs ...float64) *sinr.Instance {
 	}
 	return sinr.MustInstance(pts, sinr.DefaultParams())
 }
+
+// fanAlways forces every stage of a pooled engine onto the pool, so that
+// tests on engines below the fan-out floors still run the pooled path.
+func fanAlways(stage, int, bool) bool { return true }
 
 func mustEngine(t testing.TB, in *sinr.Instance, procs []Protocol, cfg Config) *Engine {
 	t.Helper()
@@ -141,7 +148,7 @@ func TestIdleNodesReceiveNothing(t *testing.T) {
 
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	// The same scripted schedule must produce identical stats for 1 and 8
-	// workers.
+	// workers, every stage of the 8-worker engine fanned out.
 	run := func(workers int) Stats {
 		in := lineInstance(t, 0, 2, 4, 6, 8, 10, 12, 14, 16, 18)
 		p := in.Params()
@@ -157,7 +164,7 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 			}
 			procs[i] = &scripted{actions: acts}
 		}
-		e := mustEngine(t, in, procs, Config{Workers: workers, DropProb: 0.2, Seed: 99})
+		e := mustEngine(t, in, procs, Config{Workers: workers, DropProb: 0.2, Seed: 99, forceFan: fanAlways})
 		defer e.Close()
 		e.Run(10)
 		return e.Stats()
@@ -248,37 +255,94 @@ func TestAddressedAckSemantics(t *testing.T) {
 	}
 }
 
-func BenchmarkEngineSlot(b *testing.B) {
-	n := 256
-	pts := make([]geom.Point, n)
-	for i := range pts {
-		pts[i] = geom.Point{X: float64(i%16) * 2, Y: float64(i/16) * 2}
-	}
-	in := sinr.MustInstance(pts, sinr.DefaultParams())
-	p := in.Params()
-	procs := make([]Protocol, n)
-	for i := range procs {
-		var acts []Action
-		for s := 0; s < 1; s++ {
-			if i%4 == 0 {
-				acts = append(acts, Transmit(p.SafePower(4), Message{From: i}))
-			} else {
-				acts = append(acts, Listen())
-			}
-		}
-		procs[i] = &repeat{act: acts[0]}
-	}
-	e, err := NewEngine(in, procs, Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer e.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
-	}
+// coinProto draws the first number of a fresh node stream every slot,
+// what an Init node's step costs in a broadcast slot, then transmits
+// (transmit), listens, or idles (idle).
+type coinProto struct {
+	id             int
+	transmit, idle bool
+	power, sink    float64
 }
 
-type repeat struct{ act Action }
+func (p *coinProto) Step(slot int, _ []Delivery) Action {
+	rng := NodeRand{Seed: int64(slot)<<32 | int64(p.id)}
+	p.sink += rng.Float64()
+	switch {
+	case p.idle:
+		return Idle()
+	case p.transmit:
+		return Transmit(p.power, Message{Kind: KindBroadcast, From: p.id, To: NoAddressee})
+	}
+	return Listen()
+}
 
-func (r *repeat) Step(int, []Delivery) Action { return r.act }
+// BenchmarkEngineSlot is the sweep the fan-out floors stepFanOutMin and
+// decodeFanOutMin are fitted from: one slot of a JitteredGrid(2.6, 0.8)
+// engine, each stage run on the engine goroutine (fan=false) or fanned out
+// to a 2-worker pool (fan=true). The step cases idle every node, so the
+// slot is stage 1 alone; they decode nothing and use a quadtree plan only
+// to skip the gain table. The decode cases step inline and decode exactly
+// from the gain table (or on the fly, as an adaptive far-field engine's
+// exact slots do), with one node in live/senders transmitting; their work
+// is senders·(live − senders) listener–sender pairs.
+func BenchmarkEngineSlot(b *testing.B) {
+	type sweep struct {
+		live, senders int
+		onTheFly      bool
+	}
+	var cases []sweep
+	for _, live := range []int{512, 1024, 2048, 4096, 8192} {
+		cases = append(cases, sweep{live: live})
+	}
+	for _, senders := range []int{4, 8, 16, 32, 64} {
+		cases = append(cases, sweep{live: 1024, senders: senders})
+	}
+	for _, senders := range []int{2, 4, 8, 16} {
+		cases = append(cases, sweep{live: 4096, senders: senders}, sweep{live: 4096, senders: senders, onTheFly: true})
+	}
+	never := func(int, int) bool { return false }
+	for _, tc := range cases {
+		for _, fan := range []bool{false, true} {
+			name := fmt.Sprintf("step/live=%d/fan=%v", tc.live, fan)
+			if tc.senders > 0 {
+				name = fmt.Sprintf("decode/live=%d/senders=%d/fan=%v", tc.live, tc.senders, fan)
+				if tc.onTheFly {
+					name += "/onthefly"
+				}
+			}
+			b.Run(name, func(b *testing.B) {
+				in := sinr.MustInstance(workload.JitteredGrid(rand.New(rand.NewSource(1)), tc.live, 2.6, 0.8), sinr.DefaultParams())
+				power := in.Params().SafePower(4)
+				procs := make([]Protocol, tc.live)
+				for i := range procs {
+					procs[i] = &coinProto{
+						id:       i,
+						transmit: tc.senders > 0 && i%(tc.live/tc.senders) == 0,
+						idle:     tc.senders == 0,
+						power:    power,
+					}
+				}
+				cfg := Config{Workers: 2, forceFan: func(st stage, _ int, _ bool) bool {
+					return fan && (st == stageDecode) == (tc.senders > 0)
+				}}
+				if tc.senders == 0 || tc.onTheFly {
+					q, err := in.QuadTree(1.0)
+					if err != nil {
+						b.Fatal(err)
+					}
+					cfg.Far, cfg.forceFar = q, never
+				}
+				e, err := NewEngine(in, procs, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer e.Close()
+				e.Run(3)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					e.Step()
+				}
+			})
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sinrconn/internal/geom"
@@ -31,23 +32,48 @@ func (p *chatterProto) Step(slot int, _ []Delivery) Action {
 
 // rangeRun is one engine run of the listen-range differential: every
 // delivery each node received, the stats, how many listener-slots were
-// decoded, and whether the sender cell index could be used.
+// decoded, and whether the gate's cell grid could be used.
 type rangeRun struct {
 	got     [][]Delivery
 	stats   Stats
 	decoded int
-	cellsOK bool
+	gridOK  bool
+	cells   int // occupied cells of the last grid
+}
+
+// checkGateSlot asserts that the listeners the engine decoded in the slot
+// it just ran are exactly those a brute-force scan keeps: under a range
+// r > 0, in a slot with a sender, each listener that some sender is closer
+// than r to, by Instance.Dist from the sender; otherwise every listener.
+func checkGateSlot(t *testing.T, label string, e *Engine) {
+	t.Helper()
+	var want []int32
+	for _, v := range e.live {
+		if e.actions[v].Kind != ActionListen {
+			continue
+		}
+		keep := !(e.listenRange > 0) || len(e.txs) == 0
+		for _, tx := range e.txs {
+			keep = keep || e.inst.Dist(tx.Sender, int(v)) < e.listenRange
+		}
+		if keep {
+			want = append(want, v)
+		}
+	}
+	if !slices.Equal(want, e.lis) {
+		t.Fatalf("%s: slot %d: the gate kept listeners %v, brute force %v", label, e.slot-1, e.lis, want)
+	}
 }
 
 // runRanged runs chatterProto nodes over in for slots slots under listen
-// range r with the listener gate forced on (gate) or off, or with no range
-// at all when r is 0.
+// range r with the listener gate on (gate), when it must keep exactly the
+// listeners checkGateSlot finds in every slot, or off, or with no range at
+// all when r is 0. Pooled configs fan every stage out.
 func runRanged(t *testing.T, in *sinr.Instance, cfg Config, salt int64, slots int, r float64, gate bool) rangeRun {
 	t.Helper()
-	defer func(old int) { listenGateMinWork = old }(listenGateMinWork)
-	listenGateMinWork = math.MaxInt
-	if gate {
-		listenGateMinWork = 0
+	cfg.noListenGate = !gate
+	if cfg.Workers > 1 {
+		cfg.forceFan = fanAlways
 	}
 	n := in.Len()
 	power := in.Params().SafePower(4)
@@ -65,6 +91,9 @@ func runRanged(t *testing.T, in *sinr.Instance, cfg Config, salt int64, slots in
 	var run rangeRun
 	for s := 0; s < slots; s++ {
 		e.Step()
+		if gate {
+			checkGateSlot(t, "runRanged", e)
+		}
 		run.decoded += len(e.lis)
 	}
 	run.got = make([][]Delivery, n)
@@ -73,7 +102,7 @@ func runRanged(t *testing.T, in *sinr.Instance, cfg Config, salt int64, slots in
 		run.got[i] = append(rec.got, e.inboxes[i]...)
 	}
 	run.stats = e.Stats()
-	run.cellsOK = e.cells.ok
+	run.gridOK, run.cells = e.gate.ok, len(e.gate.cells)
 	return run
 }
 
@@ -144,12 +173,14 @@ func latticePoints(side int, d float64) []geom.Point {
 // TestListenRangeMatchesFilter pins SetListenRange against its
 // definition: a ranged engine's inboxes equal an unranged engine's with
 // every delivery at Dist ≥ r removed, bit for bit, and its counters do not
-// depend on whether the listener gate ran. It covers the gain table,
-// on-the-fly exact decode, far-field decode, serial and pooled engines
-// and drops, over a jittered grid, a lattice whose points sit on cell
-// boundaries with senders at exactly r and at math.Nextafter(r, 0),
-// duplicate points, and a chain with Δ = 2⁴⁰ whose cell coordinates
-// overflow, so the engine falls back to decoding every listener.
+// depend on whether the listener gate ran; in every slot the gate keeps
+// exactly the listeners some sender is closer than r to. It covers the
+// gain table, on-the-fly exact decode, far-field decode, serial and pooled
+// engines and drops, over a jittered grid, a lattice whose points sit on
+// cell boundaries with senders at exactly r and at math.Nextafter(r, 0),
+// duplicate points, a lattice that fits in one cell, and a chain with
+// Δ = 2⁴⁰ whose cell coordinates overflow, so the gate falls back to
+// comparing every listener with every sender.
 func TestListenRangeMatchesFilter(t *testing.T) {
 	const slots = 16
 	quad := func(in *sinr.Instance) *sinr.QuadTree {
@@ -178,6 +209,9 @@ func TestListenRangeMatchesFilter(t *testing.T) {
 		chainPts = append(chainPts, geom.Point{X: x}, geom.Point{X: x + 1, Y: 0.5})
 	}
 	chain := sinr.MustInstance(chainPts, sinr.DefaultParams())
+	// A 4×4 lattice of spacing 0.3 spans 0.9 < r = 1 on each axis, so
+	// every node shares one cell.
+	oneCell := sinr.MustInstance(latticePoints(4, 0.3), sinr.DefaultParams())
 
 	exactCfgs := []Config{
 		{Workers: 1},
@@ -200,8 +234,10 @@ func TestListenRangeMatchesFilter(t *testing.T) {
 		in   *sinr.Instance
 		cfgs []Config
 		rs   []float64
-		// fallback: the instance spans too many cells for the index.
+		// fallback: the instance spans too many cells for the grid.
 		fallback bool
+		// cells, if non-zero, is the number of cells the grid must hold.
+		cells int
 		// atR: some unranged delivery lies at exactly this distance.
 		atR float64
 	}{
@@ -212,6 +248,7 @@ func TestListenRangeMatchesFilter(t *testing.T) {
 		{name: "lattice-at-r", in: lattice, cfgs: append(exactCfgs, farCfgs(quad(lattice))...), rs: []float64{2}, atR: 2},
 		{name: "lattice-below-r", in: lattice, cfgs: exactCfgs, rs: []float64{math.Nextafter(2, 3)}, atR: 2},
 		{name: "duplicates", in: dups, cfgs: append(exactCfgs, farCfgs(quad(dups))...), rs: []float64{3}},
+		{name: "one-cell", in: oneCell, cfgs: exactCfgs, rs: []float64{1}, cells: 1},
 		{name: "chain-2^40", in: chain, cfgs: exactCfgs, rs: []float64{2}, fallback: true},
 	}
 	for _, c := range cases {
@@ -223,10 +260,13 @@ func TestListenRangeMatchesFilter(t *testing.T) {
 				if cut == 0 || gated.stats.Deliveries == 0 {
 					t.Fatalf("%s: the range cut %d and kept %d deliveries; want both", label, cut, gated.stats.Deliveries)
 				}
-				if gated.cellsOK == c.fallback {
-					t.Fatalf("%s: cell index usable = %v", label, gated.cellsOK)
+				if gated.gridOK == c.fallback {
+					t.Fatalf("%s: cell grid usable = %v", label, gated.gridOK)
 				}
-				if c.fallback != (gated.decoded == ref.decoded) {
+				if c.cells > 0 && gated.cells != c.cells {
+					t.Fatalf("%s: the grid holds %d cells, want %d", label, gated.cells, c.cells)
+				}
+				if gated.decoded >= ref.decoded {
 					t.Fatalf("%s: the gate decoded %d of %d listener-slots", label, gated.decoded, ref.decoded)
 				}
 				if c.atR > 0 && !hasDist(ref.got, c.atR) {
@@ -246,6 +286,57 @@ func hasDist(got [][]Delivery, d float64) bool {
 		}
 	}
 	return false
+}
+
+// TestListenRangeChangeMidRun changes the range between slots while nodes
+// leave: up, so a grid left over from the previous range would miss
+// senders, down, off and on again. In every slot the gate must keep
+// exactly the listeners some sender is closer than the current range to,
+// and every inbox and counter must equal an engine's whose gate is off.
+func TestListenRangeChangeMidRun(t *testing.T) {
+	const n, per = 192, 6
+	in := sinr.MustInstance(workload.JitteredGrid(rand.New(rand.NewSource(29)), n, 2.6, 0.8), sinr.DefaultParams())
+	ranges := []float64{2, 6, 2.5, 0, 3, 9}
+	for _, cfg := range []Config{{Workers: 1}, {Workers: 4, forceFan: fanAlways, DropProb: 0.2, Seed: 3}} {
+		run := func(gate bool) ([][]Delivery, Stats, int) {
+			c := cfg
+			c.noListenGate = !gate
+			procs := make([]Protocol, n)
+			recs := make([]*recordProto, n)
+			for i := range procs {
+				leave := -1
+				if i%4 == 1 {
+					leave = int(dropCoin(31, 0, i) * float64(per*len(ranges)))
+				}
+				recs[i] = &recordProto{inner: &departProto{id: i, leave: leave, power: in.Params().SafePower(4)}}
+				procs[i] = recs[i]
+			}
+			e := mustEngine(t, in, procs, c)
+			defer e.Close()
+			decoded := 0
+			for _, r := range ranges {
+				e.SetListenRange(r)
+				for s := 0; s < per; s++ {
+					e.Step()
+					if gate {
+						checkGateSlot(t, fmt.Sprintf("workers=%d r=%v", cfg.Workers, r), e)
+					}
+					decoded += len(e.lis)
+				}
+			}
+			got := make([][]Delivery, n)
+			for i, rec := range recs {
+				got[i] = append(rec.got, e.inboxes[i]...)
+			}
+			return got, e.Stats(), decoded
+		}
+		gotOn, statsOn, decodedOn := run(true)
+		gotOff, statsOff, decodedOff := run(false)
+		assertRunsEqual(t, fmt.Sprintf("workers=%d: gate on vs off", cfg.Workers), gotOn, gotOff, statsOn, statsOff)
+		if statsOn.Deliveries == 0 || decodedOn >= decodedOff {
+			t.Fatalf("workers=%d: %d deliveries, %d of %d listener-slots decoded", cfg.Workers, statsOn.Deliveries, decodedOn, decodedOff)
+		}
+	}
 }
 
 // TestListenRangeOff pins the ways to set no range: 0, a negative range
@@ -276,10 +367,10 @@ func TestListenRangeOff(t *testing.T) {
 }
 
 // FuzzListenRange is TestListenRangeMatchesFilter's property over random
-// deployments, ranges and engine modes: jittered lattices with duplicate
-// points and exact lattice points mixed in, any float range (non-positive
-// and NaN meaning none), exact or far-field, serial or pooled, with or
-// without drops.
+// deployments, ranges and engine modes, the gate's exactness in every slot
+// included: jittered lattices with duplicate points and exact lattice
+// points mixed in, any float range (non-positive and NaN meaning none),
+// exact or far-field, serial or pooled, with or without drops.
 func FuzzListenRange(f *testing.F) {
 	f.Add(int64(1), int64(64), 2.0, int64(0))
 	f.Add(int64(2), int64(96), 4.5, int64(1))

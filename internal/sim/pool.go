@@ -58,9 +58,10 @@ func (p *Pool) work(k int) {
 	w := len(p.cmd)
 	for j := range p.cmd[k] {
 		e := j.e
-		// Fault site pool.worker.stall: delay this worker's share of the
-		// stage. The stage barrier (stageWG) still waits for every shard,
-		// so a stall reorders nothing — it only stretches the slot.
+		// Fault site pool.worker.stall: delay this worker's share of a
+		// stage that fans out. The stage barrier (stageWG) still waits for
+		// every shard, so a stall reorders nothing — it only stretches the
+		// slot.
 		if e.cfg.Injector != nil {
 			if act, ok := e.cfg.Injector.Fire(faults.PoolWorkerStall); ok {
 				time.Sleep(act.Delay)
