@@ -28,12 +28,12 @@ import (
 
 // churnBenchInstance builds the benchmark deployment at the physics
 // benchmarks' density, far-field mode past the gain-table bound.
-func churnBenchInstance(b *testing.B, n int) (*sinr.Instance, sinr.Far) {
+func churnBenchInstance(b *testing.B, n int) (*sinr.Instance, *sinr.QuadTree) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(int64(n) * 3))
 	pts := workload.JitteredGrid(rng, n, 2.6, 0.8)
 	in := sinr.MustInstance(pts, sinr.DefaultParams())
-	var ff sinr.Far
+	var ff *sinr.QuadTree
 	if uint64(n)*uint64(n)*8 > 256<<20 { // past the gain-table memory bound
 		q, err := in.QuadTree(1.0)
 		if err != nil {
@@ -44,12 +44,12 @@ func churnBenchInstance(b *testing.B, n int) (*sinr.Instance, sinr.Far) {
 	return in, ff
 }
 
-func churnBenchConfig(seed int64, ff sinr.Far) core.InitConfig {
+func churnBenchConfig(seed int64, ff *sinr.QuadTree) core.InitConfig {
 	return core.InitConfig{Seed: seed, Far: ff}
 }
 
 // churnBenchTree builds the initial tree once per size (outside timers).
-func churnBenchTree(b *testing.B, in *sinr.Instance, ff sinr.Far) *tree.BiTree {
+func churnBenchTree(b *testing.B, in *sinr.Instance, ff *sinr.QuadTree) *tree.BiTree {
 	b.Helper()
 	ires, err := core.Init(context.Background(), in, churnBenchConfig(1, ff))
 	if err != nil {

@@ -42,7 +42,7 @@ func farBenchInstance(n int) *sinr.Instance {
 
 // quadBenchEngine builds a fixed-role engine (even ids transmit) over the
 // shared far-bench geometry with the given plan (nil = exact).
-func quadBenchEngine(b *testing.B, in *sinr.Instance, ff sinr.Far) *sim.Engine {
+func quadBenchEngine(b *testing.B, in *sinr.Instance, ff *sinr.QuadTree) *sim.Engine {
 	b.Helper()
 	n := in.Len()
 	power := in.Params().SafePower(4)
@@ -57,7 +57,7 @@ func quadBenchEngine(b *testing.B, in *sinr.Instance, ff sinr.Far) *sim.Engine {
 	return eng
 }
 
-func benchSlot(b *testing.B, in *sinr.Instance, ff sinr.Far) {
+func benchSlot(b *testing.B, in *sinr.Instance, ff *sinr.QuadTree) {
 	eng := quadBenchEngine(b, in, ff)
 	defer eng.Close()
 	// Two warm-up slots, not one: delivery inboxes are double-buffered, so
@@ -101,15 +101,6 @@ func BenchmarkQuadtree(b *testing.B) {
 				}
 				benchSlot(b, in, q)
 			})
-			if n == 1048576 {
-				b.Run(fmt.Sprintf("n=%d/eps=%v/f32", n, eps), func(b *testing.B) {
-					q, err := in.QuadTree(eps)
-					if err != nil {
-						b.Fatal(err)
-					}
-					benchSlot(b, in, q.Prec32())
-				})
-			}
 		}
 	}
 }
@@ -149,7 +140,7 @@ func BenchmarkAdaptiveCrossover(b *testing.B) {
 		for i := 0; i < n; i++ {
 			procs[i] = &senderCountProto{id: i, stride: n / senders, power: power}
 		}
-		run := func(b *testing.B, ff sinr.Far) {
+		run := func(b *testing.B, ff *sinr.QuadTree) {
 			eng, err := sim.NewEngine(in, procs, sim.Config{Far: ff})
 			if err != nil {
 				b.Fatal(err)
@@ -201,7 +192,7 @@ func TestQuadtreeMeasuredError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc := q.NewResolver()
+		sc := q.NewScratch()
 		sc.Accumulate(txs)
 		maxErr := 0.0
 		for probe := 0; probe < 60; probe++ {
@@ -209,7 +200,7 @@ func TestQuadtreeMeasuredError(t *testing.T) {
 			if v >= n {
 				continue
 			}
-			best, bestRP, total, sat := sc.Resolve(v, txs)
+			best, bestRP, total, sat := sc.Resolve(v)
 			if sat || best < 0 {
 				continue
 			}

@@ -418,7 +418,7 @@ type churnDriver struct {
 	pool     *sim.Pool
 	in       *sinr.Instance
 	bt       *tree.BiTree
-	ff       sinr.Far
+	ff       *sinr.QuadTree
 	adaptive bool
 	gen      *churn.Generator
 	damper   *churn.Damper

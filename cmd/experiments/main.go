@@ -30,7 +30,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	quick := fs.Bool("quick", false, "reduced sweep for smoke testing")
-	only := fs.String("only", "", "run a single experiment (E1..E20, A1..A5)")
+	only := fs.String("only", "", "run a single experiment (E1..E19, A1..A5)")
 	seeds := fs.Int("seeds", 0, "override trials per cell")
 	ablations := fs.Bool("ablations", false, "also run the A1..A5 design-choice sweeps")
 	if err := fs.Parse(args); err != nil {
@@ -68,7 +68,6 @@ func run(args []string, out io.Writer) error {
 		{"E17", experiments.E17Quadtree},
 		{"E18", experiments.E18Churn},
 		{"E19", experiments.E19Serve},
-		{"E20", experiments.E20SlotEngine},
 	}
 	abl := []entry{
 		{"A1", experiments.A1BroadcastProb},

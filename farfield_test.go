@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"sinrconn/internal/sinr"
 	"sinrconn/internal/workload"
 )
 
@@ -208,17 +207,17 @@ func TestFarModeSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := auto.Tree.ff.(*sinr.QuadTree); !ok || !auto.Tree.ffAdaptive {
-		t.Fatalf("FarAuto recorded (%T, adaptive=%v), want (*sinr.QuadTree, true)",
-			auto.Tree.ff, auto.Tree.ffAdaptive)
+	if auto.Tree.ff == nil || !auto.Tree.ffAdaptive {
+		t.Fatalf("FarAuto recorded (plan %v, adaptive=%v), want (plan true, true)",
+			auto.Tree.ff != nil, auto.Tree.ffAdaptive)
 	}
 	quad, err := nw.Run(bg, PipelineInit, WithFarMode(FarQuadtree))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := quad.Tree.ff.(*sinr.QuadTree); !ok || quad.Tree.ffAdaptive {
-		t.Fatalf("FarQuadtree recorded (%T, adaptive=%v), want (*sinr.QuadTree, false)",
-			quad.Tree.ff, quad.Tree.ffAdaptive)
+	if quad.Tree.ff == nil || quad.Tree.ffAdaptive {
+		t.Fatalf("FarQuadtree recorded (plan %v, adaptive=%v), want (plan true, false)",
+			quad.Tree.ff != nil, quad.Tree.ffAdaptive)
 	}
 	if auto == quad {
 		t.Fatal("distinct far modes shared one memo entry")
@@ -236,15 +235,15 @@ func TestFarModeSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sauto.Tree.ff != nil {
-		t.Fatalf("near-dominated FarAuto run recorded plan %T, want exact fallback", sauto.Tree.ff)
+		t.Fatal("near-dominated FarAuto run recorded a plan, want exact fallback")
 	}
 	forced, err := snw.Run(bg, PipelineInit, WithFarMode(FarQuadtree))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fq, ok := forced.Tree.ff.(*sinr.QuadTree)
-	if !ok {
-		t.Fatalf("forced FarQuadtree recorded %T, want *sinr.QuadTree", forced.Tree.ff)
+	fq := forced.Tree.ff
+	if fq == nil {
+		t.Fatal("forced FarQuadtree recorded no plan")
 	}
 	if !fq.NearDominated() {
 		t.Fatal("test geometry no longer quadtree-near-dominated — shrink it")
@@ -271,8 +270,8 @@ func TestFarModeOpScoping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := res.Tree.ff.(*sinr.QuadTree); !ok {
-		t.Fatalf("run-scoped ε recorded %T, want *sinr.QuadTree", res.Tree.ff)
+	if res.Tree.ff == nil {
+		t.Fatal("run-scoped ε recorded no plan")
 	}
 	grown, err := nw.Join(bg, res, []Point{{X: 400, Y: 400}, {X: 403, Y: 401}})
 	if err != nil {
@@ -356,98 +355,6 @@ func TestFarFieldEpochAndJoin(t *testing.T) {
 	}
 	if err := grown.Tree.Verify(); err != nil {
 		t.Fatalf("far-field joined tree failed verification: %v", err)
-	}
-}
-
-// TestFarPrecisionOption pins the public WithFarPrecision surface:
-//
-//   - A Far32 run under the quadtree engine records the float32 mirror on
-//     the result tree and still spans the instance.
-//   - Precision is part of the memo key: Far32 and Far64 runs at the same
-//     ε are distinct entries, a repeated Far32 run hits the memo, and an
-//     explicit Far64 names the default entry.
-//   - ε = 0 ignores precision entirely: the run is the exact path and
-//     shares the exact memo entry.
-//   - Operations inherit the precision the tree was built under: a plain
-//     Join on a Far32-built tree grows a Far32 tree.
-func TestFarPrecisionOption(t *testing.T) {
-	// 512 uniform nodes at ε=2.5: past the quadtree degeneracy guard, so
-	// FarAuto keeps the plan (geometry rationale in TestFarModeSelection).
-	pts := uniformPoints(67, 512)
-	nw, err := Open(pts, WithSeed(67), WithMaxRelError(2.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Close()
-	f64, err := nw.Run(bg, PipelineInit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := f64.Tree.ff.(*sinr.QuadTree); !ok {
-		t.Fatalf("default-precision run recorded %T, want *sinr.QuadTree", f64.Tree.ff)
-	}
-	f32, err := nw.Run(bg, PipelineInit, WithFarPrecision(Far32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mirror, ok := f32.Tree.ff.(*sinr.QuadTreeF32)
-	if !ok {
-		t.Fatalf("Far32 run recorded %T, want *sinr.QuadTreeF32", f32.Tree.ff)
-	}
-	if mirror.CertifiedMaxRelError() > mirror.MaxRelError() {
-		t.Fatalf("f32 certificate %v exceeds its effective bound %v",
-			mirror.CertifiedMaxRelError(), mirror.MaxRelError())
-	}
-	if f32.Tree.NumNodes != len(pts) {
-		t.Fatalf("Far32 tree spans %d/%d nodes", f32.Tree.NumNodes, len(pts))
-	}
-	if f32 == f64 {
-		t.Fatal("Far32 run served from the Far64 memo entry")
-	}
-	again, err := nw.Run(bg, PipelineInit, WithFarPrecision(Far32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != f32 {
-		t.Fatal("repeated Far32 run missed the memo")
-	}
-	explicit, err := nw.Run(bg, PipelineInit, WithFarPrecision(Far64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if explicit != f64 {
-		t.Fatal("explicit Far64 run missed the default-precision memo entry")
-	}
-
-	if _, err := nw.Run(bg, PipelineInit, WithFarPrecision(Far32+1)); err == nil {
-		t.Fatal("Run accepted an unknown FarPrecision")
-	}
-
-	// ε = 0 is the exact path whatever the precision: same memo entry as
-	// a plain exact run, bit-identical results.
-	exact, err := nw.Run(bg, PipelineInit, WithMaxRelError(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	zero32, err := nw.Run(bg, PipelineInit, WithMaxRelError(0), WithFarPrecision(Far32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if zero32 != exact {
-		t.Fatal("ε=0 with Far32 split off from the exact memo entry")
-	}
-	assertResultsIdentical(t, zero32, exact)
-
-	// Plain operations on a Far32-built tree inherit the mirror.
-	grown, err := nw.Join(bg, f32, []Point{{X: 500, Y: 500}, {X: 503, Y: 501}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := grown.Tree.ff.(*sinr.QuadTreeF32); !ok {
-		t.Fatalf("join of a Far32-built tree recorded %T, want *sinr.QuadTreeF32", grown.Tree.ff)
-	}
-	if grown.Tree.ff.MaxRelError() < 2.5 {
-		t.Fatalf("inherited f32 plan narrowed the tree's ε: %v", grown.Tree.ff.MaxRelError())
 	}
 }
 

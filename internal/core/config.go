@@ -69,7 +69,7 @@ type InitConfig struct {
 	// Far, if non-nil, runs every engine of the construction under a
 	// far-field channel approximation (see sim.Config.Far). The plan must
 	// be built from the construction's instance.
-	Far sinr.Far
+	Far *sinr.QuadTree
 	// Adaptive, with Far set, lets every engine pick exact or
 	// far-field resolution per slot from the live sender count (see
 	// sim.Config.Adaptive).

@@ -49,7 +49,7 @@ func (p *farStepProto) Step(slot int, inbox []sim.Delivery) sim.Action {
 // stepTime runs a few fixed-role engine slots and returns ms per slot. f
 // is the far-field plan or nil (exact); adaptive enables per-slot mode
 // selection.
-func stepTime(in *sinr.Instance, f sinr.Far, adaptive bool, workers int) float64 {
+func stepTime(in *sinr.Instance, f *sinr.QuadTree, adaptive bool, workers int) float64 {
 	n := in.Len()
 	power := in.Params().SafePower(4)
 	procs := make([]sim.Protocol, n)
@@ -98,12 +98,12 @@ func E17Quadtree(ctx context.Context, cfg Config) Report {
 			r.Pass = false
 			continue
 		}
-		sc := q.NewResolver()
+		sc := q.NewScratch()
 		sc.Accumulate(txs)
 		maxErr := 0.0
 		for probe := 0; probe < 40; probe++ {
 			v := rng.Intn(n/2)*2 + 1
-			best, bestRP, total, sat := sc.Resolve(v, txs)
+			best, bestRP, total, sat := sc.Resolve(v)
 			if sat || best < 0 {
 				continue
 			}

@@ -43,11 +43,6 @@ var hotpathGates = map[string]hotpathGate{
 	"internal/sinr.QuadScratch.Resolve":         {"TestQuadtreeSlotLoopZeroAlloc", "internal/sim/adaptive_test.go"},
 	"internal/sinr.QuadScratch.LinkSINR":        {"TestSINRFeasibleFarBufZeroAlloc", "internal/sinr/alloc_test.go"},
 
-	// The f32 walk.
-	"internal/sinr.QuadScratch.round32Active": {"TestFloat32ResolverZeroAlloc", "internal/sinr/quadtree_f32_test.go"},
-	"internal/sinr.QuadScratch.resolve32":     {"TestFloat32ResolverZeroAlloc", "internal/sinr/quadtree_f32_test.go"},
-	"internal/sinr.QuadScratch.linkSINR32":    {"TestFloat32ResolverZeroAlloc", "internal/sinr/quadtree_f32_test.go"},
-
 	// Per-node streams: the lazy draws before the register exists.
 	"internal/sim.NodeRand.int63":   {"TestNodeRandLazy", "internal/sim/noderand_test.go"},
 	"internal/sim.NodeRand.Float64": {"TestNodeRandLazy", "internal/sim/noderand_test.go"},

@@ -298,66 +298,6 @@ func QuadLinkSINR(pts []geom.Point, p phys.Params, maxRelErr float64, txs []phys
 	return signal / (p.Noise + interference)
 }
 
-// QuadLinkSINR32 is the naive transcription of the kernel's float32
-// aggregate walk (sinr.QuadTreeF32): the same pyramid accumulated in
-// float64, each node's mass/centroid rounded once through float32, and the
-// walk's decision expressions reading float64(float32(agg)) — so kernel
-// and oracle take identical open/accept decisions. Leaf scans stay exact
-// float64, like the kernel's.
-func QuadLinkSINR32(pts []geom.Point, p phys.Params, maxRelErr float64, txs []phys.Tx, l phys.Link, pu float64) float64 {
-	qp := QuadPlanFor(pts, p.Alpha, maxRelErr)
-	levels := quadAccumulate(qp, pts, txs)
-
-	signal := pu * Gain(pts, p.Alpha, l.From, l.To)
-	if signal == 0 {
-		return 0
-	}
-	ux, uy := qp.Leaf(pts[l.From])
-	pv := pts[l.To]
-	lq := qp.Levels
-	interference := 0.0
-	var walk func(lvl, x, y int)
-	walk = func(lvl, x, y int) {
-		a := levels[lvl][Morton(x, y)]
-		if a == nil || a.mass == 0 {
-			return
-		}
-		dx := pv.X - float64(float32(a.cx))
-		dy := pv.Y - float64(float32(a.cy))
-		d2 := dx*dx + dy*dy // decision expression: transcribed, f32-rounded centroid
-		if d2 >= qp.OpenRad2[lvl] {
-			m := float64(float32(a.mass))
-			shift := uint(lq - lvl)
-			if x == ux>>shift && y == uy>>shift {
-				m -= pu
-			}
-			if m <= 0 {
-				return
-			}
-			interference += m / PathLoss(math.Hypot(dx, dy), p.Alpha)
-			return
-		}
-		if lvl == lq {
-			for _, t := range txs {
-				if t.Sender == l.From {
-					continue
-				}
-				tx, ty := qp.Leaf(pts[t.Sender])
-				if tx == x && ty == y {
-					interference += t.Power / PathLoss(Dist(pts, t.Sender, l.To), p.Alpha)
-				}
-			}
-			return
-		}
-		walk(lvl+1, 2*x, 2*y)
-		walk(lvl+1, 2*x+1, 2*y)
-		walk(lvl+1, 2*x, 2*y+1)
-		walk(lvl+1, 2*x+1, 2*y+1)
-	}
-	walk(0, 0, 0)
-	return signal / (p.Noise + interference)
-}
-
 // QuadSINRFeasible is the naive transcription of the hierarchical
 // feasibility check with its (1±ε) guard band at the β cut: a link passes
 // when its approximate SINR times (1 + ε_certified) clears

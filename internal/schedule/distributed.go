@@ -32,7 +32,7 @@ type DistConfig struct {
 	Pool *sim.Pool
 	// Far, if non-nil, runs the scheduler's engine under a far-field
 	// channel approximation (see sim.Config.Far).
-	Far sinr.Far
+	Far *sinr.QuadTree
 	// Adaptive, with Far set, lets the engine pick exact or far-field
 	// resolution per slot from the live sender count (see
 	// sim.Config.Adaptive).

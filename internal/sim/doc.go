@@ -24,7 +24,7 @@
 // channel resolution reads the sinr physics kernel's cached gain table
 // instead of recomputing path loss per (sender, listener) pair. Past the
 // table's memory bound, Config.Far switches decoding to a far-field
-// approximation plan (the quadtree, sinr.Far), and Config.Adaptive
+// approximation plan (the quadtree, *sinr.QuadTree), and Config.Adaptive
 // lets each slot pick exact or far-field resolution from its live sender
 // count — sparse slots skip the plan entirely — while staying bit-identical
 // to forcing the chosen mode per slot.

@@ -145,16 +145,15 @@ type Config struct {
 	// a stage below its fan-out floor runs on the engine goroutine.
 	Pool *Pool
 	// Far, if non-nil, switches channel resolution to a far-field
-	// approximation plan — the hierarchical quadtree (*sinr.QuadTree or
-	// its float32 view): per slot, senders are aggregated spatially and a
-	// listener resolves distant senders by centroid mass instead of sender
-	// by sender, within the plan's certified relative error. The decoded
-	// winner and its received power stay exact (the plan refines any
-	// aggregate that could hide the strongest sender); only Delivery.SINR
-	// carries the ε bound. The plan must be built from the engine's own
-	// Instance. Nil means exact resolution — bit-identical to the
-	// pre-far-field engine.
-	Far sinr.Far
+	// approximation plan — the hierarchical quadtree: per slot, senders
+	// are aggregated spatially and a listener resolves distant senders by
+	// centroid mass instead of sender by sender, within the plan's
+	// certified relative error. The decoded winner and its received power
+	// stay exact (the plan refines any aggregate that could hide the
+	// strongest sender); only Delivery.SINR carries the ε bound. The plan
+	// must be built from the engine's own Instance. Nil means exact
+	// resolution — bit-identical to the pre-far-field engine.
+	Far *sinr.QuadTree
 	// Adaptive, with Far set, selects exact or far-field resolution
 	// per slot from the live sender count: a slot with fewer than the
 	// crossover's senders decodes exactly (sparse slots cost O(n·|txs|),
@@ -335,12 +334,12 @@ type Engine struct {
 	pl    sinr.PathLoss
 	gains []float64 // n×n gain table, symmetric; nil if over memory budget
 
-	// Far-field approximation state (nil in exact mode). The resolver is
+	// Far-field approximation state (nil in exact mode). The scratch is
 	// engine-private: Accumulate fills it serially each slot, the parallel
 	// decode stage only reads it (Resolve keeps its walk state on the
-	// goroutine stack, so workers share the resolver).
-	far       sinr.Far
-	farScr    sinr.FarResolver
+	// goroutine stack, so workers share the scratch).
+	far       *sinr.QuadTree
+	farScr    *sinr.QuadScratch
 	adaptive  bool
 	crossover int
 	farSlot   bool // current slot resolves far-field (set serially in Step)
@@ -395,7 +394,7 @@ func NewEngine(inst *sinr.Instance, procs []Protocol, cfg Config) (*Engine, erro
 			return nil, fmt.Errorf("sim: far-field plan built from a different instance")
 		}
 		e.far = cfg.Far
-		e.farScr = cfg.Far.NewResolver()
+		e.farScr = cfg.Far.NewScratch()
 		if cfg.Adaptive {
 			e.adaptive = true
 			e.crossover = cfg.AdaptiveCrossover
@@ -663,7 +662,7 @@ func (e *Engine) decodeExact(lo, hi int, sh *shard) {
 //
 //sinr:hotpath
 func (e *Engine) decodeListenerFar(i int, sh *shard) {
-	best, bestRP, total, saturated := e.farScr.Resolve(i, e.txs)
+	best, bestRP, total, saturated := e.farScr.Resolve(i)
 	if saturated {
 		// A co-located sender drowns the channel, exactly as in exact mode.
 		sh.collided++

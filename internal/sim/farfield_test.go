@@ -3,7 +3,7 @@ package sim
 // Far-field engine config, saturation and determinism suite: the engine
 // refuses a plan built over another instance, a co-located transmitter
 // drowns the channel on the far-field path exactly as on the exact one,
-// and the float32 far slot is worker-count independent bit for bit.
+// and the far slot is worker-count independent bit for bit.
 
 import (
 	"math/rand"
@@ -95,11 +95,11 @@ func assertRunsEqual(t *testing.T, label string, aGot, bGot [][]Delivery, aStats
 	}
 }
 
-// TestEngineFar32DriftGate: the float32 far slot decoded across a worker
-// pool must not drift from its own serial run — every Delivery and every
-// Stats field bit-identical (f32 vs f64 accuracy is certified separately
-// in internal/sinr; here the claim is determinism of the f32 path itself).
-func TestEngineFar32DriftGate(t *testing.T) {
+// TestEngineFarDriftGate: the far slot decoded across a worker pool must
+// not drift from its own serial run — every Delivery and every Stats field
+// bit-identical. TestQuadtreePoolMatchesSerial compares Stats only; this
+// gate compares each listener's inbox.
+func TestEngineFarDriftGate(t *testing.T) {
 	const n, slots = 256, 14
 	run := func(workers int) ([][]Delivery, Stats) {
 		pts := workload.JitteredGrid(rand.New(rand.NewSource(17)), n, 3, 0.8)
@@ -115,7 +115,7 @@ func TestEngineFar32DriftGate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := NewEngine(in, procs, Config{Workers: workers, Far: q.Prec32()})
+		e, err := NewEngine(in, procs, Config{Workers: workers, Far: q})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,6 +131,6 @@ func TestEngineFar32DriftGate(t *testing.T) {
 	refGot, refStats := run(1)
 	for _, workers := range []int{2, 4} {
 		got, stats := run(workers)
-		assertRunsEqual(t, "f32 pooled vs f32 serial", refGot, got, refStats, stats)
+		assertRunsEqual(t, "pooled vs serial", refGot, got, refStats, stats)
 	}
 }

@@ -54,36 +54,28 @@ func TestSINRFeasibleBufZeroAlloc(t *testing.T) {
 
 // TestSINRFeasibleFarBufZeroAlloc pins the //sinr:hotpath contract of the
 // far-field feasibility path — Instance.SINRFeasibleFarBuf and, through it,
-// the quadtree resolver's Accumulate and LinkSINR.
+// the scratch's Accumulate and LinkSINR.
 func TestSINRFeasibleFarBufZeroAlloc(t *testing.T) {
 	in, links, powers := allocFixture(t)
 	q, err := in.QuadTree(0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		name string
-		f    sinr.Far
-		sc   sinr.FarResolver
-	}{
-		{"quadtree", q, q.NewResolver()},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			scratch := make([]sinr.Tx, len(links))
-			var callErr error
-			if _, callErr = in.SINRFeasibleFarBuf(links, powers, tc.f, scratch, tc.sc); callErr != nil {
-				t.Fatal(callErr)
-			}
-			allocs := testing.AllocsPerRun(100, func() {
-				_, callErr = in.SINRFeasibleFarBuf(links, powers, tc.f, scratch, tc.sc)
-			})
-			if callErr != nil {
-				t.Fatal(callErr)
-			}
-			if allocs != 0 {
-				t.Fatalf("SINRFeasibleFarBuf/%s allocates %.1f times/op with warm scratch, want 0", tc.name, allocs)
-			}
+	t.Run("quadtree", func(t *testing.T) {
+		scratch := make([]sinr.Tx, len(links))
+		sc := q.NewScratch()
+		var callErr error
+		if _, callErr = in.SINRFeasibleFarBuf(links, powers, q, scratch, sc); callErr != nil {
+			t.Fatal(callErr)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			_, callErr = in.SINRFeasibleFarBuf(links, powers, q, scratch, sc)
 		})
-	}
+		if callErr != nil {
+			t.Fatal(callErr)
+		}
+		if allocs != 0 {
+			t.Fatalf("SINRFeasibleFarBuf allocates %.1f times/op with warm scratch, want 0", allocs)
+		}
+	})
 }

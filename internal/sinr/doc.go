@@ -12,14 +12,13 @@
 //     loss, a lazily built O(n²) gain table capped at 256 MiB with a
 //     bit-identical tableless fallback, and memoized per-link constants.
 //     See DESIGN.md §2.
-//   - The far-field engine behind the Far/FarResolver interface: the
-//     hierarchical quadtree (quadtree.go), a Barnes–Hut pyramid that
-//     resolves distant interference by power-weighted centroid mass within
-//     a certified worst-case relative error selected via
-//     sinrconn.WithMaxRelError, with exact decode winners and guard-banded
-//     feasibility; its per-listener opening criterion keeps tight ε
-//     sub-quadratic (DESIGN.md §7–§8). A float32 view of its aggregates
-//     (quadtree_f32.go) implements the same interface.
+//   - The far-field engine: the hierarchical quadtree plan (QuadTree,
+//     quadtree.go, with per-slot state in a QuadScratch), a Barnes–Hut
+//     pyramid that resolves distant interference by power-weighted
+//     centroid mass within a certified worst-case relative error selected
+//     via sinrconn.WithMaxRelError, with exact decode winners and
+//     guard-banded feasibility; its per-listener opening criterion keeps
+//     tight ε sub-quadratic (DESIGN.md §7–§8).
 //
 // Every quantity is pinned against the deliberately naive reference in
 // internal/oracle by the differential suites (differential_test.go,

@@ -409,7 +409,7 @@ func TestMortonLayoutDriftGate(t *testing.T) {
 
 					// Resolve at every listener: identical tuples, bit for bit.
 					for v := 0; v < n; v++ {
-						nb, nrp, nt, ns := sc.Resolve(v, txs)
+						nb, nrp, nt, ns := sc.Resolve(v)
 						lb, lrp, lt, ls := leg.resolve(v, txs)
 						if nb != lb || nrp != lrp || nt != lt || ns != ls {
 							t.Fatalf("eps %v listener %d: Resolve live (%d,%v,%v,%v) legacy (%d,%v,%v,%v)",

@@ -104,60 +104,6 @@ const minFarRing = 2
 // maxFarPlans bounds the per-instance plan cache (one plan per distinct ε).
 const maxFarPlans = 8
 
-// Far is the far-field channel-resolution interface implemented by the
-// quadtree plan (*QuadTree) and its float32 view (*QuadTreeF32). A Far
-// value is an immutable plan over one Instance — safe to share across
-// concurrent engines and validators — that hands out per-slot FarResolver
-// state. Every consumer (sim.Config.Far, tree validation, the session
-// layer) programs against this interface.
-type Far interface {
-	// Instance returns the instance the plan was built over.
-	Instance() *Instance
-	// MaxRelError returns the requested worst-case relative interference
-	// error bound ε.
-	MaxRelError() float64
-	// CertifiedMaxRelError returns the bound the plan actually certifies,
-	// ≤ MaxRelError for the float64 plan (the float32 view widens it by
-	// its rounding allowance).
-	CertifiedMaxRelError() float64
-	// NewResolver allocates fresh per-slot state bound to the plan, for
-	// long-lived users (engines).
-	NewResolver() FarResolver
-	// AcquireResolver borrows pooled per-slot state for transient users
-	// (validators); pair with ReleaseResolver.
-	AcquireResolver() FarResolver
-	// ReleaseResolver returns a resolver borrowed with AcquireResolver.
-	ReleaseResolver(FarResolver)
-}
-
-// FarResolver is one concurrent user's per-slot view of a Far plan: the
-// mutable accumulator state plus the channel queries that read it.
-// Accumulate must be called (serially) before Resolve/LinkSINR for the same
-// sender set; the queries themselves are read-only on the resolver and safe
-// to issue from concurrent workers. Implementations live in this package
-// (the unexported method pins that down).
-type FarResolver interface {
-	// Accumulate ingests one slot's sender set into the plan's per-node
-	// aggregates. O(len(txs) + occupied), allocation-free.
-	Accumulate(txs []Tx)
-	// Resolve computes channel reception at listener v against the
-	// accumulated set: the strongest sender (exact — see Winner exactness
-	// above), its exact received power, and the total received power with
-	// far senders approximated within the certified ε. saturated reports a
-	// sender co-located with the listener; best is -1 when no sender is
-	// audible.
-	Resolve(v int, txs []Tx) (best int, bestRP, total float64, saturated bool)
-	// LinkSINR returns the approximate SINR of link l whose sender
-	// transmits with power pu among the accumulated set, the link's own
-	// sender excluded from interference. The exact SINR lies within
-	// [·(1−ε), ·(1+ε)] of the returned value for the plan's certified ε.
-	LinkSINR(txs []Tx, l Link, pu float64) float64
-	// distinctSenders rejects a link set with a repeated sender
-	// (ErrDuplicateSender) — the contract the aggregation needs — using
-	// the resolver's stamped mark array (allocation-free).
-	distinctSenders(links []Link) error
-}
-
 // QuadLevels returns the pyramid depth for an n-node instance whose root
 // square has the given side: ≈ log₄(n/4) (about four nodes per leaf — the
 // measured optimum of the leaf-scan-versus-pyramid-walk tradeoff, both
@@ -204,7 +150,8 @@ func QuadCertifiedErr(theta, alpha float64) float64 {
 // radii derived from the requested error bound. Build one with
 // Instance.QuadTree (plans are cached per ε on the instance); per-slot
 // state lives in a QuadScratch so one plan serves concurrent engines and
-// validators. QuadTree implements Far.
+// validators. Every far-field consumer (sim.Config.Far, tree validation,
+// the session layer) takes a *QuadTree; nil means exact resolution.
 type QuadTree struct {
 	in        *Instance
 	maxRelErr float64 // requested bound
@@ -228,8 +175,7 @@ type QuadTree struct {
 	pl     PathLoss
 	leafOf []int32 // node(point) → leaf-local id (Morton code at level L)
 
-	f32       *QuadTreeF32
-	scratches *sync.Pool
+	scratches *sync.Pool // validator scratches (Acquire/Release)
 }
 
 // newQuadTree derives the plan. Kept in lockstep with the independent naive
@@ -288,7 +234,6 @@ func newQuadTree(in *Instance, maxRelErr float64) (*QuadTree, error) {
 	for i, p := range in.pts {
 		q.leafOf[i] = q.bin(p)
 	}
-	q.f32 = newQuadTreeF32(q)
 	q.scratches = &sync.Pool{New: func() any { return q.NewScratch() }}
 	return q, nil
 }
@@ -367,18 +312,12 @@ func (q *QuadTree) LeafCoords(i int) (x, y int) {
 	return int(mx), int(my)
 }
 
-// NewResolver implements Far: fresh per-slot state for an engine.
-func (q *QuadTree) NewResolver() FarResolver { return q.NewScratch() }
+// Acquire borrows a pooled scratch for a transient user (one validation);
+// pair with Release.
+func (q *QuadTree) Acquire() *QuadScratch { return q.scratches.Get().(*QuadScratch) }
 
-// AcquireResolver borrows pooled per-slot state; pair with ReleaseResolver.
-func (q *QuadTree) AcquireResolver() FarResolver {
-	return q.scratches.Get().(*QuadScratch)
-}
-
-// ReleaseResolver returns a scratch borrowed with AcquireResolver.
-func (q *QuadTree) ReleaseResolver(sc FarResolver) {
-	q.scratches.Put(sc.(*QuadScratch))
-}
+// Release returns a scratch borrowed with Acquire.
+func (q *QuadTree) Release(sc *QuadScratch) { q.scratches.Put(sc) }
 
 // extendTo reuses the plan for an instance grown by Extend: when every
 // appended point falls inside the root square, only the new points are
@@ -400,7 +339,6 @@ func (q *QuadTree) extendTo(out *Instance) (*QuadTree, bool) {
 	for i := n; i < m; i++ {
 		nq.leafOf[i] = nq.bin(out.pts[i])
 	}
-	nq.f32 = newQuadTreeF32(&nq)
 	nq.scratches = &sync.Pool{New: func() any { return nq.NewScratch() }}
 	return &nq, true
 }
@@ -478,21 +416,11 @@ type QuadScratch struct {
 	// of SINRFeasibleFarBuf (stamped per call, never cleared).
 	senderMark []uint32
 	markEpoch  uint32
-	// prec32 selects the float32 aggregate walks (quadtree_f32.go):
-	// Accumulate additionally rounds each occupied node's aggregates once
-	// into the f32 mirror, and Resolve/LinkSINR read the mirror.
-	prec32 bool
-	mass32 []float32
-	cenX32 []float32
-	cenY32 []float32
 }
 
-// NewScratch allocates per-slot state for the plan.
+// NewScratch allocates per-slot state for the plan, for a long-lived user
+// (an engine).
 func (q *QuadTree) NewScratch() *QuadScratch {
-	return q.newScratch(false)
-}
-
-func (q *QuadTree) newScratch(prec32 bool) *QuadScratch {
 	n := len(q.in.pts)
 	leaves := q.Leaves()
 	active := make([][]int32, q.levels+1)
@@ -503,7 +431,7 @@ func (q *QuadTree) newScratch(prec32 bool) *QuadScratch {
 		}
 		active[lvl] = make([]int32, 0, capL)
 	}
-	sc := &QuadScratch{
+	return &QuadScratch{
 		q:          q,
 		stamp:      make([]uint32, q.nodes),
 		node:       make([]quadNode, q.nodes),
@@ -516,14 +444,7 @@ func (q *QuadTree) newScratch(prec32 bool) *QuadScratch {
 		sy:         make([]float64, n),
 		sp:         make([]float64, n),
 		senderMark: make([]uint32, n),
-		prec32:     prec32,
 	}
-	if prec32 {
-		sc.mass32 = make([]float32, q.nodes)
-		sc.cenX32 = make([]float32, q.nodes)
-		sc.cenY32 = make([]float32, q.nodes)
-	}
-	return sc
 }
 
 // beginEpoch advances the scratch epoch, invalidating all stamps on wrap.
@@ -538,11 +459,12 @@ func (sc *QuadScratch) beginEpoch() uint32 {
 	return sc.epoch
 }
 
-// Accumulate implements FarResolver: one bottom-up pass folds the slot's
-// sender set into the pyramid — leaf aggregates and bucketing in tx order,
-// then each level into its parents in first-touch order (setting the
-// parents' child masks), then one centroid normalization sweep over the
-// active nodes. O(len(txs) + occupied nodes), allocation-free.
+// Accumulate folds the slot's sender set into the pyramid in one
+// bottom-up pass — leaf aggregates and bucketing in tx order, then each
+// level into its parents in first-touch order (setting the parents' child
+// masks), then one centroid normalization sweep over the active nodes:
+// O(len(txs) + occupied nodes), allocation-free. It must run (serially)
+// before Resolve/LinkSINR for the same sender set.
 //
 //sinr:hotpath
 func (sc *QuadScratch) Accumulate(txs []Tx) {
@@ -603,9 +525,6 @@ func (sc *QuadScratch) Accumulate(txs []Tx) {
 	}
 	for lvl := 0; lvl <= l; lvl++ {
 		sc.normalize(q.levelOff[lvl], sc.active[lvl])
-	}
-	if sc.prec32 {
-		sc.round32Active()
 	}
 }
 
@@ -673,10 +592,13 @@ type quadFrame struct {
 	lvl, g, x, y int32
 }
 
-// Resolve implements FarResolver: channel reception at listener v with the
-// strongest sender exact (see the refinement note in the package comment)
-// and far nodes aggregated within the certified ε. The DFS stack lives on
-// the goroutine stack, so concurrent listeners share the scratch safely.
+// Resolve computes channel reception at listener v against the
+// accumulated set: the strongest sender best (exact — see the refinement
+// note in the package comment), its exact received power bestRP, and the
+// total received power with far nodes aggregated within the certified ε.
+// saturated reports a sender co-located with the listener; best is -1 when
+// no sender is audible. The DFS stack lives on the goroutine stack, so
+// concurrent listeners share the scratch safely.
 //
 // Unlike LinkSINR's fixed child order, Resolve descends proximity-first:
 // at each opened node, the child quadrant containing the listener is
@@ -690,10 +612,7 @@ type quadFrame struct {
 // deterministic and worker-count independent.
 //
 //sinr:hotpath
-func (sc *QuadScratch) Resolve(v int, txs []Tx) (best int, bestRP, total float64, saturated bool) {
-	if sc.prec32 {
-		return sc.resolve32(v)
-	}
+func (sc *QuadScratch) Resolve(v int) (best int, bestRP, total float64, saturated bool) {
 	if sc.stamp[0] != sc.epoch {
 		return -1, 0, 0, false // no senders accumulated
 	}
@@ -781,20 +700,17 @@ func (f quadFrame) child(c int32) quadFrame {
 	return quadFrame{lvl: f.lvl + 1, g: 4*f.g + 1 + c, x: 2*f.x | c&1, y: 2*f.y | c>>1}
 }
 
-// LinkSINR implements FarResolver: the approximate SINR of link l whose
-// sender transmits with power pu among the accumulated set — exact signal,
-// leaf-exact interference inside the opening horizon, aggregated nodes
-// beyond it (never refined — no winner is sought). The link's own sender is
-// excluded exactly in opened leaves and by mass subtraction in the
-// aggregated ancestor that absorbs it; txs must contain at most one entry
+// LinkSINR returns the approximate SINR of link l whose sender transmits
+// with power pu among the accumulated set — exact signal, leaf-exact
+// interference inside the opening horizon, aggregated nodes beyond it
+// (never refined — no winner is sought). The link's own sender is excluded
+// exactly in opened leaves and by mass subtraction in the aggregated
+// ancestor that absorbs it; txs must contain at most one entry
 // per sender (the per-slot schedule invariant). The exact SINR lies within
 // [·(1−ε), ·(1+ε)] of the returned value for ε = CertifiedMaxRelError.
 //
 //sinr:hotpath
 func (sc *QuadScratch) LinkSINR(txs []Tx, l Link, pu float64) float64 {
-	if sc.prec32 {
-		return sc.linkSINR32(txs, l, pu)
-	}
 	q := sc.q
 	in := q.in
 	pl := q.pl
@@ -874,32 +790,26 @@ func (sc *QuadScratch) pushQuadrant(stack *[quadStackCap]int64, top, lvl int, t 
 	return top
 }
 
-// distinctSenders implements FarResolver via the shared mark-array check.
+// distinctSenders rejects a link set with a repeated sender: the pyramid
+// aggregates each sender's power exactly once, so a sender appearing on
+// two links would be mis-excluded (and could overflow the node-sized
+// bucketing). The exact check sums duplicates fine, so reject them here
+// rather than diverge silently — via the stamped mark array, keeping the
+// validation path allocation-free. Per-slot schedules satisfy the contract
+// by construction (one up-link per node per slot).
 func (sc *QuadScratch) distinctSenders(links []Link) error {
-	return checkDistinctSenders(sc.senderMark, &sc.markEpoch, links)
-}
-
-// checkDistinctSenders rejects a link set with a repeated sender: the
-// pyramid aggregates each sender's power exactly once, so a sender
-// appearing on two links would be mis-excluded (and could overflow the
-// node-sized bucketing). The exact check sums duplicates fine, so reject
-// them here rather than diverge silently — via a stamped mark array,
-// keeping the validation path allocation-free. Per-slot schedules satisfy
-// the contract by construction (one up-link per node per slot). Shared by
-// the float64 and float32 resolvers.
-func checkDistinctSenders(mark []uint32, epoch *uint32, links []Link) error {
-	*epoch++
-	if *epoch == 0 {
-		for i := range mark {
-			mark[i] = 0
+	sc.markEpoch++
+	if sc.markEpoch == 0 {
+		for i := range sc.senderMark {
+			sc.senderMark[i] = 0
 		}
-		*epoch = 1
+		sc.markEpoch = 1
 	}
 	for _, l := range links {
-		if mark[l.From] == *epoch {
+		if sc.senderMark[l.From] == sc.markEpoch {
 			return ErrDuplicateSender
 		}
-		mark[l.From] = *epoch
+		sc.senderMark[l.From] = sc.markEpoch
 	}
 	return nil
 }
@@ -912,12 +822,13 @@ func checkDistinctSenders(mark []uint32, epoch *uint32, links []Link) error {
 // link's approximate SINR is at least β/(1+ε) — and ε-sound: a rejection
 // certifies exact infeasibility, while an acceptance certifies exact SINR
 // ≥ β·(1−ε)/(1+ε) on every link. Nothing flips silently: the band is fixed
-// by f.CertifiedMaxRelError and ε = 0 (f == nil) is the exact check. sc
-// must be a resolver of f.
+// by q.CertifiedMaxRelError and ε = 0 (q == nil) is the exact check. sc
+// is the caller's scratch of q (NewScratch, or Acquire for a transient
+// user); it is unused when q is nil.
 //
 //sinr:hotpath
-func (in *Instance) SINRFeasibleFarBuf(links []Link, powers []float64, f Far, scratch []Tx, sc FarResolver) (bool, error) {
-	if f == nil {
+func (in *Instance) SINRFeasibleFarBuf(links []Link, powers []float64, q *QuadTree, scratch []Tx, sc *QuadScratch) (bool, error) {
+	if q == nil {
 		return in.SINRFeasibleBuf(links, powers, scratch)
 	}
 	if len(links) != len(powers) {
@@ -937,7 +848,7 @@ func (in *Instance) SINRFeasibleFarBuf(links []Link, powers []float64, f Far, sc
 	}
 	sc.Accumulate(txs)
 	cut := in.params.Beta - 1e-9
-	band := 1 + f.CertifiedMaxRelError()
+	band := 1 + q.certErr
 	for i, l := range links {
 		if sc.LinkSINR(txs, l, powers[i])*band < cut {
 			return false, nil

@@ -118,7 +118,7 @@ func TestDifferentialQuadtreeVsOracle(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						sc := q.NewResolver()
+						sc := q.NewScratch()
 						txs := farTxSet(rng, in, n/2)
 						sc.Accumulate(txs)
 						for trial := 0; trial < 12; trial++ {
@@ -162,7 +162,7 @@ func TestQuadtreeErrorBound(t *testing.T) {
 							t.Fatal(err)
 						}
 						ce := q.CertifiedMaxRelError()
-						sc := q.NewResolver()
+						sc := q.NewScratch()
 						txs := farTxSet(rng, in, n/2)
 						sc.Accumulate(txs)
 						for _, tx := range txs {
@@ -219,7 +219,7 @@ func TestQuadtreeFeasibilityGuardBand(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						sc := q.NewResolver()
+						sc := q.NewScratch()
 						for trial := 0; trial < 10; trial++ {
 							links, powers := randomLinkSet(rng, in, 1+rng.Intn(6))
 							farOK, err := in.SINRFeasibleFarBuf(links, powers, q, nil, sc)
@@ -265,7 +265,7 @@ func TestQuadtreeResolveWinnerExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc := q.NewResolver()
+		sc := q.NewScratch()
 		for trial := 0; trial < 40; trial++ {
 			txs := farTxSet(rng, in, 60)
 			txs[0].Power *= 1e6
@@ -282,7 +282,7 @@ func TestQuadtreeResolveWinnerExact(t *testing.T) {
 				if !listening {
 					continue
 				}
-				best, bestRP, total, sat := sc.Resolve(v, txs)
+				best, bestRP, total, sat := sc.Resolve(v)
 				if sat {
 					t.Fatalf("unexpected saturation at %d", v)
 				}
@@ -371,7 +371,7 @@ func TestQuadtreeFeasibilityDuplicateSender(t *testing.T) {
 	}
 	links := []sinr.Link{{From: 0, To: 1}, {From: 0, To: 2}}
 	powers := []float64{100, 100}
-	if _, err := in.SINRFeasibleFarBuf(links, powers, q, nil, q.NewResolver()); !errors.Is(err, sinr.ErrDuplicateSender) {
+	if _, err := in.SINRFeasibleFarBuf(links, powers, q, nil, q.NewScratch()); !errors.Is(err, sinr.ErrDuplicateSender) {
 		t.Fatalf("duplicate-sender set returned %v, want ErrDuplicateSender", err)
 	}
 }

@@ -253,20 +253,20 @@ func (t *BiTree) ValidatePerSlotFeasible(in *sinr.Instance) error {
 }
 
 // ValidatePerSlotFeasibleFar is ValidatePerSlotFeasible under the far-field
-// approximation plan f (the quadtree): each slot group is checked
+// approximation plan q (the quadtree): each slot group is checked
 // with sinr.Instance.SINRFeasibleFarBuf, which accepts a (1±ε) guard band at
-// the β cut (ε = f.CertifiedMaxRelError). The check never rejects a schedule
+// the β cut (ε = q.CertifiedMaxRelError). The check never rejects a schedule
 // the exact validator accepts; a schedule it rejects is exactly infeasible.
-// A nil f is the exact check.
-func (t *BiTree) ValidatePerSlotFeasibleFar(in *sinr.Instance, f sinr.Far) error {
-	if f == nil {
+// A nil q is the exact check.
+func (t *BiTree) ValidatePerSlotFeasibleFar(in *sinr.Instance, q *sinr.QuadTree) error {
+	if q == nil {
 		return t.ValidatePerSlotFeasible(in)
 	}
-	sc := f.AcquireResolver()
-	defer f.ReleaseResolver(sc)
+	sc := q.Acquire()
+	defer q.Release(sc)
 	scratch := feasScratch{}
 	return t.validateSlots(func(links []sinr.Link, powers []float64) (bool, error) {
-		return in.SINRFeasibleFarBuf(links, powers, f, scratch.txs(len(links)), sc)
+		return in.SINRFeasibleFarBuf(links, powers, q, scratch.txs(len(links)), sc)
 	})
 }
 

@@ -99,32 +99,6 @@ func (m FarMode) String() string {
 	return fmt.Sprintf("farmode(%d)", uint8(m))
 }
 
-// FarPrecision selects the aggregate precision of the quadtree far-field
-// walks (it is meaningless at ε = 0).
-type FarPrecision uint8
-
-const (
-	// Far64 — the default — walks float64 aggregates.
-	Far64 FarPrecision = iota
-	// Far32 walks a float32 mirror of the aggregates (accumulated in
-	// float64, rounded once per node): half the aggregate bytes through the
-	// cache on million-node pyramids, under a certificate widened by
-	// O(2⁻²⁴) — negligible against every supported ε (DESIGN.md §12).
-	// Winners and their received powers stay exact.
-	Far32
-)
-
-// String implements fmt.Stringer.
-func (p FarPrecision) String() string {
-	switch p {
-	case Far64:
-		return "far-f64"
-	case Far32:
-		return "far-f32"
-	}
-	return fmt.Sprintf("farprec(%d)", uint8(p))
-}
-
 // settings is the resolved configuration of a Network or a single run.
 // Functional options edit it; every With* records the value it was
 // explicitly handed, so an explicit zero is never mistaken for "default".
@@ -138,7 +112,6 @@ type settings struct {
 	rho           int
 	maxRelErr     float64
 	farMode       FarMode
-	farPrec       FarPrecision
 	cacheSize     int
 	cacheTTL      time.Duration
 	observer      sim.Observer
@@ -147,7 +120,6 @@ type settings struct {
 	physSet    bool  // WithPhys applied in the current scope
 	relErrSet  bool  // WithMaxRelError applied in the current scope
 	farModeSet bool  // WithFarMode applied in the current scope
-	farPrecSet bool  // WithFarPrecision applied in the current scope
 	runScope   bool  // applying options to a single run, not to Open
 	err        error // first option error, reported by Open/Run
 }
@@ -311,23 +283,6 @@ func WithFarMode(m FarMode) Option {
 	}
 }
 
-// WithFarPrecision selects the aggregate precision of the quadtree
-// far-field walks behind WithMaxRelError: float64 (Far64, the default) or
-// the float32 mirror (Far32). It has no effect at ε = 0. Legal at Open
-// and at run scope; results for distinct precisions are memoized
-// separately, and operations on an existing result inherit the precision
-// its tree was built under unless overridden.
-func WithFarPrecision(p FarPrecision) Option {
-	return func(s *settings) {
-		if p > Far32 {
-			s.fail(fmt.Errorf("unknown far precision %v", p))
-			return
-		}
-		s.farPrec = p
-		s.farPrecSet = true
-	}
-}
-
 // SlotEvent summarizes one simulator slot for an observing caller: the
 // slot index within the current engine run, the number of concurrent
 // transmitters, the number of successful decodes, and whether the slot was
@@ -424,7 +379,6 @@ type runKey struct {
 	rho      int
 	relErr   float64
 	farMode  FarMode
-	farPrec  FarPrecision
 }
 
 // maxCachedResults is the default capacity of the per-Network result
@@ -633,7 +587,6 @@ func (nw *Network) runSettings(opts []RunOption) (settings, error) {
 	s.physSet = false
 	s.relErrSet = false
 	s.farModeSet = false
-	s.farPrecSet = false
 	for _, o := range opts {
 		o(&s)
 	}
@@ -642,12 +595,10 @@ func (nw *Network) runSettings(opts []RunOption) (settings, error) {
 
 func (s *settings) key(p Pipeline) runKey {
 	mode := s.farMode
-	prec := s.farPrec
 	if s.maxRelErr == 0 {
-		// ε = 0 is the exact path whatever the mode or precision —
-		// normalize so the memo never splits identical exact results.
+		// ε = 0 is the exact path whatever the mode — normalize so the
+		// memo never splits identical exact results.
 		mode = FarAuto
-		prec = Far64
 	}
 	return runKey{
 		pipeline: p,
@@ -658,7 +609,6 @@ func (s *settings) key(p Pipeline) runKey {
 		rho:      s.rho,
 		relErr:   s.maxRelErr,
 		farMode:  mode,
-		farPrec:  prec,
 	}
 }
 
@@ -669,7 +619,7 @@ func (nw *Network) CacheStats() cache.Stats { return nw.memo.Stats() }
 
 // initConfig derives the core construction config for a run on the
 // acquired pool.
-func initConfig(s settings, pool *sim.Pool, ff sinr.Far, adaptive bool) core.InitConfig {
+func initConfig(s settings, pool *sim.Pool, ff *sinr.QuadTree, adaptive bool) core.InitConfig {
 	return core.InitConfig{
 		BroadcastProb: s.broadcastProb,
 		Seed:          s.seed,
@@ -683,98 +633,56 @@ func initConfig(s settings, pool *sim.Pool, ff sinr.Far, adaptive bool) core.Ini
 	}
 }
 
-// farFieldFor resolves the far-field plan a settings' (ε, mode, precision)
-// selects over in — nil plan for the exact path — plus whether engines
-// should pick exact/far per slot adaptively. ε = 0 is always exact;
-// FarAuto (the default) is the quadtree with adaptive selection.
-func farFieldFor(in *sinr.Instance, s settings) (ff sinr.Far, adaptive bool, err error) {
+// farFieldFor resolves the far-field plan a settings' (ε, mode) selects
+// over in — nil plan for the exact path — plus whether engines should pick
+// exact/far per slot adaptively. ε = 0 is always exact; FarAuto (the
+// default) is the quadtree with adaptive selection.
+func farFieldFor(in *sinr.Instance, s settings) (ff *sinr.QuadTree, adaptive bool, err error) {
 	if s.maxRelErr == 0 {
 		return nil, false, nil
 	}
-	switch s.farMode {
-	case FarQuadtree:
-		q, err := in.QuadTree(s.maxRelErr)
-		if err != nil {
-			return nil, false, err
-		}
-		if s.farPrec == Far32 {
-			return q.Prec32(), false, nil
-		}
-		return q, false, nil
-	default: // FarAuto
-		q, err := in.QuadTree(s.maxRelErr)
-		if err != nil {
-			return nil, false, err
-		}
-		if q.NearDominated() {
-			// The leaf-level opening horizon covers most of the instance
-			// (tight ε on a small box): most listeners would open most of
-			// the pyramid, an exact scan with overhead. Auto mode serves
-			// the ε contract with the exact path — zero error trivially
-			// satisfies the bound, faster. A forced FarQuadtree keeps the
-			// plan.
-			return nil, false, nil
-		}
-		if s.farPrec == Far32 {
-			return q.Prec32(), true, nil
-		}
-		return q, true, nil
+	q, err := in.QuadTree(s.maxRelErr)
+	if err != nil {
+		return nil, false, err
 	}
+	if s.farMode == FarQuadtree {
+		return q, false, nil
+	}
+	if q.NearDominated() {
+		// FarAuto, and the leaf-level opening horizon covers most of the
+		// instance (tight ε on a small box): most listeners would open
+		// most of the pyramid, an exact scan with overhead. Auto mode
+		// serves the ε contract with the exact path — zero error
+		// trivially satisfies the bound, faster. A forced FarQuadtree
+		// keeps the plan.
+		return nil, false, nil
+	}
+	return q, true, nil
 }
 
 // opFarField resolves the channel mode for an operation on an existing
 // result (join, repair, physical epoch). An explicit WithMaxRelError on
-// the operation wins outright; an explicit WithFarMode or WithFarPrecision
-// alone switches the mode or precision (inheriting whichever was not
-// overridden) but keeps the ε the result's tree was built under (a
-// mode is not an error bound — discarding the tree's ε would silently flip
-// the operation to exact physics); with none of the three, the operation
-// inherits ε, precision, and adaptivity from the tree — so growing
-// or re-driving an ε-built tree never silently switches it to exact
-// physics (and vice versa). in is the operation's instance — the tree's
-// own for repairs and epochs, the extended one for joins.
-func opFarField(r *Result, in *sinr.Instance, s settings) (sinr.Far, bool, error) {
+// the operation wins outright; an explicit WithFarMode alone switches the
+// mode but keeps the ε the result's tree was built under (a mode is not an
+// error bound — discarding the tree's ε would silently flip the operation
+// to exact physics); with neither, the operation inherits ε and
+// adaptivity from the tree, rebuilding its plan over in — so growing or
+// re-driving an ε-built tree never silently switches it to exact physics
+// (and vice versa). in is the operation's instance — the tree's own for
+// repairs and epochs, the extended one for joins.
+func opFarField(r *Result, in *sinr.Instance, s settings) (*sinr.QuadTree, bool, error) {
 	if s.relErrSet {
 		return farFieldFor(in, s)
 	}
-	if s.farModeSet || s.farPrecSet {
-		if r.Tree.ff == nil {
-			return nil, false, nil // exact-built tree stays exact
-		}
-		f32, wasF32 := r.Tree.ff.(*sinr.QuadTreeF32)
-		if !s.farPrecSet && wasF32 {
-			s.farPrec = Far32
-		}
-		if !s.farModeSet {
-			// WithFarPrecision alone keeps the mode the tree was built
-			// under.
-			if r.Tree.ffAdaptive {
-				s.farMode = FarAuto
-			} else {
-				s.farMode = FarQuadtree
-			}
-		}
-		if wasF32 {
-			s.maxRelErr = f32.Base().MaxRelError()
-		} else {
-			s.maxRelErr = r.Tree.ff.MaxRelError()
-		}
+	if r.Tree.ff == nil {
+		return nil, false, nil // exact-built tree stays exact
+	}
+	if s.farModeSet {
+		s.maxRelErr = r.Tree.ff.MaxRelError()
 		return farFieldFor(in, s)
 	}
-	switch f := r.Tree.ff.(type) {
-	case nil:
-		return nil, false, nil
-	case *sinr.QuadTree:
-		nq, err := in.QuadTree(f.MaxRelError())
-		return nq, r.Tree.ffAdaptive, err
-	case *sinr.QuadTreeF32:
-		nq, err := in.QuadTree(f.Base().MaxRelError())
-		if err != nil {
-			return nil, false, err
-		}
-		return nq.Prec32(), r.Tree.ffAdaptive, nil
-	}
-	return farFieldFor(in, s)
+	q, err := in.QuadTree(r.Tree.ff.MaxRelError())
+	return q, r.Tree.ffAdaptive, err
 }
 
 // Run executes one pipeline on the open handle, reusing the session's
@@ -879,14 +787,14 @@ func (nw *Network) compute(ctx context.Context, p Pipeline, s settings) (*Result
 // (nil in exact mode) records the far-field plan the construction ran
 // under, so Verify applies the matching guard band, and adaptive whether its engines picked modes per slot, so
 // operations on the result inherit the full channel mode.
-func (nw *Network) newResult(in *sinr.Instance, bt *tree.BiTree, m Metrics, ff sinr.Far, adaptive bool) *Result {
+func (nw *Network) newResult(in *sinr.Instance, bt *tree.BiTree, m Metrics, ff *sinr.QuadTree, adaptive bool) *Result {
 	return &Result{Tree: publicTree(in, bt, ff, adaptive), Metrics: m, nw: nw}
 }
 
 // finishResult completes m with in's Υ and Δ and bt's replayed latencies
 // and binds the result to nw: the common tail of pipeline runs, joins,
 // repairs and churn traces.
-func (nw *Network) finishResult(in *sinr.Instance, bt *tree.BiTree, m Metrics, ff sinr.Far, adaptive bool) (*Result, error) {
+func (nw *Network) finishResult(in *sinr.Instance, bt *tree.BiTree, m Metrics, ff *sinr.QuadTree, adaptive bool) (*Result, error) {
 	m.Upsilon = in.Upsilon()
 	m.Delta = in.Delta()
 	if err := fillLatencies(&m, bt); err != nil {
@@ -896,7 +804,7 @@ func (nw *Network) finishResult(in *sinr.Instance, bt *tree.BiTree, m Metrics, f
 }
 
 // runInit is the Section 6 pipeline body (Theorem 2).
-func (nw *Network) runInit(ctx context.Context, in *sinr.Instance, s settings, pool *sim.Pool, ff sinr.Far, adaptive bool) (*Result, error) {
+func (nw *Network) runInit(ctx context.Context, in *sinr.Instance, s settings, pool *sim.Pool, ff *sinr.QuadTree, adaptive bool) (*Result, error) {
 	res, err := core.Init(ctx, in, initConfig(s, pool, ff, adaptive))
 	if err != nil {
 		return nil, err
@@ -912,7 +820,7 @@ func (nw *Network) runInit(ctx context.Context, in *sinr.Instance, s settings, p
 }
 
 // runRescheduleMean is the Section 7 pipeline body (Theorem 3).
-func (nw *Network) runRescheduleMean(ctx context.Context, in *sinr.Instance, s settings, pool *sim.Pool, ff sinr.Far, adaptive bool) (*Result, error) {
+func (nw *Network) runRescheduleMean(ctx context.Context, in *sinr.Instance, s settings, pool *sim.Pool, ff *sinr.QuadTree, adaptive bool) (*Result, error) {
 	ires, err := core.Init(ctx, in, initConfig(s, pool, ff, adaptive))
 	if err != nil {
 		return nil, err
@@ -942,7 +850,7 @@ func (nw *Network) runRescheduleMean(ctx context.Context, in *sinr.Instance, s s
 }
 
 // runTVC is the Section 8 pipeline body (Theorem 4, both halves).
-func (nw *Network) runTVC(ctx context.Context, in *sinr.Instance, s settings, pool *sim.Pool, ff sinr.Far, adaptive bool, v core.Variant) (*Result, error) {
+func (nw *Network) runTVC(ctx context.Context, in *sinr.Instance, s settings, pool *sim.Pool, ff *sinr.QuadTree, adaptive bool, v core.Variant) (*Result, error) {
 	icfg := initConfig(s, pool, ff, adaptive)
 	icfg.Seed = 0 // TreeViaCapacity derives per-iteration seeds from its own
 	res, err := core.TreeViaCapacity(ctx, in, core.TVCConfig{

@@ -86,7 +86,7 @@ type BiTree struct {
 	inst  *sinr.Instance
 	// ff is the far-field plan the construction ran under (nil = exact);
 	// ffAdaptive whether its engines selected exact/far per slot. Operations on the result inherit both.
-	ff         sinr.Far
+	ff         *sinr.QuadTree
 	ffAdaptive bool
 }
 
@@ -164,7 +164,7 @@ var ErrInvalidGeometry = errors.New("sinrconn: invalid geometry")
 // with the same value cannot help. Test with errors.Is.
 var ErrInvalidOption = errors.New("sinrconn: invalid option")
 
-func publicTree(in *sinr.Instance, bt *tree.BiTree, ff sinr.Far, ffAdaptive bool) *BiTree {
+func publicTree(in *sinr.Instance, bt *tree.BiTree, ff *sinr.QuadTree, ffAdaptive bool) *BiTree {
 	out := &BiTree{
 		Root:       bt.Root,
 		NumNodes:   len(bt.Nodes),
