@@ -64,7 +64,7 @@ func (nw *Network) epochConfig(r *Result, opts []RunOption) (sim.Config, func(),
 		done()
 		return sim.Config{}, func() {}, err
 	}
-	ff, adaptive, err := opFarField(r, r.Tree.inst, s)
+	ff, err := opFarField(r, r.Tree.inst, s)
 	if err != nil {
 		done()
 		return sim.Config{}, func() {}, err
@@ -76,7 +76,6 @@ func (nw *Network) epochConfig(r *Result, opts []RunOption) (sim.Config, func(),
 		Seed:     s.seed,
 		Pool:     pool,
 		Far:      ff,
-		Adaptive: adaptive,
 		Observer: s.observer,
 		Injector: s.injector,
 	}, func() { release(); done() }, nil

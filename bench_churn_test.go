@@ -9,9 +9,10 @@ package sinrconn
 // rebuild tracks n; the gap is the engine's reason to exist.
 //
 // Sizes past the gain-table memory bound (n = 16384) run under the
-// quadtree far-field channel (ε = 1.0). BENCH_churn.json records the
+// quadtree far-field channel (ε = 1.0) with per-slot exact/far selection,
+// the path a production churn session takes. BENCH_churn.json records the
 // headline numbers; its n = 16384 rows were measured on the retired flat
-// tile grid.
+// tile grid, with every slot forced far.
 
 import (
 	"context"

@@ -40,9 +40,40 @@ func farBenchInstance(n int) *sinr.Instance {
 	return sinr.MustInstance(pts, sinr.DefaultParams())
 }
 
+// farGuard counts how a forced-far engine resolved its slots, so a
+// benchmark or test of the quadtree side fails instead of silently timing
+// exact decode.
+type farGuard struct{ far, exact int }
+
+// config is the engine config for plan ff (nil = exact): with a plan,
+// every non-empty slot goes through it (AdaptiveCrossover 1) and g counts
+// the modes the slots took.
+func (g *farGuard) config(ff *sinr.QuadTree) sim.Config {
+	if ff == nil {
+		return sim.Config{}
+	}
+	return sim.Config{Far: ff, AdaptiveCrossover: 1, Observer: func(ev sim.SlotEvent) {
+		if ev.Far {
+			g.far++
+		} else if ev.Senders > 0 {
+			g.exact++
+		}
+	}}
+}
+
+// check fails tb unless a forced-far engine resolved some slot far and no
+// non-empty slot exact.
+func (g *farGuard) check(tb testing.TB, ff *sinr.QuadTree) {
+	tb.Helper()
+	if ff != nil && (g.far == 0 || g.exact != 0) {
+		tb.Fatalf("forced-far engine resolved %d slots far and %d non-empty slots exact", g.far, g.exact)
+	}
+}
+
 // quadBenchEngine builds a fixed-role engine (even ids transmit) over the
-// shared far-bench geometry with the given plan (nil = exact).
-func quadBenchEngine(b *testing.B, in *sinr.Instance, ff *sinr.QuadTree) *sim.Engine {
+// shared far-bench geometry with the given plan (nil = exact), every slot
+// forced through a plan; g counts the slots' modes.
+func quadBenchEngine(b *testing.B, in *sinr.Instance, ff *sinr.QuadTree, g *farGuard) *sim.Engine {
 	b.Helper()
 	n := in.Len()
 	power := in.Params().SafePower(4)
@@ -50,7 +81,7 @@ func quadBenchEngine(b *testing.B, in *sinr.Instance, ff *sinr.QuadTree) *sim.En
 	for i := 0; i < n; i++ {
 		procs[i] = &physProto{id: i, transmit: i%2 == 0, power: power}
 	}
-	eng, err := sim.NewEngine(in, procs, sim.Config{Far: ff})
+	eng, err := sim.NewEngine(in, procs, g.config(ff))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -58,7 +89,8 @@ func quadBenchEngine(b *testing.B, in *sinr.Instance, ff *sinr.QuadTree) *sim.En
 }
 
 func benchSlot(b *testing.B, in *sinr.Instance, ff *sinr.QuadTree) {
-	eng := quadBenchEngine(b, in, ff)
+	var g farGuard
+	eng := quadBenchEngine(b, in, ff, &g)
 	defer eng.Close()
 	// Two warm-up slots, not one: delivery inboxes are double-buffered, so
 	// both buffers must see a slot before the steady state is allocation
@@ -69,6 +101,8 @@ func benchSlot(b *testing.B, in *sinr.Instance, ff *sinr.QuadTree) {
 	for i := 0; i < b.N; i++ {
 		eng.Step()
 	}
+	b.StopTimer()
+	g.check(b, ff)
 	if eng.Stats().Deliveries < 0 {
 		b.Fatal("impossible")
 	}
@@ -141,7 +175,8 @@ func BenchmarkAdaptiveCrossover(b *testing.B) {
 			procs[i] = &senderCountProto{id: i, stride: n / senders, power: power}
 		}
 		run := func(b *testing.B, ff *sinr.QuadTree) {
-			eng, err := sim.NewEngine(in, procs, sim.Config{Far: ff})
+			var g farGuard
+			eng, err := sim.NewEngine(in, procs, g.config(ff))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -151,6 +186,8 @@ func BenchmarkAdaptiveCrossover(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eng.Step()
 			}
+			b.StopTimer()
+			g.check(b, ff)
 		}
 		b.Run(fmt.Sprintf("s=%d/exact", senders), func(b *testing.B) { run(b, nil) })
 		for _, eps := range []float64{0.5, 2.5} {
@@ -263,7 +300,8 @@ func TestQuadtreeBigSlot(t *testing.T) {
 	for i := 0; i < n; i++ {
 		procs[i] = &physProto{id: i, transmit: i%2 == 0, power: power}
 	}
-	eng, err := sim.NewEngine(in, procs, sim.Config{Far: q})
+	var g farGuard
+	eng, err := sim.NewEngine(in, procs, g.config(q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,6 +310,7 @@ func TestQuadtreeBigSlot(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1, func() { eng.Step() }); allocs != 0 {
 		t.Fatalf("n=262144 far slot allocates %.1f times/op, want 0", allocs)
 	}
+	g.check(t, q)
 	if eng.Stats().Deliveries == 0 {
 		t.Fatal("dense slot delivered nothing — engine not exercising the channel")
 	}
@@ -305,7 +344,8 @@ func TestQuadtreeMillionSlot(t *testing.T) {
 	for i := 0; i < n; i++ {
 		procs[i] = &physProto{id: i, transmit: i%2 == 0, power: power}
 	}
-	eng, err := sim.NewEngine(in, procs, sim.Config{Far: q})
+	var g farGuard
+	eng, err := sim.NewEngine(in, procs, g.config(q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,6 +357,7 @@ func TestQuadtreeMillionSlot(t *testing.T) {
 	}
 	// AllocsPerRun ran the slot twice (one warm-up inside the helper).
 	t.Logf("n=%d dense far slot: %v", n, time.Since(start)/2)
+	g.check(t, q)
 	if eng.Stats().Deliveries == 0 {
 		t.Fatal("dense slot delivered nothing — engine not exercising the channel")
 	}

@@ -293,7 +293,7 @@ func (nw *Network) Churn(ctx context.Context, trace TraceSpec, opts ...ChurnOpti
 	if err != nil {
 		return nil, err
 	}
-	ff, adaptive, err := farFieldFor(in, s)
+	ff, err := farFieldFor(in, s)
 	if err != nil {
 		return nil, err
 	}
@@ -314,15 +314,14 @@ func (nw *Network) Churn(ctx context.Context, trace TraceSpec, opts ...ChurnOpti
 	}
 
 	d := &churnDriver{
-		nw:       nw,
-		s:        s,
-		cs:       cs,
-		pool:     pool,
-		in:       in,
-		ff:       ff,
-		adaptive: adaptive,
-		gen:      gen,
-		damper:   churn.NewDamper(cs.dampK, cs.dampWindow, cs.dampCooldown, dampRadius),
+		nw:     nw,
+		s:      s,
+		cs:     cs,
+		pool:   pool,
+		in:     in,
+		ff:     ff,
+		gen:    gen,
+		damper: churn.NewDamper(cs.dampK, cs.dampWindow, cs.dampCooldown, dampRadius),
 	}
 
 	// The mobility stepper is built BEFORE the initial tree: the city-grid
@@ -399,7 +398,7 @@ func (nw *Network) Churn(ctx context.Context, trace TraceSpec, opts ...ChurnOpti
 	final, err := nw.derive(d.in).finishResult(d.in, d.bt, Metrics{
 		SlotsUsed:      d.stats.SlotsUsed,
 		ScheduleLength: d.bt.NumSlots(),
-	}, d.ff, d.adaptive)
+	}, d.ff)
 	if err != nil {
 		return nil, err
 	}
@@ -412,16 +411,15 @@ func (nw *Network) Churn(ctx context.Context, trace TraceSpec, opts ...ChurnOpti
 
 // churnDriver is the engine's mutable state across one trace.
 type churnDriver struct {
-	nw       *Network
-	s        settings
-	cs       churnSettings
-	pool     *sim.Pool
-	in       *sinr.Instance
-	bt       *tree.BiTree
-	ff       *sinr.QuadTree
-	adaptive bool
-	gen      *churn.Generator
-	damper   *churn.Damper
+	nw     *Network
+	s      settings
+	cs     churnSettings
+	pool   *sim.Pool
+	in     *sinr.Instance
+	bt     *tree.BiTree
+	ff     *sinr.QuadTree
+	gen    *churn.Generator
+	damper *churn.Damper
 
 	forbidden []sinr.Link
 	stepper   workload.Stepper
@@ -446,7 +444,7 @@ func (d *churnDriver) links() []sinr.Link {
 // cfg derives the protocol config for one attempt; extraRounds > 0 is the
 // retry backoff (added safety rounds at the top length class).
 func (d *churnDriver) cfg(extraRounds int) core.InitConfig {
-	c := initConfig(d.s, d.pool, d.ff, d.adaptive)
+	c := initConfig(d.s, d.pool, d.ff)
 	d.seedCtr++
 	c.Seed = d.s.seed + d.seedCtr*0x9E3779B9
 	if extraRounds > 0 {
@@ -738,13 +736,12 @@ func (d *churnDriver) applyMove(ctx context.Context, ev churn.Event) error {
 // re-resolves the channel mode over it. Far-field plans ride along on
 // Extend; MoveTo and Shrink rebuild them lazily on first engine use.
 func (d *churnDriver) swapInstance(in *sinr.Instance) error {
-	ff, adaptive, err := farFieldFor(in, d.s)
+	ff, err := farFieldFor(in, d.s)
 	if err != nil {
 		return err
 	}
 	d.in = in
 	d.ff = ff
-	d.adaptive = adaptive
 	return nil
 }
 

@@ -52,7 +52,6 @@ func run(args []string, out io.Writer) error {
 	seed := fs.Int64("seed", 1, "random seed")
 	drop := fs.Float64("drop", 0, "reception drop probability in [0,1)")
 	maxRelErr := fs.Float64("maxrelerr", 0, "far-field approximation error bound ε (0 = exact physics)")
-	farMode := fs.String("farmode", "auto", "far-field mode at ε > 0: auto|quadtree")
 	sweep := fs.Int("sweep", 0, "run all pipelines × this many seeds as one batch")
 	churnSpec := fs.String("churn", "", "stream a churn trace instead of a single build: events=N[,join=R][,fail=R][,burst=R][,shower=R][,move=R][,burstradius=R][,showermax=N][,speed=R]")
 	mobility := fs.String("mobility", "", "mobility model for churn move events: waypoint|citygrid")
@@ -78,13 +77,6 @@ func run(args []string, out io.Writer) error {
 		// so Open reports validation errors instead of silently running the
 		// exact path.
 		opts = append(opts, sinrconn.WithMaxRelError(*maxRelErr))
-	}
-	switch *farMode {
-	case "auto":
-	case "quadtree":
-		opts = append(opts, sinrconn.WithFarMode(sinrconn.FarQuadtree))
-	default:
-		return fmt.Errorf("unknown far mode %q (auto|quadtree)", *farMode)
 	}
 	nw, err := sinrconn.Open(pts, opts...)
 	if err != nil {

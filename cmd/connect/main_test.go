@@ -56,9 +56,9 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-badflag"}, &b); err == nil {
 		t.Error("bad flag accepted")
 	}
-	// "flat" names no far-field mode; it must not fall through to one.
-	if err := run([]string{"-n", "16", "-maxrelerr", "0.5", "-farmode", "flat"}, &b); err == nil {
-		t.Error("far mode flat accepted")
+	// The far-field mode flag is gone: ε alone selects the engine.
+	if err := run([]string{"-n", "16", "-maxrelerr", "0.5", "-farmode", "quadtree"}, &b); err == nil {
+		t.Error("removed -farmode flag accepted")
 	}
 }
 

@@ -110,13 +110,13 @@ func (nw *Network) Join(ctx context.Context, r *Result, newPts []Point, opts ...
 	if err != nil {
 		return nil, err
 	}
-	ff, adaptive, err := opFarField(r, in, s)
+	ff, err := opFarField(r, in, s)
 	if err != nil {
 		return nil, err
 	}
 	pool, release := nw.acquirePool()
 	defer release()
-	jres, err := core.Join(ctx, in, oldTree, joiners, initConfig(s, pool, ff, adaptive))
+	jres, err := core.Join(ctx, in, oldTree, joiners, initConfig(s, pool, ff))
 	if err != nil {
 		return nil, err
 	}
@@ -125,7 +125,7 @@ func (nw *Network) Join(ctx context.Context, r *Result, newPts []Point, opts ...
 		ScheduleLength: jres.Tree.NumSlots(),
 		Rounds:         jres.Rounds,
 		Energy:         jres.Stats.Energy,
-	}, ff, adaptive)
+	}, ff)
 }
 
 // derive builds the Network bound to a join-grown instance: same settings,
@@ -185,13 +185,13 @@ func (nw *Network) repair(r *Result, opts []RunOption, what string, n int,
 		return nil, fmt.Errorf("sinrconn: no failed %s given", what)
 	}
 	in := r.Tree.inst
-	ff, adaptive, err := opFarField(r, in, s)
+	ff, err := opFarField(r, in, s)
 	if err != nil {
 		return nil, err
 	}
 	pool, release := nw.acquirePool()
 	defer release()
-	rres, err := fix(in, r.Tree.inner, initConfig(s, pool, ff, adaptive))
+	rres, err := fix(in, r.Tree.inner, initConfig(s, pool, ff))
 	if err != nil {
 		return nil, err
 	}
@@ -199,5 +199,5 @@ func (nw *Network) repair(r *Result, opts []RunOption, what string, n int,
 		SlotsUsed:      rres.SlotsUsed,
 		ScheduleLength: rres.ScheduleLength,
 		Energy:         rres.Stats.Energy,
-	}, ff, adaptive)
+	}, ff)
 }

@@ -18,9 +18,8 @@ import (
 
 // TestFarFieldExactnessZero is the ε = 0 drift gate: a Network opened with
 // WithMaxRelError(0) must produce bit-identical results to one without the
-// option — whatever far mode WithFarMode names, since ε = 0 is always the
-// exact path — for every pipeline across the scenario matrix (two
-// generators under -short).
+// option, for every pipeline across the scenario matrix (two generators
+// under -short).
 func TestFarFieldExactnessZero(t *testing.T) {
 	gens := workload.Matrix()
 	if testing.Short() {
@@ -39,25 +38,16 @@ func TestFarFieldExactnessZero(t *testing.T) {
 				}
 				defer plain.Close()
 				a, aerr := plain.Run(bg, p)
-				modes := []FarMode{FarAuto}
-				if gi == 0 {
-					// One generator sweeps every mode: ε = 0 must select
-					// the exact path regardless of the named mode.
-					modes = []FarMode{FarAuto, FarQuadtree}
+				zero, err := Open(pts, WithSeed(seed), WithMaxRelError(0))
+				if err != nil {
+					t.Fatal(err)
 				}
-				for _, mode := range modes {
-					zero, err := Open(pts, WithSeed(seed), WithMaxRelError(0), WithFarMode(mode))
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer zero.Close()
-					b, berr := zero.Run(bg, p)
-					if (aerr == nil) != (berr == nil) {
-						t.Fatalf("mode %v: error divergence: plain %v vs ε=0 %v", mode, aerr, berr)
-					}
-					if aerr != nil {
-						continue
-					}
+				defer zero.Close()
+				b, berr := zero.Run(bg, p)
+				if (aerr == nil) != (berr == nil) {
+					t.Fatalf("error divergence: plain %v vs ε=0 %v", aerr, berr)
+				}
+				if aerr == nil {
 					assertResultsIdentical(t, b, a)
 				}
 			})
@@ -139,32 +129,31 @@ func TestFarFieldMemoKeying(t *testing.T) {
 // TestFarFieldOpInheritance pins the channel-mode inheritance of
 // operations on an existing result: a tree built with a run-scoped ε is
 // joined/repaired/re-driven under that same mode unless the operation
-// explicitly overrides it, and exact-built trees stay exact.
+// explicitly overrides it, and exact-built trees stay exact. The 512-node
+// box at ε = 2.5 sits past the NearDominated guard (TestFarModeSelection),
+// so the ε-built tree and its join both run under a plan.
 func TestFarFieldOpInheritance(t *testing.T) {
-	pts := uniformPoints(53, 26)
-	nw, err := Open(pts, WithSeed(53)) // exact session base
+	pts := uniformPoints(61, 512)
+	nw, err := Open(pts, WithSeed(61)) // exact session base
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nw.Close()
-	// Forced quadtree: the 26-node box sits inside FarAuto's degeneracy
-	// guard, and inheritance must thread the *forced* engine through the
-	// join as well.
-	far, err := nw.Run(bg, PipelineInit, WithMaxRelError(0.5), WithFarMode(FarQuadtree))
+	far, err := nw.Run(bg, PipelineInit, WithMaxRelError(2.5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if far.Tree.ff == nil {
 		t.Fatal("run-scoped ε did not record a far-field plan on the tree")
 	}
-	grown, err := nw.Join(bg, far, []Point{{X: 300, Y: 300}, {X: 303, Y: 301}})
+	grown, err := nw.Join(bg, far, []Point{{X: 400, Y: 400}, {X: 403, Y: 401}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if grown.Tree.ff == nil || grown.Tree.ff.MaxRelError() != 0.5 {
+	if grown.Tree.ff == nil || grown.Tree.ff.MaxRelError() != 2.5 {
 		t.Fatalf("join did not inherit the tree's far-field mode: %+v", grown.Tree.ff)
 	}
-	exactGrown, err := nw.Join(bg, far, []Point{{X: 320, Y: 320}, {X: 323, Y: 321}}, WithMaxRelError(0))
+	exactGrown, err := nw.Join(bg, far, []Point{{X: 420, Y: 420}, {X: 423, Y: 421}}, WithMaxRelError(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +164,7 @@ func TestFarFieldOpInheritance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grownExact, err := nw.Join(bg, exact, []Point{{X: 340, Y: 340}, {X: 343, Y: 341}})
+	grownExact, err := nw.Join(bg, exact, []Point{{X: 440, Y: 440}, {X: 443, Y: 441}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,15 +173,13 @@ func TestFarFieldOpInheritance(t *testing.T) {
 	}
 }
 
-// TestFarModeSelection pins which plan each FarMode resolves to on the
-// recorded result, including the degenerate-geometry fallback:
+// TestFarModeSelection pins which plan an ε resolves to on the recorded
+// result, including the degenerate-geometry fallback:
 //
-//   - On a box large enough for its ε, FarAuto records a quadtree plan
-//     with adaptive per-slot selection, FarQuadtree the same plan forced.
+//   - On a box large enough for its ε, the run records a quadtree plan.
 //   - In the near-dominated regime — the quadtree's leaf opening horizon
-//     spanning the box — FarAuto must run the exact path rather than a
-//     plan doing strictly more work than exact; a forced FarQuadtree keeps
-//     its plan.
+//     spanning the box — it must run the exact path rather than a plan
+//     doing strictly more work than exact.
 func TestFarModeSelection(t *testing.T) {
 	// 512 uniform nodes at ε=2.5: past both degeneracy guards (the
 	// quadtree horizon ratio (√2/θ)/2^L needs depth 2^L > 4√2/θ ≈ 11,
@@ -207,20 +194,8 @@ func TestFarModeSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if auto.Tree.ff == nil || !auto.Tree.ffAdaptive {
-		t.Fatalf("FarAuto recorded (plan %v, adaptive=%v), want (plan true, true)",
-			auto.Tree.ff != nil, auto.Tree.ffAdaptive)
-	}
-	quad, err := nw.Run(bg, PipelineInit, WithFarMode(FarQuadtree))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if quad.Tree.ff == nil || quad.Tree.ffAdaptive {
-		t.Fatalf("FarQuadtree recorded (plan %v, adaptive=%v), want (plan true, false)",
-			quad.Tree.ff != nil, quad.Tree.ffAdaptive)
-	}
-	if auto == quad {
-		t.Fatal("distinct far modes shared one memo entry")
+	if auto.Tree.ff == nil {
+		t.Fatal("ε=2.5 run on a large box recorded no plan")
 	}
 
 	// 40 nodes at ε=0.5: the quadtree's degenerate regime.
@@ -235,63 +210,67 @@ func TestFarModeSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sauto.Tree.ff != nil {
-		t.Fatal("near-dominated FarAuto run recorded a plan, want exact fallback")
+		t.Fatal("near-dominated run recorded a plan, want exact fallback")
 	}
-	forced, err := snw.Run(bg, PipelineInit, WithFarMode(FarQuadtree))
+	in, err := snw.instanceFor(snw.base.phys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fq := forced.Tree.ff
-	if fq == nil {
-		t.Fatal("forced FarQuadtree recorded no plan")
+	q, err := in.QuadTree(0.5)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !fq.NearDominated() {
+	if !q.NearDominated() {
 		t.Fatal("test geometry no longer quadtree-near-dominated — shrink it")
 	}
 }
 
-// TestFarModeOpScoping pins two option-scoping contracts on operations
-// over an existing result:
-//
-//  1. An Open-scoped WithFarMode must not leak into operation scope: a
-//     plain Join on an ε-built tree inherits the tree's engine and ε even
-//     when the Network was opened with an explicit (redundant) far mode.
-//  2. A run-scoped WithFarMode alone switches the engine but keeps the
-//     tree's ε — it is a mode, not an error bound, and must not silently
-//     flip the operation to exact physics.
+// TestFarModeOpScoping pins option scoping on operations over an existing
+// result: the session's ε is not an operation option, so a plain Join
+// inherits the tree's channel mode — far on an ε-built tree, exact on an
+// exact-built one, whatever ε the Network was opened with — and only an
+// explicit WithMaxRelError on the operation overrides it.
 func TestFarModeOpScoping(t *testing.T) {
 	pts := uniformPoints(63, 512)
-	nw, err := Open(pts, WithSeed(63), WithFarMode(FarAuto)) // explicit mode, no ε
+	nw, err := Open(pts, WithSeed(63), WithMaxRelError(2.5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nw.Close()
-	res, err := nw.Run(bg, PipelineInit, WithMaxRelError(2.5))
+	res, err := nw.Run(bg, PipelineInit)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Tree.ff == nil {
-		t.Fatal("run-scoped ε recorded no plan")
+		t.Fatal("session-scoped ε recorded no plan")
 	}
 	grown, err := nw.Join(bg, res, []Point{{X: 400, Y: 400}, {X: 403, Y: 401}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if grown.Tree.ff == nil || grown.Tree.ff.MaxRelError() != 2.5 {
-		t.Fatalf("plain join under an Open-scoped far mode lost the tree's channel mode: %v", grown.Tree.ff)
+		t.Fatalf("plain join on an ε-built tree lost the tree's channel mode: %v", grown.Tree.ff)
 	}
-	if !grown.Tree.ffAdaptive {
-		t.Fatal("plain join did not inherit the tree's adaptivity")
+	exact, err := nw.Run(bg, PipelineInit, WithMaxRelError(0))
+	if err != nil {
+		t.Fatal(err)
 	}
-	switched, err := nw.Join(bg, res, []Point{{X: 420, Y: 420}, {X: 423, Y: 421}}, WithFarMode(FarQuadtree))
+	if exact.Tree.ff != nil {
+		t.Fatal("run-scoped ε=0 recorded a plan")
+	}
+	stays, err := nw.Join(bg, exact, []Point{{X: 420, Y: 420}, {X: 423, Y: 421}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stays.Tree.ff != nil {
+		t.Fatal("the session's ε leaked into a plain join of an exact-built tree")
+	}
+	switched, err := nw.Join(bg, exact, []Point{{X: 440, Y: 440}, {X: 443, Y: 441}}, WithMaxRelError(2.5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if switched.Tree.ff == nil || switched.Tree.ff.MaxRelError() != 2.5 {
-		t.Fatalf("mode-only override dropped the tree's ε: %v", switched.Tree.ff)
-	}
-	if switched.Tree.ffAdaptive {
-		t.Fatal("forced FarQuadtree join kept adaptive selection, want forced always-far")
+		t.Fatalf("explicit WithMaxRelError on the join did not win: %v", switched.Tree.ff)
 	}
 }
 
@@ -311,9 +290,6 @@ func TestWithMaxRelErrorValidation(t *testing.T) {
 	defer nw.Close()
 	if _, err := nw.Run(bg, PipelineInit, WithMaxRelError(-1)); err == nil {
 		t.Fatal("Run accepted WithMaxRelError(-1)")
-	}
-	if _, err := nw.Run(bg, PipelineInit, WithFarMode(FarMode(99))); err == nil {
-		t.Fatal("Run accepted WithFarMode(99)")
 	}
 }
 

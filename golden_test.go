@@ -119,11 +119,11 @@ func TestGoldenDigests(t *testing.T) {
 	}
 }
 
-// TestGoldenFarDigests pins far-field constructions end to end: an
-// adaptive session whose slots split between the quadtree walk and exact
-// decode with on-the-fly path loss, and a forced-quadtree session at
-// n = 1024 whose every slot takes the walk. The digests also cover how many slots took each mode, so a change
-// that moves a slot between modes is caught even if the tree survives it.
+// TestGoldenFarDigests pins far-field constructions end to end: a session
+// whose slots split between the quadtree walk and exact decode with
+// on-the-fly path loss. The digests also cover how many slots took each
+// mode, so a change that moves a slot between modes is caught even if the
+// tree survives it.
 func TestGoldenFarDigests(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
@@ -134,7 +134,6 @@ func TestGoldenFarDigests(t *testing.T) {
 		far, exact int // non-empty slots the construction took in each mode
 	}{
 		{"auto-4096", 4096, []sinrconn.Option{sinrconn.WithMaxRelError(1.0)}, 0x9dffd139a710f807, 24, 473},
-		{"quadtree-1024", 1024, []sinrconn.Option{sinrconn.WithMaxRelError(1.0), sinrconn.WithFarMode(sinrconn.FarQuadtree)}, 0xa819ee65389d2b8d, 333, 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -19,7 +19,6 @@ func (c *InitConfig) engineConfig(seed int64) sim.Config {
 		Seed:     seed,
 		Pool:     c.Pool,
 		Far:      c.Far,
-		Adaptive: c.Adaptive,
 		Observer: c.Observer,
 		Injector: c.Injector,
 	}
@@ -67,13 +66,10 @@ type InitConfig struct {
 	// Engines borrow it instead of spawning goroutines per construction.
 	Pool *sim.Pool
 	// Far, if non-nil, runs every engine of the construction under a
-	// far-field channel approximation (see sim.Config.Far). The plan must
-	// be built from the construction's instance.
+	// far-field channel approximation, each slot picking exact or far
+	// resolution from its live sender count (see sim.Config.Far). The plan
+	// must be built from the construction's instance.
 	Far *sinr.QuadTree
-	// Adaptive, with Far set, lets every engine pick exact or
-	// far-field resolution per slot from the live sender count (see
-	// sim.Config.Adaptive).
-	Adaptive bool
 	// DropProb injects reception failures in the engine.
 	DropProb float64
 	// Participants restricts the protocol to a subset of node indices

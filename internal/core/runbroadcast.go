@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"sinrconn/internal/power"
 	"sinrconn/internal/sim"
@@ -29,19 +28,7 @@ type BroadcastOutcome struct {
 // schedule or physics was violated, reported as an error.
 func RunBroadcast(ctx context.Context, in *sinr.Instance, bt *tree.BiTree, value int64, ecfg sim.Config) (*BroadcastOutcome, error) {
 	down := bt.Down()
-	distinct := map[int]struct{}{}
-	for _, tl := range down {
-		distinct[tl.Slot] = struct{}{}
-	}
-	stamps := make([]int, 0, len(distinct))
-	for s := range distinct {
-		stamps = append(stamps, s)
-	}
-	sort.Ints(stamps)
-	rank := make(map[int]int, len(stamps))
-	for i, s := range stamps {
-		rank[s] = i
-	}
+	rank, stamps := tree.RankSlots(down)
 
 	// Power check per down-slot group. Definition 1 reuses the up-schedule
 	// for the duals, but feasibility does not transfer exactly: for

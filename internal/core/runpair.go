@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"sinrconn/internal/sim"
 	"sinrconn/internal/sinr"
@@ -39,7 +38,7 @@ func RunPairMessage(ctx context.Context, in *sinr.Instance, bt *tree.BiTree, src
 	}
 
 	// Phase 1: converge-cast epoch; the holder flag rides up.
-	upRank, upStamps := rankSlots(bt.Up)
+	upRank, upStamps := tree.RankSlots(bt.Up)
 	nodes := make([]*pairNode, in.Len())
 	procs := make([]sim.Protocol, in.Len())
 	for i := 0; i < in.Len(); i++ {
@@ -81,24 +80,6 @@ func RunPairMessage(ctx context.Context, in *sinr.Instance, bt *tree.BiTree, src
 	out.Energy += bout.Energy
 	out.Delivered = true
 	return out, nil
-}
-
-// rankSlots maps distinct slot stamps to dense ranks.
-func rankSlots(links []tree.TimedLink) (map[int]int, []int) {
-	distinct := map[int]struct{}{}
-	for _, tl := range links {
-		distinct[tl.Slot] = struct{}{}
-	}
-	stamps := make([]int, 0, len(distinct))
-	for s := range distinct {
-		stamps = append(stamps, s)
-	}
-	sort.Ints(stamps)
-	rank := make(map[int]int, len(stamps))
-	for i, s := range stamps {
-		rank[s] = i
-	}
-	return rank, stamps
 }
 
 // pairNode carries a message up the aggregation schedule.

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"sinrconn/internal/sim"
 	"sinrconn/internal/sinr"
@@ -60,19 +59,7 @@ func RunAggregation(ctx context.Context, in *sinr.Instance, bt *tree.BiTree, val
 		return nil, fmt.Errorf("core: nil aggregate function")
 	}
 	// Rank the distinct schedule slots: engine slot = rank of schedule slot.
-	distinct := map[int]struct{}{}
-	for _, tl := range bt.Up {
-		distinct[tl.Slot] = struct{}{}
-	}
-	stamps := make([]int, 0, len(distinct))
-	for s := range distinct {
-		stamps = append(stamps, s)
-	}
-	sort.Ints(stamps)
-	rank := make(map[int]int, len(stamps))
-	for i, s := range stamps {
-		rank[s] = i
-	}
+	rank, stamps := tree.RankSlots(bt.Up)
 
 	inTree := make(map[int]bool, len(bt.Nodes))
 	for _, v := range bt.Nodes {

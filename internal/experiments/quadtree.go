@@ -8,10 +8,11 @@ package experiments
 // channel-resolution time of exact and quadtree resolution. Two shape
 // checks are Type 1: measured
 // error must never exceed the certified bound (a theorem, not a tendency),
-// and an adaptive engine must never resolve a slot slower than the forced
-// always-far engine beyond measurement noise — sparse slots simply skip
-// the plan. Timing columns are informational; the quadtree's win grows
-// with n (BENCH_quadtree.json carries the headline sweep to n = 262144).
+// and an engine at the default crossover must never resolve a slot slower
+// than one forced always-far (AdaptiveCrossover 1) beyond measurement
+// noise — sparse slots simply skip the plan. Timing columns are
+// informational; the quadtree's win grows with n (BENCH_quadtree.json
+// carries the headline sweep to n = 262144).
 
 import (
 	"context"
@@ -46,26 +47,35 @@ func (p *farStepProto) Step(slot int, inbox []sim.Delivery) sim.Action {
 	return sim.Listen()
 }
 
-// stepTime runs a few fixed-role engine slots and returns ms per slot. f
-// is the far-field plan or nil (exact); adaptive enables per-slot mode
-// selection.
-func stepTime(in *sinr.Instance, f *sinr.QuadTree, adaptive bool, workers int) float64 {
+// stepSlots is the number of timed slots in stepTime.
+const stepSlots = 6
+
+// stepTime runs a few fixed-role engine slots and returns ms per slot and
+// how many of the timed slots resolved through the plan. f is the
+// far-field plan or nil (exact); crossover is the engine's
+// AdaptiveCrossover (0 the calibrated default, 1 every slot far).
+func stepTime(in *sinr.Instance, f *sinr.QuadTree, crossover, workers int) (ms float64, far int) {
 	n := in.Len()
 	power := in.Params().SafePower(4)
 	procs := make([]sim.Protocol, n)
 	for i := 0; i < n; i++ {
 		procs[i] = &farStepProto{id: i, transmit: i%2 == 0, power: power}
 	}
-	eng, err := sim.NewEngine(in, procs, sim.Config{Workers: workers, Far: f, Adaptive: adaptive})
+	obs := func(ev sim.SlotEvent) {
+		if ev.Far {
+			far++
+		}
+	}
+	eng, err := sim.NewEngine(in, procs, sim.Config{Workers: workers, Far: f, AdaptiveCrossover: crossover, Observer: obs})
 	if err != nil {
-		return math.NaN()
+		return math.NaN(), 0
 	}
 	defer eng.Close()
 	eng.Run(2)
-	const slots = 6
+	far = 0
 	start := time.Now()
-	eng.Run(slots)
-	return float64(time.Since(start).Microseconds()) / 1000 / slots
+	eng.Run(stepSlots)
+	return float64(time.Since(start).Microseconds()) / 1000 / stepSlots, far
 }
 
 // E17Quadtree measures the hierarchical far-field accuracy/speed sweep
@@ -90,7 +100,7 @@ func E17Quadtree(ctx context.Context, cfg Config) Report {
 		txs = append(txs, sinr.Tx{Sender: i, Power: power})
 	}
 
-	exactMS := stepTime(in, nil, false, cfg.Workers)
+	exactMS, _ := stepTime(in, nil, 0, cfg.Workers)
 	for _, eps := range quadtreeEps {
 		q, err := in.QuadTree(eps)
 		if err != nil {
@@ -128,7 +138,11 @@ func E17Quadtree(ctx context.Context, cfg Config) Report {
 				eps, maxErr, q.CertifiedMaxRelError()))
 			r.Pass = false
 		}
-		quadMS := stepTime(in, q, false, cfg.Workers)
+		quadMS, far := stepTime(in, q, 1, cfg.Workers)
+		if far != stepSlots {
+			r.Notes = append(r.Notes, fmt.Sprintf("eps=%v: forced-far engine resolved %d/%d slots far", eps, far, stepSlots))
+			r.Pass = false
+		}
 		r.Table.AddRow(
 			fmt.Sprintf("%d", n),
 			fmt.Sprintf("%.2f", eps),
@@ -144,8 +158,8 @@ func E17Quadtree(ctx context.Context, cfg Config) Report {
 	// exact engine's cost structure rather than paying tree accumulation.
 	q, err := in.QuadTree(0.5)
 	if err == nil {
-		forcedMS := stepTime(in, q, false, cfg.Workers)
-		adaptiveMS := stepTime(in, q, true, cfg.Workers)
+		forcedMS, _ := stepTime(in, q, 1, cfg.Workers)
+		adaptiveMS, _ := stepTime(in, q, 0, cfg.Workers)
 		r.Notes = append(r.Notes, fmt.Sprintf(
 			"dense-slot adaptive %.2f ms vs forced-far %.2f ms (adaptive resolves each slot on the cheap side of the calibrated crossover, so it never does worse than always-far)",
 			adaptiveMS, forcedMS))

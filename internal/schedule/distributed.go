@@ -31,12 +31,9 @@ type DistConfig struct {
 	// scheduler's engine borrows instead of spawning its own.
 	Pool *sim.Pool
 	// Far, if non-nil, runs the scheduler's engine under a far-field
-	// channel approximation (see sim.Config.Far).
+	// channel approximation, each slot picking exact or far resolution
+	// from its live sender count (see sim.Config.Far).
 	Far *sinr.QuadTree
-	// Adaptive, with Far set, lets the engine pick exact or far-field
-	// resolution per slot from the live sender count (see
-	// sim.Config.Adaptive).
-	Adaptive bool
 	// Observer, if non-nil, receives a sim.SlotEvent after every scheduler
 	// engine slot (the serving layer's streaming hook). Diagnostic only.
 	Observer sim.Observer
@@ -118,7 +115,7 @@ func Distributed(ctx context.Context, in *sinr.Instance, links []sinr.Link, pa s
 	for i := range nodes {
 		procs[i] = nodes[i]
 	}
-	eng, err := sim.NewEngine(in, procs, sim.Config{Workers: cfg.Workers, Seed: cfg.Seed, Pool: cfg.Pool, Far: cfg.Far, Adaptive: cfg.Adaptive, Observer: cfg.Observer, Injector: cfg.Injector})
+	eng, err := sim.NewEngine(in, procs, sim.Config{Workers: cfg.Workers, Seed: cfg.Seed, Pool: cfg.Pool, Far: cfg.Far, Observer: cfg.Observer, Injector: cfg.Injector})
 	if err != nil {
 		return nil, err
 	}

@@ -256,6 +256,42 @@ func TestJournalRestoreRejectsRetiredFarMode(t *testing.T) {
 	}
 }
 
+// farModeAutoKey is the deployment key the daemon journaled for
+// farModeAutoOpen while far_mode was still a mode selector.
+const farModeAutoKey = "0f30f837cd6b7723"
+
+func farModeAutoOpen(mode string) *OpenRequest {
+	eps := 0.5
+	return &OpenRequest{
+		Points:  testPoints(36, 12),
+		Options: OptionsJSON{MaxRelErr: &eps, FarMode: mode},
+	}
+}
+
+// TestJournalRestoreFarModeAuto: far_mode "auto" is a no-op on the wire
+// but stays in the deployment signature, so a session journaled with it
+// restores under its recorded key, while one journaled with the removed
+// forced "quadtree" mode fails restore naming the session and the mode.
+func TestJournalRestoreFarModeAuto(t *testing.T) {
+	settleGoroutines(t)
+	srv := New(Config{})
+	defer srv.Close()
+	n, err := srv.Restore([]JournalRecord{{Op: journalOpOpen, ID: "s4", Key: farModeAutoKey, Open: farModeAutoOpen("auto")}})
+	if err != nil || n != 1 {
+		t.Fatalf("far_mode auto restore: restored %d, %v; want 1, nil", n, err)
+	}
+
+	srv2 := New(Config{})
+	defer srv2.Close()
+	_, err = srv2.Restore([]JournalRecord{{Op: journalOpOpen, ID: "s5", Open: farModeAutoOpen("quadtree")}})
+	if err == nil || !strings.Contains(err.Error(), "session s5") || !strings.Contains(err.Error(), `"quadtree"`) {
+		t.Fatalf("quadtree-mode restore: %v, want an error naming session s5 and the mode", err)
+	}
+	if got := srv2.recoveredCount(); got != 0 {
+		t.Fatalf("recoveredCount = %d after failed restore, want 0", got)
+	}
+}
+
 // httpTestServer variant that hands back just the base URL (the journal
 // tests juggle several daemons at once).
 func httptestServer(t *testing.T, srv *Server) string {

@@ -99,10 +99,12 @@ func TestServeRejectsInvalidOptions(t *testing.T) {
 		{"open alpha 1", "/v1/sessions", `{"points":` + string(pts) + `,"options":{"alpha":1}}`},
 		{"open cache_size -1", "/v1/sessions", `{"points":` + string(pts) + `,"cache_size":-1}`},
 		{"open far_mode flat", "/v1/sessions", `{"points":` + string(pts) + `,"options":{"max_rel_err":0.5,"far_mode":"flat"}}`},
+		{"open far_mode quadtree", "/v1/sessions", `{"points":` + string(pts) + `,"options":{"max_rel_err":0.5,"far_mode":"quadtree"}}`},
 		{"open cache_ttl_ms overflow", "/v1/sessions", `{"points":` + string(pts) + `,"cache_ttl_ms":9223372036855}`},
 		{"open workers past the host", "/v1/sessions", `{"points":` + string(pts) + `,"options":{"workers":100000}}`},
 		{"run drop_prob 2", runURL, `{"pipeline":"init-uniform","options":{"drop_prob":2}}`},
 		{"run far_mode flat", runURL, `{"pipeline":"init-uniform","options":{"far_mode":"flat"}}`},
+		{"run far_mode quadtree", runURL, `{"pipeline":"init-uniform","options":{"far_mode":"quadtree"}}`},
 		{"run timeout_ms overflow", runURL, `{"pipeline":"init-uniform","timeout_ms":18446744073710}`},
 	} {
 		url := tc.url
@@ -113,8 +115,8 @@ func TestServeRejectsInvalidOptions(t *testing.T) {
 		if code != http.StatusBadRequest {
 			t.Errorf("%s: status %d (%s), want 400", tc.name, code, body)
 		}
-		if tc.name == "open far_mode flat" && !strings.Contains(string(body), "want auto or quadtree") {
-			t.Errorf("%s: body %s does not name the valid modes", tc.name, body)
+		if strings.Contains(tc.name, "far_mode") && !strings.Contains(string(body), "modes were removed") {
+			t.Errorf("%s: body %s does not name the removal", tc.name, body)
 		}
 	}
 }

@@ -49,7 +49,10 @@ type OptionsJSON struct {
 	BroadcastProb float64  `json:"broadcast_prob,omitempty"`
 	Rho           int      `json:"rho,omitempty"`
 	MaxRelErr     *float64 `json:"max_rel_err,omitempty"` // pointer: explicit 0 forces exact
-	FarMode       string   `json:"far_mode,omitempty"`    // "auto" | "quadtree"
+	// FarMode is kept on the wire so a far_mode:"auto" request (and its
+	// journal record) keeps its deployment signature: "" and "auto" are
+	// no-ops, every other value is rejected.
+	FarMode string `json:"far_mode,omitempty"`
 }
 
 // runOptions lowers the wire options to session RunOptions. openScope adds
@@ -74,15 +77,8 @@ func (o OptionsJSON) runOptions(openScope bool) ([]sinrconn.RunOption, error) {
 	if o.MaxRelErr != nil {
 		opts = append(opts, sinrconn.WithMaxRelError(*o.MaxRelErr))
 	}
-	if o.FarMode != "" {
-		switch o.FarMode {
-		case "auto":
-			opts = append(opts, sinrconn.WithFarMode(sinrconn.FarAuto))
-		case "quadtree":
-			opts = append(opts, sinrconn.WithFarMode(sinrconn.FarQuadtree))
-		default:
-			return nil, fmt.Errorf("unknown far_mode %q (want auto or quadtree)", o.FarMode)
-		}
+	if o.FarMode != "" && o.FarMode != "auto" {
+		return nil, fmt.Errorf("far_mode %q is not supported: only \"auto\" remains (the forced \"quadtree\" and \"flat\" modes were removed)", o.FarMode)
 	}
 	if openScope {
 		// The pool spawns one goroutine per worker: a client must not size

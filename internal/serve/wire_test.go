@@ -88,9 +88,9 @@ func TestDecodeRejectsOverflowingMillis(t *testing.T) {
 // either apply over a fixed 6-point deployment or fail with an error the
 // daemon maps to 400. Nothing panics.
 func FuzzWireDecode(f *testing.F) {
-	f.Add([]byte(`{"points":[[0,0],[2,0]],"options":{"seed":3,"max_rel_err":0.5,"far_mode":"quadtree"},"cache_size":4,"cache_ttl_ms":1000}`))
+	f.Add([]byte(`{"points":[[0,0],[2,0]],"options":{"seed":3,"max_rel_err":0.5,"far_mode":"auto"},"cache_size":4,"cache_ttl_ms":1000}`))
 	f.Add([]byte(`{"pipeline":"tvc-mean","options":{"alpha":2.5,"rho":2},"timeout_ms":50}`))
-	f.Add([]byte(`{"options":{"broadcast_prob":0.9,"max_rel_err":-1,"far_mode":"flat"}}`))
+	f.Add([]byte(`{"options":{"broadcast_prob":0.9,"max_rel_err":-1,"far_mode":"quadtree"}}`))
 	pts := toPoints([][2]float64{{0, 0}, {3, 0}, {0, 3}, {3, 3}, {6, 1}, {1, 6}})
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()

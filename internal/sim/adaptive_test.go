@@ -47,7 +47,7 @@ func (p *recordProto) Step(slot int, inbox []Delivery) Action {
 }
 
 // adaptiveEngine builds a quadtree-backed engine over a bursty workload.
-// cfg mutations (workers, adaptivity, hooks) are applied by the caller;
+// cfg mutations (workers, crossover, hooks) are applied by the caller;
 // record wraps every node with an inbox log (off for the alloc gate, whose
 // steady state must not grow slices).
 func adaptiveEngine(t *testing.T, n int, record bool, cfg Config) (*Engine, []*recordProto) {
@@ -90,7 +90,6 @@ func TestAdaptiveModeSelection(t *testing.T) {
 	var events []SlotEvent
 	e, _ := adaptiveEngine(t, n, false, Config{
 		Workers:           1,
-		Adaptive:          true,
 		AdaptiveCrossover: crossover,
 		Observer:          func(ev SlotEvent) { events = append(events, ev) },
 	})
@@ -123,7 +122,6 @@ func TestAdaptiveDriftGate(t *testing.T) {
 	var modes []bool
 	a, arecs := adaptiveEngine(t, n, true, Config{
 		Workers:           2,
-		Adaptive:          true,
 		AdaptiveCrossover: 64, // both modes exercised at n=256 (see above)
 		Observer:          func(ev SlotEvent) { modes = append(modes, ev.Far) },
 	})
@@ -155,11 +153,13 @@ func TestAdaptiveDriftGate(t *testing.T) {
 
 // TestQuadtreeEngineMatchesExactDeliveries compares quadtree and exact
 // engines on a fixed-role instance: identical delivery sets (winner
-// exactness) with SINR inside the certified band. Decode verdicts could in
+// exactness) with SINR inside the certified band. The quadtree engine is
+// forced far on every slot (AdaptiveCrossover 1) and must report it. Decode verdicts could in
 // principle flip inside the band at the β cut; the comfortable SafePower
 // margins here keep every decision far from it.
 func TestQuadtreeEngineMatchesExactDeliveries(t *testing.T) {
 	const n, slots = 256, 12
+	farSlots := 0
 	run := func(useQuad bool) ([]Delivery, Stats, float64) {
 		pts := workload.JitteredGrid(rand.New(rand.NewSource(11)), n, 3, 0.8)
 		in := sinr.MustInstance(pts, sinr.DefaultParams())
@@ -177,7 +177,7 @@ func TestQuadtreeEngineMatchesExactDeliveries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.Far = q
+			cfg.Far, cfg.AdaptiveCrossover, cfg.Observer = q, 1, countFar(&farSlots)
 			ce = q.CertifiedMaxRelError()
 		}
 		e, err := NewEngine(in, procs, cfg)
@@ -194,6 +194,9 @@ func TestQuadtreeEngineMatchesExactDeliveries(t *testing.T) {
 	}
 	exact, exactStats, _ := run(false)
 	far, farStats, ce := run(true)
+	if farSlots != slots {
+		t.Fatalf("forced quadtree engine resolved %d/%d slots far", farSlots, slots)
+	}
 	if len(exact) != len(far) {
 		t.Fatalf("delivery count: exact %d quadtree %d", len(exact), len(far))
 	}
@@ -213,15 +216,17 @@ func TestQuadtreeEngineMatchesExactDeliveries(t *testing.T) {
 	}
 }
 
-// TestQuadtreeSlotLoopZeroAlloc asserts the quadtree slot loop — adaptive
-// decode included — keeps the exact path's zero-allocation steady state,
-// serial and pooled (the pooled far slot decodes through stageDecode). An observer counts the
-// modes of the measured slots: the bursty workload must put both far slots
-// and exact slots (the adaptive engine's on-the-fly path loss) inside the
+// TestQuadtreeSlotLoopZeroAlloc asserts the quadtree slot loop — forced
+// far (crossover 1) and mixed (crossover 64) — keeps the exact path's
+// zero-allocation steady state, serial and pooled (the pooled far slot
+// decodes through stageDecode). An observer counts the modes of the
+// measured slots: the forced engine must resolve every non-empty slot far,
+// and the bursty workload must put both far slots and exact slots (the
+// far-field engine's on-the-fly path loss) inside the mixed engine's
 // measured window.
 func TestQuadtreeSlotLoopZeroAlloc(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		for _, adaptive := range []bool{false, true} {
+		for _, crossover := range []int{1, 64} {
 			var far, exact int
 			obs := func(ev SlotEvent) {
 				if ev.Far {
@@ -230,41 +235,46 @@ func TestQuadtreeSlotLoopZeroAlloc(t *testing.T) {
 					exact++
 				}
 			}
-			e, _ := adaptiveEngine(t, 256, false, Config{Workers: workers, Adaptive: adaptive, AdaptiveCrossover: 64, Observer: obs})
+			e, _ := adaptiveEngine(t, 256, false, Config{Workers: workers, AdaptiveCrossover: crossover, Observer: obs})
 			e.Run(8)
 			far, exact = 0, 0
 			allocs := testing.AllocsPerRun(50, func() { e.Step() })
 			pooled := e.pool != nil
 			e.Close()
 			if allocs != 0 {
-				t.Fatalf("workers=%d adaptive=%v: quadtree steady-state Step allocates %.1f times/op, want 0",
-					workers, adaptive, allocs)
+				t.Fatalf("workers=%d crossover=%d: quadtree steady-state Step allocates %.1f times/op, want 0",
+					workers, crossover, allocs)
 			}
-			if far == 0 || (adaptive && exact == 0) {
-				t.Fatalf("workers=%d adaptive=%v: measured %d far and %d exact slots; the window must cover every mode the engine can take",
-					workers, adaptive, far, exact)
+			if far == 0 || (crossover == 1) != (exact == 0) {
+				t.Fatalf("workers=%d crossover=%d: measured %d far and %d exact slots; the window must cover every mode the engine can take",
+					workers, crossover, far, exact)
 			}
 			if pooled != (workers > 1) {
-				t.Fatalf("workers=%d adaptive=%v: engine pooled = %v", workers, adaptive, pooled)
+				t.Fatalf("workers=%d crossover=%d: engine pooled = %v", workers, crossover, pooled)
 			}
 		}
 	}
 }
 
-// TestQuadtreePoolMatchesSerial asserts quadtree and adaptive results are
-// identical for any worker count, like the exact engine's determinism
-// contract; the pooled engine fans every stage out.
+// TestQuadtreePoolMatchesSerial asserts forced-far (crossover 1) and mixed
+// (crossover 64) results are identical for any worker count, like the
+// exact engine's determinism contract; the pooled engine fans every stage
+// out. The forced engine must resolve every slot far.
 func TestQuadtreePoolMatchesSerial(t *testing.T) {
-	for _, adaptive := range []bool{false, true} {
+	for _, crossover := range []int{1, 64} {
 		run := func(workers int) Stats {
-			e, _ := adaptiveEngine(t, 256, false, Config{Workers: workers, Adaptive: adaptive, AdaptiveCrossover: 64, forceFan: fanAlways})
+			farSlots := 0
+			e, _ := adaptiveEngine(t, 256, false, Config{Workers: workers, AdaptiveCrossover: crossover, Observer: countFar(&farSlots), forceFan: fanAlways})
 			defer e.Close()
 			e.Run(30)
+			if crossover == 1 && farSlots != 30 {
+				t.Fatalf("workers=%d: forced engine resolved %d/30 slots far", workers, farSlots)
+			}
 			return e.Stats()
 		}
 		serial, pooled := run(1), run(4)
 		if serial != pooled {
-			t.Fatalf("adaptive=%v: worker count changed results: serial %+v pooled %+v", adaptive, serial, pooled)
+			t.Fatalf("crossover=%d: worker count changed results: serial %+v pooled %+v", crossover, serial, pooled)
 		}
 	}
 }

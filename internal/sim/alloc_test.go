@@ -62,7 +62,7 @@ func allocTestEngine(t *testing.T, n, workers int, drop float64, sparse, far boo
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Far = q
+		cfg.Far, cfg.AdaptiveCrossover = q, 1
 	}
 	e, err := NewEngine(in, procs, cfg)
 	if err != nil {
@@ -123,9 +123,19 @@ func TestSlotLoopZeroAlloc(t *testing.T) {
 				t.Fatal("the gate's cell grid is unbuilt or unusable")
 			}
 			live := e.Live()
-			allocs := testing.AllocsPerRun(50, func() { e.Step() })
+			steps, far := 0, 0
+			allocs := testing.AllocsPerRun(50, func() {
+				e.Step()
+				steps++
+				if e.farSlot {
+					far++
+				}
+			})
 			if allocs != 0 {
 				t.Fatalf("steady-state Step allocates %.1f times/op, want 0", allocs)
+			}
+			if tc.far && far != steps {
+				t.Fatalf("%d of %d measured slots resolved far, want all", far, steps)
 			}
 			if left := live - e.Live(); tc.departing != (left > 0) {
 				t.Fatalf("%d nodes left during the measured slots", left)
@@ -274,11 +284,16 @@ func TestNilProtocolMatchesIdle(t *testing.T) {
 	for _, cfg := range []Config{
 		{Workers: 1, DropProb: 0.1, Seed: 5},
 		{Workers: 4, DropProb: 0.1, Seed: 5},
-		{Workers: 1, Far: q},
-		{Workers: 4, Far: q},
+		{Workers: 1, Far: q, AdaptiveCrossover: 1},
+		{Workers: 4, Far: q, AdaptiveCrossover: 1},
 	} {
+		far := 0
+		cfg.Observer = countFar(&far)
 		idleGot, idleStats := run(cfg, false)
 		nilGot, nilStats := run(cfg, true)
+		if cfg.Far != nil && far != 2*slots {
+			t.Fatalf("workers=%d: %d of %d slots resolved far, want all", cfg.Workers, far, 2*slots)
+		}
 		for i := 2; i < n; i += 3 {
 			if len(idleGot[i]) != 0 {
 				t.Fatalf("workers=%d far=%v: idle node %d received %d deliveries", cfg.Workers, cfg.Far != nil, i, len(idleGot[i]))
@@ -348,11 +363,7 @@ func TestLeaveMatchesIdle(t *testing.T) {
 			procs[i] = recs[i]
 		}
 		far := 0
-		cfg.Observer = func(ev SlotEvent) {
-			if ev.Far {
-				far++
-			}
-		}
+		cfg.Observer = countFar(&far)
 		e := mustEngine(t, in, procs, cfg)
 		defer e.Close()
 		e.Run(slots)
@@ -365,8 +376,8 @@ func TestLeaveMatchesIdle(t *testing.T) {
 	for _, cfg := range []Config{
 		{Workers: 1, DropProb: 0.1, Seed: 5},
 		{Workers: 4, DropProb: 0.1, Seed: 5},
-		{Workers: 1, Far: q, Adaptive: true, AdaptiveCrossover: 24},
-		{Workers: 4, Far: q, Adaptive: true, AdaptiveCrossover: 24, DropProb: 0.1, Seed: 5},
+		{Workers: 1, Far: q, AdaptiveCrossover: 24},
+		{Workers: 4, Far: q, AdaptiveCrossover: 24, DropProb: 0.1, Seed: 5},
 	} {
 		label := fmt.Sprintf("workers=%d far=%v", cfg.Workers, cfg.Far != nil)
 		idleGot, idleStats, idleLive, idleFar := run(cfg, true)

@@ -296,7 +296,7 @@ func BenchmarkExactSlot(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					cfg.Far, cfg.Adaptive = q, true
+					cfg.Far = q
 				}
 				e, err := NewEngine(in, procs, cfg)
 				if err != nil {
@@ -315,8 +315,8 @@ func BenchmarkExactSlot(b *testing.B) {
 }
 
 // BenchmarkFarSlot times one far slot at init-far-16k's shape: n = 16384
-// on a JitteredGrid(2.6, 0.8), an adaptive ε = 1 quadtree plan, and 2521
-// senders (two in every 13 nodes, so gaps of 6 and 7) — past the adaptive
+// on a JitteredGrid(2.6, 0.8), an ε = 1 quadtree plan, and 2521
+// senders (two in every 13 nodes, so gaps of 6 and 7) — past the default
 // crossover, so the slot accumulates the pyramid and walks it once at
 // every listener.
 func BenchmarkFarSlot(b *testing.B) {
@@ -335,7 +335,7 @@ func BenchmarkFarSlot(b *testing.B) {
 				b.Fatal(err)
 			}
 			far := true
-			cfg := Config{Workers: workers, Far: q, Adaptive: true, Observer: func(ev SlotEvent) { far = far && ev.Far }}
+			cfg := Config{Workers: workers, Far: q, Observer: func(ev SlotEvent) { far = far && ev.Far }}
 			e, err := NewEngine(in, procs, cfg)
 			if err != nil {
 				b.Fatal(err)

@@ -153,18 +153,19 @@ type Config struct {
 	// strongest sender); only Delivery.SINR carries the ε bound. The plan
 	// must be built from the engine's own Instance. Nil means exact
 	// resolution — bit-identical to the pre-far-field engine.
+	//
+	// With Far set, each slot selects exact or far-field resolution from
+	// its live sender count: a slot with fewer than AdaptiveCrossover
+	// senders decodes exactly (sparse slots cost O(n·|txs|), below the
+	// plan's accumulation + walk overhead), a denser slot decodes through
+	// the plan. The choice depends only on |txs|, so runs stay
+	// deterministic and worker-count independent; each slot is
+	// bit-identical to an engine forced to that slot's mode.
 	Far *sinr.QuadTree
-	// Adaptive, with Far set, selects exact or far-field resolution
-	// per slot from the live sender count: a slot with fewer than the
-	// crossover's senders decodes exactly (sparse slots cost O(n·|txs|),
-	// below the plan's accumulation + walk overhead), a denser slot decodes
-	// through the plan. The choice depends only on |txs|, so runs stay
-	// deterministic and worker-count independent; each slot is bit-identical
-	// to an engine forced to that slot's mode.
-	Adaptive bool
 	// AdaptiveCrossover overrides the calibrated sender-count crossover
-	// (DefaultAdaptiveCrossover) above which an adaptive slot resolves
-	// far-field. Zero selects the default.
+	// (DefaultAdaptiveCrossover) from which a slot resolves far-field.
+	// Zero selects the default; 1 sends every non-empty slot through the
+	// plan.
 	AdaptiveCrossover int
 
 	// forceFar, when set (tests only), overrides per-slot mode selection:
@@ -255,7 +256,7 @@ type SlotEvent struct {
 	// inbox: under a listen range, only those from a sender in range.
 	Deliveries int
 	// Far reports that the slot resolved through the far-field plan
-	// (always false on exact engines; on adaptive engines it records the
+	// (always false on exact engines; on far-field engines it records the
 	// per-slot mode choice, which the drift gate replays).
 	Far bool
 }
@@ -340,7 +341,6 @@ type Engine struct {
 	// goroutine stack, so workers share the scratch).
 	far       *sinr.QuadTree
 	farScr    *sinr.QuadScratch
-	adaptive  bool
 	crossover int
 	farSlot   bool // current slot resolves far-field (set serially in Step)
 
@@ -395,14 +395,11 @@ func NewEngine(inst *sinr.Instance, procs []Protocol, cfg Config) (*Engine, erro
 		}
 		e.far = cfg.Far
 		e.farScr = cfg.Far.NewScratch()
-		if cfg.Adaptive {
-			e.adaptive = true
-			e.crossover = cfg.AdaptiveCrossover
-			if e.crossover <= 0 {
-				e.crossover = DefaultAdaptiveCrossover
-			}
+		e.crossover = cfg.AdaptiveCrossover
+		if e.crossover <= 0 {
+			e.crossover = DefaultAdaptiveCrossover
 		}
-		// Exact slots on an adaptive engine decode with on-the-fly path
+		// Exact slots on a far-field engine decode with on-the-fly path
 		// loss (bit-identical to table entries): a far-field session exists
 		// to avoid the O(n²) table, and sparse slots don't need it.
 	} else {
@@ -504,16 +501,12 @@ func (e *Engine) Step() {
 
 	// Stage 2.5 (far-field mode): pick the slot's resolution mode, then one
 	// serial O(#senders) pass folds the sender set into the plan's
-	// aggregates for the parallel decode stage. Adaptive engines keep
-	// sparse slots exact — below the crossover the plan's accumulation and
-	// per-listener walk floor cost more than |listeners|·|txs| direct
-	// gains — and the choice reads only |txs|, so it is deterministic and
-	// worker-count independent. A slot left with no listener skips the
-	// fold.
-	e.farSlot = e.far != nil && len(e.txs) > 0
-	if e.farSlot && e.adaptive && len(e.txs) < e.crossover {
-		e.farSlot = false
-	}
+	// aggregates for the parallel decode stage. Sparse slots stay exact —
+	// below the crossover the plan's accumulation and per-listener walk
+	// floor cost more than |listeners|·|txs| direct gains — and the choice
+	// reads only |txs|, so it is deterministic and worker-count
+	// independent. A slot left with no listener skips the fold.
+	e.farSlot = e.far != nil && len(e.txs) >= e.crossover // crossover ≥ 1
 	if e.far != nil && e.cfg.forceFar != nil {
 		e.farSlot = e.cfg.forceFar(e.slot, len(e.txs)) && len(e.txs) > 0
 	}
@@ -634,7 +627,7 @@ func (e *Engine) decodeExact(lo, hi int, sh *shard) {
 		// On-the-fly path loss: bit-identical to a table entry (the same
 		// squared distance, sender minus listener, through the same
 		// PowAlphaSq arm), and — unlike Instance.Gain — never forces the
-		// O(n²) table build an adaptive far-field engine avoids.
+		// O(n²) table build a far-field engine avoids.
 		pts, pl := e.inst.Points(), e.pl
 		ps := pts[t.Sender]
 		for j, v := range lis {

@@ -47,7 +47,8 @@ func TestFarFieldEngineRejectsForeignPlan(t *testing.T) {
 }
 
 // TestFarFieldSaturation mirrors the exact engine's co-located-sender
-// semantics: a duplicate-point transmitter drowns every listener.
+// semantics: a duplicate-point transmitter drowns every listener of a
+// slot forced through the plan.
 func TestFarFieldSaturation(t *testing.T) {
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 0, Y: 0}, {X: 5, Y: 0}, {X: 9, Y: 3}}
 	in := sinr.MustInstance(pts, sinr.DefaultParams())
@@ -62,18 +63,32 @@ func TestFarFieldSaturation(t *testing.T) {
 		&fixedProto{id: 2},
 		&fixedProto{id: 3},
 	}
-	e, err := NewEngine(in, procs, Config{Workers: 1, Far: q})
+	far := 0
+	e, err := NewEngine(in, procs, Config{Workers: 1, Far: q, AdaptiveCrossover: 1, Observer: countFar(&far)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
 	e.Run(3)
+	if far != 3 {
+		t.Fatalf("%d of 3 slots resolved far, want all", far)
+	}
 	st := e.Stats()
 	if st.Deliveries != 0 {
 		t.Fatalf("co-located senders delivered %d messages, want 0", st.Deliveries)
 	}
 	if st.Collisions == 0 {
 		t.Fatal("saturation not recorded as collisions")
+	}
+}
+
+// countFar returns an Observer that counts into *n the slots resolved
+// through the far-field plan.
+func countFar(n *int) Observer {
+	return func(ev SlotEvent) {
+		if ev.Far {
+			*n++
+		}
 	}
 }
 
@@ -98,7 +113,8 @@ func assertRunsEqual(t *testing.T, label string, aGot, bGot [][]Delivery, aStats
 // TestEngineFarDriftGate: the far slot decoded across a worker pool must
 // not drift from its own serial run — every Delivery and every Stats field
 // bit-identical. TestQuadtreePoolMatchesSerial compares Stats only; this
-// gate compares each listener's inbox.
+// gate compares each listener's inbox. Every slot is forced far
+// (AdaptiveCrossover 1).
 func TestEngineFarDriftGate(t *testing.T) {
 	const n, slots = 256, 14
 	run := func(workers int) ([][]Delivery, Stats) {
@@ -115,12 +131,16 @@ func TestEngineFarDriftGate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := NewEngine(in, procs, Config{Workers: workers, Far: q})
+		far := 0
+		e, err := NewEngine(in, procs, Config{Workers: workers, Far: q, AdaptiveCrossover: 1, Observer: countFar(&far)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer e.Close()
 		e.Run(slots)
+		if far != slots {
+			t.Fatalf("workers=%d: %d of %d slots resolved far, want all", workers, far, slots)
+		}
 		got := make([][]Delivery, n)
 		for i, r := range recs {
 			got[i] = r.got

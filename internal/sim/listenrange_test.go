@@ -32,13 +32,15 @@ func (p *chatterProto) Step(slot int, _ []Delivery) Action {
 
 // rangeRun is one engine run of the listen-range differential: every
 // delivery each node received, the stats, how many listener-slots were
-// decoded, and whether the gate's cell grid could be used.
+// decoded, how many slots with a sender resolved far and exact, and
+// whether the gate's cell grid could be used.
 type rangeRun struct {
-	got     [][]Delivery
-	stats   Stats
-	decoded int
-	gridOK  bool
-	cells   int // occupied cells of the last grid
+	got        [][]Delivery
+	stats      Stats
+	decoded    int
+	far, exact int
+	gridOK     bool
+	cells      int // occupied cells of the last grid
 }
 
 // checkGateSlot asserts that the listeners the engine decoded in the slot
@@ -95,6 +97,11 @@ func runRanged(t *testing.T, in *sinr.Instance, cfg Config, salt int64, slots in
 			checkGateSlot(t, "runRanged", e)
 		}
 		run.decoded += len(e.lis)
+		if e.farSlot {
+			run.far++
+		} else if len(e.txs) > 0 {
+			run.exact++
+		}
 	}
 	run.got = make([][]Delivery, n)
 	for i, rec := range recs {
@@ -221,12 +228,12 @@ func TestListenRangeMatchesFilter(t *testing.T) {
 	}
 	farCfgs := func(q *sinr.QuadTree) []Config {
 		return []Config{
-			{Workers: 1, Far: q, Adaptive: true, AdaptiveCrossover: 1 << 30}, // exact, on the fly
-			{Workers: 4, Far: q, Adaptive: true, AdaptiveCrossover: 1 << 30, DropProb: 0.2, Seed: 3},
-			{Workers: 1, Far: q},
-			{Workers: 4, Far: q, DropProb: 0.2, Seed: 3},
-			{Workers: 4, Far: q},
-			{Workers: 4, Far: q, Adaptive: true, AdaptiveCrossover: 40},
+			{Workers: 1, Far: q, AdaptiveCrossover: 1 << 30}, // exact, on the fly
+			{Workers: 4, Far: q, AdaptiveCrossover: 1 << 30, DropProb: 0.2, Seed: 3},
+			{Workers: 1, Far: q, AdaptiveCrossover: 1}, // every slot far
+			{Workers: 4, Far: q, AdaptiveCrossover: 1, DropProb: 0.2, Seed: 3},
+			{Workers: 4, Far: q, AdaptiveCrossover: 1},
+			{Workers: 4, Far: q, AdaptiveCrossover: 40},
 		}
 	}
 	cases := []struct {
@@ -265,6 +272,9 @@ func TestListenRangeMatchesFilter(t *testing.T) {
 				}
 				if c.cells > 0 && gated.cells != c.cells {
 					t.Fatalf("%s: the grid holds %d cells, want %d", label, gated.cells, c.cells)
+				}
+				if cfg.AdaptiveCrossover == 1 && (gated.far == 0 || gated.exact != 0) {
+					t.Fatalf("%s: forced far engine resolved %d slots far and %d exact", label, gated.far, gated.exact)
 				}
 				if gated.decoded >= ref.decoded {
 					t.Fatalf("%s: the gate decoded %d of %d listener-slots", label, gated.decoded, ref.decoded)
@@ -406,8 +416,10 @@ func FuzzListenRange(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.Far = q
+			cfg.Far, cfg.AdaptiveCrossover = q, 1
 		}
-		checkListenRange(t, "fuzz", in, cfg, seed, 8, r)
+		if ref, _, _ := checkListenRange(t, "fuzz", in, cfg, seed, 8, r); cfg.Far != nil && (ref.far == 0 || ref.exact != 0) {
+			t.Fatalf("forced far engine resolved %d slots far and %d exact", ref.far, ref.exact)
+		}
 	})
 }

@@ -296,10 +296,9 @@ func (q *QuadTree) OpenRadius2(lvl int) float64 { return q.openRad2[lvl] }
 // horizon/side ≈ 0.17, wins 1.28× more than before; BENCH_quadtree.json).
 // It holds for tight ε at small instances (the
 // opening radius is ≥ cell·√2/θ ≥ √2/θ units, so a span below ~4√2/θ
-// cannot be resolved hierarchically); the session's FarAuto mode falls
-// back to exact resolution when it does, a forced FarQuadtree run keeps
-// the plan. Equivalently, since horizon/side = (√2/θ)/2^L: the pyramid
-// needs depth 2^L > 4√2/θ before hierarchy pays.
+// cannot be resolved hierarchically); a session falls back to exact
+// resolution when it does. Equivalently, since horizon/side = (√2/θ)/2^L:
+// the pyramid needs depth 2^L > 4√2/θ before hierarchy pays.
 func (q *QuadTree) NearDominated() bool {
 	quarter := q.side[0] / 4
 	return q.openRad2[q.levels] >= quarter*quarter

@@ -32,6 +32,11 @@ import (
 // exists for.
 var quadEpsSweep = []float64{0.1, 0.5, 2.5}
 
+// farEpsSweep straddles the certified ε = 1 point where the lower
+// interference bound clamps at zero. The TestFar* entry points run the
+// shared contract checks below at it; the TestQuadtree* ones at quadEpsSweep.
+var farEpsSweep = []float64{0.25, 1.0, 2.5}
+
 // farTxSet builds a sender set with distinct senders (the LinkSINR
 // contract) at powers spanning comfortably-feasible to marginal.
 func farTxSet(rng *rand.Rand, in *sinr.Instance, m int) []sinr.Tx {
@@ -145,7 +150,12 @@ func TestDifferentialQuadtreeVsOracle(t *testing.T) {
 // hierarchical engine: the walked SINR stays within the certified (1±ε)
 // bracket of the *exact* physics (oracle-computed), across the scenario
 // matrix × α × ε — including the tight ε = 0.1.
-func TestQuadtreeErrorBound(t *testing.T) {
+func TestQuadtreeErrorBound(t *testing.T) { checkErrorBound(t, quadEpsSweep) }
+
+// TestFarFieldErrorBound is checkErrorBound across the certified ε = 1 point.
+func TestFarFieldErrorBound(t *testing.T) { checkErrorBound(t, farEpsSweep) }
+
+func checkErrorBound(t *testing.T, epsSweep []float64) {
 	const slack = 1e-9
 	for _, spec := range workload.Matrix() {
 		for _, alpha := range diffAlphas {
@@ -156,7 +166,7 @@ func TestQuadtreeErrorBound(t *testing.T) {
 					pts, in := diffInstance(t, spec, alpha, seed, n)
 					p := in.Params()
 					rng := rand.New(rand.NewSource(seed * 613))
-					for _, eps := range quadEpsSweep {
+					for _, eps := range epsSweep {
 						q, err := in.QuadTree(eps)
 						if err != nil {
 							t.Fatal(err)
@@ -202,10 +212,18 @@ func TestQuadtreeErrorBound(t *testing.T) {
 	}
 }
 
-// TestQuadtreeFeasibilityGuardBand asserts the guard-band semantics carry
-// over to the hierarchical engine: never rejects a schedule the exact check
-// accepts, and the decision matches the oracle's naive transcription.
-func TestQuadtreeFeasibilityGuardBand(t *testing.T) {
+// TestQuadtreeFeasibilityGuardBand asserts the guard-band semantics of
+// SINRFeasibleFarBuf: it never rejects a schedule the exact check accepts
+// (completeness), an acceptance certifies exact SINR ≥ β·(1−ε)/(1+ε) on
+// every link, and the decision matches the oracle's naive transcription.
+func TestQuadtreeFeasibilityGuardBand(t *testing.T) { checkFeasibilityGuardBand(t, quadEpsSweep) }
+
+// TestFarFeasibilityGuardBand is checkFeasibilityGuardBand across the
+// certified ε = 1 point.
+func TestFarFeasibilityGuardBand(t *testing.T) { checkFeasibilityGuardBand(t, farEpsSweep) }
+
+func checkFeasibilityGuardBand(t *testing.T, epsSweep []float64) {
+	const slack = 1e-9
 	for _, spec := range workload.Matrix() {
 		for _, alpha := range diffAlphas {
 			spec, alpha := spec, alpha
@@ -214,7 +232,7 @@ func TestQuadtreeFeasibilityGuardBand(t *testing.T) {
 					pts, in := diffInstance(t, spec, alpha, seed, 32)
 					p := in.Params()
 					rng := rand.New(rand.NewSource(seed * 839))
-					for _, eps := range quadEpsSweep {
+					for _, eps := range epsSweep {
 						q, err := in.QuadTree(eps)
 						if err != nil {
 							t.Fatal(err)
@@ -233,6 +251,19 @@ func TestQuadtreeFeasibilityGuardBand(t *testing.T) {
 							if exactOK && !farOK {
 								t.Fatalf("seed %d eps %v: quadtree check rejected an exactly-feasible schedule %v",
 									seed, eps, links)
+							}
+							if ce := q.CertifiedMaxRelError(); farOK && ce < 1 {
+								txs := make([]sinr.Tx, len(links))
+								for i, l := range links {
+									txs[i] = sinr.Tx{Sender: l.From, Power: powers[i]}
+								}
+								floor := p.Beta * (1 - ce) / (1 + ce) * (1 - slack)
+								for _, l := range links {
+									if s := oracle.SINR(pts, p, txs, l); s < floor-oracle.FeasibilitySlack {
+										t.Fatalf("seed %d eps %v: accepted link %v has exact SINR %v below the band floor %v",
+											seed, eps, l, s, floor)
+									}
+								}
 							}
 							oOK, err := oracle.QuadSINRFeasible(pts, p, eps, links, powers)
 							if err != nil {
@@ -255,19 +286,27 @@ func TestQuadtreeFeasibilityGuardBand(t *testing.T) {
 // exactly the strongest sender — never perturbed by aggregation — including
 // when the strongest sender hides deep in an otherwise-acceptable coarse
 // node, and the interference total stays inside the certified band.
-func TestQuadtreeResolveWinnerExact(t *testing.T) {
+func TestQuadtreeResolveWinnerExact(t *testing.T) { checkResolveWinnerExact(t, 0.1) }
+
+// TestFarFieldResolveWinnerExact is checkResolveWinnerExact at the certified
+// ε = 1 point.
+func TestFarFieldResolveWinnerExact(t *testing.T) { checkResolveWinnerExact(t, 1.0) }
+
+func checkResolveWinnerExact(t *testing.T, epsList ...float64) {
 	rng := rand.New(rand.NewSource(99))
 	pts := workload.UniformSeeded(42, 300)
 	p := sinr.DefaultParams()
 	in := sinr.MustInstance(pts, p)
-	for _, eps := range []float64{0.1, 1.0} {
+	for _, eps := range epsList {
 		q, err := in.QuadTree(eps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sc := q.NewScratch()
-		for trial := 0; trial < 40; trial++ {
+		for trial := 0; trial < 50; trial++ {
 			txs := farTxSet(rng, in, 60)
+			// Crank one sender's power so the true winner at many
+			// listeners lies in the far field, forcing refinement.
 			txs[0].Power *= 1e6
 			sc.Accumulate(txs)
 			for probe := 0; probe < 20; probe++ {
@@ -359,13 +398,19 @@ func TestQuadtreeExtendReuse(t *testing.T) {
 	}
 }
 
-// TestQuadtreeFeasibilityDuplicateSender pins the shared contract on the
-// hierarchical resolver: a repeated sender is rejected with
-// ErrDuplicateSender.
-func TestQuadtreeFeasibilityDuplicateSender(t *testing.T) {
+// TestQuadtreeFeasibilityDuplicateSender pins the exported contract: a link
+// set with a repeated sender is rejected with ErrDuplicateSender instead of
+// silently diverging from the exact check (which sums duplicates).
+func TestQuadtreeFeasibilityDuplicateSender(t *testing.T) { checkDuplicateSender(t, 0.5) }
+
+// TestFarFeasibilityDuplicateSender is checkDuplicateSender on a plan past
+// the certified ε = 1 point.
+func TestFarFeasibilityDuplicateSender(t *testing.T) { checkDuplicateSender(t, 2.5) }
+
+func checkDuplicateSender(t *testing.T, eps float64) {
 	pts := workload.UniformSeeded(3, 16)
 	in := sinr.MustInstance(pts, sinr.DefaultParams())
-	q, err := in.QuadTree(0.5)
+	q, err := in.QuadTree(eps)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package tree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"sinrconn/internal/sinr"
@@ -64,24 +65,9 @@ func (t *BiTree) SlotSpan() (min, max int) {
 // simulator slot indices, which are sparse; Compact turns them into the
 // dense schedule the paper counts.
 func (t *BiTree) Compact() int {
-	if len(t.Up) == 0 {
-		return 0
-	}
-	stamps := make([]int, 0, len(t.Up))
-	seen := make(map[int]struct{}, len(t.Up))
-	for _, tl := range t.Up {
-		if _, ok := seen[tl.Slot]; !ok {
-			seen[tl.Slot] = struct{}{}
-			stamps = append(stamps, tl.Slot)
-		}
-	}
-	sort.Ints(stamps)
-	remap := make(map[int]int, len(stamps))
-	for i, s := range stamps {
-		remap[s] = i + 1
-	}
+	rank, stamps := RankSlots(t.Up)
 	for i := range t.Up {
-		t.Up[i].Slot = remap[t.Up[i].Slot]
+		t.Up[i].Slot = rank[t.Up[i].Slot] + 1
 	}
 	return len(stamps)
 }
@@ -242,9 +228,9 @@ func (t *BiTree) ValidateOrdering() error {
 // ValidatePerSlotFeasible groups the aggregation links by slot and checks
 // that each group is SINR-feasible under the stamped powers — the property
 // that makes the slot stamps an actual schedule. Links are bucketed with a
-// counting sort over the slot range and one set of scratch buffers is reused
-// across groups, so validation of large trees stays allocation-light and
-// rides the sinr gain table for the physics.
+// counting sort over the slots' ranks and one set of scratch buffers is
+// reused across groups, so validation of large trees stays allocation-light
+// and rides the sinr gain table for the physics.
 func (t *BiTree) ValidatePerSlotFeasible(in *sinr.Instance) error {
 	scratch := feasScratch{}
 	return t.validateSlots(func(links []sinr.Link, powers []float64) (bool, error) {
@@ -280,89 +266,60 @@ func (s *feasScratch) txs(n int) []sinr.Tx {
 	return s.buf[:n]
 }
 
-// validateSlots buckets the aggregation links by slot (counting sort over
-// the slot range, with a map fallback for degenerately sparse stamps) and
-// applies check to each group, reporting the first infeasible slot.
-func (t *BiTree) validateSlots(check func(links []sinr.Link, powers []float64) (bool, error)) error {
-	if len(t.Up) == 0 {
-		return nil
-	}
-	minSlot, maxSlot := t.Up[0].Slot, t.Up[0].Slot
-	for _, tl := range t.Up {
-		if tl.Slot < minSlot {
-			minSlot = tl.Slot
-		}
-		if tl.Slot > maxSlot {
-			maxSlot = tl.Slot
+// RankSlots maps the distinct slot stamps of links to dense ranks in
+// ascending slot order; stamps lists the stamps by rank.
+func RankSlots(links []TimedLink) (rank map[int]int, stamps []int) {
+	rank = make(map[int]int)
+	for _, tl := range links {
+		if _, ok := rank[tl.Slot]; !ok {
+			rank[tl.Slot] = 0
+			stamps = append(stamps, tl.Slot)
 		}
 	}
-	// Counting sort by slot: offsets[s] is the start of slot s's group.
-	span := maxSlot - minSlot + 1
-	if span > 16*len(t.Up)+1024 {
-		// Degenerate sparse stamps; bucket through a map instead.
-		return t.validateSlotsSparse(check)
+	sort.Ints(stamps)
+	for i, s := range stamps {
+		rank[s] = i
 	}
-	counts := make([]int, span+1)
-	for _, tl := range t.Up {
-		counts[tl.Slot-minSlot+1]++
-	}
-	maxGroup := 0
-	for s := 0; s < span; s++ {
-		if counts[s+1] > maxGroup {
-			maxGroup = counts[s+1]
-		}
-		counts[s+1] += counts[s]
-	}
-	ordered := make([]TimedLink, len(t.Up))
-	fill := make([]int, span)
-	copy(fill, counts[:span])
-	for _, tl := range t.Up {
-		s := tl.Slot - minSlot
-		ordered[fill[s]] = tl
-		fill[s]++
-	}
-	links := make([]sinr.Link, maxGroup)
-	powers := make([]float64, maxGroup)
-	for s := 0; s < span; s++ {
-		group := ordered[counts[s]:counts[s+1]]
-		if len(group) == 0 {
-			continue
-		}
-		for i, tl := range group {
-			links[i] = tl.L
-			powers[i] = tl.Power
-		}
-		ok, err := check(links[:len(group)], powers[:len(group)])
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("tree: slot %d is not SINR-feasible (%d links)", s+minSlot, len(group))
-		}
-	}
-	return nil
+	return rank, stamps
 }
 
-// validateSlotsSparse is the map-bucketed fallback for trees whose slot
-// stamps are far sparser than the link count.
-func (t *BiTree) validateSlotsSparse(check func(links []sinr.Link, powers []float64) (bool, error)) error {
-	bySlot := make(map[int][]TimedLink)
-	for _, tl := range t.Up {
-		bySlot[tl.Slot] = append(bySlot[tl.Slot], tl)
+// validateSlots groups the aggregation links by slot and applies check to
+// each group in ascending slot order, reporting the first infeasible slot.
+// The groups come from a counting sort over the slots' ranks, so each
+// keeps Up's order, and with it every float summation order, however
+// sparse the stamps are.
+func (t *BiTree) validateSlots(check func(links []sinr.Link, powers []float64) (bool, error)) error {
+	rank, stamps := RankSlots(t.Up)
+	ranks := make([]int, len(t.Up))
+	start := make([]int, len(stamps)+1) // group r is ordered[start[r]:start[r+1]]
+	for i, tl := range t.Up {
+		ranks[i] = rank[tl.Slot]
+		start[ranks[i]+1]++
 	}
-	for slot, group := range bySlot {
-		links := make([]sinr.Link, len(group))
-		powers := make([]float64, len(group))
-		for i, tl := range group {
-			links[i] = tl.L
-			powers[i] = tl.Power
+	for r := range stamps {
+		start[r+1] += start[r]
+	}
+	fill := slices.Clone(start[:len(stamps)])
+	ordered := make([]TimedLink, len(t.Up))
+	for i, tl := range t.Up {
+		ordered[fill[ranks[i]]] = tl
+		fill[ranks[i]]++
+	}
+	var links []sinr.Link
+	var powers []float64
+	for r, slot := range stamps {
+		group := ordered[start[r]:start[r+1]]
+		links, powers = links[:0], powers[:0]
+		for _, tl := range group {
+			links = append(links, tl.L)
+			powers = append(powers, tl.Power)
 		}
 		ok, err := check(links, powers)
 		if err != nil {
 			return err
 		}
 		if !ok {
-			return fmt.Errorf("tree: slot %d is not SINR-feasible (%d links)", slot, len(links))
+			return fmt.Errorf("tree: slot %d is not SINR-feasible (%d links)", slot, len(group))
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package tree
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"sinrconn/internal/geom"
@@ -269,6 +270,32 @@ func TestPerSlotFeasible(t *testing.T) {
 	}
 	if err := bad.ValidatePerSlotFeasible(inBad); err == nil {
 		t.Error("infeasible slot accepted")
+	}
+}
+
+// TestPerSlotFeasibleNamesFirstSlot: with several infeasible slots, the
+// error names the lowest, every time — also when the stamps are spread far
+// sparser than the link count (here 6 links over 100 001 slots).
+func TestPerSlotFeasibleNamesFirstSlot(t *testing.T) {
+	var pts []geom.Point
+	bad := &BiTree{Root: 0}
+	// Three copies of TestPerSlotFeasible's infeasible pair, far apart,
+	// listed in descending slot order.
+	for k, slot := range []int{100000, 50000, 0} {
+		x, b := float64(k)*1e4, len(pts)
+		pts = append(pts, geom.Point{X: x}, geom.Point{X: x + 10}, geom.Point{X: x + 11}, geom.Point{X: x + 21})
+		bad.Up = append(bad.Up,
+			TimedLink{L: sinr.Link{From: b, To: b + 1}, Slot: slot},
+			TimedLink{L: sinr.Link{From: b + 3, To: b + 2}, Slot: slot})
+	}
+	in := sinr.MustInstance(pts, sinr.DefaultParams())
+	for i := range bad.Up {
+		bad.Up[i].Power = in.Params().SafePower(10)
+	}
+	for i := 0; i < 20; i++ {
+		if err := bad.ValidatePerSlotFeasible(in); err == nil || !strings.Contains(err.Error(), "slot 0 is") {
+			t.Fatalf("validation %d: %v, want slot 0 named", i, err)
+		}
 	}
 }
 

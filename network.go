@@ -74,31 +74,6 @@ func (p Pipeline) String() string {
 // ordering property (PipelineRescheduleMean does not, per the paper).
 func (p Pipeline) Ordered() bool { return p != PipelineRescheduleMean }
 
-// FarMode selects how WithMaxRelError drives the quadtree far-field engine
-// (it is meaningless at ε = 0, which is always the exact path).
-type FarMode uint8
-
-const (
-	// FarAuto — the default — resolves approximate slots through the
-	// hierarchical quadtree with adaptive per-slot mode selection: each
-	// slot picks exact or quadtree resolution from its live sender count
-	// (sparse slots are cheaper exact; see sim.Config.Adaptive).
-	FarAuto FarMode = iota
-	// FarQuadtree forces the hierarchical quadtree on every non-empty slot.
-	FarQuadtree
-)
-
-// String implements fmt.Stringer.
-func (m FarMode) String() string {
-	switch m {
-	case FarAuto:
-		return "far-auto"
-	case FarQuadtree:
-		return "far-quadtree"
-	}
-	return fmt.Sprintf("farmode(%d)", uint8(m))
-}
-
 // settings is the resolved configuration of a Network or a single run.
 // Functional options edit it; every With* records the value it was
 // explicitly handed, so an explicit zero is never mistaken for "default".
@@ -111,17 +86,15 @@ type settings struct {
 	broadcastProb float64
 	rho           int
 	maxRelErr     float64
-	farMode       FarMode
 	cacheSize     int
 	cacheTTL      time.Duration
 	observer      sim.Observer
 	injector      faults.Injector
 
-	physSet    bool  // WithPhys applied in the current scope
-	relErrSet  bool  // WithMaxRelError applied in the current scope
-	farModeSet bool  // WithFarMode applied in the current scope
-	runScope   bool  // applying options to a single run, not to Open
-	err        error // first option error, reported by Open/Run
+	physSet   bool  // WithPhys applied in the current scope
+	relErrSet bool  // WithMaxRelError applied in the current scope
+	runScope  bool  // applying options to a single run, not to Open
+	err       error // first option error, reported by Open/Run
 }
 
 func defaultSettings() settings {
@@ -251,10 +224,14 @@ func WithRho(rho int) Option {
 // bit-identical to a Network without the option; ε > 0 selects the
 // opening threshold θ(ε, α) per DESIGN.md §8, and the certified bound is
 // honored by every engine slot and by Result.Tree.Verify, which validates
-// schedules under the matching guard band. Legal at Open and at run
-// scope; results for distinct ε are memoized separately. Operations on an existing result (Join, Repair,
-// physical epochs) inherit the mode the result's tree was built under
-// unless the operation passes this option explicitly.
+// schedules under the matching guard band. Each slot picks exact or
+// quadtree resolution from its live sender count (sparse slots are cheaper
+// exact; see sim.Config.Far), and a box too small for its ε (the plan's
+// opening horizon spanning it) runs exact throughout. Legal at Open and at
+// run scope; results for distinct ε are memoized separately. Operations on
+// an existing result (Join, Repair, physical epochs) inherit the mode the
+// result's tree was built under unless the operation passes this option
+// explicitly.
 func WithMaxRelError(eps float64) Option {
 	return func(s *settings) {
 		if eps < 0 || math.IsInf(eps, 1) || math.IsNaN(eps) {
@@ -263,23 +240,6 @@ func WithMaxRelError(eps float64) Option {
 		}
 		s.maxRelErr = eps
 		s.relErrSet = true
-	}
-}
-
-// WithFarMode selects how WithMaxRelError drives the quadtree: adaptive
-// per-slot selection between exact and quadtree resolution (FarAuto, the
-// default) or the quadtree on every slot (FarQuadtree). It has no effect
-// at ε = 0. Legal at Open and at run scope; results for distinct modes
-// are memoized separately, and operations on an existing result inherit
-// the mode its tree was built under unless overridden.
-func WithFarMode(m FarMode) Option {
-	return func(s *settings) {
-		if m > FarQuadtree {
-			s.fail(fmt.Errorf("unknown far mode %v", m))
-			return
-		}
-		s.farMode = m
-		s.farModeSet = true
 	}
 }
 
@@ -378,7 +338,6 @@ type runKey struct {
 	bprob    float64
 	rho      int
 	relErr   float64
-	farMode  FarMode
 }
 
 // maxCachedResults is the default capacity of the per-Network result
@@ -586,7 +545,6 @@ func (nw *Network) runSettings(opts []RunOption) (settings, error) {
 	s.runScope = true
 	s.physSet = false
 	s.relErrSet = false
-	s.farModeSet = false
 	for _, o := range opts {
 		o(&s)
 	}
@@ -594,12 +552,6 @@ func (nw *Network) runSettings(opts []RunOption) (settings, error) {
 }
 
 func (s *settings) key(p Pipeline) runKey {
-	mode := s.farMode
-	if s.maxRelErr == 0 {
-		// ε = 0 is the exact path whatever the mode — normalize so the
-		// memo never splits identical exact results.
-		mode = FarAuto
-	}
 	return runKey{
 		pipeline: p,
 		phys:     s.phys,
@@ -608,7 +560,6 @@ func (s *settings) key(p Pipeline) runKey {
 		bprob:    s.broadcastProb,
 		rho:      s.rho,
 		relErr:   s.maxRelErr,
-		farMode:  mode,
 	}
 }
 
@@ -619,7 +570,7 @@ func (nw *Network) CacheStats() cache.Stats { return nw.memo.Stats() }
 
 // initConfig derives the core construction config for a run on the
 // acquired pool.
-func initConfig(s settings, pool *sim.Pool, ff *sinr.QuadTree, adaptive bool) core.InitConfig {
+func initConfig(s settings, pool *sim.Pool, ff *sinr.QuadTree) core.InitConfig {
 	return core.InitConfig{
 		BroadcastProb: s.broadcastProb,
 		Seed:          s.seed,
@@ -627,62 +578,48 @@ func initConfig(s settings, pool *sim.Pool, ff *sinr.QuadTree, adaptive bool) co
 		DropProb:      s.drop,
 		Pool:          pool,
 		Far:           ff,
-		Adaptive:      adaptive,
 		Observer:      s.observer,
 		Injector:      s.injector,
 	}
 }
 
-// farFieldFor resolves the far-field plan a settings' (ε, mode) selects
-// over in — nil plan for the exact path — plus whether engines should pick
-// exact/far per slot adaptively. ε = 0 is always exact; FarAuto (the
-// default) is the quadtree with adaptive selection.
-func farFieldFor(in *sinr.Instance, s settings) (ff *sinr.QuadTree, adaptive bool, err error) {
+// farFieldFor resolves the far-field plan a settings' ε selects over in:
+// nil for the exact path, else the quadtree, whose engines pick exact or
+// far resolution per slot from the sender count (sim.Config.Far). ε = 0
+// is always exact.
+func farFieldFor(in *sinr.Instance, s settings) (*sinr.QuadTree, error) {
 	if s.maxRelErr == 0 {
-		return nil, false, nil
+		return nil, nil
 	}
 	q, err := in.QuadTree(s.maxRelErr)
 	if err != nil {
-		return nil, false, err
-	}
-	if s.farMode == FarQuadtree {
-		return q, false, nil
+		return nil, err
 	}
 	if q.NearDominated() {
-		// FarAuto, and the leaf-level opening horizon covers most of the
-		// instance (tight ε on a small box): most listeners would open
-		// most of the pyramid, an exact scan with overhead. Auto mode
-		// serves the ε contract with the exact path — zero error
-		// trivially satisfies the bound, faster. A forced FarQuadtree
-		// keeps the plan.
-		return nil, false, nil
+		// The leaf-level opening horizon covers most of the instance
+		// (tight ε on a small box): most listeners would open most of the
+		// pyramid, an exact scan with overhead. The exact path serves the
+		// ε contract — zero error trivially satisfies the bound, faster.
+		return nil, nil
 	}
-	return q, true, nil
+	return q, nil
 }
 
 // opFarField resolves the channel mode for an operation on an existing
 // result (join, repair, physical epoch). An explicit WithMaxRelError on
-// the operation wins outright; an explicit WithFarMode alone switches the
-// mode but keeps the ε the result's tree was built under (a mode is not an
-// error bound — discarding the tree's ε would silently flip the operation
-// to exact physics); with neither, the operation inherits ε and
-// adaptivity from the tree, rebuilding its plan over in — so growing or
-// re-driving an ε-built tree never silently switches it to exact physics
-// (and vice versa). in is the operation's instance — the tree's own for
-// repairs and epochs, the extended one for joins.
-func opFarField(r *Result, in *sinr.Instance, s settings) (*sinr.QuadTree, bool, error) {
+// the operation wins outright; without it, the operation inherits the ε
+// the result's tree was built under, rebuilding its plan over in — so
+// growing or re-driving an ε-built tree never silently switches it to
+// exact physics (and vice versa). in is the operation's instance — the
+// tree's own for repairs and epochs, the extended one for joins.
+func opFarField(r *Result, in *sinr.Instance, s settings) (*sinr.QuadTree, error) {
 	if s.relErrSet {
 		return farFieldFor(in, s)
 	}
 	if r.Tree.ff == nil {
-		return nil, false, nil // exact-built tree stays exact
+		return nil, nil // exact-built tree stays exact
 	}
-	if s.farModeSet {
-		s.maxRelErr = r.Tree.ff.MaxRelError()
-		return farFieldFor(in, s)
-	}
-	q, err := in.QuadTree(r.Tree.ff.MaxRelError())
-	return q, r.Tree.ffAdaptive, err
+	return in.QuadTree(r.Tree.ff.MaxRelError())
 }
 
 // Run executes one pipeline on the open handle, reusing the session's
@@ -764,7 +701,7 @@ func (nw *Network) compute(ctx context.Context, p Pipeline, s settings) (*Result
 	if err != nil {
 		return nil, err
 	}
-	ff, adaptive, err := farFieldFor(in, s)
+	ff, err := farFieldFor(in, s)
 	if err != nil {
 		return nil, err
 	}
@@ -772,40 +709,40 @@ func (nw *Network) compute(ctx context.Context, p Pipeline, s settings) (*Result
 	defer release()
 	switch p {
 	case PipelineInit:
-		return nw.runInit(ctx, in, s, pool, ff, adaptive)
+		return nw.runInit(ctx, in, s, pool, ff)
 	case PipelineRescheduleMean:
-		return nw.runRescheduleMean(ctx, in, s, pool, ff, adaptive)
+		return nw.runRescheduleMean(ctx, in, s, pool, ff)
 	case PipelineTVCMean:
-		return nw.runTVC(ctx, in, s, pool, ff, adaptive, core.VariantMean)
+		return nw.runTVC(ctx, in, s, pool, ff, core.VariantMean)
 	case PipelineTVCArbitrary:
-		return nw.runTVC(ctx, in, s, pool, ff, adaptive, core.VariantArbitrary)
+		return nw.runTVC(ctx, in, s, pool, ff, core.VariantArbitrary)
 	}
 	return nil, fmt.Errorf("sinrconn: unknown pipeline %v", p)
 }
 
 // newResult binds a constructed tree and its metrics to this handle. ff
 // (nil in exact mode) records the far-field plan the construction ran
-// under, so Verify applies the matching guard band, and adaptive whether its engines picked modes per slot, so
-// operations on the result inherit the full channel mode.
-func (nw *Network) newResult(in *sinr.Instance, bt *tree.BiTree, m Metrics, ff *sinr.QuadTree, adaptive bool) *Result {
-	return &Result{Tree: publicTree(in, bt, ff, adaptive), Metrics: m, nw: nw}
+// under, so Verify applies the matching guard band and operations on the
+// result inherit the channel mode.
+func (nw *Network) newResult(in *sinr.Instance, bt *tree.BiTree, m Metrics, ff *sinr.QuadTree) *Result {
+	return &Result{Tree: publicTree(in, bt, ff), Metrics: m, nw: nw}
 }
 
 // finishResult completes m with in's Υ and Δ and bt's replayed latencies
 // and binds the result to nw: the common tail of pipeline runs, joins,
 // repairs and churn traces.
-func (nw *Network) finishResult(in *sinr.Instance, bt *tree.BiTree, m Metrics, ff *sinr.QuadTree, adaptive bool) (*Result, error) {
+func (nw *Network) finishResult(in *sinr.Instance, bt *tree.BiTree, m Metrics, ff *sinr.QuadTree) (*Result, error) {
 	m.Upsilon = in.Upsilon()
 	m.Delta = in.Delta()
 	if err := fillLatencies(&m, bt); err != nil {
 		return nil, err
 	}
-	return nw.newResult(in, bt, m, ff, adaptive), nil
+	return nw.newResult(in, bt, m, ff), nil
 }
 
 // runInit is the Section 6 pipeline body (Theorem 2).
-func (nw *Network) runInit(ctx context.Context, in *sinr.Instance, s settings, pool *sim.Pool, ff *sinr.QuadTree, adaptive bool) (*Result, error) {
-	res, err := core.Init(ctx, in, initConfig(s, pool, ff, adaptive))
+func (nw *Network) runInit(ctx context.Context, in *sinr.Instance, s settings, pool *sim.Pool, ff *sinr.QuadTree) (*Result, error) {
+	res, err := core.Init(ctx, in, initConfig(s, pool, ff))
 	if err != nil {
 		return nil, err
 	}
@@ -816,12 +753,12 @@ func (nw *Network) runInit(ctx context.Context, in *sinr.Instance, s settings, p
 		ScheduleLength: bt.NumSlots(),
 		Rounds:         res.Rounds,
 		Energy:         res.Stats.Energy,
-	}, ff, adaptive)
+	}, ff)
 }
 
 // runRescheduleMean is the Section 7 pipeline body (Theorem 3).
-func (nw *Network) runRescheduleMean(ctx context.Context, in *sinr.Instance, s settings, pool *sim.Pool, ff *sinr.QuadTree, adaptive bool) (*Result, error) {
-	ires, err := core.Init(ctx, in, initConfig(s, pool, ff, adaptive))
+func (nw *Network) runRescheduleMean(ctx context.Context, in *sinr.Instance, s settings, pool *sim.Pool, ff *sinr.QuadTree) (*Result, error) {
+	ires, err := core.Init(ctx, in, initConfig(s, pool, ff))
 	if err != nil {
 		return nil, err
 	}
@@ -831,7 +768,6 @@ func (nw *Network) runRescheduleMean(ctx context.Context, in *sinr.Instance, s s
 		Workers:  s.workers,
 		Pool:     pool,
 		Far:      ff,
-		Adaptive: adaptive,
 		Observer: s.observer,
 		Injector: s.injector,
 	})
@@ -846,12 +782,12 @@ func (nw *Network) runRescheduleMean(ctx context.Context, in *sinr.Instance, s s
 		Delta:          in.Delta(),
 		Energy:         ires.Stats.Energy + rres.Stats.Energy,
 	}
-	return nw.newResult(in, rres.Tree, m, ff, adaptive), nil
+	return nw.newResult(in, rres.Tree, m, ff), nil
 }
 
 // runTVC is the Section 8 pipeline body (Theorem 4, both halves).
-func (nw *Network) runTVC(ctx context.Context, in *sinr.Instance, s settings, pool *sim.Pool, ff *sinr.QuadTree, adaptive bool, v core.Variant) (*Result, error) {
-	icfg := initConfig(s, pool, ff, adaptive)
+func (nw *Network) runTVC(ctx context.Context, in *sinr.Instance, s settings, pool *sim.Pool, ff *sinr.QuadTree, v core.Variant) (*Result, error) {
+	icfg := initConfig(s, pool, ff)
 	icfg.Seed = 0 // TreeViaCapacity derives per-iteration seeds from its own
 	res, err := core.TreeViaCapacity(ctx, in, core.TVCConfig{
 		Variant: v,
@@ -867,5 +803,5 @@ func (nw *Network) runTVC(ctx context.Context, in *sinr.Instance, s settings, po
 		ScheduleLength: res.Tree.NumSlots(),
 		Iterations:     res.Iterations,
 		Energy:         res.Energy,
-	}, ff, adaptive)
+	}, ff)
 }

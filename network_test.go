@@ -304,7 +304,6 @@ func TestOptionValidation(t *testing.T) {
 		{"rho zero", []Option{WithRho(0)}},
 		{"negative workers", []Option{WithWorkers(-1)}},
 		{"bad phys", []Option{WithPhys(PhysParams{Alpha: 1.5})}},
-		{"retired flat far mode", []Option{WithFarMode(FarMode(2))}},
 		{"negative cache size", []Option{WithResultCache(-1, 0)}},
 	}
 	for _, tc := range cases {

@@ -85,9 +85,8 @@ type BiTree struct {
 	inner *tree.BiTree
 	inst  *sinr.Instance
 	// ff is the far-field plan the construction ran under (nil = exact);
-	// ffAdaptive whether its engines selected exact/far per slot. Operations on the result inherit both.
-	ff         *sinr.QuadTree
-	ffAdaptive bool
+	// operations on the result inherit it.
+	ff *sinr.QuadTree
 }
 
 // Parent returns each non-root node's parent.
@@ -159,19 +158,18 @@ var ErrInvalidGeometry = errors.New("sinrconn: invalid geometry")
 
 // ErrInvalidOption reports an option value outside its documented domain:
 // a drop probability outside [0, 1), physical constants Validate rejects
-// (α below 2, say), a negative result-cache size, an unknown far mode, or an
-// Open-scoped option passed to a run. Open and Run return it; retrying
-// with the same value cannot help. Test with errors.Is.
+// (α below 2, say), a negative result-cache size, or an Open-scoped option
+// passed to a run. Open and Run return it; retrying with the same value
+// cannot help. Test with errors.Is.
 var ErrInvalidOption = errors.New("sinrconn: invalid option")
 
-func publicTree(in *sinr.Instance, bt *tree.BiTree, ff *sinr.QuadTree, ffAdaptive bool) *BiTree {
+func publicTree(in *sinr.Instance, bt *tree.BiTree, ff *sinr.QuadTree) *BiTree {
 	out := &BiTree{
-		Root:       bt.Root,
-		NumNodes:   len(bt.Nodes),
-		inner:      bt,
-		inst:       in,
-		ff:         ff,
-		ffAdaptive: ffAdaptive,
+		Root:     bt.Root,
+		NumNodes: len(bt.Nodes),
+		inner:    bt,
+		inst:     in,
+		ff:       ff,
 	}
 	for _, tl := range bt.Up {
 		out.Up = append(out.Up, ScheduledLink{
