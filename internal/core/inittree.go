@@ -279,6 +279,7 @@ func (nd *initNode) broadcastSlot(slot int, inbox []sim.Delivery) sim.Action {
 		return sim.Transmit(nd.spec.power, sim.Message{
 			Kind: sim.KindBroadcast,
 			From: nd.id,
+			To:   sim.NoAddressee,
 		})
 	}
 	return sim.Listen()
@@ -291,7 +292,7 @@ func (nd *initNode) ackSlot(inbox []sim.Delivery) sim.Action {
 		return sim.Leave()
 	}
 	if nd.broadcastPair >= 0 {
-		return sim.Listen() // we broadcast; await the acknowledgment
+		return sim.ListenAddressed() // we broadcast; await our acknowledgment
 	}
 	for _, d := range inbox {
 		if d.Msg.Kind != sim.KindBroadcast {

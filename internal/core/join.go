@@ -245,7 +245,7 @@ func (nd *joinNode) dataSlot(slot int, inbox []sim.Delivery) sim.Action {
 		if nd.rng.Float64() < nd.cfg.BroadcastProb {
 			nd.broadcastPair = slot / 2
 			nd.pendingPower = nd.spec.power
-			return sim.Transmit(nd.spec.power, sim.Message{Kind: sim.KindBroadcast, From: nd.id})
+			return sim.Transmit(nd.spec.power, sim.Message{Kind: sim.KindBroadcast, From: nd.id, To: sim.NoAddressee})
 		}
 		return sim.Idle() // a joiner's ack slot reads no inbox
 	case joinMember:
@@ -262,7 +262,7 @@ func (nd *joinNode) ackSlot(inbox []sim.Delivery) sim.Action {
 	switch nd.role {
 	case joinJoiner:
 		if nd.broadcastPair >= 0 {
-			return sim.Listen()
+			return sim.ListenAddressed() // await our acknowledgment
 		}
 		return sim.Idle()
 	case joinMember:

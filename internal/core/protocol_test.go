@@ -48,8 +48,8 @@ func TestInitNodeNonParticipantIdles(t *testing.T) {
 func TestInitNodeBroadcastsWhenForced(t *testing.T) {
 	nd := newTestInitNode(3)
 	a := nd.Step(0, nil)
-	if a.Kind != sim.ActionTransmit || a.Msg.Kind != sim.KindBroadcast || a.Msg.From != 3 {
-		t.Fatalf("expected broadcast, got %+v", a)
+	if a.Kind != sim.ActionTransmit || a.Msg.Kind != sim.KindBroadcast || a.Msg.From != 3 || a.Msg.To != sim.NoAddressee {
+		t.Fatalf("expected broadcast to no addressee, got %+v", a)
 	}
 	if a.Power != 100 {
 		t.Errorf("power = %v", a.Power)
@@ -57,9 +57,9 @@ func TestInitNodeBroadcastsWhenForced(t *testing.T) {
 	if nd.broadcastPair != 0 {
 		t.Errorf("broadcastPair = %d", nd.broadcastPair)
 	}
-	// During the ack slot the broadcaster listens.
-	if a := nd.Step(1, nil); a.Kind != sim.ActionListen {
-		t.Fatalf("broadcaster should listen for acks, got %v", a.Kind)
+	// During the ack slot the broadcaster listens for acks addressed to it.
+	if a := nd.Step(1, nil); a.Kind != sim.ActionListenAddressed {
+		t.Fatalf("broadcaster should listen for acks addressed to it, got %v", a.Kind)
 	}
 }
 
@@ -216,7 +216,8 @@ func TestJoinNodeMemberRespectsGate(t *testing.T) {
 // reads nothing) and in the ack slot (its next data slot reads acks only
 // after a broadcast); a member, muted or not, that does not acknowledge
 // idles in the ack slot. Members still listen in data slots and a
-// broadcasting joiner in its ack slot.
+// broadcasting joiner, for acks addressed to it, in its ack slot; its
+// broadcast addresses no node.
 func TestJoinNodeIdlesWhenInboxUnread(t *testing.T) {
 	far := []sim.Delivery{{Msg: sim.Message{Kind: sim.KindBroadcast, From: 9}, Dist: 500, Slot: 0}}
 	cases := []struct {
@@ -228,7 +229,7 @@ func TestJoinNodeIdlesWhenInboxUnread(t *testing.T) {
 		want  [2]sim.ActionKind // data slot, ack slot
 	}{
 		{"joiner-silent", joinJoiner, false, 0, nil, [2]sim.ActionKind{sim.ActionIdle, sim.ActionIdle}},
-		{"joiner-broadcasts", joinJoiner, false, 1, nil, [2]sim.ActionKind{sim.ActionTransmit, sim.ActionListen}},
+		{"joiner-broadcasts", joinJoiner, false, 1, nil, [2]sim.ActionKind{sim.ActionTransmit, sim.ActionListenAddressed}},
 		{"member-no-broadcast-heard", joinMember, false, 1, nil, [2]sim.ActionKind{sim.ActionListen, sim.ActionIdle}},
 		{"member-out-of-gate", joinMember, false, 1, far, [2]sim.ActionKind{sim.ActionListen, sim.ActionIdle}},
 		{"member-muted", joinMember, true, 1, []sim.Delivery{{Msg: sim.Message{Kind: sim.KindBroadcast, From: 9}, Dist: 10}}, [2]sim.ActionKind{sim.ActionListen, sim.ActionIdle}},
@@ -239,7 +240,11 @@ func TestJoinNodeIdlesWhenInboxUnread(t *testing.T) {
 			nd.muted = c.muted
 			nd.cfg.BroadcastProb = c.bcast
 			for pair := 0; pair < 3; pair++ {
-				got := [2]sim.ActionKind{nd.Step(2*pair, nil).Kind, nd.Step(2*pair+1, c.inbox).Kind}
+				data := nd.Step(2*pair, nil)
+				if data.Kind == sim.ActionTransmit && data.Msg.To != sim.NoAddressee {
+					t.Fatalf("pair %d: the broadcast addresses node %d", pair, data.Msg.To)
+				}
+				got := [2]sim.ActionKind{data.Kind, nd.Step(2*pair+1, c.inbox).Kind}
 				if got != c.want {
 					t.Fatalf("pair %d: actions %v, want %v", pair, got, c.want)
 				}
@@ -250,8 +255,8 @@ func TestJoinNodeIdlesWhenInboxUnread(t *testing.T) {
 
 func TestAggNodeFoldsAndTransmits(t *testing.T) {
 	nd := &aggNode{id: 1, member: true, parent: 0, txSlot: 1, power: 10, value: 5, fold: SumAgg}
-	if a := nd.Step(0, nil); a.Kind != sim.ActionListen {
-		t.Fatalf("slot 0 should listen: %v", a.Kind)
+	if a := nd.Step(0, nil); a.Kind != sim.ActionListenAddressed {
+		t.Fatalf("slot 0 should listen addressed: %v", a.Kind)
 	}
 	in := []sim.Delivery{
 		{Msg: sim.Message{Kind: sim.KindData, To: 1, From: 3, Payload: 7}},

@@ -155,5 +155,5 @@ func (nd *bcastNode) Step(slot int, inbox []sim.Delivery) sim.Action {
 			})
 		}
 	}
-	return sim.Listen()
+	return sim.ListenAddressed()
 }

@@ -121,5 +121,5 @@ func (nd *pairNode) Step(slot int, inbox []sim.Delivery) sim.Action {
 			Payload: nd.payload,
 		})
 	}
-	return sim.Listen()
+	return sim.ListenAddressed()
 }

@@ -17,7 +17,9 @@ type AggregationOutcome struct {
 	// SlotsUsed is the number of channel slots consumed (= schedule
 	// length + 1 drain slot).
 	SlotsUsed int
-	// Deliveries counts successful receptions.
+	// Deliveries counts successful receptions. Every node listens only
+	// for messages addressed to it, so a correct run counts one per
+	// aggregation link.
 	Deliveries int
 	// Energy is the total transmission energy spent.
 	Energy float64
@@ -127,8 +129,8 @@ type aggNode struct {
 
 var _ sim.Protocol = (*aggNode)(nil)
 
-// Step implements sim.Protocol: fold anything received, transmit at the
-// assigned slot, listen otherwise.
+// Step implements sim.Protocol: fold anything addressed to it, transmit at
+// the assigned slot, listen for messages addressed to it otherwise.
 func (nd *aggNode) Step(slot int, inbox []sim.Delivery) sim.Action {
 	if !nd.member {
 		return sim.Idle()
@@ -146,5 +148,5 @@ func (nd *aggNode) Step(slot int, inbox []sim.Delivery) sim.Action {
 			Payload: nd.value,
 		})
 	}
-	return sim.Listen()
+	return sim.ListenAddressed()
 }

@@ -32,7 +32,7 @@ func TestRunAggregationOnInitTree(t *testing.T) {
 	if out.SlotsUsed != res.Tree.NumSlots()+1 {
 		t.Errorf("slots = %d, schedule = %d", out.SlotsUsed, res.Tree.NumSlots())
 	}
-	if out.Energy <= 0 || out.Deliveries < len(res.Tree.Up) {
+	if out.Energy <= 0 || out.Deliveries != len(res.Tree.Up) {
 		t.Errorf("outcome: %+v", out)
 	}
 }

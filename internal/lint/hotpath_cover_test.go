@@ -32,6 +32,10 @@ var hotpathGates = map[string]hotpathGate{
 	"internal/sim.Engine.decodeExact":       {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
 	"internal/sim.Engine.decodeListenerFar": {"TestQuadtreeSlotLoopZeroAlloc", "internal/sim/adaptive_test.go"},
 	"internal/sim.Engine.finishDecode":      {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
+	"internal/sim.Engine.saturated":         {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
+
+	// Addressed listening: the address gate.
+	"internal/sim.Engine.gateAddressed": {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
 
 	// Listen ranges: the listener gate and its per-range cell grid.
 	"internal/sim.Engine.gateListeners": {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},

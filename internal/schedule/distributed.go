@@ -9,6 +9,7 @@ import (
 	"sinrconn/internal/faults"
 	"sinrconn/internal/sim"
 	"sinrconn/internal/sinr"
+	"sinrconn/internal/tree"
 )
 
 // DistConfig tunes the distributed scheduler.
@@ -151,42 +152,22 @@ func Distributed(ctx context.Context, in *sinr.Instance, links []sinr.Link, pa s
 	if !done() {
 		return nil, fmt.Errorf("%w: %d pairs", ErrIncomplete, pairs)
 	}
-	raw := make(map[sinr.Link]int, len(links))
+	timed := make([]tree.TimedLink, 0, len(links))
 	for _, nd := range nodes {
 		for l, pair := range nd.scheduled {
-			raw[l] = pair
+			timed = append(timed, tree.TimedLink{L: l, Slot: pair})
 		}
 	}
-	if len(raw) != len(links) {
-		return nil, fmt.Errorf("schedule: %d of %d links recorded", len(raw), len(links))
+	if len(timed) != len(links) {
+		return nil, fmt.Errorf("schedule: %d of %d links recorded", len(timed), len(links))
 	}
 	// Compact distinct slot-pair stamps to 1..k.
-	distinct := map[int]struct{}{}
-	for _, s := range raw {
-		distinct[s] = struct{}{}
-	}
-	stamps := make([]int, 0, len(distinct))
-	for s := range distinct {
-		stamps = append(stamps, s)
-	}
-	sortInts(stamps)
-	remap := make(map[int]int, len(stamps))
-	for i, s := range stamps {
-		remap[s] = i + 1
-	}
-	for l, s := range raw {
-		res.Slot[l] = remap[s]
+	rank, stamps := tree.RankSlots(timed)
+	for _, tl := range timed {
+		res.Slot[tl.L] = rank[tl.Slot] + 1
 	}
 	res.NumSlots = len(stamps)
 	return res, nil
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 type pendingLink struct {
@@ -206,8 +187,6 @@ type schedNode struct {
 	// lastTx is the index into pending of the link transmitted in the
 	// current data slot, or -1.
 	lastTx int
-	// ackTo, when ≥ 0, is the node to acknowledge in the current ack slot.
-	ackTo int
 }
 
 var _ sim.Protocol = (*schedNode)(nil)
@@ -243,10 +222,9 @@ func (nd *schedNode) dataSlot(slot int, inbox []sim.Delivery) sim.Action {
 		}
 	}
 	nd.lastTx = -1
-	nd.ackTo = -1
 	if len(nd.pending) == 0 {
 		// Stay listening: we may still need to ack other links' data.
-		return sim.Listen()
+		return sim.ListenAddressed()
 	}
 	pick := nd.rng.Intn(len(nd.pending))
 	p := nd.pending[pick]
@@ -259,7 +237,7 @@ func (nd *schedNode) dataSlot(slot int, inbox []sim.Delivery) sim.Action {
 			Tag:  slot / 2,
 		})
 	}
-	return sim.Listen()
+	return sim.ListenAddressed()
 }
 
 func (nd *schedNode) ackSlot(inbox []sim.Delivery) sim.Action {
@@ -268,7 +246,6 @@ func (nd *schedNode) ackSlot(inbox []sim.Delivery) sim.Action {
 	for _, d := range inbox {
 		if d.Msg.Kind == sim.KindData && d.Msg.To == nd.id {
 			dual := sinr.Link{From: nd.id, To: d.Msg.From}
-			nd.ackTo = d.Msg.From
 			return sim.Transmit(nd.pa.Power(nd.in, dual), sim.Message{
 				Kind: sim.KindAck,
 				From: nd.id,
@@ -276,10 +253,10 @@ func (nd *schedNode) ackSlot(inbox []sim.Delivery) sim.Action {
 			})
 		}
 	}
-	if nd.lastTx >= 0 {
-		return sim.Listen() // waiting for our ack
-	}
-	return sim.Listen()
+	// Only a node that sent data reads the next inbox, for its ack; every
+	// ack is addressed to the data's sender, so the engine decodes no
+	// other listener.
+	return sim.ListenAddressed()
 }
 
 func maxf(a, b float64) float64 {

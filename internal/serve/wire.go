@@ -274,7 +274,7 @@ type SlotEventJSON struct {
 	Type       string `json:"type"` // "slot"
 	Slot       int    `json:"slot"`
 	Senders    int    `json:"senders"`
-	Deliveries int    `json:"deliveries"`
+	Deliveries int    `json:"deliveries"` // decodes a protocol reads (sinrconn.SlotEvent)
 	Far        bool   `json:"far,omitempty"`
 }
 

@@ -12,12 +12,15 @@ import (
 
 // fixedProto transmits every slot (transmitters) or listens (everyone else)
 // without allocating, so engine-side allocations are directly observable.
-// A positive leaveAt makes the node leave in that slot.
+// A positive leaveAt makes the node leave in that slot. With addressed
+// set, a transmitter addresses the next node and an odd listener listens
+// addressed.
 type fixedProto struct {
-	id       int
-	transmit bool
-	power    float64
-	leaveAt  int
+	id        int
+	transmit  bool
+	power     float64
+	leaveAt   int
+	addressed bool
 }
 
 func (p *fixedProto) Step(slot int, inbox []Delivery) Action {
@@ -25,7 +28,13 @@ func (p *fixedProto) Step(slot int, inbox []Delivery) Action {
 		return Leave()
 	}
 	if p.transmit {
+		if p.addressed {
+			return Transmit(p.power, Message{Kind: KindData, From: p.id, To: p.id + 1})
+		}
 		return Transmit(p.power, Message{Kind: KindBroadcast, From: p.id, To: NoAddressee})
+	}
+	if p.addressed && p.id%2 == 1 {
+		return ListenAddressed()
 	}
 	return Listen()
 }
@@ -74,8 +83,9 @@ func allocTestEngine(t *testing.T, n, workers int, drop float64, sparse, far boo
 // TestSlotLoopZeroAlloc asserts the steady-state slot loop performs zero
 // allocations per Step, in both the serial path and the worker-pool path
 // (and with drop injection active, which exercises dropCoin), over a full
-// and a sparse (nil-protocol) node set, while nodes leave, and under a
-// listen range whose listener gate runs in every slot, exact and far-field.
+// and a sparse (nil-protocol) node set, while nodes leave, under a listen
+// range whose listener gate runs in every slot, and with addressed
+// listeners whose address gate runs in every slot, exact and far-field.
 func TestSlotLoopZeroAlloc(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -85,23 +95,35 @@ func TestSlotLoopZeroAlloc(t *testing.T) {
 		departing bool
 		ranged    bool
 		far       bool
+		addressed bool
 	}{
-		{"serial", 1, 0, false, false, false, false},
-		{"pool", 4, 0, false, false, false, false},
-		{"serial_drop", 1, 0.2, false, false, false, false},
-		{"sparse_serial", 1, 0, true, false, false, false},
-		{"sparse_pool", 4, 0.2, true, false, false, false},
-		{"departing_serial", 1, 0, false, true, false, false},
-		{"departing_pool", 4, 0.2, true, true, false, false},
-		{"ranged_serial", 1, 0.2, false, false, true, false},
-		{"ranged_pool", 4, 0, true, true, true, false},
-		{"ranged_far", 1, 0.2, false, false, true, true},
-		{"ranged_far_pool", 4, 0, false, true, true, true},
+		{"serial", 1, 0, false, false, false, false, false},
+		{"pool", 4, 0, false, false, false, false, false},
+		{"serial_drop", 1, 0.2, false, false, false, false, false},
+		{"sparse_serial", 1, 0, true, false, false, false, false},
+		{"sparse_pool", 4, 0.2, true, false, false, false, false},
+		{"departing_serial", 1, 0, false, true, false, false, false},
+		{"departing_pool", 4, 0.2, true, true, false, false, false},
+		{"ranged_serial", 1, 0.2, false, false, true, false, false},
+		{"ranged_pool", 4, 0, true, true, true, false, false},
+		{"ranged_far", 1, 0.2, false, false, true, true, false},
+		{"ranged_far_pool", 4, 0, false, true, true, true, false},
+		{"addressed_serial", 1, 0.2, false, false, false, false, true},
+		{"addressed_pool", 4, 0, true, true, false, false, true},
+		{"addressed_far", 1, 0.2, false, false, false, true, true},
+		{"addressed_ranged_far_pool", 4, 0, false, true, true, true, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			e := allocTestEngine(t, 128, tc.workers, tc.drop, tc.sparse, tc.far)
 			defer e.Close()
+			if tc.addressed {
+				for _, p := range e.procs {
+					if fp, ok := p.(*fixedProto); ok {
+						fp.addressed = true
+					}
+				}
+			}
 			if tc.ranged {
 				// Senders sit on every fourth column of a lattice of
 				// spacing about 2, so range 3 gates some listeners out.
@@ -121,6 +143,9 @@ func TestSlotLoopZeroAlloc(t *testing.T) {
 			e.Run(8)
 			if tc.ranged && !(e.gate.built && e.gate.ok) {
 				t.Fatal("the gate's cell grid is unbuilt or unusable")
+			}
+			if epoch := e.addrEpoch; tc.addressed != (epoch > 0) {
+				t.Fatalf("the address gate ran in %d slots", epoch)
 			}
 			live := e.Live()
 			steps, far := 0, 0

@@ -19,6 +19,15 @@
 // stream whose first 273 draws cost two closed-form words each, with no
 // math/rand register built.
 //
+// Two gates keep a slot from decoding listeners whose protocol would drop
+// what they hear. Under a listen range (Engine.SetListenRange) a listener
+// keeps only messages from a sender closer than the range, and a listener
+// that returns ListenAddressed keeps only messages addressed to it. Before
+// decode, each gate drops the listeners no sender of the slot can reach
+// that way; in the shared decode tail, a reception the listener would not
+// keep ends uncounted. So every inbox and counter is the same with a gate
+// on or off, and Stats count only receptions a protocol reads.
+//
 // The slot loop is zero-allocation in steady state: workers are spawned once
 // (not per slot), per-worker shard counters replace mutex-guarded stats, and
 // channel resolution reads the sinr physics kernel's cached gain table

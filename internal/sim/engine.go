@@ -60,6 +60,11 @@ const (
 	// in this slot and the engine never steps it again, so from this slot
 	// on it costs nothing at all.
 	ActionLeave
+	// ActionListenAddressed: the node listens like ActionListen but reads
+	// only messages addressed to it (Msg.To equal to its index). A slot
+	// whose decoded message is addressed elsewhere delivers nothing to it,
+	// and the engine skips decoding it when no sender addresses it.
+	ActionListenAddressed
 )
 
 // Action is a protocol's decision for one slot.
@@ -78,6 +83,11 @@ func Leave() Action { return Action{Kind: ActionLeave} }
 
 // Listen returns the listen action.
 func Listen() Action { return Action{Kind: ActionListen} }
+
+// ListenAddressed returns the addressed listen action: listen, but read
+// only a message whose Msg.To is this node. A message with To < 0
+// (NoAddressee) or To ≥ n addresses no node.
+func ListenAddressed() Action { return Action{Kind: ActionListenAddressed} }
 
 // Transmit returns a transmit action.
 func Transmit(power float64, msg Message) Action {
@@ -183,6 +193,10 @@ type Config struct {
 	// ranged slot, leaving the range to finishDecode alone: the reference
 	// the gate is checked against.
 	noListenGate bool
+	// noAddrGate, when set (tests only), decodes every addressed listener,
+	// leaving the address check to finishDecode alone: the reference the
+	// address gate is checked against.
+	noAddrGate bool
 }
 
 // stepFanOutMin is the live-node count from which stage 1 (protocol
@@ -195,8 +209,9 @@ type Config struct {
 const stepFanOutMin = 2048
 
 // decodeFanOutMin is the exact decode work |lis|·|txs|, counted after the
-// listen gate, from which stage 3 fans out to the pool. Far slots always
-// fan out: each listener walks the plan, which costs far more than a pair.
+// address and listen gates, from which stage 3 fans out to the pool. Far
+// slots always fan out: each listener walks the plan, which costs far more
+// than a pair.
 // Fitted from the same BenchmarkEngineSlot sweep (slot times with the
 // steps inline, inline vs fanned-out decode): at 1024 live nodes and the
 // gain table, 75.1 vs 78.4 µs at ~4k pairs, 87.9 vs 97.0 at ~8k, 150.9 vs
@@ -232,11 +247,13 @@ const decodeFanOutMin = 16384
 // moving it moves slots between modes and so changes results.
 const DefaultAdaptiveCrossover = 768
 
-// Stats counts engine activity for experiment reporting. Under a listen
-// range (Engine.SetListenRange) Deliveries, Collisions and Dropped count
-// only the receptions whose strongest sender is in range: a listener
-// whose strongest sender is out of range adds to none of them, since its
-// protocol would discard what it heard.
+// Stats counts engine activity for experiment reporting. Deliveries,
+// Collisions and Dropped count only the receptions a protocol reads. Under
+// a listen range (Engine.SetListenRange) a listener whose strongest sender
+// is out of range adds to none of them, since its protocol would discard
+// what it heard. Likewise an addressed listener (ListenAddressed) adds to
+// none of them unless its strongest sender addresses it, and a saturated
+// channel, which has no strongest sender, adds nothing for it either.
 type Stats struct {
 	Slots         int     // slots executed
 	Transmissions int     // transmit actions observed
@@ -253,7 +270,8 @@ type SlotEvent struct {
 	// Senders is the number of concurrent transmitters.
 	Senders int
 	// Deliveries is the number of successful decodes that reached an
-	// inbox: under a listen range, only those from a sender in range.
+	// inbox: under a listen range, only those from a sender in range, and
+	// at an addressed listener only those addressed to it.
 	Deliveries int
 	// Far reports that the slot resolved through the far-field plan
 	// (always false on exact engines; on far-field engines it records the
@@ -322,6 +340,12 @@ type Engine struct {
 	txs     []sinr.Tx
 	lis     []int32     // the slot's listeners, ascending; collected with txs
 	acc     []listenAcc // exact decode state of lis[j], at acc[j]
+
+	// Addressed listening (ListenAddressed): addrStamp[v] == addrEpoch iff
+	// a sender of the current slot addresses node v. Stamped only in slots
+	// with an addressed listener and a sender.
+	addrStamp []uint32
+	addrEpoch uint32
 
 	// Listen range (SetListenRange): 0 keeps every delivery, r > 0 only
 	// those from a sender closer than r. gate drops, before decode, the
@@ -421,6 +445,7 @@ func NewEngine(inst *sinr.Instance, procs []Protocol, cfg Config) (*Engine, erro
 	}
 	e.lis = make([]int32, 0, len(e.live))
 	e.acc = make([]listenAcc, len(e.live))
+	e.addrStamp = make([]uint32, n)
 	return e, nil
 }
 
@@ -475,7 +500,7 @@ func (e *Engine) Step() {
 	// it ascending).
 	e.txs = e.txs[:0]
 	e.lis = e.lis[:0]
-	kept := 0
+	kept, addressed := 0, 0
 	for _, i := range e.live {
 		switch a := &e.actions[i]; a.Kind {
 		case ActionTransmit:
@@ -483,6 +508,9 @@ func (e *Engine) Step() {
 			e.stats.Energy += a.Power
 		case ActionListen:
 			e.lis = append(e.lis, i)
+		case ActionListenAddressed:
+			e.lis = append(e.lis, i)
+			addressed++
 		case ActionLeave:
 			continue
 		}
@@ -492,9 +520,13 @@ func (e *Engine) Step() {
 	e.live = e.live[:kept]
 	e.stats.Transmissions += len(e.txs)
 
-	// Under a listen range, drop the listeners with no sender in range.
-	// The gate leaves txs alone, so the mode choice below is the same with
-	// or without it.
+	// Drop the addressed listeners no sender addresses, then, under a
+	// listen range, the listeners with no sender in range. Neither gate
+	// touches txs, so the mode choice below is the same with or without
+	// them.
+	if addressed > 0 && len(e.txs) > 0 && !e.cfg.noAddrGate {
+		e.gateAddressed()
+	}
 	if e.listenRange > 0 && len(e.txs) > 0 && len(e.lis) > 0 && !e.cfg.noListenGate {
 		e.gateListeners()
 	}
@@ -550,6 +582,38 @@ func (e *Engine) Step() {
 			Far:        e.farSlot,
 		})
 	}
+}
+
+// gateAddressed drops from lis, which stays ascending, every addressed
+// listener that no sender of the slot addresses. Whatever such a listener
+// decodes is addressed to another node, so finishDecode would discard it
+// without counting it. One pass over txs stamps each addressee, one pass
+// over lis keeps the unaddressed listeners and the stamped ones.
+//
+//sinr:hotpath
+func (e *Engine) gateAddressed() {
+	// A run can outlast 2³² stamped slots only in theory; the stamps
+	// restart from zero then.
+	if e.addrEpoch == math.MaxUint32 {
+		clear(e.addrStamp)
+		e.addrEpoch = 0
+	}
+	e.addrEpoch++
+	ep, stamp := e.addrEpoch, e.addrStamp
+	for _, t := range e.txs {
+		if to := e.actions[t.Sender].Msg.To; to >= 0 && to < len(stamp) {
+			stamp[to] = ep
+		}
+	}
+	kept := 0
+	for _, v := range e.lis {
+		if e.actions[v].Kind == ActionListenAddressed && stamp[v] != ep {
+			continue
+		}
+		e.lis[kept] = v
+		kept++
+	}
+	e.lis = e.lis[:kept]
 }
 
 // fanOut reports whether stage st, with the given work, runs on the pool
@@ -639,7 +703,7 @@ func (e *Engine) decodeExact(lo, hi int, sh *shard) {
 	for j, v := range lis {
 		switch a := &acc[j]; {
 		case a.sat:
-			sh.collided++
+			e.saturated(int(v), sh)
 		case a.best >= 0: // else no audible signal (all senders at zero power)
 			e.finishDecode(int(v), int(a.best), a.bestRP, a.total, sh)
 		}
@@ -658,7 +722,7 @@ func (e *Engine) decodeListenerFar(i int, sh *shard) {
 	best, bestRP, total, saturated := e.farScr.Resolve(i)
 	if saturated {
 		// A co-located sender drowns the channel, exactly as in exact mode.
-		sh.collided++
+		e.saturated(i, sh)
 		return
 	}
 	if best < 0 {
@@ -667,17 +731,34 @@ func (e *Engine) decodeListenerFar(i int, sh *shard) {
 	e.finishDecode(i, best, bestRP, total, sh)
 }
 
+// saturated counts a channel that a co-located sender drowns at listener
+// i as a collision, unless i listens addressed: a drowned channel has no
+// strongest sender, so nothing addressed to i was heard, and like any
+// reception not addressed to it, the slot counts nowhere. That keeps the
+// counters independent of the address gate.
+//
+//sinr:hotpath
+func (e *Engine) saturated(i int, sh *shard) {
+	if e.actions[i].Kind != ActionListenAddressed {
+		sh.collided++
+	}
+}
+
 // finishDecode is the decode tail shared by the exact and far-field paths:
-// the listen range, the β cut on the winner's SINR, drop injection, and
-// delivery bookkeeping. best indexes e.txs; total is the full received
-// power including the winner's. Under a listen range a winner at distance
-// ≥ range ends the reception before anything is counted, so a listener the
-// gate dropped and one it kept but which hears only out-of-range senders
-// leave the same trace: none.
+// the address check, the listen range, the β cut on the winner's SINR,
+// drop injection, and delivery bookkeeping. best indexes e.txs; total is
+// the full received power including the winner's. At an addressed listener
+// a winner addressed to another node, and under a listen range a winner at
+// distance ≥ range, ends the reception before anything is counted, so a
+// listener a gate dropped and one it kept but whose winner fails the same
+// test leave the same trace: none.
 //
 //sinr:hotpath
 func (e *Engine) finishDecode(i, best int, bestRP, total float64, sh *shard) {
 	tx := e.txs[best]
+	if e.actions[i].Kind == ActionListenAddressed && e.actions[tx.Sender].Msg.To != i {
+		return
+	}
 	dist := -1.0 // computed only when needed: for a range or a delivery
 	if e.listenRange > 0 {
 		if dist = e.inst.Dist(tx.Sender, i); !(dist < e.listenRange) {

@@ -44,26 +44,32 @@ type rangeRun struct {
 }
 
 // checkGateSlot asserts that the listeners the engine decoded in the slot
-// it just ran are exactly those a brute-force scan keeps: under a range
-// r > 0, in a slot with a sender, each listener that some sender is closer
-// than r to, by Instance.Dist from the sender; otherwise every listener.
+// it just ran are exactly those a brute-force scan keeps. In a slot with a
+// sender, the address gate drops every addressed listener that no sender
+// addresses and, under a range r > 0, the listen gate every listener that
+// no sender is closer than r to, by Instance.Dist from the sender. A slot
+// with no sender keeps every listener.
 func checkGateSlot(t *testing.T, label string, e *Engine) {
 	t.Helper()
 	var want []int32
 	for _, v := range e.live {
-		if e.actions[v].Kind != ActionListen {
+		kind := e.actions[v].Kind
+		if kind != ActionListen && kind != ActionListenAddressed {
 			continue
 		}
-		keep := !(e.listenRange > 0) || len(e.txs) == 0
+		addressed, inRange := false, false
 		for _, tx := range e.txs {
-			keep = keep || e.inst.Dist(tx.Sender, int(v)) < e.listenRange
+			addressed = addressed || e.actions[tx.Sender].Msg.To == int(v)
+			inRange = inRange || e.inst.Dist(tx.Sender, int(v)) < e.listenRange
 		}
+		keep := len(e.txs) == 0 ||
+			(kind == ActionListen || addressed) && (!(e.listenRange > 0) || inRange)
 		if keep {
 			want = append(want, v)
 		}
 	}
 	if !slices.Equal(want, e.lis) {
-		t.Fatalf("%s: slot %d: the gate kept listeners %v, brute force %v", label, e.slot-1, e.lis, want)
+		t.Fatalf("%s: slot %d: the gates kept listeners %v, brute force %v", label, e.slot-1, e.lis, want)
 	}
 }
 

@@ -248,8 +248,11 @@ func WithMaxRelError(eps float64) Option {
 // transmitters, the number of successful decodes, and whether the slot was
 // resolved through the far-field approximation (see WithMaxRelError).
 type SlotEvent struct {
-	Slot       int
-	Senders    int
+	Slot    int
+	Senders int
+	// Deliveries counts only the decodes a protocol reads: a listener
+	// that reads messages from nearby senders only, or addressed to it
+	// only, counts none of the others.
 	Deliveries int
 	Far        bool
 }
