@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"sinrconn/internal/core"
@@ -306,12 +307,16 @@ func BenchmarkE14PhysicalEpoch(b *testing.B) {
 	}
 }
 
-// BenchmarkQuickSuite runs the full quick experiment suite end to end — the
-// one-stop regression check that every table still passes its shape check.
+// BenchmarkQuickSuite runs every paper-claim experiment of the registry
+// (E1–E19) in quick mode end to end — the one-stop regression check that
+// every table still passes its shape check.
 func BenchmarkQuickSuite(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		for _, rep := range experiments.All(context.Background(), experiments.Quick()) {
-			if !rep.Pass {
+		for _, e := range experiments.Registry() {
+			if !strings.HasPrefix(e.ID, "E") {
+				continue
+			}
+			if rep := e.Run(context.Background(), experiments.Quick()); !rep.Pass {
 				b.Fatalf("%s failed shape check", rep.ID)
 			}
 		}
@@ -431,8 +436,9 @@ func BenchmarkRepair(b *testing.B) {
 
 // --- micro-benchmarks of the substrates ---
 
-// BenchmarkChannelSlot measures the raw physics cost of one affectance sum
-// with a quarter of the nodes transmitting, swept over benchSizes.
+// BenchmarkChannelSlot measures the raw physics cost of one measured
+// affectance (Distr-Cap's per-slot reading at a receiver) with a quarter of
+// the nodes transmitting, swept over benchSizes.
 func BenchmarkChannelSlot(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -445,7 +451,7 @@ func BenchmarkChannelSlot(b *testing.B) {
 			pu := in.Params().SafePower(in.Length(l))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				in.SetAffectance(txs, l, pu)
+				in.MeasuredAffectance(txs, l, pu)
 			}
 		})
 	}

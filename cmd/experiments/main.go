@@ -45,56 +45,27 @@ func run(args []string, out io.Writer) error {
 		cfg.Seeds = *seeds
 	}
 
-	type entry struct {
-		id  string
-		run func(context.Context, experiments.Config) experiments.Report
-	}
-	all := []entry{
-		{"E1", experiments.E1InitSlots},
-		{"E2", experiments.E2BiTreeValidity},
-		{"E3", experiments.E3DegreeTail},
-		{"E4", experiments.E4Sparsity},
-		{"E5", experiments.E5LowDegreeFilter},
-		{"E6", experiments.E6MeanReschedule},
-		{"E7", experiments.E7Iterations},
-		{"E8", experiments.E8ArbitraryPower},
-		{"E9", experiments.E9MeanPower},
-		{"E10", experiments.E10Crossover},
-		{"E11", experiments.E11Latency},
-		{"E12", experiments.E12CapacityRatio},
-		{"E13", experiments.E13Energy},
-		{"E14", experiments.E14PhysicalEpoch},
-		{"E15", experiments.E15SessionMatrix},
-		{"E17", experiments.E17Quadtree},
-		{"E18", experiments.E18Churn},
-		{"E19", experiments.E19Serve},
-	}
-	abl := []entry{
-		{"A1", experiments.A1BroadcastProb},
-		{"A2", experiments.A2SlotPairsPerRound},
-		{"A3", experiments.A3DistrCapTau},
-		{"A4", experiments.A4DegreeCap},
-		{"A5", experiments.A5DropRobustness},
-	}
-	if *ablations {
-		all = append(all, abl...)
-	} else if *only != "" && strings.HasPrefix(strings.ToUpper(*only), "A") {
-		all = abl
-	}
-
 	ctx := context.Background()
-	failed := 0
-	for _, e := range all {
-		if *only != "" && !strings.EqualFold(*only, e.id) {
+	ran, failed := 0, 0
+	for _, e := range experiments.Registry() {
+		if *only != "" {
+			if !strings.EqualFold(*only, e.ID) {
+				continue
+			}
+		} else if !*ablations && strings.HasPrefix(e.ID, "A") {
 			continue
 		}
+		ran++
 		start := time.Now()
-		rep := e.run(ctx, cfg)
+		rep := e.Run(ctx, cfg)
 		fmt.Fprintln(out, rep.Render())
-		fmt.Fprintf(out, "(%s completed in %v)\n\n", e.id, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(out, "(%s completed in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 		if !rep.Pass {
 			failed++
 		}
+	}
+	if ran == 0 {
+		return fmt.Errorf("no experiment %q", *only)
 	}
 	if failed > 0 {
 		return fmt.Errorf("%d experiment(s) failed their shape check", failed)

@@ -36,6 +36,13 @@ func TestRunSeedsOverride(t *testing.T) {
 	}
 }
 
+func TestRunUnknownExperiment(t *testing.T) {
+	var b strings.Builder
+	if err := run([]string{"-quick", "-only", "E16"}, &b); err == nil {
+		t.Errorf("-only E16 (no such experiment) succeeded:\n%s", b.String())
+	}
+}
+
 func TestRunBadFlag(t *testing.T) {
 	var b strings.Builder
 	if err := run([]string{"-nope"}, &b); err == nil {

@@ -93,13 +93,3 @@ func (d *Damper) Damped(p geom.Point, now float64) bool {
 	c := d.cells[d.key(p)]
 	return c != nil && now < c.dampedUntil
 }
-
-// DampedAny reports whether any of the points is in a quarantined region.
-func (d *Damper) DampedAny(pts []geom.Point, now float64) bool {
-	for _, p := range pts {
-		if d.Damped(p, now) {
-			return true
-		}
-	}
-	return false
-}

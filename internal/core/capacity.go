@@ -61,32 +61,3 @@ func CentralCapacity(in *sinr.Instance, links []sinr.Link, tau float64) []sinr.L
 	}
 	return selected
 }
-
-// Eqn3Holds verifies the Kesselheim invariant on a selected set: for every
-// link ℓ with L the selected links no longer than ℓ,
-// a^L_L(ℓ) + a^U_ℓ(L) ≤ τ. Distr-Cap's Lemmas 17–18 assert this for its
-// output; tests and experiments call this to certify it.
-func Eqn3Holds(in *sinr.Instance, selected []sinr.Link, tau float64) bool {
-	if tau <= 0 {
-		tau = DefaultTau
-	}
-	lin := sinr.NoiseSafeLinear(in.Params())
-	maxLen := 0.0
-	for _, l := range selected {
-		if ln := in.Length(l); ln > maxLen {
-			maxLen = ln
-		}
-	}
-	uni := sinr.UniformFor(in.Params(), maxLen)
-	sorted := append([]sinr.Link(nil), selected...)
-	sort.SliceStable(sorted, func(a, b int) bool {
-		return in.Length(sorted[a]) < in.Length(sorted[b])
-	})
-	for i, l := range sorted {
-		smaller := sorted[:i]
-		if in.SetLinkAffectance(smaller, l, lin)+in.OutAffectance(l, smaller, uni) > tau+1e-9 {
-			return false
-		}
-	}
-	return true
-}

@@ -42,7 +42,7 @@ func TestCentralCapacitySelectsDisjointFeasible(t *testing.T) {
 		busy[l.To] = true
 	}
 	// Invariant holds by construction.
-	if !Eqn3Holds(in, sel, 0) {
+	if !eqn3Holds(in, sel, 0) {
 		t.Error("Eqn3 invariant violated")
 	}
 	// Kesselheim's guarantee: a feasible power assignment exists.
@@ -72,10 +72,10 @@ func TestEqn3HoldsDetectsViolation(t *testing.T) {
 	// Two crossed links violate the invariant for small τ.
 	in := lineInstanceCore(t, 0, 1, 2, 3)
 	bad := []sinr.Link{{From: 0, To: 2}, {From: 3, To: 1}}
-	if Eqn3Holds(in, bad, 0.1) {
+	if eqn3Holds(in, bad, 0.1) {
 		t.Error("Eqn3Holds accepted crossed links at tiny tau")
 	}
-	if !Eqn3Holds(in, nil, 0) {
+	if !eqn3Holds(in, nil, 0) {
 		t.Error("Eqn3Holds rejected empty set")
 	}
 }
@@ -155,14 +155,14 @@ func TestSampleProb(t *testing.T) {
 func TestVerifyPairBasics(t *testing.T) {
 	in := uniformInstance(t, 8, 40)
 	pa := sinr.NoiseSafeMean(in.Params(), in.Delta())
-	if got := VerifyPair(in, nil, pa); got != nil {
-		t.Errorf("VerifyPair(empty) = %v", got)
+	if got, energy := VerifyPairEnergy(in, nil, pa); got != nil || energy != 0 {
+		t.Errorf("VerifyPairEnergy(empty) = %v, %v", got, energy)
 	}
 	// A single isolated link always survives.
 	links := []sinr.Link{{From: 0, To: 1}}
-	got := VerifyPair(in, links, pa)
+	got, _ := VerifyPairEnergy(in, links, pa)
 	if len(got) != 1 || got[0] != links[0] {
-		t.Errorf("VerifyPair(single) = %v", got)
+		t.Errorf("VerifyPairEnergy(single) = %v", got)
 	}
 }
 
@@ -171,7 +171,7 @@ func TestVerifyPairHalfDuplex(t *testing.T) {
 	// cannot receive 0→1.
 	in := lineInst(0, 1, 2)
 	pa := sinr.NoiseSafeLinear(in.Params())
-	got := VerifyPair(in, []sinr.Link{{From: 0, To: 1}, {From: 1, To: 2}}, pa)
+	got, _ := VerifyPairEnergy(in, []sinr.Link{{From: 0, To: 1}, {From: 1, To: 2}}, pa)
 	for _, l := range got {
 		if l == (sinr.Link{From: 0, To: 1}) {
 			t.Error("half-duplex violated: 0→1 succeeded while 1 transmits")
@@ -182,7 +182,7 @@ func TestVerifyPairHalfDuplex(t *testing.T) {
 func TestVerifyPairDuplicateSender(t *testing.T) {
 	in := lineInst(0, 1, 2)
 	pa := sinr.NoiseSafeLinear(in.Params())
-	got := VerifyPair(in, []sinr.Link{{From: 0, To: 1}, {From: 0, To: 2}}, pa)
+	got, _ := VerifyPairEnergy(in, []sinr.Link{{From: 0, To: 1}, {From: 0, To: 2}}, pa)
 	if len(got) > 1 {
 		t.Errorf("duplicate sender served %d links", len(got))
 	}
@@ -193,12 +193,12 @@ func TestVerifyPairResultFeasible(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		in := uniformInstance(t, int64(trial+20), 40)
 		pa := sinr.NoiseSafeMean(in.Params(), in.Delta())
-		got := VerifyPair(in, pairLinks(40), pa)
+		got, _ := VerifyPairEnergy(in, pairLinks(40), pa)
 		if len(got) == 0 {
 			continue
 		}
 		if !in.Feasible(got, pa) {
-			t.Fatalf("trial %d: VerifyPair output infeasible", trial)
+			t.Fatalf("trial %d: VerifyPairEnergy output infeasible", trial)
 		}
 		_ = rng
 	}
@@ -221,21 +221,21 @@ func TestMeanSample(t *testing.T) {
 	total := 0
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		sel := MeanSample(in, cand, pa, q, rng)
+		sel, _ := MeanSampleEnergy(in, cand, pa, q, rng)
 		total += len(sel)
 		if len(sel) > 0 && !in.Feasible(sel, pa) {
-			t.Fatalf("seed %d: MeanSample output infeasible", seed)
+			t.Fatalf("seed %d: MeanSampleEnergy output infeasible", seed)
 		}
 	}
 	if total == 0 {
-		t.Error("MeanSample never selected anything over 8 seeds")
+		t.Error("MeanSampleEnergy never selected anything over 8 seeds")
 	}
 	rng := rand.New(rand.NewSource(1))
-	if got := MeanSample(in, cand, pa, 0, rng); got != nil {
+	if got, _ := MeanSampleEnergy(in, cand, pa, 0, rng); got != nil {
 		t.Errorf("q=0 selected %v", got)
 	}
 	// q > 1 clamps to 1 (every candidate tries at once).
-	sel := MeanSample(in, cand, pa, 5, rng)
+	sel, _ := MeanSampleEnergy(in, cand, pa, 5, rng)
 	if len(sel) > 0 && !in.Feasible(sel, pa) {
 		t.Error("clamped q output infeasible")
 	}

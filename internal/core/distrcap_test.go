@@ -37,7 +37,7 @@ func TestDistrCapSelectsAndInvariantHolds(t *testing.T) {
 		t.Errorf("phases=%d slotPairs=%d", res.Phases, res.SlotPairs)
 	}
 	// Lemmas 17–18: the Eqn-3 invariant holds on the selection.
-	if !Eqn3Holds(in, res.Selected, DefaultDistrTau) {
+	if !eqn3Holds(in, res.Selected, DefaultDistrTau) {
 		t.Error("Eqn3 invariant violated by Distr-Cap output")
 	}
 	// Section 8.2.3: a feasible power assignment exists.

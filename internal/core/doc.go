@@ -6,8 +6,8 @@
 //   - Reschedule (Section 7): re-scheduling the Init tree under mean power
 //     with the distributed contention-resolution scheduler (Theorem 3).
 //   - LowDegreeSubset (Theorem 13): the O(1)-sparse low-degree core T(M).
-//   - MeanSample (Section 8.1): the 1/(4γ₁Υ) sampling selection of a large
-//     feasible subset under mean power.
+//   - MeanSampleEnergy (Section 8.1): the 1/(4γ₁Υ) sampling selection of a
+//     large feasible subset under mean power.
 //   - DistrCap (Section 8.2): the two-slot linear-power measurement
 //     protocol selecting a Kesselheim-feasible subset for arbitrary power.
 //   - TreeViaCapacity (Algorithm 1): the iterated construction matching the

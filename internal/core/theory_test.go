@@ -11,7 +11,6 @@ import (
 
 	"sinrconn/internal/power"
 	"sinrconn/internal/sinr"
-	"sinrconn/internal/sparsity"
 )
 
 // TestAmenabilityBoundedOnFeasibleSets checks the Eqn-5 ingredient of
@@ -51,7 +50,7 @@ func TestAmenabilityBoundedOnFeasibleSets(t *testing.T) {
 		for _, l := range links {
 			f := 0.0
 			for _, o := range feasible {
-				f += in.AmenabilityF(l, o, uni, lin)
+				f += amenabilityF(in, l, o, uni, lin)
 			}
 			if f > worst {
 				worst = f
@@ -83,7 +82,7 @@ func TestIndependencePartitionConstantOnSparseCore(t *testing.T) {
 		for i, tl := range sub {
 			links[i] = tl.L
 		}
-		classes := sparsity.IndependentPartition(in, links, 2)
+		classes := independentPartition(in, links, 2)
 		counts = append(counts, len(classes))
 	}
 	// Bounded and not growing drastically with n.
@@ -113,7 +112,7 @@ func TestLemma14AvgAffectanceOrderUpsilon(t *testing.T) {
 			links[i] = tl.L
 		}
 		pa := sinr.NoiseSafeMean(in.Params(), in.Delta())
-		avg := in.AvgAffectance(links, pa)
+		avg := avgAffectance(in, links, pa)
 		norm := avg / in.Upsilon()
 		if norm > 2.0 {
 			t.Errorf("n=%d: avg affectance %v = %v·Υ (want O(Υ) with small constant)",
@@ -144,7 +143,7 @@ func TestEqn3ImpliesPowerSolvable(t *testing.T) {
 			continue
 		}
 		runs++
-		if !Eqn3Holds(in, d.Selected, DefaultDistrTau) {
+		if !eqn3Holds(in, d.Selected, DefaultDistrTau) {
 			t.Fatalf("seed %d: invariant broken", seed)
 		}
 		if _, _, err := power.Solve(in, d.Selected, power.Options{Slack: 1.01}); err != nil {

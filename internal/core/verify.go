@@ -6,10 +6,10 @@ import (
 	"sinrconn/internal/sinr"
 )
 
-// VerifyPair plays one broadcast/acknowledgment slot-pair over the exact
-// channel physics for the given links under assignment pa and returns the
-// subset that succeeded in *both* directions — the doubly-confirmed success
-// notion the paper uses everywhere (Section 5, Section 8.1's "extra
+// VerifyPairEnergy plays one broadcast/acknowledgment slot-pair over the
+// exact channel physics for the given links under assignment pa and returns
+// the subset that succeeded in *both* directions — the doubly-confirmed
+// success notion the paper uses everywhere (Section 5, Section 8.1's "extra
 // acknowledgment slot"). Node conflicts are resolved the way a radio would:
 //
 //   - a node that transmits cannot receive in the same slot (half-duplex);
@@ -17,14 +17,10 @@ import (
 //     the first of them (the rest fail);
 //   - reception requires SINR ≥ β with every concurrent transmitter as
 //     interference.
-func VerifyPair(in *sinr.Instance, links []sinr.Link, pa sinr.Assignment) []sinr.Link {
-	out, _ := VerifyPairEnergy(in, links, pa)
-	return out
-}
-
-// VerifyPairEnergy is VerifyPair reporting also the transmission energy the
-// slot-pair spent on the channel (the sum of every transmitted power over
-// both slots), so callers can account selection cost in their energy totals.
+//
+// It also returns the transmission energy the slot-pair spent on the
+// channel (the sum of every transmitted power over both slots), so callers
+// can account selection cost in their energy totals.
 func VerifyPairEnergy(in *sinr.Instance, links []sinr.Link, pa sinr.Assignment) ([]sinr.Link, float64) {
 	if len(links) == 0 {
 		return nil, 0
@@ -102,17 +98,12 @@ func sumTxPower(slots ...[]sinr.Tx) float64 {
 	return energy
 }
 
-// MeanSample implements the Section 8.1 selection: sample each candidate
-// link with probability q and keep those that survive a verification
-// slot-pair under assignment pa (mean power in the paper). The paper's
-// q = 1/(4γ₁Υ) makes the expected yield Ω(|cand|/Υ).
-func MeanSample(in *sinr.Instance, cand []sinr.Link, pa sinr.Assignment, q float64, rng *rand.Rand) []sinr.Link {
-	sel, _ := MeanSampleEnergy(in, cand, pa, q, rng)
-	return sel
-}
-
-// MeanSampleEnergy is MeanSample reporting also the transmission energy the
-// sampling slot-pair spent on the channel.
+// MeanSampleEnergy implements the Section 8.1 selection: sample each
+// candidate link with probability q and keep those that survive a
+// verification slot-pair under assignment pa (mean power in the paper). The
+// paper's q = 1/(4γ₁Υ) makes the expected yield Ω(|cand|/Υ). It also
+// returns the transmission energy the sampling slot-pair spent on the
+// channel.
 func MeanSampleEnergy(in *sinr.Instance, cand []sinr.Link, pa sinr.Assignment, q float64, rng *rand.Rand) ([]sinr.Link, float64) {
 	if q <= 0 {
 		return nil, 0

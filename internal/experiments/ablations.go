@@ -12,19 +12,6 @@ import (
 	"sinrconn/internal/stats"
 )
 
-// Ablations runs the design-choice sweeps A1–A5 (DESIGN.md §5: the paper's
-// constants optimize provability; these sweeps show how the practical
-// defaults were chosen and how sensitive the system is to them).
-func Ablations(ctx context.Context, cfg Config) []Report {
-	return []Report{
-		A1BroadcastProb(ctx, cfg),
-		A2SlotPairsPerRound(ctx, cfg),
-		A3DistrCapTau(ctx, cfg),
-		A4DegreeCap(ctx, cfg),
-		A5DropRobustness(ctx, cfg),
-	}
-}
-
 // A1BroadcastProb sweeps the Section 6 broadcast probability p. Too small
 // wastes slots (nobody talks); too large wastes slots (everybody collides).
 // The default 0.25 sits in the flat valley between the two failure modes.

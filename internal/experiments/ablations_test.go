@@ -21,15 +21,3 @@ func TestA4DegreeCap(t *testing.T) {
 func TestA5DropRobustness(t *testing.T) {
 	runAndCheck(t, A5DropRobustness(t.Context(), Quick()), 4)
 }
-
-func TestAblationsSuite(t *testing.T) {
-	reps := Ablations(t.Context(), Quick())
-	if len(reps) != 5 {
-		t.Fatalf("suite size = %d", len(reps))
-	}
-	for _, rep := range reps {
-		if rep.Table.NumRows() == 0 {
-			t.Errorf("%s: empty table", rep.ID)
-		}
-	}
-}

@@ -53,7 +53,7 @@ func Quick() Config {
 
 // Report is one experiment's output.
 type Report struct {
-	// ID is the experiment identifier (E1…E14, A1…A5).
+	// ID is the experiment identifier (E1…E19, A1…A5).
 	ID string
 	// Title names the claim under test.
 	Title string
@@ -80,24 +80,44 @@ func (r Report) Render() string {
 	return s + fmt.Sprintf("- shape check: **%s**\n", verdict)
 }
 
-// All runs every experiment.
-func All(ctx context.Context, cfg Config) []Report {
-	return []Report{
-		E1InitSlots(ctx, cfg),
-		E2BiTreeValidity(ctx, cfg),
-		E3DegreeTail(ctx, cfg),
-		E4Sparsity(ctx, cfg),
-		E5LowDegreeFilter(ctx, cfg),
-		E6MeanReschedule(ctx, cfg),
-		E7Iterations(ctx, cfg),
-		E8ArbitraryPower(ctx, cfg),
-		E9MeanPower(ctx, cfg),
-		E10Crossover(ctx, cfg),
-		E11Latency(ctx, cfg),
-		E12CapacityRatio(ctx, cfg),
-		E13Energy(ctx, cfg),
-		E14PhysicalEpoch(ctx, cfg),
-		E15SessionMatrix(ctx, cfg),
+// Entry is one experiment of the registry.
+type Entry struct {
+	// ID is the table identifier: E… for a claim of the paper, A… for a
+	// design-choice ablation.
+	ID string
+	// Run executes the experiment under cfg.
+	Run func(ctx context.Context, cfg Config) Report
+}
+
+// Registry lists every experiment once, in the order EXPERIMENTS.md prints
+// them: the paper's claims E1–E19, then the ablations A1–A5. The paper's
+// constants optimize provability; the ablations show how the practical
+// defaults were chosen and how sensitive the system is to them.
+func Registry() []Entry {
+	return []Entry{
+		{"E1", E1InitSlots},
+		{"E2", E2BiTreeValidity},
+		{"E3", E3DegreeTail},
+		{"E4", E4Sparsity},
+		{"E5", E5LowDegreeFilter},
+		{"E6", E6MeanReschedule},
+		{"E7", E7Iterations},
+		{"E8", E8ArbitraryPower},
+		{"E9", E9MeanPower},
+		{"E10", E10Crossover},
+		{"E11", E11Latency},
+		{"E12", E12CapacityRatio},
+		{"E13", E13Energy},
+		{"E14", E14PhysicalEpoch},
+		{"E15", E15SessionMatrix},
+		{"E17", E17Quadtree},
+		{"E18", E18Churn},
+		{"E19", E19Serve},
+		{"A1", A1BroadcastProb},
+		{"A2", A2SlotPairsPerRound},
+		{"A3", A3DistrCapTau},
+		{"A4", A4DegreeCap},
+		{"A5", A5DropRobustness},
 	}
 }
 

@@ -11,8 +11,9 @@ import (
 
 func runAndCheck(t *testing.T, rep Report, wantRows int) {
 	t.Helper()
-	if rep.Table.NumRows() < wantRows {
-		t.Fatalf("%s: %d rows, want ≥ %d", rep.ID, rep.Table.NumRows(), wantRows)
+	// The rendered table is a header line, a rule, then one line per row.
+	if rows := strings.Count(rep.Table.Render(), "\n") - 2; rows < wantRows {
+		t.Fatalf("%s: %d rows, want ≥ %d", rep.ID, rows, wantRows)
 	}
 	for _, n := range rep.Notes {
 		if strings.HasPrefix(n, "ERROR") {
@@ -74,6 +75,14 @@ func TestE11Latency(t *testing.T) {
 
 func TestE12CapacityRatio(t *testing.T) {
 	runAndCheck(t, E12CapacityRatio(t.Context(), Quick()), 2)
+}
+
+func TestE15SessionMatrix(t *testing.T) {
+	runAndCheck(t, E15SessionMatrix(t.Context(), Quick()), 2)
+}
+
+func TestE17Quadtree(t *testing.T) {
+	runAndCheck(t, E17Quadtree(t.Context(), Quick()), 4)
 }
 
 func TestQuickConfig(t *testing.T) {

@@ -235,19 +235,6 @@ func MustPlan(spec Spec) *Plan {
 	return p
 }
 
-// Spec returns a copy of the plan's configuration.
-func (p *Plan) Spec() Spec {
-	out := Spec{Seed: p.spec.Seed, Delay: p.spec.Delay, Rates: map[Site]float64{}}
-	// Walk the registry, not the map: a Plan's spec is validated, so
-	// every configured site is registered.
-	for _, site := range Sites() {
-		if r, ok := p.spec.Rates[site]; ok {
-			out.Rates[site] = r
-		}
-	}
-	return out
-}
-
 // Fire implements Injector. The decision for visit k at a site is
 // splitmix64(salt ⊕ k) < threshold — stateless given the ordinal, so
 // identical visit sequences replay identical fault sequences.

@@ -11,6 +11,19 @@ import (
 	"sinrconn/internal/workload"
 )
 
+// ring places n points evenly on a circle whose neighboring points are
+// exactly 1 apart.
+func ring(n int) []geom.Point {
+	theta := 2 * math.Pi / float64(n)
+	radius := 1 / (2 * math.Sin(theta/2))
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		a := theta * float64(i)
+		pts[i] = geom.Point{X: radius * math.Cos(a), Y: radius * math.Sin(a)}
+	}
+	return pts
+}
+
 // The all-pairs scans MinDist and MaxDist replaced, kept verbatim as the
 // reference the sub-quadratic versions must match bit for bit.
 
@@ -127,7 +140,7 @@ func adversarialShapes() map[string][]geom.Point {
 	}
 	shapes["vertical column"] = column
 	shapes["cross"] = cross
-	shapes["circle"] = workload.Ring(512, 1)
+	shapes["circle"] = ring(512)
 	shapes["anti-diagonal"] = diagonal
 	shapes["collinear runs"] = runs
 	shapes["exact duplicates"] = dups

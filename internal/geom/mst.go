@@ -62,12 +62,3 @@ func MST(pts []Point) []Edge {
 	}
 	return edges
 }
-
-// TotalLength returns the sum of edge lengths.
-func TotalLength(edges []Edge) float64 {
-	s := 0.0
-	for _, e := range edges {
-		s += e.Len
-	}
-	return s
-}

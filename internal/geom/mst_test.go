@@ -13,7 +13,7 @@ func TestMSTSmallKnown(t *testing.T) {
 	if len(edges) != 2 {
 		t.Fatalf("edge count = %d, want 2", len(edges))
 	}
-	if got := TotalLength(edges); math.Abs(got-3) > 1e-12 {
+	if got := totalLength(edges); math.Abs(got-3) > 1e-12 {
 		t.Errorf("total length = %v, want 3", got)
 	}
 }
@@ -68,12 +68,21 @@ func TestMSTOptimalVsBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 10; trial++ {
 		pts := randomPoints(rng, 8, 10)
-		got := TotalLength(MST(pts))
+		got := totalLength(MST(pts))
 		want := kruskalTotal(pts)
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("trial %d: Prim total %v != Kruskal total %v", trial, got, want)
 		}
 	}
+}
+
+// totalLength returns the sum of edge lengths.
+func totalLength(edges []Edge) float64 {
+	s := 0.0
+	for _, e := range edges {
+		s += e.Len
+	}
+	return s
 }
 
 func kruskalTotal(pts []Point) float64 {
@@ -137,15 +146,5 @@ func BenchmarkMST(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MST(pts)
-	}
-}
-
-func BenchmarkGridWithin(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	pts := randomPoints(rng, 2000, 200)
-	g := NewGrid(pts, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.CountWithin(Point{100, 100}, 25)
 	}
 }

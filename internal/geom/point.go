@@ -28,30 +28,9 @@ func (p Point) DistSq(q Point) float64 {
 	return dx*dx + dy*dy
 }
 
-// Add returns the translation of p by q taken as a vector.
-func (p Point) Add(q Point) Point {
-	return Point{X: p.X + q.X, Y: p.Y + q.Y}
-}
-
-// Sub returns the vector from q to p.
-func (p Point) Sub(q Point) Point {
-	return Point{X: p.X - q.X, Y: p.Y - q.Y}
-}
-
 // Scale returns p scaled by factor s about the origin.
 func (p Point) Scale(s float64) Point {
 	return Point{X: p.X * s, Y: p.Y * s}
-}
-
-// Ball is a closed disc in the plane.
-type Ball struct {
-	Center Point
-	Radius float64
-}
-
-// Contains reports whether point q lies in the closed ball.
-func (b Ball) Contains(q Point) bool {
-	return b.Center.DistSq(q) <= b.Radius*b.Radius+1e-12
 }
 
 // NumLengthClasses returns ⌈log₂ Δ⌉ clamped to at least 1: the number of
@@ -81,15 +60,6 @@ func LengthClass(d float64) int {
 		r--
 	}
 	return r
-}
-
-// ClassRange returns the half-open distance interval [lo, hi) covered by
-// length class r ≥ 1.
-func ClassRange(r int) (lo, hi float64) {
-	if r < 1 {
-		r = 1
-	}
-	return math.Exp2(float64(r - 1)), math.Exp2(float64(r))
 }
 
 // BoundingBox returns the axis-aligned bounding box of pts as (min, max)

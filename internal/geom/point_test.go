@@ -64,34 +64,8 @@ func clampCoord(x float64) float64 {
 
 func TestVectorOps(t *testing.T) {
 	p := Point{1, 2}
-	q := Point{3, -1}
-	if got := p.Add(q); got != (Point{4, 1}) {
-		t.Errorf("Add = %v", got)
-	}
-	if got := p.Sub(q); got != (Point{-2, 3}) {
-		t.Errorf("Sub = %v", got)
-	}
 	if got := p.Scale(2); got != (Point{2, 4}) {
 		t.Errorf("Scale = %v", got)
-	}
-}
-
-func TestBallContains(t *testing.T) {
-	b := Ball{Center: Point{0, 0}, Radius: 2}
-	tests := []struct {
-		p    Point
-		want bool
-	}{
-		{Point{0, 0}, true},
-		{Point{2, 0}, true}, // boundary is inside (closed ball)
-		{Point{0, -2}, true},
-		{Point{2.001, 0}, false},
-		{Point{1.5, 1.5}, false},
-	}
-	for _, tc := range tests {
-		if got := b.Contains(tc.p); got != tc.want {
-			t.Errorf("Contains(%v) = %v, want %v", tc.p, got, tc.want)
-		}
 	}
 }
 
@@ -148,12 +122,21 @@ func TestLengthClassConsistentWithRange(t *testing.T) {
 	f := func(raw float64) bool {
 		d := 1 + math.Mod(math.Abs(clampCoord(raw)), 1e5)
 		r := LengthClass(d)
-		lo, hi := ClassRange(r)
+		lo, hi := classRange(r)
 		return d >= lo && d < hi
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// classRange returns the half-open distance interval [lo, hi) covered by
+// length class r ≥ 1, the interval LengthClass must map back to r.
+func classRange(r int) (lo, hi float64) {
+	if r < 1 {
+		r = 1
+	}
+	return math.Exp2(float64(r - 1)), math.Exp2(float64(r))
 }
 
 func TestNumLengthClasses(t *testing.T) {

@@ -121,16 +121,3 @@ func Solve(in *sinr.Instance, links []sinr.Link, opts Options) (powers []float64
 	}
 	return powers, iterations, nil
 }
-
-// SolveTable is Solve returning a sinr.PerLink assignment for convenience.
-func SolveTable(in *sinr.Instance, links []sinr.Link, opts Options) (sinr.PerLink, int, error) {
-	powers, it, err := Solve(in, links, opts)
-	if err != nil {
-		return sinr.PerLink{}, it, err
-	}
-	pl := sinr.NewPerLink(nil)
-	for i, l := range links {
-		pl.Table[l] = powers[i]
-	}
-	return pl, it, nil
-}

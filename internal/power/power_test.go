@@ -59,6 +59,18 @@ func TestSolveTwoDistantLinks(t *testing.T) {
 	if !ok {
 		t.Error("solved powers not feasible")
 	}
+	// The same powers as a per-link assignment are feasible in the
+	// affectance formulation too.
+	pl := sinr.PerLink{Table: map[sinr.Link]float64{}}
+	for i, l := range links {
+		if powers[i] <= 0 {
+			t.Errorf("power for %v = %v", l, powers[i])
+		}
+		pl.Table[l] = powers[i]
+	}
+	if !in.Feasible(links, pl) {
+		t.Error("solved assignment infeasible under affectance")
+	}
 }
 
 func TestSolveCrossedLinksInfeasible(t *testing.T) {
@@ -123,28 +135,6 @@ func TestSolveChainOfManyLinks(t *testing.T) {
 	ok, _ := in.SINRFeasible(links, powers)
 	if !ok {
 		t.Error("chain powers not feasible")
-	}
-}
-
-func TestSolveTable(t *testing.T) {
-	in := lineInstance(t, 0, 1, 500, 501)
-	links := []sinr.Link{{From: 0, To: 1}, {From: 2, To: 3}}
-	pl, _, err := SolveTable(in, links, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, l := range links {
-		if pl.Table[l] <= 0 {
-			t.Errorf("table power for %v = %v", l, pl.Table[l])
-		}
-	}
-	if !in.Feasible(links, pl) {
-		t.Error("table assignment infeasible")
-	}
-	_, _, err = SolveTable(lineInstance(t, 0, 1, 2, 3),
-		[]sinr.Link{{From: 0, To: 2}, {From: 3, To: 1}}, Options{})
-	if err == nil {
-		t.Error("SolveTable accepted infeasible set")
 	}
 }
 

@@ -73,6 +73,3 @@ func feasibleWith(in *sinr.Instance, links []sinr.Link, pa sinr.Assignment) bool
 	}
 	return in.Feasible(links, pa)
 }
-
-// Length returns the number of slots in a FirstFit result.
-func Length(slots [][]sinr.Link) int { return len(slots) }

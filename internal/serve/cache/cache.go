@@ -134,10 +134,6 @@ func New[K comparable, V any](capacity int, ttl time.Duration) *Cache[K, V] {
 	}
 }
 
-// SetClock replaces the cache's time source (tests pin TTL behavior with a
-// fake clock). Not safe to call concurrently with lookups.
-func (c *Cache[K, V]) SetClock(now func() time.Time) { c.now = now }
-
 // Stats returns a snapshot of the counters.
 func (c *Cache[K, V]) Stats() Stats {
 	c.mu.Lock()
@@ -146,14 +142,6 @@ func (c *Cache[K, V]) Stats() Stats {
 	s.Size = len(c.entries)
 	s.Capacity = c.capacity
 	return s
-}
-
-// Len returns the number of live entries (expired ones still resident are
-// not counted out — they are dropped lazily on access).
-func (c *Cache[K, V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }
 
 // Get returns the live entry for key, marking it most recently used.

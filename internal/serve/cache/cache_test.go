@@ -10,6 +10,14 @@ import (
 	"time"
 )
 
+// entryCount returns the number of resident entries, expired ones included
+// until an access drops them.
+func (c *Cache[K, V]) entryCount() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
+}
+
 // TestLRUEvictionOrder pins the eviction order: least recently USED goes
 // first, and a Get refreshes recency.
 func TestLRUEvictionOrder(t *testing.T) {
@@ -44,7 +52,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 func TestTTLExpiry(t *testing.T) {
 	now := time.Unix(1000, 0)
 	c := New[string, int](8, time.Minute)
-	c.SetClock(func() time.Time { return now })
+	c.now = func() time.Time { return now }
 
 	c.Add("k", 42)
 	if v, ok := c.Get("k"); !ok || v != 42 {
@@ -205,7 +213,7 @@ func TestConcurrentChurn(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := c.Len(); n > 8 {
+	if n := c.entryCount(); n > 8 {
 		t.Errorf("len = %d exceeds capacity 8", n)
 	}
 }

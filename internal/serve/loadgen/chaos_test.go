@@ -137,7 +137,7 @@ func TestServeChaosSoak(t *testing.T) {
 	if h.Panics == 0 {
 		t.Error("panic-recovery middleware counted nothing despite injected leader panics")
 	}
-	if !srv.Draining() {
-		t.Error("drain flag lost during chaos")
+	if h.Status != "draining" {
+		t.Errorf("/healthz status %q after chaos, want \"draining\"", h.Status)
 	}
 }

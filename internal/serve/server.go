@@ -152,9 +152,6 @@ func New(cfg Config) *Server {
 // pair with http.Server.Shutdown to wait for them.
 func (s *Server) Drain() { s.draining.Store(true) }
 
-// Draining reports drain state.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Close releases every deployment's Network (waiting for their in-flight
 // operations) and forgets all sessions. Call after the HTTP listener has
 // stopped accepting requests.

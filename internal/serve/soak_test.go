@@ -123,6 +123,22 @@ func warmSoak(t *testing.T, pts [][2]float64) {
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
+	soakHealth(t, hc)
+}
+
+// soakHealth fetches and decodes /healthz over hc.
+func soakHealth(t *testing.T, hc *http.Client) Health {
+	t.Helper()
+	resp, err := hc.Get(soakBase + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var h Health
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	return h
 }
 
 // TestServeSoak is the concurrency gate: ≥32 concurrent clients fire ≥500
@@ -249,8 +265,9 @@ func TestServeSoak(t *testing.T) {
 	if got := requests.Load(); got < int64(clients*perClient) {
 		t.Fatalf("issued %d requests, want ≥ %d", got, clients*perClient)
 	}
-	if !srv.Draining() {
-		t.Fatal("drain flag lost mid-soak")
+	// The drain stays visible where a load balancer looks for it.
+	if h := soakHealth(t, hc); h.Status != "draining" {
+		t.Fatalf("/healthz status %q mid-soak, want \"draining\"", h.Status)
 	}
 	// New sessions must be refused post-drain.
 	if code, err := post(ctx, "/v1/sessions", OpenRequest{Points: pts}, nil); code != http.StatusServiceUnavailable {

@@ -461,14 +461,8 @@ func (e *Engine) Close() {
 	e.ownPool = false
 }
 
-// Slot returns the index of the next slot to execute.
-func (e *Engine) Slot() int { return e.slot }
-
 // Stats returns a copy of the engine's counters.
 func (e *Engine) Stats() Stats { return e.stats }
-
-// Instance returns the underlying SINR instance.
-func (e *Engine) Instance() *sinr.Instance { return e.inst }
 
 // Live returns the number of nodes the engine still steps: those with a
 // non-nil protocol that have not returned Leave.
@@ -806,20 +800,6 @@ func (e *Engine) RunCtx(ctx context.Context, n int) (int, error) {
 		e.Step()
 	}
 	return n, nil
-}
-
-// RunUntil executes slots until stop() returns true (checked after every
-// slot) or maxSlots have run, returning the number of slots executed.
-func (e *Engine) RunUntil(maxSlots int, stop func() bool) int {
-	ran := 0
-	for ran < maxSlots {
-		e.Step()
-		ran++
-		if stop() {
-			break
-		}
-	}
-	return ran
 }
 
 // dropCoin returns a deterministic pseudo-uniform value in [0,1) derived

@@ -205,21 +205,6 @@ func TestDropInjection(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	in := lineInstance(t, 0, 2)
-	a := &scripted{}
-	b := &scripted{}
-	e := mustEngine(t, in, []Protocol{a, b}, Config{Workers: 1})
-	ran := e.RunUntil(100, func() bool { return e.Slot() >= 5 })
-	if ran != 5 || e.Slot() != 5 {
-		t.Errorf("ran %d slots, engine at %d", ran, e.Slot())
-	}
-	ran = e.RunUntil(3, func() bool { return false })
-	if ran != 3 {
-		t.Errorf("capped run executed %d slots", ran)
-	}
-}
-
 func TestNewEngineValidation(t *testing.T) {
 	in := lineInstance(t, 0, 2)
 	if _, err := NewEngine(in, []Protocol{&scripted{}}, Config{}); err == nil {

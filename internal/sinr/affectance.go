@@ -2,18 +2,13 @@ package sinr
 
 import "math"
 
-// C returns the paper's c(u,v) = β/(1 − βN·d(u,v)^α/P_u), the noise-derating
-// constant of a link of the given length whose sender uses power pu. It
-// returns +Inf when the link cannot meet SINR β even without interference
-// (P_u ≤ βN·d^α). Section 5 requires protocols to pick powers keeping
-// c(u,v) ≤ 2β; SafePower does exactly that.
-func (in *Instance) C(length, pu float64) float64 {
-	return in.cFromLenAlpha(PowAlpha(length, in.params.Alpha), pu)
-}
-
-// cFromLenAlpha is C with the link's path loss ℓ^α already computed — the
-// memoized form the kernel hands around so c(u,v) costs one divide inside
-// affectance loops.
+// cFromLenAlpha returns the paper's c(u,v) = β/(1 − βN·ℓ^α/P_u), the
+// noise-derating constant of a link with path loss lenAlpha = ℓ^α whose
+// sender uses power pu. It returns +Inf when the link cannot meet SINR β
+// even without interference (P_u ≤ βN·ℓ^α). Section 5 requires protocols to
+// pick powers keeping c(u,v) ≤ 2β; SafePower does exactly that. Taking ℓ^α
+// precomputed lets the kernel hand it around, so c(u,v) costs one divide
+// inside affectance loops.
 func (in *Instance) cFromLenAlpha(lenAlpha, pu float64) float64 {
 	p := in.params
 	denom := 1 - p.Beta*p.Noise*lenAlpha/pu
@@ -62,38 +57,6 @@ func (in *Instance) Affectance(w int, pw float64, l Link, pu float64) float64 {
 		return 1 + in.params.Epsilon
 	}
 	return in.affectanceTerm(w, pw, l.To, pu, lenAlpha, c, 1+in.params.Epsilon)
-}
-
-// SetAffectance returns a_S(ℓ) = Σ_{w∈S} a_w(ℓ) for the sender set txs. The
-// link constants c(u,v) and d(u,v)^α are computed once for the whole sum.
-func (in *Instance) SetAffectance(txs []Tx, l Link, pu float64) float64 {
-	cap_ := 1 + in.params.Epsilon
-	lenAlpha := in.LengthAlpha(l)
-	c := in.cFromLenAlpha(lenAlpha, pu)
-	sum := 0.0
-	if math.IsInf(c, 1) {
-		// Every interferer contributes the cap; summed term by term so the
-		// result is bit-identical to the per-term formulation.
-		for _, t := range txs {
-			if t.Sender != l.From {
-				sum += cap_
-			}
-		}
-		return sum
-	}
-	for _, t := range txs {
-		if t.Sender == l.From {
-			continue
-		}
-		sum += in.affectanceTerm(t.Sender, t.Power, l.To, pu, lenAlpha, c, cap_)
-	}
-	return sum
-}
-
-// LinkAffectance returns a_ℓ'(ℓ): the affectance of link other's sender
-// (under assignment pa) on link l (under the same assignment).
-func (in *Instance) LinkAffectance(other, l Link, pa Assignment) float64 {
-	return in.Affectance(other.From, pa.Power(in, other), l, pa.Power(in, l))
 }
 
 // SetLinkAffectance returns a_L(ℓ) = Σ_{ℓ'∈L} a_ℓ'(ℓ) under assignment pa,
@@ -245,43 +208,4 @@ func (in *Instance) Feasible(links []Link, pa Assignment) bool {
 		}
 	}
 	return true
-}
-
-// AvgAffectance returns the average in-affectance of the set:
-// (1/|L|)·Σ_{ℓ∈L} a_L(ℓ). Lemma 14 bounds this by O(Υ) for the low-degree
-// tree subset under mean power.
-func (in *Instance) AvgAffectance(links []Link, pa Assignment) float64 {
-	if len(links) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, l := range links {
-		sum += in.SetLinkAffectance(links, l, pa)
-	}
-	return sum / float64(len(links))
-}
-
-// AmenabilityF returns the paper's f_ℓ(ℓ′) functional (Section 8.2.2):
-//
-//	f_ℓ(ℓ′) = a^U_{ℓ′}(ℓ) + a^L_ℓ(ℓ′)   if len(ℓ) ≤ len(ℓ′),  else 0
-//
-// where U is uniform power and L is linear power. Feasible sets R satisfy
-// f_ℓ(R) = O(1) for every link ℓ (Thm 1 of Kesselheim, SODA 2011), which is
-// the engine behind the largeness proof of Distr-Cap.
-func (in *Instance) AmenabilityF(l, other Link, uni Uniform, lin Linear) float64 {
-	if in.Length(l) > in.Length(other) {
-		return 0
-	}
-	aU := in.Affectance(other.From, uni.Power(in, other), l, uni.Power(in, l))
-	aL := in.Affectance(l.From, lin.Power(in, l), other, lin.Power(in, other))
-	return aU + aL
-}
-
-// AmenabilityFSet returns f_X(ℓ′) = Σ_{ℓ∈X} f_ℓ(ℓ′).
-func (in *Instance) AmenabilityFSet(set []Link, other Link, uni Uniform, lin Linear) float64 {
-	sum := 0.0
-	for _, l := range set {
-		sum += in.AmenabilityF(l, other, uni, lin)
-	}
-	return sum
 }

@@ -204,27 +204,6 @@ func TestDualityBounds(t *testing.T) {
 	}
 }
 
-func TestAvgAffectanceEmpty(t *testing.T) {
-	in := randomInstance(t, rand.New(rand.NewSource(12)), 4, 20)
-	if got := in.AvgAffectance(nil, NoiseSafeLinear(in.Params())); got != 0 {
-		t.Errorf("AvgAffectance(empty) = %v", got)
-	}
-}
-
-func TestAmenabilityFZeroForLongerFirst(t *testing.T) {
-	in := MustInstance(pointsOnLine(0, 10, 11, 12), DefaultParams())
-	long := Link{From: 0, To: 1}  // length 10
-	short := Link{From: 2, To: 3} // length 1
-	uni := UniformFor(in.Params(), 10)
-	lin := NoiseSafeLinear(in.Params())
-	if f := in.AmenabilityF(long, short, uni, lin); f != 0 {
-		t.Errorf("f(longer, shorter) = %v, want 0", f)
-	}
-	if f := in.AmenabilityF(short, long, uni, lin); f <= 0 {
-		t.Errorf("f(shorter, longer) = %v, want > 0", f)
-	}
-}
-
 func TestOutAffectanceMatchesManualSum(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	in := randomInstance(t, rng, 8, 40)

@@ -133,7 +133,7 @@ func TestDifferentialFeasibility(t *testing.T) {
 							t.Fatalf("seed %d feasibility mismatch on %v: kernel %v oracle %v", seed, links, kOK, oOK)
 						}
 						// Affectance formulation agrees with the oracle too.
-						pl := sinr.NewPerLink(nil)
+						pl := sinr.PerLink{Table: map[sinr.Link]float64{}}
 						for i, l := range links {
 							pl.Table[l] = powers[i]
 						}

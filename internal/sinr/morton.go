@@ -9,36 +9,23 @@ package sinr
 // Resolve walks contiguous cache lines instead of striding row-major rows
 // 2^ℓ apart (DESIGN.md §12).
 //
-// Both directions are byte-table lookups: MortonEncode spreads each
-// coordinate byte to its even bit positions, MortonDecode gathers the even
-// bits of each code byte. The tables cover coordinates up to 16 bits and
-// codes up to 31 bits — far beyond maxQuadLevels = 9 (coordinates < 2^9,
-// codes < 2^18).
+// MortonEncode is a byte-table lookup that spreads each coordinate byte to
+// its even bit positions. The table covers coordinates up to 16 bits — far
+// beyond maxQuadLevels = 9 (coordinates < 2^9, codes < 2^18).
 
 // mortonSpread8 maps a byte to the 16-bit word holding its bits in the
 // even positions (bit i → bit 2i).
 var mortonSpread8 [256]uint32
 
-// mortonGather8 maps a byte to the nibble collecting its even-position
-// bits (bit 2i → bit i).
-var mortonGather8 [256]uint8
-
 func init() {
 	for b := 0; b < 256; b++ {
 		var s uint32
-		var g uint8
 		for i := uint(0); i < 8; i++ {
 			if b&(1<<i) != 0 {
 				s |= 1 << (2 * i)
 			}
 		}
-		for i := uint(0); i < 4; i++ {
-			if b&(1<<(2*i)) != 0 {
-				g |= 1 << i
-			}
-		}
 		mortonSpread8[b] = s
-		mortonGather8[b] = g
 	}
 }
 
@@ -49,20 +36,4 @@ func init() {
 func MortonEncode(x, y int32) int32 {
 	return int32(mortonSpread8[x&0xff] | mortonSpread8[(x>>8)&0xff]<<16 |
 		(mortonSpread8[y&0xff]|mortonSpread8[(y>>8)&0xff]<<16)<<1)
-}
-
-// MortonDecode inverts MortonEncode for non-negative codes (up to 31
-// bits): it deinterleaves t back into its grid coordinates.
-func MortonDecode(t int32) (x, y int32) {
-	u := uint32(t)
-	x = int32(uint32(mortonGather8[u&0xff]) |
-		uint32(mortonGather8[(u>>8)&0xff])<<4 |
-		uint32(mortonGather8[(u>>16)&0xff])<<8 |
-		uint32(mortonGather8[(u>>24)&0xff])<<12)
-	u >>= 1
-	y = int32(uint32(mortonGather8[u&0xff]) |
-		uint32(mortonGather8[(u>>8)&0xff])<<4 |
-		uint32(mortonGather8[(u>>16)&0xff])<<8 |
-		uint32(mortonGather8[(u>>24)&0xff])<<12)
-	return x, y
 }

@@ -2,7 +2,6 @@ package sinr
 
 import (
 	"fmt"
-	"sort"
 
 	"sinrconn/internal/geom"
 )
@@ -131,22 +130,4 @@ func (in *Instance) Shrink(removed []int) (*Instance, []int, error) {
 	out.gain = g
 	out.markGainResolved()
 	return out, oldToNew, nil
-}
-
-// SurvivorIndices returns the ascending list of old indices kept by a Shrink
-// with the given removed set — the inverse direction of the oldToNew map,
-// handy for remapping trees.
-func SurvivorIndices(n int, removed []int) []int {
-	dead := make(map[int]bool, len(removed))
-	for _, v := range removed {
-		dead[v] = true
-	}
-	out := make([]int, 0, n-len(dead))
-	for v := 0; v < n; v++ {
-		if !dead[v] {
-			out = append(out, v)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

@@ -100,7 +100,7 @@ func TestShrinkMatchesFreshInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keep := SurvivorIndices(len(pts), removed)
+	keep := survivorIndices(len(pts), removed)
 	if got.Len() != len(keep) {
 		t.Fatalf("shrunk to %d nodes, want %d", got.Len(), len(keep))
 	}
@@ -136,4 +136,20 @@ func TestShrinkValidation(t *testing.T) {
 	if _, _, err := parent.Shrink([]int{0, 1, 2, 3, 4}); err == nil {
 		t.Fatal("total removal accepted")
 	}
+}
+
+// survivorIndices returns the ascending list of old indices kept by a Shrink
+// with the given removed set — the inverse direction of the oldToNew map.
+func survivorIndices(n int, removed []int) []int {
+	dead := make(map[int]bool, len(removed))
+	for _, v := range removed {
+		dead[v] = true
+	}
+	out := make([]int, 0, n-len(dead))
+	for v := 0; v < n; v++ {
+		if !dead[v] {
+			out = append(out, v)
+		}
+	}
+	return out
 }

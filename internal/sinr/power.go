@@ -112,8 +112,3 @@ func (a PerLink) Power(in *Instance, l Link) float64 {
 
 // Name implements Assignment.
 func (a PerLink) Name() string { return "arbitrary" }
-
-// NewPerLink creates an empty per-link table with the given fallback.
-func NewPerLink(fallback Assignment) PerLink {
-	return PerLink{Table: make(map[Link]float64), Fallback: fallback}
-}

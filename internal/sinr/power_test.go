@@ -113,7 +113,7 @@ func TestNoiseSafeMeanClampsMaxLen(t *testing.T) {
 func TestPerLinkTableAndFallback(t *testing.T) {
 	p := DefaultParams()
 	in := MustInstance(pointsOnLine(0, 1, 3), p)
-	pl := NewPerLink(Uniform{P: 7})
+	pl := PerLink{Table: map[Link]float64{}, Fallback: Uniform{P: 7}}
 	pl.Table[Link{From: 0, To: 1}] = 99
 	if got := pl.Power(in, Link{From: 0, To: 1}); got != 99 {
 		t.Errorf("table power = %v", got)
@@ -130,6 +130,12 @@ func TestPerLinkTableAndFallback(t *testing.T) {
 	}
 }
 
+// linkAffectance returns a_ℓ'(ℓ): the affectance of link other's sender
+// (under assignment pa) on link l (under the same assignment).
+func linkAffectance(in *Instance, other, l Link, pa Assignment) float64 {
+	return in.Affectance(other.From, pa.Power(in, other), l, pa.Power(in, l))
+}
+
 // TestMeanPowerRelativeAffectanceScaleInvariant verifies the design note in
 // NoiseSafeMean: scaling all powers by a common factor does not change
 // link-on-link affectance (as long as noise remains comfortably overcome),
@@ -142,8 +148,8 @@ func TestMeanPowerRelativeAffectanceScaleInvariant(t *testing.T) {
 	other := Link{From: 2, To: 3}
 	big := NoiseSafeMean(p, 1024)
 	bigger := Mean{Scale: big.Scale * 8}
-	aBig := in.LinkAffectance(other, l, big)
-	aBigger := in.LinkAffectance(other, l, bigger)
+	aBig := linkAffectance(in, other, l, big)
+	aBigger := linkAffectance(in, other, l, bigger)
 	// c(u,v) shrinks slightly with more power (less noise derating), so the
 	// values agree only up to the c-range factor; both must be within
 	// [β/2β, 2β/β] of each other when uncapped.

@@ -269,9 +269,6 @@ func (q *QuadTree) CertifiedMaxRelError() float64 { return q.certErr }
 // Levels returns the pyramid depth L (leaves are level L).
 func (q *QuadTree) Levels() int { return q.levels }
 
-// LeafCell returns the leaf side.
-func (q *QuadTree) LeafCell() float64 { return q.cell }
-
 // Leaves returns the leaf count of the deepest level.
 func (q *QuadTree) Leaves() int { return int(q.leafDim) * int(q.leafDim) }
 
@@ -280,11 +277,6 @@ func (q *QuadTree) Nodes() int { return q.nodes }
 
 // Theta returns the opening threshold θ(ε, α).
 func (q *QuadTree) Theta() float64 { return q.theta }
-
-// OpenRadius2 returns the squared opening radius of level lvl — a node at
-// that level is aggregated iff the listener's squared centroid distance is
-// at least this value (exported for the oracle lockstep suite).
-func (q *QuadTree) OpenRadius2(lvl int) float64 { return q.openRad2[lvl] }
 
 // NearDominated reports that the leaf-level opening horizon reaches a
 // quarter of the root square's side: the opened-leaf disk then covers
@@ -302,13 +294,6 @@ func (q *QuadTree) OpenRadius2(lvl int) float64 { return q.openRad2[lvl] }
 func (q *QuadTree) NearDominated() bool {
 	quarter := q.side[0] / 4
 	return q.openRad2[q.levels] >= quarter*quarter
-}
-
-// LeafCoords returns node i's leaf coordinates at the deepest level
-// (exported for the oracle lockstep suite).
-func (q *QuadTree) LeafCoords(i int) (x, y int) {
-	mx, my := MortonDecode(q.leafOf[i])
-	return int(mx), int(my)
 }
 
 // Acquire borrows a pooled scratch for a transient user (one validation);

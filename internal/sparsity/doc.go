@@ -3,6 +3,5 @@
 // length ≥ 8·rad(B). Sparsity is the geometric property connecting the Init
 // tree to efficient scheduling (Thm 9/11/13): O(log n)-sparsity of the full
 // tree and O(1)-sparsity of its low-degree core are what make the capacity
-// arguments work. The package also provides the C-independence partition of
-// Appendix A (Lemma 23).
+// arguments work.
 package sparsity

@@ -1,82 +1,19 @@
 package sparsity
 
-import (
-	"math"
-	"sort"
+import "sinrconn/internal/sinr"
 
-	"sinrconn/internal/sinr"
-)
-
-// Measure returns the measured sparsity ψ of the link set over the
-// canonical family of balls: for every link endpoint c and every radius
-// ρ = len/8 for a link length present in the set, it counts the links of
-// length ≥ 8ρ with an endpoint within distance ρ of c, and returns the
-// maximum count.
+// MeasureAtScales returns the measured sparsity ψ of the link set over
+// endpoint-centered balls at power-of-two radii: for every radius ρ from
+// maxLen/8 down to 1/16 and every endpoint c of a link of length ≥ 8ρ, it
+// counts the links of length ≥ 8ρ with an endpoint within distance ρ of c,
+// and returns the maximum count.
 //
 // Restricting to endpoint-centered balls loses at most a constant factor
 // versus the supremum over all balls (a ball containing k endpoints is
 // contained in the ball of twice the radius centered at any one of them),
-// which is exactly the slack the paper's own union-bounding argument uses
-// ("by careful selection, there are only polynomially many relevant
-// balls").
-func Measure(in *sinr.Instance, links []sinr.Link) int {
-	if len(links) == 0 {
-		return 0
-	}
-	type ep struct {
-		node int
-		len  float64
-		link int
-	}
-	// Collect endpoints with their link lengths.
-	eps := make([]ep, 0, 2*len(links))
-	lengths := make([]float64, len(links))
-	for i, l := range links {
-		lengths[i] = in.Length(l)
-		eps = append(eps, ep{node: l.From, len: lengths[i], link: i})
-		eps = append(eps, ep{node: l.To, len: lengths[i], link: i})
-	}
-	// Candidate radii: len/8 for each distinct link length.
-	radii := make([]float64, 0, len(links))
-	seen := map[float64]struct{}{}
-	for _, ln := range lengths {
-		r := ln / 8
-		if _, ok := seen[r]; !ok && r > 0 {
-			seen[r] = struct{}{}
-			radii = append(radii, r)
-		}
-	}
-	sort.Float64s(radii)
-
-	psi := 0
-	for _, e := range eps {
-		c := in.Point(e.node)
-		for _, rho := range radii {
-			count := 0
-			counted := make(map[int]struct{})
-			for i, l := range links {
-				if lengths[i] < 8*rho-1e-9 {
-					continue
-				}
-				if _, dup := counted[i]; dup {
-					continue
-				}
-				if in.Point(l.From).Dist(c) <= rho+1e-9 || in.Point(l.To).Dist(c) <= rho+1e-9 {
-					counted[i] = struct{}{}
-					count++
-				}
-			}
-			if count > psi {
-				psi = count
-			}
-		}
-	}
-	return psi
-}
-
-// MeasureAtScales is a faster variant of Measure restricted to power-of-two
-// radii, suitable for large link sets in benchmarks. The loss against
-// Measure is at most one doubling (factor ≤ 2 in the radius grid).
+// which is exactly the slack the paper's own union-bounding argument uses.
+// The power-of-two radius grid loses at most one further doubling against
+// the radii len/8 of the links actually present.
 func MeasureAtScales(in *sinr.Instance, links []sinr.Link) int {
 	if len(links) == 0 {
 		return 0
@@ -118,70 +55,4 @@ func MeasureAtScales(in *sinr.Instance, links []sinr.Link) int {
 		}
 	}
 	return psi
-}
-
-// IsIndependent reports whether links a and b are q-independent:
-// d(x, y′)·d(y, x′) ≥ q²·d(x,y)·d(x′,y′) for a = (x,y), b = (x′,y′)
-// (Appendix A). Independence is the pairwise-separation notion that, per
-// length class, implies feasibility.
-func IsIndependent(in *sinr.Instance, a, b sinr.Link, q float64) bool {
-	dxyP := in.Dist(a.From, b.To)
-	dyxP := in.Dist(a.To, b.From)
-	return dxyP*dyxP >= q*q*in.Length(a)*in.Length(b)
-}
-
-// IndependentPartition greedily partitions links into q-independent classes
-// using the ascending-length first-fit coloring of Lemma 23: sort by
-// length; each link joins the first class where it is q-independent of all
-// previously placed (shorter) links, opening a new class if none fits. For
-// O(1)-sparse inputs the number of classes is O(1).
-func IndependentPartition(in *sinr.Instance, links []sinr.Link, q float64) [][]sinr.Link {
-	order := make([]int, len(links))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return in.Length(links[order[i]]) < in.Length(links[order[j]])
-	})
-	var classes [][]sinr.Link
-	for _, idx := range order {
-		l := links[idx]
-		placed := false
-		for ci := range classes {
-			ok := true
-			for _, o := range classes[ci] {
-				if !IsIndependent(in, o, l, q) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				classes[ci] = append(classes[ci], l)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			classes = append(classes, []sinr.Link{l})
-		}
-	}
-	return classes
-}
-
-// LengthClasses buckets links into doubling length classes, keyed by class
-// index r (length ∈ [2^(r-1), 2^r)).
-func LengthClasses(in *sinr.Instance, links []sinr.Link) map[int][]sinr.Link {
-	out := make(map[int][]sinr.Link)
-	for _, l := range links {
-		r := classOf(in.Length(l))
-		out[r] = append(out[r], l)
-	}
-	return out
-}
-
-func classOf(d float64) int {
-	if d < 1 {
-		return 1
-	}
-	return int(math.Floor(math.Log2(d))) + 1
 }

@@ -101,16 +101,6 @@ func LinearFit(x, y []float64) Fit {
 	return Fit{A: a, B: b, R2: r2}
 }
 
-// FitAgainstLog fits y against log₂(x): the B coefficient is the "slots per
-// doubling" a Θ(log n) claim predicts to be constant.
-func FitAgainstLog(x, y []float64) Fit {
-	lx := make([]float64, len(x))
-	for i, v := range x {
-		lx[i] = math.Log2(math.Max(1, v))
-	}
-	return LinearFit(lx, y)
-}
-
 // GrowthExponent fits log y against log x and returns the slope — the
 // empirical polynomial degree. Sub-logarithmic growth shows up as an
 // exponent near 0, linear growth as 1.
@@ -150,9 +140,6 @@ func (t *Table) AddRow(cells ...any) {
 	}
 	t.rows = append(t.rows, row)
 }
-
-// NumRows returns the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }
 
 // Render produces the table as a string with aligned columns.
 func (t *Table) Render() string {

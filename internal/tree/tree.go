@@ -136,17 +136,6 @@ func (t *BiTree) Links() []sinr.Link {
 	return out
 }
 
-// PowerTable returns a PerLink assignment recording the powers stamped on
-// the aggregation links and, symmetrically, on their duals.
-func (t *BiTree) PowerTable() sinr.PerLink {
-	pl := sinr.NewPerLink(nil)
-	for _, tl := range t.Up {
-		pl.Table[tl.L] = tl.Power
-		pl.Table[tl.L.Dual()] = tl.Power
-	}
-	return pl
-}
-
 // Validate checks the structural tree properties: every non-root node in
 // Nodes has exactly one up-link, the root has none, every link endpoint is
 // in Nodes, and following parents from any node reaches Root acyclically.

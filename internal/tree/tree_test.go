@@ -232,15 +232,6 @@ func TestStronglyConnectedFailsOnSplit(t *testing.T) {
 	}
 }
 
-func TestPowerTable(t *testing.T) {
-	tr := starTree(3)
-	pt := tr.PowerTable()
-	l := tr.Up[0].L
-	if pt.Table[l] != 10 || pt.Table[l.Dual()] != 10 {
-		t.Errorf("PowerTable = %v", pt.Table)
-	}
-}
-
 func TestPerSlotFeasible(t *testing.T) {
 	// Two distant link pairs in the same slot are feasible; two adjacent
 	// pairs in the same slot with huge mutual interference are not.

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -201,51 +200,6 @@ func ChainForDelta(n int, targetDelta float64) []geom.Point {
 	return ExponentialChain(n, base)
 }
 
-// Ring places n points evenly on a circle, radius chosen so neighboring
-// points are exactly minGap apart.
-func Ring(n int, minGap float64) []geom.Point {
-	if n <= 0 {
-		return nil
-	}
-	if minGap < 1 {
-		minGap = 1
-	}
-	if n == 1 {
-		return []geom.Point{{}}
-	}
-	theta := 2 * math.Pi / float64(n)
-	radius := minGap / (2 * math.Sin(theta/2))
-	pts := make([]geom.Point, n)
-	for i := range pts {
-		a := theta * float64(i)
-		pts[i] = geom.Point{X: radius * math.Cos(a), Y: radius * math.Sin(a)}
-	}
-	return pts
-}
-
-// TwoScale builds two dense uniform clouds of n/2 points separated by a
-// gap of sep — a two-length-scale instance that stresses length-class
-// algorithms.
-func TwoScale(rng *rand.Rand, n int, sep float64) []geom.Point {
-	if n <= 0 {
-		return nil
-	}
-	half := n / 2
-	a := Uniform(rng, half, 2*math.Sqrt(float64(half)))
-	b := Uniform(rng, n-half, 2*math.Sqrt(float64(n-half)))
-	if sep < 4 {
-		sep = 4
-	}
-	_, maxA := geom.BoundingBox(a)
-	shift := maxA.X + sep
-	out := make([]geom.Point, 0, n)
-	out = append(out, a...)
-	for _, p := range b {
-		out = append(out, geom.Point{X: p.X + shift, Y: p.Y})
-	}
-	return out
-}
-
 // JitteredGrid lays n points row-major on a ⌈√n⌉×⌈√n⌉ lattice with the
 // given spacing, each perturbed uniformly by up to ±jitter per axis. Unlike
 // the rejection-sampling generators it is O(n) with no retry loop, which
@@ -303,9 +257,4 @@ func Standard() []Spec {
 			return ChainForDelta(n, 1<<16)
 		}},
 	}
-}
-
-// Describe returns a one-line summary of an instance (n, Δ) for logs.
-func Describe(pts []geom.Point) string {
-	return fmt.Sprintf("n=%d Δ=%.1f", len(pts), geom.Delta(pts))
 }

@@ -134,34 +134,6 @@ func TestChainForDelta(t *testing.T) {
 	}
 }
 
-func TestRing(t *testing.T) {
-	pts := Ring(12, 1.5)
-	if len(pts) != 12 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	if d := geom.MinDist(pts); math.Abs(d-1.5) > 1e-9 {
-		t.Errorf("ring neighbor gap = %v, want 1.5", d)
-	}
-	if len(Ring(1, 1)) != 1 {
-		t.Error("Ring(1) wrong size")
-	}
-	if Ring(0, 1) != nil {
-		t.Error("Ring(0) != nil")
-	}
-}
-
-func TestTwoScale(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	pts := TwoScale(rng, 60, 50)
-	if len(pts) != 60 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	checkMinDist(t, pts, "twoscale")
-	if TwoScale(rng, 0, 50) != nil {
-		t.Error("TwoScale(0) != nil")
-	}
-}
-
 func TestStandardSuite(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, spec := range Standard() {
@@ -180,13 +152,6 @@ func TestDeterministicGivenSeed(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("Uniform not deterministic for fixed seed")
 		}
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	s := Describe(ExponentialChain(4, 2))
-	if s == "" {
-		t.Error("empty description")
 	}
 }
 
