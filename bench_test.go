@@ -473,7 +473,7 @@ func BenchmarkPowerSolve(b *testing.B) {
 	sel := core.CentralCapacity(in, links, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := power.Solve(in, sel, power.Options{Slack: 1.01}); err != nil {
+		if _, _, err := power.Solve(in, sel); err != nil {
 			b.Fatal(err)
 		}
 	}

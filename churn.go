@@ -133,26 +133,22 @@ func (t TraceSpec) rates() churn.Rates {
 type ChurnOption func(*churnSettings)
 
 type churnSettings struct {
-	audit        bool
-	driftBudget  float64
-	retries      int
-	dampK        int
-	dampWindow   float64
-	dampCooldown float64
-	dampRadius   float64
-	err          error
+	audit bool
 }
 
-func defaultChurnSettings() churnSettings {
-	return churnSettings{
-		driftBudget:  1.6,
-		retries:      3,
-		dampK:        3,
-		dampWindow:   12,
-		dampCooldown: 40,
-		dampRadius:   0, // 0 = the trace's burst radius
-	}
-}
+// The degradation ladder's constants (DESIGN.md §9). Each rung gets
+// churnRetries reseeded attempts before the engine falls to the next. A
+// full restamp runs once the live schedule grows past driftBudget × its
+// length at the last full stamp. Flap damping quarantines a region (a cell
+// the size of the trace's burst radius) that accumulates dampK failures
+// within dampWindow time units, for dampCooldown time units.
+const (
+	churnRetries = 3
+	driftBudget  = 1.6
+	dampK        = 3
+	dampWindow   = 12
+	dampCooldown = 40
+)
 
 // WithChurnAudit validates the full invariant battery — tree shape, strong
 // connectivity, aggregation ordering, per-slot SINR feasibility under the
@@ -162,57 +158,6 @@ func defaultChurnSettings() churnSettings {
 // throughput runs.
 func WithChurnAudit(on bool) ChurnOption {
 	return func(s *churnSettings) { s.audit = on }
-}
-
-// WithDriftBudget bounds splice fragmentation: when the live schedule grows
-// past budget × (its length at the last full stamp), the engine restamps in
-// full. Must be > 1; default 1.6.
-func WithDriftBudget(budget float64) ChurnOption {
-	return func(s *churnSettings) {
-		if budget <= 1 {
-			if s.err == nil {
-				s.err = fmt.Errorf("sinrconn: drift budget %v must be > 1", budget)
-			}
-			return
-		}
-		s.driftBudget = budget
-	}
-}
-
-// WithChurnRetries sets how many reseeded attempts each rung of the
-// degradation ladder gets before the engine falls to the next rung
-// (default 3, minimum 1). Backoff is in protocol rounds: attempt i runs
-// with proportionally more safety rounds.
-func WithChurnRetries(k int) ChurnOption {
-	return func(s *churnSettings) {
-		if k < 1 {
-			if s.err == nil {
-				s.err = fmt.Errorf("sinrconn: churn retries %d must be ≥ 1", k)
-			}
-			return
-		}
-		s.retries = k
-	}
-}
-
-// WithFlapDamping configures the spatial quarantine: a radius-sized region
-// accumulating k failures within window time units is damped for cooldown
-// time units — its members stop acknowledging re-attachments and joins into
-// it are refused with ErrDamped. k = 0 disables damping. radius = 0 uses
-// the trace's burst radius.
-func WithFlapDamping(k int, window, cooldown, radius float64) ChurnOption {
-	return func(s *churnSettings) {
-		if k < 0 || window < 0 || cooldown < 0 || radius < 0 {
-			if s.err == nil {
-				s.err = errors.New("sinrconn: flap-damping parameters must be ≥ 0")
-			}
-			return
-		}
-		s.dampK = k
-		s.dampWindow = window
-		s.dampCooldown = cooldown
-		s.dampRadius = radius
-	}
 }
 
 // ChurnStats aggregates what a churn run did.
@@ -274,12 +219,9 @@ func (nw *Network) Churn(ctx context.Context, trace TraceSpec, opts ...ChurnOpti
 	if err := trace.Validate(); err != nil {
 		return nil, err
 	}
-	cs := defaultChurnSettings()
+	var cs churnSettings
 	for _, o := range opts {
 		o(&cs)
-	}
-	if cs.err != nil {
-		return nil, cs.err
 	}
 	done, err := nw.beginOp()
 	if err != nil {
@@ -304,10 +246,6 @@ func (nw *Network) Churn(ctx context.Context, trace TraceSpec, opts ...ChurnOpti
 	if burstRadius <= 0 {
 		burstRadius = 4
 	}
-	dampRadius := cs.dampRadius
-	if dampRadius == 0 {
-		dampRadius = burstRadius
-	}
 	gen, err := churn.NewGenerator(trace.Seed^0x5DEECE66D, trace.rates(), burstRadius, trace.ShowerMax)
 	if err != nil {
 		return nil, err
@@ -321,7 +259,7 @@ func (nw *Network) Churn(ctx context.Context, trace TraceSpec, opts ...ChurnOpti
 		in:     in,
 		ff:     ff,
 		gen:    gen,
-		damper: churn.NewDamper(cs.dampK, cs.dampWindow, cs.dampCooldown, dampRadius),
+		damper: churn.NewDamper(dampK, dampWindow, dampCooldown, burstRadius),
 	}
 
 	// The mobility stepper is built BEFORE the initial tree: the city-grid
@@ -477,7 +415,7 @@ func (d *churnDriver) injectRepairFail() error {
 
 // muted lists the alive members currently inside quarantined regions.
 func (d *churnDriver) muted() []int {
-	if d.cs.dampK <= 0 || d.bt == nil {
+	if d.bt == nil {
 		return nil
 	}
 	now := d.gen.Now()
@@ -497,7 +435,7 @@ func (d *churnDriver) muted() []int {
 // immediately.
 func (d *churnDriver) ladder(ctx context.Context, op func(cfg core.InitConfig) (*tree.BiTree, int, error), target []int) error {
 	var lastErr error
-	for attempt := 0; attempt < d.cs.retries; attempt++ {
+	for attempt := 0; attempt < churnRetries; attempt++ {
 		var (
 			bt    *tree.BiTree
 			slots int
@@ -530,7 +468,7 @@ func (d *churnDriver) ladder(ctx context.Context, op func(cfg core.InitConfig) (
 // rebuild is the ladder's last rung: reconstruct the tree from scratch
 // over the target membership, with the same bounded reseeded retries.
 func (d *churnDriver) rebuild(ctx context.Context, target []int, lastErr error) error {
-	for attempt := 0; attempt < d.cs.retries; attempt++ {
+	for attempt := 0; attempt < churnRetries; attempt++ {
 		if err := d.injectRepairFail(); err != nil {
 			d.stats.Retries++
 			d.soft = append(d.soft, err)
@@ -749,7 +687,7 @@ func (d *churnDriver) swapInstance(in *sinr.Instance) error {
 // fragmentation exceeds it) and compacts the instance when more than half
 // its points are dead weight.
 func (d *churnDriver) maintain() error {
-	if k := d.bt.NumSlots(); float64(k) > d.cs.driftBudget*float64(max(1, d.baseline)) {
+	if k := d.bt.NumSlots(); float64(k) > driftBudget*float64(max(1, d.baseline)) {
 		if _, err := d.bt.Restamp(d.in); err != nil {
 			return fmt.Errorf("drift restamp: %w", err)
 		}

@@ -204,12 +204,12 @@ func TestChurnCityGridMobility(t *testing.T) {
 	}
 }
 
-// TestChurnFlapDamping drives a deployment small enough that an
-// aggressive damper quarantines it after the first failures: subsequent
-// joins must be refused with the typed ErrDamped (surfaced in Soft, not
-// fatal), members must be muted during repairs, and the run must still
-// complete — damping bounds repair work instead of livelocking on the
-// flapping region.
+// TestChurnFlapDamping drives a deployment small enough that the damper
+// (dampK failures within dampWindow, regions the size of the burst radius)
+// quarantines it after the first failures: subsequent joins must be
+// refused with the typed ErrDamped (surfaced in Soft, not fatal), members
+// must be muted during repairs, and the run must still complete — damping
+// bounds repair work instead of livelocking on the flapping region.
 func TestChurnFlapDamping(t *testing.T) {
 	nw, err := Open(uniformPoints(53, 32))
 	if err != nil {
@@ -221,8 +221,7 @@ func TestChurnFlapDamping(t *testing.T) {
 		JoinRate: 1.5, FailRate: 2, BurstRate: 0.5,
 		BurstRadius: 6,
 	}
-	rep, err := nw.Churn(context.Background(), trace,
-		WithFlapDamping(2, 1e9, 1e9, 100)) // one region, trips forever
+	rep, err := nw.Churn(context.Background(), trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,22 +243,6 @@ func TestChurnFlapDamping(t *testing.T) {
 	}
 }
 
-func TestChurnDampingDisabled(t *testing.T) {
-	nw, err := Open(uniformPoints(54, 32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Close()
-	trace := TraceSpec{Seed: 5, Events: 30, JoinRate: 1.5, FailRate: 2, BurstRate: 0.5, BurstRadius: 6}
-	rep, err := nw.Churn(context.Background(), trace, WithFlapDamping(0, 0, 0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Stats.DampedJoins != 0 || rep.Stats.MutedPeak != 0 {
-		t.Fatalf("disabled damper still acted: %+v", rep.Stats)
-	}
-}
-
 func TestChurnValidation(t *testing.T) {
 	nw, err := Open(uniformPoints(55, 16))
 	if err != nil {
@@ -270,21 +253,14 @@ func TestChurnValidation(t *testing.T) {
 	cases := []struct {
 		name  string
 		trace TraceSpec
-		opts  []ChurnOption
 	}{
-		{"no events", TraceSpec{Seed: 1, FailRate: 1}, nil},
-		{"all-zero rates", TraceSpec{Seed: 1, Events: 5}, nil},
-		{"negative rate", TraceSpec{Seed: 1, Events: 5, FailRate: -1}, nil},
-		{"move without mobility", TraceSpec{Seed: 1, Events: 5, MoveRate: 1}, nil},
-		{"drift budget ≤ 1", TraceSpec{Seed: 1, Events: 5, FailRate: 1},
-			[]ChurnOption{WithDriftBudget(1)}},
-		{"zero retries", TraceSpec{Seed: 1, Events: 5, FailRate: 1},
-			[]ChurnOption{WithChurnRetries(0)}},
-		{"negative damping", TraceSpec{Seed: 1, Events: 5, FailRate: 1},
-			[]ChurnOption{WithFlapDamping(-1, 0, 0, 0)}},
+		{"no events", TraceSpec{Seed: 1, FailRate: 1}},
+		{"all-zero rates", TraceSpec{Seed: 1, Events: 5}},
+		{"negative rate", TraceSpec{Seed: 1, Events: 5, FailRate: -1}},
+		{"move without mobility", TraceSpec{Seed: 1, Events: 5, MoveRate: 1}},
 	}
 	for _, c := range cases {
-		if _, err := nw.Churn(ctx, c.trace, c.opts...); err == nil {
+		if _, err := nw.Churn(ctx, c.trace); err == nil {
 			t.Errorf("%s accepted", c.name)
 		}
 	}

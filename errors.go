@@ -24,7 +24,7 @@ var ErrNotConverged error = core.ErrNotConverged
 // ErrDamped reports that an operation was refused because its target region
 // is flap-damped: the region accumulated too many failures inside the
 // damping window and is quarantined until the cooldown passes (see
-// WithFlapDamping). Joins into a damped region are not attempted — the
+// Network.Churn). Joins into a damped region are not attempted — the
 // region's recent history says the work would likely be wasted — which is
 // what bounds repair effort on a permanently failing region. ErrDamped is
 // not retryable-by-reseed and deliberately does NOT wrap ErrNotConverged.

@@ -46,7 +46,7 @@ func TestCentralCapacitySelectsDisjointFeasible(t *testing.T) {
 		t.Error("Eqn3 invariant violated")
 	}
 	// Kesselheim's guarantee: a feasible power assignment exists.
-	if _, _, err := power.Solve(in, sel, power.Options{}); err != nil {
+	if _, _, err := power.Solve(in, sel); err != nil {
 		t.Errorf("selected set not power-control feasible: %v", err)
 	}
 }

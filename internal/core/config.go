@@ -34,28 +34,26 @@ func checkCtx(ctx context.Context, stage string) error {
 	return nil
 }
 
+// ackProb is the probability a listener that decoded an in-class broadcast
+// answers. The paper uses p here too; acking near-certainly is faster in
+// practice and only helps.
+const ackProb = 0.9
+
+// minPairs floors the slot-pairs per round.
+const minPairs = 8
+
 // InitConfig tunes the Section 6 construction.
 type InitConfig struct {
 	// BroadcastProb is the paper's p: the probability an active node elects
 	// to broadcast in a slot-pair. Default 0.25.
 	BroadcastProb float64
-	// AckProb is the probability a listener that decoded an in-class
-	// broadcast answers (the paper uses p here too; acking near-certainly
-	// is faster in practice and only helps). Default 0.9.
-	AckProb float64
-	// Lambda scales slot-pairs per round: pairs = max(MinPairs,
+	// Lambda scales slot-pairs per round: pairs = max(minPairs,
 	// ⌈Lambda·log₂ n⌉), the practical stand-in for the paper's λ₁·log n.
 	// Default 4.
 	Lambda float64
-	// MinPairs floors the slot-pairs per round. Default 8.
-	MinPairs int
 	// ExtraRounds caps the safety rounds run at the top length class after
 	// the ⌈log Δ⌉ ladder if more than one node is still active. Default 64.
 	ExtraRounds int
-	// StrictGate keeps the paper's distance gate [2^(r-1), 2^r) during the
-	// ladder. When false, the gate is [0, 2^r) — more permissive, slightly
-	// off-model. Safety rounds always use [0, 2^R). Default true.
-	StrictGate bool
 	// Seed derives all node randomness. Runs are reproducible.
 	Seed int64
 	// Workers is the sim engine worker count (0 = NumCPU). Ignored when
@@ -102,14 +100,8 @@ func (c *InitConfig) defaults() {
 	if c.BroadcastProb <= 0 || c.BroadcastProb > 0.5 {
 		c.BroadcastProb = 0.25
 	}
-	if c.AckProb <= 0 || c.AckProb > 1 {
-		c.AckProb = 0.9
-	}
 	if c.Lambda <= 0 {
 		c.Lambda = 4
-	}
-	if c.MinPairs <= 0 {
-		c.MinPairs = 8
 	}
 	if c.ExtraRounds <= 0 {
 		c.ExtraRounds = 64
@@ -119,10 +111,7 @@ func (c *InitConfig) defaults() {
 // pairsPerRound returns the slot-pairs per round for n participants.
 func (c *InitConfig) pairsPerRound(n int) int {
 	pairs := int(math.Ceil(c.Lambda * math.Log2(math.Max(2, float64(n)))))
-	if pairs < c.MinPairs {
-		pairs = c.MinPairs
-	}
-	return pairs
+	return max(pairs, minPairs)
 }
 
 // validate rejects nonsensical configs beyond what defaults() repairs. The

@@ -8,15 +8,18 @@ import (
 	"sinrconn/internal/sinr"
 )
 
+// distrCapP is the per-phase sampling probability ("iid probability p
+// (small constant)").
+const distrCapP = 0.15
+
+// gamma2 is the duality constant γ₂ < 1 of Claim 8.3. It is typed so that
+// gamma2*gamma2 rounds as a float64 product, as the coins always have.
+const gamma2 float64 = 0.85
+
 // DistrCapConfig tunes the Section 8.2 distributed capacity protocol.
 type DistrCapConfig struct {
 	// Tau is the admission threshold τ of Eqn 3. Default DefaultTau.
 	Tau float64
-	// P is the per-phase sampling probability ("iid probability p (small
-	// constant)"). Default 0.3.
-	P float64
-	// Gamma2 is the duality constant γ₂ < 1 of Claim 8.3. Default 0.7.
-	Gamma2 float64
 	// Repeats runs each length-class phase this many slot-pairs instead of
 	// the paper's one, boosting the selected fraction at a constant-factor
 	// slot cost (an engineering extension; 1 reproduces the paper).
@@ -37,12 +40,6 @@ const DefaultDistrTau = 1.5
 func (c *DistrCapConfig) defaults() {
 	if c.Tau <= 0 {
 		c.Tau = DefaultDistrTau
-	}
-	if c.P <= 0 || c.P > 1 {
-		c.P = 0.15
-	}
-	if c.Gamma2 <= 0 || c.Gamma2 >= 1 {
-		c.Gamma2 = 0.85
 	}
 	if c.Repeats <= 0 {
 		c.Repeats = 1
@@ -149,7 +146,7 @@ func distrCapPhase(in *sinr.Instance, selected, live []sinr.Link, lin sinr.Linea
 	}
 	var trying []sinr.Link
 	for _, l := range live {
-		if rng.Float64() < cfg.P && !transmitting[l.To] {
+		if rng.Float64() < distrCapP && !transmitting[l.To] {
 			if add(l.From, lin.Power(in, l)) {
 				trying = append(trying, l)
 			}
@@ -184,7 +181,7 @@ func distrCapPhase(in *sinr.Instance, selected, live []sinr.Link, lin sinr.Linea
 	}
 	var acking []sinr.Link
 	for _, l := range qTilde {
-		if rng.Float64() < cfg.Gamma2*cfg.Gamma2 && !ackSending[l.From] {
+		if rng.Float64() < gamma2*gamma2 && !ackSending[l.From] {
 			if addAck(l.To, lin.Power(in, l.Dual())) {
 				acking = append(acking, l)
 			}
@@ -196,7 +193,7 @@ func distrCapPhase(in *sinr.Instance, selected, live []sinr.Link, lin sinr.Linea
 			continue // original sender busy acking something else
 		}
 		dual := l.Dual()
-		if in.MeasuredAffectance(ackTxs, dual, lin.Power(in, dual)) <= cfg.Gamma2*cfg.Tau/4 {
+		if in.MeasuredAffectance(ackTxs, dual, lin.Power(in, dual)) <= gamma2*cfg.Tau/4 {
 			admitted = append(admitted, l)
 		}
 	}

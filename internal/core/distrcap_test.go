@@ -41,7 +41,7 @@ func TestDistrCapSelectsAndInvariantHolds(t *testing.T) {
 		t.Error("Eqn3 invariant violated by Distr-Cap output")
 	}
 	// Section 8.2.3: a feasible power assignment exists.
-	if _, _, err := power.Solve(in, res.Selected, power.Options{}); err != nil {
+	if _, _, err := power.Solve(in, res.Selected); err != nil {
 		t.Errorf("Distr-Cap selection not power-feasible: %v", err)
 	}
 	// One link per node.

@@ -15,9 +15,13 @@
 //     variants.
 //
 // The theory constants of the proofs (p ≤ 1/64(1+6β2^α/(α−2)), λ₁ = 80/p²)
-// are tuned for union bounds, not practice; every constant here is a Config
-// knob with an empirically sensible default, and the construction includes
-// a deterministic safety loop (extra rounds at the top length class) that
+// are tuned for union bounds, not practice; each is replaced by an
+// empirically sensible value. A value no caller varies is a named constant
+// (ackProb, minPairs, gamma1, distrCapP, gamma2, maxIterations); a value
+// stays a Config knob only while some caller sets it to something else
+// (BroadcastProb and Rho from the public options, Lambda, Tau and Repeats
+// from the ablations and experiments). The construction includes a
+// deterministic safety loop (extra rounds at the top length class) that
 // guarantees termination with a connected tree regardless of how the coins
 // fall. DESIGN.md discusses the substitution.
 package core

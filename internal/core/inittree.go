@@ -173,8 +173,10 @@ func initProtocols(isPart []bool, cfg *InitConfig, spec *roundSpec) ([]*initNode
 
 // runLadder drives the Section 6 round ladder on eng, the loop Init and
 // Join share: length classes r = 1..classes with the distance gate
-// [2^(r-1), 2^r) ([0, 2^r) when cfg.StrictGate is off), then up to
-// cfg.ExtraRounds safety rounds at the top class with the permissive gate.
+// [0, 2^r), then up to cfg.ExtraRounds safety rounds at the top class. The
+// gate admits every broadcast shorter than the class bound, not only the
+// paper's [2^(r-1), 2^r): longer links cannot form early, and a short link
+// missed in its own class can still form in a later one (DESIGN.md §3).
 // A round rewrites *spec, at power SafePower(2^r), and steps up to pairs
 // slot pairs, checking ctx before each. done is tested after every pair;
 // once it holds, one more pair runs so that a just-acknowledged
@@ -187,9 +189,6 @@ func runLadder(ctx context.Context, eng *sim.Engine, spec *roundSpec, cfg *InitC
 		rounds++
 		r := min(rounds, classes)
 		rs := roundSpec{hi: math.Exp2(float64(r))}
-		if rounds <= classes && cfg.StrictGate {
-			rs.lo = math.Exp2(float64(r - 1))
-		}
 		rs.power = p.SafePower(rs.hi)
 		*spec = rs
 		// A node uses a broadcast only from a sender closer than hi, and
@@ -211,10 +210,10 @@ func runLadder(ctx context.Context, eng *sim.Engine, spec *roundSpec, cfg *InitC
 }
 
 // roundSpec is the per-round physical configuration: the distance gate
-// [lo, hi) and the broadcast power 2βN·hi^α.
+// [0, hi) and the broadcast power 2βN·hi^α.
 type roundSpec struct {
-	lo, hi float64
-	power  float64
+	hi    float64
+	power float64
 }
 
 // initNode is the per-node state machine of the Section 6 protocol.
@@ -298,10 +297,10 @@ func (nd *initNode) ackSlot(inbox []sim.Delivery) sim.Action {
 		if d.Msg.Kind != sim.KindBroadcast {
 			continue
 		}
-		if d.Dist < nd.spec.lo || d.Dist >= nd.spec.hi {
-			continue // out of this round's length class
+		if d.Dist >= nd.spec.hi {
+			continue // beyond this round's class bound
 		}
-		if nd.rng.Float64() >= nd.cfg.AckProb {
+		if nd.rng.Float64() >= ackProb {
 			continue
 		}
 		// Tentative child record; confirmed only if the sender hears this

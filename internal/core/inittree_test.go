@@ -150,16 +150,6 @@ func TestInitWithDropInjection(t *testing.T) {
 	checkBiTree(t, in, res)
 }
 
-func TestInitPermissiveGate(t *testing.T) {
-	in := uniformInstance(t, 7, 32)
-	res, err := Init(context.Background(), in, InitConfig{Seed: 3, StrictGate: false})
-	// StrictGate default is true; explicit false is the permissive variant.
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkBiTree(t, in, res)
-}
-
 func TestInitErrors(t *testing.T) {
 	in := uniformInstance(t, 8, 8)
 	if _, err := Init(context.Background(), in, InitConfig{Participants: []int{}}); err == nil {

@@ -275,13 +275,13 @@ func (nd *joinNode) ackSlot(inbox []sim.Delivery) sim.Action {
 			if d.Msg.Kind != sim.KindBroadcast {
 				continue
 			}
-			if d.Dist < nd.spec.lo || d.Dist >= nd.spec.hi {
+			if d.Dist >= nd.spec.hi {
 				continue
 			}
 			if nd.forbidden[sinr.Link{From: d.Msg.From, To: nd.id}] {
 				continue // the broadcaster must not attach through us
 			}
-			if nd.rng.Float64() >= nd.cfg.AckProb {
+			if nd.rng.Float64() >= ackProb {
 				continue
 			}
 			// Decay sweep: all members share the per-pair level

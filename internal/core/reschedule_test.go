@@ -63,9 +63,10 @@ func TestRescheduleErrorPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Hopeless power with a tiny budget must surface the scheduler error.
+	// Hopeless power exhausts the scheduler's budget; Reschedule must
+	// surface its error.
 	_, err = Reschedule(context.Background(), in, ires.Tree, sinr.Uniform{P: 1e-12},
-		schedule.DistConfig{MaxSlotPairs: 10, Seed: 1})
+		schedule.DistConfig{Seed: 1})
 	if err == nil {
 		t.Error("expected reschedule error")
 	}

@@ -58,7 +58,7 @@ func RunBroadcast(ctx context.Context, in *sinr.Instance, bt *tree.BiTree, value
 		if ok, err := in.SINRFeasible(links, powers); err == nil && ok {
 			continue
 		}
-		solved, _, err := power.Solve(in, links, power.Options{Slack: 1.01})
+		solved, _, err := power.Solve(in, links)
 		if err != nil {
 			return nil, fmt.Errorf("core: dual slot group has no feasible powers: %w", err)
 		}

@@ -35,7 +35,7 @@ func TestAmenabilityBoundedOnFeasibleSets(t *testing.T) {
 			continue
 		}
 		// Certify feasibility first (the premise of the bound).
-		if _, _, err := power.Solve(in, feasible, power.Options{Slack: 1.01}); err != nil {
+		if _, _, err := power.Solve(in, feasible); err != nil {
 			t.Fatalf("seed %d: premise broken: %v", seed, err)
 		}
 		maxLen := 0.0
@@ -146,7 +146,7 @@ func TestEqn3ImpliesPowerSolvable(t *testing.T) {
 		if !eqn3Holds(in, d.Selected, DefaultDistrTau) {
 			t.Fatalf("seed %d: invariant broken", seed)
 		}
-		if _, _, err := power.Solve(in, d.Selected, power.Options{Slack: 1.01}); err != nil {
+		if _, _, err := power.Solve(in, d.Selected); err != nil {
 			fails++
 		}
 	}

@@ -36,31 +36,26 @@ type TVCConfig struct {
 	Init InitConfig
 	// Rho is the degree cap for T(M). Default DefaultRho.
 	Rho int
-	// Gamma1 is the mean-variant sampling constant γ₁ (q = 1/(4γ₁Υ)).
-	// Default 0.25.
-	Gamma1 float64
-	// DistrCap configures the arbitrary-power selection.
-	DistrCap DistrCapConfig
-	// MaxIterations caps Algorithm 1's loop. Default 30·⌈log₂ n⌉ + 30.
-	MaxIterations int
 	// Seed drives iteration-level randomness (per-iteration seeds derive
 	// from it).
 	Seed int64
 }
 
-func (c *TVCConfig) defaults(n int) {
+func (c *TVCConfig) defaults() {
 	if c.Variant == 0 {
 		c.Variant = VariantArbitrary
 	}
 	if c.Rho <= 0 {
 		c.Rho = DefaultRho
 	}
-	if c.Gamma1 <= 0 {
-		c.Gamma1 = 0.25
-	}
-	if c.MaxIterations <= 0 {
-		c.MaxIterations = 30*int(math.Ceil(math.Log2(math.Max(2, float64(n))))) + 30
-	}
+}
+
+// gamma1 is the mean-variant sampling constant γ₁ (q = 1/(4γ₁Υ)).
+const gamma1 = 0.25
+
+// maxIterations caps Algorithm 1's loop on n nodes: 30·⌈log₂ n⌉ + 30.
+func maxIterations(n int) int {
+	return 30*int(math.Ceil(math.Log2(math.Max(2, float64(n))))) + 30
 }
 
 // TVCResult is the outcome of Algorithm 1.
@@ -90,7 +85,7 @@ type TVCResult struct {
 	Energy float64
 }
 
-// ErrTVCStuck reports that Algorithm 1 hit MaxIterations.
+// ErrTVCStuck reports that Algorithm 1 hit its iteration budget.
 var ErrTVCStuck = errors.New("core: TreeViaCapacity exceeded iteration budget")
 
 // TreeViaCapacity runs Algorithm 1: repeatedly build an Init tree on the
@@ -100,11 +95,12 @@ var ErrTVCStuck = errors.New("core: TreeViaCapacity exceeded iteration budget")
 // ctx is checked at every iteration (and inside every inner Init run); a
 // canceled context aborts the construction with an error wrapping ctx.Err().
 func TreeViaCapacity(ctx context.Context, in *sinr.Instance, cfg TVCConfig) (*TVCResult, error) {
-	cfg.defaults(in.Len())
+	cfg.defaults()
 	if in.Len() == 0 {
 		return nil, errors.New("core: empty instance")
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	budget := maxIterations(in.Len())
 
 	active := make([]int, in.Len())
 	for i := range active {
@@ -114,7 +110,7 @@ func TreeViaCapacity(ctx context.Context, in *sinr.Instance, cfg TVCConfig) (*TV
 
 	res := &TVCResult{Tree: &tree.BiTree{Nodes: append([]int(nil), active...)}}
 	for len(active) > 1 {
-		if res.Iterations >= cfg.MaxIterations {
+		if res.Iterations >= budget {
 			return res, fmt.Errorf("%w: %d nodes still active", ErrTVCStuck, len(active))
 		}
 		res.Iterations++
@@ -154,7 +150,7 @@ func TreeViaCapacity(ctx context.Context, in *sinr.Instance, cfg TVCConfig) (*TV
 		var powers map[sinr.Link]float64
 		switch cfg.Variant {
 		case VariantMean:
-			q := SampleProb(in.Upsilon(), cfg.Gamma1)
+			q := SampleProb(in.Upsilon(), gamma1)
 			var selEnergy float64
 			selected, selEnergy = MeanSampleEnergy(in, cand, meanPA, q, rand.New(rand.NewSource(iterSeed^0x9E37)))
 			res.ConstructionSlots += 2
@@ -164,9 +160,7 @@ func TreeViaCapacity(ctx context.Context, in *sinr.Instance, cfg TVCConfig) (*TV
 				powers[l] = meanPA.Power(in, l)
 			}
 		case VariantArbitrary:
-			dcfg := cfg.DistrCap
-			dcfg.Seed = iterSeed ^ 0x51AB
-			dres := DistrCap(in, cand, dcfg)
+			dres := DistrCap(in, cand, DistrCapConfig{Seed: iterSeed ^ 0x51AB})
 			res.ConstructionSlots += 2 * dres.SlotPairs
 			res.Energy += dres.Energy
 			var it int
@@ -227,9 +221,7 @@ func solvePowers(in *sinr.Instance, selected []sinr.Link) ([]sinr.Link, map[sinr
 	})
 	totalIt := 0
 	for len(links) > 0 {
-		// Slack 1.01: the dynamics approach the fixed point from below, so
-		// solving for exactly β can leave the final vector a hair short.
-		vec, it, err := power.Solve(in, links, power.Options{Slack: 1.01})
+		vec, it, err := power.Solve(in, links)
 		totalIt += it
 		if err == nil {
 			m := make(map[sinr.Link]float64, len(links))

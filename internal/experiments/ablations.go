@@ -36,7 +36,7 @@ func A1BroadcastProb(ctx context.Context, cfg Config) Report {
 		for s := 0; s < cfg.Seeds; s++ {
 			in := uniformInst(int64(3100*n+s), n)
 			res, err := core.Init(ctx, in, core.InitConfig{
-				BroadcastProb: p, Seed: int64(s), Workers: cfg.Workers,
+				BroadcastProb: p, Seed: int64(s),
 			})
 			if err != nil {
 				continue
@@ -84,7 +84,7 @@ func A2SlotPairsPerRound(ctx context.Context, cfg Config) Report {
 		for s := 0; s < cfg.Seeds; s++ {
 			in := uniformInst(int64(3300*n+s), n)
 			res, err := core.Init(ctx, in, core.InitConfig{
-				Lambda: lambda, Seed: int64(s), Workers: cfg.Workers,
+				Lambda: lambda, Seed: int64(s),
 			})
 			if err != nil {
 				continue
@@ -122,7 +122,7 @@ func A3DistrCapTau(ctx context.Context, cfg Config) Report {
 		runs := 0
 		for s := 0; s < cfg.Seeds; s++ {
 			in := uniformInst(int64(3500*n+s), n)
-			ires, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s), Workers: cfg.Workers})
+			ires, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s)})
 			if err != nil {
 				continue
 			}
@@ -134,7 +134,7 @@ func A3DistrCapTau(ctx context.Context, cfg Config) Report {
 			d := core.DistrCap(in, links, core.DistrCapConfig{Tau: tau, Seed: int64(s), Repeats: 3})
 			runs++
 			total += len(d.Selected)
-			if _, _, err := power.Solve(in, d.Selected, power.Options{Slack: 1.01}); err == nil {
+			if _, _, err := power.Solve(in, d.Selected); err == nil {
 				solvable++
 			}
 		}
@@ -164,7 +164,7 @@ func A4DegreeCap(ctx context.Context, cfg Config) Report {
 		var ret, psi []float64
 		for s := 0; s < cfg.Seeds; s++ {
 			in := uniformInst(int64(3700*n+s), n)
-			ires, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s), Workers: cfg.Workers})
+			ires, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s)})
 			if err != nil {
 				continue
 			}
@@ -212,7 +212,7 @@ func A5DropRobustness(ctx context.Context, cfg Config) Report {
 		for s := 0; s < cfg.Seeds; s++ {
 			in := uniformInst(int64(3900*n+s), n)
 			res, err := core.Init(ctx, in, core.InitConfig{
-				Seed: int64(s), Workers: cfg.Workers, DropProb: drop,
+				Seed: int64(s), DropProb: drop,
 			})
 			if err != nil {
 				continue

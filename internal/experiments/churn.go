@@ -39,7 +39,7 @@ func E18Churn(ctx context.Context, cfg Config) Report {
 		verified := true
 		for s := 0; s < cfg.Seeds; s++ {
 			pts := facadeUniform(int64(n)+int64(s), n)
-			nw, err := sinrconn.Open(pts, sinrconn.WithWorkers(cfg.Workers))
+			nw, err := sinrconn.Open(pts)
 			if err != nil {
 				r.Notes = append(r.Notes, fmt.Sprintf("rate×%.1f seed %d: open: %v", mult, s, err))
 				r.Pass = false

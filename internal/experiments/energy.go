@@ -29,7 +29,7 @@ func E13Energy(ctx context.Context, cfg Config) Report {
 		var initE, tvcE, epochE []float64
 		for s := 0; s < cfg.Seeds; s++ {
 			in := uniformInst(int64(4100*n+s), n)
-			ires, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s), Workers: cfg.Workers})
+			ires, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s)})
 			if err != nil {
 				pass = false
 				continue
@@ -37,7 +37,6 @@ func E13Energy(ctx context.Context, cfg Config) Report {
 			initE = append(initE, ires.Stats.Energy)
 			tres, err := core.TreeViaCapacity(ctx, in, core.TVCConfig{
 				Variant: core.VariantArbitrary, Seed: int64(s),
-				Init: core.InitConfig{Workers: cfg.Workers},
 			})
 			if err != nil {
 				pass = false
@@ -50,7 +49,7 @@ func E13Energy(ctx context.Context, cfg Config) Report {
 			for i := range values {
 				values[i] = 1
 			}
-			out, err := core.RunAggregation(ctx, in, tres.Tree, values, core.SumAgg, sim.Config{Workers: cfg.Workers})
+			out, err := core.RunAggregation(ctx, in, tres.Tree, values, core.SumAgg, sim.Config{})
 			if err != nil {
 				pass = false
 				continue
@@ -100,24 +99,22 @@ func E14PhysicalEpoch(ctx context.Context, cfg Config) Report {
 			for i := range values {
 				values[i] = int64(i)
 			}
-			if ires, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s), Workers: cfg.Workers}); err == nil {
-				if _, err := core.RunAggregation(ctx, in, ires.Tree, values, core.SumAgg, sim.Config{Workers: cfg.Workers}); err == nil {
+			if ires, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s)}); err == nil {
+				if _, err := core.RunAggregation(ctx, in, ires.Tree, values, core.SumAgg, sim.Config{}); err == nil {
 					okInit++
 				}
 			}
 			if tres, err := core.TreeViaCapacity(ctx, in, core.TVCConfig{
 				Variant: core.VariantMean, Seed: int64(s),
-				Init: core.InitConfig{Workers: cfg.Workers},
 			}); err == nil {
-				if _, err := core.RunAggregation(ctx, in, tres.Tree, values, core.SumAgg, sim.Config{Workers: cfg.Workers}); err == nil {
+				if _, err := core.RunAggregation(ctx, in, tres.Tree, values, core.SumAgg, sim.Config{}); err == nil {
 					okMean++
 				}
 			}
 			if tres, err := core.TreeViaCapacity(ctx, in, core.TVCConfig{
 				Variant: core.VariantArbitrary, Seed: int64(s),
-				Init: core.InitConfig{Workers: cfg.Workers},
 			}); err == nil {
-				if _, err := core.RunAggregation(ctx, in, tres.Tree, values, core.SumAgg, sim.Config{Workers: cfg.Workers}); err == nil {
+				if _, err := core.RunAggregation(ctx, in, tres.Tree, values, core.SumAgg, sim.Config{}); err == nil {
 					okArb++
 				}
 			}

@@ -13,7 +13,6 @@ import (
 	"sinrconn/internal/sinr"
 	"sinrconn/internal/sparsity"
 	"sinrconn/internal/stats"
-	"sinrconn/internal/tree"
 	"sinrconn/internal/workload"
 )
 
@@ -27,8 +26,6 @@ type Config struct {
 	DeltaExps []int
 	// ChainN is the node count used for Δ sweeps (default 48).
 	ChainN int
-	// Workers bounds simulator parallelism.
-	Workers int
 }
 
 func (c *Config) defaults() {
@@ -150,7 +147,7 @@ func E1InitSlots(ctx context.Context, cfg Config) Report {
 		for s := 0; s < cfg.Seeds; s++ {
 			in := uniformInst(int64(100*n+s), n)
 			delta = in.Delta()
-			res, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s), Workers: cfg.Workers})
+			res, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s)})
 			if err != nil {
 				r.Notes = append(r.Notes, "ERROR: "+err.Error())
 				return r
@@ -169,7 +166,7 @@ func E1InitSlots(ctx context.Context, cfg Config) Report {
 		in := chainInst(cfg.ChainN, delta)
 		var cell []float64
 		for s := 0; s < cfg.Seeds; s++ {
-			res, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s), Workers: cfg.Workers})
+			res, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s)})
 			if err != nil {
 				r.Notes = append(r.Notes, "ERROR: "+err.Error())
 				return r
@@ -208,7 +205,7 @@ func E2BiTreeValidity(ctx context.Context, cfg Config) Report {
 		for s := 0; s < cfg.Seeds; s++ {
 			rng := rand.New(rand.NewSource(int64(300 + s)))
 			in := sinr.MustInstance(spec.Gen(rng, n), sinr.DefaultParams())
-			res, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s), Workers: cfg.Workers})
+			res, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s)})
 			if err != nil {
 				continue
 			}
@@ -245,7 +242,7 @@ func E3DegreeTail(ctx context.Context, cfg Config) Report {
 		tail4, tail8, total := 0, 0, 0
 		for s := 0; s < cfg.Seeds; s++ {
 			in := uniformInst(int64(500*n+s), n)
-			res, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s), Workers: cfg.Workers})
+			res, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s)})
 			if err != nil {
 				continue
 			}
@@ -302,7 +299,7 @@ func E4Sparsity(ctx context.Context, cfg Config) Report {
 		var psis []float64
 		for s := 0; s < cfg.Seeds; s++ {
 			in := uniformInst(int64(700*n+s), n)
-			res, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s), Workers: cfg.Workers})
+			res, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s)})
 			if err != nil {
 				continue
 			}
@@ -335,7 +332,7 @@ func E5LowDegreeFilter(ctx context.Context, cfg Config) Report {
 		var cellPsi, cellFrac []float64
 		for s := 0; s < cfg.Seeds; s++ {
 			in := uniformInst(int64(900*n+s), n)
-			res, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s), Workers: cfg.Workers})
+			res, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s)})
 			if err != nil {
 				continue
 			}
@@ -379,7 +376,7 @@ func E6MeanReschedule(ctx context.Context, cfg Config) Report {
 		in := chainInst(cfg.ChainN, delta)
 		var uni, meanFF, meanDist []float64
 		for s := 0; s < cfg.Seeds; s++ {
-			res, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s), Workers: cfg.Workers})
+			res, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s)})
 			if err != nil {
 				continue
 			}
@@ -387,7 +384,7 @@ func E6MeanReschedule(ctx context.Context, cfg Config) Report {
 			meanFF = append(meanFF, float64(core.MeanScheduleLength(in, res.Tree)))
 			pa := sinr.NoiseSafeMean(in.Params(), math.Max(1, in.Delta()))
 			rres, err := core.Reschedule(ctx, in, res.Tree, pa,
-				schedule.DistConfig{Seed: int64(s), Workers: cfg.Workers})
+				schedule.DistConfig{Seed: int64(s)})
 			if err == nil {
 				meanDist = append(meanDist, float64(rres.NumSlots))
 			}
@@ -431,7 +428,6 @@ func E7Iterations(ctx context.Context, cfg Config) Report {
 			res, err := core.TreeViaCapacity(ctx, in, core.TVCConfig{
 				Variant: core.VariantArbitrary,
 				Seed:    int64(s),
-				Init:    core.InitConfig{Workers: cfg.Workers},
 			})
 			if err != nil {
 				continue
@@ -472,7 +468,6 @@ func E8ArbitraryPower(ctx context.Context, cfg Config) Report {
 			res, err := core.TreeViaCapacity(ctx, in, core.TVCConfig{
 				Variant: core.VariantArbitrary,
 				Seed:    int64(s),
-				Init:    core.InitConfig{Workers: cfg.Workers},
 			})
 			if err != nil {
 				solvable = false
@@ -523,7 +518,6 @@ func E9MeanPower(ctx context.Context, cfg Config) Report {
 			res, err := core.TreeViaCapacity(ctx, in, core.TVCConfig{
 				Variant: core.VariantMean,
 				Seed:    int64(s),
-				Init:    core.InitConfig{Workers: cfg.Workers},
 			})
 			if err != nil {
 				ok = false
@@ -572,20 +566,18 @@ func E10Crossover(ctx context.Context, cfg Config) Report {
 		in := chainInst(cfg.ChainN, delta)
 		var uni, meanFF, meanS, arbS, mst []float64
 		for s := 0; s < cfg.Seeds; s++ {
-			ires, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s), Workers: cfg.Workers})
+			ires, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s)})
 			if err == nil {
 				uni = append(uni, float64(core.UniformScheduleLength(in, ires.Tree)))
 				meanFF = append(meanFF, float64(core.MeanScheduleLength(in, ires.Tree)))
 			}
 			if res, err := core.TreeViaCapacity(ctx, in, core.TVCConfig{
 				Variant: core.VariantMean, Seed: int64(s),
-				Init: core.InitConfig{Workers: cfg.Workers},
 			}); err == nil {
 				meanS = append(meanS, float64(res.Tree.NumSlots()))
 			}
 			if res, err := core.TreeViaCapacity(ctx, in, core.TVCConfig{
 				Variant: core.VariantArbitrary, Seed: int64(s),
-				Init: core.InitConfig{Workers: cfg.Workers},
 			}); err == nil {
 				arbS = append(arbS, float64(res.Tree.NumSlots()))
 			}
@@ -639,7 +631,6 @@ func E11Latency(ctx context.Context, cfg Config) Report {
 			res, err := core.TreeViaCapacity(ctx, in, core.TVCConfig{
 				Variant: core.VariantArbitrary,
 				Seed:    int64(s),
-				Init:    core.InitConfig{Workers: cfg.Workers},
 			})
 			if err != nil {
 				pass = false
@@ -702,7 +693,7 @@ func E12CapacityRatio(ctx context.Context, cfg Config) Report {
 		var cand, cent, dist []float64
 		for s := 0; s < cfg.Seeds; s++ {
 			in := uniformInst(int64(1900*n+s), n)
-			ires, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s), Workers: cfg.Workers})
+			ires, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s)})
 			if err != nil {
 				continue
 			}
@@ -717,7 +708,7 @@ func E12CapacityRatio(ctx context.Context, cfg Config) Report {
 			cent = append(cent, float64(len(c)))
 			dist = append(dist, float64(len(d.Selected)))
 			// Largeness is in expectation; ensure feasibility always.
-			if _, _, err := power.Solve(in, d.Selected, power.Options{Slack: 1.01}); err != nil {
+			if _, _, err := power.Solve(in, d.Selected); err != nil {
 				r.Notes = append(r.Notes, "ERROR: distr selection not power-solvable")
 			}
 		}
@@ -736,14 +727,4 @@ func E12CapacityRatio(ctx context.Context, cfg Config) Report {
 		fmt.Sprintf("distributed/centralized ratio range [%.2f, %.2f] (want bounded below)", rs.Min, rs.Max))
 	r.Pass = rs.Min > 0.05
 	return r
-}
-
-// makeTree is a test hook: it builds a bi-tree via Init for callers outside
-// core (kept internal to the module).
-func makeTree(ctx context.Context, in *sinr.Instance, seed int64, workers int) (*tree.BiTree, error) {
-	res, err := core.Init(ctx, in, core.InitConfig{Seed: seed, Workers: workers})
-	if err != nil {
-		return nil, err
-	}
-	return res.Tree, nil
 }

@@ -1,8 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"sinrconn/internal/core"
+	"sinrconn/internal/sinr"
+	"sinrconn/internal/tree"
 )
 
 // Each experiment runs in Quick mode and must (a) produce a table with rows
@@ -100,9 +105,18 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
+// makeTree builds a bi-tree via Init.
+func makeTree(ctx context.Context, in *sinr.Instance, seed int64) (*tree.BiTree, error) {
+	res, err := core.Init(ctx, in, core.InitConfig{Seed: seed})
+	if err != nil {
+		return nil, err
+	}
+	return res.Tree, nil
+}
+
 func TestMakeTreeHelper(t *testing.T) {
 	in := uniformInst(1, 16)
-	bt, err := makeTree(t.Context(), in, 1, 0)
+	bt, err := makeTree(t.Context(), in, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ const stepSlots = 6
 // how many of the timed slots resolved through the plan. f is the
 // far-field plan or nil (exact); crossover is the engine's
 // AdaptiveCrossover (0 the calibrated default, 1 every slot far).
-func stepTime(in *sinr.Instance, f *sinr.QuadTree, crossover, workers int) (ms float64, far int) {
+func stepTime(in *sinr.Instance, f *sinr.QuadTree, crossover int) (ms float64, far int) {
 	n := in.Len()
 	power := in.Params().SafePower(4)
 	procs := make([]sim.Protocol, n)
@@ -66,7 +66,7 @@ func stepTime(in *sinr.Instance, f *sinr.QuadTree, crossover, workers int) (ms f
 			far++
 		}
 	}
-	eng, err := sim.NewEngine(in, procs, sim.Config{Workers: workers, Far: f, AdaptiveCrossover: crossover, Observer: obs})
+	eng, err := sim.NewEngine(in, procs, sim.Config{Far: f, AdaptiveCrossover: crossover, Observer: obs})
 	if err != nil {
 		return math.NaN(), 0
 	}
@@ -100,7 +100,7 @@ func E17Quadtree(ctx context.Context, cfg Config) Report {
 		txs = append(txs, sinr.Tx{Sender: i, Power: power})
 	}
 
-	exactMS, _ := stepTime(in, nil, 0, cfg.Workers)
+	exactMS, _ := stepTime(in, nil, 0)
 	for _, eps := range quadtreeEps {
 		q, err := in.QuadTree(eps)
 		if err != nil {
@@ -138,7 +138,7 @@ func E17Quadtree(ctx context.Context, cfg Config) Report {
 				eps, maxErr, q.CertifiedMaxRelError()))
 			r.Pass = false
 		}
-		quadMS, far := stepTime(in, q, 1, cfg.Workers)
+		quadMS, far := stepTime(in, q, 1)
 		if far != stepSlots {
 			r.Notes = append(r.Notes, fmt.Sprintf("eps=%v: forced-far engine resolved %d/%d slots far", eps, far, stepSlots))
 			r.Pass = false
@@ -158,8 +158,8 @@ func E17Quadtree(ctx context.Context, cfg Config) Report {
 	// exact engine's cost structure rather than paying tree accumulation.
 	q, err := in.QuadTree(0.5)
 	if err == nil {
-		forcedMS, _ := stepTime(in, q, 1, cfg.Workers)
-		adaptiveMS, _ := stepTime(in, q, 0, cfg.Workers)
+		forcedMS, _ := stepTime(in, q, 1)
+		adaptiveMS, _ := stepTime(in, q, 0)
 		r.Notes = append(r.Notes, fmt.Sprintf(
 			"dense-slot adaptive %.2f ms vs forced-far %.2f ms (adaptive resolves each slot on the cheap side of the calibrated crossover, so it never does worse than always-far)",
 			adaptiveMS, forcedMS))

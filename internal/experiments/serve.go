@@ -52,7 +52,7 @@ func E19Serve(ctx context.Context, cfg Config) Report {
 		var reqs int
 		var rps, p50, p99 float64
 		for s := 0; s < cfg.Seeds; s++ {
-			srv := serve.New(serve.Config{Workers: cfg.Workers})
+			srv := serve.New(serve.Config{})
 			report, err := loadgen.Run(ctx, loadgen.Config{
 				Handler:    srv.Handler(),
 				Clients:    8,

@@ -43,7 +43,7 @@ func E15SessionMatrix(ctx context.Context, cfg Config) Report {
 			pts[i] = sinrconn.Point{X: p.X, Y: p.Y}
 		}
 
-		nw, err := sinrconn.Open(pts, sinrconn.WithWorkers(cfg.Workers))
+		nw, err := sinrconn.Open(pts)
 		if err != nil {
 			r.Notes = append(r.Notes, fmt.Sprintf("n=%d: open failed: %v", n, err))
 			r.Pass = false
@@ -80,7 +80,7 @@ func E15SessionMatrix(ctx context.Context, cfg Config) Report {
 		// Amortization: a fresh-seed run on the warm handle versus a
 		// one-shot handle that rebuilds instance state per call.
 		start = time.Now()
-		if err := oneShotInit(ctx, pts, cfg.Workers, 99); err != nil {
+		if err := oneShotInit(ctx, pts, 99); err != nil {
 			r.Notes = append(r.Notes, fmt.Sprintf("n=%d: one-shot: %v", n, err))
 			r.Pass = false
 		}
@@ -106,8 +106,8 @@ func E15SessionMatrix(ctx context.Context, cfg Config) Report {
 }
 
 // oneShotInit runs PipelineInit on a handle opened for this call alone.
-func oneShotInit(ctx context.Context, pts []sinrconn.Point, workers int, seed int64) error {
-	nw, err := sinrconn.Open(pts, sinrconn.WithWorkers(workers))
+func oneShotInit(ctx context.Context, pts []sinrconn.Point, seed int64) error {
+	nw, err := sinrconn.Open(pts)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package lint_test
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"path/filepath"
 	"sort"
@@ -182,31 +183,49 @@ func loadModule(t *testing.T) []*loader.Package {
 	return pkgs
 }
 
-// exportFindings runs the gate over pkgs: one message for each unused
-// export without an allowlist row, and one for each allowlist row that is
-// empty, names no exported function, or names one production calls.
-func exportFindings(pkgs []*loader.Package, allow map[string]string) []string {
-	unused, declared := unusedExports(pkgs)
+// gateText words one gate's findings: the allowlist's name, the advice
+// appended to a flagged key, what a row must name, and what makes a row
+// needless.
+type gateText struct {
+	table, flagged, noun, used string
+}
+
+// gateFindings reports, sorted, one message for each flagged key without
+// an allowlist row, and one for each allowlist row that is empty, names no
+// declared key, or names a key the gate no longer flags.
+func gateFindings(flaggedKeys []string, declared map[string]bool, allow map[string]string, text gateText) []string {
 	var out []string
 	flagged := map[string]bool{}
-	for _, key := range unused {
+	for _, key := range flaggedKeys {
 		flagged[key] = true
 		if _, ok := allow[key]; !ok {
-			out = append(out, key+" is exported but no production code calls it; delete it, move it into the test that uses it, or add an exportAllowlist row with a reason")
+			out = append(out, key+text.flagged)
 		}
 	}
 	for key, reason := range allow {
+		row := text.table + " row " + key
 		switch {
 		case reason == "":
-			out = append(out, "exportAllowlist row "+key+" has no reason")
+			out = append(out, row+" has no reason")
 		case !declared[key]:
-			out = append(out, "exportAllowlist row "+key+" names no exported function; prune it")
+			out = append(out, row+" names no "+text.noun+"; prune it")
 		case !flagged[key]:
-			out = append(out, "exportAllowlist row "+key+" is called by production code; prune it")
+			out = append(out, row+" is "+text.used+" production code; prune it")
 		}
 	}
 	sort.Strings(out)
 	return out
+}
+
+// exportFindings runs the exports gate over pkgs.
+func exportFindings(pkgs []*loader.Package, allow map[string]string) []string {
+	unused, declared := unusedExports(pkgs)
+	return gateFindings(unused, declared, allow, gateText{
+		table:   "exportAllowlist",
+		flagged: " is exported but no production code calls it; delete it, move it into the test that uses it, or add an exportAllowlist row with a reason",
+		noun:    "exported function",
+		used:    "called by",
+	})
 }
 
 // TestProductionExportsAreUsed is the regrowth gate for test-only code in
@@ -221,11 +240,9 @@ func TestProductionExportsAreUsed(t *testing.T) {
 	}
 }
 
-// TestExportGateFixture pins the gate on a fixture: of a used export, an
-// export only a test calls, an interface method and an allowlisted name, it
-// flags only the test-only export; and it flags allowlist rows that are
-// stale or no longer needed.
-func TestExportGateFixture(t *testing.T) {
+// gateFixture loads the exports fixture package and its command.
+func gateFixture(t *testing.T) []*loader.Package {
+	t.Helper()
 	td := testdata(t)
 	root := filepath.Join(td, "src")
 	ld := loader.New(td)
@@ -240,21 +257,33 @@ func TestExportGateFixture(t *testing.T) {
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	check := func(allow map[string]string, want ...string) {
-		t.Helper()
-		got := exportFindings(pkgs, allow)
-		if len(got) != len(want) {
-			t.Fatalf("findings = %q, want %d", got, len(want))
-		}
-		for i := range want {
-			if !strings.HasPrefix(got[i], want[i]) {
-				t.Errorf("finding %d = %q, want prefix %q", i, got[i], want[i])
-			}
+	return pkgs
+}
+
+// checkFindings runs gate over pkgs with allow and requires exactly the
+// findings that start with want, in order.
+func checkFindings(t *testing.T, gate func([]*loader.Package, map[string]string) []string, pkgs []*loader.Package, allow map[string]string, want ...string) {
+	t.Helper()
+	got := gate(pkgs, allow)
+	if len(got) != len(want) {
+		t.Fatalf("findings = %q, want %d", got, len(want))
+	}
+	for i := range want {
+		if !strings.HasPrefix(got[i], want[i]) {
+			t.Errorf("finding %d = %q, want prefix %q", i, got[i], want[i])
 		}
 	}
-	check(map[string]string{"internal/exports.Allowed": "fixture seam"},
+}
+
+// TestExportGateFixture pins the gate on a fixture: of a used export, an
+// export only a test calls, an interface method and an allowlisted name, it
+// flags only the test-only export; and it flags allowlist rows that are
+// stale or no longer needed.
+func TestExportGateFixture(t *testing.T) {
+	pkgs := gateFixture(t)
+	checkFindings(t, exportFindings, pkgs, map[string]string{"internal/exports.Allowed": "fixture seam"},
 		"internal/exports.Unused is exported but no production code calls it")
-	check(map[string]string{
+	checkFindings(t, exportFindings, pkgs, map[string]string{
 		"internal/exports.Allowed": "fixture seam",
 		"internal/exports.Unused":  "",
 		"internal/exports.Gone":    "deleted function",
@@ -263,4 +292,179 @@ func TestExportGateFixture(t *testing.T) {
 		"exportAllowlist row internal/exports.Gone names no exported function",
 		"exportAllowlist row internal/exports.Unused has no reason",
 		"exportAllowlist row internal/exports.Used is called by production code")
+}
+
+// TestFieldGateFixture pins the field gate on the fixture's Knobs: keyed
+// and positional literals, assignment, increment and address-taking count
+// as writes; a write by the struct's own method or by a test does not; a
+// tagged field is exempt. It also flags stale and needless allowlist rows.
+func TestFieldGateFixture(t *testing.T) {
+	pkgs := gateFixture(t)
+	checkFindings(t, fieldFindings, pkgs, map[string]string{"internal/exports.Knobs.Allowed": "fixture seam"},
+		"internal/exports.Knobs.Defaulted is a settable field but no production code sets it",
+		"internal/exports.Knobs.TestOnly is a settable field but no production code sets it")
+	checkFindings(t, fieldFindings, pkgs, map[string]string{
+		"internal/exports.Knobs.Allowed":   "fixture seam",
+		"internal/exports.Knobs.Defaulted": "",
+		"internal/exports.Knobs.TestOnly":  "test seam",
+		"internal/exports.Knobs.Gone":      "deleted field",
+		"internal/exports.Knobs.Keyed":     "now set",
+	},
+		"fieldAllowlist row internal/exports.Knobs.Defaulted has no reason",
+		"fieldAllowlist row internal/exports.Knobs.Gone names no exported field",
+		"fieldAllowlist row internal/exports.Knobs.Keyed is set by production code")
+}
+
+// fieldAllowlist is the closed set of exported struct fields under
+// internal/ that no production code sets but that stay fields anyway. Each
+// row says why. A row whose field no longer exists, or that production now
+// sets, fails TestConfigFieldsAreSet.
+var fieldAllowlist = map[string]string{
+	"internal/serve/loadgen.Config.Retries": "the chaos soak retries injected failures; the fault-free callers must see every failure, so production leaves it 0",
+}
+
+// unsetFields returns, sorted, the key (package.Type.Field) of every
+// exported field of an exported struct type declared in a package under
+// internal/ that no code in pkgs writes, outside the methods of that type.
+// A write is a keyed or positional composite literal, an assignment, an
+// increment or decrement, or taking the field's address. Fields with a
+// struct tag are left out: encoding fills them. The loader reads only
+// non-test files, so a write from a test does not count. It also returns
+// every declared key, which the allowlist check needs.
+func unsetFields(pkgs []*loader.Package) (unset []string, declared map[string]bool) {
+	type field struct {
+		key   string
+		owner *types.TypeName
+	}
+	fields := map[*types.Var]field{}
+	for _, pkg := range pkgs {
+		if !strings.HasPrefix(pkg.Path, "sinrconn/internal/") || exportGateExempt(pkg.Path) {
+			continue
+		}
+		prefix := strings.TrimPrefix(pkg.Path, "sinrconn/") + "."
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				gd, ok := decl.(*ast.GenDecl)
+				if !ok {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok || !ts.Name.IsExported() || ts.Assign.IsValid() {
+						continue
+					}
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok {
+						continue
+					}
+					owner := pkg.Info.Defs[ts.Name].(*types.TypeName)
+					for _, f := range st.Fields.List {
+						if f.Tag != nil {
+							continue
+						}
+						for _, name := range f.Names {
+							if name.IsExported() {
+								v := pkg.Info.Defs[name].(*types.Var)
+								fields[v] = field{prefix + ts.Name.Name + "." + name.Name, owner}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	written := map[*types.Var]bool{}
+	for _, pkg := range pkgs {
+		info := pkg.Info
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				var recv *types.TypeName
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil {
+					if n := receiverNamed(info.Defs[fd.Name].(*types.Func)); n != nil {
+						recv = n.Obj()
+					}
+				}
+				write := func(v *types.Var) {
+					if v == nil {
+						return
+					}
+					v = v.Origin()
+					if f, ok := fields[v]; ok && f.owner != recv {
+						written[v] = true
+					}
+				}
+				writeExpr := func(e ast.Expr) {
+					if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+						if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+							write(s.Obj().(*types.Var))
+						}
+					}
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CompositeLit:
+						st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+						if !ok {
+							break
+						}
+						for i, elt := range n.Elts {
+							if kv, ok := elt.(*ast.KeyValueExpr); ok {
+								if id, ok := kv.Key.(*ast.Ident); ok {
+									v, _ := info.Uses[id].(*types.Var)
+									write(v)
+								}
+							} else if i < st.NumFields() {
+								write(st.Field(i))
+							}
+						}
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							writeExpr(lhs)
+						}
+					case *ast.IncDecStmt:
+						writeExpr(n.X)
+					case *ast.UnaryExpr:
+						if n.Op == token.AND {
+							writeExpr(n.X)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	declared = map[string]bool{}
+	for v, f := range fields {
+		declared[f.key] = true
+		if !written[v] {
+			unset = append(unset, f.key)
+		}
+	}
+	sort.Strings(unset)
+	return unset, declared
+}
+
+// fieldFindings runs the field gate over pkgs.
+func fieldFindings(pkgs []*loader.Package, allow map[string]string) []string {
+	unset, declared := unsetFields(pkgs)
+	return gateFindings(unset, declared, allow, gateText{
+		table:   "fieldAllowlist",
+		flagged: " is a settable field but no production code sets it; fold it into a constant, move it into the test that sets it, or add a fieldAllowlist row with a reason",
+		noun:    "exported field",
+		used:    "set by",
+	})
+}
+
+// TestConfigFieldsAreSet is the regrowth gate for knobs only one value
+// reaches: every exported field of an exported struct declared in a
+// non-test file under internal/ must be written by non-test code other than
+// the struct's own methods (its defaults, say), or carry a fieldAllowlist
+// row. A field nothing sets always holds its default, which belongs in a
+// named constant.
+func TestConfigFieldsAreSet(t *testing.T) {
+	for _, f := range fieldFindings(loadModule(t), fieldAllowlist) {
+		t.Error(f)
+	}
 }

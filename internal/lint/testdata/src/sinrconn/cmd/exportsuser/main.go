@@ -9,4 +9,11 @@ import (
 
 func main() {
 	fmt.Println(exports.Used(), exports.Widget{N: 1})
+	k := exports.Knobs{Keyed: 1}
+	k.Assigned = 2
+	k.Bumped++
+	set(&k.Addressed)
+	fmt.Println(k.Fill(), exports.Pair{1, 2})
 }
+
+func set(p *int) { *p = 4 }

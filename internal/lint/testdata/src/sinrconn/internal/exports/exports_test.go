@@ -7,3 +7,10 @@ func TestUnused(t *testing.T) {
 		t.Fatal("Unused")
 	}
 }
+
+func TestKnobs(t *testing.T) {
+	k := Knobs{TestOnly: 1}
+	if k.Fill() != 9 {
+		t.Fatal("Fill")
+	}
+}

@@ -11,55 +11,45 @@ import (
 // power assignment can make the link set SINR-feasible.
 var ErrInfeasible = errors.New("power: link set infeasible under any power assignment")
 
-// Options tunes the solver.
-type Options struct {
-	// MaxIter caps the number of synchronous iterations (default 200).
-	MaxIter int
-	// Slack multiplies the SINR target β during solving (default 1.0). A
-	// slack slightly above 1 produces powers with margin.
-	Slack float64
-	// Tol is the relative-change convergence threshold (default 1e-9).
-	Tol float64
-	// PowerCap aborts with ErrInfeasible when any power exceeds it
-	// (default: 1e18 × the largest noise-only requirement).
-	PowerCap float64
-}
+// The solver's constants: it runs at most maxIter synchronous iterations,
+// stops once no power changes by a relative tol, and solves for SINR ≥
+// slack·β. The slack is above 1 because the dynamics approach the fixed
+// point from below, so solving for exactly β can leave the final vector a
+// hair short.
+const (
+	maxIter = 200
+	tol     = 1e-9
+	slack   = 1.01
+)
 
-func (o *Options) defaults(in *sinr.Instance, links []sinr.Link) {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 200
-	}
-	if o.Slack <= 0 {
-		o.Slack = 1
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-9
-	}
-	if o.PowerCap <= 0 {
-		maxReq := 0.0
-		for _, l := range links {
-			if r := in.Params().MinPower(in.Length(l)); r > maxReq {
-				maxReq = r
-			}
+// powerCap is the power above which Solve reports ErrInfeasible: 1e18 ×
+// the largest noise-only requirement among links.
+func powerCap(in *sinr.Instance, links []sinr.Link) float64 {
+	maxReq := 0.0
+	for _, l := range links {
+		if r := in.Params().MinPower(in.Length(l)); r > maxReq {
+			maxReq = r
 		}
-		if maxReq == 0 {
-			maxReq = 1
-		}
-		o.PowerCap = maxReq * 1e18
 	}
+	if maxReq == 0 {
+		maxReq = 1
+	}
+	return maxReq * 1e18
 }
 
 // Solve computes a feasible power vector for links, or ErrInfeasible. The
-// returned powers satisfy SINR ≥ Slack·β for every link when all links
-// transmit simultaneously. Iterations is the number of rounds used.
-func Solve(in *sinr.Instance, links []sinr.Link, opts Options) (powers []float64, iterations int, err error) {
+// returned powers satisfy SINR ≥ slack·β for every link when all links
+// transmit simultaneously, or, when the dynamics have not converged within
+// maxIter rounds, SINR ≥ β as SINRFeasible checks it. Iterations is the
+// number of rounds used.
+func Solve(in *sinr.Instance, links []sinr.Link) (powers []float64, iterations int, err error) {
 	n := len(links)
 	if n == 0 {
 		return nil, 0, nil
 	}
-	opts.defaults(in, links)
 	p := in.Params()
-	target := p.Beta * opts.Slack
+	target := p.Beta * slack
+	limit := powerCap(in, links)
 
 	// Precompute gains g[i][j]: path gain from sender of link j to receiver
 	// of link i (d^-α), and the direct gain of each link.
@@ -86,7 +76,7 @@ func Solve(in *sinr.Instance, links []sinr.Link, opts Options) (powers []float64
 		powers[i] = target * p.Noise / direct[i] // noise-only requirement
 	}
 	next := make([]float64, n)
-	for it := 1; it <= opts.MaxIter; it++ {
+	for it := 1; it <= maxIter; it++ {
 		maxRel := 0.0
 		for i := range links {
 			interf := 0.0
@@ -100,13 +90,13 @@ func Solve(in *sinr.Instance, links []sinr.Link, opts Options) (powers []float64
 					maxRel = rel
 				}
 			}
-			if req > opts.PowerCap || math.IsInf(req, 1) || math.IsNaN(req) {
+			if req > limit || math.IsInf(req, 1) || math.IsNaN(req) {
 				return nil, it, ErrInfeasible
 			}
 		}
 		copy(powers, next)
 		iterations = it
-		if maxRel < opts.Tol {
+		if maxRel < tol {
 			return powers, iterations, nil
 		}
 	}

@@ -12,18 +12,22 @@ import (
 	"sinrconn/internal/tree"
 )
 
+// The contention-resolution constants: each pending link starts at
+// transmission probability q0, multiplies it by decay after every
+// unsuccessful slot-pair, and never drops below qMin, so progress never
+// stalls.
+const (
+	q0    = 0.35
+	decay = 0.92
+	qMin  = 0.02
+)
+
+// maxSlotPairs caps a run over nLinks links; exceeding it means
+// ErrIncomplete.
+func maxSlotPairs(nLinks int) int { return 400 * (nLinks + 1) }
+
 // DistConfig tunes the distributed scheduler.
 type DistConfig struct {
-	// Q0 is the initial per-link transmission probability (default 0.35).
-	Q0 float64
-	// Decay multiplies a link's probability after an unsuccessful slot-pair
-	// (default 0.92). Values in (0,1].
-	Decay float64
-	// QMin floors the probability so progress never stalls (default 0.02).
-	QMin float64
-	// MaxSlotPairs caps the run; exceeded means ErrIncomplete
-	// (default 400·(len(links)+1)).
-	MaxSlotPairs int
 	// Seed derives all per-node randomness.
 	Seed int64
 	// Workers is passed to the sim engine. Ignored when Pool is set.
@@ -42,21 +46,6 @@ type DistConfig struct {
 	// hook (see internal/faults). Injected faults only stall; schedules
 	// stay bit-identical to an injector-free run.
 	Injector faults.Injector
-}
-
-func (c *DistConfig) defaults(nLinks int) {
-	if c.Q0 <= 0 || c.Q0 > 1 {
-		c.Q0 = 0.35
-	}
-	if c.Decay <= 0 || c.Decay > 1 {
-		c.Decay = 0.92
-	}
-	if c.QMin <= 0 {
-		c.QMin = 0.02
-	}
-	if c.MaxSlotPairs <= 0 {
-		c.MaxSlotPairs = 400 * (nLinks + 1)
-	}
 }
 
 // ErrIncomplete reports that the distributed scheduler hit its slot budget
@@ -86,7 +75,6 @@ type Result struct {
 // ctx is checked between slot-pairs; cancellation aborts the run with an
 // error wrapping ctx.Err().
 func Distributed(ctx context.Context, in *sinr.Instance, links []sinr.Link, pa sinr.Assignment, cfg DistConfig) (*Result, error) {
-	cfg.defaults(len(links))
 	if len(links) == 0 {
 		return &Result{Slot: map[sinr.Link]int{}}, nil
 	}
@@ -104,12 +92,11 @@ func Distributed(ctx context.Context, in *sinr.Instance, links []sinr.Link, pa s
 			id:  i,
 			in:  in,
 			pa:  pa,
-			cfg: cfg,
 			rng: sim.NodeRand{Seed: master.Int63()},
 		}
 	}
 	for _, l := range links {
-		nodes[l.From].pending = append(nodes[l.From].pending, pendingLink{l: l, q: cfg.Q0})
+		nodes[l.From].pending = append(nodes[l.From].pending, pendingLink{l: l, q: q0})
 	}
 
 	procs := make([]sim.Protocol, n)
@@ -132,8 +119,8 @@ func Distributed(ctx context.Context, in *sinr.Instance, links []sinr.Link, pa s
 	}
 	// Two engine slots per slot-pair; stop as soon as every pending queue
 	// drains (checked at pair boundaries).
-	pairs := 0
-	for pairs < cfg.MaxSlotPairs {
+	pairs, budget := 0, maxSlotPairs(len(links))
+	for pairs < budget {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("schedule: distributed scheduler canceled: %w", err)
 		}
@@ -180,7 +167,6 @@ type schedNode struct {
 	id        int
 	in        *sinr.Instance
 	pa        sinr.Assignment
-	cfg       DistConfig
 	rng       sim.NodeRand
 	pending   []pendingLink
 	scheduled map[sinr.Link]int // link → slot-pair index
@@ -218,7 +204,7 @@ func (nd *schedNode) dataSlot(slot int, inbox []sim.Delivery) sim.Action {
 			nd.scheduled[p.l] = slot/2 - 1
 			nd.pending = append(nd.pending[:nd.lastTx], nd.pending[nd.lastTx+1:]...)
 		} else {
-			nd.pending[nd.lastTx].q = maxf(p.q*nd.cfg.Decay, nd.cfg.QMin)
+			nd.pending[nd.lastTx].q = maxf(p.q*decay, qMin)
 		}
 	}
 	nd.lastTx = -1

@@ -61,12 +61,12 @@ func newBreaker(threshold int, seed int64) *breaker {
 	return &breaker{threshold: threshold, seed: seed}
 }
 
-// breakerSeed derives a per-session breaker seed from the server seed,
-// so probe schedules differ across sessions but replay per session.
-func breakerSeed(serverSeed int64, sessionID string) int64 {
+// breakerSeed derives a session's breaker seed from its ID, so probe
+// schedules differ across sessions but replay per session.
+func breakerSeed(sessionID string) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(sessionID))
-	return serverSeed ^ int64(h.Sum64())
+	return int64(h.Sum64())
 }
 
 // probeBudget is episode e's rejection budget: base doubled per

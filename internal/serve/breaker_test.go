@@ -197,7 +197,7 @@ func TestClassifyBreaker(t *testing.T) {
 // shed marker, and a healthy session on the same server is untouched.
 func TestServeBreakerEndToEnd(t *testing.T) {
 	settleGoroutines(t)
-	_, ts := testDaemon(t, Config{BreakerThreshold: 2, BreakerSeed: 5})
+	_, ts := testDaemon(t, Config{BreakerThreshold: 2})
 	sick := openSession(t, ts.URL, OpenRequest{Points: testPoints(21, 1024)})
 	well := openSession(t, ts.URL, OpenRequest{Points: testPoints(22, 16)})
 

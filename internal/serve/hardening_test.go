@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -165,29 +168,63 @@ func TestLimiterQueueFullAndDeadlineShed(t *testing.T) {
 	}
 }
 
+// TestServeBodyCap posts a body one byte over maxBodyBytes: JSON
+// whitespace, so only the cap can reject it. The open must answer 413 with
+// a JSON error, and the daemon must keep serving.
+func TestServeBodyCap(t *testing.T) {
+	settleGoroutines(t)
+	_, ts := testDaemon(t, Config{})
+	body := bytes.Repeat([]byte(" "), maxBodyBytes+1)
+	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e ErrorJSON
+	derr := json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-cap body: status %d, want 413", resp.StatusCode)
+	}
+	if derr != nil || e.Error == "" {
+		t.Fatalf("over-cap body: error body %+v (%v), want a JSON error", e, derr)
+	}
+	hr, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, hr.Body)
+	hr.Body.Close()
+	if hr.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after over-cap body: status %d", hr.StatusCode)
+	}
+}
+
 // TestServeAdmissionShedEndToEnd drives the shed path over the real
 // route table: with capacity pinned and the queue full, an operation
 // request gets 503 with the full Retry-After header set.
 func TestServeAdmissionShedEndToEnd(t *testing.T) {
 	settleGoroutines(t)
-	srv, ts := testDaemon(t, Config{MaxConcurrent: 1, MaxQueue: 1})
+	srv, ts := testDaemon(t, Config{MaxConcurrent: 1})
 
-	// Occupy the only slot and the only queue seat out-of-band.
+	// Occupy the only slot and all queuePerSlot queue seats out-of-band.
 	never := make(chan struct{})
 	release, err := srv.limiter.acquire(never, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	waiterDone := make(chan struct{})
-	go func() {
-		if r, err := srv.limiter.acquire(never, 0); err == nil {
-			r()
-		}
-		close(waiterDone)
-	}()
-	for i := 0; srv.limiter.queued.Load() == 0; i++ {
+	var waiters sync.WaitGroup
+	for range queuePerSlot {
+		waiters.Add(1)
+		go func() {
+			defer waiters.Done()
+			if r, err := srv.limiter.acquire(never, 0); err == nil {
+				r()
+			}
+		}()
+	}
+	for i := 0; srv.limiter.queued.Load() < queuePerSlot; i++ {
 		if i > 500 {
-			t.Fatal("waiter never queued")
+			t.Fatal("waiters never queued")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -215,7 +252,7 @@ func TestServeAdmissionShedEndToEnd(t *testing.T) {
 	// A declared deadline shorter than the projected wait sheds even
 	// with queue room.
 	release()
-	<-waiterDone
+	waiters.Wait()
 	release, err = srv.limiter.acquire(never, 0) // re-pin capacity, queue now empty
 	if err != nil {
 		t.Fatal(err)

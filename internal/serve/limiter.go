@@ -2,7 +2,8 @@ package serve
 
 // Admission control (DESIGN.md §13.4): a bounded concurrency limiter
 // with deadline-aware queueing. At most MaxConcurrent operation
-// requests execute at once; excess requests queue up to MaxQueue deep.
+// requests execute at once; excess requests queue up to
+// queuePerSlot×MaxConcurrent deep.
 // A request is shed with 503 + Retry-After — before consuming any
 // compute — when the queue is full or when its projected wait (queue
 // position × EWMA service time / capacity) already exceeds its

@@ -53,20 +53,11 @@ type Config struct {
 	// Arrival shapes each client's think-time trace. Rate is required;
 	// Seed is overridden per client.
 	Arrival churn.ArrivalSpec
-	// Keyspace is the number of distinct run keys (pipeline × seed) the
-	// clients draw from (default 8). Small keyspaces are repeat-heavy:
-	// after one cold pass everything hits the result cache.
+	// Keyspace is the number of distinct run keys (seeds of the
+	// init-uniform pipeline) the clients draw from (default 8). Small
+	// keyspaces are repeat-heavy: after one cold pass everything hits the
+	// result cache.
 	Keyspace int
-	// Pipelines cycles run requests over these pipeline names (default
-	// init-uniform only).
-	Pipelines []string
-	// IncludeTree asks for full trees instead of metrics-only responses.
-	IncludeTree bool
-	// StreamFraction of requests use the chunked ndjson streaming form.
-	StreamFraction float64
-	// CancelFraction of requests carry a ~1ms deadline to exercise
-	// mid-flight cancellation; they count as Canceled, not Errors.
-	CancelFraction float64
 	// CacheSize / CacheTTLMs are passed through to the session opens
 	// (0 = server default).
 	CacheSize  int
@@ -78,13 +69,17 @@ type Config struct {
 	// Retries is how many times a client re-issues a request that was
 	// shed (503), crashed server-side (500), or lost its connection
 	// mid-flight, with exponential backoff and seeded jitter, honoring
-	// the server's Retry-After when it is longer. 0 disables retries
-	// (the pre-chaos behavior: every failure counts as an error).
+	// the server's Retry-After when it is longer. 0 disables retries:
+	// every failure counts as an error.
 	Retries int
-	// RetryBase is the first backoff step (default 5ms); step k waits
-	// max(RetryBase<<k, server Retry-After) plus jitter in [0, RetryBase).
-	RetryBase time.Duration
 }
+
+// pipeline is the pipeline every run request names; a run key is its seed.
+const pipeline = "init-uniform"
+
+// retryBase is the first backoff step: retry k waits max(retryBase<<k,
+// server Retry-After) plus jitter in [0, retryBase).
+const retryBase = 5 * time.Millisecond
 
 func (c *Config) defaults() error {
 	if c.BaseURL == "" && c.Handler == nil {
@@ -105,14 +100,8 @@ func (c *Config) defaults() error {
 	if c.Keyspace <= 0 {
 		c.Keyspace = 8
 	}
-	if len(c.Pipelines) == 0 {
-		c.Pipelines = []string{"init-uniform"}
-	}
 	if c.Arrival.Rate <= 0 {
 		c.Arrival.Rate = 200
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 5 * time.Millisecond
 	}
 	return nil
 }
@@ -128,8 +117,6 @@ type Report struct {
 	CacheTTLMs int64   `json:"cache_ttl_ms,omitempty"`
 	Requests   int     `json:"requests"`
 	Errors     int     `json:"errors"`
-	Canceled   int     `json:"canceled"`
-	Streamed   int     `json:"streamed"`
 	Seconds    float64 `json:"seconds"`
 	Throughput float64 `json:"throughput_rps"`
 	P50Ms      float64 `json:"p50_ms"`
@@ -202,15 +189,10 @@ func newClient(cfg *Config) *client {
 	return &client{hc: &http.Client{Transport: tr}, base: cfg.BaseURL}
 }
 
-// post sends a JSON body and decodes a JSON response into out.
-func (c *client) post(ctx context.Context, path string, in, out any) (int, error) {
-	code, _, err := c.do(ctx, path, in, out)
-	return code, err
-}
-
-// do is post plus the response headers — the retry loop reads the
-// server's Retry-After hints off them. A transport-level failure (the
-// server reset the connection mid-flight) reports code 0.
+// do sends a JSON body, decodes a JSON response into out, and returns the
+// response headers — the retry loop reads the server's Retry-After hints
+// off them. A transport-level failure (the server reset the connection
+// mid-flight) reports code 0.
 func (c *client) do(ctx context.Context, path string, in, out any) (int, http.Header, error) {
 	body, err := json.Marshal(in)
 	if err != nil {
@@ -238,47 +220,6 @@ func (c *client) do(ctx context.Context, path string, in, out any) (int, http.He
 	}
 	io.Copy(io.Discard, resp.Body)
 	return resp.StatusCode, resp.Header, nil
-}
-
-// postStream sends a streaming run request and consumes the ndjson body,
-// returning the number of slot lines and the terminal line's error if any.
-func (c *client) postStream(ctx context.Context, path string, in any) (int, error) {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return 0, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	dec := json.NewDecoder(resp.Body)
-	slots := 0
-	var terminalErr error
-	for {
-		var line struct {
-			Type  string `json:"type"`
-			Error string `json:"error"`
-		}
-		if err := dec.Decode(&line); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			return slots, err
-		}
-		switch line.Type {
-		case "slot":
-			slots++
-		case "error":
-			terminalErr = errors.New(line.Error)
-		}
-	}
-	return slots, terminalErr
 }
 
 func (c *client) health(ctx context.Context) (serve.Health, error) {
@@ -382,7 +323,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 				return code, err
 			}
 			retriesN.Add(1)
-			wait := cfg.RetryBase << uint(attempt)
+			wait := retryBase << uint(attempt)
 			if ms, perr := strconv.ParseInt(hdr.Get(serve.RetryAfterMsHeader), 10, 64); perr == nil {
 				if ra := time.Duration(ms) * time.Millisecond; ra > wait {
 					wait = ra
@@ -392,7 +333,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 					wait = ra
 				}
 			}
-			wait += time.Duration(rng.Int63n(int64(cfg.RetryBase)))
+			wait += time.Duration(rng.Int63n(int64(retryBase)))
 			select {
 			case <-ctx.Done():
 				return code, err
@@ -436,10 +377,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 
 	if cfg.Warmup {
 		for key := 0; key < cfg.Keyspace; key++ {
-			req := serve.RunRequest{
-				Pipeline: cfg.Pipelines[key%len(cfg.Pipelines)],
-				Options:  serve.OptionsJSON{Seed: int64(1 + key/len(cfg.Pipelines))},
-			}
+			req := serve.RunRequest{Pipeline: pipeline, Options: serve.OptionsJSON{Seed: int64(1 + key)}}
 			if _, err := doRetry(ctx, setupRng, "/v1/sessions/"+sessions[key%len(sessions)]+"/run", req, nil); err != nil {
 				return nil, fmt.Errorf("loadgen: warmup key %d: %w", key, err)
 			}
@@ -452,13 +390,11 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 
 	var (
-		issued   atomic.Int64
-		errorsN  atomic.Int64
-		canceled atomic.Int64
-		streamed atomic.Int64
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		lats     []time.Duration
+		issued  atomic.Int64
+		errorsN atomic.Int64
+		wg      sync.WaitGroup
+		mu      sync.Mutex
+		lats    []time.Duration
 	)
 	start := time.Now()
 	for c := 0; c < cfg.Clients; c++ {
@@ -491,44 +427,19 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 				case <-time.After(gap):
 				}
 				key := rng.Intn(cfg.Keyspace)
-				runReq := serve.RunRequest{
-					Pipeline:    cfg.Pipelines[key%len(cfg.Pipelines)],
-					Options:     serve.OptionsJSON{Seed: int64(1 + key/len(cfg.Pipelines))},
-					IncludeTree: cfg.IncludeTree,
-				}
+				runReq := serve.RunRequest{Pipeline: pipeline, Options: serve.OptionsJSON{Seed: int64(1 + key)}}
 				sid := sessions[(idx+int(seq))%len(sessions)]
 				path := "/v1/sessions/" + sid + "/run"
 
-				if cfg.CancelFraction > 0 && rng.Float64() < cfg.CancelFraction {
-					// Deliberate mid-flight cancellation: tiny deadline.
-					cctx, cancel := context.WithTimeout(ctx, time.Millisecond)
-					_, err := cl.post(cctx, path, runReq, nil)
-					cancel()
-					if err != nil {
-						canceled.Add(1)
+				t0 := time.Now()
+				var resp serve.RunResponse
+				if _, err := doRetry(ctx, rng, path, runReq, &resp); err != nil {
+					// The run's own deadline expiring is the load test
+					// ending, not a server failure.
+					if ctx.Err() == nil {
+						errorsN.Add(1)
 					}
 					continue
-				}
-				t0 := time.Now()
-				if cfg.StreamFraction > 0 && rng.Float64() < cfg.StreamFraction {
-					runReq.Stream = true
-					streamed.Add(1)
-					if _, err := cl.postStream(ctx, path, runReq); err != nil {
-						// The run's own deadline expiring is the load test
-						// ending, not a server failure.
-						if ctx.Err() == nil {
-							errorsN.Add(1)
-						}
-						continue
-					}
-				} else {
-					var resp serve.RunResponse
-					if _, err := doRetry(ctx, rng, path, runReq, &resp); err != nil {
-						if ctx.Err() == nil {
-							errorsN.Add(1)
-						}
-						continue
-					}
 				}
 				local = append(local, time.Since(t0))
 			}
@@ -575,8 +486,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		CacheTTLMs:     cfg.CacheTTLMs,
 		Requests:       len(lats),
 		Errors:         int(errorsN.Load()),
-		Canceled:       int(canceled.Load()),
-		Streamed:       int(streamed.Load()),
 		Seconds:        elapsed.Seconds(),
 		Throughput:     float64(len(lats)) / elapsed.Seconds(),
 		P50Ms:          pct(0.50),

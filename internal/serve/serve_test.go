@@ -481,16 +481,18 @@ func TestServeMetrics(t *testing.T) {
 }
 
 // TestServeSessionResultCap pins the per-session result namespace bound:
-// old handles fall off, new ones stay addressable.
+// once maxResultsPerSession newer handles exist, the oldest falls off and
+// the next oldest stays addressable. The runs repeat one spec, so all but
+// the first are cache hits.
 func TestServeSessionResultCap(t *testing.T) {
 	settleGoroutines(t)
-	_, ts := testDaemon(t, Config{MaxResultsPerSession: 2})
+	_, ts := testDaemon(t, Config{})
 	sess := openSession(t, ts.URL, OpenRequest{Points: testPoints(10, 20)})
 	base := ts.URL + "/v1/sessions/" + sess.SessionID
-	ids := make([]string, 3)
+	ids := make([]string, maxResultsPerSession+1)
 	for i := range ids {
 		var run RunResponse
-		code, body := postJSON(t, base+"/run", RunRequest{Pipeline: "init-uniform", Options: OptionsJSON{Seed: int64(i + 1)}}, &run)
+		code, body := postJSON(t, base+"/run", RunRequest{Pipeline: "init-uniform", Options: OptionsJSON{Seed: 1}}, &run)
 		if code != http.StatusOK {
 			t.Fatalf("run %d: %d: %s", i, code, body)
 		}
@@ -500,9 +502,9 @@ func TestServeSessionResultCap(t *testing.T) {
 	if code != http.StatusNotFound {
 		t.Fatalf("evicted result id: status %d, want 404", code)
 	}
-	code, body := postJSON(t, base+"/join", JoinRequest{ResultID: ids[2], Points: [][2]float64{{60, 60}}}, nil)
+	code, body := postJSON(t, base+"/join", JoinRequest{ResultID: ids[1], Points: [][2]float64{{60, 60}}}, nil)
 	if code != http.StatusOK {
-		t.Fatalf("live result id: status %d: %s", code, body)
+		t.Fatalf("oldest live result id: status %d: %s", code, body)
 	}
 }
 

@@ -31,11 +31,6 @@ type Config struct {
 	// MaxTimeout applies). MaxTimeout caps every request (0 = uncapped).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// MaxBodyBytes caps request bodies (default 32 MiB).
-	MaxBodyBytes int64
-	// MaxResultsPerSession caps the result handles a session retains
-	// (oldest dropped first; default 256).
-	MaxResultsPerSession int
 	// Workers bounds each deployment's simulator worker pool (0 = NumCPU).
 	Workers int
 	// Injector, if non-nil, is the fault-injection hook (normally a
@@ -47,22 +42,16 @@ type Config struct {
 	// MaxConcurrent bounds operation requests (open/run/runmatrix/join/
 	// repair/churn) executing at once. Excess requests queue; a request
 	// whose projected queue wait exceeds its deadline — or that finds the
-	// queue full — is shed with 503 + Retry-After. 0 disables admission
-	// control (every request executes immediately, the pre-PR-10
-	// behavior).
+	// queue, queuePerSlot×MaxConcurrent deep, full — is shed with 503 +
+	// Retry-After. 0 disables admission control (every request executes
+	// immediately).
 	MaxConcurrent int
-	// MaxQueue bounds requests waiting for an execution slot (default
-	// 4×MaxConcurrent; meaningful only with MaxConcurrent > 0).
-	MaxQueue int
 	// BreakerThreshold is the number k of CONSECUTIVE retryable failures
 	// (ErrRetryExhausted, deadline timeouts) after which a session's
 	// circuit breaker opens and requests on that session are rejected
 	// with 503 until a seeded half-open probe succeeds. 0 selects the
 	// default (8); negative disables the breaker.
 	BreakerThreshold int
-	// BreakerSeed keys the breakers' deterministic half-open probe
-	// schedule (rejection counts, not wall time — replay-identical).
-	BreakerSeed int64
 	// Journal, if non-nil, records session opens and closes (fsync'd per
 	// record) so a crashed daemon can rebuild its session table with
 	// `served -recover` (Server.Restore). Results are NOT journaled:
@@ -75,16 +64,18 @@ type Config struct {
 // session's circuit breaker when Config.BreakerThreshold is zero.
 const DefaultBreakerThreshold = 8
 
+const (
+	// maxBodyBytes caps request bodies; a larger one answers 413.
+	maxBodyBytes = 32 << 20
+	// maxResultsPerSession caps the result handles a session retains,
+	// oldest dropped first.
+	maxResultsPerSession = 256
+	// queuePerSlot sizes the admission queue: queuePerSlot requests may
+	// wait per execution slot.
+	queuePerSlot = 4
+)
+
 func (c *Config) defaults() {
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 32 << 20
-	}
-	if c.MaxResultsPerSession <= 0 {
-		c.MaxResultsPerSession = 256
-	}
-	if c.MaxConcurrent > 0 && c.MaxQueue <= 0 {
-		c.MaxQueue = 4 * c.MaxConcurrent
-	}
 	if c.BreakerThreshold == 0 {
 		c.BreakerThreshold = DefaultBreakerThreshold
 	}
@@ -141,7 +132,7 @@ func New(cfg Config) *Server {
 		sessions:    make(map[string]*session),
 	}
 	if cfg.MaxConcurrent > 0 {
-		s.limiter = newLimiter(cfg.MaxConcurrent, cfg.MaxQueue)
+		s.limiter = newLimiter(cfg.MaxConcurrent, queuePerSlot*cfg.MaxConcurrent)
 	}
 	return s
 }
@@ -341,9 +332,10 @@ func (s *Server) session(id string) (*session, bool) {
 }
 
 // addResult files a result under the session, evicting the oldest handle
-// past the cap, and reports whether the pointer was already known (the
-// "cached" response flag for operations that cannot ask the memo).
-func (sess *session) addResult(r *sinrconn.Result, cap int) (id string, known bool) {
+// past maxResultsPerSession, and reports whether the pointer was already
+// known (the "cached" response flag for operations that cannot ask the
+// memo).
+func (sess *session) addResult(r *sinrconn.Result) (id string, known bool) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	_, known = sess.seen[r]
@@ -352,7 +344,7 @@ func (sess *session) addResult(r *sinrconn.Result, cap int) (id string, known bo
 	sess.results[id] = r
 	sess.seen[r] = struct{}{}
 	sess.order = append(sess.order, id)
-	for len(sess.order) > cap {
+	for len(sess.order) > maxResultsPerSession {
 		old := sess.order[0]
 		sess.order = sess.order[1:]
 		if or, ok := sess.results[old]; ok {
@@ -420,11 +412,16 @@ func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// decode reads a bounded JSON body.
+// decode reads a JSON body of at most maxBodyBytes; a larger body answers
+// 413.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return &httpError{status: http.StatusRequestEntityTooLarge, err: fmt.Errorf("request body over %d bytes", tooLarge.Limit)}
+		}
 		return badRequest("bad request body: %v", err)
 	}
 	return nil
@@ -525,7 +522,7 @@ func (s *Server) openSession(req OpenRequest, forceID string, journal bool) (*se
 		seen:    make(map[*sinrconn.Result]struct{}),
 	}
 	if s.cfg.BreakerThreshold > 0 {
-		sess.brk = newBreaker(s.cfg.BreakerThreshold, breakerSeed(s.cfg.BreakerSeed, id))
+		sess.brk = newBreaker(s.cfg.BreakerThreshold, breakerSeed(id))
 	}
 	s.sessions[id] = sess
 	s.mu.Unlock()
@@ -611,7 +608,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	rid, _ := sess.addResult(res, s.cfg.MaxResultsPerSession)
+	rid, _ := sess.addResult(res)
 	s.writeJSON(w, RunResponse{ResultID: rid, Cached: cached, Result: EncodeResult(res, req.IncludeTree)})
 }
 
@@ -649,7 +646,7 @@ func (s *Server) streamRun(ctx context.Context, w http.ResponseWriter, sess *ses
 		}
 		return
 	}
-	rid, _ := sess.addResult(res, s.cfg.MaxResultsPerSession)
+	rid, _ := sess.addResult(res)
 	enc.Encode(resultLine{Type: "result", RunResponse: RunResponse{ResultID: rid, Cached: cached, Result: EncodeResult(res, req.IncludeTree)}})
 	if flusher != nil {
 		flusher.Flush()
@@ -710,7 +707,7 @@ func (s *Server) handleRunMatrix(w http.ResponseWriter, r *http.Request) {
 		}
 		rj := EncodeResult(res, req.IncludeTree)
 		resp.Results[i] = &rj
-		resp.ResultIDs[i], _ = sess.addResult(res, s.cfg.MaxResultsPerSession)
+		resp.ResultIDs[i], _ = sess.addResult(res)
 	}
 	if err != nil {
 		// Overwrite placeholders with the real split errors when
@@ -772,7 +769,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	rid, known := sess.addResult(grown, s.cfg.MaxResultsPerSession)
+	rid, known := sess.addResult(grown)
 	s.writeJSON(w, RunResponse{ResultID: rid, Cached: known, Result: EncodeResult(grown, req.IncludeTree)})
 }
 
@@ -821,7 +818,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	rid, known := sess.addResult(repaired, s.cfg.MaxResultsPerSession)
+	rid, known := sess.addResult(repaired)
 	s.writeJSON(w, RunResponse{ResultID: rid, Cached: known, Result: EncodeResult(repaired, req.IncludeTree)})
 }
 
@@ -852,7 +849,7 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	rid, _ := sess.addResult(report.Final, s.cfg.MaxResultsPerSession)
+	rid, _ := sess.addResult(report.Final)
 	soft := make([]string, len(report.Soft))
 	for i, e := range report.Soft {
 		soft[i] = e.Error()

@@ -2,12 +2,14 @@ package sinr
 
 import "math"
 
-// Test-only forms of the kernel and the quadtree. Production works from the
-// memoized cFromLenAlpha and affectanceTerm directly; C and SetAffectance
-// wrap exactly those two, so the oracle differential, metamorphic and fuzz
-// tests pin the production arithmetic against the reference physics. The
-// quadtree accessors and the Morton decoder expose the pyramid's layout to
-// the oracle lockstep and drift suites.
+// Test-only forms of the kernel and the quadtree, and test-only power and
+// gain-table seams. Production works from the memoized cFromLenAlpha and
+// affectanceTerm directly; C and SetAffectance wrap exactly those two, so
+// the oracle differential, metamorphic and fuzz tests pin the production
+// arithmetic against the reference physics. The quadtree accessors and the
+// Morton decoder expose the pyramid's layout to the oracle lockstep and
+// drift suites. PerLink gives tests an arbitrary per-link assignment, and
+// disableGainTableForTest the tableless gain path.
 
 // C returns the paper's c(u,v) = β/(1 − βN·d(u,v)^α/P_u), the noise-derating
 // constant of a link of the given length whose sender uses power pu. It
@@ -42,6 +44,38 @@ func (in *Instance) SetAffectance(txs []Tx, l Link, pu float64) float64 {
 		sum += in.affectanceTerm(t.Sender, t.Power, l.To, pu, lenAlpha, c, cap_)
 	}
 	return sum
+}
+
+// PerLink is an arbitrary per-link power table, the form power-control
+// output takes (Section 8.2.3). Links not in the table fall back to
+// Fallback if non-nil.
+type PerLink struct {
+	Table    map[Link]float64
+	Fallback Assignment
+}
+
+var _ Assignment = PerLink{}
+
+// Power implements Assignment.
+func (a PerLink) Power(in *Instance, l Link) float64 {
+	if p, ok := a.Table[l]; ok {
+		return p
+	}
+	if a.Fallback != nil {
+		return a.Fallback.Power(in, l)
+	}
+	return 0
+}
+
+// Name implements Assignment.
+func (a PerLink) Name() string { return "arbitrary" }
+
+// disableGainTableForTest forces the tableless fallback so tests can assert
+// the two paths agree bit-for-bit.
+func (in *Instance) disableGainTableForTest() {
+	in.gainOnce.Do(func() {})
+	in.gain = nil
+	in.markGainResolved()
 }
 
 // LeafCell returns the leaf side.

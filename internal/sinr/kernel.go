@@ -194,11 +194,3 @@ func (in *Instance) Gain(u, v int) float64 {
 	}
 	return 1 / PowAlphaSq(in.pts[u].DistSq(in.pts[v]), in.params.Alpha)
 }
-
-// disableGainTableForTest forces the tableless fallback so tests can assert
-// the two paths agree bit-for-bit.
-func (in *Instance) disableGainTableForTest() {
-	in.gainOnce.Do(func() {})
-	in.gain = nil
-	in.markGainResolved()
-}

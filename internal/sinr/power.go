@@ -88,27 +88,3 @@ func NoiseSafeMean(p Params, maxLen float64) Mean {
 	}
 	return Mean{Scale: 2 * p.Beta * p.Noise * PowAlpha(maxLen, p.Alpha/2)}
 }
-
-// PerLink is an arbitrary per-link power table, the output of power-control
-// algorithms (Section 8.2.3). Links not in the table fall back to Fallback
-// if non-nil.
-type PerLink struct {
-	Table    map[Link]float64
-	Fallback Assignment
-}
-
-var _ Assignment = PerLink{}
-
-// Power implements Assignment.
-func (a PerLink) Power(in *Instance, l Link) float64 {
-	if p, ok := a.Table[l]; ok {
-		return p
-	}
-	if a.Fallback != nil {
-		return a.Fallback.Power(in, l)
-	}
-	return 0
-}
-
-// Name implements Assignment.
-func (a PerLink) Name() string { return "arbitrary" }

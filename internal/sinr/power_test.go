@@ -165,7 +165,7 @@ func TestMeanPowerRelativeAffectanceScaleInvariant(t *testing.T) {
 	}
 }
 
-func BenchmarkSetAffectance(b *testing.B) {
+func BenchmarkMeasuredAffectance(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	in := randomInstance(b, rng, 200, 300)
 	txs := make([]Tx, 100)
@@ -176,6 +176,6 @@ func BenchmarkSetAffectance(b *testing.B) {
 	pu := in.Params().SafePower(in.Length(l))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		in.SetAffectance(txs, l, pu)
+		in.MeasuredAffectance(txs, l, pu)
 	}
 }
