@@ -308,7 +308,7 @@ func BenchmarkE14PhysicalEpoch(b *testing.B) {
 }
 
 // BenchmarkQuickSuite runs every paper-claim experiment of the registry
-// (E1–E19) in quick mode end to end — the one-stop regression check that
+// (E1–E18) in quick mode end to end — the one-stop regression check that
 // every table still passes its shape check.
 func BenchmarkQuickSuite(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -327,7 +327,7 @@ func (nw *Network) Churn(ctx context.Context, trace TraceSpec, opts ...ChurnOpti
 			return nil, fmt.Errorf("sinrconn: churn event %d: %w", i, err)
 		}
 		if cs.audit {
-			if err := d.audit(); err != nil {
+			if err := auditTree(d.bt, d.in, d.ff); err != nil {
 				return nil, fmt.Errorf("sinrconn: churn audit after event %d (%v): %w", i, ev.Kind, err)
 			}
 		}
@@ -801,19 +801,4 @@ func (d *churnDriver) syncStepper() error {
 		return err
 	}
 	return d.swapInstance(in2)
-}
-
-// audit runs the full invariant battery on the live tree — the same bar a
-// fresh construction has to pass.
-func (d *churnDriver) audit() error {
-	if err := d.bt.Validate(); err != nil {
-		return err
-	}
-	if !d.bt.StronglyConnected() {
-		return errors.New("tree not strongly connected")
-	}
-	if err := d.bt.ValidateOrdering(); err != nil {
-		return err
-	}
-	return d.bt.ValidatePerSlotFeasibleFar(d.in, d.ff)
 }

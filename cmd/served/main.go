@@ -7,7 +7,6 @@
 // Usage:
 //
 //	served -addr :8080                       # serve until SIGTERM/SIGINT
-//	served -addr 127.0.0.1:0 -loadgen 10s    # self-drive a smoke load, then exit
 //	served -journal s.journal                # journal session opens/closes
 //	served -journal s.journal -recover       # rebuild the session table after a crash
 //	served -chaos "seed=1,serve.conn.reset=0.01"  # seeded fault injection (testing)
@@ -22,7 +21,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -34,10 +32,8 @@ import (
 	"syscall"
 	"time"
 
-	"sinrconn/internal/churn"
 	"sinrconn/internal/faults"
 	"sinrconn/internal/serve"
-	"sinrconn/internal/serve/loadgen"
 )
 
 func main() {
@@ -61,9 +57,6 @@ func run(args []string, out io.Writer) error {
 	chaos := fs.String("chaos", "", `fault-injection spec, e.g. "seed=42,delay=2ms,serve.handler.delay=0.05,serve.conn.reset=0.01" (testing only)`)
 	journalPath := fs.String("journal", "", "append-only session journal path (fsync'd per open/close; enables -recover)")
 	recoverFlag := fs.Bool("recover", false, "replay the -journal session table before serving (crash recovery)")
-	lg := fs.Duration("loadgen", 0, "self-drive a smoke load for this long, print a JSON report, and exit")
-	lgClients := fs.Int("loadgen-clients", 8, "loadgen concurrent clients")
-	lgN := fs.Int("loadgen-n", 64, "loadgen deployment size")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -134,30 +127,6 @@ func run(args []string, out io.Writer) error {
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
-
-	if *lg > 0 {
-		// Self-drive mode: run the load generator against our own listener,
-		// print the report, then drain exactly as SIGTERM would.
-		lgCtx, cancel := context.WithTimeout(ctx, *lg)
-		report, lgErr := loadgen.Run(lgCtx, loadgen.Config{
-			BaseURL:  "http://" + ln.Addr().String(),
-			Clients:  *lgClients,
-			N:        *lgN,
-			Requests: 1 << 20, // effectively until the deadline
-			Seed:     1,
-			Arrival:  churn.ArrivalSpec{Rate: 500, Mix: churn.MixPoisson},
-		})
-		cancel()
-		if lgErr != nil {
-			hs.Close()
-			srv.Close()
-			return lgErr
-		}
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		enc.Encode(report)
-		return shutdown(srv, hs, *drainTimeout, out)
-	}
 
 	select {
 	case err := <-serveErr:

@@ -166,47 +166,3 @@ func TestServedJournalRecover(t *testing.T) {
 	}
 	stop(t, done2)
 }
-
-// TestServedLoadgenSelfDrive exercises the -loadgen smoke mode end to end:
-// boot, self-drive a short load over real HTTP, print a report with a
-// non-zero hit rate, drain, exit clean.
-func TestServedLoadgenSelfDrive(t *testing.T) {
-	var out lockedBuf
-	err := run([]string{
-		"-addr", "127.0.0.1:0",
-		"-loadgen", "2s",
-		"-loadgen-clients", "4",
-		"-loadgen-n", "32",
-	}, &out)
-	if err != nil {
-		t.Fatalf("run: %v\n%s", err, out.String())
-	}
-	text := out.String()
-	start := strings.Index(text, "{")
-	end := strings.LastIndex(text, "}")
-	if start < 0 || end < start {
-		t.Fatalf("no JSON report in output:\n%s", text)
-	}
-	var report struct {
-		Requests int     `json:"requests"`
-		Errors   int     `json:"errors"`
-		HitRate  float64 `json:"hit_rate"`
-		P50Ms    float64 `json:"p50_ms"`
-		P99Ms    float64 `json:"p99_ms"`
-	}
-	if err := json.Unmarshal([]byte(text[start:end+1]), &report); err != nil {
-		t.Fatalf("bad report JSON: %v\n%s", err, text)
-	}
-	if report.Requests < 10 {
-		t.Fatalf("smoke issued only %d requests", report.Requests)
-	}
-	if report.Errors > 0 {
-		t.Fatalf("smoke saw %d request errors", report.Errors)
-	}
-	if report.HitRate <= 0 {
-		t.Fatalf("smoke hit rate %v, want > 0 (repeat-heavy trace must hit the cache)", report.HitRate)
-	}
-	if !strings.Contains(text, "served: stopped") {
-		t.Fatalf("daemon did not report clean stop:\n%s", text)
-	}
-}

@@ -180,14 +180,3 @@ func TestDamperNeighborCells(t *testing.T) {
 		t.Fatal("boundary-straddling flapping not damped")
 	}
 }
-
-func TestDamperDisabled(t *testing.T) {
-	d := NewDamper(0, 10, 20, 4)
-	p := geom.Point{X: 0, Y: 0}
-	for i := 0; i < 10; i++ {
-		d.Record(p, float64(i))
-	}
-	if d.Damped(p, 5) {
-		t.Fatal("disabled damper damped")
-	}
-}

@@ -29,12 +29,10 @@ type dampCell struct {
 	dampedUntil float64
 }
 
-// NewDamper builds a damper; k ≤ 0 disables damping (every query reports
-// undamped, records are no-ops).
+// NewDamper builds a damper that quarantines a radius-sized region once
+// it records k failures within window, for cooldown time units. k and
+// radius must be positive.
 func NewDamper(k int, window, cooldown, radius float64) *Damper {
-	if radius <= 0 {
-		radius = 4
-	}
 	return &Damper{
 		k:        k,
 		window:   window,
@@ -51,9 +49,6 @@ func (d *Damper) key(p geom.Point) [2]int {
 // Record charges a failure at p at the given time to p's region, possibly
 // tripping the quarantine.
 func (d *Damper) Record(p geom.Point, now float64) {
-	if d.k <= 0 {
-		return
-	}
 	k := d.key(p)
 	for dx := -1; dx <= 1; dx++ {
 		for dy := -1; dy <= 1; dy++ {
@@ -87,9 +82,6 @@ func (d *Damper) prune(c *dampCell, now float64) {
 
 // Damped reports whether p's region is quarantined at the given time.
 func (d *Damper) Damped(p geom.Point, now float64) bool {
-	if d.k <= 0 {
-		return false
-	}
 	c := d.cells[d.key(p)]
 	return c != nil && now < c.dampedUntil
 }

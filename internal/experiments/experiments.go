@@ -50,7 +50,7 @@ func Quick() Config {
 
 // Report is one experiment's output.
 type Report struct {
-	// ID is the experiment identifier (E1…E19, A1…A5).
+	// ID is the experiment identifier (E1…E18, A1…A5).
 	ID string
 	// Title names the claim under test.
 	Title string
@@ -87,7 +87,7 @@ type Entry struct {
 }
 
 // Registry lists every experiment once, in the order EXPERIMENTS.md prints
-// them: the paper's claims E1–E19, then the ablations A1–A5. The paper's
+// them: the paper's claims E1–E18, then the ablations A1–A5. The paper's
 // constants optimize provability; the ablations show how the practical
 // defaults were chosen and how sensitive the system is to them.
 func Registry() []Entry {
@@ -109,7 +109,6 @@ func Registry() []Entry {
 		{"E15", E15SessionMatrix},
 		{"E17", E17Quadtree},
 		{"E18", E18Churn},
-		{"E19", E19Serve},
 		{"A1", A1BroadcastProb},
 		{"A2", A2SlotPairsPerRound},
 		{"A3", A3DistrCapTau},

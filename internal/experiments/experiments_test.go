@@ -1,13 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"strings"
 	"testing"
-
-	"sinrconn/internal/core"
-	"sinrconn/internal/sinr"
-	"sinrconn/internal/tree"
 )
 
 // Each experiment runs in Quick mode and must (a) produce a table with rows
@@ -102,25 +97,5 @@ func TestConfigDefaults(t *testing.T) {
 	c.defaults()
 	if c.Seeds != 3 || len(c.Sizes) != 4 || len(c.DeltaExps) != 4 || c.ChainN != 48 {
 		t.Errorf("defaults = %+v", c)
-	}
-}
-
-// makeTree builds a bi-tree via Init.
-func makeTree(ctx context.Context, in *sinr.Instance, seed int64) (*tree.BiTree, error) {
-	res, err := core.Init(ctx, in, core.InitConfig{Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	return res.Tree, nil
-}
-
-func TestMakeTreeHelper(t *testing.T) {
-	in := uniformInst(1, 16)
-	bt, err := makeTree(t.Context(), in, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bt.Up) != 15 {
-		t.Errorf("links = %d", len(bt.Up))
 	}
 }

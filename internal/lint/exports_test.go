@@ -17,7 +17,7 @@ import (
 // why. A row whose name no longer exists, or that production now calls,
 // fails TestProductionExportsAreUsed, as a stale hotpathGates row does.
 var exportAllowlist = map[string]string{
-	"internal/faults.MustPlan":        "fault-plan constructor the root, faults, serve and loadgen tests share",
+	"internal/faults.MustPlan":        "fault-plan constructor the root, faults and serve tests share",
 	"internal/workload.UniformSeeded": "seeded point generator the root, serve, sinr, tree and workload tests share",
 	"internal/sinr.QuadTree.Levels":   "read by the root BenchmarkQuadtree footprint rows",
 	"internal/sinr.QuadTree.Nodes":    "read by the root BenchmarkQuadtree footprint rows",
@@ -319,9 +319,7 @@ func TestFieldGateFixture(t *testing.T) {
 // internal/ that no production code sets but that stay fields anyway. Each
 // row says why. A row whose field no longer exists, or that production now
 // sets, fails TestConfigFieldsAreSet.
-var fieldAllowlist = map[string]string{
-	"internal/serve/loadgen.Config.Retries": "the chaos soak retries injected failures; the fault-free callers must see every failure, so production leaves it 0",
-}
+var fieldAllowlist = map[string]string{}
 
 // unsetFields returns, sorted, the key (package.Type.Field) of every
 // exported field of an exported struct type declared in a package under

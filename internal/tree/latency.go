@@ -5,6 +5,25 @@ import (
 	"sort"
 )
 
+// bySlot sorts a copy of links by slot and splits it into one group per
+// distinct slot, in slot order. The replays below run each group as one
+// slot: a node cannot receive and transmit in the same slot, so a
+// transfer carries only what its sender held before the slot began.
+func bySlot(links []TimedLink) [][]TimedLink {
+	links = append([]TimedLink(nil), links...)
+	sort.SliceStable(links, func(i, j int) bool { return links[i].Slot < links[j].Slot })
+	var groups [][]TimedLink
+	for i := 0; i < len(links); {
+		j := i + 1
+		for j < len(links) && links[j].Slot == links[i].Slot {
+			j++
+		}
+		groups = append(groups, links[i:j])
+		i = j
+	}
+	return groups
+}
+
 // AggregationLatency replays the converge-cast: links fire in slot order,
 // each link forwarding its sender's accumulated token set to its receiver.
 // It returns the number of distinct slots needed for the root to hold every
@@ -19,19 +38,18 @@ func (t *BiTree) AggregationLatency() (int, error) {
 	for _, v := range t.Nodes {
 		have[v] = map[int]bool{v: true}
 	}
-	links := append([]TimedLink(nil), t.Up...)
-	sort.SliceStable(links, func(i, j int) bool { return links[i].Slot < links[j].Slot })
-
-	slots := 0
-	lastSlot := -1 << 62
-	for _, tl := range links {
-		if tl.Slot != lastSlot {
-			slots++
-			lastSlot = tl.Slot
+	groups := bySlot(t.Up)
+	type transfer struct{ dst, tok int }
+	var pending []transfer
+	for _, g := range groups {
+		pending = pending[:0]
+		for _, tl := range g {
+			for tok := range have[tl.L.From] {
+				pending = append(pending, transfer{tl.L.To, tok})
+			}
 		}
-		src, dst := tl.L.From, tl.L.To
-		for tok := range have[src] {
-			have[dst][tok] = true
+		for _, p := range pending {
+			have[p.dst][p.tok] = true
 		}
 	}
 	root := have[t.Root]
@@ -40,7 +58,7 @@ func (t *BiTree) AggregationLatency() (int, error) {
 			return 0, fmt.Errorf("tree: aggregation incomplete: root missing token of node %d", v)
 		}
 	}
-	return slots, nil
+	return len(groups), nil
 }
 
 // BroadcastLatency replays the dissemination tree (dual links, reversed
@@ -49,18 +67,17 @@ func (t *BiTree) AggregationLatency() (int, error) {
 func (t *BiTree) BroadcastLatency() (int, error) {
 	reached := make(map[int]bool, len(t.Nodes))
 	reached[t.Root] = true
-	links := t.Down()
-	sort.SliceStable(links, func(i, j int) bool { return links[i].Slot < links[j].Slot })
-
-	slots := 0
-	lastSlot := -1 << 62
-	for _, tl := range links {
-		if tl.Slot != lastSlot {
-			slots++
-			lastSlot = tl.Slot
+	groups := bySlot(t.Down())
+	var hit []int
+	for _, g := range groups {
+		hit = hit[:0]
+		for _, tl := range g {
+			if reached[tl.L.From] {
+				hit = append(hit, tl.L.To)
+			}
 		}
-		if reached[tl.L.From] {
-			reached[tl.L.To] = true
+		for _, v := range hit {
+			reached[v] = true
 		}
 	}
 	for _, v := range t.Nodes {
@@ -68,7 +85,7 @@ func (t *BiTree) BroadcastLatency() (int, error) {
 			return 0, fmt.Errorf("tree: broadcast incomplete: node %d unreached", v)
 		}
 	}
-	return slots, nil
+	return len(groups), nil
 }
 
 // PairLatency replays a node-to-node message from src to dst: up the
@@ -78,66 +95,53 @@ func (t *BiTree) BroadcastLatency() (int, error) {
 // paper's "any pairwise communication in optimal O(log n) time".
 func (t *BiTree) PairLatency(src, dst int) (int, error) {
 	parent := t.Parent()
-	onUpPath := map[int]bool{src: true}
-	v := src
-	for v != t.Root {
-		p, ok := parent[v]
-		if !ok {
-			return 0, fmt.Errorf("tree: node %d has no path to root", v)
+	// path marks the nodes from v up to the root.
+	path := func(v int) (map[int]bool, error) {
+		on := map[int]bool{v: true}
+		for v != t.Root {
+			p, ok := parent[v]
+			if !ok {
+				return nil, fmt.Errorf("tree: node %d has no path to root", v)
+			}
+			v = p
+			on[v] = true
 		}
-		v = p
-		onUpPath[v] = true
+		return on, nil
+	}
+	// hop replays one phase: the message moves from at along a link of the
+	// slot's group onto onPath, at most one hop per slot, until it reaches
+	// to. It returns the slots consumed and whether it arrived.
+	hop := func(groups [][]TimedLink, at, to int, onPath map[int]bool) (int, bool) {
+		slots := 0
+		for _, g := range groups {
+			if at == to {
+				break
+			}
+			slots++
+			for _, tl := range g {
+				if tl.L.From == at && onPath[tl.L.To] {
+					at = tl.L.To
+					break
+				}
+			}
+		}
+		return slots, at == to
 	}
 
-	// Phase 1: follow the aggregation schedule; the message moves along its
-	// up-path when its current holder's out-link fires.
-	links := append([]TimedLink(nil), t.Up...)
-	sort.SliceStable(links, func(i, j int) bool { return links[i].Slot < links[j].Slot })
-	at := src
-	upSlots := 0
-	lastSlot := -1 << 62
-	for _, tl := range links {
-		if at == t.Root {
-			break
-		}
-		if tl.Slot != lastSlot {
-			upSlots++
-			lastSlot = tl.Slot
-		}
-		if tl.L.From == at && onUpPath[tl.L.To] {
-			at = tl.L.To
-		}
+	onUpPath, err := path(src)
+	if err != nil {
+		return 0, err
 	}
-	if at != t.Root {
+	upSlots, ok := hop(bySlot(t.Up), src, t.Root, onUpPath)
+	if !ok {
 		return 0, fmt.Errorf("tree: message from %d never reached root", src)
 	}
-
-	// Phase 2: follow the dissemination schedule down to dst.
-	down := t.Down()
-	sort.SliceStable(down, func(i, j int) bool { return down[i].Slot < down[j].Slot })
-	// Down-path of dst: root → ... → dst.
-	onDownPath := map[int]bool{dst: true}
-	v = dst
-	for v != t.Root {
-		v = parent[v]
-		onDownPath[v] = true
+	onDownPath, err := path(dst)
+	if err != nil {
+		return 0, err
 	}
-	at = t.Root
-	downSlots := 0
-	lastSlot = -1 << 62
-	for _, tl := range down {
-		if at == dst {
-			break
-		}
-		if tl.Slot != lastSlot {
-			downSlots++
-			lastSlot = tl.Slot
-		}
-		if tl.L.From == at && onDownPath[tl.L.To] {
-			at = tl.L.To
-		}
-	}
-	if at != dst {
+	downSlots, ok := hop(bySlot(t.Down()), t.Root, dst, onDownPath)
+	if !ok {
 		return 0, fmt.Errorf("tree: message never reached destination %d", dst)
 	}
 	return upSlots + downSlots, nil

@@ -309,6 +309,18 @@ func TestAggregationLatency(t *testing.T) {
 	}
 }
 
+// sameSlotRelays returns the chain 2 → 1 → 0 with both links in slot 1,
+// in both list orders: node 1 would have to receive and transmit in the
+// same slot, which ValidateOrdering rejects and no replay may count.
+func sameSlotRelays() []*BiTree {
+	in := TimedLink{L: sinr.Link{From: 2, To: 1}, Slot: 1, Power: 100}
+	out := TimedLink{L: sinr.Link{From: 1, To: 0}, Slot: 1, Power: 100}
+	return []*BiTree{
+		{Root: 0, Nodes: []int{0, 1, 2}, Up: []TimedLink{in, out}},
+		{Root: 0, Nodes: []int{0, 1, 2}, Up: []TimedLink{out, in}},
+	}
+}
+
 func TestAggregationIncompleteDetected(t *testing.T) {
 	tr := chainTree(4)
 	// Break ordering so the replay cannot complete: fire the root-adjacent
@@ -325,6 +337,14 @@ func TestAggregationIncompleteDetected(t *testing.T) {
 	if _, err := tr.AggregationLatency(); err == nil {
 		t.Error("incomplete aggregation not detected")
 	}
+	for i, bt := range sameSlotRelays() {
+		if bt.ValidateOrdering() == nil {
+			t.Fatalf("order %d: same-slot relay passes ValidateOrdering", i)
+		}
+		if lat, err := bt.AggregationLatency(); err == nil {
+			t.Errorf("order %d: same-slot relay counted as aggregation in %d slots", i, lat)
+		}
+	}
 }
 
 func TestBroadcastLatency(t *testing.T) {
@@ -335,6 +355,11 @@ func TestBroadcastLatency(t *testing.T) {
 	}
 	if slots != 4 {
 		t.Errorf("broadcast latency = %d, want 4", slots)
+	}
+	for i, bt := range sameSlotRelays() {
+		if lat, err := bt.BroadcastLatency(); err == nil {
+			t.Errorf("order %d: same-slot relay counted as broadcast in %d slots", i, lat)
+		}
 	}
 }
 
@@ -368,6 +393,15 @@ func TestPairLatency(t *testing.T) {
 	}
 	if lat != 0 {
 		t.Errorf("root-to-root latency = %d", lat)
+	}
+	// The message advances at most one hop per slot.
+	for i, bt := range sameSlotRelays() {
+		if lat, err := bt.PairLatency(2, 0); err == nil {
+			t.Errorf("order %d: same-slot relay carried 2 → 0 in %d slots", i, lat)
+		}
+		if lat, err := bt.PairLatency(0, 2); err == nil {
+			t.Errorf("order %d: same-slot relay carried 0 → 2 in %d slots", i, lat)
+		}
 	}
 }
 

@@ -116,16 +116,25 @@ func (b *BiTree) PairLatency(src, dst int) (int, error) {
 // practice). See sinr.Instance.SINRFeasibleFarBuf for the exact
 // completeness/soundness contract.
 func (b *BiTree) Verify() error {
-	if err := b.inner.Validate(); err != nil {
+	return auditTree(b.inner, b.inst, b.ff)
+}
+
+// auditTree is the one invariant battery a bi-tree over in must pass: its
+// shape, strong connectivity, the Definition 1 ordering, and per-slot SINR
+// feasibility (under the far-field plan ff when non-nil). Verify runs it
+// on a finished tree, and the churn audit on the live tree after every
+// event.
+func auditTree(bt *tree.BiTree, in *sinr.Instance, ff *sinr.QuadTree) error {
+	if err := bt.Validate(); err != nil {
 		return err
 	}
-	if !b.inner.StronglyConnected() {
+	if !bt.StronglyConnected() {
 		return errors.New("sinrconn: tree not strongly connected")
 	}
-	if err := b.inner.ValidateOrdering(); err != nil {
+	if err := bt.ValidateOrdering(); err != nil {
 		return err
 	}
-	return b.inner.ValidatePerSlotFeasibleFar(b.inst, b.ff)
+	return bt.ValidatePerSlotFeasibleFar(in, ff)
 }
 
 // Result bundles a constructed tree with its metrics. Results returned by
