@@ -12,10 +12,10 @@ import (
 type AggFunc func(a, b int64) int64
 
 // MaxAgg folds with max.
-func MaxAgg(a, b int64) int64 { return core.MaxAgg(a, b) }
+func MaxAgg(a, b int64) int64 { return max(a, b) }
 
 // SumAgg folds with addition.
-func SumAgg(a, b int64) int64 { return core.SumAgg(a, b) }
+func SumAgg(a, b int64) int64 { return a + b }
 
 // AggregateOutcome reports a physical converge-cast execution.
 type AggregateOutcome struct {
@@ -49,28 +49,31 @@ type PairOutcome struct {
 	Energy float64
 }
 
-// epochConfig derives the engine config for a physical epoch on r's tree,
-// borrowing the session pool for the epoch's duration (the caller must
-// invoke the returned release). WithDropProb and WithSeed apply to the
-// epoch itself — fading injected into a converge-cast can legitimately
-// lose a transfer, which the epoch reports as an error.
-func (nw *Network) epochConfig(r *Result, opts []RunOption) (sim.Config, func(), error) {
+// epoch runs one physical epoch on r's tree: it checks r is bound to nw,
+// admits the operation, and hands run the engine config with the session
+// pool borrowed for the epoch's duration. WithDropProb and WithSeed apply
+// to the epoch itself — fading injected into a converge-cast can
+// legitimately lose a transfer, which the epoch reports as an error.
+func (nw *Network) epoch(r *Result, opts []RunOption, run func(sim.Config) (*core.EpochOutcome, error)) (*core.EpochOutcome, error) {
+	if err := nw.checkBound(r); err != nil {
+		return nil, err
+	}
 	done, err := nw.beginOp()
 	if err != nil {
-		return sim.Config{}, func() {}, err
+		return nil, err
 	}
+	defer done()
 	s, err := nw.opSettings(opts)
 	if err != nil {
-		done()
-		return sim.Config{}, func() {}, err
+		return nil, err
 	}
 	ff, err := opFarField(r, r.Tree.inst, s)
 	if err != nil {
-		done()
-		return sim.Config{}, func() {}, err
+		return nil, err
 	}
 	pool, release := nw.acquirePool()
-	return sim.Config{
+	defer release()
+	return run(sim.Config{
 		Workers:  s.workers,
 		DropProb: s.drop,
 		Seed:     s.seed,
@@ -78,7 +81,7 @@ func (nw *Network) epochConfig(r *Result, opts []RunOption) (sim.Config, func(),
 		Far:      ff,
 		Observer: s.observer,
 		Injector: s.injector,
-	}, func() { release(); done() }, nil
+	})
 }
 
 // Broadcast physically executes one dissemination epoch over the SINR
@@ -86,23 +89,13 @@ func (nw *Network) epochConfig(r *Result, opts []RunOption) (sim.Config, func(),
 // carrying value from the root to every node (Definition 1). An error
 // means some node was left unreached — a schedule or physics violation.
 func (nw *Network) Broadcast(ctx context.Context, r *Result, value int64, opts ...RunOption) (*BroadcastOutcome, error) {
-	if err := nw.checkBound(r); err != nil {
-		return nil, err
-	}
-	ecfg, release, err := nw.epochConfig(r, opts)
-	defer release()
+	out, err := nw.epoch(r, opts, func(ecfg sim.Config) (*core.EpochOutcome, error) {
+		return core.RunBroadcast(ctx, r.Tree.inst, r.Tree.inner, value, ecfg)
+	})
 	if err != nil {
 		return nil, err
 	}
-	out, err := core.RunBroadcast(ctx, r.Tree.inst, r.Tree.inner, value, ecfg)
-	if err != nil {
-		return nil, err
-	}
-	return &BroadcastOutcome{
-		Reached:   out.Reached,
-		SlotsUsed: out.SlotsUsed,
-		Energy:    out.Energy,
-	}, nil
+	return &BroadcastOutcome{Reached: out.Reached, SlotsUsed: out.SlotsUsed, Energy: out.Energy}, nil
 }
 
 // Aggregate physically executes one converge-cast epoch over the SINR
@@ -113,23 +106,13 @@ func (nw *Network) Broadcast(ctx context.Context, r *Result, value int64, opts .
 // were infeasible or mis-ordered, the physics would lose a transfer and
 // Aggregate returns an error instead.
 func (nw *Network) Aggregate(ctx context.Context, r *Result, values []int64, f AggFunc, opts ...RunOption) (*AggregateOutcome, error) {
-	if err := nw.checkBound(r); err != nil {
-		return nil, err
-	}
-	ecfg, release, err := nw.epochConfig(r, opts)
-	defer release()
+	out, err := nw.epoch(r, opts, func(ecfg sim.Config) (*core.EpochOutcome, error) {
+		return core.RunAggregation(ctx, r.Tree.inst, r.Tree.inner, values, f, ecfg)
+	})
 	if err != nil {
 		return nil, err
 	}
-	out, err := core.RunAggregation(ctx, r.Tree.inst, r.Tree.inner, values, core.AggFunc(f), ecfg)
-	if err != nil {
-		return nil, err
-	}
-	return &AggregateOutcome{
-		Value:     out.Value,
-		SlotsUsed: out.SlotsUsed,
-		Energy:    out.Energy,
-	}, nil
+	return &AggregateOutcome{Value: out.Value, SlotsUsed: out.SlotsUsed, Energy: out.Energy}, nil
 }
 
 // SendMessage physically delivers a message from src to dst over the SINR
@@ -137,21 +120,11 @@ func (nw *Network) Aggregate(ctx context.Context, r *Result, values []int64, f A
 // then rides one dissemination epoch down (Definition 1's node-to-node
 // communication guarantee).
 func (nw *Network) SendMessage(ctx context.Context, r *Result, src, dst int, payload int64, opts ...RunOption) (*PairOutcome, error) {
-	if err := nw.checkBound(r); err != nil {
-		return nil, err
-	}
-	ecfg, release, err := nw.epochConfig(r, opts)
-	defer release()
+	out, err := nw.epoch(r, opts, func(ecfg sim.Config) (*core.EpochOutcome, error) {
+		return core.RunPairMessage(ctx, r.Tree.inst, r.Tree.inner, src, dst, payload, ecfg)
+	})
 	if err != nil {
 		return nil, err
 	}
-	out, err := core.RunPairMessage(ctx, r.Tree.inst, r.Tree.inner, src, dst, payload, ecfg)
-	if err != nil {
-		return nil, err
-	}
-	return &PairOutcome{
-		Delivered: out.Delivered,
-		SlotsUsed: out.SlotsUsed,
-		Energy:    out.Energy,
-	}, nil
+	return &PairOutcome{Delivered: true, SlotsUsed: out.SlotsUsed, Energy: out.Energy}, nil
 }

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"sinrconn"
 	"sinrconn/internal/core"
 	"sinrconn/internal/experiments"
 	"sinrconn/internal/geom"
@@ -278,7 +279,7 @@ func BenchmarkE13Energy(b *testing.B) {
 	energy := 0.0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := core.RunAggregation(context.Background(), in, res.Tree, values, core.SumAgg, sim.Config{})
+		out, err := core.RunAggregation(context.Background(), in, res.Tree, values, sinrconn.SumAgg, sim.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -301,7 +302,7 @@ func BenchmarkE14PhysicalEpoch(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunAggregation(context.Background(), in, res.Tree, values, core.SumAgg, sim.Config{}); err != nil {
+		if _, err := core.RunAggregation(context.Background(), in, res.Tree, values, sinrconn.SumAgg, sim.Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}

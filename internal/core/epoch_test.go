@@ -9,6 +9,10 @@ import (
 	"sinrconn/internal/tree"
 )
 
+func sumFold(a, b int64) int64 { return a + b }
+
+func maxFold(a, b int64) int64 { return max(a, b) }
+
 func TestRunAggregationOnInitTree(t *testing.T) {
 	in := uniformInstance(t, 80, 48)
 	res, err := Init(context.Background(), in, InitConfig{Seed: 1})
@@ -22,7 +26,7 @@ func TestRunAggregationOnInitTree(t *testing.T) {
 		values[i] = int64(rng.Intn(1000))
 		wantSum += values[i]
 	}
-	out, err := RunAggregation(context.Background(), in, res.Tree, values, SumAgg, sim.Config{})
+	out, err := RunAggregation(context.Background(), in, res.Tree, values, sumFold, sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +51,7 @@ func TestRunAggregationMaxOnTVCTree(t *testing.T) {
 	for i := range values {
 		values[i] = int64(i * 13 % 97)
 	}
-	out, err := RunAggregation(context.Background(), in, res.Tree, values, MaxAgg, sim.Config{})
+	out, err := RunAggregation(context.Background(), in, res.Tree, values, maxFold, sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +76,7 @@ func TestRunAggregationMeanVariant(t *testing.T) {
 	for i := range values {
 		values[i] = 1
 	}
-	out, err := RunAggregation(context.Background(), in, res.Tree, values, SumAgg, sim.Config{})
+	out, err := RunAggregation(context.Background(), in, res.Tree, values, sumFold, sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +105,7 @@ func TestRunAggregationDetectsBadSchedule(t *testing.T) {
 	for i := range values {
 		values[i] = 1
 	}
-	if _, err := RunAggregation(context.Background(), in, bad, values, SumAgg, sim.Config{}); err == nil {
+	if _, err := RunAggregation(context.Background(), in, bad, values, sumFold, sim.Config{}); err == nil {
 		t.Fatal("single-slot sabotage not detected by the physical run")
 	}
 }
@@ -112,7 +116,7 @@ func TestRunAggregationValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunAggregation(context.Background(), in, res.Tree, nil, SumAgg, sim.Config{}); err == nil {
+	if _, err := RunAggregation(context.Background(), in, res.Tree, nil, sumFold, sim.Config{}); err == nil {
 		t.Error("short values accepted")
 	}
 	vals := make([]int64, in.Len())
@@ -147,7 +151,7 @@ func TestRunAggregationAfterRepair(t *testing.T) {
 		values[v] = int64(v)
 		want += int64(v)
 	}
-	out, err := RunAggregation(context.Background(), in, rres.Tree, values, SumAgg, sim.Config{})
+	out, err := RunAggregation(context.Background(), in, rres.Tree, values, sumFold, sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +174,8 @@ func TestRunPairMessage(t *testing.T) {
 		if err != nil {
 			t.Fatalf("pair %d→%d: %v", src, dst, err)
 		}
-		if !out.Delivered {
-			t.Fatalf("pair %d→%d not delivered", src, dst)
+		if out.Value != int64(100+trial) || out.Reached != len(res.Tree.Nodes) {
+			t.Fatalf("pair %d→%d not delivered: %+v", src, dst, out)
 		}
 		// 2×(schedule+1) drain slots total.
 		if max := 2 * (res.Tree.NumSlots() + 1); out.SlotsUsed > max {
@@ -188,5 +192,74 @@ func TestRunPairMessageValidation(t *testing.T) {
 	}
 	if _, err := RunPairMessage(context.Background(), in, res.Tree, 0, 999, 1, sim.Config{}); err == nil {
 		t.Error("bad dst accepted")
+	}
+}
+
+func TestRunBroadcastOnInitTree(t *testing.T) {
+	in := uniformInstance(t, 86, 48)
+	res, err := Init(context.Background(), in, InitConfig{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := RunBroadcast(context.Background(), in, res.Tree, 4242, sim.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Reached != 48 {
+		t.Fatalf("reached %d of 48", out.Reached)
+	}
+	if out.SlotsUsed != res.Tree.NumSlots()+1 {
+		t.Errorf("slots = %d, schedule = %d", out.SlotsUsed, res.Tree.NumSlots())
+	}
+	if out.Energy <= 0 {
+		t.Error("no energy recorded")
+	}
+}
+
+func TestRunBroadcastOnTVCTree(t *testing.T) {
+	in := uniformInstance(t, 87, 36)
+	res, err := TreeViaCapacity(context.Background(), in, TVCConfig{Variant: VariantArbitrary, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := RunBroadcast(context.Background(), in, res.Tree, -7, sim.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Reached != 36 {
+		t.Fatalf("reached %d of 36", out.Reached)
+	}
+}
+
+func TestRunBroadcastDetectsBadSchedule(t *testing.T) {
+	in := uniformInstance(t, 88, 24)
+	res, err := Init(context.Background(), in, InitConfig{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Sabotage the ordering: identical slots force parents to forward
+	// before they have the value (and collide).
+	bad := &tree.BiTree{Root: res.Tree.Root, Nodes: res.Tree.Nodes,
+		Up: append([]tree.TimedLink(nil), res.Tree.Up...)}
+	for i := range bad.Up {
+		bad.Up[i].Slot = 1
+	}
+	if _, err := RunBroadcast(context.Background(), in, bad, 1, sim.Config{}); err == nil {
+		t.Fatal("sabotaged broadcast schedule not detected")
+	}
+}
+
+func TestRunBroadcastSingleNode(t *testing.T) {
+	in := uniformInstance(t, 89, 4)
+	res, err := Init(context.Background(), in, InitConfig{Seed: 1, Participants: []int{2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := RunBroadcast(context.Background(), in, res.Tree, 9, sim.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Reached != 1 {
+		t.Errorf("reached = %d", out.Reached)
 	}
 }

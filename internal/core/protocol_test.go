@@ -250,25 +250,60 @@ func TestJoinNodeIdlesWhenInboxUnread(t *testing.T) {
 	}
 }
 
-func TestAggNodeFoldsAndTransmits(t *testing.T) {
-	nd := &aggNode{id: 1, member: true, parent: 0, txSlot: 1, power: 10, value: 5, fold: SumAgg}
-	if a := nd.Step(0, nil); a.Kind != sim.ActionListenAddressed {
+func TestRelayFoldsAdoptsAndTransmits(t *testing.T) {
+	data := func(to, tag int, payload int64) sim.Delivery {
+		return sim.Delivery{Msg: sim.Message{Kind: sim.KindData, To: to, From: 7, Tag: tag, Payload: payload}}
+	}
+	duty := []relayDuty{{slot: 1, to: 0, power: 10}}
+
+	// A holder folds a tagged value addressed to it; untagged and
+	// mis-addressed messages change nothing.
+	nd := &relay{id: 1, member: true, up: true, holds: true, value: 5, fold: sumFold, duties: duty}
+	if a := nd.Step(0, []sim.Delivery{data(1, 0, 50), data(2, 1, 100)}); a.Kind != sim.ActionListenAddressed {
 		t.Fatalf("slot 0 should listen addressed: %v", a.Kind)
 	}
-	in := []sim.Delivery{
-		{Msg: sim.Message{Kind: sim.KindData, To: 1, From: 3, Payload: 7}},
-		{Msg: sim.Message{Kind: sim.KindData, To: 2, From: 4, Payload: 100}}, // not ours
+	if nd.value != 5 {
+		t.Fatalf("untagged or mis-addressed message moved the value to %d", nd.value)
 	}
-	a := nd.Step(1, in)
+	a := nd.Step(1, []sim.Delivery{data(1, 1, 7)})
 	if nd.value != 12 {
 		t.Errorf("folded value = %d, want 12", nd.value)
 	}
-	if a.Kind != sim.ActionTransmit || a.Msg.Payload != 12 || a.Msg.To != 0 {
+	if a.Kind != sim.ActionTransmit || a.Power != 10 || a.Msg.To != 0 || a.Msg.Tag != 1 || a.Msg.Payload != 12 {
 		t.Fatalf("transmit action = %+v", a)
 	}
-	// Non-member idles.
-	out := &aggNode{id: 9, member: false}
-	if a := out.Step(0, nil); a.Kind != sim.ActionIdle {
+
+	// With no fold, a holder adopts what it receives.
+	nd = &relay{id: 1, member: true, holds: true, value: 5}
+	nd.Step(0, []sim.Delivery{data(1, 1, 9)})
+	if !nd.holds || nd.value != 9 {
+		t.Errorf("no-fold holder: holds=%v value=%d, want 9", nd.holds, nd.value)
+	}
+
+	// An up relay fires its duty even before it holds a value, untagged;
+	// a tagged value then makes it a holder, folding or not.
+	nd = &relay{id: 1, member: true, up: true, fold: sumFold, duties: duty}
+	if a := nd.Step(1, nil); a.Kind != sim.ActionTransmit || a.Msg.Tag != 0 {
+		t.Fatalf("up non-holder: %+v, want an untagged transmit", a)
+	}
+	nd.Step(2, []sim.Delivery{data(1, 1, 4)})
+	if !nd.holds || nd.value != 4 {
+		t.Errorf("up non-holder adopted holds=%v value=%d, want 4", nd.holds, nd.value)
+	}
+
+	// A down relay stays silent at its duty until it holds a value.
+	nd = &relay{id: 1, member: true, duties: []relayDuty{{slot: 1, to: 0, power: 10}, {slot: 3, to: 2, power: 20}}}
+	if a := nd.Step(1, []sim.Delivery{data(1, 0, 6)}); a.Kind != sim.ActionListenAddressed {
+		t.Fatalf("down non-holder acted at its duty: %v", a.Kind)
+	}
+	nd.Step(2, []sim.Delivery{data(1, 1, 6)})
+	if a := nd.Step(3, nil); a.Kind != sim.ActionTransmit || a.Power != 20 || a.Msg.To != 2 || a.Msg.Tag != 1 || a.Msg.Payload != 6 {
+		t.Fatalf("down holder's transmit = %+v", a)
+	}
+
+	// A non-member idles, whatever it holds.
+	out := &relay{id: 9, up: true, holds: true, duties: duty}
+	if a := out.Step(1, nil); a.Kind != sim.ActionIdle {
 		t.Fatal("non-member acted")
 	}
 }

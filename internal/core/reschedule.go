@@ -81,7 +81,7 @@ func UniformScheduleLength(in *sinr.Instance, bt *tree.BiTree) int {
 		}
 	}
 	pa := sinr.UniformFor(in.Params(), math.Max(1, maxLen))
-	slots, bad := schedule.FirstFit(in, links, pa, schedule.ByLengthDesc)
+	slots, bad := schedule.FirstFit(in, links, pa)
 	return len(slots) + len(bad)
 }
 
@@ -89,6 +89,6 @@ func UniformScheduleLength(in *sinr.Instance, bt *tree.BiTree) int {
 // noise-safe mean power — the centralized comparator for Theorem 3.
 func MeanScheduleLength(in *sinr.Instance, bt *tree.BiTree) int {
 	pa := sinr.NoiseSafeMean(in.Params(), math.Max(1, in.Delta()))
-	slots, bad := schedule.FirstFit(in, bt.Links(), pa, schedule.ByLengthDesc)
+	slots, bad := schedule.FirstFit(in, bt.Links(), pa)
 	return len(slots) + len(bad)
 }

@@ -123,7 +123,6 @@ func TreeViaCapacity(ctx context.Context, in *sinr.Instance, cfg TVCConfig) (*TV
 		icfg := cfg.Init
 		icfg.Participants = active
 		icfg.Seed = iterSeed
-		icfg.Workers = cfg.Init.Workers
 		ires, err := Init(ctx, in, icfg)
 		if err != nil {
 			return res, fmt.Errorf("core: iteration %d init: %w", res.Iterations, err)

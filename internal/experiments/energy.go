@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"sinrconn"
 	"sinrconn/internal/core"
 	"sinrconn/internal/sim"
 	"sinrconn/internal/stats"
@@ -49,7 +50,7 @@ func E13Energy(ctx context.Context, cfg Config) Report {
 			for i := range values {
 				values[i] = 1
 			}
-			out, err := core.RunAggregation(ctx, in, tres.Tree, values, core.SumAgg, sim.Config{})
+			out, err := core.RunAggregation(ctx, in, tres.Tree, values, sinrconn.SumAgg, sim.Config{})
 			if err != nil {
 				pass = false
 				continue
@@ -100,21 +101,21 @@ func E14PhysicalEpoch(ctx context.Context, cfg Config) Report {
 				values[i] = int64(i)
 			}
 			if ires, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s)}); err == nil {
-				if _, err := core.RunAggregation(ctx, in, ires.Tree, values, core.SumAgg, sim.Config{}); err == nil {
+				if _, err := core.RunAggregation(ctx, in, ires.Tree, values, sinrconn.SumAgg, sim.Config{}); err == nil {
 					okInit++
 				}
 			}
 			if tres, err := core.TreeViaCapacity(ctx, in, core.TVCConfig{
 				Variant: core.VariantMean, Seed: int64(s),
 			}); err == nil {
-				if _, err := core.RunAggregation(ctx, in, tres.Tree, values, core.SumAgg, sim.Config{}); err == nil {
+				if _, err := core.RunAggregation(ctx, in, tres.Tree, values, sinrconn.SumAgg, sim.Config{}); err == nil {
 					okMean++
 				}
 			}
 			if tres, err := core.TreeViaCapacity(ctx, in, core.TVCConfig{
 				Variant: core.VariantArbitrary, Seed: int64(s),
 			}); err == nil {
-				if _, err := core.RunAggregation(ctx, in, tres.Tree, values, core.SumAgg, sim.Config{}); err == nil {
+				if _, err := core.RunAggregation(ctx, in, tres.Tree, values, sinrconn.SumAgg, sim.Config{}); err == nil {
 					okArb++
 				}
 			}

@@ -588,7 +588,7 @@ func E10Crossover(ctx context.Context, cfg Config) Report {
 			links[i] = sinr.Link{From: ed.U, To: ed.V}
 		}
 		pa := sinr.NoiseSafeMean(in.Params(), math.Max(1, in.Delta()))
-		ffSlots, bad := schedule.FirstFit(in, links, pa, schedule.ByLengthDesc)
+		ffSlots, bad := schedule.FirstFit(in, links, pa)
 		mst = append(mst, float64(len(ffSlots)+len(bad)))
 
 		u := stats.Summarize(uni).Mean

@@ -7,7 +7,7 @@
 //     transmission probabilities. It runs on the sim engine, so its success
 //     notion is the exact SINR physics.
 //
-//   - FirstFit: the classic centralized greedy that assigns each link to
-//     the first slot that stays feasible — the comparator used to calibrate
+//   - FirstFit: the classic centralized greedy that assigns each link,
+//     longest first, to the first slot that stays feasible — the comparator used to calibrate
 //     the distributed scheduler's approximation factor.
 package schedule

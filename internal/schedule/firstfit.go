@@ -6,35 +6,19 @@ import (
 	"sinrconn/internal/sinr"
 )
 
-// Order selects the processing order of FirstFit.
-type Order uint8
-
-// FirstFit processing orders.
-const (
-	// ByLengthDesc processes longest links first (default; long links are
-	// the hardest to place).
-	ByLengthDesc Order = iota + 1
-	// ByLengthAsc processes shortest links first (the order of Kesselheim's
-	// capacity algorithm).
-	ByLengthAsc
-)
-
 // FirstFit partitions links into SINR-feasible groups under assignment pa:
-// each link lands in the first existing group that remains feasible with it
-// added, or opens a new group. It returns the groups in slot order.
+// longest links first (they are the hardest to place), each link lands in
+// the first existing group that remains feasible with it added, or opens a
+// new group. It returns the groups in slot order.
 // Infeasible-alone links (which cannot be scheduled under pa at all) are
 // returned separately rather than looping forever.
-func FirstFit(in *sinr.Instance, links []sinr.Link, pa sinr.Assignment, order Order) (slots [][]sinr.Link, unschedulable []sinr.Link) {
+func FirstFit(in *sinr.Instance, links []sinr.Link, pa sinr.Assignment) (slots [][]sinr.Link, unschedulable []sinr.Link) {
 	idx := make([]int, len(links))
 	for i := range idx {
 		idx[i] = i
 	}
 	sort.SliceStable(idx, func(a, b int) bool {
-		la, lb := in.Length(links[idx[a]]), in.Length(links[idx[b]])
-		if order == ByLengthAsc {
-			return la < lb
-		}
-		return la > lb
+		return in.Length(links[idx[a]]) > in.Length(links[idx[b]])
 	})
 
 	for _, i := range idx {

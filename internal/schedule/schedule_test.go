@@ -50,7 +50,7 @@ func pairLinks(n int) []sinr.Link {
 func TestFirstFitFarLinksOneSlot(t *testing.T) {
 	in := lineInstance(t, 0, 1, 5000, 5001, 10000, 10001)
 	links := pairLinks(6)
-	slots, bad := FirstFit(in, links, sinr.NoiseSafeLinear(in.Params()), ByLengthDesc)
+	slots, bad := FirstFit(in, links, sinr.NoiseSafeLinear(in.Params()))
 	if len(bad) != 0 {
 		t.Fatalf("unschedulable: %v", bad)
 	}
@@ -66,7 +66,7 @@ func TestFirstFitNodeConflictSeparated(t *testing.T) {
 	// Two links sharing node 1 can never share a slot.
 	in := lineInstance(t, 0, 1, 2)
 	links := []sinr.Link{{From: 0, To: 1}, {From: 1, To: 2}}
-	slots, bad := FirstFit(in, links, sinr.NoiseSafeLinear(in.Params()), ByLengthDesc)
+	slots, bad := FirstFit(in, links, sinr.NoiseSafeLinear(in.Params()))
 	if len(bad) != 0 {
 		t.Fatalf("unschedulable: %v", bad)
 	}
@@ -79,7 +79,7 @@ func TestFirstFitSlotsAreFeasible(t *testing.T) {
 	in := scatterInstance(t, 3, 40, 60)
 	links := pairLinks(40)
 	pa := sinr.NoiseSafeMean(in.Params(), in.Delta())
-	slots, bad := FirstFit(in, links, pa, ByLengthDesc)
+	slots, bad := FirstFit(in, links, pa)
 	if len(bad) != 0 {
 		t.Fatalf("unschedulable: %v", bad)
 	}
@@ -99,17 +99,21 @@ func TestFirstFitOrders(t *testing.T) {
 	in := scatterInstance(t, 7, 30, 50)
 	links := pairLinks(30)
 	pa := sinr.NoiseSafeLinear(in.Params())
-	for _, order := range []Order{ByLengthAsc, ByLengthDesc} {
-		slots, bad := FirstFit(in, links, pa, order)
-		if len(bad) != 0 {
-			t.Fatalf("order %d unschedulable: %v", order, bad)
-		}
-		n := 0
-		for _, g := range slots {
-			n += len(g)
-		}
-		if n != len(links) {
-			t.Errorf("order %d scheduled %d links", order, n)
+	slots, bad := FirstFit(in, links, pa)
+	if len(bad) != 0 {
+		t.Fatalf("unschedulable: %v", bad)
+	}
+	n := 0
+	for _, g := range slots {
+		n += len(g)
+	}
+	if n != len(links) {
+		t.Errorf("scheduled %d links", n)
+	}
+	// Longest first: the first link placed opens slot 0.
+	for _, l := range links {
+		if in.Length(l) > in.Length(slots[0][0]) {
+			t.Fatalf("slot 0 opens with %v, but %v is longer", slots[0][0], l)
 		}
 	}
 }
@@ -118,7 +122,7 @@ func TestFirstFitUnschedulable(t *testing.T) {
 	in := lineInstance(t, 0, 10)
 	links := []sinr.Link{{From: 0, To: 1}}
 	// Power far below the noise floor: the link can never be feasible.
-	slots, bad := FirstFit(in, links, sinr.Uniform{P: 1e-9}, ByLengthDesc)
+	slots, bad := FirstFit(in, links, sinr.Uniform{P: 1e-9})
 	if len(slots) != 0 || len(bad) != 1 {
 		t.Fatalf("slots=%d bad=%d, want 0/1", len(slots), len(bad))
 	}
@@ -215,7 +219,7 @@ func TestDistributedComparableToFirstFit(t *testing.T) {
 	in := scatterInstance(t, 17, 40, 80)
 	links := pairLinks(40)
 	pa := sinr.NoiseSafeMean(in.Params(), in.Delta())
-	ff, bad := FirstFit(in, links, pa, ByLengthDesc)
+	ff, bad := FirstFit(in, links, pa)
 	if len(bad) != 0 {
 		t.Fatalf("unschedulable: %v", bad)
 	}
@@ -234,7 +238,7 @@ func BenchmarkFirstFit(b *testing.B) {
 	pa := sinr.NoiseSafeMean(in.Params(), in.Delta())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		FirstFit(in, links, pa, ByLengthDesc)
+		FirstFit(in, links, pa)
 	}
 }
 
