@@ -15,10 +15,12 @@ vet:
 # The repo's own invariant suite (DESIGN.md §11): oracle purity, hot-path
 # allocation sources, replay determinism, context/error discipline, and
 # (in ./internal/lint's tests) the exports gate, no exported function under
-# internal/ that only tests call, and the config-field gate, no exported
-# struct field under internal/ that only tests set. The benchmark
-# (cmd/bench) is a module of its own that `./...` does not enter, so its
-# analyzers and tests run here too. Offline and cached; a clean tree
+# internal/ that only tests call, the config-field gate, no exported
+# struct field under internal/ that only tests set, and the channel-config
+# gate (TestChannelConfigIsSimConfig), no pool, observer, fault injector or
+# far-field plan in an exported struct under internal/ but sim.Config. The
+# benchmark (cmd/bench) is a module of its own that `./...` does not enter,
+# so its analyzers and tests run here too. Offline and cached; a clean tree
 # finishes in seconds. gofmt gates the whole tree, cmd/bench included.
 lint:
 	test -z "$$(gofmt -l .)"

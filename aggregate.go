@@ -49,39 +49,24 @@ type PairOutcome struct {
 	Energy float64
 }
 
-// epoch runs one physical epoch on r's tree: it checks r is bound to nw,
-// admits the operation, and hands run the engine config with the session
-// pool borrowed for the epoch's duration. WithDropProb and WithSeed apply
-// to the epoch itself — fading injected into a converge-cast can
+// epoch runs one physical epoch on r's tree: it admits the operation on
+// r (beginResultOp) and hands run the channel, with the session pool
+// borrowed for the epoch's duration. WithDropProb and WithSeed apply to
+// the epoch itself — fading injected into a converge-cast can
 // legitimately lose a transfer, which the epoch reports as an error.
 func (nw *Network) epoch(r *Result, opts []RunOption, run func(sim.Config) (*core.EpochOutcome, error)) (*core.EpochOutcome, error) {
-	if err := nw.checkBound(r); err != nil {
-		return nil, err
-	}
-	done, err := nw.beginOp()
+	s, done, err := nw.beginResultOp(r, opts)
 	if err != nil {
 		return nil, err
 	}
 	defer done()
-	s, err := nw.opSettings(opts)
-	if err != nil {
-		return nil, err
-	}
 	ff, err := opFarField(r, r.Tree.inst, s)
 	if err != nil {
 		return nil, err
 	}
-	pool, release := nw.acquirePool()
+	ch, release := nw.channel(s, ff)
 	defer release()
-	return run(sim.Config{
-		Workers:  s.workers,
-		DropProb: s.drop,
-		Seed:     s.seed,
-		Pool:     pool,
-		Far:      ff,
-		Observer: s.observer,
-		Injector: s.injector,
-	})
+	return run(ch)
 }
 
 // Broadcast physically executes one dissemination epoch over the SINR

@@ -22,6 +22,7 @@ import (
 	"testing"
 
 	"sinrconn/internal/core"
+	"sinrconn/internal/sim"
 	"sinrconn/internal/sinr"
 	"sinrconn/internal/tree"
 	"sinrconn/internal/workload"
@@ -45,14 +46,14 @@ func churnBenchInstance(b *testing.B, n int) (*sinr.Instance, *sinr.QuadTree) {
 	return in, ff
 }
 
-func churnBenchConfig(seed int64, ff *sinr.QuadTree) core.InitConfig {
-	return core.InitConfig{Seed: seed, Far: ff}
+func churnBenchConfig(seed int64, ff *sinr.QuadTree, pool *sim.Pool) core.InitConfig {
+	return core.InitConfig{Channel: sim.Config{Seed: seed, Far: ff, Pool: pool}}
 }
 
 // churnBenchTree builds the initial tree once per size (outside timers).
-func churnBenchTree(b *testing.B, in *sinr.Instance, ff *sinr.QuadTree) *tree.BiTree {
+func churnBenchTree(b *testing.B, in *sinr.Instance, ff *sinr.QuadTree, pool *sim.Pool) *tree.BiTree {
 	b.Helper()
-	ires, err := core.Init(context.Background(), in, churnBenchConfig(1, ff))
+	ires, err := core.Init(context.Background(), in, churnBenchConfig(1, ff, pool))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -125,9 +126,10 @@ func BenchmarkChurn(b *testing.B) {
 // from scratch over the survivors. Ratio recorded in BENCH_churn.json.
 func BenchmarkChurnRepairVsRebuild(b *testing.B) {
 	ctx := context.Background()
+	pool := cpuPool(b)
 	for _, n := range []int{1024, 4096, 16384} {
 		in, ff := churnBenchInstance(b, n)
-		bt := churnBenchTree(b, in, ff)
+		bt := churnBenchTree(b, in, ff, pool)
 		victims := burstVictims(in, bt, 0.02)
 		survivors := make([]int, 0, len(bt.Nodes)-len(victims))
 		dead := make(map[int]bool, len(victims))
@@ -142,7 +144,7 @@ func BenchmarkChurnRepairVsRebuild(b *testing.B) {
 		b.Run(fmt.Sprintf("incremental/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RepairIncremental(ctx, in, bt, victims, churnBenchConfig(int64(i)+2, ff)); err != nil {
+				if _, err := core.RepairIncremental(ctx, in, bt, victims, churnBenchConfig(int64(i)+2, ff, pool)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -150,7 +152,7 @@ func BenchmarkChurnRepairVsRebuild(b *testing.B) {
 		b.Run(fmt.Sprintf("rebuild/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				cfg := churnBenchConfig(int64(i)+2, ff)
+				cfg := churnBenchConfig(int64(i)+2, ff, pool)
 				cfg.Participants = survivors
 				if _, err := core.Init(ctx, in, cfg); err != nil {
 					b.Fatal(err)

@@ -36,7 +36,18 @@ func (p *physProto) Step(slot int, inbox []sim.Delivery) sim.Action {
 	return sim.Listen()
 }
 
-func physEngine(b *testing.B, n, workers int) *sim.Engine {
+// cpuPool returns a NumCPU-worker pool that tb closes when it ends: the
+// root package's benchmarks and large-scale gates run their engines on
+// one, as a session's engines run on its pool.
+func cpuPool(tb testing.TB) *sim.Pool {
+	p := sim.NewPool(0)
+	tb.Cleanup(p.Close)
+	return p
+}
+
+// physEngine builds the fixed-role physics engine on pool (nil runs every
+// stage inline).
+func physEngine(b *testing.B, n int, pool *sim.Pool) *sim.Engine {
 	b.Helper()
 	rng := rand.New(rand.NewSource(int64(n)))
 	in := sinr.MustInstance(workload.UniformDensity(rng, n, 0.15), sinr.DefaultParams())
@@ -45,7 +56,7 @@ func physEngine(b *testing.B, n, workers int) *sim.Engine {
 	for i := 0; i < n; i++ {
 		procs[i] = &physProto{id: i, transmit: i%4 == 0, power: power}
 	}
-	eng, err := sim.NewEngine(in, procs, sim.Config{Workers: workers})
+	eng, err := sim.NewEngine(in, procs, sim.Config{Pool: pool})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -56,8 +67,7 @@ func physEngine(b *testing.B, n, workers int) *sim.Engine {
 func BenchmarkSlotPhysics(b *testing.B) {
 	for _, n := range []int{256, 1024, 4096} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			eng := physEngine(b, n, 0)
-			defer eng.Close()
+			eng := physEngine(b, n, cpuPool(b))
 			// Warm to steady state: inbox buffers reach final capacity and
 			// the worker pool (if any) is spun up before measurement.
 			eng.Run(3)
@@ -73,13 +83,12 @@ func BenchmarkSlotPhysics(b *testing.B) {
 	}
 }
 
-// BenchmarkSlotPhysicsSerial pins Workers=1 to expose the single-core cost of
+// BenchmarkSlotPhysicsSerial runs without a pool to expose the single-core cost of
 // the physics kernel itself, independent of parallel speedup.
 func BenchmarkSlotPhysicsSerial(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			eng := physEngine(b, n, 1)
-			defer eng.Close()
+			eng := physEngine(b, n, nil)
 			eng.Run(3)
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -45,14 +45,14 @@ func farBenchInstance(n int) *sinr.Instance {
 // exact decode.
 type farGuard struct{ far, exact int }
 
-// config is the engine config for plan ff (nil = exact): with a plan,
-// every non-empty slot goes through it (AdaptiveCrossover 1) and g counts
-// the modes the slots took.
-func (g *farGuard) config(ff *sinr.QuadTree) sim.Config {
+// config is the engine config for plan ff (nil = exact) on a NumCPU pool
+// that tb closes: with a plan, every non-empty slot goes through it
+// (AdaptiveCrossover 1) and g counts the modes the slots took.
+func (g *farGuard) config(tb testing.TB, ff *sinr.QuadTree) sim.Config {
 	if ff == nil {
-		return sim.Config{}
+		return sim.Config{Pool: cpuPool(tb)}
 	}
-	return sim.Config{Far: ff, AdaptiveCrossover: 1, Observer: func(ev sim.SlotEvent) {
+	return sim.Config{Pool: cpuPool(tb), Far: ff, AdaptiveCrossover: 1, Observer: func(ev sim.SlotEvent) {
 		if ev.Far {
 			g.far++
 		} else if ev.Senders > 0 {
@@ -81,7 +81,7 @@ func quadBenchEngine(b *testing.B, in *sinr.Instance, ff *sinr.QuadTree, g *farG
 	for i := 0; i < n; i++ {
 		procs[i] = &physProto{id: i, transmit: i%2 == 0, power: power}
 	}
-	eng, err := sim.NewEngine(in, procs, g.config(ff))
+	eng, err := sim.NewEngine(in, procs, g.config(b, ff))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -91,7 +91,6 @@ func quadBenchEngine(b *testing.B, in *sinr.Instance, ff *sinr.QuadTree, g *farG
 func benchSlot(b *testing.B, in *sinr.Instance, ff *sinr.QuadTree) {
 	var g farGuard
 	eng := quadBenchEngine(b, in, ff, &g)
-	defer eng.Close()
 	// Two warm-up slots, not one: delivery inboxes are double-buffered, so
 	// both buffers must see a slot before the steady state is allocation
 	// free.
@@ -176,11 +175,10 @@ func BenchmarkAdaptiveCrossover(b *testing.B) {
 		}
 		run := func(b *testing.B, ff *sinr.QuadTree) {
 			var g farGuard
-			eng, err := sim.NewEngine(in, procs, g.config(ff))
+			eng, err := sim.NewEngine(in, procs, g.config(b, ff))
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer eng.Close()
 			eng.Run(2)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -301,11 +299,10 @@ func TestQuadtreeBigSlot(t *testing.T) {
 		procs[i] = &physProto{id: i, transmit: i%2 == 0, power: power}
 	}
 	var g farGuard
-	eng, err := sim.NewEngine(in, procs, g.config(q))
+	eng, err := sim.NewEngine(in, procs, g.config(t, q))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
 	eng.Run(1) // warm the inbox/txs buffers
 	if allocs := testing.AllocsPerRun(1, func() { eng.Step() }); allocs != 0 {
 		t.Fatalf("n=262144 far slot allocates %.1f times/op, want 0", allocs)
@@ -345,11 +342,10 @@ func TestQuadtreeMillionSlot(t *testing.T) {
 		procs[i] = &physProto{id: i, transmit: i%2 == 0, power: power}
 	}
 	var g farGuard
-	eng, err := sim.NewEngine(in, procs, g.config(q))
+	eng, err := sim.NewEngine(in, procs, g.config(t, q))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
 	eng.Run(2) // both inbox buffers warm → steady state is allocation-free
 	start := time.Now()
 	if allocs := testing.AllocsPerRun(1, func() { eng.Step() }); allocs != 0 {

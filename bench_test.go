@@ -19,7 +19,6 @@ import (
 	"sinrconn/internal/experiments"
 	"sinrconn/internal/geom"
 	"sinrconn/internal/power"
-	"sinrconn/internal/schedule"
 	"sinrconn/internal/sim"
 	"sinrconn/internal/sinr"
 	"sinrconn/internal/sparsity"
@@ -34,6 +33,15 @@ const benchN = 96
 // the original E1–E12 numbers.
 var benchSizes = []int{benchN, 256, 1024}
 
+// cpuPool returns a NumCPU-worker pool that tb closes when it ends: the
+// benchmarks run their engines on one, as a session's engines run on its
+// pool.
+func cpuPool(tb testing.TB) *sim.Pool {
+	p := sim.NewPool(0)
+	tb.Cleanup(p.Close)
+	return p
+}
+
 func benchInstance(seed int64) *sinr.Instance {
 	return benchInstanceN(seed, benchN)
 }
@@ -46,12 +54,13 @@ func benchInstanceN(seed int64, n int) *sinr.Instance {
 // BenchmarkE1InitSlots regenerates Table E1: Init construction time
 // (Theorem 2, O(log Δ·log n) slots), swept over benchSizes.
 func BenchmarkE1InitSlots(b *testing.B) {
+	pool := cpuPool(b)
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			in := benchInstanceN(1, n)
 			total := 0
 			for i := 0; i < b.N; i++ {
-				res, err := core.Init(context.Background(), in, core.InitConfig{Seed: int64(i)})
+				res, err := core.Init(context.Background(), in, core.InitConfig{Channel: sim.Config{Seed: int64(i), Pool: pool}})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -65,9 +74,10 @@ func BenchmarkE1InitSlots(b *testing.B) {
 // BenchmarkE2BiTreeValidity regenerates Table E2: validator battery on the
 // Init output (correctness half of Theorem 2).
 func BenchmarkE2BiTreeValidity(b *testing.B) {
+	pool := cpuPool(b)
 	in := benchInstance(2)
 	for i := 0; i < b.N; i++ {
-		res, err := core.Init(context.Background(), in, core.InitConfig{Seed: int64(i)})
+		res, err := core.Init(context.Background(), in, core.InitConfig{Channel: sim.Config{Seed: int64(i), Pool: pool}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -82,10 +92,11 @@ func BenchmarkE2BiTreeValidity(b *testing.B) {
 // BenchmarkE3DegreeTail regenerates Table E3: max degree vs log n
 // (Theorem 7).
 func BenchmarkE3DegreeTail(b *testing.B) {
+	pool := cpuPool(b)
 	in := benchInstance(3)
 	worst := 0
 	for i := 0; i < b.N; i++ {
-		res, err := core.Init(context.Background(), in, core.InitConfig{Seed: int64(i)})
+		res, err := core.Init(context.Background(), in, core.InitConfig{Channel: sim.Config{Seed: int64(i), Pool: pool}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -98,8 +109,9 @@ func BenchmarkE3DegreeTail(b *testing.B) {
 
 // BenchmarkE4Sparsity regenerates Table E4: ψ(T) vs log n (Theorem 11).
 func BenchmarkE4Sparsity(b *testing.B) {
+	pool := cpuPool(b)
 	in := benchInstance(4)
-	res, err := core.Init(context.Background(), in, core.InitConfig{Seed: 1})
+	res, err := core.Init(context.Background(), in, core.InitConfig{Channel: sim.Config{Seed: 1, Pool: pool}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -115,8 +127,9 @@ func BenchmarkE4Sparsity(b *testing.B) {
 // BenchmarkE5LowDegreeFilter regenerates Table E5: T(M) sparsity and
 // retention (Theorem 13).
 func BenchmarkE5LowDegreeFilter(b *testing.B) {
+	pool := cpuPool(b)
 	in := benchInstance(5)
-	res, err := core.Init(context.Background(), in, core.InitConfig{Seed: 1})
+	res, err := core.Init(context.Background(), in, core.InitConfig{Channel: sim.Config{Seed: 1, Pool: pool}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -132,8 +145,9 @@ func BenchmarkE5LowDegreeFilter(b *testing.B) {
 // BenchmarkE6MeanReschedule regenerates Table E6: distributed mean-power
 // rescheduling of T (Theorem 3).
 func BenchmarkE6MeanReschedule(b *testing.B) {
+	pool := cpuPool(b)
 	in := benchInstance(6)
-	res, err := core.Init(context.Background(), in, core.InitConfig{Seed: 1})
+	res, err := core.Init(context.Background(), in, core.InitConfig{Channel: sim.Config{Seed: 1, Pool: pool}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -141,7 +155,7 @@ func BenchmarkE6MeanReschedule(b *testing.B) {
 	slots := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rres, err := core.Reschedule(context.Background(), in, res.Tree, pa, schedule.DistConfig{Seed: int64(i)})
+		rres, err := core.Reschedule(context.Background(), in, res.Tree, pa, sim.Config{Seed: int64(i), Pool: pool})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -153,11 +167,12 @@ func BenchmarkE6MeanReschedule(b *testing.B) {
 // BenchmarkE7Iterations regenerates Table E7: TreeViaCapacity iteration
 // count (Theorem 12).
 func BenchmarkE7Iterations(b *testing.B) {
+	pool := cpuPool(b)
 	in := benchInstance(7)
 	iters := 0
 	for i := 0; i < b.N; i++ {
 		res, err := core.TreeViaCapacity(context.Background(), in, core.TVCConfig{
-			Variant: core.VariantArbitrary, Seed: int64(i),
+			Variant: core.VariantArbitrary, Init: core.InitConfig{Channel: sim.Config{Seed: int64(i), Pool: pool}},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -170,11 +185,12 @@ func BenchmarkE7Iterations(b *testing.B) {
 // BenchmarkE8ArbitraryPower regenerates Table E8: final schedule length of
 // the arbitrary-power bi-tree (Theorem 4a).
 func BenchmarkE8ArbitraryPower(b *testing.B) {
+	pool := cpuPool(b)
 	in := benchInstance(8)
 	slots := 0
 	for i := 0; i < b.N; i++ {
 		res, err := core.TreeViaCapacity(context.Background(), in, core.TVCConfig{
-			Variant: core.VariantArbitrary, Seed: int64(i),
+			Variant: core.VariantArbitrary, Init: core.InitConfig{Channel: sim.Config{Seed: int64(i), Pool: pool}},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -187,11 +203,12 @@ func BenchmarkE8ArbitraryPower(b *testing.B) {
 // BenchmarkE9MeanPower regenerates Table E9: final schedule length of the
 // mean-power bi-tree (Theorem 4b).
 func BenchmarkE9MeanPower(b *testing.B) {
+	pool := cpuPool(b)
 	in := benchInstance(9)
 	slots := 0
 	for i := 0; i < b.N; i++ {
 		res, err := core.TreeViaCapacity(context.Background(), in, core.TVCConfig{
-			Variant: core.VariantMean, Seed: int64(i),
+			Variant: core.VariantMean, Init: core.InitConfig{Channel: sim.Config{Seed: int64(i), Pool: pool}},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -204,8 +221,9 @@ func BenchmarkE9MeanPower(b *testing.B) {
 // BenchmarkE10Crossover regenerates Table E10: uniform vs mean first-fit on
 // the same high-Δ tree.
 func BenchmarkE10Crossover(b *testing.B) {
+	pool := cpuPool(b)
 	in := sinr.MustInstance(workload.ChainForDelta(benchN/2, 1<<18), sinr.DefaultParams())
-	res, err := core.Init(context.Background(), in, core.InitConfig{Seed: 1})
+	res, err := core.Init(context.Background(), in, core.InitConfig{Channel: sim.Config{Seed: 1, Pool: pool}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -222,9 +240,10 @@ func BenchmarkE10Crossover(b *testing.B) {
 // BenchmarkE11Latency regenerates Table E11: converge-cast latency on the
 // Section-8 bi-tree (Definition 1 / Theorem 4).
 func BenchmarkE11Latency(b *testing.B) {
+	pool := cpuPool(b)
 	in := benchInstance(11)
 	res, err := core.TreeViaCapacity(context.Background(), in, core.TVCConfig{
-		Variant: core.VariantArbitrary, Seed: 1,
+		Variant: core.VariantArbitrary, Init: core.InitConfig{Channel: sim.Config{Seed: 1, Pool: pool}},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -244,8 +263,9 @@ func BenchmarkE11Latency(b *testing.B) {
 // BenchmarkE12CapacityRatio regenerates Table E12: Distr-Cap yield against
 // the centralized Kesselheim selection (Theorem 20).
 func BenchmarkE12CapacityRatio(b *testing.B) {
+	pool := cpuPool(b)
 	in := benchInstance(12)
-	ires, err := core.Init(context.Background(), in, core.InitConfig{Seed: 1})
+	ires, err := core.Init(context.Background(), in, core.InitConfig{Channel: sim.Config{Seed: 1, Pool: pool}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -267,8 +287,9 @@ func BenchmarkE12CapacityRatio(b *testing.B) {
 // BenchmarkE13Energy regenerates Table E13: per-epoch aggregation energy on
 // the Section-8 tree.
 func BenchmarkE13Energy(b *testing.B) {
+	pool := cpuPool(b)
 	in := benchInstance(13)
-	res, err := core.TreeViaCapacity(context.Background(), in, core.TVCConfig{Variant: core.VariantArbitrary, Seed: 1})
+	res, err := core.TreeViaCapacity(context.Background(), in, core.TVCConfig{Variant: core.VariantArbitrary, Init: core.InitConfig{Channel: sim.Config{Seed: 1, Pool: pool}}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -279,7 +300,7 @@ func BenchmarkE13Energy(b *testing.B) {
 	energy := 0.0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := core.RunAggregation(context.Background(), in, res.Tree, values, sinrconn.SumAgg, sim.Config{})
+		out, err := core.RunAggregation(context.Background(), in, res.Tree, values, sinrconn.SumAgg, sim.Config{Pool: pool})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -291,8 +312,9 @@ func BenchmarkE13Energy(b *testing.B) {
 // BenchmarkE14PhysicalEpoch regenerates Table E14: a full physical
 // converge-cast epoch on the Init tree.
 func BenchmarkE14PhysicalEpoch(b *testing.B) {
+	pool := cpuPool(b)
 	in := benchInstance(14)
-	res, err := core.Init(context.Background(), in, core.InitConfig{Seed: 1})
+	res, err := core.Init(context.Background(), in, core.InitConfig{Channel: sim.Config{Seed: 1, Pool: pool}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -302,7 +324,7 @@ func BenchmarkE14PhysicalEpoch(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunAggregation(context.Background(), in, res.Tree, values, sinrconn.SumAgg, sim.Config{}); err != nil {
+		if _, err := core.RunAggregation(context.Background(), in, res.Tree, values, sinrconn.SumAgg, sim.Config{Pool: pool}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -329,12 +351,13 @@ func BenchmarkQuickSuite(b *testing.B) {
 // BenchmarkA1BroadcastProb regenerates Table A1 at the default p,
 // reporting slots so alternative p values can be compared with -benchtime.
 func BenchmarkA1BroadcastProb(b *testing.B) {
+	pool := cpuPool(b)
 	for _, p := range []float64{0.1, 0.25, 0.45} {
 		b.Run(fmt.Sprintf("p=%.2f", p), func(b *testing.B) {
 			in := benchInstance(31)
 			slots := 0
 			for i := 0; i < b.N; i++ {
-				res, err := core.Init(context.Background(), in, core.InitConfig{BroadcastProb: p, Seed: int64(i)})
+				res, err := core.Init(context.Background(), in, core.InitConfig{BroadcastProb: p, Channel: sim.Config{Seed: int64(i), Pool: pool}})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -347,8 +370,9 @@ func BenchmarkA1BroadcastProb(b *testing.B) {
 
 // BenchmarkA3DistrCapTau regenerates Table A3's yield column.
 func BenchmarkA3DistrCapTau(b *testing.B) {
+	pool := cpuPool(b)
 	in := benchInstance(33)
-	ires, err := core.Init(context.Background(), in, core.InitConfig{Seed: 1})
+	ires, err := core.Init(context.Background(), in, core.InitConfig{Channel: sim.Config{Seed: 1, Pool: pool}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -371,12 +395,13 @@ func BenchmarkA3DistrCapTau(b *testing.B) {
 
 // BenchmarkA5DropRobustness regenerates Table A5: Init under fading.
 func BenchmarkA5DropRobustness(b *testing.B) {
+	pool := cpuPool(b)
 	for _, drop := range []float64{0, 0.3} {
 		b.Run(fmt.Sprintf("drop=%.1f", drop), func(b *testing.B) {
 			in := benchInstance(35)
 			slots := 0
 			for i := 0; i < b.N; i++ {
-				res, err := core.Init(context.Background(), in, core.InitConfig{Seed: int64(i), DropProb: drop})
+				res, err := core.Init(context.Background(), in, core.InitConfig{Channel: sim.Config{Seed: int64(i), DropProb: drop, Pool: pool}})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -389,6 +414,7 @@ func BenchmarkA5DropRobustness(b *testing.B) {
 
 // BenchmarkJoin measures attaching 4 late nodes to an existing tree.
 func BenchmarkJoin(b *testing.B) {
+	pool := cpuPool(b)
 	in := benchInstance(36)
 	base := make([]int, benchN-4)
 	joiners := make([]int, 4)
@@ -398,13 +424,13 @@ func BenchmarkJoin(b *testing.B) {
 	for i := range joiners {
 		joiners[i] = benchN - 4 + i
 	}
-	ires, err := core.Init(context.Background(), in, core.InitConfig{Seed: 1, Participants: base})
+	ires, err := core.Init(context.Background(), in, core.InitConfig{Channel: sim.Config{Seed: 1, Pool: pool}, Participants: base})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Join(context.Background(), in, ires.Tree, joiners, core.InitConfig{Seed: int64(i)}); err != nil {
+		if _, err := core.Join(context.Background(), in, ires.Tree, joiners, core.InitConfig{Channel: sim.Config{Seed: int64(i), Pool: pool}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -412,8 +438,9 @@ func BenchmarkJoin(b *testing.B) {
 
 // BenchmarkRepair measures recovering from one interior-node failure.
 func BenchmarkRepair(b *testing.B) {
+	pool := cpuPool(b)
 	in := benchInstance(37)
-	ires, err := core.Init(context.Background(), in, core.InitConfig{Seed: 1})
+	ires, err := core.Init(context.Background(), in, core.InitConfig{Channel: sim.Config{Seed: 1, Pool: pool}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -429,7 +456,7 @@ func BenchmarkRepair(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Repair(context.Background(), in, ires.Tree, []int{victim}, core.InitConfig{Seed: int64(i)}); err != nil {
+		if _, err := core.Repair(context.Background(), in, ires.Tree, []int{victim}, core.InitConfig{Channel: sim.Config{Seed: int64(i), Pool: pool}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -461,8 +488,9 @@ func BenchmarkChannelSlot(b *testing.B) {
 // BenchmarkPowerSolve measures the Foschini–Miljanic solver on a selected
 // feasible set.
 func BenchmarkPowerSolve(b *testing.B) {
+	pool := cpuPool(b)
 	in := benchInstance(21)
-	ires, err := core.Init(context.Background(), in, core.InitConfig{Seed: 1})
+	ires, err := core.Init(context.Background(), in, core.InitConfig{Channel: sim.Config{Seed: 1, Pool: pool}})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -239,7 +239,7 @@ func (nw *Network) Churn(ctx context.Context, trace TraceSpec, opts ...ChurnOpti
 	if err != nil {
 		return nil, err
 	}
-	pool, release := nw.acquirePool()
+	ch, release := nw.channel(s, ff)
 	defer release()
 
 	burstRadius := trace.BurstRadius
@@ -255,9 +255,8 @@ func (nw *Network) Churn(ctx context.Context, trace TraceSpec, opts ...ChurnOpti
 		nw:     nw,
 		s:      s,
 		cs:     cs,
-		pool:   pool,
+		ch:     ch,
 		in:     in,
-		ff:     ff,
 		gen:    gen,
 		damper: churn.NewDamper(dampK, dampWindow, dampCooldown, burstRadius),
 	}
@@ -327,7 +326,7 @@ func (nw *Network) Churn(ctx context.Context, trace TraceSpec, opts ...ChurnOpti
 			return nil, fmt.Errorf("sinrconn: churn event %d: %w", i, err)
 		}
 		if cs.audit {
-			if err := auditTree(d.bt, d.in, d.ff); err != nil {
+			if err := auditTree(d.bt, d.in, d.ch.Far); err != nil {
 				return nil, fmt.Errorf("sinrconn: churn audit after event %d (%v): %w", i, ev.Kind, err)
 			}
 		}
@@ -336,7 +335,7 @@ func (nw *Network) Churn(ctx context.Context, trace TraceSpec, opts ...ChurnOpti
 	final, err := nw.derive(d.in).finishResult(d.in, d.bt, Metrics{
 		SlotsUsed:      d.stats.SlotsUsed,
 		ScheduleLength: d.bt.NumSlots(),
-	}, d.ff)
+	}, d.ch.Far)
 	if err != nil {
 		return nil, err
 	}
@@ -352,10 +351,9 @@ type churnDriver struct {
 	nw     *Network
 	s      settings
 	cs     churnSettings
-	pool   *sim.Pool
+	ch     sim.Config // every engine's channel; swapInstance re-plans ch.Far
 	in     *sinr.Instance
 	bt     *tree.BiTree
-	ff     *sinr.QuadTree
 	gen    *churn.Generator
 	damper *churn.Damper
 
@@ -382,9 +380,9 @@ func (d *churnDriver) links() []sinr.Link {
 // cfg derives the protocol config for one attempt; extraRounds > 0 is the
 // retry backoff (added safety rounds at the top length class).
 func (d *churnDriver) cfg(extraRounds int) core.InitConfig {
-	c := initConfig(d.s, d.pool, d.ff)
+	c := initConfig(d.s, d.ch)
 	d.seedCtr++
-	c.Seed = d.s.seed + d.seedCtr*0x9E3779B9
+	c.Channel.Seed = d.s.seed + d.seedCtr*0x9E3779B9
 	if extraRounds > 0 {
 		c.ExtraRounds = 64 + extraRounds
 	}
@@ -679,7 +677,7 @@ func (d *churnDriver) swapInstance(in *sinr.Instance) error {
 		return err
 	}
 	d.in = in
-	d.ff = ff
+	d.ch.Far = ff
 	return nil
 }
 

@@ -45,9 +45,9 @@ func (nw *Network) opSettings(opts []RunOption) (settings, error) {
 	return s, nil
 }
 
-// beginResultOp admits a join or repair of r: r must be bound to nw, the
-// handle open, and opts free of WithPhys. The caller must call done once
-// the operation has finished.
+// beginResultOp admits a join, repair or physical epoch on r: r must be
+// bound to nw, the handle open, and opts free of WithPhys. The caller must
+// call done once the operation has finished.
 func (nw *Network) beginResultOp(r *Result, opts []RunOption) (s settings, done func(), err error) {
 	if err := nw.checkBound(r); err != nil {
 		return s, nil, err
@@ -76,7 +76,9 @@ func (nw *Network) beginResultOp(r *Result, opts []RunOption) (s settings, done 
 // (only the new rows/columns are computed) and the join protocol runs on
 // this Network's worker pool. The returned Result is bound to a derived
 // Network over the enlarged point set — reachable via Result.Network() —
-// which shares this handle's pool and needs no separate Close.
+// which shares this handle's pool and needs no separate Close. After this
+// handle closes, the derived one still runs, with its engines running
+// every stage inline instead of on the pool.
 func (nw *Network) Join(ctx context.Context, r *Result, newPts []Point, opts ...RunOption) (*Result, error) {
 	s, done, err := nw.beginResultOp(r, opts)
 	if err != nil {
@@ -114,9 +116,9 @@ func (nw *Network) Join(ctx context.Context, r *Result, newPts []Point, opts ...
 	if err != nil {
 		return nil, err
 	}
-	pool, release := nw.acquirePool()
+	ch, release := nw.channel(s, ff)
 	defer release()
-	jres, err := core.Join(ctx, in, oldTree, joiners, initConfig(s, pool, ff))
+	jres, err := core.Join(ctx, in, oldTree, joiners, initConfig(s, ch))
 	if err != nil {
 		return nil, err
 	}
@@ -189,9 +191,9 @@ func (nw *Network) repair(r *Result, opts []RunOption, what string, n int,
 	if err != nil {
 		return nil, err
 	}
-	pool, release := nw.acquirePool()
+	ch, release := nw.channel(s, ff)
 	defer release()
-	rres, err := fix(in, r.Tree.inner, initConfig(s, pool, ff))
+	rres, err := fix(in, r.Tree.inner, initConfig(s, ch))
 	if err != nil {
 		return nil, err
 	}

@@ -88,6 +88,26 @@ func TestGoldenDigests(t *testing.T) {
 		}
 	}
 
+	// Under reception drops: the drop rate travels through every layer a
+	// construction's channel config passes (Init's engines, the TVC
+	// iterations, and the Section 7 scheduler, which runs drop-free).
+	wantDrop := map[sinrconn.Pipeline]uint64{
+		sinrconn.PipelineInit:           0xad560812c2f67dd0,
+		sinrconn.PipelineRescheduleMean: 0x55918b1632fa5877,
+		sinrconn.PipelineTVCArbitrary:   0x670efd50e3b45043,
+	}
+	for _, p := range []sinrconn.Pipeline{sinrconn.PipelineInit, sinrconn.PipelineRescheduleMean, sinrconn.PipelineTVCArbitrary} {
+		r, err := nw.Run(ctx, p, sinrconn.WithSeed(7), sinrconn.WithDropProb(0.1))
+		if err != nil {
+			t.Fatalf("%v drop 0.1: %v", p, err)
+		}
+		d := newDigest()
+		d.tree(r)
+		if got := d.h.Sum64(); got != wantDrop[p] {
+			t.Errorf("%v drop 0.1: digest %#x, want %#x", p, got, wantDrop[p])
+		}
+	}
+
 	rep, err := nw.Churn(ctx, sinrconn.TraceSpec{
 		Seed:       7,
 		Events:     32,

@@ -7,6 +7,7 @@ import (
 
 	"sinrconn/internal/geom"
 	"sinrconn/internal/power"
+	"sinrconn/internal/sim"
 	"sinrconn/internal/sinr"
 )
 
@@ -92,7 +93,7 @@ func TestCentralCapacityLargerTauSelectsMore(t *testing.T) {
 
 func TestLowDegreeSubset(t *testing.T) {
 	in := uniformInstance(t, 6, 96)
-	res, err := Init(context.Background(), in, InitConfig{Seed: 4})
+	res, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{Seed: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestLowDegreeSubset(t *testing.T) {
 
 func TestRetentionFractionEmptyTree(t *testing.T) {
 	in := uniformInstance(t, 7, 4)
-	res, err := Init(context.Background(), in, InitConfig{Seed: 1, Participants: []int{2}})
+	res, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{Seed: 1}, Participants: []int{2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestMeanSample(t *testing.T) {
 	// Realistic candidates: the low-degree core of an Init tree (what
 	// TreeViaCapacity actually feeds in), sampled at the paper's 1/(4γ₁Υ).
 	in := uniformInstance(t, 10, 60)
-	res, err := Init(context.Background(), in, InitConfig{Seed: 2})
+	res, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{Seed: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,23 +5,30 @@ import (
 	"fmt"
 	"math"
 
-	"sinrconn/internal/faults"
 	"sinrconn/internal/sim"
 	"sinrconn/internal/sinr"
 )
 
-// engineConfig is the sim.Config a core construction derives from an
-// InitConfig: worker budget, failure injection, and the shared pool.
-func (c *InitConfig) engineConfig(seed int64) sim.Config {
-	return sim.Config{
-		Workers:  c.Workers,
-		DropProb: c.DropProb,
-		Seed:     seed,
-		Pool:     c.Pool,
-		Far:      c.Far,
-		Observer: c.Observer,
-		Injector: c.Injector,
+// engineConfig is the channel config of one engine of the construction:
+// c.Channel with its drop stream seeded from Channel.Seed^salt, so each
+// engine kind (Init, Join) draws its own drops from the construction's one
+// seed.
+func (c *InitConfig) engineConfig(salt int64) sim.Config {
+	ec := c.Channel
+	ec.Seed ^= salt
+	return ec
+}
+
+// linkSet returns the links as a set, or nil when there are none.
+func linkSet(links []sinr.Link) map[sinr.Link]bool {
+	if len(links) == 0 {
+		return nil
 	}
+	set := make(map[sinr.Link]bool, len(links))
+	for _, l := range links {
+		set[l] = true
+	}
+	return set
 }
 
 // checkCtx returns ctx's error wrapped with the construction stage that
@@ -54,30 +61,21 @@ type InitConfig struct {
 	// ExtraRounds caps the safety rounds run at the top length class after
 	// the ⌈log Δ⌉ ladder if more than one node is still active. Default 64.
 	ExtraRounds int
-	// Seed derives all node randomness. Runs are reproducible.
-	Seed int64
-	// Workers is the sim engine worker count (0 = NumCPU). Ignored when
-	// Pool is set.
-	Workers int
-	// Pool, if non-nil, is a persistent sim worker pool shared across
-	// engine lifetimes (owned by the session handle, sinrconn.Network).
-	// Engines borrow it instead of spawning goroutines per construction.
-	Pool *sim.Pool
-	// Far, if non-nil, runs every engine of the construction under a
-	// far-field channel approximation, each slot picking exact or far
-	// resolution from its live sender count (see sim.Config.Far). The plan
-	// must be built from the construction's instance.
-	Far *sinr.QuadTree
-	// DropProb injects reception failures in the engine.
-	DropProb float64
+	// Channel is the channel every engine of the construction runs on:
+	// the shared worker pool, the far-field plan (built from the
+	// construction's instance), the drop rate, the slot observer and the
+	// fault injector (see sim.Config). Its Seed derives all node randomness
+	// and, salted per engine kind, each engine's drop stream, so runs are
+	// reproducible.
+	Channel sim.Config
 	// Participants restricts the protocol to a subset of node indices
 	// (TreeViaCapacity shrinks this set each iteration). nil means all.
 	Participants []int
-	// Forbidden lists directed links that must not form (Join/RepairLinks
-	// only): it models permanently failed links — an obstacle the SINR
-	// mean-path-loss channel cannot express. Joiners ignore acknowledgments
-	// that would re-create a forbidden link, and members do not answer
-	// broadcasts across one.
+	// Forbidden lists directed links that must not form, in Init, Join and
+	// the repairs alike: it models permanently failed links — an obstacle
+	// the SINR mean-path-loss channel cannot express. A node does not
+	// answer a broadcast across a forbidden link, so no acknowledgment can
+	// re-create one.
 	Forbidden []sinr.Link
 	// Mute lists member nodes excluded as attachment targets (Join and the
 	// repair re-attachment paths): they participate in the tree but never
@@ -86,14 +84,6 @@ type InitConfig struct {
 	// "ignore recently dropped paths" invariant of mesh routing — so a
 	// repeatedly failing neighborhood stops attracting re-attachments.
 	Mute []int
-	// Observer, if non-nil, receives a sim.SlotEvent after every engine
-	// slot of the construction (the serving layer's streaming hook).
-	// Observers are diagnostic only: they never influence the result.
-	Observer sim.Observer
-	// Injector, if non-nil, is handed to every engine of the construction
-	// as its fault-injection hook (see internal/faults). Injected faults
-	// only stall — results stay bit-identical to an injector-free run.
-	Injector faults.Injector
 }
 
 func (c *InitConfig) defaults() {
@@ -118,8 +108,8 @@ func (c *InitConfig) pairsPerRound(n int) int {
 // range checks are written so that NaN, which defaults() leaves in place,
 // fails them.
 func (c *InitConfig) validate() error {
-	if !(c.DropProb >= 0 && c.DropProb < 1) {
-		return fmt.Errorf("core: drop probability %v outside [0,1)", c.DropProb)
+	if !(c.Channel.DropProb >= 0 && c.Channel.DropProb < 1) {
+		return fmt.Errorf("core: drop probability %v outside [0,1)", c.Channel.DropProb)
 	}
 	if !(c.BroadcastProb > 0 && c.BroadcastProb <= 0.5) {
 		return fmt.Errorf("core: broadcast probability %v outside (0, 0.5]", c.BroadcastProb)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sinrconn/internal/power"
+	"sinrconn/internal/sim"
 	"sinrconn/internal/sinr"
 )
 
@@ -12,7 +13,7 @@ import (
 // low-degree core links — the candidate set Distr-Cap is designed for.
 func initCoreLinks(t *testing.T, in *sinr.Instance, seed int64) []sinr.Link {
 	t.Helper()
-	res, err := Init(context.Background(), in, InitConfig{Seed: seed})
+	res, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{Seed: seed}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,4 +24,11 @@
 // deterministic safety loop (extra rounds at the top length class) that
 // guarantees termination with a connected tree regardless of how the coins
 // fall. DESIGN.md discusses the substitution.
+//
+// Every construction runs on one description of the channel, a sim.Config:
+// InitConfig holds it as Channel (Init, Join and the repairs derive their
+// node streams and each engine's drop seed from its Seed), TVCConfig
+// passes it through
+// its Init config, and Reschedule takes one directly. No construction owns
+// goroutines; its engines borrow the Channel's pool, if any.
 package core

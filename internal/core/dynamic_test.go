@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sinrconn/internal/geom"
+	"sinrconn/internal/sim"
 	"sinrconn/internal/sinr"
 	"sinrconn/internal/workload"
 )
@@ -26,7 +27,7 @@ func splitInstance(t *testing.T, seed int64, n, k int) (*sinr.Instance, *InitRes
 			joiners = append(joiners, i)
 		}
 	}
-	res, err := Init(context.Background(), in, InitConfig{Seed: seed, Participants: base})
+	res, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{Seed: seed}, Participants: base})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func checkFullBiTree(t *testing.T, in *sinr.Instance, bt interface {
 
 func TestJoinAttachesAll(t *testing.T) {
 	in, res, joiners := splitInstance(t, 60, 48, 8)
-	jres, err := Join(context.Background(), in, res.Tree, joiners, InitConfig{Seed: 2})
+	jres, err := Join(context.Background(), in, res.Tree, joiners, InitConfig{Channel: sim.Config{Seed: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestJoinAttachesAll(t *testing.T) {
 
 func TestJoinEmpty(t *testing.T) {
 	in, res, _ := splitInstance(t, 61, 24, 4)
-	jres, err := Join(context.Background(), in, res.Tree, nil, InitConfig{Seed: 1})
+	jres, err := Join(context.Background(), in, res.Tree, nil, InitConfig{Channel: sim.Config{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +112,11 @@ func TestJoinChained(t *testing.T) {
 		pts = append(pts, geom.Point{X: 4 + float64(i)*3, Y: 2})
 	}
 	in := sinr.MustInstance(pts, sinr.DefaultParams())
-	res, err := Init(context.Background(), in, InitConfig{Seed: 3, Participants: base})
+	res, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{Seed: 3}, Participants: base})
 	if err != nil {
 		t.Fatal(err)
 	}
-	jres, err := Join(context.Background(), in, res.Tree, []int{9, 10, 11, 12}, InitConfig{Seed: 4})
+	jres, err := Join(context.Background(), in, res.Tree, []int{9, 10, 11, 12}, InitConfig{Channel: sim.Config{Seed: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +128,11 @@ func TestJoinChained(t *testing.T) {
 
 func TestJoinDeterministic(t *testing.T) {
 	in, res, joiners := splitInstance(t, 63, 32, 6)
-	a, err := Join(context.Background(), in, res.Tree, joiners, InitConfig{Seed: 9})
+	a, err := Join(context.Background(), in, res.Tree, joiners, InitConfig{Channel: sim.Config{Seed: 9}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Join(context.Background(), in, res.Tree, joiners, InitConfig{Seed: 9})
+	b, err := Join(context.Background(), in, res.Tree, joiners, InitConfig{Channel: sim.Config{Seed: 9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestRepairInteriorFailure(t *testing.T) {
 	if victim < 0 {
 		t.Skip("no interior node in this tree")
 	}
-	rres, err := Repair(context.Background(), in, bt, []int{victim}, InitConfig{Seed: 5})
+	rres, err := Repair(context.Background(), in, bt, []int{victim}, InitConfig{Channel: sim.Config{Seed: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestRepairInteriorFailure(t *testing.T) {
 func TestRepairRootFailure(t *testing.T) {
 	in, res, _ := splitInstance(t, 65, 40, 0)
 	bt := res.Tree
-	rres, err := Repair(context.Background(), in, bt, []int{bt.Root}, InitConfig{Seed: 6})
+	rres, err := Repair(context.Background(), in, bt, []int{bt.Root}, InitConfig{Channel: sim.Config{Seed: 6}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestRepairLeafFailure(t *testing.T) {
 	if leaf < 0 {
 		t.Fatal("no leaf found")
 	}
-	rres, err := Repair(context.Background(), in, bt, []int{leaf}, InitConfig{Seed: 7})
+	rres, err := Repair(context.Background(), in, bt, []int{leaf}, InitConfig{Channel: sim.Config{Seed: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestRepairMultipleFailures(t *testing.T) {
 			failed = append(failed, v)
 		}
 	}
-	rres, err := Repair(context.Background(), in, bt, failed, InitConfig{Seed: 8})
+	rres, err := Repair(context.Background(), in, bt, failed, InitConfig{Channel: sim.Config{Seed: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,11 +262,11 @@ func TestRepairDuplicateFailedTolerated(t *testing.T) {
 			break
 		}
 	}
-	dup, err := Repair(context.Background(), in, res.Tree, []int{victim, victim}, InitConfig{Seed: 9})
+	dup, err := Repair(context.Background(), in, res.Tree, []int{victim, victim}, InitConfig{Channel: sim.Config{Seed: 9}})
 	if err != nil {
 		t.Fatalf("duplicate failed node rejected: %v", err)
 	}
-	single, err := Repair(context.Background(), in, res.Tree, []int{victim}, InitConfig{Seed: 9})
+	single, err := Repair(context.Background(), in, res.Tree, []int{victim}, InitConfig{Channel: sim.Config{Seed: 9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +330,7 @@ func TestRepairLinksReattaches(t *testing.T) {
 	if !found {
 		t.Skip("no interior out-link")
 	}
-	rres, err := RepairLinks(context.Background(), in, bt, []sinr.Link{failed}, InitConfig{Seed: 6})
+	rres, err := RepairLinks(context.Background(), in, bt, []sinr.Link{failed}, InitConfig{Channel: sim.Config{Seed: 6}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +362,7 @@ func TestRepairLinksMultiple(t *testing.T) {
 			break
 		}
 	}
-	rres, err := RepairLinks(context.Background(), in, bt, failed, InitConfig{Seed: 7})
+	rres, err := RepairLinks(context.Background(), in, bt, failed, InitConfig{Channel: sim.Config{Seed: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +386,7 @@ func TestRepairLinksValidation(t *testing.T) {
 	// Duplicate failed links are tolerated ({l, l} ≡ {l}): link showers
 	// under churn routinely report the same link down twice.
 	l := res.Tree.Up[0].L
-	if _, err := RepairLinks(context.Background(), in, res.Tree, []sinr.Link{l, l}, InitConfig{Seed: 11}); err != nil {
+	if _, err := RepairLinks(context.Background(), in, res.Tree, []sinr.Link{l, l}, InitConfig{Channel: sim.Config{Seed: 11}}); err != nil {
 		t.Errorf("duplicate failed link rejected: %v", err)
 	}
 	// Empty failure set: pure restamp, no channel time.

@@ -184,7 +184,6 @@ func runEpoch(ctx context.Context, in *sinr.Instance, bt *tree.BiTree, links []t
 	if err != nil {
 		return nil, false, err
 	}
-	defer eng.Close()
 	if _, err := eng.RunCtx(ctx, len(stamps)+1); err != nil {
 		return nil, false, fmt.Errorf("core: epoch canceled: %w", err)
 	}

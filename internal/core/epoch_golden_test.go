@@ -97,7 +97,7 @@ func goldenEpochs(in *sinr.Instance, bt *tree.BiTree, seed int64, ecfg sim.Confi
 // resolution. A change to how an epoch folds, forwards, powers or counts
 // moves a digest.
 func TestGoldenEpochDigests(t *testing.T) {
-	ctx := context.Background()
+	ctx, pool := context.Background(), testPool(t, 4)
 	want := map[string]uint64{
 		"init":          0x5786e0f4ee23122c,
 		"tvc-mean":      0xdfadece5edb8daa8,
@@ -120,20 +120,20 @@ func TestGoldenEpochDigests(t *testing.T) {
 				name string
 				cfg  sim.Config
 			}{
-				{"serial", sim.Config{Workers: 1}},
-				{"pooled", sim.Config{Workers: 4}},
-				{"drop0.05", sim.Config{Workers: 1, DropProb: 0.05, Seed: seed}},
-				{"drop0.3", sim.Config{Workers: 1, DropProb: 0.3, Seed: seed + 10}},
-				{"far", sim.Config{Workers: 1, Far: ff, AdaptiveCrossover: 1}},
+				{"serial", sim.Config{}},
+				{"pooled", sim.Config{Pool: pool}},
+				{"drop0.05", sim.Config{DropProb: 0.05, Seed: seed}},
+				{"drop0.3", sim.Config{DropProb: 0.3, Seed: seed + 10}},
+				{"far", sim.Config{Far: ff, AdaptiveCrossover: 1}},
 			}
 			trees := map[string]*tree.BiTree{}
-			ires, err := Init(ctx, in, InitConfig{Seed: seed, Workers: 1})
+			ires, err := Init(ctx, in, InitConfig{Channel: sim.Config{Seed: seed}})
 			if err != nil {
 				t.Fatalf("n=%d seed=%d init: %v", n, seed, err)
 			}
 			trees["init"] = ires.Tree
 			for kind, v := range map[string]Variant{"tvc-mean": VariantMean, "tvc-arbitrary": VariantArbitrary} {
-				tres, err := TreeViaCapacity(ctx, in, TVCConfig{Variant: v, Seed: seed, Init: InitConfig{Workers: 1}})
+				tres, err := TreeViaCapacity(ctx, in, TVCConfig{Variant: v, Init: InitConfig{Channel: sim.Config{Seed: seed}}})
 				if err != nil {
 					t.Fatalf("n=%d seed=%d %s: %v", n, seed, kind, err)
 				}
@@ -163,4 +163,11 @@ func TestGoldenEpochDigests(t *testing.T) {
 			t.Errorf("%s: digest %#x, want %#x", kind, got, want[kind])
 		}
 	}
+}
+
+// testPool returns a pool of w workers that closes when the test ends.
+func testPool(t testing.TB, w int) *sim.Pool {
+	p := sim.NewPool(w)
+	t.Cleanup(p.Close)
+	return p
 }

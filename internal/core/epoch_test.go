@@ -15,7 +15,7 @@ func maxFold(a, b int64) int64 { return max(a, b) }
 
 func TestRunAggregationOnInitTree(t *testing.T) {
 	in := uniformInstance(t, 80, 48)
-	res, err := Init(context.Background(), in, InitConfig{Seed: 1})
+	res, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestRunAggregationOnInitTree(t *testing.T) {
 
 func TestRunAggregationMaxOnTVCTree(t *testing.T) {
 	in := uniformInstance(t, 81, 40)
-	res, err := TreeViaCapacity(context.Background(), in, TVCConfig{Variant: VariantArbitrary, Seed: 2})
+	res, err := TreeViaCapacity(context.Background(), in, TVCConfig{Variant: VariantArbitrary, Init: InitConfig{Channel: sim.Config{Seed: 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestRunAggregationMaxOnTVCTree(t *testing.T) {
 
 func TestRunAggregationMeanVariant(t *testing.T) {
 	in := uniformInstance(t, 82, 32)
-	res, err := TreeViaCapacity(context.Background(), in, TVCConfig{Variant: VariantMean, Seed: 3})
+	res, err := TreeViaCapacity(context.Background(), in, TVCConfig{Variant: VariantMean, Init: InitConfig{Channel: sim.Config{Seed: 3}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestRunAggregationDetectsBadSchedule(t *testing.T) {
 	// Sabotage: give two conflicting links the same slot with weak powers —
 	// the physical run must detect the loss.
 	in := uniformInstance(t, 83, 24)
-	res, err := Init(context.Background(), in, InitConfig{Seed: 4})
+	res, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{Seed: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestRunAggregationDetectsBadSchedule(t *testing.T) {
 
 func TestRunAggregationValidation(t *testing.T) {
 	in := uniformInstance(t, 84, 8)
-	res, err := Init(context.Background(), in, InitConfig{Seed: 1})
+	res, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestRunAggregationAfterRepair(t *testing.T) {
 	if victim < 0 {
 		t.Skip("no interior node")
 	}
-	rres, err := Repair(context.Background(), in, bt, []int{victim}, InitConfig{Seed: 5})
+	rres, err := Repair(context.Background(), in, bt, []int{victim}, InitConfig{Channel: sim.Config{Seed: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestRunAggregationAfterRepair(t *testing.T) {
 
 func TestRunPairMessage(t *testing.T) {
 	in := uniformInstance(t, 91, 40)
-	res, err := TreeViaCapacity(context.Background(), in, TVCConfig{Variant: VariantArbitrary, Seed: 6})
+	res, err := TreeViaCapacity(context.Background(), in, TVCConfig{Variant: VariantArbitrary, Init: InitConfig{Channel: sim.Config{Seed: 6}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestRunPairMessage(t *testing.T) {
 
 func TestRunPairMessageValidation(t *testing.T) {
 	in := uniformInstance(t, 92, 12)
-	res, err := Init(context.Background(), in, InitConfig{Seed: 1})
+	res, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestRunPairMessageValidation(t *testing.T) {
 
 func TestRunBroadcastOnInitTree(t *testing.T) {
 	in := uniformInstance(t, 86, 48)
-	res, err := Init(context.Background(), in, InitConfig{Seed: 1})
+	res, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestRunBroadcastOnInitTree(t *testing.T) {
 
 func TestRunBroadcastOnTVCTree(t *testing.T) {
 	in := uniformInstance(t, 87, 36)
-	res, err := TreeViaCapacity(context.Background(), in, TVCConfig{Variant: VariantArbitrary, Seed: 2})
+	res, err := TreeViaCapacity(context.Background(), in, TVCConfig{Variant: VariantArbitrary, Init: InitConfig{Channel: sim.Config{Seed: 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestRunBroadcastOnTVCTree(t *testing.T) {
 
 func TestRunBroadcastDetectsBadSchedule(t *testing.T) {
 	in := uniformInstance(t, 88, 24)
-	res, err := Init(context.Background(), in, InitConfig{Seed: 3})
+	res, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{Seed: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestRunBroadcastDetectsBadSchedule(t *testing.T) {
 
 func TestRunBroadcastSingleNode(t *testing.T) {
 	in := uniformInstance(t, 89, 4)
-	res, err := Init(context.Background(), in, InitConfig{Seed: 1, Participants: []int{2}})
+	res, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{Seed: 1}, Participants: []int{2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"sinrconn/internal/geom"
+	"sinrconn/internal/sim"
 	"sinrconn/internal/sinr"
 	"sinrconn/internal/tree"
 	"sinrconn/internal/workload"
@@ -38,7 +39,7 @@ func TestRepairIncrementalValidTree(t *testing.T) {
 	for _, k := range []int{1, 3, 8} {
 		in, res, _ := splitInstance(t, 90+int64(k), 56, 0)
 		failed := pickFailures(res.Tree, k, 7)
-		rres, err := RepairIncremental(context.Background(), in, res.Tree, failed, InitConfig{Seed: 21})
+		rres, err := RepairIncremental(context.Background(), in, res.Tree, failed, InitConfig{Channel: sim.Config{Seed: 21}})
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -68,7 +69,7 @@ func TestRepairIncrementalSplicesVerbatim(t *testing.T) {
 	for _, tl := range res.Tree.Up {
 		before[tl.L] = tl.Slot
 	}
-	rres, err := RepairIncremental(context.Background(), in, res.Tree, failed, InitConfig{Seed: 22})
+	rres, err := RepairIncremental(context.Background(), in, res.Tree, failed, InitConfig{Channel: sim.Config{Seed: 22}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +111,11 @@ func TestRepairIncrementalSplicesVerbatim(t *testing.T) {
 func TestRepairIncrementalMatchesFullRepair(t *testing.T) {
 	in, res, _ := splitInstance(t, 96, 52, 0)
 	failed := pickFailures(res.Tree, 5, 5)
-	inc, err := RepairIncremental(context.Background(), in, res.Tree, failed, InitConfig{Seed: 23})
+	inc, err := RepairIncremental(context.Background(), in, res.Tree, failed, InitConfig{Channel: sim.Config{Seed: 23}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Repair(context.Background(), in, res.Tree, failed, InitConfig{Seed: 23})
+	full, err := Repair(context.Background(), in, res.Tree, failed, InitConfig{Channel: sim.Config{Seed: 23}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestRepairIncrementalMatchesFullRepair(t *testing.T) {
 
 func TestRepairIncrementalRootFailure(t *testing.T) {
 	in, res, _ := splitInstance(t, 97, 40, 0)
-	rres, err := RepairIncremental(context.Background(), in, res.Tree, []int{res.Tree.Root}, InitConfig{Seed: 24})
+	rres, err := RepairIncremental(context.Background(), in, res.Tree, []int{res.Tree.Root}, InitConfig{Channel: sim.Config{Seed: 24}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestRepairIncrementalDuplicatesAndIteration(t *testing.T) {
 	for step := 0; step < 6 && len(cur.Nodes) > 10; step++ {
 		failed := pickFailures(cur, 2, int64(step))
 		failed = append(failed, failed[0]) // duplicate on purpose
-		rres, err := RepairIncremental(context.Background(), in, cur, failed, InitConfig{Seed: 30 + int64(step)})
+		rres, err := RepairIncremental(context.Background(), in, cur, failed, InitConfig{Channel: sim.Config{Seed: 30 + int64(step)}})
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
@@ -169,7 +170,7 @@ func TestMoveIncremental(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	pts := workload.UniformDensity(rng, 48, 0.15)
 	in := sinr.MustInstance(pts, sinr.DefaultParams())
-	res, err := Init(context.Background(), in, InitConfig{Seed: 99})
+	res, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{Seed: 99}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestMoveIncremental(t *testing.T) {
 		newPts[v] = geom.Point{X: 500 + 3*float64(i), Y: float64(2 * i)}
 	}
 	in2 := sinr.MustInstance(newPts, sinr.DefaultParams())
-	rres, err := MoveIncremental(context.Background(), in2, res.Tree, moved, InitConfig{Seed: 100})
+	rres, err := MoveIncremental(context.Background(), in2, res.Tree, moved, InitConfig{Channel: sim.Config{Seed: 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestRepairLinksIncremental(t *testing.T) {
 			break
 		}
 	}
-	rres, err := RepairLinksIncremental(context.Background(), in, bt, failed, InitConfig{Seed: 102})
+	rres, err := RepairLinksIncremental(context.Background(), in, bt, failed, InitConfig{Channel: sim.Config{Seed: 102}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestJoinMuteExcludesTargets(t *testing.T) {
 			mute = append(mute, v)
 		}
 	}
-	jres, err := Join(context.Background(), in, res.Tree, joiners, InitConfig{Seed: 104, Mute: mute})
+	jres, err := Join(context.Background(), in, res.Tree, joiners, InitConfig{Channel: sim.Config{Seed: 104}, Mute: mute})
 	if err != nil {
 		t.Skipf("join under heavy muting did not converge (legal): %v", err)
 	}

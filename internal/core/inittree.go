@@ -88,11 +88,10 @@ func Init(ctx context.Context, in *sinr.Instance, cfg InitConfig) (*InitResult, 
 
 	spec := new(roundSpec)
 	nodes, procs := initProtocols(isPart, &cfg, spec)
-	eng, err := sim.NewEngine(in, procs, cfg.engineConfig(cfg.Seed^0x5DEECE66D))
+	eng, err := sim.NewEngine(in, procs, cfg.engineConfig(0x5DEECE66D))
 	if err != nil {
 		return nil, err
 	}
-	defer eng.Close()
 
 	res := &InitResult{LadderRounds: ladder}
 	// A node deactivates only in a broadcast slot and leaves the engine in
@@ -145,11 +144,13 @@ func Init(ctx context.Context, in *sinr.Instance, cfg InitConfig) (*InitResult, 
 // initProtocols builds the Section 6 protocol for the participants (isPart)
 // of an n-node instance. Node i's seed is the master stream's i-th draw
 // whether or not i participates, so a participant's stream depends only on
-// cfg.Seed and i. A non-participant gets no node and a nil protocol — the
-// engine idles it without ever visiting it. Every node reads the round
-// configuration through spec, which the driver rewrites between rounds.
+// cfg.Channel.Seed and i. A non-participant gets no node and a nil
+// protocol — the engine idles it without ever visiting it. Every node
+// reads the round configuration through spec, which the driver rewrites
+// between rounds.
 func initProtocols(isPart []bool, cfg *InitConfig, spec *roundSpec) ([]*initNode, []sim.Protocol) {
-	master := rand.New(rand.NewSource(cfg.Seed))
+	master := rand.New(rand.NewSource(cfg.Channel.Seed))
+	forbidden := linkSet(cfg.Forbidden)
 	nodes := make([]*initNode, len(isPart))
 	procs := make([]sim.Protocol, len(isPart))
 	for i, part := range isPart {
@@ -162,6 +163,7 @@ func initProtocols(isPart []bool, cfg *InitConfig, spec *roundSpec) ([]*initNode
 			cfg:           cfg,
 			rng:           sim.NodeRand{Seed: seed},
 			spec:          spec,
+			forbidden:     forbidden,
 			active:        true,
 			parent:        -1,
 			broadcastPair: -1,
@@ -231,6 +233,10 @@ type initNode struct {
 	// acknowledgment, or -1.
 	broadcastPair int
 	pendingPower  float64
+	// forbidden is the set of links that must not form, shared by every
+	// node; nil when there are none, so the common case costs one nil
+	// check and no hashing.
+	forbidden map[sinr.Link]bool
 	// spec is the current round configuration, shared by every node and
 	// rewritten by the driver between rounds. Reads happen inside Step,
 	// writes between engine steps, so there is no race.
@@ -299,6 +305,11 @@ func (nd *initNode) ackSlot(inbox []sim.Delivery) sim.Action {
 		}
 		if d.Dist >= nd.spec.hi {
 			continue // beyond this round's class bound
+		}
+		// Checked before the coin, so only a forbidden link changes what a
+		// node draws.
+		if nd.forbidden != nil && nd.forbidden[sinr.Link{From: d.Msg.From, To: nd.id}] {
+			continue // the broadcaster must not attach through us
 		}
 		if nd.rng.Float64() >= ackProb {
 			continue

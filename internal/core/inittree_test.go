@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"sinrconn/internal/sim"
 	"sinrconn/internal/sinr"
 	"sinrconn/internal/workload"
 )
@@ -44,7 +45,7 @@ func checkBiTree(t *testing.T, in *sinr.Instance, res *InitResult) {
 
 func TestInitSmallLine(t *testing.T) {
 	in := sinr.MustInstance(workload.ExponentialChain(8, 2), sinr.DefaultParams())
-	res, err := Init(context.Background(), in, InitConfig{Seed: 1})
+	res, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestInitSmallLine(t *testing.T) {
 
 func TestInitUniform(t *testing.T) {
 	in := uniformInstance(t, 2, 64)
-	res, err := Init(context.Background(), in, InitConfig{Seed: 7})
+	res, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{Seed: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestInitUniform(t *testing.T) {
 
 func TestInitSingleParticipant(t *testing.T) {
 	in := uniformInstance(t, 3, 10)
-	res, err := Init(context.Background(), in, InitConfig{Seed: 1, Participants: []int{4}})
+	res, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{Seed: 1}, Participants: []int{4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestInitSingleParticipant(t *testing.T) {
 func TestInitSubsetParticipants(t *testing.T) {
 	in := uniformInstance(t, 4, 40)
 	parts := []int{0, 3, 7, 11, 18, 25, 31, 39}
-	res, err := Init(context.Background(), in, InitConfig{Seed: 5, Participants: parts})
+	res, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{Seed: 5}, Participants: parts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +106,11 @@ func TestInitSubsetParticipants(t *testing.T) {
 
 func TestInitDeterministic(t *testing.T) {
 	in := uniformInstance(t, 5, 48)
-	a, err := Init(context.Background(), in, InitConfig{Seed: 11})
+	a, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{Seed: 11}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Init(context.Background(), in, InitConfig{Seed: 11})
+	b, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{Seed: 11}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestInitDeterministic(t *testing.T) {
 			t.Fatalf("link %d differs", i)
 		}
 	}
-	c, err := Init(context.Background(), in, InitConfig{Seed: 12})
+	c, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{Seed: 12}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +144,37 @@ func TestInitDeterministic(t *testing.T) {
 
 func TestInitWithDropInjection(t *testing.T) {
 	in := uniformInstance(t, 6, 32)
-	res, err := Init(context.Background(), in, InitConfig{Seed: 3, DropProb: 0.3})
+	res, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{Seed: 3, DropProb: 0.3}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkBiTree(t, in, res)
+}
+
+// TestInitHonorsForbidden pins Forbidden in Init as in Join: rerunning a
+// construction with one of its links forbidden must build a tree without
+// it, which the churn driver's rebuild rung relies on after a link shower.
+func TestInitHonorsForbidden(t *testing.T) {
+	in := uniformInstance(t, 2, 64)
+	for seed := int64(1); seed <= 3; seed++ {
+		base, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{Seed: seed}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{0, len(base.Tree.Up) / 2, len(base.Tree.Up) - 1} {
+			bad := base.Tree.Up[k].L
+			res, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{Seed: seed}, Forbidden: []sinr.Link{bad}})
+			if err != nil {
+				t.Fatalf("seed %d, %v forbidden: %v", seed, bad, err)
+			}
+			checkBiTree(t, in, res)
+			for _, tl := range res.Tree.Up {
+				if tl.L == bad {
+					t.Errorf("seed %d: forbidden link %v formed again", seed, bad)
+				}
+			}
+		}
+	}
 }
 
 func TestInitErrors(t *testing.T) {
@@ -161,10 +188,10 @@ func TestInitErrors(t *testing.T) {
 	if _, err := Init(context.Background(), in, InitConfig{Participants: []int{1, 1}}); err == nil {
 		t.Error("duplicate participant accepted")
 	}
-	if _, err := Init(context.Background(), in, InitConfig{DropProb: 2}); err == nil {
+	if _, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{DropProb: 2}}); err == nil {
 		t.Error("bad drop probability accepted")
 	}
-	if _, err := Init(context.Background(), in, InitConfig{DropProb: math.NaN()}); err == nil {
+	if _, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{DropProb: math.NaN()}}); err == nil {
 		t.Error("NaN drop probability accepted")
 	}
 	if _, err := Init(context.Background(), in, InitConfig{BroadcastProb: math.NaN()}); err == nil {
@@ -175,7 +202,7 @@ func TestInitErrors(t *testing.T) {
 func TestInitDegreeBound(t *testing.T) {
 	// Theorem 7: max degree O(log n) w.h.p. Use a generous constant.
 	in := uniformInstance(t, 9, 128)
-	res, err := Init(context.Background(), in, InitConfig{Seed: 13})
+	res, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{Seed: 13}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +218,11 @@ func TestInitSlotsScaleWithLadder(t *testing.T) {
 	// size (the log Δ factor of Theorem 2).
 	chain := sinr.MustInstance(workload.ChainForDelta(32, 1<<16), sinr.DefaultParams())
 	grid := sinr.MustInstance(workload.GridPoints(6, 6, 2)[:32], sinr.DefaultParams())
-	resChain, err := Init(context.Background(), chain, InitConfig{Seed: 21})
+	resChain, err := Init(context.Background(), chain, InitConfig{Channel: sim.Config{Seed: 21}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resGrid, err := Init(context.Background(), grid, InitConfig{Seed: 21})
+	resGrid, err := Init(context.Background(), grid, InitConfig{Channel: sim.Config{Seed: 21}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +240,7 @@ func TestInitStrayCleanup(t *testing.T) {
 	// reported. Run several seeds and just assert validity every time.
 	in := uniformInstance(t, 10, 48)
 	for seed := int64(0); seed < 5; seed++ {
-		res, err := Init(context.Background(), in, InitConfig{Seed: seed})
+		res, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{Seed: seed}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,10 +82,7 @@ func Join(ctx context.Context, in *sinr.Instance, bt *tree.BiTree, joiners []int
 	for 1<<decayLevels < len(bt.Nodes)+len(joiners) {
 		decayLevels++
 	}
-	forbidden := make(map[sinr.Link]bool, len(cfg.Forbidden))
-	for _, l := range cfg.Forbidden {
-		forbidden[l] = true
-	}
+	forbidden := linkSet(cfg.Forbidden)
 	muted := make(map[int]bool, len(cfg.Mute))
 	for _, v := range cfg.Mute {
 		muted[v] = true
@@ -93,7 +90,7 @@ func Join(ctx context.Context, in *sinr.Instance, bt *tree.BiTree, joiners []int
 	// Node i's seed is the master stream's i-th draw whatever its role;
 	// nodes outside the tree and the joiner set get a nil protocol, which
 	// the engine idles without visiting.
-	master := rand.New(rand.NewSource(cfg.Seed))
+	master := rand.New(rand.NewSource(cfg.Channel.Seed))
 	spec := new(roundSpec)
 	nodes := make([]*joinNode, in.Len())
 	procs := make([]sim.Protocol, in.Len())
@@ -122,11 +119,10 @@ func Join(ctx context.Context, in *sinr.Instance, bt *tree.BiTree, joiners []int
 		}
 		procs[i] = nodes[i]
 	}
-	eng, err := sim.NewEngine(in, procs, cfg.engineConfig(cfg.Seed^0x9E3779B9))
+	eng, err := sim.NewEngine(in, procs, cfg.engineConfig(0x9E3779B9))
 	if err != nil {
 		return nil, err
 	}
-	defer eng.Close()
 
 	remaining := func() int {
 		c := 0
@@ -226,9 +222,6 @@ func (nd *joinNode) dataSlot(slot int, inbox []sim.Delivery) sim.Action {
 	if nd.role == joinJoiner && nd.broadcastPair >= 0 {
 		for _, d := range inbox {
 			if d.Msg.Kind == sim.KindAck && d.Msg.To == nd.id {
-				if nd.forbidden[sinr.Link{From: nd.id, To: d.Msg.From}] {
-					continue // would re-create a permanently failed link
-				}
 				nd.role = joinMember
 				nd.outLink = &tree.TimedLink{
 					L:     sinr.Link{From: nd.id, To: d.Msg.From},

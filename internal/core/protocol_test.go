@@ -29,7 +29,7 @@ func newTestInitNode(id int) *initNode {
 // protocol (the engine's idle-forever node) while each participant keeps
 // the seed it would have had with every node participating.
 func TestInitNodeNonParticipantIdles(t *testing.T) {
-	cfg := &InitConfig{Seed: 5}
+	cfg := &InitConfig{Channel: sim.Config{Seed: 5}}
 	all, _ := initProtocols([]bool{true, true, true, true, true}, cfg, new(roundSpec))
 	isPart := []bool{false, true, false, true, false}
 	nodes, procs := initProtocols(isPart, cfg, new(roundSpec))

@@ -10,13 +10,14 @@ import (
 	"testing"
 
 	"sinrconn/internal/geom"
+	"sinrconn/internal/sim"
 	"sinrconn/internal/sinr"
 	"sinrconn/internal/tree"
 )
 
 func TestRepairAllNodesFailedErrors(t *testing.T) {
 	in, res, _ := splitInstance(t, 80, 12, 0)
-	if _, err := Repair(context.Background(), in, res.Tree, append([]int(nil), res.Tree.Nodes...), InitConfig{Seed: 1}); err == nil {
+	if _, err := Repair(context.Background(), in, res.Tree, append([]int(nil), res.Tree.Nodes...), InitConfig{Channel: sim.Config{Seed: 1}}); err == nil {
 		t.Fatal("repairing a fully failed tree did not error")
 	}
 }
@@ -25,11 +26,11 @@ func TestRepairSingleNodeTree(t *testing.T) {
 	in := sinr.MustInstance([]geom.Point{{X: 0}, {X: 2}}, sinr.DefaultParams())
 	bt := &tree.BiTree{Root: 0, Nodes: []int{0}}
 	// The only node fails → nothing survives.
-	if _, err := Repair(context.Background(), in, bt, []int{0}, InitConfig{Seed: 2}); err == nil {
+	if _, err := Repair(context.Background(), in, bt, []int{0}, InitConfig{Channel: sim.Config{Seed: 2}}); err == nil {
 		t.Fatal("single-node tree with failed root did not error")
 	}
 	// A node outside the tree cannot fail.
-	if _, err := Repair(context.Background(), in, bt, []int{1}, InitConfig{Seed: 3}); err == nil {
+	if _, err := Repair(context.Background(), in, bt, []int{1}, InitConfig{Channel: sim.Config{Seed: 3}}); err == nil {
 		t.Fatal("failing a non-member did not error")
 	}
 }
@@ -45,7 +46,7 @@ func TestRepairToSingleSurvivor(t *testing.T) {
 			failed = append(failed, v)
 		}
 	}
-	rres, err := Repair(context.Background(), in, bt, failed, InitConfig{Seed: 4})
+	rres, err := Repair(context.Background(), in, bt, failed, InitConfig{Channel: sim.Config{Seed: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestRepairTotalLeafFailure(t *testing.T) {
 	if len(leaves) == 0 {
 		t.Fatal("tree has no leaves")
 	}
-	rres, err := Repair(context.Background(), in, bt, leaves, InitConfig{Seed: 5})
+	rres, err := Repair(context.Background(), in, bt, leaves, InitConfig{Channel: sim.Config{Seed: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestRepairTotalLeafFailure(t *testing.T) {
 				fringe = append(fringe, v)
 			}
 		}
-		r2, err := Repair(context.Background(), in, cur, fringe, InitConfig{Seed: 6})
+		r2, err := Repair(context.Background(), in, cur, fringe, InitConfig{Channel: sim.Config{Seed: 6}})
 		if err != nil {
 			t.Fatalf("iterated fringe repair at %d nodes: %v", len(cur.Nodes), err)
 		}
@@ -125,11 +126,11 @@ func TestRepairLinksOnLinklessTree(t *testing.T) {
 	in := sinr.MustInstance([]geom.Point{{X: 0}, {X: 2}}, sinr.DefaultParams())
 	bt := &tree.BiTree{Root: 0, Nodes: []int{0}}
 	// No links exist, so any claimed failed link is a validation error.
-	if _, err := RepairLinks(context.Background(), in, bt, []sinr.Link{{From: 1, To: 0}}, InitConfig{Seed: 7}); err == nil {
+	if _, err := RepairLinks(context.Background(), in, bt, []sinr.Link{{From: 1, To: 0}}, InitConfig{Channel: sim.Config{Seed: 7}}); err == nil {
 		t.Fatal("link failure on linkless tree did not error")
 	}
 	// And an empty failure set is a no-op repair that restamps to nothing.
-	rres, err := RepairLinks(context.Background(), in, bt, nil, InitConfig{Seed: 8})
+	rres, err := RepairLinks(context.Background(), in, bt, nil, InitConfig{Channel: sim.Config{Seed: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}

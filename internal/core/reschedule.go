@@ -33,10 +33,11 @@ type RescheduleResult struct {
 // scheduler of Kesselheim & Vöcking. The input tree's O(log n)-sparsity
 // (Theorem 11) is what makes the resulting schedule short:
 // O(Υ·log³ n) versus the O(log Δ·log n) stamps the construction itself
-// produced.
-func Reschedule(ctx context.Context, in *sinr.Instance, bt *tree.BiTree, pa sinr.Assignment, cfg schedule.DistConfig) (*RescheduleResult, error) {
+// produced. ecfg is the scheduler's channel; its Seed also drives the
+// scheduler's node randomness (see schedule.Distributed).
+func Reschedule(ctx context.Context, in *sinr.Instance, bt *tree.BiTree, pa sinr.Assignment, ecfg sim.Config) (*RescheduleResult, error) {
 	links := bt.Links()
-	res, err := schedule.Distributed(ctx, in, links, pa, cfg)
+	res, err := schedule.Distributed(ctx, in, links, pa, ecfg)
 	if err != nil {
 		if errors.Is(err, schedule.ErrIncomplete) {
 			// Budget exhaustion in the randomized scheduler is the same

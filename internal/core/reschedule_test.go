@@ -5,19 +5,19 @@ import (
 	"math"
 	"testing"
 
-	"sinrconn/internal/schedule"
+	"sinrconn/internal/sim"
 	"sinrconn/internal/sinr"
 	"sinrconn/internal/workload"
 )
 
 func TestRescheduleMeanPower(t *testing.T) {
 	in := uniformInstance(t, 50, 64)
-	ires, err := Init(context.Background(), in, InitConfig{Seed: 3})
+	ires, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{Seed: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pa := sinr.NoiseSafeMean(in.Params(), in.Delta())
-	rres, err := Reschedule(context.Background(), in, ires.Tree, pa, schedule.DistConfig{Seed: 5})
+	rres, err := Reschedule(context.Background(), in, ires.Tree, pa, sim.Config{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestRescheduleRemovesLogDeltaDependence(t *testing.T) {
 	// Theorem 3's point: on a high-Δ chain, the mean-power schedule is far
 	// shorter than the uniform-power baseline.
 	in := sinr.MustInstance(workload.ChainForDelta(48, 1<<20), sinr.DefaultParams())
-	ires, err := Init(context.Background(), in, InitConfig{Seed: 7})
+	ires, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{Seed: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,14 +59,14 @@ func TestRescheduleRemovesLogDeltaDependence(t *testing.T) {
 
 func TestRescheduleErrorPropagates(t *testing.T) {
 	in := uniformInstance(t, 51, 16)
-	ires, err := Init(context.Background(), in, InitConfig{Seed: 1})
+	ires, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Hopeless power exhausts the scheduler's budget; Reschedule must
 	// surface its error.
 	_, err = Reschedule(context.Background(), in, ires.Tree, sinr.Uniform{P: 1e-12},
-		schedule.DistConfig{Seed: 1})
+		sim.Config{Seed: 1})
 	if err == nil {
 		t.Error("expected reschedule error")
 	}
@@ -74,7 +74,7 @@ func TestRescheduleErrorPropagates(t *testing.T) {
 
 func TestScheduleLengthHelpers(t *testing.T) {
 	in := uniformInstance(t, 52, 32)
-	ires, err := Init(context.Background(), in, InitConfig{Seed: 2})
+	ires, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{Seed: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

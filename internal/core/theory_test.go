@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"sinrconn/internal/power"
+	"sinrconn/internal/sim"
 	"sinrconn/internal/sinr"
 )
 
@@ -21,7 +22,7 @@ func TestAmenabilityBoundedOnFeasibleSets(t *testing.T) {
 	worst := 0.0
 	for seed := int64(0); seed < 5; seed++ {
 		in := uniformInstance(t, 90+seed, 64)
-		ires, err := Init(context.Background(), in, InitConfig{Seed: seed})
+		ires, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{Seed: seed}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +74,7 @@ func TestIndependencePartitionConstantOnSparseCore(t *testing.T) {
 	var counts []int
 	for _, n := range []int{32, 64, 128} {
 		in := uniformInstance(t, int64(95+n), n)
-		ires, err := Init(context.Background(), in, InitConfig{Seed: 3})
+		ires, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{Seed: 3}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +103,7 @@ func TestIndependencePartitionConstantOnSparseCore(t *testing.T) {
 func TestLemma14AvgAffectanceOrderUpsilon(t *testing.T) {
 	for _, n := range []int{32, 64, 128} {
 		in := uniformInstance(t, int64(99+n), n)
-		ires, err := Init(context.Background(), in, InitConfig{Seed: 5})
+		ires, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{Seed: 5}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +130,7 @@ func TestEqn3ImpliesPowerSolvable(t *testing.T) {
 	runs := 0
 	for seed := int64(0); seed < 8; seed++ {
 		in := uniformInstance(t, 200+seed, 48)
-		ires, err := Init(context.Background(), in, InitConfig{Seed: seed})
+		ires, err := Init(context.Background(), in, InitConfig{Channel: sim.Config{Seed: seed}})
 		if err != nil {
 			t.Fatal(err)
 		}

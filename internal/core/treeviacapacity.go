@@ -31,14 +31,13 @@ const (
 type TVCConfig struct {
 	// Variant picks mean or arbitrary power. Default VariantArbitrary.
 	Variant Variant
-	// Init configures the inner Section 6 constructions. Participants is
-	// overwritten each iteration.
+	// Init configures the inner Section 6 constructions. Its Channel.Seed
+	// drives the iteration-level randomness: each iteration's Init seed,
+	// and the selection's coins, derive from it. Participants and
+	// Channel.Seed are overwritten each iteration.
 	Init InitConfig
 	// Rho is the degree cap for T(M). Default DefaultRho.
 	Rho int
-	// Seed drives iteration-level randomness (per-iteration seeds derive
-	// from it).
-	Seed int64
 }
 
 func (c *TVCConfig) defaults() {
@@ -99,7 +98,7 @@ func TreeViaCapacity(ctx context.Context, in *sinr.Instance, cfg TVCConfig) (*TV
 	if in.Len() == 0 {
 		return nil, errors.New("core: empty instance")
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(cfg.Init.Channel.Seed))
 	budget := maxIterations(in.Len())
 
 	active := make([]int, in.Len())
@@ -122,7 +121,7 @@ func TreeViaCapacity(ctx context.Context, in *sinr.Instance, cfg TVCConfig) (*TV
 		// Step 3: inner tree on the active set.
 		icfg := cfg.Init
 		icfg.Participants = active
-		icfg.Seed = iterSeed
+		icfg.Channel.Seed = iterSeed
 		ires, err := Init(ctx, in, icfg)
 		if err != nil {
 			return res, fmt.Errorf("core: iteration %d init: %w", res.Iterations, err)

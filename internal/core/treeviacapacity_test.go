@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"sinrconn/internal/sim"
 	"sinrconn/internal/sinr"
 	"sinrconn/internal/workload"
 )
@@ -34,7 +35,7 @@ func checkTVC(t *testing.T, in *sinr.Instance, res *TVCResult) {
 
 func TestTVCArbitrary(t *testing.T) {
 	in := uniformInstance(t, 40, 64)
-	res, err := TreeViaCapacity(context.Background(), in, TVCConfig{Variant: VariantArbitrary, Seed: 1})
+	res, err := TreeViaCapacity(context.Background(), in, TVCConfig{Variant: VariantArbitrary, Init: InitConfig{Channel: sim.Config{Seed: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestTVCArbitrary(t *testing.T) {
 
 func TestTVCMean(t *testing.T) {
 	in := uniformInstance(t, 41, 64)
-	res, err := TreeViaCapacity(context.Background(), in, TVCConfig{Variant: VariantMean, Seed: 2})
+	res, err := TreeViaCapacity(context.Background(), in, TVCConfig{Variant: VariantMean, Init: InitConfig{Channel: sim.Config{Seed: 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestTVCMean(t *testing.T) {
 
 func TestTVCDefaultVariantIsArbitrary(t *testing.T) {
 	in := uniformInstance(t, 42, 24)
-	res, err := TreeViaCapacity(context.Background(), in, TVCConfig{Seed: 3})
+	res, err := TreeViaCapacity(context.Background(), in, TVCConfig{Init: InitConfig{Channel: sim.Config{Seed: 3}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestTVCDefaultVariantIsArbitrary(t *testing.T) {
 
 func TestTVCSingleNode(t *testing.T) {
 	in := sinr.MustInstance(workload.GridPoints(1, 1, 1), sinr.DefaultParams())
-	res, err := TreeViaCapacity(context.Background(), in, TVCConfig{Seed: 1})
+	res, err := TreeViaCapacity(context.Background(), in, TVCConfig{Init: InitConfig{Channel: sim.Config{Seed: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestTVCSingleNode(t *testing.T) {
 
 func TestTVCChainInstance(t *testing.T) {
 	in := sinr.MustInstance(workload.ChainForDelta(24, 1<<12), sinr.DefaultParams())
-	res, err := TreeViaCapacity(context.Background(), in, TVCConfig{Variant: VariantArbitrary, Seed: 5})
+	res, err := TreeViaCapacity(context.Background(), in, TVCConfig{Variant: VariantArbitrary, Init: InitConfig{Channel: sim.Config{Seed: 5}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestTVCIterationsLogarithmic(t *testing.T) {
 	// Theorem 12 shape: iterations should grow like log n, not n. Compare
 	// against a very generous c·log₂n bound.
 	in := uniformInstance(t, 43, 128)
-	res, err := TreeViaCapacity(context.Background(), in, TVCConfig{Variant: VariantArbitrary, Seed: 7})
+	res, err := TreeViaCapacity(context.Background(), in, TVCConfig{Variant: VariantArbitrary, Init: InitConfig{Channel: sim.Config{Seed: 7}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestTVCIterationsLogarithmic(t *testing.T) {
 
 func TestTVCSelectionFractionsRecorded(t *testing.T) {
 	in := uniformInstance(t, 44, 48)
-	res, err := TreeViaCapacity(context.Background(), in, TVCConfig{Variant: VariantMean, Seed: 9})
+	res, err := TreeViaCapacity(context.Background(), in, TVCConfig{Variant: VariantMean, Init: InitConfig{Channel: sim.Config{Seed: 9}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +134,11 @@ func TestTVCEmptyInstance(t *testing.T) {
 
 func TestTVCDeterministic(t *testing.T) {
 	in := uniformInstance(t, 45, 32)
-	a, err := TreeViaCapacity(context.Background(), in, TVCConfig{Variant: VariantArbitrary, Seed: 21})
+	a, err := TreeViaCapacity(context.Background(), in, TVCConfig{Variant: VariantArbitrary, Init: InitConfig{Channel: sim.Config{Seed: 21}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := TreeViaCapacity(context.Background(), in, TVCConfig{Variant: VariantArbitrary, Seed: 21})
+	b, err := TreeViaCapacity(context.Background(), in, TVCConfig{Variant: VariantArbitrary, Init: InitConfig{Channel: sim.Config{Seed: 21}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestTVCDeterministic(t *testing.T) {
 
 func TestTVCPowerIterationsAccounted(t *testing.T) {
 	in := uniformInstance(t, 46, 48)
-	res, err := TreeViaCapacity(context.Background(), in, TVCConfig{Variant: VariantArbitrary, Seed: 23})
+	res, err := TreeViaCapacity(context.Background(), in, TVCConfig{Variant: VariantArbitrary, Init: InitConfig{Channel: sim.Config{Seed: 23}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"sinrconn/internal/core"
 	"sinrconn/internal/power"
+	"sinrconn/internal/sim"
 	"sinrconn/internal/sinr"
 	"sinrconn/internal/sparsity"
 	"sinrconn/internal/stats"
@@ -36,7 +37,7 @@ func A1BroadcastProb(ctx context.Context, cfg Config) Report {
 		for s := 0; s < cfg.Seeds; s++ {
 			in := uniformInst(int64(3100*n+s), n)
 			res, err := core.Init(ctx, in, core.InitConfig{
-				BroadcastProb: p, Seed: int64(s),
+				BroadcastProb: p, Channel: channel(int64(s)),
 			})
 			if err != nil {
 				continue
@@ -84,7 +85,7 @@ func A2SlotPairsPerRound(ctx context.Context, cfg Config) Report {
 		for s := 0; s < cfg.Seeds; s++ {
 			in := uniformInst(int64(3300*n+s), n)
 			res, err := core.Init(ctx, in, core.InitConfig{
-				Lambda: lambda, Seed: int64(s),
+				Lambda: lambda, Channel: channel(int64(s)),
 			})
 			if err != nil {
 				continue
@@ -122,7 +123,7 @@ func A3DistrCapTau(ctx context.Context, cfg Config) Report {
 		runs := 0
 		for s := 0; s < cfg.Seeds; s++ {
 			in := uniformInst(int64(3500*n+s), n)
-			ires, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s)})
+			ires, err := core.Init(ctx, in, core.InitConfig{Channel: channel(int64(s))})
 			if err != nil {
 				continue
 			}
@@ -164,7 +165,7 @@ func A4DegreeCap(ctx context.Context, cfg Config) Report {
 		var ret, psi []float64
 		for s := 0; s < cfg.Seeds; s++ {
 			in := uniformInst(int64(3700*n+s), n)
-			ires, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s)})
+			ires, err := core.Init(ctx, in, core.InitConfig{Channel: channel(int64(s))})
 			if err != nil {
 				continue
 			}
@@ -212,7 +213,7 @@ func A5DropRobustness(ctx context.Context, cfg Config) Report {
 		for s := 0; s < cfg.Seeds; s++ {
 			in := uniformInst(int64(3900*n+s), n)
 			res, err := core.Init(ctx, in, core.InitConfig{
-				Seed: int64(s), DropProb: drop,
+				Channel: sim.Config{Seed: int64(s), DropProb: drop, Pool: pool()},
 			})
 			if err != nil {
 				continue

@@ -7,7 +7,6 @@ import (
 
 	"sinrconn"
 	"sinrconn/internal/core"
-	"sinrconn/internal/sim"
 	"sinrconn/internal/stats"
 )
 
@@ -30,14 +29,14 @@ func E13Energy(ctx context.Context, cfg Config) Report {
 		var initE, tvcE, epochE []float64
 		for s := 0; s < cfg.Seeds; s++ {
 			in := uniformInst(int64(4100*n+s), n)
-			ires, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s)})
+			ires, err := core.Init(ctx, in, core.InitConfig{Channel: channel(int64(s))})
 			if err != nil {
 				pass = false
 				continue
 			}
 			initE = append(initE, ires.Stats.Energy)
 			tres, err := core.TreeViaCapacity(ctx, in, core.TVCConfig{
-				Variant: core.VariantArbitrary, Seed: int64(s),
+				Variant: core.VariantArbitrary, Init: core.InitConfig{Channel: channel(int64(s))},
 			})
 			if err != nil {
 				pass = false
@@ -50,7 +49,7 @@ func E13Energy(ctx context.Context, cfg Config) Report {
 			for i := range values {
 				values[i] = 1
 			}
-			out, err := core.RunAggregation(ctx, in, tres.Tree, values, sinrconn.SumAgg, sim.Config{})
+			out, err := core.RunAggregation(ctx, in, tres.Tree, values, sinrconn.SumAgg, channel(0))
 			if err != nil {
 				pass = false
 				continue
@@ -100,22 +99,22 @@ func E14PhysicalEpoch(ctx context.Context, cfg Config) Report {
 			for i := range values {
 				values[i] = int64(i)
 			}
-			if ires, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s)}); err == nil {
-				if _, err := core.RunAggregation(ctx, in, ires.Tree, values, sinrconn.SumAgg, sim.Config{}); err == nil {
+			if ires, err := core.Init(ctx, in, core.InitConfig{Channel: channel(int64(s))}); err == nil {
+				if _, err := core.RunAggregation(ctx, in, ires.Tree, values, sinrconn.SumAgg, channel(0)); err == nil {
 					okInit++
 				}
 			}
 			if tres, err := core.TreeViaCapacity(ctx, in, core.TVCConfig{
-				Variant: core.VariantMean, Seed: int64(s),
+				Variant: core.VariantMean, Init: core.InitConfig{Channel: channel(int64(s))},
 			}); err == nil {
-				if _, err := core.RunAggregation(ctx, in, tres.Tree, values, sinrconn.SumAgg, sim.Config{}); err == nil {
+				if _, err := core.RunAggregation(ctx, in, tres.Tree, values, sinrconn.SumAgg, channel(0)); err == nil {
 					okMean++
 				}
 			}
 			if tres, err := core.TreeViaCapacity(ctx, in, core.TVCConfig{
-				Variant: core.VariantArbitrary, Seed: int64(s),
+				Variant: core.VariantArbitrary, Init: core.InitConfig{Channel: channel(int64(s))},
 			}); err == nil {
-				if _, err := core.RunAggregation(ctx, in, tres.Tree, values, sinrconn.SumAgg, sim.Config{}); err == nil {
+				if _, err := core.RunAggregation(ctx, in, tres.Tree, values, sinrconn.SumAgg, channel(0)); err == nil {
 					okArb++
 				}
 			}

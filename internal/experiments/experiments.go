@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"sinrconn/internal/core"
 	"sinrconn/internal/geom"
 	"sinrconn/internal/power"
 	"sinrconn/internal/schedule"
+	"sinrconn/internal/sim"
 	"sinrconn/internal/sinr"
 	"sinrconn/internal/sparsity"
 	"sinrconn/internal/stats"
@@ -117,6 +119,15 @@ func Registry() []Entry {
 	}
 }
 
+// pool is the NumCPU-worker pool every engine of the experiments borrows,
+// as a session's engines borrow its pool. It is made on first use and
+// lives as long as the process.
+var pool = sync.OnceValue(func() *sim.Pool { return sim.NewPool(0) })
+
+// channel is the channel of an experiment's engines: drop-free, seeded
+// with seed, on the shared pool.
+func channel(seed int64) sim.Config { return sim.Config{Seed: seed, Pool: pool()} }
+
 // uniformInst builds a uniform instance with min distance 1.
 func uniformInst(seed int64, n int) *sinr.Instance {
 	rng := rand.New(rand.NewSource(seed))
@@ -146,7 +157,7 @@ func E1InitSlots(ctx context.Context, cfg Config) Report {
 		for s := 0; s < cfg.Seeds; s++ {
 			in := uniformInst(int64(100*n+s), n)
 			delta = in.Delta()
-			res, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s)})
+			res, err := core.Init(ctx, in, core.InitConfig{Channel: channel(int64(s))})
 			if err != nil {
 				r.Notes = append(r.Notes, "ERROR: "+err.Error())
 				return r
@@ -165,7 +176,7 @@ func E1InitSlots(ctx context.Context, cfg Config) Report {
 		in := chainInst(cfg.ChainN, delta)
 		var cell []float64
 		for s := 0; s < cfg.Seeds; s++ {
-			res, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s)})
+			res, err := core.Init(ctx, in, core.InitConfig{Channel: channel(int64(s))})
 			if err != nil {
 				r.Notes = append(r.Notes, "ERROR: "+err.Error())
 				return r
@@ -204,7 +215,7 @@ func E2BiTreeValidity(ctx context.Context, cfg Config) Report {
 		for s := 0; s < cfg.Seeds; s++ {
 			rng := rand.New(rand.NewSource(int64(300 + s)))
 			in := sinr.MustInstance(spec.Gen(rng, n), sinr.DefaultParams())
-			res, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s)})
+			res, err := core.Init(ctx, in, core.InitConfig{Channel: channel(int64(s))})
 			if err != nil {
 				continue
 			}
@@ -241,7 +252,7 @@ func E3DegreeTail(ctx context.Context, cfg Config) Report {
 		tail4, tail8, total := 0, 0, 0
 		for s := 0; s < cfg.Seeds; s++ {
 			in := uniformInst(int64(500*n+s), n)
-			res, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s)})
+			res, err := core.Init(ctx, in, core.InitConfig{Channel: channel(int64(s))})
 			if err != nil {
 				continue
 			}
@@ -298,7 +309,7 @@ func E4Sparsity(ctx context.Context, cfg Config) Report {
 		var psis []float64
 		for s := 0; s < cfg.Seeds; s++ {
 			in := uniformInst(int64(700*n+s), n)
-			res, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s)})
+			res, err := core.Init(ctx, in, core.InitConfig{Channel: channel(int64(s))})
 			if err != nil {
 				continue
 			}
@@ -331,7 +342,7 @@ func E5LowDegreeFilter(ctx context.Context, cfg Config) Report {
 		var cellPsi, cellFrac []float64
 		for s := 0; s < cfg.Seeds; s++ {
 			in := uniformInst(int64(900*n+s), n)
-			res, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s)})
+			res, err := core.Init(ctx, in, core.InitConfig{Channel: channel(int64(s))})
 			if err != nil {
 				continue
 			}
@@ -375,7 +386,7 @@ func E6MeanReschedule(ctx context.Context, cfg Config) Report {
 		in := chainInst(cfg.ChainN, delta)
 		var uni, meanFF, meanDist []float64
 		for s := 0; s < cfg.Seeds; s++ {
-			res, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s)})
+			res, err := core.Init(ctx, in, core.InitConfig{Channel: channel(int64(s))})
 			if err != nil {
 				continue
 			}
@@ -383,7 +394,7 @@ func E6MeanReschedule(ctx context.Context, cfg Config) Report {
 			meanFF = append(meanFF, float64(core.MeanScheduleLength(in, res.Tree)))
 			pa := sinr.NoiseSafeMean(in.Params(), math.Max(1, in.Delta()))
 			rres, err := core.Reschedule(ctx, in, res.Tree, pa,
-				schedule.DistConfig{Seed: int64(s)})
+				channel(int64(s)))
 			if err == nil {
 				meanDist = append(meanDist, float64(rres.NumSlots))
 			}
@@ -426,7 +437,7 @@ func E7Iterations(ctx context.Context, cfg Config) Report {
 			in := uniformInst(int64(1100*n+s), n)
 			res, err := core.TreeViaCapacity(ctx, in, core.TVCConfig{
 				Variant: core.VariantArbitrary,
-				Seed:    int64(s),
+				Init:    core.InitConfig{Channel: channel(int64(s))},
 			})
 			if err != nil {
 				continue
@@ -466,7 +477,7 @@ func E8ArbitraryPower(ctx context.Context, cfg Config) Report {
 			in := uniformInst(int64(1300*n+s), n)
 			res, err := core.TreeViaCapacity(ctx, in, core.TVCConfig{
 				Variant: core.VariantArbitrary,
-				Seed:    int64(s),
+				Init:    core.InitConfig{Channel: channel(int64(s))},
 			})
 			if err != nil {
 				solvable = false
@@ -516,7 +527,7 @@ func E9MeanPower(ctx context.Context, cfg Config) Report {
 			ups = in.Upsilon()
 			res, err := core.TreeViaCapacity(ctx, in, core.TVCConfig{
 				Variant: core.VariantMean,
-				Seed:    int64(s),
+				Init:    core.InitConfig{Channel: channel(int64(s))},
 			})
 			if err != nil {
 				ok = false
@@ -565,18 +576,18 @@ func E10Crossover(ctx context.Context, cfg Config) Report {
 		in := chainInst(cfg.ChainN, delta)
 		var uni, meanFF, meanS, arbS, mst []float64
 		for s := 0; s < cfg.Seeds; s++ {
-			ires, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s)})
+			ires, err := core.Init(ctx, in, core.InitConfig{Channel: channel(int64(s))})
 			if err == nil {
 				uni = append(uni, float64(core.UniformScheduleLength(in, ires.Tree)))
 				meanFF = append(meanFF, float64(core.MeanScheduleLength(in, ires.Tree)))
 			}
 			if res, err := core.TreeViaCapacity(ctx, in, core.TVCConfig{
-				Variant: core.VariantMean, Seed: int64(s),
+				Variant: core.VariantMean, Init: core.InitConfig{Channel: channel(int64(s))},
 			}); err == nil {
 				meanS = append(meanS, float64(res.Tree.NumSlots()))
 			}
 			if res, err := core.TreeViaCapacity(ctx, in, core.TVCConfig{
-				Variant: core.VariantArbitrary, Seed: int64(s),
+				Variant: core.VariantArbitrary, Init: core.InitConfig{Channel: channel(int64(s))},
 			}); err == nil {
 				arbS = append(arbS, float64(res.Tree.NumSlots()))
 			}
@@ -629,7 +640,7 @@ func E11Latency(ctx context.Context, cfg Config) Report {
 			in := uniformInst(int64(1700*n+s), n)
 			res, err := core.TreeViaCapacity(ctx, in, core.TVCConfig{
 				Variant: core.VariantArbitrary,
-				Seed:    int64(s),
+				Init:    core.InitConfig{Channel: channel(int64(s))},
 			})
 			if err != nil {
 				pass = false
@@ -692,7 +703,7 @@ func E12CapacityRatio(ctx context.Context, cfg Config) Report {
 		var cand, cent, dist []float64
 		for s := 0; s < cfg.Seeds; s++ {
 			in := uniformInst(int64(1900*n+s), n)
-			ires, err := core.Init(ctx, in, core.InitConfig{Seed: int64(s)})
+			ires, err := core.Init(ctx, in, core.InitConfig{Channel: channel(int64(s))})
 			if err != nil {
 				continue
 			}

@@ -210,7 +210,7 @@ func gateFindings(flaggedKeys []string, declared map[string]bool, allow map[stri
 		case !declared[key]:
 			out = append(out, row+" names no "+text.noun+"; prune it")
 		case !flagged[key]:
-			out = append(out, row+" is "+text.used+" production code; prune it")
+			out = append(out, row+" "+text.used+"; prune it")
 		}
 	}
 	sort.Strings(out)
@@ -224,7 +224,7 @@ func exportFindings(pkgs []*loader.Package, allow map[string]string) []string {
 		table:   "exportAllowlist",
 		flagged: " is exported but no production code calls it; delete it, move it into the test that uses it, or add an exportAllowlist row with a reason",
 		noun:    "exported function",
-		used:    "called by",
+		used:    "is called by production code",
 	})
 }
 
@@ -321,20 +321,18 @@ func TestFieldGateFixture(t *testing.T) {
 // sets, fails TestConfigFieldsAreSet.
 var fieldAllowlist = map[string]string{}
 
-// unsetFields returns, sorted, the key (package.Type.Field) of every
-// exported field of an exported struct type declared in a package under
-// internal/ that no code in pkgs writes, outside the methods of that type.
-// A write is a keyed or positional composite literal, an assignment, an
-// increment or decrement, or taking the field's address. Fields with a
-// struct tag are left out: encoding fills them. The loader reads only
-// non-test files, so a write from a test does not count. It also returns
-// every declared key, which the allowlist check needs.
-func unsetFields(pkgs []*loader.Package) (unset []string, declared map[string]bool) {
-	type field struct {
-		key   string
-		owner *types.TypeName
-	}
-	fields := map[*types.Var]field{}
+// structField is an exported field of an exported struct type declared in
+// a non-test file of a package under internal/ (outside the exempt ones).
+type structField struct {
+	key    string          // package.Type.Field, module-relative
+	owner  *types.TypeName // the struct type
+	tagged bool            // carries a struct tag
+}
+
+// exportedFields collects every structField declared in pkgs, keyed by the
+// field's object.
+func exportedFields(pkgs []*loader.Package) map[*types.Var]structField {
+	fields := map[*types.Var]structField{}
 	for _, pkg := range pkgs {
 		if !strings.HasPrefix(pkg.Path, "sinrconn/internal/") || exportGateExempt(pkg.Path) {
 			continue
@@ -357,18 +355,33 @@ func unsetFields(pkgs []*loader.Package) (unset []string, declared map[string]bo
 					}
 					owner := pkg.Info.Defs[ts.Name].(*types.TypeName)
 					for _, f := range st.Fields.List {
-						if f.Tag != nil {
-							continue
-						}
 						for _, name := range f.Names {
 							if name.IsExported() {
 								v := pkg.Info.Defs[name].(*types.Var)
-								fields[v] = field{prefix + ts.Name.Name + "." + name.Name, owner}
+								fields[v] = structField{prefix + ts.Name.Name + "." + name.Name, owner, f.Tag != nil}
 							}
 						}
 					}
 				}
 			}
+		}
+	}
+	return fields
+}
+
+// unsetFields returns, sorted, the key (package.Type.Field) of every
+// exported field of an exported struct type declared in a package under
+// internal/ that no code in pkgs writes, outside the methods of that type.
+// A write is a keyed or positional composite literal, an assignment, an
+// increment or decrement, or taking the field's address. Fields with a
+// struct tag are left out: encoding fills them. The loader reads only
+// non-test files, so a write from a test does not count. It also returns
+// every declared key, which the allowlist check needs.
+func unsetFields(pkgs []*loader.Package) (unset []string, declared map[string]bool) {
+	fields := exportedFields(pkgs)
+	for v, f := range fields {
+		if f.tagged {
+			delete(fields, v)
 		}
 	}
 
@@ -451,7 +464,7 @@ func fieldFindings(pkgs []*loader.Package, allow map[string]string) []string {
 		table:   "fieldAllowlist",
 		flagged: " is a settable field but no production code sets it; fold it into a constant, move it into the test that sets it, or add a fieldAllowlist row with a reason",
 		noun:    "exported field",
-		used:    "set by",
+		used:    "is set by production code",
 	})
 }
 
@@ -465,4 +478,112 @@ func TestConfigFieldsAreSet(t *testing.T) {
 	for _, f := range fieldFindings(loadModule(t), fieldAllowlist) {
 		t.Error(f)
 	}
+}
+
+// channelTypes are the engine-wide settings of the channel a construction
+// runs on, keyed like exportKey: the worker pool, the slot observer, the
+// fault injector and the far-field plan. sim.Config (channelHome) is the
+// one struct that describes the channel, so it alone holds them.
+var channelTypes = map[string]bool{
+	"internal/sim.Pool":        true,
+	"internal/sim.Observer":    true,
+	"internal/faults.Injector": true,
+	"internal/sinr.QuadTree":   true,
+}
+
+const channelHome = "internal/sim.Config"
+
+// channelAllowlist is the closed set of exported fields outside sim.Config
+// that hold a channel type anyway. Each row says why. A row whose field no
+// longer exists, or no longer holds a channel type, fails
+// TestChannelConfigIsSimConfig.
+var channelAllowlist = map[string]string{
+	"internal/serve.Config.Injector": "a daemon deployment setting: the HTTP middleware consults it, and the server hands it to every session it opens through the public WithFaultInjector option",
+}
+
+// channelCopies returns, sorted, the key of every exported field of an
+// exported struct under internal/, other than channelHome, whose type is a
+// channel type or a pointer to one. It also returns every declared key.
+func channelCopies(pkgs []*loader.Package) (copies []string, declared map[string]bool) {
+	declared = map[string]bool{}
+	for v, f := range exportedFields(pkgs) {
+		declared[f.key] = true
+		owner := strings.TrimPrefix(f.owner.Pkg().Path(), "sinrconn/") + "." + f.owner.Name()
+		if owner == channelHome {
+			continue
+		}
+		t := v.Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		n, ok := t.(*types.Named)
+		if !ok || n.Obj().Pkg() == nil {
+			continue
+		}
+		if channelTypes[strings.TrimPrefix(n.Obj().Pkg().Path(), "sinrconn/")+"."+n.Obj().Name()] {
+			copies = append(copies, f.key)
+		}
+	}
+	sort.Strings(copies)
+	return copies, declared
+}
+
+// channelFindings runs the channel-config gate over pkgs.
+func channelFindings(pkgs []*loader.Package, allow map[string]string) []string {
+	copies, declared := channelCopies(pkgs)
+	return gateFindings(copies, declared, allow, gateText{
+		table:   "channelAllowlist",
+		flagged: " copies a channel setting out of sim.Config; hold a sim.Config instead, or add a channelAllowlist row with a reason",
+		noun:    "exported field",
+		used:    "holds no channel type",
+	})
+}
+
+// TestChannelConfigIsSimConfig is the regrowth gate for copies of the
+// channel description: an exported field of an exported struct under
+// internal/ may hold a worker pool, an observer, a fault injector or a
+// far-field plan only inside sim.Config, the one config every engine,
+// construction and epoch runs on, or with a channelAllowlist row. A second
+// copy means one more place every new engine-wide setting must be
+// threaded through.
+func TestChannelConfigIsSimConfig(t *testing.T) {
+	for _, f := range channelFindings(loadModule(t), channelAllowlist) {
+		t.Error(f)
+	}
+}
+
+// TestChannelGateFixture pins the channel-config gate on the fixture's
+// construct.Config: of one field per channel type, the channel kept in a
+// sim.Config, an allowlisted copy, a plain field and unexported ones, it
+// flags the four copies; sim.Config itself is exempt. It also flags stale
+// and needless allowlist rows.
+func TestChannelGateFixture(t *testing.T) {
+	td := testdata(t)
+	root := filepath.Join(td, "src")
+	pkg, err := loader.New(td).LoadDir(filepath.Join(root, "sinrconn", "internal", "construct"), "sinrconn/internal/construct", root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range pkg.TypeErrors {
+		t.Fatalf("type checking %s: %v", pkg.Path, e)
+	}
+	pkgs := []*loader.Package{pkg}
+	allowed := map[string]string{"internal/construct.Config.Allowed": "fixture seam"}
+	checkFindings(t, channelFindings, pkgs, allowed,
+		"internal/construct.Config.Far copies a channel setting",
+		"internal/construct.Config.Injector copies a channel setting",
+		"internal/construct.Config.Observer copies a channel setting",
+		"internal/construct.Config.Pool copies a channel setting")
+	checkFindings(t, channelFindings, pkgs, map[string]string{
+		"internal/construct.Config.Allowed":  "fixture seam",
+		"internal/construct.Config.Far":      "",
+		"internal/construct.Config.Gone":     "deleted field",
+		"internal/construct.Config.Seed":     "not a channel type",
+		"internal/construct.Config.Injector": "seam",
+		"internal/construct.Config.Observer": "seam",
+		"internal/construct.Config.Pool":     "seam",
+	},
+		"channelAllowlist row internal/construct.Config.Far has no reason",
+		"channelAllowlist row internal/construct.Config.Gone names no exported field",
+		"channelAllowlist row internal/construct.Config.Seed holds no channel type")
 }

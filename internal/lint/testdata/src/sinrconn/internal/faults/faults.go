@@ -45,3 +45,9 @@ func GoodFire(ctx context.Context, seed int64, rates map[string]float64) ([]stri
 	_ = rng.Uint64()
 	return sites, ctx.Err()
 }
+
+// Injector stands in for the fault-injection hook, a channel type of the
+// channel-config gate fixture.
+type Injector interface {
+	Fire(site string) bool
+}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"sinrconn/internal/faults"
 	"sinrconn/internal/sim"
 	"sinrconn/internal/sinr"
 	"sinrconn/internal/tree"
@@ -25,28 +24,6 @@ const (
 // maxSlotPairs caps a run over nLinks links; exceeding it means
 // ErrIncomplete.
 func maxSlotPairs(nLinks int) int { return 400 * (nLinks + 1) }
-
-// DistConfig tunes the distributed scheduler.
-type DistConfig struct {
-	// Seed derives all per-node randomness.
-	Seed int64
-	// Workers is passed to the sim engine. Ignored when Pool is set.
-	Workers int
-	// Pool, if non-nil, is a shared persistent sim worker pool the
-	// scheduler's engine borrows instead of spawning its own.
-	Pool *sim.Pool
-	// Far, if non-nil, runs the scheduler's engine under a far-field
-	// channel approximation, each slot picking exact or far resolution
-	// from its live sender count (see sim.Config.Far).
-	Far *sinr.QuadTree
-	// Observer, if non-nil, receives a sim.SlotEvent after every scheduler
-	// engine slot (the serving layer's streaming hook). Diagnostic only.
-	Observer sim.Observer
-	// Injector, if non-nil, is the scheduler engine's fault-injection
-	// hook (see internal/faults). Injected faults only stall; schedules
-	// stay bit-identical to an injector-free run.
-	Injector faults.Injector
-}
 
 // ErrIncomplete reports that the distributed scheduler hit its slot budget
 // with links still unscheduled.
@@ -72,9 +49,10 @@ type Result struct {
 // pending link transmits with an adaptive probability that decays on
 // failure. Multiple pending links sharing a sender are multiplexed
 // randomly; half-duplex conflicts are resolved by the physics itself.
-// ctx is checked between slot-pairs; cancellation aborts the run with an
-// error wrapping ctx.Err().
-func Distributed(ctx context.Context, in *sinr.Instance, links []sinr.Link, pa sinr.Assignment, cfg DistConfig) (*Result, error) {
+// The run's engine uses ecfg as its channel, and ecfg.Seed also derives
+// every node's random stream. ctx is checked between slot-pairs;
+// cancellation aborts the run with an error wrapping ctx.Err().
+func Distributed(ctx context.Context, in *sinr.Instance, links []sinr.Link, pa sinr.Assignment, ecfg sim.Config) (*Result, error) {
 	if len(links) == 0 {
 		return &Result{Slot: map[sinr.Link]int{}}, nil
 	}
@@ -86,7 +64,7 @@ func Distributed(ctx context.Context, in *sinr.Instance, links []sinr.Link, pa s
 
 	n := in.Len()
 	nodes := make([]*schedNode, n)
-	master := rand.New(rand.NewSource(cfg.Seed))
+	master := rand.New(rand.NewSource(ecfg.Seed))
 	for i := 0; i < n; i++ {
 		nodes[i] = &schedNode{
 			id:  i,
@@ -103,11 +81,10 @@ func Distributed(ctx context.Context, in *sinr.Instance, links []sinr.Link, pa s
 	for i := range nodes {
 		procs[i] = nodes[i]
 	}
-	eng, err := sim.NewEngine(in, procs, sim.Config{Workers: cfg.Workers, Seed: cfg.Seed, Pool: cfg.Pool, Far: cfg.Far, Observer: cfg.Observer, Injector: cfg.Injector})
+	eng, err := sim.NewEngine(in, procs, ecfg)
 	if err != nil {
 		return nil, err
 	}
-	defer eng.Close()
 
 	done := func() bool {
 		for _, nd := range nodes {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sinrconn/internal/geom"
+	"sinrconn/internal/sim"
 	"sinrconn/internal/sinr"
 )
 
@@ -132,7 +133,7 @@ func TestDistributedSchedulesAll(t *testing.T) {
 	in := scatterInstance(t, 11, 30, 60)
 	links := pairLinks(30)
 	pa := sinr.NoiseSafeLinear(in.Params())
-	res, err := Distributed(context.Background(), in, links, pa, DistConfig{Seed: 1})
+	res, err := Distributed(context.Background(), in, links, pa, sim.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +160,11 @@ func TestDistributedDeterministic(t *testing.T) {
 	in := scatterInstance(t, 13, 20, 50)
 	links := pairLinks(20)
 	pa := sinr.NoiseSafeLinear(in.Params())
-	a, err := Distributed(context.Background(), in, links, pa, DistConfig{Seed: 42})
+	a, err := Distributed(context.Background(), in, links, pa, sim.Config{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Distributed(context.Background(), in, links, pa, DistConfig{Seed: 42})
+	b, err := Distributed(context.Background(), in, links, pa, sim.Config{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestDistributedSharedSenderMultiplexed(t *testing.T) {
 	in := lineInstance(t, 0, 2, 4)
 	links := []sinr.Link{{From: 0, To: 1}, {From: 0, To: 2}}
 	pa := sinr.NoiseSafeLinear(in.Params())
-	res, err := Distributed(context.Background(), in, links, pa, DistConfig{Seed: 3})
+	res, err := Distributed(context.Background(), in, links, pa, sim.Config{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,17 +198,17 @@ func TestDistributedSharedSenderMultiplexed(t *testing.T) {
 
 func TestDistributedEmptyAndErrors(t *testing.T) {
 	in := lineInstance(t, 0, 2)
-	res, err := Distributed(context.Background(), in, nil, sinr.NoiseSafeLinear(in.Params()), DistConfig{})
+	res, err := Distributed(context.Background(), in, nil, sinr.NoiseSafeLinear(in.Params()), sim.Config{})
 	if err != nil || len(res.Slot) != 0 {
 		t.Errorf("empty run: %v %v", res, err)
 	}
-	if _, err := Distributed(context.Background(), in, []sinr.Link{{From: 1, To: 1}}, sinr.NoiseSafeLinear(in.Params()), DistConfig{}); err == nil {
+	if _, err := Distributed(context.Background(), in, []sinr.Link{{From: 1, To: 1}}, sinr.NoiseSafeLinear(in.Params()), sim.Config{}); err == nil {
 		t.Error("self-loop accepted")
 	}
 	// Hopeless power must exhaust the budget (800 slot-pairs for one link)
 	// and report ErrIncomplete.
 	_, err = Distributed(context.Background(), in, []sinr.Link{{From: 0, To: 1}}, sinr.Uniform{P: 1e-12},
-		DistConfig{})
+		sim.Config{})
 	if !errors.Is(err, ErrIncomplete) {
 		t.Errorf("err = %v, want ErrIncomplete", err)
 	}
@@ -223,7 +224,7 @@ func TestDistributedComparableToFirstFit(t *testing.T) {
 	if len(bad) != 0 {
 		t.Fatalf("unschedulable: %v", bad)
 	}
-	res, err := Distributed(context.Background(), in, links, pa, DistConfig{Seed: 5})
+	res, err := Distributed(context.Background(), in, links, pa, sim.Config{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func BenchmarkDistributed(b *testing.B) {
 	pa := sinr.NoiseSafeMean(in.Params(), in.Delta())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Distributed(context.Background(), in, links, pa, DistConfig{Seed: int64(i)}); err != nil {
+		if _, err := Distributed(context.Background(), in, links, pa, sim.Config{Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -258,7 +259,7 @@ func TestDistributedStatsExposed(t *testing.T) {
 	in := scatterInstance(t, 29, 16, 40)
 	links := pairLinks(16)
 	pa := sinr.NoiseSafeLinear(in.Params())
-	res, err := Distributed(context.Background(), in, links, pa, DistConfig{Seed: 2})
+	res, err := Distributed(context.Background(), in, links, pa, sim.Config{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"sinrconn/internal/faults"
 	"sinrconn/internal/workload"
 )
 
@@ -425,14 +427,22 @@ func TestServeDrain(t *testing.T) {
 	}
 }
 
+// TestServeDeadline pins request deadlines: a run past its timeout answers
+// 504 and commits nothing.
 func TestServeDeadline(t *testing.T) {
 	settleGoroutines(t)
-	_, ts := testDaemon(t, Config{})
+	// Every engine slot stalls 1 ms (sim.slot.slow at rate 1), so the 1 ms
+	// deadline has passed by the first check between slot pairs however
+	// fast the machine is. Stalls never change a result.
+	slow := faults.MustPlan(faults.Spec{Seed: 1, Delay: time.Millisecond, Rates: map[faults.Site]float64{
+		faults.SimSlotSlow: 1,
+	}})
+	_, ts := testDaemon(t, Config{Injector: slow})
 	sess := openSession(t, ts.URL, OpenRequest{Points: testPoints(8, 256)})
 	code, body := postJSON(t, ts.URL+"/v1/sessions/"+sess.SessionID+"/run",
 		RunRequest{Pipeline: "init-uniform", Options: OptionsJSON{Seed: 1}, TimeoutMs: 1}, nil)
 	if code != http.StatusGatewayTimeout {
-		t.Fatalf("1ms run at n=256: status %d (%s), want 504", code, body)
+		t.Fatalf("1ms run at n=256 with 1ms slots: status %d (%s), want 504", code, body)
 	}
 	// The canceled run committed nothing: the same query now computes
 	// cleanly and reports cached=false.

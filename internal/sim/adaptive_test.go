@@ -89,11 +89,9 @@ func TestAdaptiveModeSelection(t *testing.T) {
 	const n, slots, crossover = 256, 10, 64
 	var events []SlotEvent
 	e, _ := adaptiveEngine(t, n, false, Config{
-		Workers:           1,
 		AdaptiveCrossover: crossover,
 		Observer:          func(ev SlotEvent) { events = append(events, ev) },
 	})
-	defer e.Close()
 	e.Run(slots)
 	if len(events) != slots {
 		t.Fatalf("observer saw %d slots, want %d", len(events), slots)
@@ -121,18 +119,16 @@ func TestAdaptiveDriftGate(t *testing.T) {
 	const n, slots = 256, 14
 	var modes []bool
 	a, arecs := adaptiveEngine(t, n, true, Config{
-		Workers:           2,
+		Pool:              testPool(t, 2),
 		AdaptiveCrossover: 64, // both modes exercised at n=256 (see above)
 		Observer:          func(ev SlotEvent) { modes = append(modes, ev.Far) },
 	})
-	defer a.Close()
 	a.Run(slots)
 
 	b, brecs := adaptiveEngine(t, n, true, Config{
-		Workers:  2,
+		Pool:     testPool(t, 2),
 		forceFar: func(slot, senders int) bool { return modes[slot] },
 	})
-	defer b.Close()
 	b.Run(slots)
 
 	if a.Stats() != b.Stats() {
@@ -170,7 +166,7 @@ func TestQuadtreeEngineMatchesExactDeliveries(t *testing.T) {
 			recs[i] = &recordingProto{fixedProto: fixedProto{id: i, transmit: i%4 == 0, power: power}}
 			procs[i] = recs[i]
 		}
-		cfg := Config{Workers: 1, Seed: 3}
+		cfg := Config{Seed: 3}
 		ce := 0.0
 		if useQuad {
 			q, err := in.QuadTree(0.5)
@@ -184,7 +180,6 @@ func TestQuadtreeEngineMatchesExactDeliveries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer e.Close()
 		e.Run(slots)
 		var all []Delivery
 		for _, r := range recs {
@@ -235,12 +230,11 @@ func TestQuadtreeSlotLoopZeroAlloc(t *testing.T) {
 					exact++
 				}
 			}
-			e, _ := adaptiveEngine(t, 256, false, Config{Workers: workers, AdaptiveCrossover: crossover, Observer: obs})
+			e, _ := adaptiveEngine(t, 256, false, Config{Pool: testPool(t, workers), AdaptiveCrossover: crossover, Observer: obs})
 			e.Run(8)
 			far, exact = 0, 0
 			allocs := testing.AllocsPerRun(50, func() { e.Step() })
 			pooled := e.pool != nil
-			e.Close()
 			if allocs != 0 {
 				t.Fatalf("workers=%d crossover=%d: quadtree steady-state Step allocates %.1f times/op, want 0",
 					workers, crossover, allocs)
@@ -264,8 +258,7 @@ func TestQuadtreePoolMatchesSerial(t *testing.T) {
 	for _, crossover := range []int{1, 64} {
 		run := func(workers int) Stats {
 			farSlots := 0
-			e, _ := adaptiveEngine(t, 256, false, Config{Workers: workers, AdaptiveCrossover: crossover, Observer: countFar(&farSlots), forceFan: fanAlways})
-			defer e.Close()
+			e, _ := adaptiveEngine(t, 256, false, Config{Pool: testPool(t, workers), AdaptiveCrossover: crossover, Observer: countFar(&farSlots), forceFan: fanAlways})
 			e.Run(30)
 			if crossover == 1 && farSlots != 30 {
 				t.Fatalf("workers=%d: forced engine resolved %d/30 slots far", workers, farSlots)

@@ -69,7 +69,7 @@ type addrRun struct {
 func runAddressed(t *testing.T, in *sinr.Instance, cfg Config, salt int64, slots int, r float64, plain, gate bool) addrRun {
 	t.Helper()
 	cfg.noAddrGate = !gate
-	if cfg.Workers > 1 {
+	if cfg.Pool != nil {
 		cfg.forceFan = fanAlways
 	}
 	n := in.Len()
@@ -90,7 +90,6 @@ func runAddressed(t *testing.T, in *sinr.Instance, cfg Config, salt int64, slots
 		procs[i] = recs[i]
 	}
 	e := mustEngine(t, in, procs, cfg)
-	defer e.Close()
 	e.SetListenRange(r)
 	var run addrRun
 	for s := 0; s < slots; s++ {
@@ -162,14 +161,14 @@ func TestAddressedListenMatchesFilter(t *testing.T) {
 			t.Fatal(err)
 		}
 		return []Config{
-			{Workers: 1},
-			{Workers: 4},
-			{Workers: 1, DropProb: 0.2, Seed: 3},
-			{Workers: 4, DropProb: 0.2, Seed: 3},
-			{Workers: 1, Far: q, AdaptiveCrossover: 1 << 30}, // exact, on the fly
-			{Workers: 4, Far: q, AdaptiveCrossover: 1 << 30, DropProb: 0.2, Seed: 3},
-			{Workers: 1, Far: q, AdaptiveCrossover: 1}, // every slot far
-			{Workers: 4, Far: q, AdaptiveCrossover: 1, DropProb: 0.2, Seed: 3},
+			{},
+			{Pool: testPool(t, 4)},
+			{DropProb: 0.2, Seed: 3},
+			{Pool: testPool(t, 4), DropProb: 0.2, Seed: 3},
+			{Far: q, AdaptiveCrossover: 1 << 30}, // exact, on the fly
+			{Pool: testPool(t, 4), Far: q, AdaptiveCrossover: 1 << 30, DropProb: 0.2, Seed: 3},
+			{Far: q, AdaptiveCrossover: 1}, // every slot far
+			{Pool: testPool(t, 4), Far: q, AdaptiveCrossover: 1, DropProb: 0.2, Seed: 3},
 		}
 	}
 	for _, c := range []struct {
@@ -179,7 +178,7 @@ func TestAddressedListenMatchesFilter(t *testing.T) {
 		for _, r := range []float64{0, 3} {
 			for ci, cfg := range cfgs(c.in) {
 				label := fmt.Sprintf("%s r=%v cfg %d (workers=%d far=%v crossover=%d drop=%v)",
-					c.name, r, ci, cfg.Workers, cfg.Far != nil, cfg.AdaptiveCrossover, cfg.DropProb)
+					c.name, r, ci, poolSize(cfg), cfg.Far != nil, cfg.AdaptiveCrossover, cfg.DropProb)
 				ref := runAddressed(t, c.in, cfg, salt, slots, r, true, false)
 				want, kept, addressed, cut := keepAddressed(ref.got, salt)
 				gated := runAddressed(t, c.in, cfg, salt, slots, r, false, true)

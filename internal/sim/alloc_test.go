@@ -62,7 +62,7 @@ func allocTestEngine(t *testing.T, n, workers int, drop float64, sparse, far boo
 		}
 		procs[i] = &fixedProto{id: i, transmit: i%4 == 0, power: power}
 	}
-	cfg := Config{Workers: workers, DropProb: drop, Seed: 3}
+	cfg := Config{Pool: testPool(t, workers), DropProb: drop, Seed: 3}
 	if workers > 1 {
 		cfg.forceFan = fanAlways
 	}
@@ -116,7 +116,6 @@ func TestSlotLoopZeroAlloc(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			e := allocTestEngine(t, 128, tc.workers, tc.drop, tc.sparse, tc.far)
-			defer e.Close()
 			if tc.addressed {
 				for _, p := range e.procs {
 					if fp, ok := p.(*fixedProto); ok {
@@ -176,7 +175,6 @@ func TestPoolMatchesSerial(t *testing.T) {
 	for _, sparse := range []bool{false, true} {
 		run := func(workers int) Stats {
 			e := allocTestEngine(t, 128, workers, 0.15, sparse, false)
-			defer e.Close()
 			e.Run(40)
 			return e.Stats()
 		}
@@ -236,8 +234,7 @@ func TestFanOutFloorsMatchForced(t *testing.T) {
 			recs[i] = &recordProto{inner: &tideProto{id: i, leave: leave, power: power}}
 			procs[i] = recs[i]
 		}
-		e := mustEngine(t, in, procs, Config{Workers: 2, DropProb: 0.1, Seed: 5, forceFan: force})
-		defer e.Close()
+		e := mustEngine(t, in, procs, Config{Pool: testPool(t, 2), DropProb: 0.1, Seed: 5, forceFan: force})
 		e.Run(slots / 2)
 		e.SetListenRange(8)
 		e.Run(slots / 2)
@@ -296,7 +293,6 @@ func TestNilProtocolMatchesIdle(t *testing.T) {
 			procs[i] = recs[i]
 		}
 		e := mustEngine(t, in, procs, cfg)
-		defer e.Close()
 		e.Run(slots)
 		got := make([][]Delivery, n)
 		for i, r := range recs {
@@ -307,25 +303,25 @@ func TestNilProtocolMatchesIdle(t *testing.T) {
 		return got, e.Stats()
 	}
 	for _, cfg := range []Config{
-		{Workers: 1, DropProb: 0.1, Seed: 5},
-		{Workers: 4, DropProb: 0.1, Seed: 5},
-		{Workers: 1, Far: q, AdaptiveCrossover: 1},
-		{Workers: 4, Far: q, AdaptiveCrossover: 1},
+		{DropProb: 0.1, Seed: 5},
+		{Pool: testPool(t, 4), DropProb: 0.1, Seed: 5},
+		{Far: q, AdaptiveCrossover: 1},
+		{Pool: testPool(t, 4), Far: q, AdaptiveCrossover: 1},
 	} {
 		far := 0
 		cfg.Observer = countFar(&far)
 		idleGot, idleStats := run(cfg, false)
 		nilGot, nilStats := run(cfg, true)
 		if cfg.Far != nil && far != 2*slots {
-			t.Fatalf("workers=%d: %d of %d slots resolved far, want all", cfg.Workers, far, 2*slots)
+			t.Fatalf("workers=%d: %d of %d slots resolved far, want all", poolSize(cfg), far, 2*slots)
 		}
 		for i := 2; i < n; i += 3 {
 			if len(idleGot[i]) != 0 {
-				t.Fatalf("workers=%d far=%v: idle node %d received %d deliveries", cfg.Workers, cfg.Far != nil, i, len(idleGot[i]))
+				t.Fatalf("workers=%d far=%v: idle node %d received %d deliveries", poolSize(cfg), cfg.Far != nil, i, len(idleGot[i]))
 			}
 		}
 		if idleStats.Deliveries == 0 {
-			t.Fatalf("workers=%d far=%v: nothing delivered", cfg.Workers, cfg.Far != nil)
+			t.Fatalf("workers=%d far=%v: nothing delivered", poolSize(cfg), cfg.Far != nil)
 		}
 		assertRunsEqual(t, "nil vs always-Idle", idleGot, nilGot, idleStats, nilStats)
 	}
@@ -390,7 +386,6 @@ func TestLeaveMatchesIdle(t *testing.T) {
 		far := 0
 		cfg.Observer = countFar(&far)
 		e := mustEngine(t, in, procs, cfg)
-		defer e.Close()
 		e.Run(slots)
 		got := make([][]Delivery, n)
 		for i, r := range recs {
@@ -399,12 +394,12 @@ func TestLeaveMatchesIdle(t *testing.T) {
 		return got, e.Stats(), e.Live(), far
 	}
 	for _, cfg := range []Config{
-		{Workers: 1, DropProb: 0.1, Seed: 5},
-		{Workers: 4, DropProb: 0.1, Seed: 5},
-		{Workers: 1, Far: q, AdaptiveCrossover: 24},
-		{Workers: 4, Far: q, AdaptiveCrossover: 24, DropProb: 0.1, Seed: 5},
+		{DropProb: 0.1, Seed: 5},
+		{Pool: testPool(t, 4), DropProb: 0.1, Seed: 5},
+		{Far: q, AdaptiveCrossover: 24},
+		{Pool: testPool(t, 4), Far: q, AdaptiveCrossover: 24, DropProb: 0.1, Seed: 5},
 	} {
-		label := fmt.Sprintf("workers=%d far=%v", cfg.Workers, cfg.Far != nil)
+		label := fmt.Sprintf("workers=%d far=%v", poolSize(cfg), cfg.Far != nil)
 		idleGot, idleStats, idleLive, idleFar := run(cfg, true)
 		leaveGot, leaveStats, leaveLive, leaveFar := run(cfg, false)
 		if idleStats.Deliveries == 0 {

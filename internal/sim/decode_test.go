@@ -161,13 +161,13 @@ func TestExactDecodeMatchesListenerMajor(t *testing.T) {
 		txProb float64
 		sparse bool
 	}{
-		{name: "table_serial", cfg: Config{Workers: 1}, txProb: 0.1},
-		{name: "table_pool_drop", cfg: Config{Workers: 4, DropProb: 0.2, Seed: 9}, txProb: 0.1},
-		{name: "table_dense_sparse", cfg: Config{Workers: 3}, txProb: 0.4, sparse: true},
-		{name: "table_ties", cfg: Config{Workers: 2}, beta: 0.5, txProb: 0.45},
-		{name: "onthefly_serial", cfg: Config{Workers: 1}, far: true, txProb: 0.1},
-		{name: "onthefly_pool_sparse", cfg: Config{Workers: 4, DropProb: 0.1, Seed: 4}, far: true, txProb: 0.25, sparse: true},
-		{name: "onthefly_ties", cfg: Config{Workers: 1}, far: true, beta: 0.5, txProb: 0.45},
+		{name: "table_serial", cfg: Config{}, txProb: 0.1},
+		{name: "table_pool_drop", cfg: Config{Pool: testPool(t, 4), DropProb: 0.2, Seed: 9}, txProb: 0.1},
+		{name: "table_dense_sparse", cfg: Config{Pool: testPool(t, 3)}, txProb: 0.4, sparse: true},
+		{name: "table_ties", cfg: Config{Pool: testPool(t, 2)}, beta: 0.5, txProb: 0.45},
+		{name: "onthefly_serial", cfg: Config{}, far: true, txProb: 0.1},
+		{name: "onthefly_pool_sparse", cfg: Config{Pool: testPool(t, 4), DropProb: 0.1, Seed: 4}, far: true, txProb: 0.25, sparse: true},
+		{name: "onthefly_ties", cfg: Config{}, far: true, beta: 0.5, txProb: 0.45},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, alpha := range []float64{2, 2.5, 3, 4} {
@@ -182,7 +182,7 @@ func TestExactDecodeMatchesListenerMajor(t *testing.T) {
 					}
 					in := decodeGateInstance(n, alpha, beta)
 					cfg := tc.cfg
-					if cfg.Workers > 1 {
+					if cfg.Pool != nil {
 						// The pool rows fan every stage out, below the floors.
 						cfg.forceFan = fanAlways
 					}
@@ -209,7 +209,6 @@ func TestExactDecodeMatchesListenerMajor(t *testing.T) {
 						procs[i] = chaos[i]
 					}
 					e := mustEngine(t, in, procs, cfg)
-					defer e.Close()
 					// The protocols see slot s's deliveries in slot s+1, so the
 					// inboxes cover slots [0, slots) and Stats all slots+1.
 					e.Run(slots + 1)
@@ -290,7 +289,7 @@ func BenchmarkExactSlot(b *testing.B) {
 				for i := range procs {
 					procs[i] = &fixedProto{id: i, transmit: i%tc.every == 0, power: power}
 				}
-				cfg := Config{Workers: workers}
+				cfg := Config{Pool: testPool(b, workers)}
 				if tc.far {
 					q, err := in.QuadTree(1.0)
 					if err != nil {
@@ -302,7 +301,6 @@ func BenchmarkExactSlot(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				defer e.Close()
 				e.Run(3)
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -335,12 +333,11 @@ func BenchmarkFarSlot(b *testing.B) {
 				b.Fatal(err)
 			}
 			far := true
-			cfg := Config{Workers: workers, Far: q, Observer: func(ev SlotEvent) { far = far && ev.Far }}
+			cfg := Config{Pool: testPool(b, workers), Far: q, Observer: func(ev SlotEvent) { far = far && ev.Far }}
 			e, err := NewEngine(in, procs, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer e.Close()
 			e.Run(3)
 			b.ReportAllocs()
 			b.ResetTimer()

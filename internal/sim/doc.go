@@ -9,7 +9,8 @@
 // the SINR at every listener from the full set of concurrent senders; and
 // decodable messages are delivered into inboxes the protocols see at the
 // next slot. Node stepping and listener decoding fan out to a persistent
-// worker pool when a slot's stage is large enough to pay for it — safe
+// worker pool (Config.Pool, which an engine borrows and never owns) when a
+// slot's stage is large enough to pay for it — safe
 // because protocols only touch their own state — and all randomness is
 // derived deterministically from the engine seed, so results are
 // reproducible regardless of worker count. A node

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"time"
 
@@ -124,11 +123,6 @@ type Protocol interface {
 
 // Config tunes the engine.
 type Config struct {
-	// Workers is the number of goroutines a stage can fan out to when
-	// Pool is nil. Zero means runtime.NumCPU(). Each slot fans a stage out
-	// only when its work pays for the dispatch (stepFanOutMin,
-	// decodeFanOutMin); smaller stages run on the engine goroutine.
-	Workers int
 	// DropProb injects reception failures: each otherwise-successful
 	// delivery is independently dropped with this probability (modeling
 	// fading the SINR mean-path-loss model misses). Drops are derived
@@ -146,13 +140,14 @@ type Config struct {
 	// schedules or stats, so a fault-free replay of the same seed is
 	// bit-identical to an engine without an injector.
 	Injector faults.Injector
-	// Pool, if non-nil, is a shared worker pool the engine fans its large
-	// stages out to instead of spawning its own. The engine does not own a
-	// shared pool: Close leaves it running, so a session handle
-	// (sinrconn.Network) can reuse one pool across many engine lifetimes
-	// and across concurrent engines. When Pool is nil the engine spawns a
-	// private pool sized by Workers (the pre-session behavior). Either way
-	// a stage below its fan-out floor runs on the engine goroutine.
+	// Pool, if non-nil, is the worker pool the engine fans its large
+	// stages out to. The engine only borrows it: no engine owns or spawns
+	// goroutines, so the pool's owner (the session handle,
+	// sinrconn.Network) reuses one pool across many engine lifetimes and
+	// across concurrent engines, and closes it. A slot fans a stage out
+	// only when its work pays for the dispatch (stepFanOutMin,
+	// decodeFanOutMin). With Pool nil, or a one-worker pool, every stage
+	// runs on the engine goroutine; results are the same either way.
 	Pool *Pool
 	// Far, if non-nil, switches channel resolution to a far-field
 	// approximation plan — the hierarchical quadtree: per slot, senders
@@ -370,7 +365,6 @@ type Engine struct {
 
 	shards  []shard
 	pool    *Pool // nil when every stage runs on the engine goroutine
-	ownPool bool  // the engine spawned pool itself and must close it
 	stageWG sync.WaitGroup
 }
 
@@ -378,17 +372,13 @@ type Engine struct {
 // len(procs) must equal inst.Len(). A nil entry is a node that idles in
 // every slot: the engine indexes the non-nil entries once, here, and its
 // slot loop steps and decodes only those (less the ones that have left),
-// so an idle node costs nothing per slot. With more than one worker the
-// engine fans its large stages out to Config.Pool when one is provided,
-// otherwise to a private worker pool it spawns; call Close when done with
-// an engine to release a private pool's goroutines (Close is always safe
-// to call and never touches a shared pool).
+// so an idle node costs nothing per slot. The engine fans its large stages
+// out to Config.Pool when that has more than one worker and runs them on
+// its own goroutine otherwise; it starts no goroutines of its own, so it
+// holds nothing to release when dropped.
 func NewEngine(inst *sinr.Instance, procs []Protocol, cfg Config) (*Engine, error) {
 	if len(procs) != inst.Len() {
 		return nil, fmt.Errorf("sim: %d protocols for %d nodes", len(procs), inst.Len())
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.NumCPU()
 	}
 	if !(cfg.DropProb >= 0 && cfg.DropProb < 1) {
 		return nil, fmt.Errorf("sim: drop probability %v outside [0,1)", cfg.DropProb)
@@ -431,34 +421,16 @@ func NewEngine(inst *sinr.Instance, procs []Protocol, cfg Config) (*Engine, erro
 		// targets instances past its memory bound.
 		e.gains = inst.GainTable()
 	}
-	switch {
-	case cfg.Pool != nil && cfg.Pool.Workers() > 1:
-		// Shared session pool; the engine borrows it and never closes it.
+	if cfg.Pool != nil && cfg.Pool.Workers() > 1 {
 		e.pool = cfg.Pool
 		e.shards = make([]shard, cfg.Pool.Workers())
-	case cfg.Pool == nil && cfg.Workers > 1:
-		e.pool = NewPool(cfg.Workers)
-		e.ownPool = true
-		e.shards = make([]shard, cfg.Workers)
-	default:
+	} else {
 		e.shards = make([]shard, 1)
 	}
 	e.lis = make([]int32, 0, len(e.live))
 	e.acc = make([]listenAcc, len(e.live))
 	e.addrStamp = make([]uint32, n)
 	return e, nil
-}
-
-// Close releases the engine's private worker pool, if it spawned one. A
-// shared pool passed in via Config.Pool is left running — its owner (the
-// session handle) closes it. The engine must not be stepped after Close.
-// Close is idempotent.
-func (e *Engine) Close() {
-	if e.pool != nil && e.ownPool {
-		e.pool.Close()
-	}
-	e.pool = nil
-	e.ownPool = false
 }
 
 // Stats returns a copy of the engine's counters.

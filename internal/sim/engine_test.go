@@ -41,6 +41,27 @@ func lineInstance(t testing.TB, xs ...float64) *sinr.Instance {
 // tests on engines below the fan-out floors still run the pooled path.
 func fanAlways(stage, int, bool) bool { return true }
 
+// testPool returns a pool of w workers that closes when the test ends, or
+// nil for w ≤ 1: an engine without a pool runs every stage on its own
+// goroutine.
+func testPool(t testing.TB, w int) *Pool {
+	t.Helper()
+	if w <= 1 {
+		return nil
+	}
+	p := NewPool(w)
+	t.Cleanup(p.Close)
+	return p
+}
+
+// poolSize is the number of workers cfg's engine fans a stage out to.
+func poolSize(cfg Config) int {
+	if cfg.Pool == nil {
+		return 1
+	}
+	return cfg.Pool.Workers()
+}
+
 func mustEngine(t testing.TB, in *sinr.Instance, procs []Protocol, cfg Config) *Engine {
 	t.Helper()
 	e, err := NewEngine(in, procs, cfg)
@@ -57,7 +78,7 @@ func TestSingleTransmitterDelivered(t *testing.T) {
 	sender := &scripted{actions: []Action{Transmit(p.SafePower(8), msg)}}
 	l1 := &scripted{actions: []Action{Listen()}}
 	l2 := &scripted{actions: []Action{Listen()}}
-	e := mustEngine(t, in, []Protocol{sender, l1, l2}, Config{Workers: 1})
+	e := mustEngine(t, in, []Protocol{sender, l1, l2}, Config{})
 	e.Run(2) // slot 0 transmits; slot 1 exposes the inbox
 
 	for i, l := range []*scripted{l1, l2} {
@@ -95,7 +116,7 @@ func TestCollisionBetweenEqualSenders(t *testing.T) {
 	s1 := &scripted{actions: []Action{Transmit(pw, msg)}}
 	mid := &scripted{actions: []Action{Listen()}}
 	s2 := &scripted{actions: []Action{Transmit(pw, msg)}}
-	e := mustEngine(t, in, []Protocol{s1, mid, s2}, Config{Workers: 1})
+	e := mustEngine(t, in, []Protocol{s1, mid, s2}, Config{})
 	e.Run(2)
 
 	if len(mid.seen[1]) != 0 {
@@ -113,7 +134,7 @@ func TestCaptureEffect(t *testing.T) {
 	near := &scripted{actions: []Action{Transmit(p.SafePower(2), Message{From: 0})}}
 	listener := &scripted{actions: []Action{Listen()}}
 	far := &scripted{actions: []Action{Transmit(p.SafePower(2), Message{From: 2})}}
-	e := mustEngine(t, in, []Protocol{near, listener, far}, Config{Workers: 1})
+	e := mustEngine(t, in, []Protocol{near, listener, far}, Config{})
 	e.Run(2)
 
 	if len(listener.seen[1]) != 1 || listener.seen[1][0].Msg.From != 0 {
@@ -127,7 +148,7 @@ func TestHalfDuplex(t *testing.T) {
 	p := in.Params()
 	a := &scripted{actions: []Action{Transmit(p.SafePower(2), Message{From: 0})}}
 	b := &scripted{actions: []Action{Transmit(p.SafePower(2), Message{From: 1})}}
-	e := mustEngine(t, in, []Protocol{a, b}, Config{Workers: 1})
+	e := mustEngine(t, in, []Protocol{a, b}, Config{})
 	e.Run(2)
 	if len(a.seen[1]) != 0 || len(b.seen[1]) != 0 {
 		t.Fatal("transmitting node received a message (half-duplex violated)")
@@ -139,7 +160,7 @@ func TestIdleNodesReceiveNothing(t *testing.T) {
 	p := in.Params()
 	a := &scripted{actions: []Action{Transmit(p.SafePower(2), Message{From: 0})}}
 	b := &scripted{actions: []Action{Idle()}}
-	e := mustEngine(t, in, []Protocol{a, b}, Config{Workers: 1})
+	e := mustEngine(t, in, []Protocol{a, b}, Config{})
 	e.Run(2)
 	if len(b.seen[1]) != 0 {
 		t.Fatal("idle node received a message")
@@ -164,8 +185,7 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 			}
 			procs[i] = &scripted{actions: acts}
 		}
-		e := mustEngine(t, in, procs, Config{Workers: workers, DropProb: 0.2, Seed: 99, forceFan: fanAlways})
-		defer e.Close()
+		e := mustEngine(t, in, procs, Config{Pool: testPool(t, workers), DropProb: 0.2, Seed: 99, forceFan: fanAlways})
 		e.Run(10)
 		return e.Stats()
 	}
@@ -187,7 +207,7 @@ func TestDropInjection(t *testing.T) {
 		}
 		s := &scripted{actions: sActs}
 		l := &scripted{actions: lActs}
-		e := mustEngine(t, in, []Protocol{s, l}, Config{Workers: 1, DropProb: drop, Seed: 7})
+		e := mustEngine(t, in, []Protocol{s, l}, Config{DropProb: drop, Seed: 7})
 		e.Run(200)
 		st := e.Stats()
 		return st.Deliveries, st.Dropped
@@ -230,7 +250,7 @@ func TestAddressedAckSemantics(t *testing.T) {
 	s := &scripted{actions: []Action{Transmit(p.SafePower(5), ack)}}
 	other := &scripted{actions: []Action{Listen()}}
 	target := &scripted{actions: []Action{Listen()}}
-	e := mustEngine(t, in, []Protocol{s, other, target}, Config{Workers: 1})
+	e := mustEngine(t, in, []Protocol{s, other, target}, Config{})
 	e.Run(2)
 	if len(target.seen[1]) != 1 || target.seen[1][0].Msg.To != 2 {
 		t.Fatal("target did not receive addressed ack")
@@ -307,7 +327,7 @@ func BenchmarkEngineSlot(b *testing.B) {
 						power:    power,
 					}
 				}
-				cfg := Config{Workers: 2, forceFan: func(st stage, _ int, _ bool) bool {
+				cfg := Config{Pool: testPool(b, 2), forceFan: func(st stage, _ int, _ bool) bool {
 					return fan && (st == stageDecode) == (tc.senders > 0)
 				}}
 				if tc.senders == 0 || tc.onTheFly {
@@ -321,7 +341,6 @@ func BenchmarkEngineSlot(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				defer e.Close()
 				e.Run(3)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -64,11 +64,10 @@ func TestFarFieldSaturation(t *testing.T) {
 		&fixedProto{id: 3},
 	}
 	far := 0
-	e, err := NewEngine(in, procs, Config{Workers: 1, Far: q, AdaptiveCrossover: 1, Observer: countFar(&far)})
+	e, err := NewEngine(in, procs, Config{Far: q, AdaptiveCrossover: 1, Observer: countFar(&far)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	e.Run(3)
 	if far != 3 {
 		t.Fatalf("%d of 3 slots resolved far, want all", far)
@@ -132,11 +131,10 @@ func TestEngineFarDriftGate(t *testing.T) {
 			t.Fatal(err)
 		}
 		far := 0
-		e, err := NewEngine(in, procs, Config{Workers: workers, Far: q, AdaptiveCrossover: 1, Observer: countFar(&far)})
+		e, err := NewEngine(in, procs, Config{Pool: testPool(t, workers), Far: q, AdaptiveCrossover: 1, Observer: countFar(&far)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer e.Close()
 		e.Run(slots)
 		if far != slots {
 			t.Fatalf("workers=%d: %d of %d slots resolved far, want all", workers, far, slots)

@@ -80,7 +80,7 @@ func checkGateSlot(t *testing.T, label string, e *Engine) {
 func runRanged(t *testing.T, in *sinr.Instance, cfg Config, salt int64, slots int, r float64, gate bool) rangeRun {
 	t.Helper()
 	cfg.noListenGate = !gate
-	if cfg.Workers > 1 {
+	if cfg.Pool != nil {
 		cfg.forceFan = fanAlways
 	}
 	n := in.Len()
@@ -92,7 +92,6 @@ func runRanged(t *testing.T, in *sinr.Instance, cfg Config, salt int64, slots in
 		procs[i] = recs[i]
 	}
 	e := mustEngine(t, in, procs, cfg)
-	defer e.Close()
 	if r != 0 {
 		e.SetListenRange(r)
 	}
@@ -227,19 +226,19 @@ func TestListenRangeMatchesFilter(t *testing.T) {
 	oneCell := sinr.MustInstance(latticePoints(4, 0.3), sinr.DefaultParams())
 
 	exactCfgs := []Config{
-		{Workers: 1},
-		{Workers: 4},
-		{Workers: 1, DropProb: 0.2, Seed: 3},
-		{Workers: 4, DropProb: 0.2, Seed: 3},
+		{},
+		{Pool: testPool(t, 4)},
+		{DropProb: 0.2, Seed: 3},
+		{Pool: testPool(t, 4), DropProb: 0.2, Seed: 3},
 	}
 	farCfgs := func(q *sinr.QuadTree) []Config {
 		return []Config{
-			{Workers: 1, Far: q, AdaptiveCrossover: 1 << 30}, // exact, on the fly
-			{Workers: 4, Far: q, AdaptiveCrossover: 1 << 30, DropProb: 0.2, Seed: 3},
-			{Workers: 1, Far: q, AdaptiveCrossover: 1}, // every slot far
-			{Workers: 4, Far: q, AdaptiveCrossover: 1, DropProb: 0.2, Seed: 3},
-			{Workers: 4, Far: q, AdaptiveCrossover: 1},
-			{Workers: 4, Far: q, AdaptiveCrossover: 40},
+			{Far: q, AdaptiveCrossover: 1 << 30}, // exact, on the fly
+			{Pool: testPool(t, 4), Far: q, AdaptiveCrossover: 1 << 30, DropProb: 0.2, Seed: 3},
+			{Far: q, AdaptiveCrossover: 1}, // every slot far
+			{Pool: testPool(t, 4), Far: q, AdaptiveCrossover: 1, DropProb: 0.2, Seed: 3},
+			{Pool: testPool(t, 4), Far: q, AdaptiveCrossover: 1},
+			{Pool: testPool(t, 4), Far: q, AdaptiveCrossover: 40},
 		}
 	}
 	cases := []struct {
@@ -268,7 +267,7 @@ func TestListenRangeMatchesFilter(t *testing.T) {
 		for _, r := range c.rs {
 			for ci, cfg := range c.cfgs {
 				label := fmt.Sprintf("%s r=%v cfg %d (workers=%d far=%v drop=%v)",
-					c.name, r, ci, cfg.Workers, cfg.Far != nil, cfg.DropProb)
+					c.name, r, ci, poolSize(cfg), cfg.Far != nil, cfg.DropProb)
 				ref, gated, cut := checkListenRange(t, label, c.in, cfg, 11, slots, r)
 				if cut == 0 || gated.stats.Deliveries == 0 {
 					t.Fatalf("%s: the range cut %d and kept %d deliveries; want both", label, cut, gated.stats.Deliveries)
@@ -313,7 +312,7 @@ func TestListenRangeChangeMidRun(t *testing.T) {
 	const n, per = 192, 6
 	in := sinr.MustInstance(workload.JitteredGrid(rand.New(rand.NewSource(29)), n, 2.6, 0.8), sinr.DefaultParams())
 	ranges := []float64{2, 6, 2.5, 0, 3, 9}
-	for _, cfg := range []Config{{Workers: 1}, {Workers: 4, forceFan: fanAlways, DropProb: 0.2, Seed: 3}} {
+	for _, cfg := range []Config{{}, {Pool: testPool(t, 4), forceFan: fanAlways, DropProb: 0.2, Seed: 3}} {
 		run := func(gate bool) ([][]Delivery, Stats, int) {
 			c := cfg
 			c.noListenGate = !gate
@@ -328,14 +327,13 @@ func TestListenRangeChangeMidRun(t *testing.T) {
 				procs[i] = recs[i]
 			}
 			e := mustEngine(t, in, procs, c)
-			defer e.Close()
 			decoded := 0
 			for _, r := range ranges {
 				e.SetListenRange(r)
 				for s := 0; s < per; s++ {
 					e.Step()
 					if gate {
-						checkGateSlot(t, fmt.Sprintf("workers=%d r=%v", cfg.Workers, r), e)
+						checkGateSlot(t, fmt.Sprintf("workers=%d r=%v", poolSize(cfg), r), e)
 					}
 					decoded += len(e.lis)
 				}
@@ -348,9 +346,9 @@ func TestListenRangeChangeMidRun(t *testing.T) {
 		}
 		gotOn, statsOn, decodedOn := run(true)
 		gotOff, statsOff, decodedOff := run(false)
-		assertRunsEqual(t, fmt.Sprintf("workers=%d: gate on vs off", cfg.Workers), gotOn, gotOff, statsOn, statsOff)
+		assertRunsEqual(t, fmt.Sprintf("workers=%d: gate on vs off", poolSize(cfg)), gotOn, gotOff, statsOn, statsOff)
 		if statsOn.Deliveries == 0 || decodedOn >= decodedOff {
-			t.Fatalf("workers=%d: %d deliveries, %d of %d listener-slots decoded", cfg.Workers, statsOn.Deliveries, decodedOn, decodedOff)
+			t.Fatalf("workers=%d: %d deliveries, %d of %d listener-slots decoded", poolSize(cfg), statsOn.Deliveries, decodedOn, decodedOff)
 		}
 	}
 }
@@ -361,17 +359,16 @@ func TestListenRangeChangeMidRun(t *testing.T) {
 func TestListenRangeOff(t *testing.T) {
 	in := sinr.MustInstance(workload.JitteredGrid(rand.New(rand.NewSource(3)), 64, 2.6, 0.8), sinr.DefaultParams())
 	for _, r := range []float64{0, -1, math.NaN()} {
-		checkListenRange(t, fmt.Sprintf("r=%v", r), in, Config{Workers: 1}, 5, 8, r)
+		checkListenRange(t, fmt.Sprintf("r=%v", r), in, Config{}, 5, 8, r)
 	}
-	ref := runRanged(t, in, Config{Workers: 1}, 5, 8, 0, false)
+	ref := runRanged(t, in, Config{}, 5, 8, 0, false)
 	procs := make([]Protocol, in.Len())
 	recs := make([]*recordProto, in.Len())
 	for i := range procs {
 		recs[i] = &recordProto{inner: &chatterProto{id: i, salt: 5, power: in.Params().SafePower(4)}}
 		procs[i] = recs[i]
 	}
-	e := mustEngine(t, in, procs, Config{Workers: 1})
-	defer e.Close()
+	e := mustEngine(t, in, procs, Config{})
 	e.SetListenRange(3)
 	e.SetListenRange(0)
 	e.Run(8)
@@ -410,9 +407,9 @@ func FuzzListenRange(f *testing.F) {
 			}
 		}
 		in := sinr.MustInstance(pts, sinr.DefaultParams())
-		cfg := Config{Workers: 1}
+		cfg := Config{}
 		if mode&1 != 0 {
-			cfg.Workers = 4
+			cfg.Pool = testPool(t, 4)
 		}
 		if mode&2 != 0 {
 			cfg.DropProb, cfg.Seed = 0.2, seed

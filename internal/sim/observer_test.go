@@ -20,7 +20,6 @@ func TestObserverSeesEverySlot(t *testing.T) {
 
 	var events []SlotEvent
 	e, err := NewEngine(in, []Protocol{sender, listener}, Config{
-		Workers:  1,
 		Observer: func(ev SlotEvent) { events = append(events, ev) },
 	})
 	if err != nil {
@@ -56,7 +55,7 @@ func TestEnergyAccounting(t *testing.T) {
 		Listen(),
 	}}
 	listener := &scripted{actions: []Action{Listen(), Listen(), Listen()}}
-	e := mustEngine(t, in, []Protocol{sender, listener}, Config{Workers: 1})
+	e := mustEngine(t, in, []Protocol{sender, listener}, Config{})
 	e.Run(3)
 	want := 2 * pw
 	if got := e.Stats().Energy; got != want {
@@ -68,7 +67,7 @@ func TestEnergyZeroWithoutTransmissions(t *testing.T) {
 	in := lineInstance(t, 0, 3)
 	a := &scripted{}
 	b := &scripted{}
-	e := mustEngine(t, in, []Protocol{a, b}, Config{Workers: 1})
+	e := mustEngine(t, in, []Protocol{a, b}, Config{})
 	e.Run(4)
 	if got := e.Stats().Energy; got != 0 {
 		t.Errorf("Energy = %v, want 0", got)

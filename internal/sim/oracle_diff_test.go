@@ -40,6 +40,10 @@ func (c *chaos) Step(slot int, inbox []sim.Delivery) sim.Action {
 }
 
 func TestEngineMatchesOracleResolution(t *testing.T) {
+	// A pool of more workers than the CPU count, so the pooled decode path
+	// runs even on single-core CI machines.
+	pool := sim.NewPool(4)
+	defer pool.Close()
 	for _, seed := range []int64{42, 123, 456} {
 		seed := seed
 		rng := rand.New(rand.NewSource(seed))
@@ -61,13 +65,10 @@ func TestEngineMatchesOracleResolution(t *testing.T) {
 		procs := mk()
 		shadow := mk()
 
-		// Workers pinned above the CPU count so the pooled decode path runs
-		// even on single-core CI machines.
-		e, err := sim.NewEngine(in, procs, sim.Config{Seed: seed, Workers: 4})
+		e, err := sim.NewEngine(in, procs, sim.Config{Seed: seed, Pool: pool})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer e.Close()
 
 		const slots = 40
 		// Shadow replay: drive the shadow protocols with the deliveries the

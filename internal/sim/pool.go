@@ -24,12 +24,12 @@ type job struct {
 }
 
 // Pool is a persistent set of worker goroutines that execute engine stages.
-// Unlike the per-engine pool it replaced, a Pool is not tied to any one
-// Engine: each job carries the engine it belongs to, and completion is
-// signaled on that engine's private WaitGroup — so a session-scoped Pool
-// (one per sinrconn.Network) can be shared by every engine the session
-// creates, including engines running concurrently from a batch sweep.
-// Workers live until Close.
+// A Pool is not tied to any one Engine: each job carries the engine it
+// belongs to, and completion is signaled on that engine's private
+// WaitGroup — so a session-scoped Pool (one per sinrconn.Network) can be
+// shared by every engine the session creates, including engines running
+// concurrently from a batch sweep. Pools are the only goroutines the
+// simulator runs; workers live until Close.
 type Pool struct {
 	cmd []chan job
 }

@@ -154,7 +154,7 @@ func (in *Instance) markGainResolved() { in.gainReady.Store(true) }
 // which computes identical values on the fly.
 //
 // The one-time build parallelizes across runtime.NumCPU() regardless of any
-// consumer-level worker cap (e.g. sim.Config.Workers): the table is shared
+// consumer-level worker cap (e.g. the size of a sim.Pool): the table is shared
 // per-Instance state, not part of the simulation, and the burst is bounded
 // by maxGainTableBytes.
 func (in *Instance) GainTable() []float64 {

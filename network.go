@@ -21,7 +21,6 @@ import (
 	"sinrconn/internal/core"
 	"sinrconn/internal/faults"
 	"sinrconn/internal/geom"
-	"sinrconn/internal/schedule"
 	"sinrconn/internal/serve/cache"
 	"sinrconn/internal/sim"
 	"sinrconn/internal/sinr"
@@ -168,6 +167,9 @@ func WithWorkers(n int) Option {
 
 // WithDropProb injects reception failures (fading) with the given
 // probability in [0, 1). Zero is a legal explicit value (no injection).
+// The drops reach every construction, repair, churn trace and physical
+// epoch, except the Section 7 scheduler of PipelineRescheduleMean, which
+// runs drop-free: the Init construction it reschedules sees the drops.
 func WithDropProb(p float64) Option {
 	return func(s *settings) {
 		if !(p >= 0 && p < 1) {
@@ -374,8 +376,8 @@ type Network struct {
 	base settings
 
 	// parent is set on Networks derived by Join: they share the parent's
-	// pool (resolved dynamically, so a parent Close degrades derived
-	// networks to per-run pools instead of crashing them).
+	// pool (resolved dynamically, so after a parent Close a derived
+	// network's engines run every stage inline instead of crashing).
 	parent *Network
 
 	mu     sync.Mutex
@@ -466,8 +468,9 @@ func checkGeometry(pts []geom.Point) error {
 // Close releases the Network's worker pool, waiting first for in-flight
 // operations to finish so their engines never touch closed worker
 // channels. Networks derived by Join share their parent's pool and never
-// close it. Close is idempotent; existing Results stay usable, new runs
-// return ErrNetworkClosed.
+// close it; once the parent has closed, their engines run every stage
+// inline, on the operation's goroutine. Close is idempotent; existing
+// Results stay usable, new runs return ErrNetworkClosed.
 func (nw *Network) Close() error {
 	nw.mu.Lock()
 	if nw.closed {
@@ -490,9 +493,11 @@ func (nw *Network) Len() int { return len(nw.pts) }
 
 // acquirePool borrows the session worker pool (the Network's own, or the
 // parent's for Join-derived handles) for one operation, registering it so
-// Close blocks until the operation releases. A nil pool (after Close)
-// means engines manage their own workers; the returned release func must
-// be called in every case.
+// Close blocks until the operation releases. A nil pool (the owner has
+// closed: a derived handle whose parent closed, or an operation admitted
+// just before Close) means the operation's engines run every stage on
+// their own goroutine — slower, never different. The returned release
+// func must be called in every case.
 func (nw *Network) acquirePool() (*sim.Pool, func()) {
 	owner := nw
 	if nw.parent != nil {
@@ -571,19 +576,38 @@ func (s *settings) key(p Pipeline) runKey {
 // serving daemon aggregates these across sessions onto /metrics.
 func (nw *Network) CacheStats() cache.Stats { return nw.memo.Stats() }
 
-// initConfig derives the core construction config for a run on the
-// acquired pool.
-func initConfig(s settings, pool *sim.Pool, ff *sinr.QuadTree) core.InitConfig {
-	return core.InitConfig{
-		BroadcastProb: s.broadcastProb,
-		Seed:          s.seed,
-		Workers:       s.workers,
-		DropProb:      s.drop,
-		Pool:          pool,
-		Far:           ff,
-		Observer:      s.observer,
-		Injector:      s.injector,
-	}
+// channel borrows the session pool for one operation and returns, with
+// the release func that must be called once the operation has finished,
+// the channel its engines run on: s's drop rate, seed, observer and
+// injector, the far-field plan ff, and the pool. Every run, join, repair,
+// churn trace and physical epoch on the handle takes its engines' config
+// from here, so an engine-wide setting is threaded through one place.
+func (nw *Network) channel(s settings, ff *sinr.QuadTree) (sim.Config, func()) {
+	pool, release := nw.acquirePool()
+	return sim.Config{
+		DropProb: s.drop,
+		Seed:     s.seed,
+		Pool:     pool,
+		Far:      ff,
+		Observer: s.observer,
+		Injector: s.injector,
+	}, release
+}
+
+// initConfig derives the core construction config for a run of s on ch.
+func initConfig(s settings, ch sim.Config) core.InitConfig {
+	return core.InitConfig{BroadcastProb: s.broadcastProb, Channel: ch}
+}
+
+// scheduleChannel is the channel of PipelineRescheduleMean's Section 7
+// scheduler: the run's channel ch, drop-free, with the seed after the
+// run's. The scheduler has never run under WithDropProb's drops, which
+// reach the Init construction before it but not the rescheduling, and
+// every recorded reschedule result pins that.
+func scheduleChannel(ch sim.Config) sim.Config {
+	ch.DropProb = 0
+	ch.Seed++
+	return ch
 }
 
 // farFieldFor resolves the far-field plan a settings' ε selects over in:
@@ -708,17 +732,17 @@ func (nw *Network) compute(ctx context.Context, p Pipeline, s settings) (*Result
 	if err != nil {
 		return nil, err
 	}
-	pool, release := nw.acquirePool()
+	ch, release := nw.channel(s, ff)
 	defer release()
 	switch p {
 	case PipelineInit:
-		return nw.runInit(ctx, in, s, pool, ff)
+		return nw.runInit(ctx, in, s, ch)
 	case PipelineRescheduleMean:
-		return nw.runRescheduleMean(ctx, in, s, pool, ff)
+		return nw.runRescheduleMean(ctx, in, s, ch)
 	case PipelineTVCMean:
-		return nw.runTVC(ctx, in, s, pool, ff, core.VariantMean)
+		return nw.runTVC(ctx, in, s, ch, core.VariantMean)
 	case PipelineTVCArbitrary:
-		return nw.runTVC(ctx, in, s, pool, ff, core.VariantArbitrary)
+		return nw.runTVC(ctx, in, s, ch, core.VariantArbitrary)
 	}
 	return nil, fmt.Errorf("sinrconn: unknown pipeline %v", p)
 }
@@ -744,8 +768,8 @@ func (nw *Network) finishResult(in *sinr.Instance, bt *tree.BiTree, m Metrics, f
 }
 
 // runInit is the Section 6 pipeline body (Theorem 2).
-func (nw *Network) runInit(ctx context.Context, in *sinr.Instance, s settings, pool *sim.Pool, ff *sinr.QuadTree) (*Result, error) {
-	res, err := core.Init(ctx, in, initConfig(s, pool, ff))
+func (nw *Network) runInit(ctx context.Context, in *sinr.Instance, s settings, ch sim.Config) (*Result, error) {
+	res, err := core.Init(ctx, in, initConfig(s, ch))
 	if err != nil {
 		return nil, err
 	}
@@ -756,24 +780,17 @@ func (nw *Network) runInit(ctx context.Context, in *sinr.Instance, s settings, p
 		ScheduleLength: bt.NumSlots(),
 		Rounds:         res.Rounds,
 		Energy:         res.Stats.Energy,
-	}, ff)
+	}, ch.Far)
 }
 
 // runRescheduleMean is the Section 7 pipeline body (Theorem 3).
-func (nw *Network) runRescheduleMean(ctx context.Context, in *sinr.Instance, s settings, pool *sim.Pool, ff *sinr.QuadTree) (*Result, error) {
-	ires, err := core.Init(ctx, in, initConfig(s, pool, ff))
+func (nw *Network) runRescheduleMean(ctx context.Context, in *sinr.Instance, s settings, ch sim.Config) (*Result, error) {
+	ires, err := core.Init(ctx, in, initConfig(s, ch))
 	if err != nil {
 		return nil, err
 	}
 	pa := sinr.NoiseSafeMean(in.Params(), math.Max(1, in.Delta()))
-	rres, err := core.Reschedule(ctx, in, ires.Tree, pa, schedule.DistConfig{
-		Seed:     s.seed + 1,
-		Workers:  s.workers,
-		Pool:     pool,
-		Far:      ff,
-		Observer: s.observer,
-		Injector: s.injector,
-	})
+	rres, err := core.Reschedule(ctx, in, ires.Tree, pa, scheduleChannel(ch))
 	if err != nil {
 		return nil, err
 	}
@@ -785,18 +802,15 @@ func (nw *Network) runRescheduleMean(ctx context.Context, in *sinr.Instance, s s
 		Delta:          in.Delta(),
 		Energy:         ires.Stats.Energy + rres.Stats.Energy,
 	}
-	return nw.newResult(in, rres.Tree, m, ff), nil
+	return nw.newResult(in, rres.Tree, m, ch.Far), nil
 }
 
 // runTVC is the Section 8 pipeline body (Theorem 4, both halves).
-func (nw *Network) runTVC(ctx context.Context, in *sinr.Instance, s settings, pool *sim.Pool, ff *sinr.QuadTree, v core.Variant) (*Result, error) {
-	icfg := initConfig(s, pool, ff)
-	icfg.Seed = 0 // TreeViaCapacity derives per-iteration seeds from its own
+func (nw *Network) runTVC(ctx context.Context, in *sinr.Instance, s settings, ch sim.Config, v core.Variant) (*Result, error) {
 	res, err := core.TreeViaCapacity(ctx, in, core.TVCConfig{
 		Variant: v,
-		Seed:    s.seed,
 		Rho:     s.rho,
-		Init:    icfg,
+		Init:    initConfig(s, ch),
 	})
 	if err != nil {
 		return nil, err
@@ -806,5 +820,5 @@ func (nw *Network) runTVC(ctx context.Context, in *sinr.Instance, s settings, po
 		ScheduleLength: res.Tree.NumSlots(),
 		Iterations:     res.Iterations,
 		Energy:         res.Energy,
-	}, ff)
+	}, ch.Far)
 }
