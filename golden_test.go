@@ -108,6 +108,33 @@ func TestGoldenDigests(t *testing.T) {
 		}
 	}
 
+	// Cold order: RescheduleMean first on a fresh handle computes the
+	// Init it reschedules itself, where the loops above find it memoized.
+	// Both orders must give the same digest.
+	for _, tc := range []struct {
+		name string
+		opts []sinrconn.RunOption
+		want uint64
+	}{
+		{"plain", []sinrconn.RunOption{sinrconn.WithSeed(7)}, want[sinrconn.PipelineRescheduleMean]},
+		{"drop 0.1", []sinrconn.RunOption{sinrconn.WithSeed(7), sinrconn.WithDropProb(0.1)}, wantDrop[sinrconn.PipelineRescheduleMean]},
+	} {
+		cold, err := sinrconn.Open(goldenPoints(256))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := cold.Run(ctx, sinrconn.PipelineRescheduleMean, tc.opts...)
+		cold.Close()
+		if err != nil {
+			t.Fatalf("cold reschedule-mean %s: %v", tc.name, err)
+		}
+		d := newDigest()
+		d.tree(r)
+		if got := d.h.Sum64(); got != tc.want {
+			t.Errorf("cold reschedule-mean %s: digest %#x, want %#x", tc.name, got, tc.want)
+		}
+	}
+
 	rep, err := nw.Churn(ctx, sinrconn.TraceSpec{
 		Seed:       7,
 		Events:     32,

@@ -21,11 +21,14 @@ func (p Point) Dist(q Point) float64 {
 }
 
 // DistSq returns the squared Euclidean distance between p and q. It avoids
-// the square root on paths that only compare distances.
+// the square root on paths that only compare distances. The explicit
+// conversions round each product, which keeps the compiler from fusing
+// them into a multiply-add on architectures that have one, so the result
+// is the same on every architecture.
 func (p Point) DistSq(q Point) float64 {
 	dx := p.X - q.X
 	dy := p.Y - q.Y
-	return dx*dx + dy*dy
+	return float64(dx*dx) + float64(dy*dy)
 }
 
 // Scale returns p scaled by factor s about the origin.

@@ -44,7 +44,10 @@ type Stats struct {
 	Expirations uint64
 	// Computes counts compute functions actually run (successful or not);
 	// ComputeNanos is their cumulative wall time, so
-	// ComputeNanos/Computes is the mean miss-path latency.
+	// ComputeNanos/Computes is the mean miss-path latency. A compute that
+	// runs or waits on another key's compute includes that time: a
+	// sinrconn PipelineRescheduleMean miss whose Init is missing too adds
+	// two Computes and counts its Init's time twice.
 	Computes     uint64
 	ComputeNanos uint64
 	// Errors counts computes that returned an error (nothing committed).

@@ -309,7 +309,7 @@ func (a *listenAcc) add(k int, p, g float64) {
 		a.sat = true
 		return
 	}
-	rp := p * g
+	rp := float64(p * g) // rounded: never fused into the sum below
 	a.total += rp
 	if rp > a.bestRP {
 		a.bestRP = rp
@@ -655,15 +655,16 @@ func (e *Engine) decodeExact(lo, hi int, sh *shard) {
 			continue
 		}
 		// On-the-fly path loss: bit-identical to a table entry (the same
-		// squared distance, sender minus listener, through the same
-		// PowAlphaSq arm), and — unlike Instance.Gain — never forces the
-		// O(n²) table build a far-field engine avoids.
+		// squared distance as DistSq, products rounded before the sum,
+		// sender minus listener, through the same PowAlphaSq arm), and —
+		// unlike Instance.Gain — never forces the O(n²) table build a
+		// far-field engine avoids.
 		pts, pl := e.inst.Points(), e.pl
 		ps := pts[t.Sender]
 		for j, v := range lis {
 			dx := ps.X - pts[v].X
 			dy := ps.Y - pts[v].Y
-			acc[j].add(k, t.Power, 1/pl.Sq(dx*dx+dy*dy))
+			acc[j].add(k, t.Power, 1/pl.Sq(float64(dx*dx)+float64(dy*dy)))
 		}
 	}
 	for j, v := range lis {

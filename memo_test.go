@@ -15,6 +15,7 @@ import (
 
 	"sinrconn"
 
+	"sinrconn/internal/faults"
 	"sinrconn/internal/workload"
 )
 
@@ -257,5 +258,234 @@ func TestRunCanceledCommitsNothing(t *testing.T) {
 			t.Fatalf("round %d: live query diverges from reference\n got: %s\nwant: %s", round, got, want)
 		}
 		nw2.Close()
+	}
+}
+
+// cancelOnSlot is a fault injector that cancels the context it holds at
+// the first engine slot after it is armed, so a test can cancel a run
+// inside a compute it cannot observe.
+type cancelOnSlot struct {
+	mu     sync.Mutex
+	cancel context.CancelFunc
+}
+
+func (c *cancelOnSlot) arm(cancel context.CancelFunc) {
+	c.mu.Lock()
+	c.cancel = cancel
+	c.mu.Unlock()
+}
+
+func (c *cancelOnSlot) Fire(site faults.Site) (faults.Action, bool) {
+	if site == faults.SimSlotSlow {
+		c.mu.Lock()
+		if c.cancel != nil {
+			c.cancel()
+			c.cancel = nil
+		}
+		c.mu.Unlock()
+	}
+	return faults.Action{}, false
+}
+
+// TestRescheduleMeanSharesInit pins that PipelineRescheduleMean takes the
+// tree it reschedules from the memoized PipelineInit result of the same
+// settings: one Init construction per seed in either call order, the
+// same result in both orders, nothing committed when the nested Init is
+// canceled, and no deadlock between concurrent Init and RescheduleMean
+// leaders. Run with -race.
+func TestRescheduleMeanSharesInit(t *testing.T) {
+	ctx := context.Background()
+	pts := memoPoints(4, 24)
+	seed := sinrconn.WithSeed(7)
+	open := func(t *testing.T, opts ...sinrconn.Option) *sinrconn.Network {
+		t.Helper()
+		nw, err := sinrconn.Open(pts, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { nw.Close() })
+		return nw
+	}
+	run := func(t *testing.T, nw *sinrconn.Network, ctx context.Context, p sinrconn.Pipeline) (*sinrconn.Result, bool) {
+		t.Helper()
+		r, cached, err := nw.RunCached(ctx, p, seed)
+		if err != nil {
+			t.Fatalf("%v: %v", p, err)
+		}
+		return r, cached
+	}
+	marshal := func(t *testing.T, r *sinrconn.Result) string {
+		t.Helper()
+		raw, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+
+	ref := open(t)
+	refInit, _ := run(t, ref, ctx, sinrconn.PipelineInit)
+	refRM, _ := run(t, ref, ctx, sinrconn.PipelineRescheduleMean)
+
+	t.Run("init-first", func(t *testing.T) {
+		nw := open(t)
+		run(t, nw, ctx, sinrconn.PipelineInit)
+		st0 := nw.CacheStats()
+		run(t, nw, ctx, sinrconn.PipelineRescheduleMean)
+		st1 := nw.CacheStats()
+		if d := st1.Computes - st0.Computes; d != 1 {
+			t.Errorf("RescheduleMean after Init ran %d computes, want 1", d)
+		}
+		if d := st1.Hits - st0.Hits; d != 1 {
+			t.Errorf("RescheduleMean after Init made %d memo hits, want 1 (its Init)", d)
+		}
+	})
+
+	t.Run("reschedule-first", func(t *testing.T) {
+		nw := open(t)
+		run(t, nw, ctx, sinrconn.PipelineRescheduleMean)
+		if st := nw.CacheStats(); st.Computes != 2 || st.Size != 2 {
+			t.Errorf("cold RescheduleMean: %d computes, %d entries, want 2 and 2", st.Computes, st.Size)
+		}
+		r1, cached1 := run(t, nw, ctx, sinrconn.PipelineInit)
+		r2, cached2 := run(t, nw, ctx, sinrconn.PipelineInit)
+		if !cached1 || !cached2 || r1 != r2 {
+			t.Errorf("Init after RescheduleMean: cached %v/%v, same *Result %v; want a hit on the committed Init", cached1, cached2, r1 == r2)
+		}
+		if got := marshal(t, r1); got != marshal(t, refInit) {
+			t.Errorf("Init committed by RescheduleMean diverges from a plain Init\n got: %s\nwant: %s", got, marshal(t, refInit))
+		}
+		if st := nw.CacheStats(); st.Computes != 2 {
+			t.Errorf("Init after RescheduleMean computed: %d computes, want 2", st.Computes)
+		}
+	})
+
+	t.Run("orders-agree", func(t *testing.T) {
+		for _, cfg := range []struct {
+			name string
+			opts []sinrconn.Option
+		}{
+			{"fresh", nil},
+			{"cache-1", []sinrconn.Option{sinrconn.WithResultCache(1, 0)}},
+		} {
+			initFirst := open(t, cfg.opts...)
+			run(t, initFirst, ctx, sinrconn.PipelineInit)
+			a, _ := run(t, initFirst, ctx, sinrconn.PipelineRescheduleMean)
+			b, _ := run(t, open(t, cfg.opts...), ctx, sinrconn.PipelineRescheduleMean)
+			for _, r := range []*sinrconn.Result{a, b} {
+				if r.Metrics != refRM.Metrics {
+					t.Errorf("%s: metrics %+v, want %+v", cfg.name, r.Metrics, refRM.Metrics)
+				}
+				if got := marshal(t, r); got != marshal(t, refRM) {
+					t.Errorf("%s: result diverges\n got: %s\nwant: %s", cfg.name, got, marshal(t, refRM))
+				}
+			}
+		}
+	})
+
+	t.Run("canceled-nested-init", func(t *testing.T) {
+		inj := &cancelOnSlot{}
+		nw := open(t, sinrconn.WithFaultInjector(inj))
+		cctx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		inj.arm(cancel) // the first slot of the run is its nested Init's
+		_, _, err := nw.RunCached(cctx, sinrconn.PipelineRescheduleMean, seed)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled in chain", err)
+		}
+		if st := nw.CacheStats(); st.Size != 0 || st.Computes != 2 || st.Errors != 2 {
+			t.Fatalf("canceled run: %+v, want 0 entries and 2 failed computes", st)
+		}
+		r, cached := run(t, nw, ctx, sinrconn.PipelineRescheduleMean)
+		if cached || marshal(t, r) != marshal(t, refRM) {
+			t.Fatalf("retry after cancel: cached %v, result %s, want a fresh compute of %s", cached, marshal(t, r), marshal(t, refRM))
+		}
+	})
+
+	t.Run("concurrent", func(t *testing.T) {
+		nw := open(t)
+		var wg sync.WaitGroup
+		start := make(chan struct{}) // released together, so the runs overlap
+		results := make([]*sinrconn.Result, 8)
+		for g := range results {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				p := sinrconn.PipelineInit
+				if g%2 == 1 {
+					p = sinrconn.PipelineRescheduleMean
+				}
+				r, _, err := nw.RunCached(ctx, p, seed)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				results[g] = r
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		if st := nw.CacheStats(); st.Computes != 2 {
+			t.Errorf("8 concurrent runs: %d computes, want 2", st.Computes)
+		}
+		for g, r := range results {
+			want := refInit
+			if g%2 == 1 {
+				want = refRM
+			}
+			if marshal(t, r) != marshal(t, want) {
+				t.Errorf("goroutine %d: result diverges from the reference", g)
+			}
+		}
+	})
+}
+
+// TestObservedRescheduleMeanStreamsInit pins the streaming contract of an
+// observed RescheduleMean: it computes privately, so its observer sees
+// Init's slots and the scheduler's even when the session has already
+// memoized the Init it reschedules.
+func TestObservedRescheduleMeanStreamsInit(t *testing.T) {
+	ctx := context.Background()
+	pts := memoPoints(5, 24)
+	observed := func(nw *sinrconn.Network, p sinrconn.Pipeline) (*sinrconn.Result, int) {
+		t.Helper()
+		events := 0
+		r, err := nw.Run(ctx, p, sinrconn.WithSeed(3), sinrconn.WithObserver(func(sinrconn.SlotEvent) { events++ }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, events
+	}
+
+	open := func() *sinrconn.Network {
+		t.Helper()
+		nw, err := sinrconn.Open(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { nw.Close() })
+		return nw
+	}
+	_, initEvents := observed(open(), sinrconn.PipelineInit)
+	coldRM, coldEvents := observed(open(), sinrconn.PipelineRescheduleMean)
+
+	warm := open()
+	if _, err := warm.Run(ctx, sinrconn.PipelineInit, sinrconn.WithSeed(3)); err != nil {
+		t.Fatal(err)
+	}
+	warmRM, warmEvents := observed(warm, sinrconn.PipelineRescheduleMean)
+
+	if initEvents == 0 || coldEvents <= initEvents {
+		t.Fatalf("observed Init streamed %d events and RescheduleMean %d: want the scheduler's slots on top of Init's", initEvents, coldEvents)
+	}
+	if warmEvents != coldEvents {
+		t.Errorf("observed RescheduleMean after a memoized Init streamed %d events, want %d (Init's %d plus the scheduler's)", warmEvents, coldEvents, initEvents)
+	}
+	if warmRM.Metrics != coldRM.Metrics {
+		t.Errorf("observed RescheduleMean metrics %+v after a memoized Init, want %+v", warmRM.Metrics, coldRM.Metrics)
 	}
 }

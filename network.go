@@ -271,8 +271,11 @@ type SlotObserver func(SlotEvent)
 // NO events (the construction did not execute); an observed run that
 // misses computes privately — it never coalesces onto another caller's
 // in-flight construction, whose slot events it could not see — and still
-// commits its (deterministic) result for everyone else. fn = nil removes
-// an Open-scoped observer for this run.
+// commits its (deterministic) result for everyone else. An observed
+// PipelineRescheduleMean miss streams Init's slots and then the
+// scheduler's, even when the session has memoized the Init it
+// reschedules: it rebuilds that Init privately. fn = nil removes an
+// Open-scoped observer for this run.
 func WithObserver(fn SlotObserver) Option {
 	return func(s *settings) {
 		if fn == nil {
@@ -287,15 +290,16 @@ func WithObserver(fn SlotObserver) Option {
 
 // WithFaultInjector installs a fault-injection hook (normally a
 // *faults.Plan; see internal/faults) consulted at the handle's
-// registered injection sites: cache.leader.panic before each uncached
-// pipeline compute, churn.repair.fail before each churn repair
-// attempt, and the engine sites (sim.slot.slow, pool.worker.stall) on
-// every engine the session creates. Injected faults stall or fail
-// operations but never alter computed results, so a fault-free replay
-// of the same seed stays bit-identical. Open-scoped: the serving
-// daemon installs one plan per server (`served -chaos`); production
-// handles omit the option and pay a nil check per site. inj = nil is
-// the default (no injection).
+// registered injection sites: cache.leader.panic once per Run that
+// misses the memo, before its compute (not in the Init compute that a
+// PipelineRescheduleMean miss runs nested), churn.repair.fail before
+// each churn repair attempt, and the engine sites (sim.slot.slow,
+// pool.worker.stall) on every engine the session creates. Injected
+// faults stall or fail operations but never alter computed results, so
+// a fault-free replay of the same seed stays bit-identical.
+// Open-scoped: the serving daemon installs one plan per server
+// (`served -chaos`); production handles omit the option and pay a nil
+// check per site. inj = nil is the default (no injection).
 func WithFaultInjector(inj faults.Injector) Option {
 	return func(s *settings) {
 		if s.runScope {
@@ -783,26 +787,53 @@ func (nw *Network) runInit(ctx context.Context, in *sinr.Instance, s settings, c
 	}, ch.Far)
 }
 
-// runRescheduleMean is the Section 7 pipeline body (Theorem 3).
+// runRescheduleMean is the Section 7 pipeline body (Theorem 3). It
+// reschedules the tree of the session's Init run with the same settings,
+// so a session that runs both pipelines on one seed builds one tree.
 func (nw *Network) runRescheduleMean(ctx context.Context, in *sinr.Instance, s settings, ch sim.Config) (*Result, error) {
-	ires, err := core.Init(ctx, in, initConfig(s, ch))
+	ires, err := nw.sessionInit(ctx, in, s, ch)
 	if err != nil {
 		return nil, err
 	}
+	// Reschedule reads only the tree's root, nodes and links, in Up order,
+	// and copies them, so the shared Init tree is never mutated (Compact
+	// only renumbered its slots).
 	pa := sinr.NoiseSafeMean(in.Params(), math.Max(1, in.Delta()))
-	rres, err := core.Reschedule(ctx, in, ires.Tree, pa, scheduleChannel(ch))
+	rres, err := core.Reschedule(ctx, in, ires.Tree.inner, pa, scheduleChannel(ch))
 	if err != nil {
 		return nil, err
 	}
 	m := Metrics{
-		SlotsUsed:      ires.SlotsUsed + 2*rres.SlotPairs,
+		SlotsUsed:      ires.Metrics.SlotsUsed + 2*rres.SlotPairs,
 		ScheduleLength: rres.NumSlots,
-		Rounds:         ires.Rounds,
+		Rounds:         ires.Metrics.Rounds,
 		Upsilon:        in.Upsilon(),
 		Delta:          in.Delta(),
-		Energy:         ires.Stats.Energy + rres.Stats.Energy,
+		Energy:         ires.Metrics.Energy + rres.Stats.Energy,
 	}
 	return nw.newResult(in, rres.Tree, m, ch.Far), nil
+}
+
+// sessionInit returns the PipelineInit result of s through the memo: a
+// hit, a wait on another caller's Init, or a compute on ch, the channel
+// the calling compute already borrowed. Unlike a Run miss it does not
+// visit cache.leader.panic. An observed run computes privately, so its
+// observer sees every Init slot, and commits the result like any other
+// observed run.
+func (nw *Network) sessionInit(ctx context.Context, in *sinr.Instance, s settings, ch sim.Config) (*Result, error) {
+	key := s.key(PipelineInit)
+	if s.observer != nil {
+		r, err := nw.runInit(ctx, in, s, ch)
+		if err != nil {
+			return nil, err
+		}
+		nw.memo.Add(key, r)
+		return r, nil
+	}
+	r, _, err := nw.memo.Do(ctx, key, func() (*Result, error) {
+		return nw.runInit(ctx, in, s, ch)
+	})
+	return r, err
 }
 
 // runTVC is the Section 8 pipeline body (Theorem 4, both halves).
