@@ -22,6 +22,7 @@ import (
 	"sinrconn/internal/sim"
 	"sinrconn/internal/sinr"
 	"sinrconn/internal/sparsity"
+	"sinrconn/internal/tree"
 	"sinrconn/internal/workload"
 )
 
@@ -436,30 +437,61 @@ func BenchmarkJoin(b *testing.B) {
 	}
 }
 
-// BenchmarkRepair measures recovering from one interior-node failure.
-func BenchmarkRepair(b *testing.B) {
-	pool := cpuPool(b)
-	in := benchInstance(37)
-	ires, err := core.Init(context.Background(), in, core.InitConfig{Channel: sim.Config{Seed: 1, Pool: pool}})
+// repairBenchTree is the n = 4096 deployment the first-fit benchmarks
+// share: JitteredGrid(seed 1, spacing 2.6, jitter 0.8) at α = 3, and its
+// Init tree under protocol seed 3.
+func repairBenchTree(b *testing.B, pool *sim.Pool) (*sinr.Instance, *tree.BiTree) {
+	b.Helper()
+	in := sinr.MustInstance(workload.JitteredGrid(rand.New(rand.NewSource(1)), 4096, 2.6, 0.8), sinr.DefaultParams())
+	ires, err := core.Init(context.Background(), in, core.InitConfig{Channel: sim.Config{Seed: 3, Pool: pool}})
 	if err != nil {
 		b.Fatal(err)
 	}
-	victim := -1
-	for v, ch := range ires.Tree.Children() {
-		if v != ires.Tree.Root && len(ch) > 0 {
-			victim = v
-			break
+	return in, ires.Tree
+}
+
+// BenchmarkRepair measures core.Repair at n = 4096 after k ∈ {1, 8, 64}
+// node failures, three failure draws (seeds) each: the join protocol
+// re-attaches the orphans, then Restamp rebuilds the whole schedule, which
+// dominates. It reports the repaired schedule length.
+func BenchmarkRepair(b *testing.B) {
+	pool := cpuPool(b)
+	in, bt := repairBenchTree(b, pool)
+	for _, k := range []int{1, 8, 64} {
+		for _, seed := range []int64{1, 2, 3} {
+			rng := rand.New(rand.NewSource(seed))
+			failed := make([]int, 0, k)
+			for _, i := range rng.Perm(len(bt.Nodes))[:k+1] {
+				if v := bt.Nodes[i]; v != bt.Root && len(failed) < k {
+					failed = append(failed, v)
+				}
+			}
+			b.Run(fmt.Sprintf("k=%d/seed=%d", k, seed), func(b *testing.B) {
+				slots := 0
+				for i := 0; i < b.N; i++ {
+					res, err := core.Repair(context.Background(), in, bt, failed, core.InitConfig{Channel: sim.Config{Seed: seed, Pool: pool}})
+					if err != nil {
+						b.Fatal(err)
+					}
+					slots = res.ScheduleLength
+				}
+				b.ReportMetric(float64(slots), "slots")
+			})
 		}
 	}
-	if victim < 0 {
-		b.Skip("no interior node")
-	}
+}
+
+// BenchmarkMeanScheduleLength measures the centralized first-fit schedule
+// of the n = 4096 Init tree's links under noise-safe mean power (E6's and
+// E10's baseline), and reports its length.
+func BenchmarkMeanScheduleLength(b *testing.B) {
+	in, bt := repairBenchTree(b, cpuPool(b))
+	slots := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Repair(context.Background(), in, ires.Tree, []int{victim}, core.InitConfig{Channel: sim.Config{Seed: int64(i), Pool: pool}}); err != nil {
-			b.Fatal(err)
-		}
+		slots = core.MeanScheduleLength(in, bt)
 	}
+	b.ReportMetric(float64(slots), "slots")
 }
 
 // --- micro-benchmarks of the substrates ---

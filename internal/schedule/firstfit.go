@@ -8,8 +8,11 @@ import (
 
 // FirstFit partitions links into SINR-feasible groups under assignment pa:
 // longest links first (they are the hardest to place), each link lands in
-// the first existing group that remains feasible with it added, or opens a
-// new group. It returns the groups in slot order.
+// the first existing group that remains feasible with it added and shares
+// no node with it, or opens a new group. It returns the groups in slot
+// order. Each group is a sinr.Group in the affectance form, so a try costs
+// one affectance term per member, with the verdict Feasible gives on the
+// whole group.
 // Infeasible-alone links (which cannot be scheduled under pa at all) are
 // returned separately rather than looping forever.
 func FirstFit(in *sinr.Instance, links []sinr.Link, pa sinr.Assignment) (slots [][]sinr.Link, unschedulable []sinr.Link) {
@@ -21,6 +24,7 @@ func FirstFit(in *sinr.Instance, links []sinr.Link, pa sinr.Assignment) (slots [
 		return in.Length(links[idx[a]]) > in.Length(links[idx[b]])
 	})
 
+	var groups []*sinr.Group
 	for _, i := range idx {
 		l := links[i]
 		// A link that cannot stand alone under pa can never be placed.
@@ -28,32 +32,22 @@ func FirstFit(in *sinr.Instance, links []sinr.Link, pa sinr.Assignment) (slots [
 			unschedulable = append(unschedulable, l)
 			continue
 		}
+		p := pa.Power(in, l)
 		placed := false
-		for s := range slots {
-			cand := append(append([]sinr.Link(nil), slots[s]...), l)
-			if feasibleWith(in, cand, pa) {
-				slots[s] = cand
+		for _, g := range groups {
+			if g.TryAdd(l, p) {
 				placed = true
 				break
 			}
 		}
 		if !placed {
-			slots = append(slots, []sinr.Link{l})
+			g := in.AffectanceGroup()
+			g.TryAdd(l, p) // fits: l stands alone
+			groups = append(groups, g)
 		}
+	}
+	for _, g := range groups {
+		slots = append(slots, g.Links())
 	}
 	return slots, unschedulable
-}
-
-// feasibleWith checks feasibility, additionally rejecting node conflicts: a
-// node cannot send and receive (or participate twice) in one slot.
-func feasibleWith(in *sinr.Instance, links []sinr.Link, pa sinr.Assignment) bool {
-	busy := make(map[int]bool, 2*len(links))
-	for _, l := range links {
-		if busy[l.From] || busy[l.To] {
-			return false
-		}
-		busy[l.From] = true
-		busy[l.To] = true
-	}
-	return in.Feasible(links, pa)
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"sinrconn/internal/geom"
 	"sinrconn/internal/sinr"
 	"sinrconn/internal/workload"
 )
@@ -65,7 +66,7 @@ func listenerMajorSlot(in *sinr.Instance, table bool, cfg Config, slot int, acts
 	if len(txs) == 0 {
 		return out, 0
 	}
-	gains := in.GainTable()
+	gains, stride := in.GainTableStride()
 	for i := range acts {
 		if acts[i].Kind != ActionListen {
 			continue
@@ -76,7 +77,7 @@ func listenerMajorSlot(in *sinr.Instance, table bool, cfg Config, slot int, acts
 		for k, t := range txs {
 			var g float64
 			if table {
-				g = gains[i*n+t.Sender]
+				g = gains[i*stride+t.Sender]
 			} else {
 				g = 1 / sinr.PowAlphaSq(in.DistSq(t.Sender, i), p.Alpha)
 			}
@@ -125,6 +126,25 @@ func listenerMajorSlot(in *sinr.Instance, table bool, cfg Config, slot int, acts
 	return out, ties
 }
 
+// growGainTable rebuilds in from its first n−8 points through two Extends,
+// so its gain table has spare rows and columns (row stride above n).
+func growGainTable(t *testing.T, in *sinr.Instance) *sinr.Instance {
+	t.Helper()
+	pts, n := in.Points(), in.Len()
+	out := sinr.MustInstance(pts[:n-8:n-8], in.Params())
+	out.GainTableStride()
+	for _, extra := range [][]geom.Point{pts[n-8 : n-3], pts[n-3:]} {
+		var err error
+		if out, err = out.Extend(extra); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, stride := out.GainTableStride(); stride <= n {
+		t.Fatalf("grown table has stride %d for %d nodes, want spare space", stride, n)
+	}
+	return out
+}
+
 // decodeGateInstance is a jittered grid with a few exact duplicates (node
 // i+1 placed on node i for every 37th i): a listener on a transmitting
 // twin saturates, and twins transmitting at one power reach every other
@@ -157,6 +177,7 @@ func TestExactDecodeMatchesListenerMajor(t *testing.T) {
 		name   string
 		cfg    Config
 		far    bool // decode exact slots on the fly, without the table
+		grown  bool // decode from a table Extend grew, read at its own stride
 		beta   float64
 		txProb float64
 		sparse bool
@@ -165,6 +186,7 @@ func TestExactDecodeMatchesListenerMajor(t *testing.T) {
 		{name: "table_pool_drop", cfg: Config{Pool: testPool(t, 4), DropProb: 0.2, Seed: 9}, txProb: 0.1},
 		{name: "table_dense_sparse", cfg: Config{Pool: testPool(t, 3)}, txProb: 0.4, sparse: true},
 		{name: "table_ties", cfg: Config{Pool: testPool(t, 2)}, beta: 0.5, txProb: 0.45},
+		{name: "table_grown", cfg: Config{Pool: testPool(t, 2)}, grown: true, txProb: 0.2},
 		{name: "onthefly_serial", cfg: Config{}, far: true, txProb: 0.1},
 		{name: "onthefly_pool_sparse", cfg: Config{Pool: testPool(t, 4), DropProb: 0.1, Seed: 4}, far: true, txProb: 0.25, sparse: true},
 		{name: "onthefly_ties", cfg: Config{}, far: true, beta: 0.5, txProb: 0.45},
@@ -181,6 +203,9 @@ func TestExactDecodeMatchesListenerMajor(t *testing.T) {
 						beta /= 4
 					}
 					in := decodeGateInstance(n, alpha, beta)
+					if tc.grown {
+						in = growGainTable(t, in)
+					}
 					cfg := tc.cfg
 					if cfg.Pool != nil {
 						// The pool rows fan every stage out, below the floors.

@@ -349,10 +349,11 @@ type Engine struct {
 	gate        listenGate
 
 	// Physics-kernel state hoisted out of the slot loop.
-	beta  float64
-	noise float64
-	pl    sinr.PathLoss
-	gains []float64 // n×n gain table, symmetric; nil if over memory budget
+	beta       float64
+	noise      float64
+	pl         sinr.PathLoss
+	gains      []float64 // gain table, symmetric; nil if over memory budget
+	gainStride int       // row stride of gains (sinr.Instance.GainTableStride)
 
 	// Far-field approximation state (nil in exact mode). The scratch is
 	// engine-private: Accumulate fills it serially each slot, the parallel
@@ -419,7 +420,7 @@ func NewEngine(inst *sinr.Instance, procs []Protocol, cfg Config) (*Engine, erro
 	} else {
 		// The gain table only pays off on the exact path; far-field mode
 		// targets instances past its memory bound.
-		e.gains = inst.GainTable()
+		e.gains, e.gainStride = inst.GainTableStride()
 	}
 	if cfg.Pool != nil && cfg.Pool.Workers() > 1 {
 		e.pool = cfg.Pool
@@ -629,8 +630,8 @@ func (e *Engine) decodeRange(lo, hi int, sh *shard) {
 // for each sender in txs order, one pass over the listeners reads the
 // sender's gain row at the listeners' columns, folding the received power
 // into each listener's accumulator. The table is symmetric bit for bit
-// (gain[s·n+v] == gain[v·n+s]), so with ascending listeners a row read
-// streams through contiguous memory; scanning each listener's own row at
+// (gain[s·stride+v] == gain[v·stride+s]), so with ascending listeners a row
+// read streams through contiguous memory; scanning each listener's own row at
 // the senders' columns instead would fetch one cache line per (listener,
 // sender) pair. Every listener still sees the senders in txs order, so its
 // sum, its winner and its saturation verdict are the ones a listener-major
@@ -648,7 +649,8 @@ func (e *Engine) decodeExact(lo, hi int, sh *shard) {
 	for k := range e.txs {
 		t := &e.txs[k]
 		if e.gains != nil {
-			row := e.gains[t.Sender*n : (t.Sender+1)*n]
+			off := t.Sender * e.gainStride
+			row := e.gains[off : off+n]
 			for j, v := range lis {
 				acc[j].add(k, t.Power, row[v])
 			}

@@ -100,7 +100,6 @@ func (in *Instance) OutAffectance(l Link, set []Link, pa Assignment) float64 {
 // link's own sender must appear in txs with its power; other entries are
 // interference. It returns 0 if the sender is absent.
 func (in *Instance) SINR(txs []Tx, l Link) float64 {
-	p := in.params
 	row := in.GainRow(l.To)
 	signal := 0.0
 	interference := 0.0
@@ -111,18 +110,33 @@ func (in *Instance) SINR(txs []Tx, l Link) float64 {
 		} else {
 			g = in.Gain(t.Sender, l.To)
 		}
-		rp := t.Power * g
+		rp := float64(t.Power * g) // rounded: no fused multiply-add
 		if t.Sender == l.From {
 			signal += rp
 		} else {
 			interference += rp
 		}
 	}
+	return in.sinrOf(signal, interference)
+}
+
+// sinrOf is the SINR of a reception from its received signal and its
+// interference: 0 when no signal arrives.
+func (in *Instance) sinrOf(signal, interference float64) float64 {
 	if signal == 0 {
 		return 0
 	}
-	return signal / (p.Noise + interference)
+	return signal / (in.params.Noise + interference)
 }
+
+// feasibleSlack is the tolerance both feasibility checks allow for
+// floating error: SINR may fall short of β, and affectance exceed 1, by
+// this much.
+const feasibleSlack = 1e-9
+
+// meetsBeta reports whether a reception at SINR sinr passes the threshold
+// β of SINRFeasible.
+func (in *Instance) meetsBeta(sinr float64) bool { return !(sinr < in.params.Beta-feasibleSlack) }
 
 // MeasuredAffectance returns the affectance a receiver can actually measure
 // during a reception: c(u,v) · I/S, where S is the received signal power
@@ -155,7 +169,7 @@ func (in *Instance) MeasuredAffectance(txs []Tx, l Link, pu float64) float64 {
 			// Zero distance to the receiver.
 			return math.Inf(1)
 		}
-		interference += t.Power * g
+		interference += float64(t.Power * g) // rounded: no fused multiply-add
 	}
 	return c * interference / signal
 }
@@ -185,7 +199,7 @@ func (in *Instance) SINRFeasibleBuf(links []Link, powers []float64, scratch []Tx
 		txs = append(txs, Tx{Sender: l.From, Power: powers[i]})
 	}
 	for _, l := range links {
-		if in.SINR(txs, l) < in.params.Beta-1e-9 {
+		if !in.meetsBeta(in.SINR(txs, l)) {
 			return false, nil
 		}
 	}
@@ -203,7 +217,7 @@ func (in *Instance) Feasible(links []Link, pa Assignment) bool {
 		if math.IsInf(in.cFromLenAlpha(in.LengthAlpha(l), pa.Power(in, l)), 1) {
 			return false
 		}
-		if in.SetLinkAffectance(links, l, pa) > 1+1e-9 {
+		if in.SetLinkAffectance(links, l, pa) > 1+feasibleSlack {
 			return false
 		}
 	}

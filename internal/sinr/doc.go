@@ -11,7 +11,8 @@
 //   - The physics kernel (kernel.go): fast integer/half-integer-α path
 //     loss, a lazily built O(n²) gain table capped at 256 MiB with a
 //     bit-identical tableless fallback, and memoized per-link constants.
-//     See DESIGN.md §2.
+//     Joins grow the table in place (extend.go), and first-fit scheduling
+//     checks a slot with running sums (Group, group.go). See DESIGN.md §2.
 //   - The far-field engine: the hierarchical quadtree plan (QuadTree,
 //     quadtree.go, with per-slot state in a QuadScratch), a Barnes–Hut
 //     pyramid that resolves distant interference by power-weighted

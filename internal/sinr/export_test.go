@@ -73,9 +73,7 @@ func (a PerLink) Name() string { return "arbitrary" }
 // disableGainTableForTest forces the tableless fallback so tests can assert
 // the two paths agree bit-for-bit.
 func (in *Instance) disableGainTableForTest() {
-	in.gainOnce.Do(func() {})
-	in.gain = nil
-	in.markGainResolved()
+	in.seedGainTable(nil, 0, nil)
 }
 
 // LeafCell returns the leaf side.

@@ -1,14 +1,48 @@
 package sinr
 
-import "sinrconn/internal/geom"
+import (
+	"sync/atomic"
+
+	"sinrconn/internal/geom"
+)
+
+// gainHeadroom sets the spare space a grown gain table reserves: a table
+// that Extend allocates for m nodes has row stride m + m/gainHeadroom, so
+// about m/gainHeadroom further single-node joins grow it in place before
+// the next copy.
+const gainHeadroom = 8
+
+// grownStride returns the row stride of a table Extend allocates for m
+// nodes: m plus headroom, capped so that stride²·8 stays within
+// maxGainTableBytes. The caller has checked that m itself fits.
+func grownStride(m int) int {
+	s := m + m/gainHeadroom
+	for uint64(s)*uint64(s)*8 > maxGainTableBytes {
+		s--
+	}
+	return s
+}
 
 // Extend returns a new Instance over in's points followed by extra, under
-// the same physical parameters, reusing in's already-built gain table: the
-// old n×n block is copied (bit-identical — every entry is the same
-// deterministic function of the same two points) and only the rows and
-// columns involving the new points are computed. This is the join fast
-// path: a session that grows by k nodes computes O((n+k)·k) new gain
-// entries and copies the n² old ones, instead of re-deriving all (n+k)².
+// the same physical parameters, reusing in's already-built gain table. This
+// is the join fast path: a session that grows by k nodes computes only the
+// O((n+k)·k) gain entries involving a new point, instead of re-deriving all
+// (n+k)², and the old n×n block is never recomputed (every entry is the
+// same deterministic function of the same two points, so it is
+// bit-identical).
+//
+// Where the old block lives depends on in's table. A table built by the
+// first use of an instance, by MoveTo or by Shrink is exact n×n; Extend
+// copies it into a fresh table with spare rows and columns (gainHeadroom)
+// and computes the new entries there. A table with enough spare space is
+// grown in place: the new rows and columns are written into the spare
+// space, and the old block is neither copied nor touched. The spare space
+// belongs to whichever child of in claims it first — a compare-and-swap of
+// the store's node count from n to n+k — so concurrent Extends of one
+// parent are safe; the others copy, as from an exact table. The parent
+// itself never reads past its own n rows and columns, so the child's
+// writes are invisible to it.
+//
 // The geometry around it (the caller's minimum-distance check, core.Join's
 // ladder bound, a lazy Delta) sorts the n+k points instead of scanning all
 // pairs; see geom.MinDist and geom.MaxDist.
@@ -43,7 +77,7 @@ func (in *Instance) Extend(extra []geom.Point) (*Instance, error) {
 		}
 	}
 	in.qtMu.Unlock()
-	old, built := in.gainTableIfBuilt()
+	old, oldStride, built := in.gainTableIfBuilt()
 	if !built || old == nil || uint64(m)*uint64(m)*8 > maxGainTableBytes {
 		// Parent table never built (a far-field-only session has no use
 		// for it — forcing the O(n²) fill here would dwarf the join fast
@@ -52,27 +86,35 @@ func (in *Instance) Extend(extra []geom.Point) (*Instance, error) {
 		// computed on demand by whoever first needs them.
 		return out, nil
 	}
-	g := make([]float64, m*m)
-	alpha := in.params.Alpha
-	for v := 0; v < n; v++ {
-		// Old receiver row: copy the old senders, compute the new ones.
-		row := g[v*m : (v+1)*m]
-		copy(row[:n], old[v*n:(v+1)*n])
-		pv := pts[v]
-		for u := n; u < m; u++ {
-			row[u] = 1 / PowAlphaSq(pv.DistSq(pts[u]), alpha)
+	g, stride, nodes := old, oldStride, in.gainNodes
+	if nodes == nil || m > stride || !nodes.CompareAndSwap(int64(n), int64(m)) {
+		// No spare space, too little of it, or a sibling claimed it:
+		// copy the old block into a fresh table with headroom.
+		stride = grownStride(m)
+		g = make([]float64, stride*stride)
+		for v := 0; v < n; v++ {
+			copy(g[v*stride:v*stride+n], old[v*oldStride:v*oldStride+n])
 		}
+		nodes = new(atomic.Int64)
+		nodes.Store(int64(m))
 	}
+	alpha := in.params.Alpha
 	for v := n; v < m; v++ {
 		// New receiver row: everything is new.
-		row := g[v*m : (v+1)*m]
+		row := g[v*stride : v*stride+m]
 		pv := pts[v]
-		for u := 0; u < m; u++ {
+		for u := range row {
 			row[u] = 1 / PowAlphaSq(pv.DistSq(pts[u]), alpha)
 		}
 	}
-	out.gainOnce.Do(func() {})
-	out.gain = g
-	out.markGainResolved()
+	for v := 0; v < n; v++ {
+		// Old receiver row, new senders: the transposed entries, bitwise
+		// equal (TestGainTableSymmetric).
+		row := g[v*stride : v*stride+m]
+		for u := n; u < m; u++ {
+			row[u] = g[u*stride+v]
+		}
+	}
+	out.seedGainTable(g, stride, nodes)
 	return out, nil
 }

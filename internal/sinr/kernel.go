@@ -25,6 +25,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"sinrconn/internal/phys"
 )
@@ -108,7 +109,8 @@ func (in *Instance) LengthAlpha(l Link) float64 { return in.DistAlpha(l.From, l.
 // every receiver; the engine's exact decode reads it that way
 // (TestGainTableSymmetric). Diagonal and duplicate-point entries are +Inf
 // — a zero-distance "link" saturates any receiver — and callers treat +Inf
-// as the saturation sentinel. Rows are built in parallel.
+// as the saturation sentinel. Rows are built in parallel. The table is
+// exact: its row stride is n, with no spare space.
 func (in *Instance) buildGainTable() {
 	n := len(in.pts)
 	if n == 0 || uint64(n)*uint64(n)*8 > maxGainTableBytes {
@@ -140,48 +142,72 @@ func (in *Instance) buildGainTable() {
 		}(lo, hi)
 	}
 	wg.Wait()
-	in.gain = g
+	in.gain, in.gainStride = g, n
+}
+
+// seedGainTable installs a table that a derivation (Extend, MoveTo,
+// Shrink) built for in before in is shared, so in never builds its own.
+func (in *Instance) seedGainTable(g []float64, stride int, nodes *atomic.Int64) {
+	in.gainOnce.Do(func() {})
+	in.gain, in.gainStride, in.gainNodes = g, stride, nodes
+	in.markGainResolved()
 }
 
 // markGainResolved records that gainOnce has run (the atomic publishes the
 // preceding gain write to non-Do readers of gainTableIfBuilt).
 func (in *Instance) markGainResolved() { in.gainReady.Store(true) }
 
-// GainTable returns the n×n gain table (row-major, entry v·n+u =
-// d(u,v)^{-α}, bitwise equal to entry u·n+v), building it on first use.
-// Extend, MoveTo and Shrink keep it symmetric. It returns nil when the table
-// would exceed the memory budget; callers must then fall back to Gain,
-// which computes identical values on the fly.
+// GainTableStride returns the gain table and its row stride, building the
+// table on first use: entry v·stride+u = d(u,v)^{-α} for u, v < n, bitwise
+// equal to entry u·stride+v. A table built here, by MoveTo or by Shrink is
+// exact (stride n); one grown by Extend has a wider stride, and the entries
+// past n in each row belong to the instance's descendants, so a reader
+// never indexes past column n. Extend, MoveTo and Shrink keep the table
+// symmetric. It returns a nil table when the table would exceed the memory
+// budget; callers must then fall back to Gain, which computes identical
+// values on the fly.
 //
 // The one-time build parallelizes across runtime.NumCPU() regardless of any
 // consumer-level worker cap (e.g. the size of a sim.Pool): the table is shared
 // per-Instance state, not part of the simulation, and the burst is bounded
 // by maxGainTableBytes.
-func (in *Instance) GainTable() []float64 {
+func (in *Instance) GainTableStride() ([]float64, int) {
 	in.gainOnce.Do(func() {
 		in.buildGainTable()
 		in.markGainResolved()
 	})
-	return in.gain
+	return in.gain, in.gainStride
 }
 
-// gainTableIfBuilt returns the gain table only when it has already been
-// resolved (built, Extend-seeded, or skipped for budget), never forcing
-// the O(n²) build — the peek Extend uses so far-field-only sessions don't
-// pay for a table no engine will read.
-func (in *Instance) gainTableIfBuilt() ([]float64, bool) {
-	if !in.gainReady.Load() {
-		return nil, false
+// GainTable returns the gain table when it is exact n×n (row-major, entry
+// v·n+u = d(u,v)^{-α}), building it on first use, and nil otherwise: when
+// the table would exceed the memory budget, or when Extend grew it with a
+// wider row stride, which GainTableStride reports. Callers that get nil
+// fall back to Gain, which computes identical values.
+func (in *Instance) GainTable() []float64 {
+	if g, stride := in.GainTableStride(); stride == len(in.pts) {
+		return g
 	}
-	return in.gain, true
+	return nil
+}
+
+// gainTableIfBuilt returns the gain table and its stride only when the
+// table has already been resolved (built, derivation-seeded, or skipped
+// for budget), never forcing the O(n²) build — the peek Extend, MoveTo and
+// Shrink use so far-field-only sessions don't pay for a table no engine
+// will read.
+func (in *Instance) gainTableIfBuilt() ([]float64, int, bool) {
+	if !in.gainReady.Load() {
+		return nil, 0, false
+	}
+	return in.gain, in.gainStride, true
 }
 
 // GainRow returns the gain row of receiver v (gains from every sender), or
 // nil when the table is disabled by the memory bound.
 func (in *Instance) GainRow(v int) []float64 {
-	if g := in.GainTable(); g != nil {
-		n := len(in.pts)
-		return g[v*n : (v+1)*n]
+	if g, stride := in.GainTableStride(); g != nil {
+		return g[v*stride : v*stride+len(in.pts)]
 	}
 	return nil
 }
@@ -189,8 +215,8 @@ func (in *Instance) GainRow(v int) []float64 {
 // Gain returns d(u,v)^{-α}: the channel gain from sender u to receiver v.
 // +Inf marks zero distance (u == v or duplicate points).
 func (in *Instance) Gain(u, v int) float64 {
-	if g := in.GainTable(); g != nil {
-		return g[v*len(in.pts)+u]
+	if g, stride := in.GainTableStride(); g != nil {
+		return g[v*stride+u]
 	}
 	return 1 / PowAlphaSq(in.pts[u].DistSq(in.pts[v]), in.params.Alpha)
 }

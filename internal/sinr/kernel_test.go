@@ -204,26 +204,16 @@ func TestGainTableMatchesFallback(t *testing.T) {
 }
 
 // TestGainTableSymmetric pins the gain table bitwise symmetric — entry
-// v·n+u equals entry u·n+v bit for bit — as built, and as derived by
-// Extend, MoveTo and Shrink. The engine's exact decode reads sender s's
-// gains to its listeners from row s instead of column s, so this is what
-// keeps it equal to the listener-major scan. It holds because both
-// entries evaluate 1/PowAlphaSq of the same squared distance: (a−b)² and
-// (b−a)² round identically.
+// v·stride+u equals entry u·stride+v bit for bit — as built, and as derived
+// by Extend (from an exact table and in place), MoveTo and Shrink. The
+// engine's exact decode reads sender s's gains to its listeners from row s
+// instead of column s, so this is what keeps it equal to the
+// listener-major scan. It holds because both entries evaluate 1/PowAlphaSq
+// of the same squared distance: (a−b)² and (b−a)² round identically.
 func TestGainTableSymmetric(t *testing.T) {
 	check := func(label string, in *Instance) {
 		t.Helper()
-		g, n := in.GainTable(), in.Len()
-		if g == nil {
-			t.Fatalf("%s: no table", label)
-		}
-		for v := 0; v < n; v++ {
-			for u := 0; u < v; u++ {
-				if a, b := g[v*n+u], g[u*n+v]; math.Float64bits(a) != math.Float64bits(b) {
-					t.Fatalf("%s: gain[%d][%d] = %v but gain[%d][%d] = %v", label, v, u, a, u, v, b)
-				}
-			}
-		}
+		checkGains(t, label, in)
 	}
 	for _, alpha := range []float64{2, 2.5, 3, 4} {
 		rng := rand.New(rand.NewSource(int64(alpha * 13)))
@@ -237,6 +227,11 @@ func TestGainTableSymmetric(t *testing.T) {
 			t.Fatal(err)
 		}
 		check("Extend", grown)
+		grown, err = grown.Extend([]geom.Point{{X: 2e3, Y: -4}, pts[11]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("Extend in place", grown)
 		moved, err := grown.MoveTo([]int{0, 20}, []geom.Point{{X: 0.3, Y: -11}, pts[30]})
 		if err != nil {
 			t.Fatal(err)

@@ -11,8 +11,10 @@ import (
 // the same physical parameters. Like Extend, it reuses the already-built
 // gain table: entries between two unmoved nodes are copied bit-identically
 // (same deterministic function of the same two points) and only the rows and
-// columns touching a moved node are recomputed — O(n·k) work for k movers
-// instead of O(n²). This is the mobility fast path of the churn engine.
+// columns touching a moved node are recomputed — O(n·k) path-loss
+// evaluations for k movers instead of O(n²), plus an n² copy into a fresh
+// exact table (a parent grown by Extend is read at its own stride). This
+// is the mobility fast path of the churn engine.
 //
 // Far-field plans do NOT ride along: a move changes the mover's bin, and
 // re-binning in place would have to subtract the old position from shared
@@ -49,12 +51,14 @@ func (in *Instance) MoveTo(moved []int, to []geom.Point) (*Instance, error) {
 	if len(moved) == 0 {
 		return out, nil
 	}
-	old, built := in.gainTableIfBuilt()
+	old, stride, built := in.gainTableIfBuilt()
 	if !built || old == nil {
 		return out, nil // lazy path; size unchanged, so the budget verdict is too
 	}
 	g := make([]float64, n*n)
-	copy(g, old)
+	for v := 0; v < n; v++ {
+		copy(g[v*n:(v+1)*n], old[v*stride:v*stride+n])
+	}
 	alpha := in.params.Alpha
 	for _, v := range moved {
 		pv := pts[v]
@@ -65,9 +69,7 @@ func (in *Instance) MoveTo(moved []int, to []geom.Point) (*Instance, error) {
 			g[u*n+v] = e // symmetric column entry
 		}
 	}
-	out.gainOnce.Do(func() {})
-	out.gain = g
-	out.markGainResolved()
+	out.seedGainTable(g, n, nil)
 	return out, nil
 }
 
@@ -79,8 +81,8 @@ func (in *Instance) MoveTo(moved []int, to []geom.Point) (*Instance, error) {
 // the churn driver does this when it compacts a long-lived session whose
 // dead fraction has grown past its budget.
 //
-// The gain table is reused by block copy: every surviving pair's entry is
-// copied bit-identically; nothing is recomputed. Duplicate entries in
+// The gain table is reused by block copy into a fresh exact table: every
+// surviving pair's entry is copied bit-identically; nothing is recomputed. Duplicate entries in
 // removed are tolerated (churn traces report the same death twice); removing
 // every node is an error.
 func (in *Instance) Shrink(removed []int) (*Instance, []int, error) {
@@ -114,20 +116,18 @@ func (in *Instance) Shrink(removed []int) (*Instance, []int, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	old, built := in.gainTableIfBuilt()
+	old, stride, built := in.gainTableIfBuilt()
 	if !built || old == nil {
 		return out, oldToNew, nil
 	}
 	g := make([]float64, m*m)
 	for j, v := range survivors {
 		row := g[j*m : (j+1)*m]
-		oldRow := old[v*n : (v+1)*n]
+		oldRow := old[v*stride : v*stride+n]
 		for i, u := range survivors {
 			row[i] = oldRow[u]
 		}
 	}
-	out.gainOnce.Do(func() {})
-	out.gain = g
-	out.markGainResolved()
+	out.seedGainTable(g, m, nil)
 	return out, oldToNew, nil
 }

@@ -17,6 +17,19 @@ func movePoints(t *testing.T, n int, seed int64) []geom.Point {
 	return pts
 }
 
+// samePoints fails unless in holds exactly pts.
+func samePoints(t *testing.T, in *Instance, pts []geom.Point) {
+	t.Helper()
+	if in.Len() != len(pts) {
+		t.Fatalf("instance has %d nodes, want %d", in.Len(), len(pts))
+	}
+	for i, q := range pts {
+		if in.Point(i) != q {
+			t.Fatalf("node %d at %v, want %v", i, in.Point(i), q)
+		}
+	}
+}
+
 // TestMoveToMatchesFreshInstance pins the mobility fast path: the gain table
 // after a move must be bit-identical to one built from scratch over the
 // post-move point set, for every entry — the copied unmoved block and the
@@ -39,16 +52,8 @@ func TestMoveToMatchesFreshInstance(t *testing.T) {
 		for i, v := range moved {
 			fresh[v] = to[i]
 		}
-		want := MustInstance(fresh, p)
-		gt, wt := got.GainTable(), want.GainTable()
-		if len(gt) != len(wt) {
-			t.Fatalf("alpha %v: table sizes %d vs %d", alpha, len(gt), len(wt))
-		}
-		for i := range gt {
-			if gt[i] != wt[i] {
-				t.Fatalf("alpha %v: gain entry %d differs: %v vs %v", alpha, i, gt[i], wt[i])
-			}
-		}
+		samePoints(t, got, fresh)
+		checkGains(t, "MoveTo", got)
 		// The parent is untouched (moves derive, never mutate).
 		if parent.Point(3) != pts[3] {
 			t.Fatal("MoveTo mutated the parent instance")
@@ -108,13 +113,8 @@ func TestShrinkMatchesFreshInstance(t *testing.T) {
 	for _, v := range keep {
 		fresh = append(fresh, pts[v])
 	}
-	want := MustInstance(fresh, p)
-	gt, wt := got.GainTable(), want.GainTable()
-	for i := range gt {
-		if gt[i] != wt[i] {
-			t.Fatalf("gain entry %d differs: %v vs %v", i, gt[i], wt[i])
-		}
-	}
+	samePoints(t, got, fresh)
+	checkGains(t, "Shrink", got)
 	// Mapping round-trips.
 	for j, v := range keep {
 		if oldToNew[v] != j {

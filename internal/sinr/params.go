@@ -51,9 +51,11 @@ type Instance struct {
 	deltaOnce sync.Once
 	delta     float64
 
-	gainOnce  sync.Once
-	gain      []float64   // row-major n×n, entry v·n+u = d(u,v)^{-α}; nil if over budget
-	gainReady atomic.Bool // set once gainOnce has resolved (built, seeded, or skipped)
+	gainOnce   sync.Once
+	gain       []float64     // row-major, entry v·gainStride+u = d(u,v)^{-α} for u, v < n; nil if over budget
+	gainStride int           // row stride of gain: n for an exact table, more for one with spare space
+	gainNodes  *atomic.Int64 // rows and columns written in gain's spare-space store (extend.go); nil for an exact table
+	gainReady  atomic.Bool   // set once gainOnce has resolved (built, seeded, or skipped)
 
 	qtMu sync.Mutex
 	qt   map[float64]*QuadTree // far-field plans keyed by requested ε (quadtree.go)

@@ -18,7 +18,9 @@ import (
 // ascending) and first-fits each into the earliest slot that is strictly
 // after every child link's slot and whose group stays feasible with the
 // link added. Node-reuse within a slot is rejected (a node cannot
-// participate in two links of one feasible slot).
+// participate in two links of one feasible slot). Each slot is a
+// sinr.Group, so a try costs one SINR term per member of the slot rather
+// than a re-check of the whole slot, with the verdict SINRFeasible gives.
 func (t *BiTree) Restamp(in *sinr.Instance) (int, error) {
 	if len(t.Up) == 0 {
 		return 0, nil
@@ -58,12 +60,7 @@ func (t *BiTree) Restamp(in *sinr.Instance) (int, error) {
 		return in.Length(t.Up[idx[a]].L) < in.Length(t.Up[idx[b]].L)
 	})
 
-	type slotGroup struct {
-		links  []sinr.Link
-		powers []float64
-		busy   map[int]bool
-	}
-	var slots []slotGroup
+	var slots []*sinr.Group
 	outSlot := make(map[int]int, len(t.Up)) // sender → assigned slot (1-based)
 
 	for _, i := range idx {
@@ -75,38 +72,24 @@ func (t *BiTree) Restamp(in *sinr.Instance) (int, error) {
 				floor = s
 			}
 		}
-		placed := false
+		slot := 0
 		for s := floor; s < len(slots); s++ {
-			g := &slots[s]
-			if g.busy[tl.L.From] || g.busy[tl.L.To] {
-				continue
-			}
-			candLinks := append(append([]sinr.Link(nil), g.links...), tl.L)
-			candPowers := append(append([]float64(nil), g.powers...), tl.Power)
-			if ok, err := in.SINRFeasible(candLinks, candPowers); err == nil && ok {
-				g.links = candLinks
-				g.powers = candPowers
-				g.busy[tl.L.From] = true
-				g.busy[tl.L.To] = true
-				t.Up[i].Slot = s + 1
-				outSlot[tl.L.From] = s + 1
-				placed = true
+			if slots[s].TryAdd(tl.L, tl.Power) {
+				slot = s + 1
 				break
 			}
 		}
-		if !placed {
+		if slot == 0 {
 			// The link must at least be feasible alone at its power.
-			if ok, err := in.SINRFeasible([]sinr.Link{tl.L}, []float64{tl.Power}); err != nil || !ok {
+			g := in.SINRGroup()
+			if !g.TryAdd(tl.L, tl.Power) {
 				return 0, fmt.Errorf("tree: link %v infeasible alone at power %v", tl.L, tl.Power)
 			}
-			slots = append(slots, slotGroup{
-				links:  []sinr.Link{tl.L},
-				powers: []float64{tl.Power},
-				busy:   map[int]bool{tl.L.From: true, tl.L.To: true},
-			})
-			t.Up[i].Slot = len(slots)
-			outSlot[tl.L.From] = len(slots)
+			slots = append(slots, g)
+			slot = len(slots)
 		}
+		t.Up[i].Slot = slot
+		outSlot[tl.L.From] = slot
 	}
 	return len(slots), nil
 }

@@ -447,7 +447,8 @@ func TestRescheduleMeanSharesInit(t *testing.T) {
 // TestObservedRescheduleMeanStreamsInit pins the streaming contract of an
 // observed RescheduleMean: it computes privately, so its observer sees
 // Init's slots and the scheduler's even when the session has already
-// memoized the Init it reschedules.
+// memoized the Init it reschedules. That replay only streams: the
+// memoized Init result stays the one the session holds.
 func TestObservedRescheduleMeanStreamsInit(t *testing.T) {
 	ctx := context.Background()
 	pts := memoPoints(5, 24)
@@ -474,10 +475,14 @@ func TestObservedRescheduleMeanStreamsInit(t *testing.T) {
 	coldRM, coldEvents := observed(open(), sinrconn.PipelineRescheduleMean)
 
 	warm := open()
-	if _, err := warm.Run(ctx, sinrconn.PipelineInit, sinrconn.WithSeed(3)); err != nil {
+	warmInit, err := warm.Run(ctx, sinrconn.PipelineInit, sinrconn.WithSeed(3))
+	if err != nil {
 		t.Fatal(err)
 	}
 	warmRM, warmEvents := observed(warm, sinrconn.PipelineRescheduleMean)
+	if again, err := warm.Run(ctx, sinrconn.PipelineInit, sinrconn.WithSeed(3)); err != nil || again != warmInit {
+		t.Errorf("after an observed RescheduleMean the memo serves Init %p (err %v), want the memoized %p", again, err, warmInit)
+	}
 
 	if initEvents == 0 || coldEvents <= initEvents {
 		t.Fatalf("observed Init streamed %d events and RescheduleMean %d: want the scheduler's slots on top of Init's", initEvents, coldEvents)

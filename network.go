@@ -817,12 +817,19 @@ func (nw *Network) runRescheduleMean(ctx context.Context, in *sinr.Instance, s s
 // sessionInit returns the PipelineInit result of s through the memo: a
 // hit, a wait on another caller's Init, or a compute on ch, the channel
 // the calling compute already borrowed. Unlike a Run miss it does not
-// visit cache.leader.panic. An observed run computes privately, so its
-// observer sees every Init slot, and commits the result like any other
-// observed run.
+// visit cache.leader.panic. An observed run's observer sees every Init
+// slot: on a memo hit it replays the construction on ch for its slots,
+// discards that tree and returns the memoized result; on a miss it
+// computes privately and commits the result like any other observed run.
 func (nw *Network) sessionInit(ctx context.Context, in *sinr.Instance, s settings, ch sim.Config) (*Result, error) {
 	key := s.key(PipelineInit)
 	if s.observer != nil {
+		if r, ok := nw.memo.Get(key); ok {
+			if _, err := core.Init(ctx, in, initConfig(s, ch)); err != nil {
+				return nil, err
+			}
+			return r, nil
+		}
 		r, err := nw.runInit(ctx, in, s, ch)
 		if err != nil {
 			return nil, err
