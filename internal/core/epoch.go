@@ -225,7 +225,9 @@ var _ sim.Protocol = (*relay)(nil)
 
 // Step implements sim.Protocol: take in the tagged values addressed to
 // this node, fire the duty of this slot, listen for messages addressed to
-// this node otherwise.
+// this node otherwise. A relay declares no next action (sim.Action.Then):
+// whether its next slot transmits depends on that slot's duty, which one
+// declared kind cannot express.
 func (r *relay) Step(slot int, inbox []sim.Delivery) sim.Action {
 	if !r.member {
 		return sim.Idle()

@@ -278,16 +278,21 @@ func (nd *initNode) broadcastSlot(slot int, inbox []sim.Delivery) sim.Action {
 	if !nd.active {
 		return sim.Leave()
 	}
+	// Either way the ack slot is declared (Action.Then): a broadcaster has
+	// no deliveries and listens for its ack, and a listener that heard
+	// nothing idles, exactly as ackSlot would on an empty inbox.
 	if nd.rng.Float64() < nd.cfg.BroadcastProb {
 		nd.broadcastPair = slot / 2
 		nd.pendingPower = nd.spec.power
-		return sim.Transmit(nd.spec.power, sim.Message{
+		a := sim.Transmit(nd.spec.power, sim.Message{
 			Kind: sim.KindBroadcast,
 			From: nd.id,
 			To:   sim.NoAddressee,
 		})
+		a.Then = sim.ActionListenAddressed
+		return a
 	}
-	return sim.Listen()
+	return sim.Action{Kind: sim.ActionListen, Then: sim.ActionIdle}
 }
 
 // A node that neither broadcast nor acknowledges idles in the ack slot:

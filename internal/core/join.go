@@ -235,18 +235,31 @@ func (nd *joinNode) dataSlot(slot int, inbox []sim.Delivery) sim.Action {
 	}
 	switch nd.role {
 	case joinJoiner:
+		// The ack slot is declared (Action.Then): a broadcaster listens
+		// for its ack, and any other joiner idles.
 		if nd.rng.Float64() < nd.cfg.BroadcastProb {
 			nd.broadcastPair = slot / 2
 			nd.pendingPower = nd.spec.power
-			return sim.Transmit(nd.spec.power, sim.Message{Kind: sim.KindBroadcast, From: nd.id, To: sim.NoAddressee})
+			a := sim.Transmit(nd.spec.power, sim.Message{Kind: sim.KindBroadcast, From: nd.id, To: sim.NoAddressee})
+			a.Then = sim.ActionListenAddressed
+			return a
 		}
-		return sim.Idle() // a joiner's ack slot reads no inbox
+		return sim.Action{Kind: sim.ActionIdle, Then: sim.ActionIdle} // a joiner's ack slot reads no inbox
 	case joinMember:
-		return sim.Listen()
+		return memberListen
 	default:
 		return sim.Idle()
 	}
 }
+
+// A member listens in every data slot and, unless it heard a broadcast,
+// idles in every ack slot, drawing nothing and changing nothing: it holds
+// that pair (Action.Hold), so the engine steps it only when a delivery
+// arrives.
+var (
+	memberListen = sim.Action{Kind: sim.ActionListen, Then: sim.ActionIdle, Hold: true}
+	memberIdle   = sim.Action{Kind: sim.ActionIdle, Then: sim.ActionListen, Hold: true}
+)
 
 // In the ack slot only a joiner that broadcast listens: the next data slot
 // reads no other node's inbox, so every other joiner and every member that
@@ -262,7 +275,7 @@ func (nd *joinNode) ackSlot(inbox []sim.Delivery) sim.Action {
 		if nd.muted {
 			// Flap-damped: stays in the tree and keeps relaying, but never
 			// invites a new attachment (no acknowledgment, ever).
-			return sim.Idle()
+			return memberIdle
 		}
 		for _, d := range inbox {
 			if d.Msg.Kind != sim.KindBroadcast {
@@ -294,7 +307,7 @@ func (nd *joinNode) ackSlot(inbox []sim.Delivery) sim.Action {
 				To:   d.Msg.From,
 			})
 		}
-		return sim.Idle()
+		return memberIdle
 	default:
 		return sim.Idle()
 	}

@@ -40,6 +40,7 @@ var hotpathGates = map[string]hotpathGate{
 	// Listen ranges: the listener gate and its per-range cell grid.
 	"internal/sim.Engine.gateListeners": {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
 	"internal/sim.listenGate.hears":     {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
+	"internal/sim.listenGate.inRange":   {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
 
 	"internal/sinr.Instance.SINRFeasibleBuf":    {"TestSINRFeasibleBufZeroAlloc", "internal/sinr/alloc_test.go"},
 	"internal/sinr.Instance.SINRFeasibleFarBuf": {"TestSINRFeasibleFarBufZeroAlloc", "internal/sinr/alloc_test.go"},

@@ -187,21 +187,31 @@ func (nd *schedNode) dataSlot(slot int, inbox []sim.Delivery) sim.Action {
 	nd.lastTx = -1
 	if len(nd.pending) == 0 {
 		// Stay listening: we may still need to ack other links' data.
-		return sim.ListenAddressed()
+		return drainedListen
 	}
+	// Every data-slot action declares the ack slot (Action.Then): a node
+	// that receives no data listens for acks.
 	pick := nd.rng.Intn(len(nd.pending))
 	p := nd.pending[pick]
 	if nd.rng.Float64() < p.q {
 		nd.lastTx = pick
-		return sim.Transmit(nd.pa.Power(nd.in, p.l), sim.Message{
+		a := sim.Transmit(nd.pa.Power(nd.in, p.l), sim.Message{
 			Kind: sim.KindData,
 			From: nd.id,
 			To:   p.l.To,
 			Tag:  slot / 2,
 		})
+		a.Then = sim.ActionListenAddressed
+		return a
 	}
-	return sim.ListenAddressed()
+	return sim.Action{Kind: sim.ActionListenAddressed, Then: sim.ActionListenAddressed}
 }
+
+// drainedListen is a drained node's action in every slot it hears nothing
+// in: with no link pending, its data slot reads no inbox and its ack slot
+// acknowledges only data it received, so it holds addressed listening
+// (Action.Hold) and is stepped only when a delivery arrives.
+var drainedListen = sim.Action{Kind: sim.ActionListenAddressed, Then: sim.ActionListenAddressed, Hold: true}
 
 func (nd *schedNode) ackSlot(inbox []sim.Delivery) sim.Action {
 	// If we decoded a data message addressed to us, acknowledge it on the
@@ -219,6 +229,9 @@ func (nd *schedNode) ackSlot(inbox []sim.Delivery) sim.Action {
 	// Only a node that sent data reads the next inbox, for its ack; every
 	// ack is addressed to the data's sender, so the engine decodes no
 	// other listener.
+	if len(nd.pending) == 0 {
+		return drainedListen
+	}
 	return sim.ListenAddressed()
 }
 

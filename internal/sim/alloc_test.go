@@ -14,13 +14,16 @@ import (
 // without allocating, so engine-side allocations are directly observable.
 // A positive leaveAt makes the node leave in that slot. With addressed
 // set, a transmitter addresses the next node and an odd listener listens
-// addressed.
+// addressed. With held set, a listener holds its listen (Action.Hold), so
+// the engine steps it only after a delivery; a held node must not also
+// leave, since its leave slot would go unseen.
 type fixedProto struct {
 	id        int
 	transmit  bool
 	power     float64
 	leaveAt   int
 	addressed bool
+	held      bool
 }
 
 func (p *fixedProto) Step(slot int, inbox []Delivery) Action {
@@ -33,10 +36,14 @@ func (p *fixedProto) Step(slot int, inbox []Delivery) Action {
 		}
 		return Transmit(p.power, Message{Kind: KindBroadcast, From: p.id, To: NoAddressee})
 	}
+	a := Listen()
 	if p.addressed && p.id%2 == 1 {
-		return ListenAddressed()
+		a = ListenAddressed()
 	}
-	return Listen()
+	if p.held {
+		a.Then, a.Hold = a.Kind, true
+	}
+	return a
 }
 
 // allocTestEngine builds the alloc/determinism engine; sparse leaves every
@@ -84,8 +91,9 @@ func allocTestEngine(t *testing.T, n, workers int, drop float64, sparse, far boo
 // allocations per Step, in both the serial path and the worker-pool path
 // (and with drop injection active, which exercises dropCoin), over a full
 // and a sparse (nil-protocol) node set, while nodes leave, under a listen
-// range whose listener gate runs in every slot, and with addressed
-// listeners whose address gate runs in every slot, exact and far-field.
+// range whose listener gate runs in every slot, with addressed listeners
+// whose address gate runs in every slot, and with listeners the engine
+// holds instead of stepping, exact and far-field.
 func TestSlotLoopZeroAlloc(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -96,31 +104,33 @@ func TestSlotLoopZeroAlloc(t *testing.T) {
 		ranged    bool
 		far       bool
 		addressed bool
+		held      bool
 	}{
-		{"serial", 1, 0, false, false, false, false, false},
-		{"pool", 4, 0, false, false, false, false, false},
-		{"serial_drop", 1, 0.2, false, false, false, false, false},
-		{"sparse_serial", 1, 0, true, false, false, false, false},
-		{"sparse_pool", 4, 0.2, true, false, false, false, false},
-		{"departing_serial", 1, 0, false, true, false, false, false},
-		{"departing_pool", 4, 0.2, true, true, false, false, false},
-		{"ranged_serial", 1, 0.2, false, false, true, false, false},
-		{"ranged_pool", 4, 0, true, true, true, false, false},
-		{"ranged_far", 1, 0.2, false, false, true, true, false},
-		{"ranged_far_pool", 4, 0, false, true, true, true, false},
-		{"addressed_serial", 1, 0.2, false, false, false, false, true},
-		{"addressed_pool", 4, 0, true, true, false, false, true},
-		{"addressed_far", 1, 0.2, false, false, false, true, true},
-		{"addressed_ranged_far_pool", 4, 0, false, true, true, true, true},
+		{"serial", 1, 0, false, false, false, false, false, false},
+		{"pool", 4, 0, false, false, false, false, false, false},
+		{"serial_drop", 1, 0.2, false, false, false, false, false, false},
+		{"sparse_serial", 1, 0, true, false, false, false, false, false},
+		{"sparse_pool", 4, 0.2, true, false, false, false, false, false},
+		{"departing_serial", 1, 0, false, true, false, false, false, false},
+		{"departing_pool", 4, 0.2, true, true, false, false, false, false},
+		{"ranged_serial", 1, 0.2, false, false, true, false, false, false},
+		{"ranged_pool", 4, 0, true, true, true, false, false, false},
+		{"ranged_far", 1, 0.2, false, false, true, true, false, false},
+		{"ranged_far_pool", 4, 0, false, true, true, true, false, false},
+		{"addressed_serial", 1, 0.2, false, false, false, false, true, false},
+		{"addressed_pool", 4, 0, true, true, false, false, true, false},
+		{"addressed_far", 1, 0.2, false, false, false, true, true, false},
+		{"addressed_ranged_far_pool", 4, 0, false, true, true, true, true, false},
+		{"held_serial", 1, 0.2, false, false, false, false, false, true},
+		{"held_sparse_pool", 4, 0, true, false, false, false, true, true},
+		{"held_ranged_far_pool", 4, 0.2, false, false, true, true, true, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			e := allocTestEngine(t, 128, tc.workers, tc.drop, tc.sparse, tc.far)
-			if tc.addressed {
-				for _, p := range e.procs {
-					if fp, ok := p.(*fixedProto); ok {
-						fp.addressed = true
-					}
+			for _, p := range e.procs {
+				if fp, ok := p.(*fixedProto); ok {
+					fp.addressed, fp.held = tc.addressed, tc.held
 				}
 			}
 			if tc.ranged {

@@ -16,9 +16,12 @@
 // reproducible regardless of worker count. A node
 // whose protocol entry is nil idles forever and is never visited, and a
 // node whose protocol returns Leave is never visited again, so a slot costs
-// what its live nodes cost; NodeRand gives each node a private random
-// stream whose first 273 draws cost two closed-form words each, with no
-// math/rand register built.
+// what its live nodes cost. A node whose action declares its next one
+// (Action.Then, or Action.Hold for every later slot) is not stepped on an
+// empty inbox: the engine takes the declared action, so a node that only
+// waits for a delivery costs one branch per slot. NodeRand gives each node
+// a private random stream whose first 273 draws cost two closed-form words
+// each, with no math/rand register built.
 //
 // Two gates keep a slot from decoding listeners whose protocol would drop
 // what they hear. Under a listen range (Engine.SetListenRange) a listener

@@ -66,9 +66,39 @@ const (
 	ActionListenAddressed
 )
 
+// String names the kind, as its constant does without the Action prefix.
+func (k ActionKind) String() string {
+	switch k {
+	case ActionIdle:
+		return "Idle"
+	case ActionListen:
+		return "Listen"
+	case ActionTransmit:
+		return "Transmit"
+	case ActionLeave:
+		return "Leave"
+	case ActionListenAddressed:
+		return "ListenAddressed"
+	}
+	return fmt.Sprintf("ActionKind(%d)", uint8(k))
+}
+
 // Action is a protocol's decision for one slot.
+//
+// Then and Hold declare the node's next slots in advance, so the engine can
+// take them without calling Step. Then says: on an empty inbox, my next
+// Step would return Action{Kind: Then} and change no state. Hold extends
+// that to every later slot: on empty inboxes the node keeps alternating
+// Kind and Then (with Kind == Then, it holds that one action), and the
+// engine steps it again only once a delivery arrives. Then, and under
+// Hold also Kind, must be Idle, Listen or ListenAddressed: a declared slot
+// carries no message. The declaration must stay true
+// whatever the driver changes between slots. Both fields sit in the
+// padding after Kind, so an Action stays 56 bytes.
 type Action struct {
 	Kind  ActionKind
+	Then  ActionKind
+	Hold  bool
 	Power float64
 	Msg   Message
 }
@@ -116,7 +146,12 @@ type Delivery struct {
 // every slot. The engine never visits it, so a run whose protocol gives
 // most nodes nothing to do costs only what its live nodes cost. A protocol
 // that is finished for good returns Leave: from then on the engine treats
-// it like a nil entry, so a node that has left costs nothing either.
+// it like a nil entry, so a node that has left costs nothing either. A
+// protocol that knows what it does next on an empty inbox declares it
+// (Action.Then, Action.Hold): the engine then takes the declared action in
+// place of the call, so a node that only waits for a delivery costs one
+// branch per slot. Step therefore must not count its calls: a skipped
+// call is one that would have changed nothing, slot numbers included.
 type Protocol interface {
 	Step(slot int, inbox []Delivery) Action
 }
@@ -192,6 +227,15 @@ type Config struct {
 	// leaving the address check to finishDecode alone: the reference the
 	// address gate is checked against.
 	noAddrGate bool
+	// noHold, when set (tests only), steps every live node in every slot,
+	// declared action or not, and panics when a step on an empty inbox
+	// returns anything but the action its previous slot declared: the
+	// reference held actions are checked against.
+	noHold bool
+	// afterSlot, when set (tests only), runs on the engine goroutine after
+	// every slot, after the Observer: the hook the held-action
+	// differential reads every node's inbox through.
+	afterSlot func(*Engine)
 }
 
 // stepFanOutMin is the live-node count from which stage 1 (protocol
@@ -549,6 +593,9 @@ func (e *Engine) Step() {
 			Far:        e.farSlot,
 		})
 	}
+	if e.cfg.afterSlot != nil {
+		e.cfg.afterSlot(e)
+	}
 }
 
 // gateAddressed drops from lis, which stays ascending, every addressed
@@ -601,14 +648,78 @@ func (e *Engine) fanOut(st stage, work int) bool {
 	return fan
 }
 
-// stepRange runs stage 1 for the live nodes live[lo:hi].
+// stepRange runs stage 1 for the live nodes live[lo:hi]. A node whose
+// inbox is empty and whose last action declared its next one (Then) takes
+// that action without being stepped; every other node is stepped.
 //
 //sinr:hotpath
 func (e *Engine) stepRange(lo, hi int) {
-	slot := e.slot
+	slot, actions, inboxes, next := e.slot, e.actions, e.inboxes, e.next
 	for _, i := range e.live[lo:hi] {
-		e.actions[i] = e.procs[i].Step(slot, e.inboxes[i])
-		e.next[i] = e.next[i][:0]
+		a, inbox := &actions[i], inboxes[i]
+		if len(next[i]) > 0 {
+			next[i] = next[i][:0]
+		}
+		if a.Then != 0 && len(inbox) == 0 {
+			switch {
+			case e.cfg.noHold:
+				e.stepDeclared(int(i))
+			case a.Hold:
+				a.Kind, a.Then = a.Then, a.Kind // a.held(), without the copy
+			default:
+				*a = Action{Kind: a.Then}
+			}
+			continue
+		}
+		*a = e.procs[i].Step(slot, inbox)
+		if a.Then != 0 || a.Hold {
+			checkDeclared(int(i), a)
+		}
+	}
+}
+
+// stepDeclared steps node i, whose inbox is empty and whose last action
+// declared its next one, as an engine without held actions would, and
+// panics unless the step returns exactly the declared action (noHold).
+func (e *Engine) stepDeclared(i int) {
+	a := &e.actions[i]
+	want := a.held()
+	*a = e.procs[i].Step(e.slot, e.inboxes[i])
+	if a.Then != 0 || a.Hold {
+		checkDeclared(i, a)
+	}
+	if *a != want {
+		panic(fmt.Sprintf("sim: node %d stepped to %+v in slot %d on an empty inbox, but declared %+v",
+			i, *a, e.slot, want))
+	}
+}
+
+// held returns the action a declares for the node's next slot on an empty
+// inbox: a itself with Kind and Then swapped under Hold, Action{Kind:
+// a.Then} otherwise. Only meaningful when a.Then is set.
+func (a *Action) held() Action {
+	if a.Hold {
+		h := *a
+		h.Kind, h.Then = a.Then, a.Kind
+		return h
+	}
+	return Action{Kind: a.Then}
+}
+
+// checkDeclared panics, naming node i, on a declaration the engine cannot
+// take in place of a step: a Then other than Idle, Listen or
+// ListenAddressed, a Hold without a Then, or a held Transmit or Leave.
+func checkDeclared(i int, a *Action) {
+	quiet := func(k ActionKind) bool {
+		return k == ActionIdle || k == ActionListen || k == ActionListenAddressed
+	}
+	switch {
+	case a.Then != 0 && !quiet(a.Then):
+		panic(fmt.Sprintf("sim: node %d declared Then %s: only Idle, Listen or ListenAddressed can be declared", i, a.Then))
+	case a.Hold && a.Then == 0:
+		panic(fmt.Sprintf("sim: node %d set Hold without Then", i))
+	case a.Hold && !quiet(a.Kind):
+		panic(fmt.Sprintf("sim: node %d holds a %s action: only Idle, Listen or ListenAddressed can be held", i, a.Kind))
 	}
 }
 

@@ -21,12 +21,14 @@ var asmSource = regexp.MustCompile(`\(([^()\s]+\.go):\d+\)`)
 // fmaWatched lists, by directory and file, the sources that must compile
 // for arm64 without a fused multiply-add: the squared distance, the exact
 // decode's interference sum, and the SINR and affectance sums that the
-// first-fit slot groups reproduce bit for bit.
+// first-fit slot groups reproduce bit for bit, and the listen gate's
+// squared-distance verdicts.
 var fmaWatched = map[string]string{
-	"point.go":      "geom",
-	"engine.go":     "sim",
-	"affectance.go": "sinr",
-	"group.go":      "sinr",
+	"point.go":       "geom",
+	"engine.go":      "sim",
+	"listenrange.go": "sim",
+	"affectance.go":  "sinr",
+	"group.go":       "sinr",
 }
 
 // TestNoFusedMultiplyAddArm64 cross-compiles internal/geom, internal/sinr

@@ -12,6 +12,24 @@ import (
 // sender closer than the range outside the 3×3 cells around its listener.
 const cellSlack = 1.0 / (1 << 16)
 
+// bandSlack is the relative half-width δ of the guard band [r²(1 − δ),
+// r²(1 + δ)] around the squared range, outside which the gate decides
+// Dist < r from geom.Point.DistSq alone (listenGate.inRange). Both
+// functions start from the same rounded differences dx and dy; let d be
+// the exact √(dx² + dy²). DistSq rounds two products and a sum, so it
+// lies within (1 ± u)² of d² (u = 2⁻⁵³). math.Hypot computes
+// p·√(1 + (q/p)²) with p ≥ q; its quotient, square, sum, root and product
+// each round once, and (q/p)² ≤ 1 halves the first two errors inside the
+// root, so it lies within 4u of d. The bounds r²(1 ∓ δ) are computed
+// from r·r with two roundings, (1 ∓ δ) being exact. So a squared distance
+// below the lower bound puts Hypot below r(1 − δ/2 + 8u) < r, and one
+// above the upper bound puts it above r(1 + δ/2 − 8u) > r: with δ = 2⁻⁴⁰
+// either verdict holds with a margin of 2⁹ over every rounding. Inside the
+// band the gate calls Dist. The band is used only while r² is a normal
+// float far from overflow (band), where no product underflows
+// into a relative error the argument does not cover.
+const bandSlack = 1.0 / (1 << 40)
+
 // maxCellCoord bounds the cell coordinates the gate uses. Past it the
 // rounding of the coordinates could outgrow cellSlack, and the packed keys
 // their 32-bit halves, so the gate compares every listener with every
@@ -96,11 +114,15 @@ type listenGate struct {
 	tab    []int32 // build only: cell id + 1 by hashed key, 0 if empty
 	used   []int32 // cells holding a sender of the current slot
 	pts    []geom.Point
+	// lo and hi bound the guard band of the current range (bandSlack):
+	// a squared distance below lo is in range, one above hi is not.
+	lo, hi float64
 }
 
 // build lays the grid for range r over the live nodes at points pts.
 func (g *listenGate) build(pts []geom.Point, live []int32, r float64) {
 	g.built, g.epoch = true, 0
+	g.lo, g.hi = band(r)
 	minX, minY := math.Inf(1), math.Inf(1)
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
 	for _, v := range live {
@@ -178,7 +200,7 @@ func (e *Engine) gateListeners() {
 	if !g.ok {
 		for _, v := range e.lis {
 			for _, t := range e.txs {
-				if pts[t.Sender].Dist(pts[v]) < r {
+				if g.inRange(pts[t.Sender], pts[v], r) {
 					e.lis[kept] = v
 					kept++
 					break
@@ -238,10 +260,35 @@ func (g *listenGate) hears(c *gateCell, p geom.Point, r float64) bool {
 			continue
 		}
 		for _, q := range g.pts[b.start:b.end] {
-			if q.Dist(p) < r {
+			if g.inRange(q, p, r) {
 				return true
 			}
 		}
 	}
 	return false
+}
+
+// inRange reports whether q.Dist(p) < r, the distance Instance.Dist
+// computes from sender q to listener p. Outside the guard band the
+// squared distance decides; inside it, Dist itself.
+//
+//sinr:hotpath
+func (g *listenGate) inRange(q, p geom.Point, r float64) bool {
+	switch d2 := q.DistSq(p); {
+	case d2 < g.lo:
+		return true
+	case d2 > g.hi:
+		return false
+	}
+	return q.Dist(p) < r
+}
+
+// band returns the guard band around r² (bandSlack). Where r² is not a
+// normal float well inside the exponent range, it returns [0, +Inf], which
+// sends every comparison to Dist.
+func band(r float64) (lo, hi float64) {
+	if r2 := r * r; r2 >= 0x1p-900 && r2 <= 0x1p900 {
+		return r2 * (1 - bandSlack), r2 * (1 + bandSlack)
+	}
+	return 0, math.Inf(1)
 }

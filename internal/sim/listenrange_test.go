@@ -303,6 +303,48 @@ func hasDist(got [][]Delivery, d float64) bool {
 	return false
 }
 
+// TestGateBandMatchesDist pins the gate's guard band (bandSlack): for
+// senders at r·(1 + k·2⁻⁵²), k ∈ −8..8, and just inside and outside both
+// band edges, at 97 angles around listeners near the origin and far from
+// it, over ranges from 2⁻⁴⁰⁰ to 2⁴⁰⁰ and beyond the band's exponent
+// window, every inRange verdict must equal Dist < r. Both the band and
+// the Dist fallback must decide some of them.
+func TestGateBandMatchesDist(t *testing.T) {
+	var muls []float64
+	for k := -8; k <= 8; k++ {
+		muls = append(muls, 1+float64(k)*0x1p-52)
+	}
+	for _, m := range []float64{0x1p-41, 0x1p-40, 0x1p-39, 0x1p-30} {
+		muls = append(muls, 1-m, 1+m)
+	}
+	var byBand, byDist int
+	for _, r := range []float64{1, 2, 3, 0.37, 1 << 20, 0x1p-400, 0x1p400, 0x1p-460, 0x1p460} {
+		var g listenGate
+		g.lo, g.hi = band(r)
+		for _, p := range []geom.Point{{}, {X: 0.1, Y: 7}, {X: 1e6, Y: -3e5}, {X: -r * 1e3, Y: r * 77.7}} {
+			for a := 0; a < 97; a++ {
+				th := 2 * math.Pi * float64(a) / 97
+				for _, m := range muls {
+					q := geom.Point{X: p.X + r*m*math.Cos(th), Y: p.Y + r*m*math.Sin(th)}
+					want := q.Dist(p) < r
+					if got := g.inRange(q, p, r); got != want {
+						t.Fatalf("r=%v p=%v angle %d mul 1%+g: inRange %v, Dist %v < r is %v",
+							r, p, a, m-1, got, q.Dist(p), want)
+					}
+					if d2 := q.DistSq(p); d2 < g.lo || d2 > g.hi {
+						byBand++
+					} else {
+						byDist++
+					}
+				}
+			}
+		}
+	}
+	if byBand == 0 || byDist == 0 {
+		t.Fatalf("%d verdicts from the band, %d from Dist: both sides must be exercised", byBand, byDist)
+	}
+}
+
 // TestListenRangeChangeMidRun changes the range between slots while nodes
 // leave: up, so a grid left over from the previous range would miss
 // senders, down, off and on again. In every slot the gate must keep
