@@ -417,6 +417,9 @@ func (d *churnDriver) muted() []int {
 		return nil
 	}
 	now := d.gen.Now()
+	if d.damper.Quiet(now) {
+		return nil
+	}
 	var out []int
 	for _, v := range d.bt.Nodes {
 		if d.damper.Damped(d.in.Point(v), now) {

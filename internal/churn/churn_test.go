@@ -2,6 +2,7 @@ package churn
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sinrconn/internal/geom"
@@ -178,5 +179,62 @@ func TestDamperNeighborCells(t *testing.T) {
 	d.Record(a, 2)
 	if !d.Damped(b, 3) {
 		t.Fatal("boundary-straddling flapping not damped")
+	}
+}
+
+// TestDamperQuietMatchesScan drives a damper through quarantines that
+// start, hold and expire over a jittered grid, with failures flapping in
+// two regions at different times, and requires at every step that the
+// points Damped finds are none when Quiet holds, so that skipping the scan
+// then lists the same muted points as the full scan. Quiet must hold
+// before the first quarantine, between them and after the last, and fail
+// while one holds.
+func TestDamperQuietMatchesScan(t *testing.T) {
+	pts := workload.JitteredGrid(rand.New(rand.NewSource(9)), 256, 2.6, 0.8)
+	d := NewDamper(3, 10, 20, 4)
+	scan := func(now float64) []int {
+		var out []int
+		for v, p := range pts {
+			if d.Damped(p, now) {
+				out = append(out, v)
+			}
+		}
+		return out
+	}
+	skipped := func(now float64) []int {
+		if d.Quiet(now) {
+			return nil
+		}
+		return scan(now)
+	}
+	// Region a flaps at t = 5, 6, 7 (quarantined until 27), region b at
+	// t = 40, 41, 42 (until 62); a single failure at t = 30 trips nothing.
+	fail := map[float64]geom.Point{
+		5: pts[17], 6: pts[18], 7: pts[17], 30: pts[200],
+		40: pts[120], 41: pts[121], 42: pts[120],
+	}
+	var quiet, loud int
+	for now := 0.0; now <= 80; now += 0.5 {
+		if p, ok := fail[now]; ok {
+			d.Record(p, now)
+		}
+		full, fast := scan(now), skipped(now)
+		if !slices.Equal(full, fast) {
+			t.Fatalf("t=%v: muted %v with the skip, %v by the full scan", now, fast, full)
+		}
+		wantQuiet := now < 7 || now >= 27 && now < 42 || now >= 62
+		if d.Quiet(now) != wantQuiet {
+			t.Fatalf("t=%v: Quiet = %v, want %v", now, d.Quiet(now), wantQuiet)
+		}
+		if wantQuiet {
+			quiet++
+		} else if len(full) == 0 {
+			t.Fatalf("t=%v: a quarantine holds but no point is damped", now)
+		} else {
+			loud++
+		}
+	}
+	if quiet == 0 || loud == 0 {
+		t.Fatalf("%d quiet and %d quarantined steps, want both", quiet, loud)
 	}
 }

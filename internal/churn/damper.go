@@ -22,6 +22,9 @@ type Damper struct {
 	cooldown float64
 	radius   float64
 	cells    map[[2]int]*dampCell
+	// until is the latest dampedUntil of any cell: no region is
+	// quarantined from then on.
+	until float64
 }
 
 type dampCell struct {
@@ -63,6 +66,7 @@ func (d *Damper) Record(p geom.Point, now float64) {
 			if len(c.times) >= d.k {
 				if until := now + d.cooldown; until > c.dampedUntil {
 					c.dampedUntil = until
+					d.until = max(d.until, until)
 				}
 				c.times = c.times[:0] // quarantine resets the counter
 			}
@@ -84,4 +88,11 @@ func (d *Damper) prune(c *dampCell, now float64) {
 func (d *Damper) Damped(p geom.Point, now float64) bool {
 	c := d.cells[d.key(p)]
 	return c != nil && now < c.dampedUntil
+}
+
+// Quiet reports whether no region is quarantined at the given time, so
+// that Damped is false for every point then. It costs one comparison,
+// which lets a caller skip a scan of its points while nothing is damped.
+func (d *Damper) Quiet(now float64) bool {
+	return !(now < d.until)
 }

@@ -66,12 +66,7 @@ func MoveIncremental(ctx context.Context, in *sinr.Instance, bt *tree.BiTree, mo
 	if err != nil {
 		return nil, err
 	}
-	rejoin := make([]int, 0, len(part.failedSet))
-	for v := range part.failedSet {
-		rejoin = append(rejoin, v)
-	}
-	sort.Ints(rejoin)
-	return incrementalAttach(ctx, in, part, rejoin, cfg)
+	return incrementalAttach(ctx, in, part, part.failed, cfg)
 }
 
 // RepairLinksIncremental is the incremental counterpart of RepairLinks:

@@ -134,7 +134,7 @@ func reattach(ctx context.Context, in *sinr.Instance, part *partition, joiners [
 // repaired tree keeps as root), the orphan subtree roots that must
 // re-attach, and the failed links re-attachment must not re-form.
 type partition struct {
-	failedSet map[int]bool // failed nodes (nil for link failures)
+	failed    []int // failed nodes, ascending and distinct (nil for link failures)
 	survivors []int
 	keep      []tree.TimedLink
 	mainRoot  int
@@ -143,28 +143,41 @@ type partition struct {
 	forbidden []sinr.Link
 }
 
+// Node states of partitionFailed: outside the tree, in it, failed.
+const (
+	nodeOut uint8 = iota
+	nodeIn
+	nodeFailed
+)
+
 // partitionFailed computes the surgery plan. Duplicate entries in failed
 // are tolerated (churn traces compose bursts with single failures, and the
 // same node is routinely reported dead twice); nodes outside the tree are
-// still errors — the caller owns membership bookkeeping.
+// still errors — the caller owns membership bookkeeping. Every set it
+// needs is a slice indexed by node, so a plan costs no hashing.
 func partitionFailed(bt *tree.BiTree, failed []int) (*partition, error) {
-	failedSet := make(map[int]bool, len(failed))
-	inTree := make(map[int]bool, len(bt.Nodes))
+	n := nodeBound(bt)
+	state := make([]uint8, n)
 	for _, v := range bt.Nodes {
-		inTree[v] = true
+		state[v] = nodeIn
 	}
+	var dead []int
 	for _, f := range failed {
-		if !inTree[f] {
+		if f < 0 || f >= n || state[f] == nodeOut {
 			return nil, fmt.Errorf("core: failed node %d not in tree", f)
 		}
-		failedSet[f] = true
+		if state[f] == nodeIn {
+			state[f] = nodeFailed
+			dead = append(dead, f)
+		}
 	}
-	if len(failedSet) == 0 {
+	if len(dead) == 0 {
 		return nil, fmt.Errorf("core: no failed nodes given")
 	}
-	survivors := make([]int, 0, len(bt.Nodes)-len(failedSet))
+	sort.Ints(dead)
+	survivors := make([]int, 0, len(bt.Nodes)-len(dead))
 	for _, v := range bt.Nodes {
-		if !failedSet[v] {
+		if state[v] != nodeFailed {
 			survivors = append(survivors, v)
 		}
 	}
@@ -175,12 +188,12 @@ func partitionFailed(bt *tree.BiTree, failed []int) (*partition, error) {
 	// Surviving links: both endpoints alive.
 	var keep []tree.TimedLink
 	for _, tl := range bt.Up {
-		if !failedSet[tl.L.From] && !failedSet[tl.L.To] {
+		if state[tl.L.From] != nodeFailed && state[tl.L.To] != nodeFailed {
 			keep = append(keep, tl)
 		}
 	}
 	// Component roots: survivors with no surviving out-link.
-	hasOut := make(map[int]bool, len(keep))
+	hasOut := make([]bool, n)
 	for _, tl := range keep {
 		hasOut[tl.L.From] = true
 	}
@@ -192,15 +205,15 @@ func partitionFailed(bt *tree.BiTree, failed []int) (*partition, error) {
 	}
 	// Main component: the old root's if it survived, else the largest
 	// (ties: smallest root index, for determinism).
-	children := childLists(keep)
+	f := newForest(n, keep)
 	mainRoot := -1
-	if !failedSet[bt.Root] {
+	if state[bt.Root] != nodeFailed {
 		mainRoot = bt.Root
 	} else {
 		sort.Ints(roots)
 		best := -1
 		for _, r := range roots {
-			if s := len(component(children, r)); s > best {
+			if s := len(f.component(r)); s > best {
 				best = s
 				mainRoot = r
 			}
@@ -212,13 +225,12 @@ func partitionFailed(bt *tree.BiTree, failed []int) (*partition, error) {
 			orphans = append(orphans, r)
 		}
 	}
-	mainNodes := component(children, mainRoot)
 	return &partition{
-		failedSet: failedSet,
+		failed:    dead,
 		survivors: survivors,
 		keep:      keep,
 		mainRoot:  mainRoot,
-		mainNodes: mainNodes,
+		mainNodes: f.component(mainRoot),
 		orphans:   orphans,
 	}, nil
 }
@@ -252,34 +264,66 @@ func partitionLinks(bt *tree.BiTree, failedLinks []sinr.Link) (*partition, error
 		}
 	}
 	sort.Ints(part.orphans)
-	part.mainNodes = component(childLists(part.keep), bt.Root)
+	part.mainNodes = newForest(nodeBound(bt), part.keep).component(bt.Root)
 	return part, nil
 }
 
-// childLists maps each node to the senders of its incoming links.
-func childLists(links []tree.TimedLink) map[int][]int {
-	children := make(map[int][]int)
-	for _, tl := range links {
-		children[tl.L.To] = append(children[tl.L.To], tl.L.From)
+// nodeBound returns one more than the largest node index bt names, in
+// its nodes, its root or its links.
+func nodeBound(bt *tree.BiTree) int {
+	n := bt.Root + 1
+	for _, v := range bt.Nodes {
+		n = max(n, v+1)
 	}
-	return children
+	for _, tl := range bt.Up {
+		n = max(n, tl.L.From+1, tl.L.To+1)
+	}
+	return n
 }
 
-// component returns the nodes of root's subtree under children, in
-// depth-first order.
-func component(children map[int][]int, root int) []int {
+// forest holds the child lists of a link set over nodes 0..n-1: node v's
+// children, the senders of its incoming links in link order, are
+// kids[start[v]:start[v+1]].
+type forest struct {
+	start, kids []int32
+	seen        []bool // all false between calls
+	stack       []int32
+}
+
+func newForest(n int, links []tree.TimedLink) *forest {
+	f := &forest{start: make([]int32, n+1), kids: make([]int32, len(links)), seen: make([]bool, n)}
+	for _, tl := range links {
+		f.start[tl.L.To+1]++
+	}
+	for v := 0; v < n; v++ {
+		f.start[v+1] += f.start[v]
+	}
+	next := append([]int32(nil), f.start[:n]...)
+	for _, tl := range links {
+		f.kids[next[tl.L.To]] = int32(tl.L.From)
+		next[tl.L.To]++
+	}
+	return f
+}
+
+// component returns the nodes of root's subtree in depth-first order: a
+// node's children are pushed in link order and popped from the top.
+func (f *forest) component(root int) []int {
 	var nodes []int
-	seen := map[int]bool{}
-	stack := []int{root}
+	stack := append(f.stack[:0], int32(root))
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if seen[v] {
+		if f.seen[v] {
 			continue
 		}
-		seen[v] = true
-		nodes = append(nodes, v)
-		stack = append(stack, children[v]...)
+		f.seen[v] = true
+		nodes = append(nodes, int(v))
+		stack = append(stack, f.kids[f.start[v]:f.start[v+1]]...)
 	}
+	for _, v := range nodes {
+		f.seen[v] = false
+	}
+	f.stack = stack
 	return nodes
 }

@@ -38,9 +38,17 @@ var hotpathGates = map[string]hotpathGate{
 	"internal/sim.Engine.gateAddressed": {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
 
 	// Listen ranges: the listener gate and its per-range cell grid.
+	"internal/sim.Engine.readyGate":     {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
 	"internal/sim.Engine.gateListeners": {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
+	"internal/sim.Engine.heard":         {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
+	"internal/sim.Engine.nearSender":    {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
+	"internal/sim.listenGate.bucket":    {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
 	"internal/sim.listenGate.hears":     {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
 	"internal/sim.listenGate.inRange":   {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
+
+	// Held actions: held listeners joining a slot and waking.
+	"internal/sim.Engine.listenHeld": {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
+	"internal/sim.Engine.wake":       {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
 
 	"internal/sinr.Instance.SINRFeasibleBuf":    {"TestSINRFeasibleBufZeroAlloc", "internal/sinr/alloc_test.go"},
 	"internal/sinr.Instance.SINRFeasibleFarBuf": {"TestSINRFeasibleFarBufZeroAlloc", "internal/sinr/alloc_test.go"},

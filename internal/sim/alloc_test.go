@@ -16,7 +16,9 @@ import (
 // set, a transmitter addresses the next node and an odd listener listens
 // addressed. With held set, a listener holds its listen (Action.Hold), so
 // the engine steps it only after a delivery; a held node must not also
-// leave, since its leave slot would go unseen.
+// leave, since its leave slot would go unseen. With every set, a
+// transmitter transmits only in every every-th slot and idles otherwise,
+// and a held listener holds Listen/Idle instead of Listen.
 type fixedProto struct {
 	id        int
 	transmit  bool
@@ -24,11 +26,15 @@ type fixedProto struct {
 	leaveAt   int
 	addressed bool
 	held      bool
+	every     int
 }
 
 func (p *fixedProto) Step(slot int, inbox []Delivery) Action {
 	if p.leaveAt > 0 && slot >= p.leaveAt {
 		return Leave()
+	}
+	if p.transmit && p.every > 0 && slot%p.every != 0 {
+		return Idle()
 	}
 	if p.transmit {
 		if p.addressed {
@@ -40,7 +46,10 @@ func (p *fixedProto) Step(slot int, inbox []Delivery) Action {
 	if p.addressed && p.id%2 == 1 {
 		a = ListenAddressed()
 	}
-	if p.held {
+	switch {
+	case p.held && p.every > 0:
+		a.Then, a.Hold = ActionIdle, true
+	case p.held:
 		a.Then, a.Hold = a.Kind, true
 	}
 	return a
@@ -93,7 +102,11 @@ func allocTestEngine(t *testing.T, n, workers int, drop float64, sparse, far boo
 // and a sparse (nil-protocol) node set, while nodes leave, under a listen
 // range whose listener gate runs in every slot, with addressed listeners
 // whose address gate runs in every slot, and with listeners the engine
-// holds instead of stepping, exact and far-field.
+// holds instead of stepping, exact and far-field. In the wakes rows one
+// node transmits every fifth slot and the others hold Listen/Idle, so
+// held members wake, are stepped and hold again during the measured
+// slots, with the listen gate forced to compare them with the sender or
+// onto the grid.
 func TestSlotLoopZeroAlloc(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -105,25 +118,29 @@ func TestSlotLoopZeroAlloc(t *testing.T) {
 		far       bool
 		addressed bool
 		held      bool
+		wakes     bool
+		grid      bool
 	}{
-		{"serial", 1, 0, false, false, false, false, false, false},
-		{"pool", 4, 0, false, false, false, false, false, false},
-		{"serial_drop", 1, 0.2, false, false, false, false, false, false},
-		{"sparse_serial", 1, 0, true, false, false, false, false, false},
-		{"sparse_pool", 4, 0.2, true, false, false, false, false, false},
-		{"departing_serial", 1, 0, false, true, false, false, false, false},
-		{"departing_pool", 4, 0.2, true, true, false, false, false, false},
-		{"ranged_serial", 1, 0.2, false, false, true, false, false, false},
-		{"ranged_pool", 4, 0, true, true, true, false, false, false},
-		{"ranged_far", 1, 0.2, false, false, true, true, false, false},
-		{"ranged_far_pool", 4, 0, false, true, true, true, false, false},
-		{"addressed_serial", 1, 0.2, false, false, false, false, true, false},
-		{"addressed_pool", 4, 0, true, true, false, false, true, false},
-		{"addressed_far", 1, 0.2, false, false, false, true, true, false},
-		{"addressed_ranged_far_pool", 4, 0, false, true, true, true, true, false},
-		{"held_serial", 1, 0.2, false, false, false, false, false, true},
-		{"held_sparse_pool", 4, 0, true, false, false, false, true, true},
-		{"held_ranged_far_pool", 4, 0.2, false, false, true, true, true, true},
+		{"serial", 1, 0, false, false, false, false, false, false, false, false},
+		{"pool", 4, 0, false, false, false, false, false, false, false, false},
+		{"serial_drop", 1, 0.2, false, false, false, false, false, false, false, false},
+		{"sparse_serial", 1, 0, true, false, false, false, false, false, false, false},
+		{"sparse_pool", 4, 0.2, true, false, false, false, false, false, false, false},
+		{"departing_serial", 1, 0, false, true, false, false, false, false, false, false},
+		{"departing_pool", 4, 0.2, true, true, false, false, false, false, false, false},
+		{"ranged_serial", 1, 0.2, false, false, true, false, false, false, false, false},
+		{"ranged_pool", 4, 0, true, true, true, false, false, false, false, false},
+		{"ranged_far", 1, 0.2, false, false, true, true, false, false, false, false},
+		{"ranged_far_pool", 4, 0, false, true, true, true, false, false, false, false},
+		{"addressed_serial", 1, 0.2, false, false, false, false, true, false, false, false},
+		{"addressed_pool", 4, 0, true, true, false, false, true, false, false, false},
+		{"addressed_far", 1, 0.2, false, false, false, true, true, false, false, false},
+		{"addressed_ranged_far_pool", 4, 0, false, true, true, true, true, false, false, false},
+		{"held_serial", 1, 0.2, false, false, false, false, false, true, false, false},
+		{"held_sparse_pool", 4, 0, true, false, false, false, true, true, false, false},
+		{"held_ranged_far_pool", 4, 0.2, false, false, true, true, true, true, false, false},
+		{"held_wakes_ranged_serial", 1, 0, false, false, true, false, false, true, true, false},
+		{"held_wakes_ranged_grid_pool", 4, 0.2, false, false, true, false, false, true, true, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -131,7 +148,14 @@ func TestSlotLoopZeroAlloc(t *testing.T) {
 			for _, p := range e.procs {
 				if fp, ok := p.(*fixedProto); ok {
 					fp.addressed, fp.held = tc.addressed, tc.held
+					if tc.wakes {
+						fp.transmit, fp.every = fp.id == 60, 5
+					}
 				}
+			}
+			if tc.wakes {
+				grid := tc.grid
+				e.cfg.forceGate = func(int, int, bool) bool { return grid }
 			}
 			if tc.ranged {
 				// Senders sit on every fourth column of a lattice of
@@ -150,13 +174,16 @@ func TestSlotLoopZeroAlloc(t *testing.T) {
 			// Warm to steady state: inbox buffers reach capacity, the pool
 			// (if any) finishes spinning up.
 			e.Run(8)
-			if tc.ranged && !(e.gate.built && e.gate.ok) {
+			if tc.ranged && (!tc.wakes || tc.grid) && !(e.gate.built && e.gate.ok) {
 				t.Fatal("the gate's cell grid is unbuilt or unusable")
+			}
+			if tc.wakes && !tc.grid && e.gate.built {
+				t.Fatal("a gate forced to compare built its cell grid")
 			}
 			if epoch := e.addrEpoch; tc.addressed != (epoch > 0) {
 				t.Fatalf("the address gate ran in %d slots", epoch)
 			}
-			live := e.Live()
+			live, delivered := e.Live(), e.Stats().Deliveries
 			steps, far := 0, 0
 			allocs := testing.AllocsPerRun(50, func() {
 				e.Step()
@@ -173,6 +200,9 @@ func TestSlotLoopZeroAlloc(t *testing.T) {
 			}
 			if left := live - e.Live(); tc.departing != (left > 0) {
 				t.Fatalf("%d nodes left during the measured slots", left)
+			}
+			if tc.wakes && (e.Stats().Deliveries == delivered || len(e.held.nodes) == 0) {
+				t.Fatalf("no held member woke during the measured slots (%d held)", len(e.held.nodes))
 			}
 		})
 	}

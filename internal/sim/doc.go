@@ -17,9 +17,14 @@
 // whose protocol entry is nil idles forever and is never visited, and a
 // node whose protocol returns Leave is never visited again, so a slot costs
 // what its live nodes cost. A node whose action declares its next one
-// (Action.Then, or Action.Hold for every later slot) is not stepped on an
-// empty inbox: the engine takes the declared action, so a node that only
-// waits for a delivery costs one branch per slot. NodeRand gives each node
+// (Action.Then) is not stepped on an empty inbox: the engine takes the
+// declared action. A node whose action holds (Action.Hold) leaves the
+// slot loop for a held set until a delivery arrives: no stage visits it,
+// a slot with a sender adds it to the listeners only when it can receive
+// (addressed by a sender, or within a sender's listen range), and a
+// delivery puts it back among the live nodes in ascending order, so a
+// node that only waits costs nothing in a slot that cannot reach it.
+// NodeRand gives each node
 // a private random stream whose first 273 draws cost two closed-form words
 // each, with no math/rand register built.
 //

@@ -90,11 +90,12 @@ func (k ActionKind) String() string {
 // Step would return Action{Kind: Then} and change no state. Hold extends
 // that to every later slot: on empty inboxes the node keeps alternating
 // Kind and Then (with Kind == Then, it holds that one action), and the
-// engine steps it again only once a delivery arrives. Then, and under
-// Hold also Kind, must be Idle, Listen or ListenAddressed: a declared slot
-// carries no message. The declaration must stay true
-// whatever the driver changes between slots. Both fields sit in the
-// padding after Kind, so an Action stays 56 bytes.
+// engine steps it again only once a delivery arrives. Until then the
+// node sits outside the slot loop and costs nothing in a slot whose
+// senders cannot reach it. Then, and under Hold also Kind, must be Idle,
+// Listen or ListenAddressed: a declared slot carries no message. The
+// declaration must stay true whatever the driver changes between slots.
+// Both fields sit in the padding after Kind, so an Action stays 56 bytes.
 type Action struct {
 	Kind  ActionKind
 	Then  ActionKind
@@ -149,8 +150,8 @@ type Delivery struct {
 // it like a nil entry, so a node that has left costs nothing either. A
 // protocol that knows what it does next on an empty inbox declares it
 // (Action.Then, Action.Hold): the engine then takes the declared action in
-// place of the call, so a node that only waits for a delivery costs one
-// branch per slot. Step therefore must not count its calls: a skipped
+// place of the call, and a node that holds is not visited at all until a
+// delivery reaches it. Step therefore must not count its calls: a skipped
 // call is one that would have changed nothing, slot numbers included.
 type Protocol interface {
 	Step(slot int, inbox []Delivery) Action
@@ -232,6 +233,11 @@ type Config struct {
 	// returns anything but the action its previous slot declared: the
 	// reference held actions are checked against.
 	noHold bool
+	// forceGate, when set (tests only), overrides whether a ranged slot
+	// gates its listeners on the cell grid rather than by comparing each
+	// with every sender: it receives the slot's senders, its candidate
+	// listeners and the rule's verdict, and returns the decision to take.
+	forceGate func(senders, listeners int, grid bool) bool
 	// afterSlot, when set (tests only), runs on the engine goroutine after
 	// every slot, after the Observer: the hook the held-action
 	// differential reads every node's inbox through.
@@ -365,11 +371,13 @@ func (a *listenAcc) add(k int, p, g float64) {
 type Engine struct {
 	inst  *sinr.Instance
 	procs []Protocol
-	// live lists the nodes with a non-nil protocol that have not left,
-	// ascending. The stages step, collect senders and decode over it
-	// instead of 0..n; ascending order keeps the sender set, the energy sum
-	// and decode ties exactly as a scan of every node would produce them.
+	// live lists the nodes with a non-nil protocol that have neither left
+	// nor are held, ascending. The stages step, collect senders and decode
+	// over it instead of 0..n; ascending order keeps the sender set, the
+	// energy sum and decode ties exactly as a scan of every node would
+	// produce them.
 	live    []int32
+	held    heldSet
 	cfg     Config
 	stats   Stats
 	slot    int
@@ -481,9 +489,9 @@ func NewEngine(inst *sinr.Instance, procs []Protocol, cfg Config) (*Engine, erro
 // Stats returns a copy of the engine's counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// Live returns the number of nodes the engine still steps: those with a
-// non-nil protocol that have not returned Leave.
-func (e *Engine) Live() int { return len(e.live) }
+// Live returns the number of nodes with a non-nil protocol that have not
+// returned Leave, held ones included.
+func (e *Engine) Live() int { return len(e.live) + len(e.held.nodes) }
 
 // Step executes one slot: gather actions, resolve the channel, deliver.
 //
@@ -499,7 +507,7 @@ func (e *Engine) Step() {
 	}
 
 	// Stage 1: step every live protocol with its inbox, fanned out over
-	// the pool when there are enough of them.
+	// the pool when there are enough of them. Held nodes are not visited.
 	if e.fanOut(stageStep, len(e.live)) {
 		e.pool.dispatch(e, stageStep)
 	} else {
@@ -507,13 +515,15 @@ func (e *Engine) Step() {
 	}
 
 	// Stage 2: collect the sender set and the listeners, in ascending node
-	// order, and drop the nodes that left from live in place (which keeps
-	// it ascending).
+	// order, and drop from live in place (which keeps it ascending) the
+	// nodes that left and those that start holding, which the held set
+	// takes below.
 	e.txs = e.txs[:0]
 	e.lis = e.lis[:0]
 	kept, addressed := 0, 0
 	for _, i := range e.live {
-		switch a := &e.actions[i]; a.Kind {
+		a := &e.actions[i]
+		switch a.Kind {
 		case ActionTransmit:
 			e.txs = append(e.txs, sinr.Tx{Sender: int(i), Power: a.Power})
 			e.stats.Energy += a.Power
@@ -525,22 +535,42 @@ func (e *Engine) Step() {
 		case ActionLeave:
 			continue
 		}
+		if a.Hold && !e.cfg.noHold {
+			e.held.holding = append(e.held.holding, i)
+			continue
+		}
 		e.live[kept] = i
 		kept++
+	}
+	if len(e.held.holding) > 0 && e.held.at == nil {
+		e.held.init(len(e.procs), len(e.live))
 	}
 	e.live = e.live[:kept]
 	e.stats.Transmissions += len(e.txs)
 
 	// Drop the addressed listeners no sender addresses, then, under a
-	// listen range, the listeners with no sender in range. Neither gate
-	// touches txs, so the mode choice below is the same with or without
-	// them.
-	if addressed > 0 && len(e.txs) > 0 && !e.cfg.noAddrGate {
-		e.gateAddressed()
+	// listen range, the listeners with no sender in range. Then add the
+	// held nodes that can receive. None of this touches txs, so the mode
+	// choice below is the same with or without the gates.
+	if len(e.txs) > 0 {
+		if addressed > 0 && !e.cfg.noAddrGate {
+			e.gateAddressed()
+		}
+		hl := e.held.listening(e.slot)
+		if e.listenRange > 0 && !e.cfg.noListenGate && (len(e.lis) > 0 || hl > 0) {
+			e.readyGate(len(e.lis) + hl)
+			if len(e.lis) > 0 {
+				e.gateListeners()
+			}
+		}
+		if hl > 0 {
+			e.listenHeld()
+		}
 	}
-	if e.listenRange > 0 && len(e.txs) > 0 && len(e.lis) > 0 && !e.cfg.noListenGate {
-		e.gateListeners()
+	for _, i := range e.held.holding {
+		e.hold(i)
 	}
+	e.held.holding = e.held.holding[:0]
 
 	// Stage 2.5 (far-field mode): pick the slot's resolution mode, then one
 	// serial O(#senders) pass folds the sender set into the plan's
@@ -579,6 +609,9 @@ func (e *Engine) Step() {
 		sh.delivered, sh.collided, sh.dropped = 0, 0, 0
 	}
 	e.stats.Deliveries += delivered
+	if delivered > 0 && len(e.held.nodes) > 0 {
+		e.wake()
+	}
 
 	// Stage 4: swap inboxes and notify.
 	e.inboxes, e.next = e.next, e.inboxes
@@ -650,7 +683,9 @@ func (e *Engine) fanOut(st stage, work int) bool {
 
 // stepRange runs stage 1 for the live nodes live[lo:hi]. A node whose
 // inbox is empty and whose last action declared its next one (Then) takes
-// that action without being stepped; every other node is stepped.
+// that action without being stepped; every other node is stepped. A live
+// node's last action holds (Hold) only without the held set (noHold) or
+// when a delivery woke it, and then its inbox is not empty.
 //
 //sinr:hotpath
 func (e *Engine) stepRange(lo, hi int) {
@@ -661,12 +696,9 @@ func (e *Engine) stepRange(lo, hi int) {
 			next[i] = next[i][:0]
 		}
 		if a.Then != 0 && len(inbox) == 0 {
-			switch {
-			case e.cfg.noHold:
+			if e.cfg.noHold {
 				e.stepDeclared(int(i))
-			case a.Hold:
-				a.Kind, a.Then = a.Then, a.Kind // a.held(), without the copy
-			default:
+			} else {
 				*a = Action{Kind: a.Then}
 			}
 			continue

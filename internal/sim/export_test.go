@@ -25,3 +25,11 @@ func WatchInboxes(c Config, f func(slot int, inboxes [][]Delivery)) Config {
 	c.afterSlot = func(e *Engine) { f(e.slot-1, e.inboxes) }
 	return c
 }
+
+// GateBy returns c with every ranged slot gating its listeners, held ones
+// included, on the cell grid (grid) or by comparing each with every
+// sender, whatever the rule would choose.
+func GateBy(c Config, grid bool) Config {
+	c.forceGate = func(int, int, bool) bool { return grid }
+	return c
+}

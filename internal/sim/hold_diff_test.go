@@ -202,9 +202,12 @@ func slotLine(slots map[sinr.Link]int) string {
 
 // TestHeldActionsMatchStepped runs holdPipeline over the scenario matrix
 // and seeds 42, 123 and 456, on a serial exact engine, a pooled engine
-// whose every stage fans out to four workers under 10% drops, and a far
-// engine that resolves every non-empty slot through the plan, and
-// requires the held and the stepped run to agree on everything.
+// whose every stage fans out to four workers under 10% drops, a far
+// engine that resolves every non-empty slot through the plan, and serial
+// engines whose listen gate, for held listeners too, always compares
+// every listener with every sender (scan) or always uses the cell grid
+// (grid), and requires the held and the stepped run to agree on
+// everything.
 func TestHeldActionsMatchStepped(t *testing.T) {
 	pool := sim.NewPool(4)
 	defer pool.Close()
@@ -226,6 +229,8 @@ func TestHeldActionsMatchStepped(t *testing.T) {
 				{"serial", sim.Config{Seed: seed}},
 				{"pool_drop", sim.FanEveryStage(sim.Config{Seed: seed, Pool: pool, DropProb: 0.1})},
 				{"far_drop", sim.FanEveryStage(sim.Config{Seed: seed, Pool: pool, DropProb: 0.1, Far: q, AdaptiveCrossover: 1})},
+				{"scan", sim.GateBy(sim.Config{Seed: seed}, false)},
+				{"grid_drop", sim.GateBy(sim.Config{Seed: seed, DropProb: 0.1}, true)},
 			} {
 				name := fmt.Sprintf("%s/seed=%d/%s", spec.Name, seed, c.name)
 				held := &slotRecorder{digests: map[string]hash.Hash64{}}

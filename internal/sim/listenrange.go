@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"sinrconn/internal/geom"
+	"sinrconn/internal/sinr"
 )
 
 // cellSlack widens the cell side beyond the listen range by this relative
@@ -47,18 +48,21 @@ const maxCellCoord = 1 << 30
 // far away, as Init and Join do with broadcasts outside the round's length
 // class. The engine then decodes only the listeners that can hear an
 // in-range sender: before decode, every slot with a sender drops each
-// listener that has no sender closer than r, found through a grid of cells
-// the first such slot after this call lays over the live nodes. Which
-// listeners the gate drops never changes an inbox or a counter, only how
-// long the slot takes.
+// listener that has no sender closer than r, by comparing it with every
+// sender while the range's slots have had few enough, and otherwise
+// through a grid of cells laid over the live and held nodes once per
+// range (readyGate). Which listeners the gate drops never changes
+// an inbox or a counter, only how long the slot takes.
 func (e *Engine) SetListenRange(r float64) {
 	if !(r > 0) {
 		r = 0
 	}
 	e.listenRange = r
+	e.gate.lo, e.gate.hi = band(r)
 	// The grid is built lazily: a run canceled before its first slot (a
-	// warm-up, say) never pays for it.
-	e.gate.built = false
+	// warm-up, say) never pays for it, and one whose slots have few
+	// senders rarely does (gateScanBudget).
+	e.gate.built, e.gate.scanned = false, 0
 }
 
 // gateCell is one occupied cell of the listen gate's grid. nbr lists the
@@ -83,12 +87,12 @@ var cellOffsets = [9][2]uint64{
 
 // listenGate finds, per slot, the listeners with a sender closer than the
 // listen range r. It lays square cells of side just above r over the live
-// nodes, once per range, so a listener finds every sender closer than r
-// in the 3×3 cells around its own; a listener whose block holds no sender
-// of the slot is dropped after two loads.
+// and held nodes, once per range, so a listener finds every sender closer
+// than r in the 3×3 cells around its own; a listener whose block holds no
+// sender of the slot is dropped after two loads.
 //
 // Cell coordinates are fl(fl(x − ox)·inv) with inv = fl(1/side), side =
-// r·(1 + cellSlack), and ox the smallest X of the live nodes (Y likewise).
+// r·(1 + cellSlack), and ox the smallest X of the covered nodes (Y likewise).
 // Each of the four roundings is relative, so a computed coordinate
 // c ≤ maxCellCoord is within 4u·c ≤ 2⁻²¹ of the true (x − ox)/side
 // (u = 2⁻⁵³). A sender with Dist < r is less than r(1 + 2⁻⁵¹) away on
@@ -96,39 +100,94 @@ var cellOffsets = [9][2]uint64{
 // it is given by at most u), so its true coordinates differ from the
 // listener's by less than (1 + 2⁻⁵¹)/(1 + 2⁻¹⁶) and the computed ones by
 // less than that plus 2⁻²⁰, which is below 1: their floors are at most
-// one cell apart. When the live nodes span more than maxCellCoord cells
+// one cell apart. When the covered nodes span more than maxCellCoord cells
 // (a chain with Δ = 2⁴⁰, say), ok is false and every listener is compared
 // with every sender.
 //
-// The grid covers the nodes live at the range's first gated slot. Nodes
-// only ever leave the live set, so it covers every later sender and
-// listener of the range too. The buffers are sized at the engine's first
-// build, for the live count then, which no later build exceeds, so the
-// slot loop allocates nothing.
+// The grid covers the nodes live or held at the first slot of the range
+// that gates on it. Nodes only ever leave those sets, so it covers every
+// later sender and listener of the range too. The buffers are sized at the
+// engine's first build, for the node count then, which no later build
+// exceeds, so the slot loop allocates nothing.
 type listenGate struct {
-	built  bool    // the grid matches the current range
-	ok     bool    // every cell coordinate stays ≤ maxCellCoord
-	epoch  uint32  // the current slot's stamp
-	cellOf []int32 // cell of each live node, by node index
-	cells  []gateCell
-	tab    []int32 // build only: cell id + 1 by hashed key, 0 if empty
-	used   []int32 // cells holding a sender of the current slot
-	pts    []geom.Point
-	// lo and hi bound the guard band of the current range (bandSlack):
-	// a squared distance below lo is in range, one above hi is not.
+	built bool // the grid matches the current range
+	// indexed: members and first match the grid (index).
+	indexed bool
+	ok      bool   // every cell coordinate stays ≤ maxCellCoord
+	grid    bool   // the current slot gates on the grid (readyGate)
+	epoch   uint32 // the current slot's stamp
+	// scanned counts the pair tests the range's slots spent comparing
+	// listeners with senders (readyGate).
+	scanned int
+	cellOf  []int32 // cell of each covered node, by node index
+	cells   []gateCell
+	// members lists the covered nodes cell by cell, cell id's at
+	// members[first[id]:first[id+1]], once indexed.
+	members, first []int32
+	tab            []int32 // build only: cell id + 1 by hashed key, 0 if empty
+	used           []int32 // cells holding a sender of the current slot
+	hotCells       []int32 // cells with a sender of the current slot in their block
+	pts            []geom.Point
+	// lo and hi bound the guard band of the current range (bandSlack),
+	// set with it: a squared distance below lo is in range, one above hi
+	// is not.
 	lo, hi float64
 }
 
-// build lays the grid for range r over the live nodes at points pts.
-func (g *listenGate) build(pts []geom.Point, live []int32, r float64) {
-	g.built, g.epoch = true, 0
-	g.lo, g.hi = band(r)
+// gateScanBudget is how many listener–sender pair tests per node the grid
+// would cover a range may spend comparing listeners with senders before
+// its slots gate on the cell grid instead. Laying the grid costs about as
+// much as six such tests per node: at n = 1024 on a 2-vCPU Xeon VM, one
+// build took 36–49 µs and comparing one sender with all 1024 nodes
+// 7.6–8.9 µs. So a range whose slots have few senders rarely builds it: a
+// one-joiner Join's ladder round, whose joiner is compared with about n
+// held members per broadcast, builds it only if the joiner broadcasts in
+// about seven of the round's data slots. A range that would spend more on
+// comparisons than on the grid builds it once and uses it in every later
+// slot, as a range whose first slot has many senders does at once.
+const gateScanBudget = 6
+
+// readyGate chooses, for the current slot, which has a sender, between
+// comparing each of its candidate listeners, live and held, with every
+// sender and the cell grid, from those counts and the range's comparisons
+// so far; with the grid, it builds it if the range has none yet and
+// buckets the slot's senders. Either way the gate keeps the same
+// listeners.
+//
+//sinr:hotpath
+func (e *Engine) readyGate(listeners int) {
+	g := &e.gate
+	pairs := len(e.txs) * listeners
+	nodes := len(e.live) + len(e.held.holding) + len(e.held.nodes)
+	grid := g.built || g.scanned+pairs > gateScanBudget*nodes
+	if e.cfg.forceGate != nil {
+		grid = e.cfg.forceGate(len(e.txs), listeners, grid)
+	}
+	// A range can outlast 2³² gated slots only in theory; a fresh grid
+	// restarts the stamps then.
+	if grid && (!g.built || g.epoch == math.MaxUint32) {
+		g.build(e.inst.Points(), e.listenRange, e.live, e.held.holding, e.held.nodes)
+	}
+	if g.grid = grid && g.ok; g.grid {
+		g.bucket(e.inst.Points(), e.txs, e.held.listen[e.slot&1] > 0)
+	} else {
+		g.scanned += pairs
+	}
+}
+
+// build lays the grid for range r over the nodes of sets, at points pts.
+func (g *listenGate) build(pts []geom.Point, r float64, sets ...[]int32) {
+	g.built, g.indexed, g.epoch = true, false, 0
 	minX, minY := math.Inf(1), math.Inf(1)
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	for _, v := range live {
-		p := pts[v]
-		minX, maxX = math.Min(minX, p.X), math.Max(maxX, p.X)
-		minY, maxY = math.Min(minY, p.Y), math.Max(maxY, p.Y)
+	nodes := 0
+	for _, set := range sets {
+		nodes += len(set)
+		for _, v := range set {
+			p := pts[v]
+			minX, maxX = math.Min(minX, p.X), math.Max(maxX, p.X)
+			minY, maxY = math.Min(minY, p.Y), math.Max(maxY, p.Y)
+		}
 	}
 	inv := 1 / (r * (1 + cellSlack))
 	// +Inf (a range below the smallest positive float's reciprocal) fails
@@ -137,15 +196,18 @@ func (g *listenGate) build(pts []geom.Point, live []int32, r float64) {
 		return
 	}
 	size := 16
-	for size < 2*len(live) {
+	for size < 2*nodes {
 		size <<= 1
 	}
 	if g.cellOf == nil {
 		g.cellOf = make([]int32, len(pts))
-		g.cells = make([]gateCell, 0, len(live))
+		g.cells = make([]gateCell, 0, nodes)
+		g.members = make([]int32, nodes)
+		g.first = make([]int32, nodes+1)
 		g.tab = make([]int32, size)
-		g.used = make([]int32, 0, len(live))
-		g.pts = make([]geom.Point, len(live))
+		g.used = make([]int32, 0, nodes)
+		g.hotCells = make([]int32, 0, nodes)
+		g.pts = make([]geom.Point, nodes)
 	}
 	tab := g.tab[:size]
 	clear(tab)
@@ -160,16 +222,18 @@ func (g *listenGate) build(pts []geom.Point, live []int32, r float64) {
 		return h
 	}
 	g.cells = g.cells[:0]
-	for _, v := range live {
-		// Shifted by one, so every neighbour's coordinates are
-		// non-negative as well.
-		cx, cy := uint64((pts[v].X-minX)*inv)+1, uint64((pts[v].Y-minY)*inv)+1
-		h := find(cx<<32 | cy)
-		if tab[h] == 0 {
-			g.cells = append(g.cells, gateCell{key: cx<<32 | cy})
-			tab[h] = int32(len(g.cells))
+	for _, set := range sets {
+		for _, v := range set {
+			// Shifted by one, so every neighbour's coordinates are
+			// non-negative as well.
+			cx, cy := uint64((pts[v].X-minX)*inv)+1, uint64((pts[v].Y-minY)*inv)+1
+			h := find(cx<<32 | cy)
+			if tab[h] == 0 {
+				g.cells = append(g.cells, gateCell{key: cx<<32 | cy})
+				tab[h] = int32(len(g.cells))
+			}
+			g.cellOf[v] = tab[h] - 1
 		}
-		g.cellOf[v] = tab[h] - 1
 	}
 	for id := range g.cells {
 		c := &g.cells[id]
@@ -183,39 +247,42 @@ func (g *listenGate) build(pts []geom.Point, live []int32, r float64) {
 	}
 }
 
-// gateListeners drops from lis, which stays ascending, every listener
-// with no sender closer than the listen range. Such a listener's
-// strongest sender, if it decodes one at all, is out of range, so
-// finishDecode would discard the reception without counting it.
+// index lists the members of every cell, the nodes of sets, which the grid
+// covers. Only the held listeners' search needs the lists, so the first
+// slot of the grid that searches them lays them.
+func (g *listenGate) index(sets ...[]int32) {
+	g.indexed = true
+	first := g.first[:len(g.cells)+1]
+	clear(first)
+	for _, set := range sets {
+		for _, v := range set {
+			first[g.cellOf[v]+1]++
+		}
+	}
+	for id := range g.cells {
+		first[id+1] += first[id]
+	}
+	for _, set := range sets {
+		for _, v := range set {
+			id := g.cellOf[v]
+			g.members[first[id]] = v
+			first[id]++
+		}
+	}
+	copy(first[1:], first[:len(g.cells)])
+	first[0] = 0
+}
+
+// bucket files the senders txs by cell for the current slot: it counts
+// them, turns the counts into ranges of pts, marks each sender cell's
+// block hot, listing the hot cells when list is set, then fills pts.
 //
 //sinr:hotpath
-func (e *Engine) gateListeners() {
-	pts, g, r := e.inst.Points(), &e.gate, e.listenRange
-	// A range can outlast 2³² gated slots only in theory; a fresh grid
-	// restarts the stamps then.
-	if !g.built || g.epoch == math.MaxUint32 {
-		g.build(pts, e.live, r)
-	}
-	kept := 0
-	if !g.ok {
-		for _, v := range e.lis {
-			for _, t := range e.txs {
-				if g.inRange(pts[t.Sender], pts[v], r) {
-					e.lis[kept] = v
-					kept++
-					break
-				}
-			}
-		}
-		e.lis = e.lis[:kept]
-		return
-	}
+func (g *listenGate) bucket(pts []geom.Point, txs []sinr.Tx, list bool) {
 	g.epoch++
 	ep, cells := g.epoch, g.cells
-	// Bucket the senders by cell: count, turn the counts into ranges of
-	// pts and mark each sender cell's block hot, then fill.
 	g.used = g.used[:0]
-	for _, t := range e.txs {
+	for _, t := range txs {
 		id := g.cellOf[t.Sender]
 		c := &cells[id]
 		if c.seen != ep {
@@ -225,27 +292,68 @@ func (e *Engine) gateListeners() {
 		c.end++
 	}
 	run := int32(0)
+	g.hotCells = g.hotCells[:0]
 	for _, id := range g.used {
 		c := &cells[id]
 		c.start, c.end, run = run, run, run+c.end
 		for _, nb := range c.nbr[:c.nn] {
+			if list && cells[nb].hot != ep {
+				g.hotCells = append(g.hotCells, nb)
+			}
 			cells[nb].hot = ep
 		}
 	}
-	for _, t := range e.txs {
+	for _, t := range txs {
 		c := &cells[g.cellOf[t.Sender]]
 		g.pts[c.end] = pts[t.Sender]
 		c.end++
 	}
+}
+
+// gateListeners drops from lis, which stays ascending, every listener
+// with no sender closer than the listen range. Such a listener's
+// strongest sender, if it decodes one at all, is out of range, so
+// finishDecode would discard the reception without counting it.
+//
+//sinr:hotpath
+func (e *Engine) gateListeners() {
+	kept := 0
 	for _, v := range e.lis {
-		c := &cells[g.cellOf[v]]
-		if c.hot != ep || !g.hears(c, pts[v], r) {
-			continue
+		if e.heard(v) {
+			e.lis[kept] = v
+			kept++
 		}
-		e.lis[kept] = v
-		kept++
 	}
 	e.lis = e.lis[:kept]
+}
+
+// heard reports whether a sender of the current slot lies closer than the
+// listen range to node v, the way readyGate chose: by comparing v with
+// every sender, or through the senders bucketed in the 3×3 block of v's
+// cell, after two loads when that block holds none.
+//
+//sinr:hotpath
+func (e *Engine) heard(v int32) bool {
+	g, p := &e.gate, e.inst.Point(int(v))
+	if !g.grid {
+		return e.nearSender(p)
+	}
+	c := &g.cells[g.cellOf[v]]
+	return c.hot == g.epoch && g.hears(c, p, e.listenRange)
+}
+
+// nearSender reports whether a sender of the current slot lies closer than
+// the listen range to the listener at p, comparing it with every sender.
+//
+//sinr:hotpath
+func (e *Engine) nearSender(p geom.Point) bool {
+	pts, g := e.inst.Points(), &e.gate
+	for _, t := range e.txs {
+		if g.inRange(pts[t.Sender], p, e.listenRange) {
+			return true
+		}
+	}
+	return false
 }
 
 // hears reports whether a sender of the current slot in the block of cell

@@ -44,16 +44,25 @@ type rangeRun struct {
 }
 
 // checkGateSlot asserts that the listeners the engine decoded in the slot
-// it just ran are exactly those a brute-force scan keeps. In a slot with a
-// sender, the address gate drops every addressed listener that no sender
-// addresses and, under a range r > 0, the listen gate every listener that
-// no sender is closer than r to, by Instance.Dist from the sender. A slot
-// with no sender keeps every listener.
+// it just ran are exactly those a brute-force scan of the live and held
+// nodes keeps. In a slot with a sender, the address gate drops every
+// addressed listener that no sender addresses and, under a range r > 0,
+// the listen gate every listener that no sender is closer than r to, by
+// Instance.Dist from the sender. A slot with no sender keeps every
+// listener that was live in it and adds no held one, so there only the
+// listeners not held now are compared.
 func checkGateSlot(t *testing.T, label string, e *Engine) {
 	t.Helper()
 	var want []int32
-	for _, v := range e.live {
-		kind := e.actions[v].Kind
+	nodes, got := slices.Clone(e.live), e.lis
+	if len(e.txs) > 0 {
+		nodes = append(nodes, e.held.nodes...)
+		slices.Sort(nodes)
+	} else if e.held.at != nil {
+		got = slices.DeleteFunc(slices.Clone(got), func(v int32) bool { return e.held.at[v] >= 0 })
+	}
+	for _, v := range nodes {
+		kind := kindIn(e, v)
 		if kind != ActionListen && kind != ActionListenAddressed {
 			continue
 		}
@@ -68,8 +77,8 @@ func checkGateSlot(t *testing.T, label string, e *Engine) {
 			want = append(want, v)
 		}
 	}
-	if !slices.Equal(want, e.lis) {
-		t.Fatalf("%s: slot %d: the gates kept listeners %v, brute force %v", label, e.slot-1, e.lis, want)
+	if !slices.Equal(want, got) {
+		t.Fatalf("%s: slot %d: the gates kept listeners %v, brute force %v", label, e.slot-1, got, want)
 	}
 }
 

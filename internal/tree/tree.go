@@ -33,13 +33,33 @@ type BiTree struct {
 }
 
 // NumSlots returns the schedule length: the number of distinct slots used
-// by the aggregation links.
+// by the aggregation links. Stamps spanning fewer than 64 slots per link
+// are counted on a bitmap over their span, sparser ones by sorting a copy;
+// neither hashes.
 func (t *BiTree) NumSlots() int {
-	seen := make(map[int]struct{}, len(t.Up))
-	for _, tl := range t.Up {
-		seen[tl.Slot] = struct{}{}
+	if len(t.Up) == 0 {
+		return 0
 	}
-	return len(seen)
+	lo, hi := t.SlotSpan()
+	// Unsigned, so that no span of int stamps overflows.
+	if span := uint64(hi) - uint64(lo); span < 64*uint64(len(t.Up)) {
+		words := make([]uint64, span/64+1)
+		k := 0
+		for _, tl := range t.Up {
+			i := uint64(tl.Slot) - uint64(lo)
+			if w, b := &words[i/64], uint64(1)<<(i%64); *w&b == 0 {
+				*w |= b
+				k++
+			}
+		}
+		return k
+	}
+	stamps := make([]int, len(t.Up))
+	for i, tl := range t.Up {
+		stamps[i] = tl.Slot
+	}
+	slices.Sort(stamps)
+	return len(slices.Compact(stamps))
 }
 
 // SlotSpan returns the inclusive range [min, max] of slot stamps, or (0,-1)

@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -464,6 +465,50 @@ func TestLinks(t *testing.T) {
 	for i, l := range ls {
 		if l != tr.Up[i].L {
 			t.Errorf("Links[%d] = %v", i, l)
+		}
+	}
+}
+
+// TestNumSlotsMatchesDistinctStamps checks NumSlots against a map of the
+// distinct stamps on dense, duplicate, negative (Join stamps new links
+// minSlot − 1 − k), mixed-sign, sparse and extreme stamp sets, each of
+// which picks the bitmap or the sorted count, and on random sets of both
+// kinds.
+func TestNumSlotsMatchesDistinctStamps(t *testing.T) {
+	distinct := func(stamps []int) int {
+		seen := map[int]bool{}
+		for _, s := range stamps {
+			seen[s] = true
+		}
+		return len(seen)
+	}
+	cases := [][]int{
+		{5},
+		{1, 2, 3, 4},
+		{3, 3, 3, 1, 1},
+		{-1, -2, -3, -3, 0},
+		{-7, -1, 4, 4, 9, -7},
+		{0, 63, 64, 127, 128, 63},
+		{1, 1000, 1 << 20, 1000, -(1 << 30)},
+		{math.MinInt, math.MaxInt, 0, math.MaxInt},
+		{math.MinInt, math.MinInt + 1, math.MinInt},
+	}
+	rng := rand.New(rand.NewSource(5))
+	for k := 0; k < 200; k++ {
+		stamps := make([]int, 1+rng.Intn(300))
+		spread := []int{4, 64, 1 << 12, 1 << 40}[k%4]
+		for i := range stamps {
+			stamps[i] = rng.Intn(spread) - spread/2
+		}
+		cases = append(cases, stamps)
+	}
+	for _, stamps := range cases {
+		bt := &BiTree{}
+		for i, s := range stamps {
+			bt.Up = append(bt.Up, TimedLink{L: sinr.Link{From: i + 1, To: 0}, Slot: s})
+		}
+		if got, want := bt.NumSlots(), distinct(stamps); got != want {
+			t.Fatalf("stamps %v: NumSlots %d, want %d", stamps, got, want)
 		}
 	}
 }
