@@ -416,17 +416,7 @@ func (d *churnDriver) muted() []int {
 	if d.bt == nil {
 		return nil
 	}
-	now := d.gen.Now()
-	if d.damper.Quiet(now) {
-		return nil
-	}
-	var out []int
-	for _, v := range d.bt.Nodes {
-		if d.damper.Damped(d.in.Point(v), now) {
-			out = append(out, v)
-		}
-	}
-	return out
+	return d.damper.Muted(d.gen.Now(), d.in.Points(), d.bt.Nodes)
 }
 
 // ladder runs one repair operation through bounded reseeded retries,

@@ -238,3 +238,71 @@ func TestDamperQuietMatchesScan(t *testing.T) {
 		t.Fatalf("%d quiet and %d quarantined steps, want both", quiet, loud)
 	}
 }
+
+// TestDamperMutedMatchesScan replays a failure-heavy trace, recording
+// every failure and burst in a damper and admitting only undamped joins,
+// and at every step, and between steps as quarantines lapse, compares
+// Muted with testing each alive node through Damped, in order. Then it
+// quarantines regions too far apart for Muted's mask, which must fall back
+// to the lookups.
+func TestDamperMutedMatchesScan(t *testing.T) {
+	st := testState(t, 160, 9)
+	g, err := NewGenerator(17, Rates{Join: 1, Fail: 2, Burst: 1}, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDamper(3, 12, 40, 4)
+	check := func(d *Damper, now float64) int {
+		var want []int
+		for _, v := range st.Alive {
+			if d.Damped(st.Points[v], now) {
+				want = append(want, v)
+			}
+		}
+		got := d.Muted(now, st.Points, st.Alive)
+		if !slices.Equal(got, want) {
+			t.Fatalf("t=%.2f: Muted %v, scan %v", now, got, want)
+		}
+		return len(got)
+	}
+	muted, quiet := 0, 0
+	for k := 0; k < 300 && len(st.Alive) > 8; k++ {
+		ev, err := g.Next(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch ev.Kind {
+		case KindJoin:
+			if !d.Damped(ev.Point, ev.Time) {
+				st.Points = append(st.Points, ev.Point)
+				st.Alive = append(st.Alive, len(st.Points)-1)
+			}
+		case KindFail, KindBurst:
+			for _, v := range ev.Nodes {
+				d.Record(st.Points[v], ev.Time)
+			}
+			st.Alive = slices.DeleteFunc(st.Alive, func(v int) bool { return slices.Contains(ev.Nodes, v) })
+		}
+		for _, dt := range []float64{0, 5, 20, 39.9, 40.1} {
+			if check(d, ev.Time+dt) > 0 {
+				muted++
+			} else if d.Quiet(ev.Time + dt) {
+				quiet++
+			}
+		}
+	}
+	if muted == 0 || quiet == 0 {
+		t.Fatalf("%d checks muted a member and %d found no quarantine; want both", muted, quiet)
+	}
+
+	far := NewDamper(1, 1, 10, 4)
+	far.Record(st.Points[st.Alive[0]], 0)
+	for _, x := range []float64{1e6, 1e300, -1e300} {
+		st.Points = append(st.Points, geom.Point{X: x})
+		st.Alive = append(st.Alive, len(st.Points)-1)
+		far.Record(st.Points[len(st.Points)-1], 0)
+		if check(far, 5) < 2 {
+			t.Fatalf("x=%g: the far quarantines muted too few members", x)
+		}
+	}
+}

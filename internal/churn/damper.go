@@ -2,6 +2,7 @@ package churn
 
 import (
 	"math"
+	"slices"
 
 	"sinrconn/internal/geom"
 )
@@ -22,12 +23,19 @@ type Damper struct {
 	cooldown float64
 	radius   float64
 	cells    map[[2]int]*dampCell
+	// all lists the cells in the order they were first charged, so that
+	// Muted visits them without ranging over the map.
+	all []*dampCell
+	// mask is Muted's scratch: one flag per cell of the quarantined
+	// cells' bounding box.
+	mask []bool
 	// until is the latest dampedUntil of any cell: no region is
 	// quarantined from then on.
 	until float64
 }
 
 type dampCell struct {
+	key         [2]int
 	times       []float64 // failure timestamps, pruned to the window
 	dampedUntil float64
 }
@@ -58,8 +66,9 @@ func (d *Damper) Record(p geom.Point, now float64) {
 			ck := [2]int{k[0] + dx, k[1] + dy}
 			c := d.cells[ck]
 			if c == nil {
-				c = &dampCell{}
+				c = &dampCell{key: ck}
 				d.cells[ck] = c
+				d.all = append(d.all, c)
 			}
 			c.times = append(c.times, now)
 			d.prune(c, now)
@@ -95,4 +104,49 @@ func (d *Damper) Damped(p geom.Point, now float64) bool {
 // which lets a caller skip a scan of its points while nothing is damped.
 func (d *Damper) Quiet(now float64) bool {
 	return !(now < d.until)
+}
+
+// Muted returns the members, indices into pts, whose region is
+// quarantined at the given time, in members order: the members for which
+// Damped holds. It marks the quarantined cells once, in a mask over their
+// bounding box, and then reads each member's cell from the mask instead of
+// hashing it into the cell map. When that box has more cells than four per
+// member, it looks each member up as Damped does.
+func (d *Damper) Muted(now float64, pts []geom.Point, members []int) []int {
+	if d.Quiet(now) {
+		return nil
+	}
+	lo, hi := [2]int{math.MaxInt, math.MaxInt}, [2]int{math.MinInt, math.MinInt}
+	for _, c := range d.all {
+		if k := c.key; now < c.dampedUntil {
+			lo = [2]int{min(lo[0], k[0]), min(lo[1], k[1])}
+			hi = [2]int{max(hi[0], k[0]), max(hi[1], k[1])}
+		}
+	}
+	var out []int
+	// A span past the int range wraps to w or h ≤ 0.
+	w, h, most := hi[0]-lo[0]+1, hi[1]-lo[1]+1, 4*len(members)
+	if !(w > 0 && h > 0 && w <= most && h <= most && w*h <= most) {
+		for _, v := range members {
+			if d.Damped(pts[v], now) {
+				out = append(out, v)
+			}
+		}
+		return out
+	}
+	d.mask = slices.Grow(d.mask[:0], w*h)[:w*h]
+	clear(d.mask)
+	for _, c := range d.all {
+		if k := c.key; now < c.dampedUntil {
+			d.mask[(k[1]-lo[1])*w+k[0]-lo[0]] = true
+		}
+	}
+	for _, v := range members {
+		k := d.key(pts[v])
+		x, y := k[0]-lo[0], k[1]-lo[1]
+		if x >= 0 && x < w && y >= 0 && y < h && d.mask[y*w+x] {
+			out = append(out, v)
+		}
+	}
+	return out
 }

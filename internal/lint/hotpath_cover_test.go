@@ -46,6 +46,14 @@ var hotpathGates = map[string]hotpathGate{
 	"internal/sim.listenGate.hears":     {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
 	"internal/sim.listenGate.inRange":   {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
 
+	// The exact decode's pre-pass: the sender grid and the walk.
+	"internal/sim.Engine.prunes":      {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
+	"internal/sim.senderGrid.bucket":  {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
+	"internal/sim.walk.read":          {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
+	"internal/sim.Engine.settle":      {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
+	"internal/sim.Engine.unreadBound": {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
+	"internal/sim.Engine.drowned":     {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
+
 	// Held actions: held listeners joining a slot and waking.
 	"internal/sim.Engine.listenHeld": {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},
 	"internal/sim.Engine.wake":       {"TestSlotLoopZeroAlloc", "internal/sim/alloc_test.go"},

@@ -48,7 +48,8 @@ func (p Params) Validate() error {
 // MinPower returns the minimum transmission power that lets a link of the
 // given length meet SINR β against noise alone (with zero slack).
 func (p Params) MinPower(length float64) float64 {
-	return p.Beta * p.Noise * PowAlpha(length, p.Alpha)
+	// Rounded: SafePower's doubling must not fuse with this product.
+	return float64(p.Beta * p.Noise * PowAlpha(length, p.Alpha))
 }
 
 // SafePower returns the power 2βN·ℓ^α that guarantees c(u,v) ≤ 2β for a link

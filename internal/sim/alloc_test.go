@@ -106,7 +106,9 @@ func allocTestEngine(t *testing.T, n, workers int, drop float64, sparse, far boo
 // node transmits every fifth slot and the others hold Listen/Idle, so
 // held members wake, are stepped and hold again during the measured
 // slots, with the listen gate forced to compare them with the sender or
-// onto the grid.
+// onto the grid. In the pruned rows every exact slot with a listener runs
+// the decode pre-pass, filing its senders into the grid and walking it at
+// every listener.
 func TestSlotLoopZeroAlloc(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -120,27 +122,30 @@ func TestSlotLoopZeroAlloc(t *testing.T) {
 		held      bool
 		wakes     bool
 		grid      bool
+		pruned    bool
 	}{
-		{"serial", 1, 0, false, false, false, false, false, false, false, false},
-		{"pool", 4, 0, false, false, false, false, false, false, false, false},
-		{"serial_drop", 1, 0.2, false, false, false, false, false, false, false, false},
-		{"sparse_serial", 1, 0, true, false, false, false, false, false, false, false},
-		{"sparse_pool", 4, 0.2, true, false, false, false, false, false, false, false},
-		{"departing_serial", 1, 0, false, true, false, false, false, false, false, false},
-		{"departing_pool", 4, 0.2, true, true, false, false, false, false, false, false},
-		{"ranged_serial", 1, 0.2, false, false, true, false, false, false, false, false},
-		{"ranged_pool", 4, 0, true, true, true, false, false, false, false, false},
-		{"ranged_far", 1, 0.2, false, false, true, true, false, false, false, false},
-		{"ranged_far_pool", 4, 0, false, true, true, true, false, false, false, false},
-		{"addressed_serial", 1, 0.2, false, false, false, false, true, false, false, false},
-		{"addressed_pool", 4, 0, true, true, false, false, true, false, false, false},
-		{"addressed_far", 1, 0.2, false, false, false, true, true, false, false, false},
-		{"addressed_ranged_far_pool", 4, 0, false, true, true, true, true, false, false, false},
-		{"held_serial", 1, 0.2, false, false, false, false, false, true, false, false},
-		{"held_sparse_pool", 4, 0, true, false, false, false, true, true, false, false},
-		{"held_ranged_far_pool", 4, 0.2, false, false, true, true, true, true, false, false},
-		{"held_wakes_ranged_serial", 1, 0, false, false, true, false, false, true, true, false},
-		{"held_wakes_ranged_grid_pool", 4, 0.2, false, false, true, false, false, true, true, true},
+		{"serial", 1, 0, false, false, false, false, false, false, false, false, false},
+		{"pool", 4, 0, false, false, false, false, false, false, false, false, false},
+		{"serial_drop", 1, 0.2, false, false, false, false, false, false, false, false, false},
+		{"sparse_serial", 1, 0, true, false, false, false, false, false, false, false, false},
+		{"sparse_pool", 4, 0.2, true, false, false, false, false, false, false, false, false},
+		{"departing_serial", 1, 0, false, true, false, false, false, false, false, false, false},
+		{"departing_pool", 4, 0.2, true, true, false, false, false, false, false, false, false},
+		{"ranged_serial", 1, 0.2, false, false, true, false, false, false, false, false, false},
+		{"ranged_pool", 4, 0, true, true, true, false, false, false, false, false, false},
+		{"ranged_far", 1, 0.2, false, false, true, true, false, false, false, false, false},
+		{"ranged_far_pool", 4, 0, false, true, true, true, false, false, false, false, false},
+		{"addressed_serial", 1, 0.2, false, false, false, false, true, false, false, false, false},
+		{"addressed_pool", 4, 0, true, true, false, false, true, false, false, false, false},
+		{"addressed_far", 1, 0.2, false, false, false, true, true, false, false, false, false},
+		{"addressed_ranged_far_pool", 4, 0, false, true, true, true, true, false, false, false, false},
+		{"held_serial", 1, 0.2, false, false, false, false, false, true, false, false, false},
+		{"held_sparse_pool", 4, 0, true, false, false, false, true, true, false, false, false},
+		{"held_ranged_far_pool", 4, 0.2, false, false, true, true, true, true, false, false, false},
+		{"held_wakes_ranged_serial", 1, 0, false, false, true, false, false, true, true, false, false},
+		{"held_wakes_ranged_grid_pool", 4, 0.2, false, false, true, false, false, true, true, true, false},
+		{"pruned_serial", 1, 0.2, false, false, false, false, true, false, false, false, true},
+		{"pruned_ranged_pool", 4, 0, false, true, true, false, false, false, false, false, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -156,6 +161,9 @@ func TestSlotLoopZeroAlloc(t *testing.T) {
 			if tc.wakes {
 				grid := tc.grid
 				e.cfg.forceGate = func(int, int, bool) bool { return grid }
+			}
+			if tc.pruned {
+				e.cfg.forcePrune = func(bool) bool { return true }
 			}
 			if tc.ranged {
 				// Senders sit on every fourth column of a lattice of
@@ -184,12 +192,15 @@ func TestSlotLoopZeroAlloc(t *testing.T) {
 				t.Fatalf("the address gate ran in %d slots", epoch)
 			}
 			live, delivered := e.Live(), e.Stats().Deliveries
-			steps, far := 0, 0
+			steps, far, pruned := 0, 0, 0
 			allocs := testing.AllocsPerRun(50, func() {
 				e.Step()
 				steps++
 				if e.farSlot {
 					far++
+				}
+				if e.pruned {
+					pruned++
 				}
 			})
 			if allocs != 0 {
@@ -197,6 +208,9 @@ func TestSlotLoopZeroAlloc(t *testing.T) {
 			}
 			if tc.far && far != steps {
 				t.Fatalf("%d of %d measured slots resolved far, want all", far, steps)
+			}
+			if tc.pruned != (pruned > 0) {
+				t.Fatalf("%d of %d measured slots ran the decode pre-pass", pruned, steps)
 			}
 			if left := live - e.Live(); tc.departing != (left > 0) {
 				t.Fatalf("%d nodes left during the measured slots", left)

@@ -290,49 +290,80 @@ func TestExactDecodeMatchesListenerMajor(t *testing.T) {
 // senders is init-exact-4k's dense slot, decoded from the 128 MiB gain
 // table; n = 1024 with ~13 senders is tvc-exact-1k's; n = 16384 on a
 // quadtree plan with ~400 senders is an adaptive exact slot of
-// init-far-16k, which computes path loss on the fly.
+// init-far-16k, which computes path loss on the fly. The ranged row is an
+// early Init round at n = 4096: about 1024 senders drawn at random and a
+// listen range of 1.55 that keeps about 80 listeners. The prune=off rows
+// time a slot the rule runs the decode pre-pass in (prune.go) forced onto
+// the full sum.
 func BenchmarkExactSlot(b *testing.B) {
 	for _, tc := range []struct {
 		n, every int
 		far      bool
+		r        float64 // listen range, 0 for none; senders drawn at random
 	}{
-		{1024, 80, false},
-		{4096, 40, false},
-		{4096, 4, false},
-		{16384, 40, true},
+		{1024, 80, false, 0},
+		{4096, 40, false, 0},
+		{4096, 4, false, 0},
+		{4096, 4, false, 1.55},
+		{16384, 40, true, 0},
 	} {
 		for _, workers := range []int{1, 2} {
-			name := fmt.Sprintf("n=%d/senders=%d/workers=%d", tc.n, tc.n/tc.every, workers)
-			if tc.far {
-				name += "/onthefly"
-			}
-			b.Run(name, func(b *testing.B) {
-				pts := workload.JitteredGrid(rand.New(rand.NewSource(1)), tc.n, 2.6, 0.8)
-				in := sinr.MustInstance(pts, sinr.DefaultParams())
-				power := in.Params().SafePower(4)
-				procs := make([]Protocol, tc.n)
-				for i := range procs {
-					procs[i] = &fixedProto{id: i, transmit: i%tc.every == 0, power: power}
-				}
-				cfg := Config{Pool: testPool(b, workers)}
+			for _, prune := range []bool{true, false} {
+				name := fmt.Sprintf("n=%d/senders=%d/workers=%d", tc.n, tc.n/tc.every, workers)
 				if tc.far {
-					q, err := in.QuadTree(1.0)
+					name += "/onthefly"
+				}
+				if tc.r > 0 {
+					name += fmt.Sprintf("/range=%v", tc.r)
+				}
+				if !prune {
+					name += "/prune=off"
+				}
+				b.Run(name, func(b *testing.B) {
+					pts := workload.JitteredGrid(rand.New(rand.NewSource(1)), tc.n, 2.6, 0.8)
+					in := sinr.MustInstance(pts, sinr.DefaultParams())
+					power := in.Params().SafePower(4)
+					procs := make([]Protocol, tc.n)
+					for i := range procs {
+						tx := i%tc.every == 0
+						if tc.r > 0 {
+							tx = dropCoin(1, 0, i)*float64(tc.every) < 1
+						}
+						procs[i] = &fixedProto{id: i, transmit: tx, power: power}
+					}
+					cfg := Config{Pool: testPool(b, workers)}
+					ruled := false // the rule would run the pre-pass
+					if !prune {
+						cfg.forcePrune = func(rule bool) bool {
+							ruled = rule
+							return false
+						}
+					}
+					if tc.far {
+						q, err := in.QuadTree(1.0)
+						if err != nil {
+							b.Fatal(err)
+						}
+						cfg.Far = q
+					}
+					e, err := NewEngine(in, procs, cfg)
 					if err != nil {
 						b.Fatal(err)
 					}
-					cfg.Far = q
-				}
-				e, err := NewEngine(in, procs, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				e.Run(3)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					e.Step()
-				}
-			})
+					if tc.r > 0 {
+						e.SetListenRange(tc.r)
+					}
+					e.Run(3)
+					if !prune && !ruled {
+						b.Skip("the rule takes the full sum in this slot")
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						e.Step()
+					}
+				})
+			}
 		}
 	}
 }

@@ -238,6 +238,11 @@ type Config struct {
 	// with every sender: it receives the slot's senders, its candidate
 	// listeners and the rule's verdict, and returns the decision to take.
 	forceGate func(senders, listeners int, grid bool) bool
+	// forcePrune, when set (tests only), overrides whether an exact slot
+	// runs the decode pre-pass (prune.go): it receives the rule's verdict
+	// and returns the decision to take. A slot whose senders the grid
+	// cannot split still falls back.
+	forcePrune func(prune bool) bool
 	// afterSlot, when set (tests only), runs on the engine goroutine after
 	// every slot, after the Observer: the hook the held-action
 	// differential reads every node's inbox through.
@@ -387,6 +392,14 @@ type Engine struct {
 	txs     []sinr.Tx
 	lis     []int32     // the slot's listeners, ascending; collected with txs
 	acc     []listenAcc // exact decode state of lis[j], at acc[j]
+
+	// The exact decode's pre-pass (prune.go): pruned reports that the
+	// current exact slot filed its senders into grid, and a decode shard
+	// over lis[lo:hi] lists the listeners the pre-pass leaves to the full
+	// sum at cand[lo:]. Both are sized at the engine's first pruned slot.
+	grid   senderGrid
+	pruned bool
+	cand   []int32
 
 	// Addressed listening (ListenAddressed): addrStamp[v] == addrEpoch iff
 	// a sender of the current slot addresses node v. Stamped only in slots
@@ -586,6 +599,9 @@ func (e *Engine) Step() {
 	if e.farSlot && len(e.lis) > 0 {
 		e.farScr.Accumulate(e.txs)
 	}
+	// Stage 2.5 (exact slots with many senders): file the senders into the
+	// pre-pass's grid, serially, for the decode shards to walk.
+	e.pruned = !e.farSlot && len(e.txs) > 0 && len(e.lis) > 0 && e.prunes()
 
 	// Stage 3: decode at every listener left. Each listener decodes the
 	// strongest sender if its SINR clears β. Counters land in per-worker
@@ -756,7 +772,9 @@ func checkDeclared(i int, a *Action) {
 }
 
 // decodeRange runs stage 3 for the listeners lis[lo:hi], accumulating
-// counters into sh.
+// counters into sh. In a pruned slot the pre-pass settles what it can and
+// lists the rest, still ascending, for the full sum, which then computes
+// its gains on the fly when they are sparse (pruneSparse).
 //
 //sinr:hotpath
 func (e *Engine) decodeRange(lo, hi int, sh *shard) {
@@ -766,13 +784,26 @@ func (e *Engine) decodeRange(lo, hi int, sh *shard) {
 		}
 		return
 	}
-	e.decodeExact(lo, hi, sh)
+	lis, onTheFly := e.lis[lo:hi], e.gains == nil
+	if e.pruned {
+		cand, m := e.cand[lo:hi], 0
+		for _, v := range lis {
+			if !e.settle(v, sh) {
+				cand[m] = v
+				m++
+			}
+		}
+		lis = cand[:m]
+		onTheFly = onTheFly || m*pruneSparse < len(e.procs)
+	}
+	e.decodeExact(lis, e.acc[lo:lo+len(lis)], onTheFly, sh)
 }
 
-// decodeExact resolves reception at the listeners lis[lo:hi] sender-major:
-// for each sender in txs order, one pass over the listeners reads the
-// sender's gain row at the listeners' columns, folding the received power
-// into each listener's accumulator. The table is symmetric bit for bit
+// decodeExact resolves reception at the listeners lis, with accumulators
+// acc, sender-major: for each sender in txs order, one pass over the
+// listeners reads the sender's gain row at the listeners' columns, folding
+// the received power into each listener's accumulator. The table is
+// symmetric bit for bit
 // (gain[s·stride+v] == gain[v·stride+s]), so with ascending listeners a row
 // read streams through contiguous memory; scanning each listener's own row at
 // the senders' columns instead would fetch one cache line per (listener,
@@ -780,18 +811,18 @@ func (e *Engine) decodeRange(lo, hi int, sh *shard) {
 // sum, its winner and its saturation verdict are the ones a listener-major
 // scan computes. The strongest sender is decoded iff its SINR ≥ β; its
 // distance (for Delivery.Dist) is computed once, only for an actual
-// delivery.
+// delivery. With onTheFly set, as it always is without a table, it
+// computes each gain from the points instead.
 //
 //sinr:hotpath
-func (e *Engine) decodeExact(lo, hi int, sh *shard) {
-	lis, acc := e.lis[lo:hi], e.acc[lo:hi]
+func (e *Engine) decodeExact(lis []int32, acc []listenAcc, onTheFly bool, sh *shard) {
 	for j := range acc {
 		acc[j] = listenAcc{best: -1}
 	}
 	n := len(e.procs)
 	for k := range e.txs {
 		t := &e.txs[k]
-		if e.gains != nil {
+		if !onTheFly {
 			off := t.Sender * e.gainStride
 			row := e.gains[off : off+n]
 			for j, v := range lis {

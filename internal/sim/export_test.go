@@ -33,3 +33,26 @@ func GateBy(c Config, grid bool) Config {
 	c.forceGate = func(int, int, bool) bool { return grid }
 	return c
 }
+
+// PruneBy returns c with every exact slot running the decode pre-pass
+// (on) or none of them, whatever the rule would choose.
+func PruneBy(c Config, on bool) Config {
+	c.forcePrune = func(bool) bool { return on }
+	return c
+}
+
+// WatchPruned returns c with f called after every slot that ran the
+// decode pre-pass, with the farthest ring its walks could read, after any
+// hook c already watches its slots with.
+func WatchPruned(c Config, f func(rings int)) Config {
+	prev := c.afterSlot
+	c.afterSlot = func(e *Engine) {
+		if e.pruned {
+			f(e.grid.rings)
+		}
+		if prev != nil {
+			prev(e)
+		}
+	}
+	return c
+}

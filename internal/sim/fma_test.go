@@ -20,15 +20,19 @@ var asmSource = regexp.MustCompile(`\(([^()\s]+\.go):\d+\)`)
 
 // fmaWatched lists, by directory and file, the sources that must compile
 // for arm64 without a fused multiply-add: the squared distance, the exact
-// decode's interference sum, and the SINR and affectance sums that the
-// first-fit slot groups reproduce bit for bit, and the listen gate's
-// squared-distance verdicts.
+// decode's interference sum and its pre-pass, and the SINR and affectance
+// sums that the first-fit slot groups reproduce bit for bit, the listen
+// gate's squared-distance verdicts, the far-field plan's aggregates and
+// walks, and the transmit powers (params.go, inlined into sinr).
 var fmaWatched = map[string]string{
 	"point.go":       "geom",
 	"engine.go":      "sim",
 	"listenrange.go": "sim",
+	"prune.go":       "sim",
 	"affectance.go":  "sinr",
 	"group.go":       "sinr",
+	"quadtree.go":    "sinr",
+	"params.go":      "phys",
 }
 
 // TestNoFusedMultiplyAddArm64 cross-compiles internal/geom, internal/sinr

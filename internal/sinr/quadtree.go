@@ -310,7 +310,7 @@ func (q *QuadTree) Release(sc *QuadScratch) { q.scratches.Put(sc) }
 func (q *QuadTree) extendTo(out *Instance) (*QuadTree, bool) {
 	n := len(q.in.pts)
 	m := len(out.pts)
-	side := q.cell * float64(q.leafDim)
+	side := float64(q.cell * float64(q.leafDim))
 	for _, p := range out.pts[n:] {
 		if p.X < q.ox || p.Y < q.oy || p.X > q.ox+side || p.Y > q.oy+side {
 			return nil, false
@@ -527,8 +527,8 @@ func (sc *QuadScratch) touch(g int32, ep uint32) bool {
 // fold adds one sender of power p at pt to a leaf record.
 func (nd *quadNode) fold(p float64, pt geom.Point) {
 	nd.mass += p
-	nd.cenX += p * pt.X
-	nd.cenY += p * pt.Y
+	nd.cenX += float64(p * pt.X)
+	nd.cenY += float64(p * pt.Y)
 	if p > nd.pmax {
 		nd.pmax = p
 	}
@@ -616,11 +616,11 @@ func (sc *QuadScratch) Resolve(v int) (best int, bestRP, total float64, saturate
 		nd := &sc.node[f.g]
 		dx := px - nd.cenX
 		dy := py - nd.cenY
-		d2 := dx*dx + dy*dy
+		d2 := float64(dx*dx) + float64(dy*dy)
 		if d2 >= q.openRad2[f.lvl] {
 			gc := 1 / pl.Sq(d2)
 			if nd.pmax*gc*refine <= bestRP {
-				total += nd.mass * gc
+				total += float64(nd.mass * gc)
 				continue
 			}
 			// The node could hide a sender outreceiving the best exact
@@ -634,7 +634,7 @@ func (sc *QuadScratch) Resolve(v int) (best int, bestRP, total float64, saturate
 			for si := lo; si < hi; si++ {
 				ddx := px - sc.sx[si]
 				ddy := py - sc.sy[si]
-				sd2 := ddx*ddx + ddy*ddy
+				sd2 := float64(ddx*ddx) + float64(ddy*ddy)
 				if sd2 == 0 {
 					return -1, 0, 0, true
 				}
@@ -669,10 +669,10 @@ func (sc *QuadScratch) Resolve(v int) (best int, bestRP, total float64, saturate
 func (q *QuadTree) nearChild(f quadFrame, px, py float64) int32 {
 	cside := q.side[f.lvl+1]
 	var near int32
-	if px >= q.ox+float64(2*f.x+1)*cside {
+	if px >= q.ox+float64(float64(2*f.x+1)*cside) {
 		near = 1
 	}
-	if py >= q.oy+float64(2*f.y+1)*cside {
+	if py >= q.oy+float64(float64(2*f.y+1)*cside) {
 		near |= 2
 	}
 	return near
@@ -723,7 +723,7 @@ func (sc *QuadScratch) LinkSINR(txs []Tx, l Link, pu float64) float64 {
 		nd := &sc.node[g]
 		dx := pv.X - nd.cenX
 		dy := pv.Y - nd.cenY
-		d2 := dx*dx + dy*dy
+		d2 := float64(dx*dx) + float64(dy*dy)
 		if d2 >= q.openRad2[lvl] {
 			m := nd.mass
 			if t == ul>>(2*uint(lv-lvl)) {
@@ -745,7 +745,7 @@ func (sc *QuadScratch) LinkSINR(txs []Tx, l Link, pu float64) float64 {
 				}
 				ddx := pv.X - sc.sx[si]
 				ddy := pv.Y - sc.sy[si]
-				sd2 := ddx*ddx + ddy*ddy
+				sd2 := float64(ddx*ddx) + float64(ddy*ddy)
 				interference += sc.sp[si] / pl.Sq(sd2)
 			}
 			continue
