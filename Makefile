@@ -22,10 +22,12 @@ vet:
 # benchmark (cmd/bench) is a module of its own that `./...` does not enter,
 # so its analyzers and tests run here too. Offline and cached; a clean tree
 # finishes in seconds. gofmt gates the whole tree, cmd/bench included.
+# TestNoFusedMultiplyAddArm64 skips under -short, so it runs here.
 lint:
 	test -z "$$(gofmt -l .)"
 	$(GO) run ./cmd/sinrlint ./...
 	$(GO) test -count=1 ./internal/lint/...
+	$(GO) test -run TestNoFusedMultiplyAddArm64 ./internal/sim/
 	$(GO) run ./cmd/sinrlint -C cmd/bench ./...
 	cd cmd/bench && $(GO) test ./...
 

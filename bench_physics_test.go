@@ -33,7 +33,7 @@ func (p *physProto) Step(slot int, inbox []sim.Delivery) sim.Action {
 	if p.transmit {
 		return sim.Transmit(p.power, sim.Message{Kind: sim.KindBroadcast, From: p.id, To: sim.NoAddressee})
 	}
-	return sim.Listen()
+	return sim.Action{Kind: sim.ActionListen}
 }
 
 // cpuPool returns a NumCPU-worker pool that tb closes when it ends: the
@@ -70,7 +70,9 @@ func BenchmarkSlotPhysics(b *testing.B) {
 			eng := physEngine(b, n, cpuPool(b))
 			// Warm to steady state: inbox buffers reach final capacity and
 			// the worker pool (if any) is spun up before measurement.
-			eng.Run(3)
+			for range 3 {
+				eng.Step()
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -89,7 +91,9 @@ func BenchmarkSlotPhysicsSerial(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			eng := physEngine(b, n, nil)
-			eng.Run(3)
+			for range 3 {
+				eng.Step()
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

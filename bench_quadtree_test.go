@@ -94,7 +94,9 @@ func benchSlot(b *testing.B, in *sinr.Instance, ff *sinr.QuadTree) {
 	// Two warm-up slots, not one: delivery inboxes are double-buffered, so
 	// both buffers must see a slot before the steady state is allocation
 	// free.
-	eng.Run(2)
+	for range 2 {
+		eng.Step()
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -151,7 +153,7 @@ func (p *senderCountProto) Step(slot int, inbox []sim.Delivery) sim.Action {
 	if p.id%p.stride == 0 {
 		return sim.Transmit(p.power, sim.Message{Kind: sim.KindBroadcast, From: p.id, To: sim.NoAddressee})
 	}
-	return sim.Listen()
+	return sim.Action{Kind: sim.ActionListen}
 }
 
 // BenchmarkAdaptiveCrossover calibrates sim.DefaultAdaptiveCrossover: per
@@ -179,7 +181,9 @@ func BenchmarkAdaptiveCrossover(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			eng.Run(2)
+			for range 2 {
+				eng.Step()
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				eng.Step()
@@ -222,7 +226,9 @@ func TestQuadtreeMeasuredError(t *testing.T) {
 		txs = append(txs, sinr.Tx{Sender: i, Power: power})
 	}
 	rng := rand.New(rand.NewSource(9))
-	for _, eps := range []float64{0.1, 0.5, 1.0, 2.5} {
+	// 0.25 comes last so that the other bounds keep the probes whose
+	// errors BENCH_quadtree.json records.
+	for _, eps := range []float64{0.1, 0.5, 1.0, 2.5, 0.25} {
 		q, err := in.QuadTree(eps)
 		if err != nil {
 			t.Fatal(err)
@@ -303,7 +309,7 @@ func TestQuadtreeBigSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Run(1) // warm the inbox/txs buffers
+	eng.Step() // warm the inbox/txs buffers
 	if allocs := testing.AllocsPerRun(1, func() { eng.Step() }); allocs != 0 {
 		t.Fatalf("n=262144 far slot allocates %.1f times/op, want 0", allocs)
 	}
@@ -346,7 +352,10 @@ func TestQuadtreeMillionSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Run(2) // both inbox buffers warm → steady state is allocation-free
+	// both inbox buffers warm → steady state is allocation-free
+	for range 2 {
+		eng.Step()
+	}
 	start := time.Now()
 	if allocs := testing.AllocsPerRun(1, func() { eng.Step() }); allocs != 0 {
 		t.Fatalf("n=%d far slot allocates %.1f times/op, want 0", n, allocs)

@@ -1,6 +1,6 @@
 package sinrconn_test
 
-// One benchmark per experiment table (E1–E12, see DESIGN.md §4 and
+// One benchmark per experiment table (E1 and E3–E12, see DESIGN.md §4 and
 // EXPERIMENTS.md). Each bench runs the measurement behind its table at a
 // representative size and reports the headline quantity via b.ReportMetric,
 // so `go test -bench=. -benchmem` regenerates the numbers the tables
@@ -11,12 +11,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"sinrconn"
 	"sinrconn/internal/core"
-	"sinrconn/internal/experiments"
 	"sinrconn/internal/geom"
 	"sinrconn/internal/power"
 	"sinrconn/internal/sim"
@@ -69,24 +67,6 @@ func BenchmarkE1InitSlots(b *testing.B) {
 			}
 			b.ReportMetric(float64(total)/float64(b.N), "slots/op")
 		})
-	}
-}
-
-// BenchmarkE2BiTreeValidity regenerates Table E2: validator battery on the
-// Init output (correctness half of Theorem 2).
-func BenchmarkE2BiTreeValidity(b *testing.B) {
-	pool := cpuPool(b)
-	in := benchInstance(2)
-	for i := 0; i < b.N; i++ {
-		res, err := core.Init(context.Background(), in, core.InitConfig{Channel: sim.Config{Seed: int64(i), Pool: pool}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		bt := res.Tree
-		if bt.Validate() != nil || !bt.StronglyConnected() ||
-			bt.ValidateOrdering() != nil || bt.ValidatePerSlotFeasible(in) != nil {
-			b.Fatal("invalid bi-tree")
-		}
 	}
 }
 
@@ -285,37 +265,17 @@ func BenchmarkE12CapacityRatio(b *testing.B) {
 	b.ReportMetric(ratio, "distr/central")
 }
 
-// BenchmarkE13Energy regenerates Table E13: per-epoch aggregation energy on
-// the Section-8 tree.
-func BenchmarkE13Energy(b *testing.B) {
+// BenchmarkAggregationEpoch times one physical converge-cast epoch
+// (Definition 1 made physical) on an Init tree and on an arbitrary-power
+// TVC tree, and reports the epoch's transmit energy.
+func BenchmarkAggregationEpoch(b *testing.B) {
 	pool := cpuPool(b)
 	in := benchInstance(13)
-	res, err := core.TreeViaCapacity(context.Background(), in, core.TVCConfig{Variant: core.VariantArbitrary, Init: core.InitConfig{Channel: sim.Config{Seed: 1, Pool: pool}}})
+	ires, err := core.Init(context.Background(), in, core.InitConfig{Channel: sim.Config{Seed: 1, Pool: pool}})
 	if err != nil {
 		b.Fatal(err)
 	}
-	values := make([]int64, in.Len())
-	for i := range values {
-		values[i] = 1
-	}
-	energy := 0.0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := core.RunAggregation(context.Background(), in, res.Tree, values, sinrconn.SumAgg, sim.Config{Pool: pool})
-		if err != nil {
-			b.Fatal(err)
-		}
-		energy = out.Energy
-	}
-	b.ReportMetric(energy, "epoch_energy")
-}
-
-// BenchmarkE14PhysicalEpoch regenerates Table E14: a full physical
-// converge-cast epoch on the Init tree.
-func BenchmarkE14PhysicalEpoch(b *testing.B) {
-	pool := cpuPool(b)
-	in := benchInstance(14)
-	res, err := core.Init(context.Background(), in, core.InitConfig{Channel: sim.Config{Seed: 1, Pool: pool}})
+	tres, err := core.TreeViaCapacity(context.Background(), in, core.TVCConfig{Variant: core.VariantArbitrary, Init: core.InitConfig{Channel: sim.Config{Seed: 1, Pool: pool}}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -323,27 +283,21 @@ func BenchmarkE14PhysicalEpoch(b *testing.B) {
 	for i := range values {
 		values[i] = int64(i)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.RunAggregation(context.Background(), in, res.Tree, values, sinrconn.SumAgg, sim.Config{Pool: pool}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkQuickSuite runs every paper-claim experiment of the registry
-// (E1–E18) in quick mode end to end — the one-stop regression check that
-// every table still passes its shape check.
-func BenchmarkQuickSuite(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, e := range experiments.Registry() {
-			if !strings.HasPrefix(e.ID, "E") {
-				continue
+	for _, c := range []struct {
+		name string
+		bt   *tree.BiTree
+	}{{"init", ires.Tree}, {"tvc-arbitrary", tres.Tree}} {
+		b.Run("tree="+c.name, func(b *testing.B) {
+			energy := 0.0
+			for i := 0; i < b.N; i++ {
+				out, err := core.RunAggregation(context.Background(), in, c.bt, values, sinrconn.SumAgg, sim.Config{Pool: pool})
+				if err != nil {
+					b.Fatal(err)
+				}
+				energy = out.Energy
 			}
-			if rep := e.Run(context.Background(), experiments.Quick()); !rep.Pass {
-				b.Fatalf("%s failed shape check", rep.ID)
-			}
-		}
+			b.ReportMetric(energy, "epoch_energy")
+		})
 	}
 }
 

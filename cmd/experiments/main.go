@@ -30,7 +30,11 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	quick := fs.Bool("quick", false, "reduced sweep for smoke testing")
-	only := fs.String("only", "", "run a single experiment (E1..E18, A1..A5)")
+	var ids []string
+	for _, e := range experiments.Registry() {
+		ids = append(ids, e.ID)
+	}
+	only := fs.String("only", "", "run a single experiment ("+strings.Join(ids, ", ")+")")
 	seeds := fs.Int("seeds", 0, "override trials per cell")
 	ablations := fs.Bool("ablations", false, "also run the A1..A5 design-choice sweeps")
 	if err := fs.Parse(args); err != nil {

@@ -39,6 +39,10 @@ func TestRunAggregationOnInitTree(t *testing.T) {
 	if out.Energy <= 0 || out.Deliveries != len(res.Tree.Up) {
 		t.Errorf("outcome: %+v", out)
 	}
+	// One epoch must cost less energy than building the tree it runs on.
+	if out.Energy >= res.Stats.Energy {
+		t.Errorf("epoch energy %g ≥ construction energy %g", out.Energy, res.Stats.Energy)
+	}
 }
 
 func TestRunAggregationMaxOnTVCTree(t *testing.T) {

@@ -52,7 +52,7 @@ func Quick() Config {
 
 // Report is one experiment's output.
 type Report struct {
-	// ID is the experiment identifier (E1…E18, A1…A5).
+	// ID is the experiment identifier (E1, E3…E12, A1…A5).
 	ID string
 	// Title names the claim under test.
 	Title string
@@ -89,13 +89,15 @@ type Entry struct {
 }
 
 // Registry lists every experiment once, in the order EXPERIMENTS.md prints
-// them: the paper's claims E1–E18, then the ablations A1–A5. The paper's
-// constants optimize provability; the ablations show how the practical
-// defaults were chosen and how sensitive the system is to them.
+// them: the paper's claims E1 and E3–E12, then the ablations A1–A5. Each
+// E row checks the shape of one theorem's bound. EXPERIMENTS.md keeps a
+// row for every retired ID, naming the tests that own its checks, and no
+// ID is reused. The paper's constants optimize provability; the ablations
+// show how the practical defaults were chosen and how sensitive the
+// system is to them.
 func Registry() []Entry {
 	return []Entry{
 		{"E1", E1InitSlots},
-		{"E2", E2BiTreeValidity},
 		{"E3", E3DegreeTail},
 		{"E4", E4Sparsity},
 		{"E5", E5LowDegreeFilter},
@@ -106,11 +108,6 @@ func Registry() []Entry {
 		{"E10", E10Crossover},
 		{"E11", E11Latency},
 		{"E12", E12CapacityRatio},
-		{"E13", E13Energy},
-		{"E14", E14PhysicalEpoch},
-		{"E15", E15SessionMatrix},
-		{"E17", E17Quadtree},
-		{"E18", E18Churn},
 		{"A1", A1BroadcastProb},
 		{"A2", A2SlotPairsPerRound},
 		{"A3", A3DistrCapTau},
@@ -195,42 +192,6 @@ func E1InitSlots(ctx context.Context, cfg Config) Report {
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("normalized ratio spread = [%.2f, %.2f] (want bounded)", rs.Min, rs.Max))
 	r.Pass = exp < 0.75 && rs.Max/math.Max(rs.Min, 1e-9) < 8
-	return r
-}
-
-// E2BiTreeValidity verifies the correctness half of Theorem 2 on every
-// workload: spanning, strongly connected, ordered, per-slot feasible.
-func E2BiTreeValidity(ctx context.Context, cfg Config) Report {
-	cfg.defaults()
-	r := Report{
-		ID:    "E2",
-		Title: "Bi-tree validity across workloads",
-		Claim: "Theorem 2: output is a strongly connected bi-tree with a feasible ordered schedule",
-		Table: stats.NewTable("workload", "n", "trials", "valid"),
-	}
-	pass := true
-	n := cfg.Sizes[len(cfg.Sizes)-1]
-	for _, spec := range workload.Standard() {
-		valid := 0
-		for s := 0; s < cfg.Seeds; s++ {
-			rng := rand.New(rand.NewSource(int64(300 + s)))
-			in := sinr.MustInstance(spec.Gen(rng, n), sinr.DefaultParams())
-			res, err := core.Init(ctx, in, core.InitConfig{Channel: channel(int64(s))})
-			if err != nil {
-				continue
-			}
-			bt := res.Tree
-			if bt.Validate() == nil && bt.StronglyConnected() &&
-				bt.ValidateOrdering() == nil && bt.ValidatePerSlotFeasible(in) == nil {
-				valid++
-			}
-		}
-		r.Table.AddRow(spec.Name, n, cfg.Seeds, valid)
-		if valid != cfg.Seeds {
-			pass = false
-		}
-	}
-	r.Pass = pass
 	return r
 }
 
@@ -618,7 +579,7 @@ func E10Crossover(ctx context.Context, cfg Config) Report {
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("same-tree gap at top Δ: uniform %.1f vs mean %.1f", uniCol[last], meanFFCol[last]),
 		fmt.Sprintf("arbitrary TVC across the Δ sweep: %.1f → %.1f (flat = Δ-independent)", arbCol[0], arbCol[last]))
-	flat := arbCol[last] <= arbCol[0]*1.6+2 && meanTVCCol[last] <= meanTVCCol[0]*1.6+2
+	flat := arbCol[last] <= float64(arbCol[0]*1.6)+2 && meanTVCCol[last] <= float64(meanTVCCol[0]*1.6)+2
 	r.Pass = meanFFCol[last] <= uniCol[last] && flat
 	return r
 }

@@ -33,10 +33,6 @@ func TestE1InitSlots(t *testing.T) {
 	runAndCheck(t, E1InitSlots(t.Context(), Quick()), 3)
 }
 
-func TestE2BiTreeValidity(t *testing.T) {
-	runAndCheck(t, E2BiTreeValidity(t.Context(), Quick()), 3)
-}
-
 func TestE3DegreeTail(t *testing.T) {
 	runAndCheck(t, E3DegreeTail(t.Context(), Quick()), 2)
 }
@@ -75,14 +71,6 @@ func TestE11Latency(t *testing.T) {
 
 func TestE12CapacityRatio(t *testing.T) {
 	runAndCheck(t, E12CapacityRatio(t.Context(), Quick()), 2)
-}
-
-func TestE15SessionMatrix(t *testing.T) {
-	runAndCheck(t, E15SessionMatrix(t.Context(), Quick()), 2)
-}
-
-func TestE17Quadtree(t *testing.T) {
-	runAndCheck(t, E17Quadtree(t.Context(), Quick()), 4)
 }
 
 func TestQuickConfig(t *testing.T) {

@@ -81,7 +81,7 @@ func Solve(in *sinr.Instance, links []sinr.Link) (powers []float64, iterations i
 		for i := range links {
 			interf := 0.0
 			for j := range links {
-				interf += gain[i][j] * powers[j]
+				interf += float64(gain[i][j] * powers[j]) // rounded: no fused multiply-add
 			}
 			req := target * (p.Noise + interf) / direct[i]
 			next[i] = req

@@ -284,17 +284,19 @@ func TestExactDecodeMatchesListenerMajor(t *testing.T) {
 	}
 }
 
-// BenchmarkExactSlot times one exact slot at the shapes of the benchmark's
-// exact workloads (cmd/bench): a JitteredGrid(2.6, 0.8) deployment where
-// one node in `every` transmits and the rest listen. n = 4096 with ~100
-// senders is init-exact-4k's dense slot, decoded from the 128 MiB gain
-// table; n = 1024 with ~13 senders is tvc-exact-1k's; n = 16384 on a
-// quadtree plan with ~400 senders is an adaptive exact slot of
-// init-far-16k, which computes path loss on the fly. The ranged row is an
-// early Init round at n = 4096: about 1024 senders drawn at random and a
-// listen range of 1.55 that keeps about 80 listeners. The prune=off rows
-// time a slot the rule runs the decode pre-pass in (prune.go) forced onto
-// the full sum.
+// BenchmarkExactSlot times one exact slot near the shapes of the
+// benchmark's exact workloads (cmd/bench): a JitteredGrid(2.6, 0.8)
+// deployment where one node in `every` transmits and the rest listen.
+// n = 4096 with 102 senders decodes from the 128 MiB gain table, as
+// init-exact-4k does, but every non-sender listens there, about 3,990
+// listeners, where init-exact-4k's exact slots decode about 75 gated
+// listeners each. n = 1024 with ~13 senders is tvc-exact-1k's slot;
+// n = 16384 on a quadtree plan with ~400 senders is an adaptive exact
+// slot of init-far-16k, which computes path loss on the fly. The ranged
+// row is an early Init round at n = 4096: about 1024 senders drawn at
+// random and a listen range of 1.55 that keeps about 80 listeners. The
+// prune=off rows time a slot the rule runs the decode pre-pass in
+// (prune.go) forced onto the full sum.
 func BenchmarkExactSlot(b *testing.B) {
 	for _, tc := range []struct {
 		n, every int

@@ -111,9 +111,6 @@ func Idle() Action { return Action{Kind: ActionIdle} }
 // without being stepped.
 func Leave() Action { return Action{Kind: ActionLeave} }
 
-// Listen returns the listen action.
-func Listen() Action { return Action{Kind: ActionListen} }
-
 // ListenAddressed returns the addressed listen action: listen, but read
 // only a message whose Msg.To is this node. A message with To < 0
 // (NoAddressee) or To ≥ n addresses no node.
@@ -927,13 +924,6 @@ func (e *Engine) finishDecode(i, best int, bestRP, total float64, sh *shard) {
 		Slot: e.slot,
 	})
 	sh.delivered++
-}
-
-// Run executes exactly n slots.
-func (e *Engine) Run(n int) {
-	for i := 0; i < n; i++ {
-		e.Step()
-	}
 }
 
 // RunCtx executes up to n slots, checking ctx before every slot. It

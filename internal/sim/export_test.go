@@ -56,3 +56,14 @@ func WatchPruned(c Config, f func(rings int)) Config {
 	}
 	return c
 }
+
+// Listen returns the listen action. Production protocols spell out the
+// listen action with its Then and Hold.
+func Listen() Action { return Action{Kind: ActionListen} }
+
+// Run executes exactly n slots.
+func (e *Engine) Run(n int) {
+	for i := 0; i < n; i++ {
+		e.Step()
+	}
+}

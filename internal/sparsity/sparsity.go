@@ -31,7 +31,7 @@ func MeasureAtScales(in *sinr.Instance, links []sinr.Link) int {
 		// For this radius, the qualifying links are those of length ≥ 8ρ.
 		var qual []int
 		for i := range links {
-			if lengths[i] >= 8*rho-1e-9 {
+			if lengths[i] >= float64(8*rho)-1e-9 { // rounded: no fused multiply-add
 				qual = append(qual, i)
 			}
 		}
